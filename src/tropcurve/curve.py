@@ -1,17 +1,19 @@
 """Non-singular plane tropical curves and their dual subdivisions.
 
-A curve is the corner locus of a max-plus polynomial.  Construction
-computes the regular subdivision induced by the lifted coefficients by
-an exact pair scan: for every pair of support points the locus where
-both monomials are maximal is a (possibly empty) interval on their tie
-line, and nonempty intervals are exactly the edges of the subdivision.
-Everything is rational arithmetic; singular inputs are rejected.
+A curve is the corner locus of a max-plus polynomial.  Its dual
+subdivision is the projection of the upper hull of the lifted support
+{(p, a_p)}.  Construction scales the coefficients to integers by the lcm
+of their denominators and walks that hull cell by cell (gift wrapping
+across each edge), in Python ints; every accepted cell is unimodular, so
+each vertex solves a determinant-1 system and is exact in (1/lcm)*Z^2.
+Singular inputs are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from .errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
@@ -30,7 +32,6 @@ from .geometry import (
     rot90,
     sub,
     sub_i,
-    triangle_twice_area,
 )
 
 # Outward directions of the three boundary strata of the projective
@@ -126,9 +127,12 @@ class TropicalCurve:
         self.edges: tuple[Edge, ...] = edges
         self.dual: DualSubdivision = dual
         self.degree: int | None = degree
-        self.vertex_edges: tuple[tuple[int, ...], ...] = tuple(
-            tuple(e.index for e in edges if e.tail == v or e.head == v) for v in range(len(vertices))
-        )
+        incident: list[list[int]] = [[] for _ in vertices]
+        for e in edges:
+            incident[e.tail].append(e.index)
+            if e.head is not None:
+                incident[e.head].append(e.index)
+        self.vertex_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, incident))
         self.bounded_edges: tuple[int, ...] = tuple(e.index for e in edges if e.bounded)
         self.bounded_index: dict[int, int] = {eid: k for k, eid in enumerate(self.bounded_edges)}
         self._edge_by_dual = {frozenset(e.dual): e.index for e in edges}
@@ -329,118 +333,142 @@ class TropicalCurve:
 # -- construction -------------------------------------------------------
 
 
-def _tie_line(p: IVec, q: IVec, ap: Fraction, aq: Fraction) -> tuple[Point, IVec]:
-    """Base point and direction of {X : ap + p.X = aq + q.X}."""
-    n = sub_i(p, q)
-    c = aq - ap
-    if n[0] != 0:
-        base = (Fraction(c, n[0]), Fraction(0))
-    else:
-        base = (Fraction(0), Fraction(c, n[1]))
-    return base, rot90(sub_i(q, p))
-
-
 def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
     """Corner locus plus dual subdivision; rejects singular inputs."""
-    support = sorted(poly.support)
-    hull = convex_hull(support)
+    hull = convex_hull(list(poly.support))
     if len(hull) < 3:
         raise DegeneratePolygon("support hull is not 2-dimensional")
-    coeffs = poly.coefficients
-
-    dual_edges = []  # (p, q, lo, hi, direction) with lo/hi None for unbounded
-    for i, p in enumerate(support):
-        for q in support[i + 1:]:
-            base, d = _tie_line(p, q, coeffs[p], coeffs[q])
-            lo = hi = None
-            feasible = True
-            collinear_tie = False
-            for s in support:
-                if s == p or s == q:
-                    continue
-                g0 = coeffs[p] - coeffs[s] + dot2(sub_i(p, s), base)
-                g1 = dot2(sub_i(p, s), d)
-                if g1 == 0:
-                    if g0 < 0:
-                        feasible = False
-                        break
-                    if g0 == 0:
-                        collinear_tie = True
-                elif g1 > 0:
-                    bound = Fraction(-g0, g1)
-                    if lo is None or bound > lo:
-                        lo = bound
-                else:
-                    bound = Fraction(-g0, g1)
-                    if hi is None or bound < hi:
-                        hi = bound
-            if not feasible or (lo is not None and hi is not None and lo >= hi):
-                continue
-            if collinear_tie or primitive(sub_i(q, p)) != sub_i(q, p):
-                raise SingularSubdivision(f"dual edge {p}-{q} carries weight > 1")
-            dual_edges.append((p, q, base, d, lo, hi))
-
-    # vertices: finite interval endpoints, deduplicated; dual cell = argmax there
-    vertex_points: dict[Point, tuple[IVec, ...]] = {}
-    for p, q, base, d, lo, hi in dual_edges:
-        for t in (lo, hi):
-            if t is None:
-                continue
-            pt = (base[0] + d[0] * t, base[1] + d[1] * t)
-            if pt not in vertex_points:
-                cell = poly.argmax(pt)
-                if len(cell) != 3:
-                    raise SingularSubdivision(
-                        f"vertex at {pt} is dual to a cell with {len(cell)} points"
-                    )
-                if triangle_twice_area(*cell) != 1:
-                    raise SingularSubdivision(f"cell {cell} has Euclidean area > 1/2")
-                vertex_points[pt] = cell
-
-    order = sorted(vertex_points)
-    vertex_index = {pt: k for k, pt in enumerate(order)}
-    cells = tuple(vertex_points[pt] for pt in order)
-
     lattice = hull_lattice_points(hull)
-    used = {v for cell in cells for v in cell}
-    missing = [pt for pt in lattice if pt not in used]
+    missing = [pt for pt in lattice if pt not in poly.support]
     if missing:
-        raise SingularSubdivision(f"lattice points {missing} are not vertices of the subdivision")
-    # unimodular cells tile the polygon iff their count equals its twice-area
-    if len(cells) != polygon_twice_area(hull):
-        raise SingularSubdivision("subdivision does not tile the Newton polygon")
+        raise SingularSubdivision(f"lattice points {missing} are not in the support")
+    scale = lcm(*(a.denominator for a in poly.coefficients.values()))
+    height = {p: a.numerator * (scale // a.denominator) for p, a in poly.coefficients.items()}
+    boundary = _boundary_segments(hull, height)
+    left = _walk_cells(height, boundary, polygon_twice_area(hull))
 
-    # assemble curve edges (sorted by dual pair for determinism)
-    dual_edges.sort(key=lambda rec: tuple(sorted((rec[0], rec[1]))))
-    edges = []
-    sub_edges = []
-    for p, q, base, d, lo, hi in dual_edges:
-        if lo is not None and hi is not None:
-            a = (base[0] + d[0] * lo, base[1] + d[1] * lo)
-            b = (base[0] + d[0] * hi, base[1] + d[1] * hi)
-            idx = len(edges)
-            edges.append(
-                Edge(idx, vertex_index[a], vertex_index[b], primitive(d), (p, q), True)
-            )
-            sub_edges.append(SubdivisionEdge((p, q), True))
-        else:
-            if lo is None and hi is None:
-                raise SingularSubdivision("support line without any bounding monomial")
-            if hi is None:
-                anchor = (base[0] + d[0] * lo, base[1] + d[1] * lo)
-                out_dir, dual_pair = primitive(d), (p, q)
-            else:
-                anchor = (base[0] + d[0] * hi, base[1] + d[1] * hi)
-                out_dir, dual_pair = primitive((-d[0], -d[1])), (q, p)
-            idx = len(edges)
-            edges.append(Edge(idx, vertex_index[anchor], None, out_dir, dual_pair, False))
-            sub_edges.append(SubdivisionEdge(dual_pair, False))
+    # vertex of each cell from its determinant-1 system, scaled by `scale`
+    placed = []
+    for cell in set(left.values()):
+        p, q, r = cell
+        ux, uy = q[0] - p[0], q[1] - p[1]
+        wx, wy = r[0] - p[0], r[1] - p[1]
+        b1, b2 = height[p] - height[q], height[p] - height[r]
+        placed.append(((wy * b1 - uy * b2, ux * b2 - wx * b1), cell))
+    placed.sort()
+    vertex_index = {cell: k for k, (_, cell) in enumerate(placed)}
+    vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for (x, y), _ in placed)
+
+    # a bounded edge runs from the cell right of p->q to the cell left of it
+    # (p < q); a ray leaves its only cell in the direction rot90(a - b),
+    # where the cell lies left of a->b
+    records = []
+    for (a, b), cell in left.items():
+        if (b, a) not in left:
+            records.append(((b, a), vertex_index[cell], None, rot90(sub_i(a, b))))
+        elif a < b:
+            records.append(((a, b), vertex_index[left[(b, a)]], vertex_index[cell], rot90(sub_i(b, a))))
+    records.sort(key=lambda rec: (min(rec[0]), max(rec[0])))
+    edges = tuple(
+        Edge(idx, tail, head, direction, pair, head is not None)
+        for idx, (pair, tail, head, direction) in enumerate(records)
+    )
+    sub_edges = tuple(SubdivisionEdge(e.dual, e.bounded) for e in edges)
 
     degree = _simplex_degree(hull)
-    dual = DualSubdivision(tuple(hull), tuple(lattice), cells, tuple(sub_edges), True)
-    curve = TropicalCurve(poly, tuple(order), tuple(edges), dual, degree)
+    dual_cells = tuple(tuple(sorted(cell)) for _, cell in placed)
+    dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells, sub_edges, True)
+    curve = TropicalCurve(poly, vertices, edges, dual, degree)
     _verify_curve(curve)
     return curve
+
+
+def _boundary_segments(hull: list[IVec], height: dict[IVec, int]) -> set[tuple[IVec, IVec]]:
+    """Unit segments of the polygon sides, counterclockwise.
+
+    Strictly concave heights along each side make every unit segment an
+    edge of the upper hull of the lifted support.
+    """
+    segments = set()
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        steps = gcd(dx, dy)
+        side = [(a[0] + t * dx // steps, a[1] + t * dy // steps) for t in range(steps + 1)]
+        for s0, s1, s2 in zip(side, side[1:], side[2:]):
+            if 2 * height[s1] <= height[s0] + height[s2]:
+                raise SingularSubdivision(
+                    f"heights along the side {a}-{b} are not strictly concave at {s1}"
+                )
+        segments.update(zip(side, side[1:]))
+    return segments
+
+
+def _walk_cells(
+    height: dict[IVec, int], boundary: set[tuple[IVec, IVec]], area2: int
+) -> dict[tuple[IVec, IVec], tuple[IVec, IVec, IVec]]:
+    """Gift-wrap the upper hull of the lifted support, one cell per step.
+
+    Starting from a boundary unit segment, each unvisited edge is crossed
+    to the unique unimodular cell on its left.  Returns the cell
+    (counterclockwise triple) lying left of each directed edge.
+
+    Lifted points collinear with an interior edge need no check of their
+    own: the first cell reached next to such an edge is entered across
+    another of its edges, where two of those points tie.
+    """
+    lifted = sorted(height.items())
+    left: dict[tuple[IVec, IVec], tuple[IVec, IVec, IVec]] = {}
+    pending = [min(boundary)]
+    while pending:
+        p, q = pending.pop()
+        if (p, q) in left:
+            continue
+        cell = (p, q, _cell_apex(lifted, height, p, q))
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            if (a, b) in left:
+                raise SingularSubdivision(f"cells {left[(a, b)]} and {cell} overlap")
+            left[(a, b)] = cell
+            if (b, a) not in left and (a, b) not in boundary:
+                pending.append((b, a))
+    count = len(left) // 3
+    if count != area2:
+        raise SingularSubdivision(f"{count} unimodular cells for a polygon of twice-area {area2}")
+    return left
+
+
+def _cell_apex(lifted: list[tuple[IVec, int]], height: dict[IVec, int], p: IVec, q: IVec) -> IVec:
+    """Third point of the upper-hull cell left of the hull edge p->q.
+
+    It is the point r with det(q-p, r-p) > 0 whose lifted plane through
+    p and q is steepest; the slope is num/den below, compared by
+    cross-multiplication.
+    """
+    px, py = p
+    ux, uy = q[0] - px, q[1] - py
+    uu = ux * ux + uy * uy
+    hp = height[p]
+    rise = height[q] - hp
+    apex = None
+    best_num, best_den = 0, 1
+    tie = False
+    for r, h in lifted:
+        wx, wy = r[0] - px, r[1] - py
+        den = ux * wy - uy * wx
+        if den <= 0:
+            continue
+        num = (h - hp) * uu - rise * (ux * wx + uy * wy)
+        lhs, rhs = num * best_den, best_num * den
+        if apex is None or lhs > rhs:
+            apex, best_num, best_den, tie = r, num, den, False
+        elif lhs == rhs:
+            tie = True
+    if apex is None:
+        raise SingularSubdivision(f"no cell left of the edge {p}-{q}")
+    if tie:
+        raise SingularSubdivision(f"the cell left of {p}-{q} has more than three points")
+    if best_den != 1:
+        raise SingularSubdivision(f"cell {(p, q, apex)} has Euclidean area > 1/2")
+    return apex
 
 
 def _simplex_degree(hull: list[IVec]) -> int | None:

@@ -125,10 +125,6 @@ def hull_lattice_points(hull: list[IVec]) -> list[IVec]:
     return out
 
 
-def triangle_twice_area(a: IVec, b: IVec, c: IVec) -> int:
-    return abs(det2(sub_i(b, a), sub_i(c, a)))
-
-
 def on_segment(a: Point, b: Point, p: Point) -> bool:
     """Closed segment membership (a != b assumed)."""
     u = sub(b, a)

@@ -1,8 +1,9 @@
 """Built-in oracle cross-checks, runnable from the CLI verify command.
 
-Each check pits two independent routes against each other (twist-matrix
-count vs quadrant-model count, bridge locus vs pencil sweep vs innermost
-oval, degree product vs enumerated multiplicities) on randomized inputs.
+Each check pits two independent routes against each other (gift-wrap
+construction vs pair scan, twist-matrix count vs quadrant-model count,
+bridge locus vs pencil sweep vs innermost oval, degree product vs
+enumerated multiplicities) on randomized inputs.
 """
 
 from __future__ import annotations
@@ -11,8 +12,30 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import TropicalCurve, TropicalPolynomial, curve_from_polynomial, honeycomb
-from .errors import SingularSubdivision, UnsupportedConfiguration
+from .curve import (
+    DualSubdivision,
+    Edge,
+    SubdivisionEdge,
+    TropicalCurve,
+    TropicalPolynomial,
+    _simplex_degree,
+    _verify_curve,
+    curve_from_polynomial,
+    honeycomb,
+)
+from .errors import DegeneratePolygon, SingularSubdivision, UnsupportedConfiguration
+from .geometry import (
+    IVec,
+    Point,
+    convex_hull,
+    det2,
+    dot2,
+    hull_lattice_points,
+    polygon_twice_area,
+    primitive,
+    rot90,
+    sub_i,
+)
 from .gf2 import Gf2Matrix, kernel
 from .hyperbolic import honeycomb_locus, hyperbolicity_locus, multi_bridges
 from .intersect import bezout_total, intersection_components, real_lift
@@ -51,6 +74,177 @@ def random_nonsingular_curve(rng: random.Random, degree: int, tries: int = 300) 
         except SingularSubdivision:
             continue
     raise RuntimeError(f"no non-singular degree-{degree} curve after {tries} tries")
+
+
+def _tie_line(p: IVec, q: IVec, ap: Fraction, aq: Fraction) -> tuple[Point, IVec]:
+    """Base point and direction of {X : ap + p.X = aq + q.X}."""
+    n = sub_i(p, q)
+    c = aq - ap
+    if n[0] != 0:
+        base = (Fraction(c, n[0]), Fraction(0))
+    else:
+        base = (Fraction(0), Fraction(c, n[1]))
+    return base, rot90(sub_i(q, p))
+
+
+def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
+    """Reference construction of ``curve_from_polynomial`` by an O(n^3) pair scan.
+
+    For every pair of support points the locus where both monomials are
+    maximal is a (possibly empty) interval on their tie line, and the
+    nonempty intervals are exactly the edges of the subdivision.
+    """
+    support = sorted(poly.support)
+    hull = convex_hull(support)
+    if len(hull) < 3:
+        raise DegeneratePolygon("support hull is not 2-dimensional")
+    coeffs = poly.coefficients
+
+    dual_edges = []  # (p, q, lo, hi, direction) with lo/hi None for unbounded
+    for i, p in enumerate(support):
+        for q in support[i + 1:]:
+            base, d = _tie_line(p, q, coeffs[p], coeffs[q])
+            lo = hi = None
+            feasible = True
+            collinear_tie = False
+            for s in support:
+                if s == p or s == q:
+                    continue
+                g0 = coeffs[p] - coeffs[s] + dot2(sub_i(p, s), base)
+                g1 = dot2(sub_i(p, s), d)
+                if g1 == 0:
+                    if g0 < 0:
+                        feasible = False
+                        break
+                    if g0 == 0:
+                        collinear_tie = True
+                elif g1 > 0:
+                    bound = Fraction(-g0, g1)
+                    if lo is None or bound > lo:
+                        lo = bound
+                else:
+                    bound = Fraction(-g0, g1)
+                    if hi is None or bound < hi:
+                        hi = bound
+            if not feasible or (lo is not None and hi is not None and lo >= hi):
+                continue
+            if collinear_tie or primitive(sub_i(q, p)) != sub_i(q, p):
+                raise SingularSubdivision(f"dual edge {p}-{q} carries weight > 1")
+            dual_edges.append((p, q, base, d, lo, hi))
+
+    # vertices: finite interval endpoints, deduplicated; dual cell = argmax there
+    vertex_points: dict[Point, tuple[IVec, ...]] = {}
+    for p, q, base, d, lo, hi in dual_edges:
+        for t in (lo, hi):
+            if t is None:
+                continue
+            pt = (base[0] + d[0] * t, base[1] + d[1] * t)
+            if pt not in vertex_points:
+                cell = poly.argmax(pt)
+                if len(cell) != 3:
+                    raise SingularSubdivision(
+                        f"vertex at {pt} is dual to a cell with {len(cell)} points"
+                    )
+                if abs(det2(sub_i(cell[1], cell[0]), sub_i(cell[2], cell[0]))) != 1:
+                    raise SingularSubdivision(f"cell {cell} has Euclidean area > 1/2")
+                vertex_points[pt] = cell
+
+    order = sorted(vertex_points)
+    vertex_index = {pt: k for k, pt in enumerate(order)}
+    cells = tuple(vertex_points[pt] for pt in order)
+
+    lattice = hull_lattice_points(hull)
+    used = {v for cell in cells for v in cell}
+    missing = [pt for pt in lattice if pt not in used]
+    if missing:
+        raise SingularSubdivision(f"lattice points {missing} are not vertices of the subdivision")
+    # unimodular cells tile the polygon iff their count equals its twice-area
+    if len(cells) != polygon_twice_area(hull):
+        raise SingularSubdivision("subdivision does not tile the Newton polygon")
+
+    # assemble curve edges (sorted by dual pair for determinism)
+    dual_edges.sort(key=lambda rec: tuple(sorted((rec[0], rec[1]))))
+    edges = []
+    sub_edges = []
+    for p, q, base, d, lo, hi in dual_edges:
+        if lo is not None and hi is not None:
+            a = (base[0] + d[0] * lo, base[1] + d[1] * lo)
+            b = (base[0] + d[0] * hi, base[1] + d[1] * hi)
+            idx = len(edges)
+            edges.append(
+                Edge(idx, vertex_index[a], vertex_index[b], primitive(d), (p, q), True)
+            )
+            sub_edges.append(SubdivisionEdge((p, q), True))
+        else:
+            if lo is None and hi is None:
+                raise SingularSubdivision("support line without any bounding monomial")
+            if hi is None:
+                anchor = (base[0] + d[0] * lo, base[1] + d[1] * lo)
+                out_dir, dual_pair = primitive(d), (p, q)
+            else:
+                anchor = (base[0] + d[0] * hi, base[1] + d[1] * hi)
+                out_dir, dual_pair = primitive((-d[0], -d[1])), (q, p)
+            idx = len(edges)
+            edges.append(Edge(idx, vertex_index[anchor], None, out_dir, dual_pair, False))
+            sub_edges.append(SubdivisionEdge(dual_pair, False))
+
+    degree = _simplex_degree(hull)
+    dual = DualSubdivision(tuple(hull), tuple(lattice), cells, tuple(sub_edges), True)
+    curve = TropicalCurve(poly, tuple(order), tuple(edges), dual, degree)
+    _verify_curve(curve)
+    return curve
+
+
+_DENOMINATORS = (1, 2, 3, 4, 5, 7, 8)
+
+
+def random_lift(rng: random.Random) -> TropicalPolynomial:
+    """A lift drawn from a mix that both constructions must agree on.
+
+    The support is a d*simplex, a rectangle or a rectangle with cut
+    corners, sometimes with one point dropped; the heights are a
+    near-honeycomb concave lift, a perturbed random quadratic form, or
+    random rationals with mixed denominators.  Many draws are singular.
+    """
+    shape = rng.randrange(3)
+    if shape == 0:
+        lo, a = 0, rng.randint(1, 4)
+        b = hi = a
+    else:
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        lo, hi = (0, a + b) if shape == 1 else (rng.randint(0, 1), rng.randint(max(a, b, 2), a + b))
+    support = [(i, j) for i in range(a + 1) for j in range(b + 1) if lo <= i + j <= hi]
+    if len(support) > 3 and rng.random() < 0.2:
+        support.remove(rng.choice(support))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return TropicalPolynomial({
+            (i, j): Fraction(-16 * (i * i + i * j + j * j) + rng.randrange(16), 8) for i, j in support
+        })
+    if kind == 1:
+        while True:
+            qa, qc = rng.randint(1, 6), rng.randint(1, 6)
+            qb = rng.randint(-2 * min(qa, qc), 2 * min(qa, qc))
+            if qb * qb < 4 * qa * qc:
+                break
+        return TropicalPolynomial({
+            (i, j): -(qa * i * i + qb * i * j + qc * j * j)
+            + Fraction(rng.randint(-8, 8), 8 * rng.choice(_DENOMINATORS))
+            for i, j in support
+        })
+    return TropicalPolynomial({
+        p: Fraction(rng.randint(-24, 24), rng.choice(_DENOMINATORS)) for p in support
+    })
+
+
+def construction_outcome(build, poly: TropicalPolynomial):
+    """The refusal type, or the (vertices, edges, dual) a construction gives."""
+    try:
+        curve = build(poly)
+    except (DegeneratePolygon, SingularSubdivision) as exc:
+        return type(exc)
+    return (curve.vertices, curve.edges, curve.dual)
 
 
 def random_sign_distribution(rng: random.Random, curve: TropicalCurve) -> SignDistribution:
@@ -150,6 +344,20 @@ def check_bezout(rng: random.Random, trials: int) -> CheckResult:
     return CheckResult("bezout", True, f"{trials} generic pairs")
 
 
+def check_construction(rng: random.Random, trials: int) -> CheckResult:
+    """Gift-wrap construction against the pair scan on mixed random lifts."""
+    accepted = 0
+    for k in range(trials):
+        poly = random_lift(rng)
+        walk = construction_outcome(curve_from_polynomial, poly)
+        scan = construction_outcome(pair_scan_curve, poly)
+        if walk != scan:
+            coeffs = {p: str(a) for p, a in sorted(poly.coefficients.items())}
+            return CheckResult("construction", False, f"trial {k}: outcomes differ on {coeffs}")
+        accepted += isinstance(walk, tuple)
+    return CheckResult("construction", True, f"{trials} random lifts, {accepted} non-singular")
+
+
 def check_rank_nullity(rng: random.Random, trials: int) -> CheckResult:
     for _ in range(trials):
         rows = rng.randrange(1, 40)
@@ -168,6 +376,7 @@ def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
     rng = random.Random(seed)
     return [
         check_rank_nullity(random.Random(seed + 1), max(trials * 4, 50)),
+        check_construction(random.Random(seed + 4), max(trials * 8, 50)),
         check_component_counts(rng, trials),
         check_honeycomb_locus(random.Random(seed + 2), max(trials // 2, 5)),
         check_bezout(random.Random(seed + 3), max(trials // 2, 5)),

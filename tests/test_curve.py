@@ -12,7 +12,12 @@ from tropcurve import (
 )
 from tropcurve.errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
 from tropcurve.geometry import canonical_direction, det2, rot90, sub_i
-from tropcurve.selfcheck import random_nonsingular_curve
+from tropcurve.selfcheck import (
+    construction_outcome,
+    pair_scan_curve,
+    random_lift,
+    random_nonsingular_curve,
+)
 
 
 def test_line_from_all_zero_coefficients(make_line=None):
@@ -49,6 +54,39 @@ def test_skipped_lattice_point_is_singular():
             TropicalPolynomial({(0, 0): 0, (2, 0): 0, (0, 2): 0, (1, 1): -10, (1, 0): -1,
                                 (0, 1): -1, (2, 1): -3, (1, 2): -3, (2, 2): -2})
         )
+
+
+@pytest.mark.parametrize(
+    "coefficients, reason",
+    [
+        # side point on its neighbours' chord, then below it
+        ({(0, 0): 0, (1, 0): 0, (2, 0): 0, (0, 1): -1, (1, 1): -1, (0, 2): -4}, "not strictly concave"),
+        ({(0, 0): 0, (1, 0): -1, (2, 0): 0, (0, 1): -1, (1, 1): -2, (0, 2): -4}, "not strictly concave"),
+        # flat unit square: one cell with four points
+        ({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0}, "more than three points"),
+        # (1,1) pulled below the triangle (0,1),(1,0),(2,1) of twice-area 2
+        ({(0, 0): -3, (1, 0): -1, (2, 0): -2, (3, 0): -6, (0, 1): -1, (1, 1): -9,
+          (2, 1): -2, (0, 2): -2, (1, 2): -3, (0, 3): -7}, "area > 1/2"),
+        # flat unit square again, with heights over the denominators 2, 3, 5 and 30
+        ({(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3), (0, 1): Fraction(1, 5),
+          (1, 1): Fraction(1, 30)}, "more than three points"),
+    ],
+)
+def test_walk_rejections_are_singular_subdivisions(coefficients, reason):
+    with pytest.raises(SingularSubdivision, match=reason):
+        curve_from_polynomial(TropicalPolynomial(coefficients))
+
+
+def test_walk_matches_pair_scan_on_random_lifts():
+    # mixed supports and lifts, many singular: same refusal or same curve
+    rng = random.Random(2)
+    accepted = 0
+    for _ in range(1000):
+        poly = random_lift(rng)
+        walk = construction_outcome(curve_from_polynomial, poly)
+        assert walk == construction_outcome(pair_scan_curve, poly), poly.coefficients
+        accepted += isinstance(walk, tuple)
+    assert 200 <= accepted <= 800
 
 
 def test_degenerate_polygon():
@@ -91,6 +129,14 @@ def test_honeycomb_invariants():
         assert len(c.bounded_edges) == 3 * d * (d - 1) // 2
         assert len(c.vertices) == d * d
         _check_structure(c)
+
+
+def test_honeycomb_degree_20():
+    c = honeycomb(20)
+    assert len(c.vertices) == 400
+    assert len(c.edges) == 630
+    _check_structure(c)
+    assert len(primitive_cycles(c)) == 19 * 18 // 2
 
 
 def test_honeycomb_examples():
