@@ -11,7 +11,14 @@ from .errors import TropcurveError, UnsupportedConfiguration
 from .gf2 import kernel
 from .hyperbolic import hyperbolic_wrt_point, hyperbolicity_locus
 from .intersect import intersection_components, real_lift
-from .io_render import build_scenario, load_spec, render_svg
+from .io_render import (
+    build_scenario,
+    check_lattice_point,
+    load_spec,
+    parse_eps,
+    parse_point_key,
+    render_svg,
+)
 from .realstruct import (
     count_components_direct,
     count_components_matrix,
@@ -183,10 +190,8 @@ def _cmd_hyperbolic(args) -> int:
     curve, phase = scen.curve, scen.phase
     if args.point is not None or scen.query is not None:
         if args.point is not None:
-            from .io_render import _parse_point_key
-
-            alpha = _parse_point_key(args.point, "--point")
-            eps = tuple(int(b) & 1 for b in args.eps.split(",")) if args.eps else (0, 0)
+            alpha = check_lattice_point(curve, parse_point_key(args.point, "--point"), "--point")
+            eps = parse_eps(args.eps, "--eps") if args.eps else (0, 0)
         else:
             alpha, eps = scen.query
         verdict = hyperbolic_wrt_point(curve, phase, alpha, eps)
@@ -286,7 +291,7 @@ def main(argv=None) -> int:
     except UnsupportedConfiguration as exc:
         sys.stderr.write(f"unsupported configuration: {exc}\n")
         return 2
-    except (TropcurveError, OSError) as exc:
+    except (TropcurveError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -83,13 +83,6 @@ class DualSubdivision:
     lattice_points: tuple[IVec, ...]
     cells: tuple[tuple[IVec, IVec, IVec], ...]
     edges: tuple[SubdivisionEdge, ...]
-    nonsingular: bool
-
-    def cells_of_point(self, p: IVec) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.cells) if p in c)
-
-    def edges_of_point(self, p: IVec) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.edges) if p in e.points)
 
 
 @dataclass(frozen=True)
@@ -146,6 +139,7 @@ class TropicalCurve:
                     key = frozenset((cell[a], cell[b]))
                     self._cells_of_dual_edge.setdefault(key, ())
                     self._cells_of_dual_edge[key] += (ci,)
+        self._primitive_cycles: tuple[PrimitiveCycle, ...] | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -377,7 +371,7 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
 
     degree = _simplex_degree(hull)
     dual_cells = tuple(tuple(sorted(cell)) for _, cell in placed)
-    dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells, sub_edges, True)
+    dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells, sub_edges)
     curve = TropicalCurve(poly, vertices, edges, dual, degree)
     _verify_curve(curve)
     return curve
@@ -524,20 +518,26 @@ def honeycomb(d: int) -> TropicalCurve:
 
 
 def primitive_cycles(curve: TropicalCurve) -> list[PrimitiveCycle]:
-    """One cycle per interior lattice point of the Newton polygon."""
-    hull = list(curve.dual.polygon)
-    cycles = []
-    for alpha in curve.dual.lattice_points:
-        if not point_strictly_in_hull(hull, alpha):
-            continue
-        eids = frozenset(
-            curve.edge_by_dual(*se.points)
-            for se in curve.dual.edges
-            if alpha in se.points and se.interior
-        )
-        _check_cycle(curve, eids, alpha)
-        cycles.append(PrimitiveCycle(alpha, eids))
-    return cycles
+    """One cycle per interior lattice point of the Newton polygon.
+
+    The cycles are built and checked once per curve; each call returns a
+    new list of them.
+    """
+    if curve._primitive_cycles is None:
+        hull = list(curve.dual.polygon)
+        cycles = []
+        for alpha in curve.dual.lattice_points:
+            if not point_strictly_in_hull(hull, alpha):
+                continue
+            eids = frozenset(
+                curve.edge_by_dual(*se.points)
+                for se in curve.dual.edges
+                if alpha in se.points and se.interior
+            )
+            _check_cycle(curve, eids, alpha)
+            cycles.append(PrimitiveCycle(alpha, eids))
+        curve._primitive_cycles = tuple(cycles)
+    return list(curve._primitive_cycles)
 
 
 def _check_cycle(curve: TropicalCurve, eids: frozenset[int], alpha: IVec) -> None:

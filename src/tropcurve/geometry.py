@@ -13,10 +13,6 @@ Point = tuple[Fraction, Fraction]
 IVec = tuple[int, int]
 
 
-def frac_point(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
 def add(p: Point, q) -> Point:
     return (p[0] + q[0], p[1] + q[1])
 
@@ -125,16 +121,6 @@ def hull_lattice_points(hull: list[IVec]) -> list[IVec]:
     return out
 
 
-def on_segment(a: Point, b: Point, p: Point) -> bool:
-    """Closed segment membership (a != b assumed)."""
-    u = sub(b, a)
-    w = sub(p, a)
-    if det2(u, w) != 0:
-        return False
-    t = dot2(u, w)
-    return 0 <= t <= dot2(u, u)
-
-
 def intersect_param_lines(p: Point, d, q: Point, e):
     """Solve p + t*d = q + s*e.
 
@@ -150,6 +136,12 @@ def intersect_param_lines(p: Point, d, q: Point, e):
     t = Fraction(det2(w, e), dd)
     s = Fraction(det2(w, d), dd)
     return ("point", t, s)
+
+
+def line_param(anchor: Point, d, p: Point) -> Fraction:
+    """The t with p = anchor + t*d, for p on that line."""
+    w = sub(p, anchor)
+    return w[0] / d[0] if d[0] != 0 else w[1] / d[1]
 
 
 def lex_key(p: Point):

@@ -22,15 +22,24 @@ from .errors import (
     NotHoneycomb,
     PointOnCurve,
 )
-from .geometry import IVec, Point, canonical_direction, det2, intersect_param_lines, sub
+from .geometry import (
+    IVec,
+    Point,
+    canonical_direction,
+    det2,
+    intersect_param_lines,
+    line_param,
+    sub,
+    sub_i,
+)
 from .gf2 import AffineFlat, Gf2Vector, kernel, solve_affine
 from .realstruct import (
     EPS4,
     Eps,
     RealPhaseStructure,
     TwistSet,
-    _continuation_edge,
-    _outward_direction,
+    _UnionFind,
+    continuation_side,
     count_components_direct,
     div_space,
     is_admissible,
@@ -38,6 +47,7 @@ from .realstruct import (
     real_part,
     region_class,
     signs_from_phase,
+    sides_differ,
     twist_matrix,
     twists_from_phase,
 )
@@ -73,9 +83,6 @@ class SigmaV:
         assert w[1] < 0 and w[0] > w[1]
         return ("sector", (0, 1))
 
-    def ray_direction(self, label: IVec) -> IVec:
-        return RAY_DIR[label]
-
 
 def sigma_v(v: Point) -> SigmaV:
     return SigmaV((Fraction(v[0]), Fraction(v[1])))
@@ -96,7 +103,7 @@ def is_generic(v: Point, curve: TropicalCurve) -> bool:
             p = curve.edge_anchor(e.index)
             res = intersect_param_lines(v, ray, p, e.direction)
             if res is not None and res[0] == "collinear":
-                t0 = _ray_param(v, ray, p)
+                t0 = line_param(v, ray, p)
                 tmax = curve.edge_tmax(e.index)
                 if e.direction == ray:
                     hi = None if tmax is None else t0 + tmax
@@ -105,11 +112,6 @@ def is_generic(v: Point, curve: TropicalCurve) -> bool:
                 if hi is None or hi >= 0:
                     return False
     return True
-
-
-def _ray_param(v: Point, ray: IVec, p: Point) -> Fraction:
-    w = sub(p, v)
-    return w[0] / ray[0] if ray[0] != 0 else w[1] / ray[1]
 
 
 def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: int = 60) -> Point:
@@ -264,12 +266,10 @@ class _ComponentAnalysis:
         e = curve.edges[eid]
         line = phase.lines[eid]
         # far-end continuations on the curve side, per phase element
-        side_w = {}
-        for eps in line.elements:
-            cont = _continuation_edge(curve, phase, eid, w_vid, eps)
-            s = det2(e.direction, _outward_direction(curve, cont, w_vid))
-            assert s != 0
-            side_w[eps] = s > 0
+        side_w = {
+            eps: continuation_side(curve, phase, eid, w_vid, e.direction, eps)
+            for eps in line.elements
+        }
         # the two other rays of the pencil line with vertex u0
         rv_dir = (-RAY_DIR[ray_label][0], -RAY_DIR[ray_label][1])
         third_dir = next(
@@ -315,18 +315,18 @@ class _ComponentAnalysis:
         n_third = _CLASS_NORMAL[third_cls]
         c_rv = (eps[0] * n_rv[0] + eps[1] * n_rv[1]) & 1
         c_third = 1 ^ rec["level"] ^ c_rv
-        verdicts = []
-        for phi in rec["elements"]:
+
+        def side_u0(phi: Eps) -> bool:
+            # continuation of phi at u0 along the pencil line
             if ((phi[0] * n_rv[0] + phi[1] * n_rv[1]) & 1) == c_rv:
                 cont_dir = rv_dir
                 assert ((phi[0] * n_third[0] + phi[1] * n_third[1]) & 1) != c_third
             else:
                 cont_dir = third_dir
                 assert ((phi[0] * n_third[0] + phi[1] * n_third[1]) & 1) == c_third
-            side_u0 = det2(rec["ref_dir"], cont_dir) > 0
-            verdicts.append(side_u0 != rec["side_w"][phi])
-        assert verdicts[0] == verdicts[1]
-        return verdicts[0]
+            return det2(rec["ref_dir"], cont_dir) > 0
+
+        return sides_differ(rec["elements"], side_u0, rec["side_w"].__getitem__)
 
 
 def hyperbolic_wrt_point(
@@ -352,8 +352,7 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
     """Full report: twist-matrix data plus the locus by both methods."""
     d = curve.require_degree()
     twists = twists_from_phase(curve, phase)
-    k = kernel(twist_matrix(curve, twists)).dim
-    hyp = is_dividing(curve, twists) and k == (d + 1) // 2 - 1
+    hyp, k = is_hyperbolic(curve, twists)
 
     rp = real_part(curve, phase)
     report = count_components_direct(rp)
@@ -442,7 +441,7 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
     groups: dict[tuple[str, int], set[int]] = {}
     for eid in curve.bounded_edges:
         p, q = curve.edges[eid].dual
-        fam = _DUAL_FAMILY[canonical_direction(sub_pts(q, p))]
+        fam = _DUAL_FAMILY[canonical_direction(sub_i(q, p))]
         if fam == "v":
             level = p[0]
         elif fam == "h":
@@ -463,27 +462,12 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
     return bridges
 
 
-def sub_pts(q: IVec, p: IVec) -> IVec:
-    return (q[0] - p[0], q[1] - p[1])
-
-
 def _removal_components(curve: TropicalCurve, removed: frozenset[int]) -> int:
-    parent = list(range(len(curve.vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind()
     for eid in curve.bounded_edges:
-        if eid in removed:
-            continue
-        e = curve.edges[eid]
-        ra, rb = find(e.tail), find(e.head)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(len(curve.vertices))})
+        if eid not in removed:
+            uf.union(curve.edges[eid].tail, curve.edges[eid].head)
+    return len({uf.find(v) for v in range(len(curve.vertices))})
 
 
 def honeycomb_locus(curve: TropicalCurve, twists: TwistSet) -> frozenset[IVec]:

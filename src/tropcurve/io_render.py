@@ -33,11 +33,42 @@ from .realstruct import (
 _POINT_KEY = re.compile(r"^\(?\s*(-?\d+)\s*,\s*(-?\d+)\s*\)?$")
 
 
-def _parse_point_key(key: str, field: str) -> IVec:
+def parse_point_key(key: str, field: str) -> IVec:
+    """A lattice point written "i,j" or "(i,j)"."""
     m = _POINT_KEY.match(key)
     if not m:
         raise ParseError(f"bad lattice point key {key!r}", field)
     return (int(m.group(1)), int(m.group(2)))
+
+
+def _parse_point(value, field: str) -> IVec:
+    """A lattice point written [i, j]."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(c) is int for c in value)):
+        raise ParseError(f"bad lattice point {value!r}", field)
+    return (value[0], value[1])
+
+
+def _parse_pair(value, field: str) -> tuple[IVec, IVec]:
+    """Two lattice points [[i, j], [k, l]], sorted."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ParseError(f"bad lattice segment {value!r}", field)
+    a, b = sorted((_parse_point(value[0], field), _parse_point(value[1], field)))
+    return a, b
+
+
+def parse_eps(value, field: str) -> tuple[int, int]:
+    """Symmetry bits written [b, b] or "b,b", each bit 0 or 1."""
+    bits = value.split(",") if isinstance(value, str) else value
+    if isinstance(bits, list) and len(bits) == 2 and all(str(b).strip() in ("0", "1") for b in bits):
+        return (int(bits[0]), int(bits[1]))
+    raise ValidationError(f"symmetry must be two bits, each 0 or 1, got {value!r}", field)
+
+
+def check_lattice_point(curve: TropicalCurve, point: IVec, field: str) -> IVec:
+    """The point, when it is a lattice point of the curve's Newton polygon."""
+    if point not in curve.dual.lattice_points:
+        raise ValidationError(f"{point} is not a lattice point of the Newton polygon", field)
+    return point
 
 
 def _parse_rational(value, field: str) -> Fraction:
@@ -68,7 +99,7 @@ def _parse_edge_key(key: str, field: str) -> tuple[IVec, IVec]:
     parts = key.split("|")
     if len(parts) != 2:
         raise ParseError(f"bad edge key {key!r}", field)
-    return (_parse_point_key(parts[0], field), _parse_point_key(parts[1], field))
+    return (parse_point_key(parts[0], field), parse_point_key(parts[1], field))
 
 
 @dataclass
@@ -106,22 +137,23 @@ def _normalize_curve(data, field: str) -> dict:
         raise ParseError("curve must be an object", field)
     if "honeycomb" in data:
         d = data["honeycomb"]
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise ValidationError("honeycomb degree must be a positive integer", field)
         if len(data) != 1:
             raise ValidationError("honeycomb curves take no further fields", field)
         return {"honeycomb": d}
     if "support" not in data or "coefficients" not in data:
         raise ParseError("curve needs either 'honeycomb' or 'support'+'coefficients'", field)
-    support = []
-    for p in data["support"]:
-        if not (isinstance(p, list) and len(p) == 2 and all(isinstance(c, int) for c in p)):
-            raise ParseError(f"bad support point {p!r}", field)
-        support.append((p[0], p[1]))
-    support = sorted(set(support))
+    if not (isinstance(data["support"], list) and data["support"]):
+        raise ParseError("support must be a nonempty list of lattice points", field)
+    if not isinstance(data["coefficients"], dict):
+        raise ParseError("coefficients must be an object keyed by lattice points", field)
+    support = sorted({_parse_point(p, f"{field}.support") for p in data["support"]})
+    if any(c < 0 for p in support for c in p):
+        raise ValidationError("support points must have nonnegative coordinates", field)
     coeffs = {}
     for key, value in data["coefficients"].items():
-        pt = _parse_point_key(key, f"{field}.coefficients")
+        pt = parse_point_key(key, f"{field}.coefficients")
         coeffs[pt] = _parse_rational(value, f"{field}.coefficients[{key}]")
     missing = [p for p in support if p not in coeffs]
     if missing:
@@ -156,8 +188,8 @@ def _normalize_structure(data, curve_data: dict, field: str) -> dict:
         elif isinstance(signs, dict):
             table = {}
             for key, value in signs.items():
-                pt = _parse_point_key(key, f"{field}.signs")
-                if value not in (1, -1):
+                pt = parse_point_key(key, f"{field}.signs")
+                if type(value) is not int or value not in (1, -1):
                     raise ValidationError(f"sign at {pt} must be 1 or -1", field)
                 table[pt] = value
             missing = [p for p in lattice if p not in table]
@@ -171,32 +203,26 @@ def _normalize_structure(data, curve_data: dict, field: str) -> dict:
         return {"signs": {f"{p[0]},{p[1]}": table[p] for p in sorted(table)}}
     if kind == "twists":
         tw = data["twists"]
-        if not isinstance(tw, dict) or "edges" not in tw:
+        if not isinstance(tw, dict) or not isinstance(tw.get("edges"), list):
             raise ParseError("twists must be an object with an 'edges' list", field)
-        edges = []
-        for pair in tw["edges"]:
-            try:
-                (a, b) = pair
-            except (TypeError, ValueError):
-                raise ParseError(f"bad twist edge {pair!r}", field) from None
-            edges.append(sorted((tuple(a), tuple(b))))
+        edges = [_parse_pair(pair, f"{field}.twists.edges") for pair in tw["edges"]]
         out: dict = {"edges": sorted([list(a), list(b)] for a, b in edges)}
         if "seed" in tw and tw["seed"] is not None:
             seed = tw["seed"]
-            a, b = sorted((tuple(seed["edge"][0]), tuple(seed["edge"][1])))
-            eps = seed.get("eps", [0, 0])
-            out["seed"] = {"edge": [list(a), list(b)], "eps": [eps[0] & 1, eps[1] & 1]}
+            if not isinstance(seed, dict) or "edge" not in seed:
+                raise ParseError("seed must be an object with an 'edge'", f"{field}.twists.seed")
+            a, b = _parse_pair(seed["edge"], f"{field}.twists.seed.edge")
+            eps = parse_eps(seed.get("eps", [0, 0]), f"{field}.twists.seed.eps")
+            out["seed"] = {"edge": [list(a), list(b)], "eps": list(eps)}
         return {"twists": out}
+    if not isinstance(data["phase"], dict):
+        raise ParseError("phase must be an object keyed by dual edges", field)
     table = {}
     for key, value in data["phase"].items():
         pair = _parse_edge_key(key, f"{field}.phase")
-        try:
-            e1, e2 = (tuple(value[0]), tuple(value[1]))
-        except (TypeError, ValueError, IndexError):
-            raise ParseError(f"bad phase line {value!r} for {key}", field) from None
-        table[_edge_key(pair)] = sorted(
-            ((e1[0] & 1, e1[1] & 1), (e2[0] & 1, e2[1] & 1))
-        )
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ParseError(f"bad phase line {value!r} for {key}", field)
+        table[_edge_key(pair)] = sorted(parse_eps(x, f"{field}.phase[{key}]") for x in value)
     return {"phase": {k: [list(a), list(b)] for k, (a, b) in sorted(table.items())}}
 
 
@@ -236,9 +262,11 @@ def load_spec(text: str) -> ScenarioSpec:
             raise ParseError("query needs a 'component'", "query")
         comp = q["component"]
         if isinstance(comp, str):
-            comp = list(_parse_point_key(comp, "query.component"))
-        eps = q.get("eps", [0, 0])
-        query = {"component": [int(comp[0]), int(comp[1])], "eps": [eps[0] & 1, eps[1] & 1]}
+            comp = parse_point_key(comp, "query.component")
+        else:
+            comp = _parse_point(comp, "query.component")
+        eps = parse_eps(q.get("eps", [0, 0]), "query.eps")
+        query = {"component": list(comp), "eps": list(eps)}
     return ScenarioSpec(curve=curve, real_structure=structure, second=second, query=query)
 
 
@@ -255,7 +283,7 @@ def _build_curve(curve_data: dict) -> TropicalCurve:
     if "honeycomb" in curve_data:
         return honeycomb(curve_data["honeycomb"])
     coeffs = {
-        _parse_point_key(k, "coefficients"): _parse_rational(v, "coefficients")
+        parse_point_key(k, "coefficients"): _parse_rational(v, "coefficients")
         for k, v in curve_data["coefficients"].items()
     }
     return curve_from_polynomial(TropicalPolynomial(coeffs))
@@ -265,7 +293,7 @@ def _build_one(curve_data: dict, structure: dict) -> Scenario:
     curve = _build_curve(curve_data)
     if "signs" in structure:
         table = {
-            _parse_point_key(k, "signs"): v for k, v in structure["signs"].items()
+            parse_point_key(k, "signs"): v for k, v in structure["signs"].items()
         }
         delta = SignDistribution(table)
         delta.validate_for(curve)
@@ -317,11 +345,8 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
     if spec.second is not None:
         scen.second = _build_one(spec.second["curve"], spec.second["real_structure"])
     if spec.query is not None:
-        comp = tuple(spec.query["component"])
-        eps = tuple(spec.query["eps"])
-        if comp not in scen.curve.dual.lattice_points:
-            raise ValidationError(f"query component {comp} is not a lattice point", "query")
-        scen.query = (comp, eps)
+        comp = check_lattice_point(scen.curve, tuple(spec.query["component"]), "query.component")
+        scen.query = (comp, tuple(spec.query["eps"]))
     return scen
 
 

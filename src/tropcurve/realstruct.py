@@ -9,12 +9,18 @@ and all four corner copies coincide).  Components, ovals and nesting are
 computed on that cell structure; the count 1 + dim ker A_T is computed
 independently from the twist matrix so the two routes can be checked
 against each other.
+
+Production routes: twisted edges come from signs by the sign rule and
+from a phase structure by the sidedness rule, which intersect and
+hyperbolic reuse.  That the rules agree, and that phase_from_twists
+inverts twists_from_phase, are oracle checks in selfcheck and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from .curve import STRATA, STRATUM_GLUE, TropicalCurve, primitive_cycles
 from .errors import NotAdmissible, UnknownPoint, ValidationError
@@ -182,20 +188,25 @@ def _opposite_cell_vertices(curve: TropicalCurve, eid: int) -> tuple[IVec, IVec]
     return out[0], out[1]
 
 
+def _twist_sign_rule(curve: TropicalCurve, eid: int) -> tuple[tuple[IVec, ...], int]:
+    """Sign rule for a bounded edge: the cell vertices whose signs decide
+    it (the two opposite ones when they agree mod 2, else all four) and an
+    offset; it is twisted iff their minus signs plus the offset are odd."""
+    p, q = curve.edges[eid].dual
+    v3, v4 = _opposite_cell_vertices(curve, eid)
+    if (v3[0] - v4[0]) % 2 == 0 and (v3[1] - v4[1]) % 2 == 0:
+        return (v3, v4), 0
+    return (p, q, v3, v4), 1
+
+
 def twists_from_signs(curve: TropicalCurve, delta: SignDistribution) -> TwistSet:
-    """Twisted edges read off the sign distribution (4-sign product rule,
-    or 2-sign rule when the opposite cell vertices agree mod 2)."""
+    """Twisted edges read off the sign distribution by the sign rule."""
     delta.validate_for(curve)
     twisted = []
     for eid in curve.bounded_edges:
-        p, q = curve.edges[eid].dual
-        v3, v4 = _opposite_cell_vertices(curve, eid)
-        if (v3[0] - v4[0]) % 2 == 0 and (v3[1] - v4[1]) % 2 == 0:
-            if delta.signs[v3] * delta.signs[v4] == -1:
-                twisted.append(eid)
-        else:
-            if delta.signs[p] * delta.signs[q] * delta.signs[v3] * delta.signs[v4] == 1:
-                twisted.append(eid)
+        points, offset = _twist_sign_rule(curve, eid)
+        if (sum(delta.signs[x] == -1 for x in points) + offset) % 2:
+            twisted.append(eid)
     return TwistSet.from_edges(curve, twisted)
 
 
@@ -220,80 +231,94 @@ def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
     return (-e.direction[0], -e.direction[1])
 
 
+def continuation_side(
+    curve: TropicalCurve, phase: RealPhaseStructure, eid: int, v: int, ref_dir: IVec, eps: Eps
+) -> bool:
+    """Whether the phase continuation of eps at the end v of edge eid
+    leaves v on the left of ref_dir."""
+    cont = _continuation_edge(curve, phase, eid, v, eps)
+    s = det2(ref_dir, _outward_direction(curve, cont, v))
+    assert s != 0, "a phase continuation is never parallel to the edge it continues"
+    return s > 0
+
+
+def sides_differ(
+    elements: tuple[Eps, Eps], side_a: Callable[[Eps], bool], side_b: Callable[[Eps], bool]
+) -> bool:
+    """The sidedness rule: a piece of curve between two ends is twisted
+    iff, for a phase element eps on it, the continuations at the two ends
+    leave on opposite sides.  The verdict must not depend on the element."""
+    verdicts = {side_a(eps) != side_b(eps) for eps in elements}
+    assert len(verdicts) == 1, "twist verdict must not depend on the phase element"
+    return verdicts.pop()
+
+
+def edge_twisted(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
+    """Sidedness rule for the bounded edge eid."""
+    e = curve.edges[eid]
+    assert e.bounded, "only bounded edges carry a twist"
+    return sides_differ(
+        phase.lines[eid].elements,
+        partial(continuation_side, curve, phase, eid, e.tail, e.direction),
+        partial(continuation_side, curve, phase, eid, e.head, e.direction),
+    )
+
+
 def twists_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> TwistSet:
-    """Twisted edges read off the phase structure: a bounded edge is
-    twisted iff its two phase continuations leave on opposite sides."""
-    twisted = []
-    for eid in curve.bounded_edges:
-        e = curve.edges[eid]
-        verdicts = []
-        for eps in phase.lines[eid].elements:
-            sides = []
-            for v in (e.tail, e.head):
-                cont = _continuation_edge(curve, phase, eid, v, eps)
-                d = _outward_direction(curve, cont, v)
-                s = det2(e.direction, d)
-                assert s != 0
-                sides.append(s > 0)
-            verdicts.append(sides[0] != sides[1])
-        assert verdicts[0] == verdicts[1], "twist verdict must not depend on the phase element"
-        if verdicts[0]:
-            twisted.append(eid)
-    return TwistSet.from_edges(curve, twisted)
+    """Twisted edges read off the phase structure by the sidedness rule."""
+    return TwistSet.from_edges(
+        curve, (eid for eid in curve.bounded_edges if edge_twisted(curve, phase, eid))
+    )
 
 
 # -- admissible / dividing spaces ---------------------------------------
 
 
-def is_admissible(curve: TropicalCurve, twists: TwistSet) -> bool:
+def _cycle_rows(curve: TropicalCurve) -> tuple[list[int], list[int]]:
+    """Bit rows over the bounded edges: per primitive cycle, its edges of
+    odd x and of odd y direction (admissibility), and all its edges."""
+    adm, cycles = [], []
     for cyc in primitive_cycles(curve):
-        sx = sy = 0
-        for eid in cyc.edges & twists.edges:
+        rx = ry = r = 0
+        for eid in cyc.edges:
+            bit = 1 << curve.bounded_index[eid]
             d = curve.edges[eid].direction
-            sx ^= d[0] & 1
-            sy ^= d[1] & 1
-        if (sx, sy) != (0, 0):
-            return False
-    return True
+            if d[0] & 1:
+                rx |= bit
+            if d[1] & 1:
+                ry |= bit
+            r |= bit
+        adm.extend([rx, ry])
+        cycles.append(r)
+    return adm, cycles
+
+
+def _all_even(rows: list[int], twists: TwistSet) -> bool:
+    return not any((r & twists.vector.bits).bit_count() & 1 for r in rows)
+
+
+def is_admissible(curve: TropicalCurve, twists: TwistSet) -> bool:
+    """Each primitive cycle's twisted edge directions sum to zero mod 2."""
+    return _all_even(_cycle_rows(curve)[0], twists)
 
 
 def is_dividing(curve: TropicalCurve, twists: TwistSet) -> bool:
-    if not is_admissible(curve, twists):
+    """Each primitive cycle has an even number of twisted edges."""
+    adm, cycles = _cycle_rows(curve)
+    if not _all_even(adm, twists):
         raise NotAdmissible("twist set violates the cycle direction-sum condition")
-    return all(len(cyc.edges & twists.edges) % 2 == 0 for cyc in primitive_cycles(curve))
-
-
-def _admissibility_rows(curve: TropicalCurve) -> list[int]:
-    n = len(curve.bounded_edges)
-    rows = []
-    for cyc in primitive_cycles(curve):
-        rx = ry = 0
-        for eid in cyc.edges:
-            k = curve.bounded_index[eid]
-            d = curve.edges[eid].direction
-            if d[0] & 1:
-                rx |= 1 << k
-            if d[1] & 1:
-                ry |= 1 << k
-        rows.extend([rx, ry])
-    return rows
+    return _all_even(cycles, twists)
 
 
 def adm_space(curve: TropicalCurve) -> Gf2Subspace:
-    n = len(curve.bounded_edges)
-    rows = _admissibility_rows(curve)
-    return kernel(Gf2Matrix(len(rows), n, tuple(rows)))
+    rows = _cycle_rows(curve)[0]
+    return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), tuple(rows)))
 
 
 def div_space(curve: TropicalCurve) -> Gf2Subspace:
-    n = len(curve.bounded_edges)
-    rows = _admissibility_rows(curve)
-    for cyc in primitive_cycles(curve):
-        r = 0
-        for eid in cyc.edges:
-            r |= 1 << curve.bounded_index[eid]
-        rows.append(r)
-    return kernel(Gf2Matrix(len(rows), n, tuple(rows)))
+    adm, cycles = _cycle_rows(curve)
+    rows = adm + cycles
+    return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), tuple(rows)))
 
 
 def phase_from_twists(
@@ -312,15 +337,9 @@ def phase_from_twists(
     n = len(pts)
     constraints = []
     for eid in curve.bounded_edges:
-        p, q = curve.edges[eid].dual
-        v3, v4 = _opposite_cell_vertices(curve, eid)
+        points, offset = _twist_sign_rule(curve, eid)
         t = 1 if eid in twists.edges else 0
-        if (v3[0] - v4[0]) % 2 == 0 and (v3[1] - v4[1]) % 2 == 0:
-            vec = Gf2Vector.from_indices(n, (index[v3], index[v4]))
-            constraints.append((vec, t))
-        else:
-            vec = Gf2Vector.from_indices(n, (index[p], index[q], index[v3], index[v4]))
-            constraints.append((vec, 1 ^ t))
+        constraints.append((Gf2Vector.from_indices(n, (index[x] for x in points)), t ^ offset))
     flat = solve_affine(constraints, n)
     if flat is None:
         raise NotAdmissible("no sign distribution induces this twist set")
@@ -332,7 +351,6 @@ def phase_from_twists(
         shifts = [_xor(seed_eps, el) for el in phase.lines[seed_edge].elements]
         phase = phase.translate(min(shifts))
     assert phase.lines[seed_edge].contains(seed_eps)
-    assert twists_from_phase(curve, phase).edges == twists.edges, "twist round-trip failed"
     return phase
 
 
@@ -340,16 +358,7 @@ def count_components_matrix(curve: TropicalCurve, twists: TwistSet) -> int:
     """Number of real components from the cycle/twist pairing matrix."""
     if not is_admissible(curve, twists):
         raise NotAdmissible("component count needs an admissible twist set")
-    cycles = primitive_cycles(curve)
-    g = len(cycles)
-    rows = []
-    for ci in cycles:
-        r = 0
-        for j, cj in enumerate(cycles):
-            if len(ci.edges & cj.edges & twists.edges) % 2:
-                r |= 1 << j
-        rows.append(r)
-    return 1 + kernel(Gf2Matrix(g, g, tuple(rows))).dim
+    return 1 + kernel(twist_matrix(curve, twists)).dim
 
 
 def twist_matrix(curve: TropicalCurve, twists: TwistSet) -> Gf2Matrix:
@@ -376,14 +385,6 @@ def region_class(curve: TropicalCurve, alpha: IVec, eps: Eps) -> tuple[IVec, Eps
         g = STRATUM_GLUE[s]
         orbit |= {_xor(e, g) for e in orbit}
     return (alpha, min(orbit))
-
-
-def region_classes(curve: TropicalCurve) -> list[tuple[IVec, Eps]]:
-    out = set()
-    for alpha in curve.dual.lattice_points:
-        for eps in EPS4:
-            out.add(region_class(curve, alpha, eps))
-    return sorted(out)
 
 
 class _UnionFind:
@@ -475,15 +476,6 @@ class RealPart:
                 for eps in EPS4:
                     uf.union((alpha, eps), (alpha, _xor(eps, g)))
         return uf
-
-    def region_components(self) -> dict[tuple[IVec, Eps], tuple[IVec, Eps]]:
-        """Atom -> representative for the full complement of the real part."""
-        uf = self.region_find(self.edge_copies)
-        return {
-            (alpha, eps): uf.find((alpha, eps))
-            for alpha in self.curve.dual.lattice_points
-            for eps in EPS4
-        }
 
     def side_euler_characteristics(self, cut: frozenset[tuple[int, Eps]], uf: _UnionFind):
         """Euler characteristic of each side of the cut (a disjoint union

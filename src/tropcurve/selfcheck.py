@@ -3,7 +3,9 @@
 Each check pits two independent routes against each other (gift-wrap
 construction vs pair scan, twist-matrix count vs quadrant-model count,
 bridge locus vs pencil sweep vs innermost oval, degree product vs
-enumerated multiplicities) on randomized inputs.
+enumerated multiplicities) on randomized inputs.  Production runs one
+route per quantity; the second routes are these oracles, among them the
+twist round trip (twists_from_phase recovers what phase_from_twists got).
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .realstruct import (
     phase_from_signs,
     phase_from_twists,
     real_part,
+    twists_from_phase,
     twists_from_signs,
 )
 
@@ -189,7 +192,7 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
             sub_edges.append(SubdivisionEdge(dual_pair, False))
 
     degree = _simplex_degree(hull)
-    dual = DualSubdivision(tuple(hull), tuple(lattice), cells, tuple(sub_edges), True)
+    dual = DualSubdivision(tuple(hull), tuple(lattice), cells, tuple(sub_edges))
     curve = TropicalCurve(poly, tuple(order), tuple(edges), dual, degree)
     _verify_curve(curve)
     return curve
@@ -271,6 +274,8 @@ def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
         member = div_space(curve).contains(twists.vector)
         if member != is_dividing(curve, twists):
             return CheckResult("component-counts", False, f"trial {k}: dividing test disagrees")
+        if twists_from_phase(curve, phase_from_twists(curve, twists)).edges != twists.edges:
+            return CheckResult("component-counts", False, f"trial {k} (d={d}): twist round trip failed")
     return CheckResult("component-counts", True, f"{trials} random curves")
 
 

@@ -169,3 +169,44 @@ def test_verify_mismatch_exits_3(specs, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 3
     assert "MISMATCH" in out
+
+
+_CONIC = {"curve": {"honeycomb": 2}, "real_structure": {"signs": "all+"}}
+_TWIST_EDGE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "scenario, extra",
+    [
+        (dict(_CONIC, query={"component": [1, 0], "eps": ["a", 0]}), []),
+        (dict(_CONIC, query={"component": [1, 0], "eps": [0]}), []),
+        (dict(_CONIC, query={"component": [1, 0], "eps": [5, 0]}), []),
+        (dict(_CONIC, query={"component": [1]}), []),
+        (dict(_CONIC, real_structure={"twists": {"edges": [[1, 2]]}}), []),
+        (dict(_CONIC, real_structure={"twists": {"edges": [_TWIST_EDGE], "seed": {"edge": 5}}}), []),
+        (_CONIC, ["--point", "(1,0)", "--eps", "a,b"]),
+        (_CONIC, ["--point", "(1,0)", "--eps", "1"]),
+        (_CONIC, ["--point", "(9,9)"]),
+        (dict(_CONIC, real_structure={"twists": {"edges": [], "seed": {"edge": _TWIST_EDGE, "eps": [2, 0]}}}), []),
+        (dict(_CONIC, real_structure={"phase": {"0,0|1,0": [["a", 0], [0, 1]]}}), []),
+        ({"curve": {"support": [], "coefficients": {}}, "real_structure": {"signs": "all+"}}, []),
+        ({"curve": {"honeycomb": 1}, "real_structure": {"signs": {"0,0": True, "1,0": 1, "0,1": 1}}}, []),
+        (b"\xff\xfe not UTF-8", []),
+    ],
+    ids=[
+        "query-eps-not-bits", "query-eps-short", "query-eps-out-of-range", "query-component-short",
+        "twist-edge-not-points", "twist-seed-not-edge", "eps-flag-not-bits", "eps-flag-short",
+        "point-flag-off-polygon", "twist-seed-eps-out-of-range", "phase-element-not-bits",
+        "empty-support", "sign-not-int", "file-not-utf8",
+    ],
+)
+def test_malformed_field_or_flag_exits_1(scenario, extra, tmp_path, capsys):
+    spec = tmp_path / "bad.trop.json"
+    if isinstance(scenario, bytes):
+        spec.write_bytes(scenario)
+    else:
+        spec.write_text(json.dumps(scenario))
+    code, out, err = run(capsys, "hyperbolic", "--spec", str(spec), *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

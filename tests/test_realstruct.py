@@ -155,6 +155,32 @@ def test_phase_from_twists_round_trip():
             assert twists_from_phase(c, phase).edges == T.edges
 
 
+def test_phase_from_twists_round_trip_on_random_lifts():
+    # non-honeycomb subdivisions, some on non-simplex polygons; honeycombs
+    # are covered above
+    from tropcurve.errors import DegeneratePolygon, SingularSubdivision
+    from tropcurve.selfcheck import random_lift
+
+    rng = random.Random(31)
+    checked = 0
+    while checked < 60:
+        try:
+            c = curve_from_polynomial(random_lift(rng))
+        except (DegeneratePolygon, SingularSubdivision):
+            continue
+        if c.is_honeycomb():
+            continue
+        T = TwistSet.from_edges(c, [])
+        for vec in adm_space(c).basis:
+            if rng.random() < 0.5:
+                T = TwistSet.from_vector(c, T.vector ^ vec)
+        seed = (rng.randrange(len(c.edges)), rng.choice(EPS4))
+        phase = phase_from_twists(c, T, seed)
+        assert phase.lines[seed[0]].contains(seed[1])
+        assert twists_from_phase(c, phase).edges == T.edges
+        checked += 1
+
+
 def test_phase_from_twists_rejects_inadmissible():
     c = honeycomb(3)
     (cycle,) = primitive_cycles(c)
