@@ -1,11 +1,11 @@
-"""Hyperbolicity loci of real tropical curves, three ways.
+"""Hyperbolicity loci of real tropical curves.
 
 A real tropical curve is hyperbolic when some point sees every line
 through it meet the curve in only real points.  The set of complement
-components carrying such points is computed geometrically (inside the
-innermost oval), pointwise (pencil conditions at a sample point), and,
-on honeycombs, by a census of twisted multi-bridges; the three must
-agree.
+components carrying such points is the inside of the innermost oval; on
+honeycombs a census of twisted multi-bridges gives it too, and the two
+must agree.  The pencil conditions at a sample point say why a component
+is left out.
 """
 
 from pathlib import Path
@@ -16,6 +16,7 @@ from tropcurve import (
     honeycomb,
     honeycomb_locus,
     hyp_alpha_flat,
+    hyperbolic_wrt_point,
     hyperbolicity_locus,
     multi_bridges,
     phase_from_signs,
@@ -41,9 +42,9 @@ twists = TwistSet.from_edges(quartic, diag.edges)
 print("  bridge census locus:", sorted(honeycomb_locus(quartic, twists)))
 phase4 = phase_from_twists(quartic, twists)
 report4 = hyperbolicity_locus(quartic, phase4)
-print("  sweep locus:        ", sorted(report4.locus))
+print("  oval locus:         ", sorted(report4.locus))
 print("  signed locus (one mirror copy):", sorted(report4.signed_locus))
-verdict = report4.per_point[((2, 1), (0, 0))]
+verdict = hyperbolic_wrt_point(quartic, phase4, (2, 1), (0, 0))
 print(f"  why (2,1) fails: condition {verdict.failing_condition}, {verdict.detail}")
 
 svg = render_svg(quartic, phase=phase4, twists=twists, locus=report4.locus)

@@ -163,16 +163,8 @@ def _cmd_intersect(args) -> int:
     return 0
 
 
-def _report_data(curve, report):
+def _report_data(report):
     signed = sorted((list(a), list(e)) for a, e in report.signed_locus)
-    per_point = {}
-    for (alpha, eps), v in sorted(report.per_point.items()):
-        key = f"{alpha[0]},{alpha[1]}|{eps[0]}{eps[1]}"
-        per_point[key] = {
-            "hyperbolic": v.hyperbolic,
-            "failing_condition": v.failing_condition,
-            "detail": v.detail,
-        }
     return {
         "hyperbolic": report.hyperbolic,
         "kernel_dim": report.kernel_dim,
@@ -181,7 +173,6 @@ def _report_data(curve, report):
         "locus": sorted(list(a) for a in report.locus),
         "signed_locus": signed,
         "locus_size": len(report.locus),
-        "per_point": per_point,
     }
 
 
@@ -209,7 +200,7 @@ def _cmd_hyperbolic(args) -> int:
             _emit(f"point {_fmt_point(alpha)} eps={eps}: {status}\n", args.out)
         return 0
     report = hyperbolicity_locus(curve, phase)
-    data = _report_data(curve, report)
+    data = _report_data(report)
     if args.format == "json":
         _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)
         return 0

@@ -1,12 +1,12 @@
-"""Hyperbolicity of real tropical curves and the two hyperbolicity loci.
+"""Hyperbolicity of real tropical curves and the hyperbolicity locus.
 
 A real tropical curve is hyperbolic iff its twist set is dividing with
 twist-matrix kernel of dimension ceil(d/2)-1.  The locus of components
-the curve is hyperbolic with respect to is computed two independent
-ways: geometrically (interior of the innermost oval of the real part)
-and pointwise (the three pencil conditions at a generic point of each
-component, for each symmetry), plus a third bridge criterion special to
-honeycombs.
+the curve is hyperbolic with respect to is the interior of the innermost
+oval of the real part; honeycombs also have a bridge criterion for it.
+The three pencil conditions at a generic point of one component answer
+the per-point query with a reason; swept over every component they are
+the oracle ``selfcheck.pointwise_verdicts``.
 """
 
 from __future__ import annotations
@@ -160,11 +160,6 @@ class HyperbolicityReport:
     stable: bool
     locus: frozenset[IVec]
     signed_locus: frozenset[tuple[IVec, Eps]]
-    locus_geometric: frozenset[IVec]
-    locus_pointwise: frozenset[IVec]
-    signed_locus_geometric: frozenset[tuple[IVec, Eps]]
-    signed_locus_pointwise: frozenset[tuple[IVec, Eps]]
-    per_point: dict[tuple[IVec, Eps], PointVerdict]
 
 
 def is_hyperbolic(curve: TropicalCurve, twists: TwistSet) -> tuple[bool, int]:
@@ -184,7 +179,7 @@ class _ComponentAnalysis:
     component; everything that does not depend on the symmetry."""
 
     def __init__(self, curve: TropicalCurve, phase: RealPhaseStructure,
-                 twisted: frozenset[int], alpha: IVec, start: int = 0):
+                 alpha: IVec, start: int = 0):
         self.curve = curve
         self.phase = phase
         self.alpha = alpha
@@ -339,9 +334,10 @@ def hyperbolic_wrt_point(
     """Is every curve near this data hyperbolic with respect to a real
     point in the eps-copy of the component?  Checks the three pencil
     conditions at a deterministically sampled generic point."""
+    curve.require_degree()
     alpha = component.dual_point if isinstance(component, ComplementComponent) else component
     twisted = frozenset(twists_from_phase(curve, phase).edges)
-    ana = _ComponentAnalysis(curve, phase, twisted, alpha, start=sample_offset)
+    ana = _ComponentAnalysis(curve, phase, alpha, start=sample_offset)
     return ana.verdict((eps[0] & 1, eps[1] & 1), twisted)
 
 
@@ -349,68 +345,36 @@ def hyperbolic_wrt_point(
 
 
 def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
-    """Full report: twist-matrix data plus the locus by both methods."""
+    """Twist-matrix data plus the locus: the interior of the innermost oval."""
     d = curve.require_degree()
-    twists = twists_from_phase(curve, phase)
-    hyp, k = is_hyperbolic(curve, twists)
-
-    rp = real_part(curve, phase)
-    report = count_components_direct(rp)
-
-    # method A: interior of the innermost oval
-    atoms_a: set[tuple[IVec, Eps]] = set()
-    if hyp:
-        if d == 1:
-            atoms_a = {(a, e) for a in curve.dual.lattice_points for e in EPS4}
-        else:
-            ovals = [c for c in report.components if c.kind == "oval"]
-            assert len(ovals) == d // 2, "hyperbolic curve must have floor(d/2) ovals"
-            depths = sorted(c.nesting_depth for c in ovals)
-            assert depths == list(range(1, len(ovals) + 1)), "oval nesting must be a chain"
-            innermost = max(ovals, key=lambda c: c.nesting_depth)
-            for other in report.components:
-                if other is innermost:
-                    continue
-                eid, eps0 = min(other.edge_copies)
-                witness = (curve.edges[eid].dual[0], eps0)
-                assert witness not in innermost.interior_regions, (
-                    "innermost oval interior must not contain other components"
-                )
-            atoms_a = set(innermost.interior_regions)
-    rh_a = frozenset(region_class(curve, a, e) for a, e in atoms_a)
-    h_a = frozenset(a for a, _ in rh_a)
-
-    # method B: pointwise pencil conditions
-    twisted = frozenset(twists.edges)
-    per_point: dict[tuple[IVec, Eps], PointVerdict] = {}
-    rh_b_set = set()
-    for alpha in curve.dual.lattice_points:
-        classes = sorted({region_class(curve, alpha, e)[1] for e in EPS4})
-        ana = _ComponentAnalysis(curve, phase, twisted, alpha)
-        for eps in classes:
-            verdict = ana.verdict(eps, twisted)
-            per_point[(alpha, eps)] = verdict
-            if verdict.hyperbolic:
-                rh_b_set.add((alpha, eps))
-    rh_b = frozenset(rh_b_set)
-    h_b = frozenset(a for a, _ in rh_b)
-
-    assert rh_a == rh_b, f"geometric and pointwise signed loci disagree: {rh_a} vs {rh_b}"
-    assert h_a == h_b
-
-    stable = is_stable_limit(curve, phase)
+    hyp, k = is_hyperbolic(curve, twists_from_phase(curve, phase))
+    atoms: set[tuple[IVec, Eps]] = set()
+    if hyp and d == 1:
+        atoms = {(a, e) for a in curve.dual.lattice_points for e in EPS4}
+    elif hyp:
+        report = count_components_direct(real_part(curve, phase))
+        ovals = [c for c in report.components if c.kind == "oval"]
+        assert len(ovals) == d // 2, "hyperbolic curve must have floor(d/2) ovals"
+        depths = sorted(c.nesting_depth for c in ovals)
+        assert depths == list(range(1, len(ovals) + 1)), "oval nesting must be a chain"
+        innermost = max(ovals, key=lambda c: c.nesting_depth)
+        for other in report.components:
+            if other is innermost:
+                continue
+            eid, eps0 = min(other.edge_copies)
+            witness = (curve.edges[eid].dual[0], eps0)
+            assert witness not in innermost.interior_regions, (
+                "innermost oval interior must not contain other components"
+            )
+        atoms = set(innermost.interior_regions)
+    signed = frozenset(region_class(curve, a, e) for a, e in atoms)
     return HyperbolicityReport(
         hyperbolic=hyp,
         kernel_dim=k,
-        component_count=report.count,
-        stable=stable,
-        locus=h_a,
-        signed_locus=rh_a,
-        locus_geometric=h_a,
-        locus_pointwise=h_b,
-        signed_locus_geometric=rh_a,
-        signed_locus_pointwise=rh_b,
-        per_point=per_point,
+        component_count=1 + k,
+        stable=is_stable_limit(curve, phase),
+        locus=frozenset(a for a, _ in signed),
+        signed_locus=signed,
     )
 
 

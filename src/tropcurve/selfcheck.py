@@ -2,10 +2,11 @@
 
 Each check pits two independent routes against each other (gift-wrap
 construction vs pair scan, twist-matrix count vs quadrant-model count,
-bridge locus vs pencil sweep vs innermost oval, degree product vs
-enumerated multiplicities) on randomized inputs.  Production runs one
-route per quantity; the second routes are these oracles, among them the
-twist round trip (twists_from_phase recovers what phase_from_twists got).
+innermost oval vs pencil sweep, plus the bridge locus on honeycombs,
+degree product vs enumerated multiplicities) on randomized inputs.
+Production runs one route per quantity; the second routes are these
+oracles, among them the twist round trip (twists_from_phase recovers what
+phase_from_twists got) and the pointwise pencil sweep of the locus.
 """
 
 from __future__ import annotations
@@ -39,9 +40,18 @@ from .geometry import (
     sub_i,
 )
 from .gf2 import Gf2Matrix, kernel
-from .hyperbolic import honeycomb_locus, hyperbolicity_locus, multi_bridges
+from .hyperbolic import (
+    PointVerdict,
+    _ComponentAnalysis,
+    honeycomb_locus,
+    hyperbolicity_locus,
+    multi_bridges,
+)
 from .intersect import bezout_total, intersection_components, real_lift
 from .realstruct import (
+    EPS4,
+    Eps,
+    RealPhaseStructure,
     SignDistribution,
     TwistSet,
     count_components_direct,
@@ -52,6 +62,7 @@ from .realstruct import (
     phase_from_signs,
     phase_from_twists,
     real_part,
+    region_class,
     twists_from_phase,
     twists_from_signs,
 )
@@ -254,6 +265,31 @@ def random_sign_distribution(rng: random.Random, curve: TropicalCurve) -> SignDi
     return SignDistribution({p: rng.choice((1, -1)) for p in curve.dual.lattice_points})
 
 
+def pointwise_verdicts(
+    curve: TropicalCurve, phase: RealPhaseStructure
+) -> dict[tuple[IVec, Eps], PointVerdict]:
+    """The pencil conditions at a generic point of every component copy.
+
+    The oracle for ``hyperbolicity_locus``: the copies with a hyperbolic
+    verdict form the signed locus by the pointwise route.
+    """
+    twisted = frozenset(twists_from_phase(curve, phase).edges)
+    per_point: dict[tuple[IVec, Eps], PointVerdict] = {}
+    for alpha in curve.dual.lattice_points:
+        classes = sorted({region_class(curve, alpha, e)[1] for e in EPS4})
+        ana = _ComponentAnalysis(curve, phase, alpha)
+        for eps in classes:
+            per_point[(alpha, eps)] = ana.verdict(eps, twisted)
+    return per_point
+
+
+def pointwise_signed_locus(
+    curve: TropicalCurve, phase: RealPhaseStructure
+) -> frozenset[tuple[IVec, Eps]]:
+    """The copies where ``pointwise_verdicts`` finds the curve hyperbolic."""
+    return frozenset(key for key, v in pointwise_verdicts(curve, phase).items() if v.hyperbolic)
+
+
 def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
     """Twist-matrix count against the quadrant-model count."""
     for k in range(trials):
@@ -280,7 +316,7 @@ def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
 
 
 def check_honeycomb_locus(rng: random.Random, trials: int) -> CheckResult:
-    """Bridge criterion vs pencil sweep vs innermost oval."""
+    """Bridge criterion vs innermost oval vs pencil sweep."""
     for k in range(trials):
         d = rng.randrange(2, 6)
         curve = honeycomb(d)
@@ -296,14 +332,36 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> CheckResult:
         if report.locus != via_bridges:
             return CheckResult(
                 "honeycomb-locus", False,
-                f"trial {k} (d={d}): bridges {sorted(via_bridges)} != sweep {sorted(report.locus)}",
+                f"trial {k} (d={d}): bridges {sorted(via_bridges)} != oval {sorted(report.locus)}",
             )
         if report.hyperbolic != bool(via_bridges):
             return CheckResult(
                 "honeycomb-locus", False,
                 f"trial {k} (d={d}): hyperbolic={report.hyperbolic} but locus={sorted(via_bridges)}",
             )
+        sweep = pointwise_signed_locus(curve, phase)
+        if report.signed_locus != sweep:
+            return CheckResult(
+                "honeycomb-locus", False,
+                f"trial {k} (d={d}): oval and sweep differ on {sorted(report.signed_locus ^ sweep)}",
+            )
     return CheckResult("honeycomb-locus", True, f"{trials} random dividing twist sets")
+
+
+def check_locus_routes(rng: random.Random, trials: int) -> CheckResult:
+    """Innermost-oval signed locus against the pencil sweep on random lifts."""
+    for k in range(trials):
+        d = rng.randrange(2, 6)
+        curve = random_nonsingular_curve(rng, d)
+        phase = phase_from_signs(curve, random_sign_distribution(rng, curve))
+        oval = hyperbolicity_locus(curve, phase).signed_locus
+        sweep = pointwise_signed_locus(curve, phase)
+        if oval != sweep:
+            return CheckResult(
+                "locus-routes", False,
+                f"trial {k} (d={d}): oval and sweep differ on {sorted(oval ^ sweep)}",
+            )
+    return CheckResult("locus-routes", True, f"{trials} random curves")
 
 
 def check_bezout(rng: random.Random, trials: int) -> CheckResult:
@@ -384,5 +442,6 @@ def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_construction(random.Random(seed + 4), max(trials * 8, 50)),
         check_component_counts(rng, trials),
         check_honeycomb_locus(random.Random(seed + 2), max(trials // 2, 5)),
+        check_locus_routes(random.Random(seed + 5), max(trials // 2, 5)),
         check_bezout(random.Random(seed + 3), max(trials // 2, 5)),
     ]

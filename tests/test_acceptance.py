@@ -36,9 +36,17 @@ from tropcurve.errors import UnsupportedConfiguration
 from tropcurve.gf2 import Gf2Matrix, Gf2Subspace, kernel
 from tropcurve.intersect import CONJ_PAIR, TANGENT_DOUBLE, TWO_REAL
 from tropcurve.realstruct import twist_matrix
-from tropcurve.selfcheck import random_nonsingular_curve, random_sign_distribution
+from tropcurve.selfcheck import (
+    pointwise_signed_locus,
+    random_nonsingular_curve,
+    random_sign_distribution,
+)
 
 from conftest import make_line
+
+
+def _pointwise_locus(curve, phase):
+    return frozenset(a for a, _ in pointwise_signed_locus(curve, phase))
 
 
 class _Timer:
@@ -77,8 +85,8 @@ def test_criterion_1_stable_honeycomb_suite():
             report = hyperbolicity_locus(curve, phase)
             assert report.component_count == (d + 1) // 2
             everything = frozenset(curve.dual.lattice_points)
-            assert report.locus_geometric == everything
-            assert report.locus_pointwise == everything
+            assert report.locus == everything
+            assert _pointwise_locus(curve, phase) == everything
             assert len(everything) == (d + 1) * (d + 2) // 2
 
 
@@ -147,8 +155,8 @@ def test_criterion_5_honeycomb_locus_triple_equivalence():
             via_bridges = honeycomb_locus(curve, twists)
             phase = phase_from_twists(curve, twists)
             report = hyperbolicity_locus(curve, phase)
-            assert report.locus_geometric == via_bridges, f"trial {trial} (d={d})"
-            assert report.locus_pointwise == via_bridges, f"trial {trial} (d={d})"
+            assert report.locus == via_bridges, f"trial {trial} (d={d})"
+            assert _pointwise_locus(curve, phase) == via_bridges, f"trial {trial} (d={d})"
 
 
 def _lift_fixture_hook(m):

@@ -89,6 +89,10 @@ def test_hyperbolic_report(specs, capsys):
     assert data["hyperbolic"] is True
     assert data["locus_size"] == 15
     assert data["stable"] is True
+    assert set(data) == {
+        "hyperbolic", "kernel_dim", "component_count", "stable", "locus", "signed_locus",
+        "locus_size",
+    }
 
 
 def test_hyperbolic_single_point(specs, capsys):
@@ -173,6 +177,14 @@ def test_verify_mismatch_exits_3(specs, capsys, monkeypatch):
 
 _CONIC = {"curve": {"honeycomb": 2}, "real_structure": {"signs": "all+"}}
 _TWIST_EDGE = [[0, 1], [1, 0]]
+# the unit square has no degree d, so the pencil conditions do not apply
+_SQUARE = {
+    "curve": {
+        "support": [[0, 0], [1, 0], [0, 1], [1, 1]],
+        "coefficients": {"0,0": 0, "1,0": "-1/2", "0,1": "-1/3", "1,1": -2},
+    },
+    "real_structure": {"signs": "all+"},
+}
 
 
 @pytest.mark.parametrize(
@@ -192,12 +204,13 @@ _TWIST_EDGE = [[0, 1], [1, 0]]
         ({"curve": {"support": [], "coefficients": {}}, "real_structure": {"signs": "all+"}}, []),
         ({"curve": {"honeycomb": 1}, "real_structure": {"signs": {"0,0": True, "1,0": 1, "0,1": 1}}}, []),
         (b"\xff\xfe not UTF-8", []),
+        (_SQUARE, ["--point", "(0,0)"]),
     ],
     ids=[
         "query-eps-not-bits", "query-eps-short", "query-eps-out-of-range", "query-component-short",
         "twist-edge-not-points", "twist-seed-not-edge", "eps-flag-not-bits", "eps-flag-short",
         "point-flag-off-polygon", "twist-seed-eps-out-of-range", "phase-element-not-bits",
-        "empty-support", "sign-not-int", "file-not-utf8",
+        "empty-support", "sign-not-int", "file-not-utf8", "point-query-without-degree",
     ],
 )
 def test_malformed_field_or_flag_exits_1(scenario, extra, tmp_path, capsys):

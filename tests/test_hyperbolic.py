@@ -23,10 +23,15 @@ from tropcurve import (
     sigma_v,
     twists_from_phase,
 )
-from tropcurve.errors import NotAdmissible, NotHoneycomb, PointOnCurve
+from tropcurve.errors import DegreeUnset, NotAdmissible, NotHoneycomb, PointOnCurve
 from tropcurve.gf2 import Gf2Subspace
 from tropcurve.realstruct import EPS4, region_class, twist_matrix
-from tropcurve.selfcheck import random_nonsingular_curve, random_sign_distribution
+from tropcurve.selfcheck import (
+    pointwise_signed_locus,
+    pointwise_verdicts,
+    random_nonsingular_curve,
+    random_sign_distribution,
+)
 
 
 def stable_phase(d):
@@ -205,7 +210,7 @@ def test_stable_honeycombs_hyperbolic_everywhere():
         assert report.kernel_dim == (d + 1) // 2 - 1
         assert report.component_count == (d + 1) // 2
         assert report.locus == frozenset(c.dual.lattice_points)
-        assert report.locus_geometric == report.locus_pointwise
+        assert report.locus == frozenset(a for a, _ in pointwise_signed_locus(c, phase))
 
 
 def test_verdict_depends_only_on_component():
@@ -286,12 +291,11 @@ def test_partially_twisted_honeycomb_fails_each_fixed_symmetry(rng):
         T = bridge_twists(c, keys)
         assert is_dividing(c, T)
         phase = phase_from_twists(c, T)
-        report = hyperbolicity_locus(c, phase)
         for eps in EPS4:
             witnesses = [
                 alpha
                 for alpha in c.dual.lattice_points
-                if report.per_point[(alpha, region_class(c, alpha, eps)[1])].hyperbolic
+                if hyperbolic_wrt_point(c, phase, alpha, region_class(c, alpha, eps)[1]).hyperbolic
             ]
             assert len(witnesses) < len(c.dual.lattice_points)
 
@@ -366,17 +370,20 @@ def test_disjoint_dividing_addition_preserves_hyperbolicity(rng):
 
 
 def test_sweep_matches_oval_method_off_the_honeycomb_world(rng):
-    # hyperbolicity_locus asserts internally that the pointwise sweep and
-    # the innermost-oval method agree; random non-honeycomb curves drive
-    # the vertex and determinant-2 failure paths that honeycombs never hit
+    # the pointwise sweep and the innermost-oval method agree; random
+    # non-honeycomb curves drive the vertex and determinant-2 failure
+    # paths that honeycombs never hit
     conditions = set()
     for _ in range(12):
         d = rng.randrange(2, 5)
         curve = random_nonsingular_curve(rng, d)
         delta = random_sign_distribution(rng, curve)
-        report = hyperbolicity_locus(curve, phase_from_signs(curve, delta))
+        phase = phase_from_signs(curve, delta)
+        report = hyperbolicity_locus(curve, phase)
         assert report.hyperbolic == bool(report.locus)
-        conditions |= {v.failing_condition for v in report.per_point.values()}
+        verdicts = pointwise_verdicts(curve, phase)
+        assert report.signed_locus == frozenset(key for key, v in verdicts.items() if v.hyperbolic)
+        conditions |= {v.failing_condition for v in verdicts.values()}
     assert 1 in conditions or 2 in conditions or 3 in conditions
 
 
@@ -403,9 +410,8 @@ def test_pencil_line_relative_twist_matches_intersect_machinery(rng):
             if rng.random() < 0.5:
                 edges |= b.edges
         phase = phase_from_twists(curve, TwistSet.from_edges(curve, edges))
-        twisted = frozenset(twists_from_phase(curve, phase).edges)
         alpha = rng.choice(curve.dual.lattice_points)
-        ana = _ComponentAnalysis(curve, phase, twisted, alpha)
+        ana = _ComponentAnalysis(curve, phase, alpha)
         eids = [r["eid"] for r in ana.cond3_overlaps]
         if not eids:
             continue
@@ -477,3 +483,71 @@ def test_locus_empty_iff_not_hyperbolic(rng):
         locus = honeycomb_locus(c, T)
         ok, _ = is_hyperbolic(c, T)
         assert ok == bool(locus)
+
+
+def reproducer_conic():
+    # a hyperbolic non-honeycomb conic on which the pencil conditions
+    # wrongly accept the copy ((0,0),(0,0)): edge directions outside the
+    # three pencil classes are never inspected
+    from tropcurve import TropicalPolynomial, curve_from_polynomial
+
+    coeffs = {
+        (0, 0): -6, (0, 1): -2, (0, 2): Fraction(2, 3),
+        (1, 0): -1, (1, 1): 6, (2, 0): Fraction(1, 3),
+    }
+    c = curve_from_polynomial(TropicalPolynomial({p: Fraction(a) for p, a in coeffs.items()}))
+    signs = {p: (1 if p == (0, 1) else -1) for p in coeffs}
+    return c, phase_from_signs(c, SignDistribution(signs))
+
+
+def test_reproducer_conic_locus_is_the_innermost_oval_interior():
+    c, phase = reproducer_conic()
+    report = hyperbolicity_locus(c, phase)
+    assert report.hyperbolic
+    assert report.kernel_dim == 0
+    assert report.component_count == 1
+    assert report.locus == frozenset({(0, 1), (1, 0), (1, 1)})
+    assert report.signed_locus == frozenset({((0, 1), (0, 0)), ((1, 0), (1, 0)), ((1, 1), (0, 1))})
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the pencil conditions ignore edges outside the three pencil classes",
+)
+def test_reproducer_conic_pointwise_rejects_the_outer_copy():
+    c, phase = reproducer_conic()
+    assert not hyperbolic_wrt_point(c, phase, (0, 0), (0, 0)).hyperbolic
+
+
+def test_locus_runs_no_pointwise_sweep(monkeypatch):
+    import tropcurve.hyperbolic as hyp
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the pointwise sweep is an oracle, not a production route")
+
+    monkeypatch.setattr(hyp, "_ComponentAnalysis", refuse)
+    c4 = honeycomb(4)
+    report = hyperbolicity_locus(c4, phase_from_twists(c4, bridge_twists(c4, [("d", 3)])))
+    assert report.locus == frozenset({(1, 1)})
+    c, phase = reproducer_conic()
+    assert hyperbolicity_locus(c, phase).locus == frozenset({(0, 1), (1, 0), (1, 1)})
+
+
+def test_report_has_one_field_per_quantity():
+    from dataclasses import fields
+
+    from tropcurve import HyperbolicityReport
+
+    assert [f.name for f in fields(HyperbolicityReport)] == [
+        "hyperbolic", "kernel_dim", "component_count", "stable", "locus", "signed_locus",
+    ]
+
+
+def test_point_query_needs_a_degree():
+    from tropcurve import TropicalPolynomial, curve_from_polynomial
+
+    square = {(0, 0): 0, (1, 0): Fraction(-1, 2), (0, 1): Fraction(-1, 3), (1, 1): -2}
+    c = curve_from_polynomial(TropicalPolynomial({p: Fraction(a) for p, a in square.items()}))
+    phase = phase_from_signs(c, SignDistribution.constant(c))
+    with pytest.raises(DegreeUnset):
+        hyperbolic_wrt_point(c, phase, (0, 0), (0, 0))
