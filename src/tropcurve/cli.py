@@ -7,7 +7,7 @@ import json
 import sys
 
 from .curve import complement_components, primitive_cycles
-from .errors import TropcurveError, UnsupportedConfiguration
+from .errors import TropcurveError, UnsupportedConfiguration, ValidationError
 from .gf2 import kernel
 from .hyperbolic import hyperbolic_wrt_point, hyperbolicity_locus
 from .intersect import intersection_components, real_lift
@@ -179,12 +179,15 @@ def _report_data(report):
 def _cmd_hyperbolic(args) -> int:
     scen = build_scenario(_read_spec(args.spec))
     curve, phase = scen.curve, scen.phase
-    if args.point is not None or scen.query is not None:
-        if args.point is not None:
-            alpha = check_lattice_point(curve, parse_point_key(args.point, "--point"), "--point")
-            eps = parse_eps(args.eps, "--eps") if args.eps else (0, 0)
-        else:
-            alpha, eps = scen.query
+    query = scen.query
+    if args.point is not None:
+        query = (check_lattice_point(curve, parse_point_key(args.point, "--point"), "--point"), (0, 0))
+    if args.eps is not None:
+        if query is None:
+            raise ValidationError("needs --point or a scenario query", "--eps")
+        query = (query[0], parse_eps(args.eps, "--eps"))
+    if query is not None:
+        alpha, eps = query
         verdict = hyperbolic_wrt_point(curve, phase, alpha, eps)
         data = {
             "component": list(alpha),

@@ -213,27 +213,6 @@ class TropicalCurve:
             out.append("z")
         return tuple(out)
 
-    def stratum_rays(self, stratum: str) -> list[tuple[Fraction, int]]:
-        """Rays escaping through the stratum as (coordinate, edge id), sorted."""
-        self.require_degree()
-        want = STRATUM_RAY_DIR[stratum]
-        out = []
-        for e in self.edges:
-            if e.bounded or e.direction != want:
-                continue
-            a = self.vertices[e.tail]
-            if stratum == "x":
-                coord = a[1]
-            elif stratum == "y":
-                coord = a[0]
-            else:
-                coord = a[1] - a[0]
-            out.append((coord, e.index))
-        out.sort()
-        if len({c for c, _ in out}) != len(out):
-            raise AssertionError("two rays share a boundary point; curve is singular at infinity")
-        return out
-
     def side_points(self, stratum: str) -> list[IVec]:
         """Lattice points of the Newton polygon side dual to the stratum."""
         d = self.require_degree()
@@ -242,41 +221,6 @@ class TropicalCurve:
         if stratum == "y":
             return [(i, 0) for i in range(d + 1)]
         return [(i, d - i) for i in range(d + 1)]
-
-    def stratum_interval_regions(self, stratum: str) -> list[IVec]:
-        """Dual points of the regions cut on the stratum, in coordinate order.
-
-        A stratum carries len(rays)+1 intervals; interval k is bounded by
-        the k-th and (k+1)-th ray endpoints.
-        """
-        rays = self.stratum_rays(stratum)
-        side = self.side_points(stratum)
-        test_coords = []
-        for k in range(len(rays) + 1):
-            if k == 0:
-                test_coords.append(rays[0][0] - 1)
-            elif k == len(rays):
-                test_coords.append(rays[-1][0] + 1)
-            else:
-                test_coords.append((rays[k - 1][0] + rays[k][0]) / 2)
-        out = []
-        for c in test_coords:
-            # dominance among the side's monomials in the stratum chart
-            def val(pt, c=c):
-                a = self.poly.coefficients[pt]
-                if stratum == "x":
-                    return a + pt[1] * c
-                if stratum == "y":
-                    return a + pt[0] * c
-                # on the z stratum, classes [a : i : j] with i+j = d; chart
-                # coordinate c = y - x weights the second index
-                return a + pt[1] * c
-            best = max(side, key=lambda pt: (val(pt), pt))
-            ties = [pt for pt in side if val(pt) == val(best)]
-            if len(ties) != 1:
-                raise AssertionError("stratum interval has no unique region")
-            out.append(best)
-        return out
 
     # -- region sampling -------------------------------------------------
 

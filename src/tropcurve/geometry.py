@@ -21,10 +21,6 @@ def sub(p: Point, q) -> Point:
     return (p[0] - q[0], p[1] - q[1])
 
 
-def scale(p, t) -> Point:
-    return (p[0] * t, p[1] * t)
-
-
 def det2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 

@@ -50,9 +50,6 @@ class Gf2Vector:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.length) if self.bit(i))
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     @property
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -154,10 +151,6 @@ class Gf2Subspace:
         rows = [v.bits for v in vectors]
         reduced, _ = _reduce_rows(rows)
         return cls(ambient_dim, tuple(Gf2Vector(ambient_dim, r) for r in reduced))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Gf2Subspace":
-        return cls(ambient_dim, tuple(Gf2Vector(ambient_dim, 1 << i) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:

@@ -46,7 +46,6 @@ from .realstruct import (
     is_dividing,
     real_part,
     region_class,
-    signs_from_phase,
     sides_differ,
     twist_matrix,
     twists_from_phase,
@@ -347,7 +346,9 @@ def hyperbolic_wrt_point(
 def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
     """Twist-matrix data plus the locus: the interior of the innermost oval."""
     d = curve.require_degree()
-    hyp, k = is_hyperbolic(curve, twists_from_phase(curve, phase))
+    phase.validate_for(curve)
+    twists = twists_from_phase(curve, phase)
+    hyp, k = is_hyperbolic(curve, twists)
     atoms: set[tuple[IVec, Eps]] = set()
     if hyp and d == 1:
         atoms = {(a, e) for a in curve.dual.lattice_points for e in EPS4}
@@ -372,23 +373,29 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
         hyperbolic=hyp,
         kernel_dim=k,
         component_count=1 + k,
-        stable=is_stable_limit(curve, phase),
+        stable=_stable_limit(curve, phase, twists),
         locus=frozenset(a for a, _ in signed),
         signed_locus=signed,
     )
 
 
 def is_stable_limit(curve: TropicalCurve, phase: RealPhaseStructure) -> bool:
-    """Honeycomb, every bounded edge twisted, and the reconstructed sign
+    """Honeycomb, every bounded edge twisted, and the induced sign
     distribution constant (the identity symmetry is globally consistent)."""
     curve.require_degree()
-    if not curve.is_honeycomb():
-        return False
-    twists = twists_from_phase(curve, phase)
-    if twists.edges != frozenset(curve.bounded_edges):
-        return False
-    delta = signs_from_phase(curve, phase)
-    return len(set(delta.signs.values())) == 1
+    phase.validate_for(curve)
+    return _stable_limit(curve, phase, twists_from_phase(curve, phase))
+
+
+def _stable_limit(curve: TropicalCurve, phase: RealPhaseStructure, twists: TwistSet) -> bool:
+    # signs_from_phase flips the sign exactly across the edges whose phase
+    # line contains (0,0), and the dual graph is connected, so the signs
+    # are constant iff no phase line contains (0,0)
+    return (
+        curve.is_honeycomb()
+        and twists.edges == frozenset(curve.bounded_edges)
+        and not any(line.contains((0, 0)) for line in phase.lines)
+    )
 
 
 # -- honeycomb specifics ---------------------------------------------------

@@ -5,7 +5,10 @@ The real part lives in the four-quadrant model of the real projective
 plane: one copy of the projective triangle per symmetry eps in (Z/2)^2,
 glued along boundary strata (the x stratum identifies eps with
 eps+(1,0), the y stratum with eps+(0,1), the z stratum with eps+(1,1),
-and all four corner copies coincide).  Components, ovals and nesting are
+and all four corner copies coincide).  The gluing is read off the Newton
+polygon's sides: the d rays with a stratum's outward direction each meet
+it at one point, where the ray's two copies glue, and the regions along
+the stratum are the lattice points of the dual side.  Components, ovals and nesting are
 computed on that cell structure; the count 1 + dim ker A_T is computed
 independently from the twist matrix so the two routes can be checked
 against each other.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
-from .curve import STRATA, STRATUM_GLUE, TropicalCurve, primitive_cycles
+from .curve import STRATA, STRATUM_GLUE, STRATUM_RAY_DIR, TropicalCurve, primitive_cycles
 from .errors import NotAdmissible, UnknownPoint, ValidationError
 from .geometry import IVec, det2
 from .gf2 import Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, kernel, solve_affine
@@ -81,9 +84,6 @@ class RealPhaseStructure:
     """One affine line in (Z/2)^2 per edge of the curve."""
 
     lines: tuple[PhaseLine, ...]
-
-    def line(self, eid: int) -> PhaseLine:
-        return self.lines[eid]
 
     def translate(self, eps: Eps) -> "RealPhaseStructure":
         return RealPhaseStructure(tuple(ln.translate(eps) for ln in self.lines))
@@ -414,32 +414,14 @@ class RealPart:
         self.edge_copies: frozenset[tuple[int, Eps]] = frozenset(
             (e.index, eps) for e in curve.edges for eps in phase.lines[e.index].elements
         )
-        self.vertex_copies: frozenset[tuple[int, Eps]] = frozenset(
-            (v, eps)
-            for (eid, eps) in self.edge_copies
-            for v in (curve.edges[eid].tail, curve.edges[eid].head)
-            if v is not None
-        )
-        # stratum tables: rays sorted by coordinate, interval regions
-        self._rays = {s: curve.stratum_rays(s) for s in STRATA}
-        self._intervals = {s: curve.stratum_interval_regions(s) for s in STRATA}
-        self._stratum_of_ray = {}
-        for s in STRATA:
-            for _, eid in self._rays[s]:
-                self._stratum_of_ray[eid] = s
-        self.boundary_gluings: dict[tuple[int, Eps], tuple] = {
-            (eid, eps): self._boundary_node(eid, eps)
-            for (eid, eps) in self.edge_copies
-            if not curve.edges[eid].bounded
+        # rays escaping through each stratum; each ends at one boundary point
+        self._rays = {
+            s: [e.index for e in curve.edges if not e.bounded and e.direction == STRATUM_RAY_DIR[s]]
+            for s in STRATA
         }
+        if any(len(rays) != curve.degree for rays in self._rays.values()):
+            raise AssertionError("each boundary stratum must carry exactly d rays")
         self._components: list[frozenset[tuple[int, Eps]]] | None = None
-
-    # boundary endpoint of the eps-copy of an unbounded edge
-    def _boundary_node(self, eid: int, eps: Eps) -> tuple:
-        s = self._stratum_of_ray[eid]
-        coord = next(c for c, e2 in self._rays[s] if e2 == eid)
-        cls = min(eps, _xor(eps, STRATUM_GLUE[s]))
-        return ("b", s, coord, cls)
 
     def curve_components(self) -> list[frozenset[tuple[int, Eps]]]:
         """Connected components of the real part as sets of edge copies."""
@@ -453,7 +435,9 @@ class RealPart:
             if e.bounded:
                 uf.union(key, ("v", e.head, eps))
             else:
-                uf.union(key, self._boundary_node(eid, eps))
+                # both copies of a ray glue at its one boundary point: its
+                # phase direction is its stratum's glue vector
+                uf.union(key, ("b", eid))
         groups: dict = {}
         for eid, eps in self.edge_copies:
             groups.setdefault(uf.find(("e", eid, eps)), []).append((eid, eps))
@@ -500,23 +484,17 @@ class RealPart:
                     continue
                 bump(uf.find((e.dual[0], eps)), -1)
         for s in STRATA:
-            regions = self._intervals[s]
             g = STRATUM_GLUE[s]
             classes = sorted({min(eps, _xor(eps, g)) for eps in EPS4})
-            for alpha in regions:
+            # one interval of the stratum per lattice point of the dual side
+            for alpha in curve.side_points(s):
                 for cls in classes:
                     bump(uf.find((alpha, cls)), -1)
-            for coord, eid in self._rays[s]:
-                e = curve.edges[eid]
-                phase_cls = min(
-                    self.phase.lines[eid].elements[0],
-                    _xor(self.phase.lines[eid].elements[0], g),
-                )
+            for eid in self._rays[s]:
                 for cls in classes:
-                    if cls == phase_cls:
-                        if (eid, cls) in cut or (eid, _xor(cls, g)) in cut:
-                            continue  # boundary point lies on the cut curve
-                    bump(uf.find((e.dual[0], cls)), 1)
+                    if (eid, cls) in cut or (eid, _xor(cls, g)) in cut:
+                        continue  # boundary point lies on the cut curve
+                    bump(uf.find((curve.edges[eid].dual[0], cls)), 1)
         for v in range(len(curve.vertices)):
             for eps in EPS4:
                 if (v, eps) in on_cut_vertices:
@@ -567,7 +545,7 @@ def count_components_direct(rp: RealPart) -> ComponentReport:
         assert chis == [0, 1], f"oval sides must be a disk and a Moebius side, got chi={chis}"
         disk_root = next(r for r in roots if chi[r] == 1)
         interior = frozenset(a for a in atoms if uf.find(a) == disk_root)
-        infos.append({"edge_copies": K, "kind": "oval", "interior": interior, "uf": uf, "disk": disk_root})
+        infos.append({"edge_copies": K, "kind": "oval", "interior": interior})
 
     # nesting among ovals: witness atom of K inside the disk side of K'
     n = len(infos)

@@ -205,12 +205,17 @@ _SQUARE = {
         ({"curve": {"honeycomb": 1}, "real_structure": {"signs": {"0,0": True, "1,0": 1, "0,1": 1}}}, []),
         (b"\xff\xfe not UTF-8", []),
         (_SQUARE, ["--point", "(0,0)"]),
+        (_CONIC, ["--eps", "7,7"]),
+        (_CONIC, ["--eps", "1,1"]),
+        (dict(_CONIC, query={"component": [1, 0], "eps": [0, 0]}), ["--eps", "7,7"]),
     ],
     ids=[
         "query-eps-not-bits", "query-eps-short", "query-eps-out-of-range", "query-component-short",
         "twist-edge-not-points", "twist-seed-not-edge", "eps-flag-not-bits", "eps-flag-short",
         "point-flag-off-polygon", "twist-seed-eps-out-of-range", "phase-element-not-bits",
         "empty-support", "sign-not-int", "file-not-utf8", "point-query-without-degree",
+        "eps-flag-out-of-range-without-query", "eps-flag-without-query",
+        "eps-flag-out-of-range-with-query",
     ],
 )
 def test_malformed_field_or_flag_exits_1(scenario, extra, tmp_path, capsys):
@@ -223,3 +228,18 @@ def test_malformed_field_or_flag_exits_1(scenario, extra, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_eps_flag_overrides_query_eps(tmp_path, capsys):
+    spec = tmp_path / "query.trop.json"
+    spec.write_text(json.dumps(dict(_CONIC, query={"component": [1, 0], "eps": [0, 0]})))
+    code, out, _ = run(capsys, "hyperbolic", "--spec", str(spec), "--eps", "1,1")
+    assert code == 0
+    assert out.startswith("point (1,0) eps=(1, 1): ")
+    code, out_json, _ = run(capsys, "hyperbolic", "--spec", str(spec), "--eps", "1,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out_json)["eps"] == [1, 1]
+    plain = tmp_path / "plain.trop.json"
+    plain.write_text(json.dumps(_CONIC))
+    code, out_flags, _ = run(capsys, "hyperbolic", "--spec", str(plain), "--point", "(1,0)", "--eps", "1,1")
+    assert (code, out_flags) == (0, out)

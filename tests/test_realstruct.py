@@ -298,6 +298,29 @@ def test_matrix_count_equals_model_count(rng):
         assert sum(1 for comp in direct.components if comp.kind == "pseudo-line") == d % 2
 
 
+def test_matrix_count_equals_model_count_on_random_lifts():
+    # arbitrary non-singular d*simplex lifts, not only near-honeycomb ones
+    from tropcurve.errors import DegeneratePolygon, SingularSubdivision
+    from tropcurve.selfcheck import random_lift
+
+    rng = random.Random(11)
+    checked = non_honeycombs = 0
+    while checked < 100:
+        try:
+            c = curve_from_polynomial(random_lift(rng))
+        except (DegeneratePolygon, SingularSubdivision):
+            continue
+        if c.degree is None:
+            continue
+        delta = random_sign_distribution(rng, c)
+        direct = count_components_direct(real_part(c, phase_from_signs(c, delta)))
+        assert count_components_matrix(c, twists_from_signs(c, delta)) == direct.count
+        assert sum(1 for comp in direct.components if comp.kind == "pseudo-line") == c.degree % 2
+        checked += 1
+        non_honeycombs += not c.is_honeycomb()
+    assert non_honeycombs >= 30
+
+
 def test_empty_twists_give_one_plus_genus():
     for d in (3, 4, 5):
         c = honeycomb(d)
