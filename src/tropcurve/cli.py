@@ -32,7 +32,7 @@ from .realstruct import (
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; reserve 2 for unsupported geometry
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"error: {self.prog}: {message}\n")
 
 
 def _read_spec(path: str):
@@ -247,10 +247,10 @@ def main(argv=None) -> int:
     parser = _Parser(prog="tropcurve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="scenario file (.trop.json)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def common(p, fmt=True):
+        p.add_argument("--spec", required=True, help="scenario file (.trop.json)")
+        if fmt:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
 
     common(sub.add_parser("build", help="print curve combinatorics"))
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     p.add_argument("--point", default=None, help='component lattice point "(i,j)"')
     p.add_argument("--eps", default=None, help="symmetry bits b,b")
     p = sub.add_parser("render", help="emit an SVG figure")
-    common(p)
+    common(p, fmt=False)
     p.add_argument("--locus", action="store_true", help="shade the hyperbolicity locus")
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
     p.add_argument("--seed", type=int, default=0)

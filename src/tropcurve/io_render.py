@@ -5,6 +5,14 @@ rational coefficients), exactly one description of its real structure
 (signs, twists, or explicit phase lines), an optional second curve for
 intersection runs, and an optional point query.  Rationals travel as
 "p/q" strings; floats are rejected outright.
+
+SVG figure coordinates are the exact rationals floor-rounded to 4
+decimals, computed on one integer frame: every vertex is an int pair over
+D = 8 * lcm of the vertex-coordinate denominators, and each coordinate is
+written as one floor division num // den.  The quadrant panel maps an
+affine point (a/D, b/D) onto the unit triangle by the projective squash in
+closed form: with M = max(0, a, b), A = D + M, B = A - a, C = A - b and
+S = AB + AC + BC, the squash is (AC/S, AB/S).
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .curve import TropicalCurve, TropicalPolynomial, curve_from_polynomial, honeycomb
 from .errors import ParseError, ValidationError
@@ -351,52 +360,51 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
 
 
 # -- SVG rendering --------------------------------------------------------
+#
+# A figure coordinate is an exact rational kept as two ints, num/den with
+# den > 0; a mapped point is the triple (x_num, y_num, den).
 
 
-def _fmt(x) -> str:
-    """Fixed 4-decimal rendering of an exact rational (floor rounding)."""
-    f = Fraction(x)
-    scaled = f * 10_000
-    n = scaled.numerator // scaled.denominator
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    whole, frac = divmod(n, 10_000)
-    s = f"{sign}{whole}.{frac:04d}".rstrip("0").rstrip(".")
-    return s if s not in ("", "-") else "0"
+def _fmt(num: int, den: int) -> str:
+    """Fixed 4-decimal rendering of num/den, den > 0 (floor rounding)."""
+    n = (10_000 * num) // den
+    whole, frac = divmod(abs(n), 10_000)
+    s = f"-{whole}" if n < 0 else str(whole)
+    return f"{s}.{frac:04d}".rstrip("0") if frac else s
 
 
-def _squash(p: Point) -> Point:
-    """Projective squash of the affine chart onto the open unit triangle."""
-    x, y = Fraction(p[0]), Fraction(p[1])
-    m = max(Fraction(0), x, y)
-    w0 = 1 / (1 + m)
-    w1 = 1 / (1 + m - x)
-    w2 = 1 / (1 + m - y)
-    s = w0 + w1 + w2
-    return (w1 / s, w2 / s)
+def _on_frame(x: Fraction, y: Fraction, den: int) -> IVec:
+    """Numerators of the point (x, y) over den, a multiple of both denominators."""
+    return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
 
 
-def _ray_limit(anchor: Point, direction: IVec) -> Point:
-    """Exact image of the boundary endpoint of a ray under the squash."""
-    x, y = Fraction(anchor[0]), Fraction(anchor[1])
-    dx, dy = direction
-    # weights degenerate along the ray; take the exact limit of _squash
-    if (dx, dy) == (-1, 0):
-        m = max(Fraction(0), y)
-        w = (1 / (1 + m), Fraction(0), 1 / (1 + m - y))
-    elif (dx, dy) == (0, -1):
-        m = max(Fraction(0), x)
-        w = (1 / (1 + m), 1 / (1 + m - x), Fraction(0))
-    elif (dx, dy) == (1, 1):
-        c = y - x  # invariant along the ray
+def _triangle_point(a: int, b: int, den: int) -> tuple[int, int, int]:
+    """Projective squash of the affine point (a/den, b/den) onto the open
+    unit triangle, as (u, v, s) standing for (u/s, v/s).
+
+    With M = max(0, a, b), A = den + M, B = A - a, C = A - b and
+    S = AB + AC + BC the squash is (AC/S, AB/S).
+    """
+    big = den + max(0, a, b)
+    ab, ac = big * (big - a), big * (big - b)
+    return ac, ab, ab + ac + (big - a) * (big - b)
+
+
+def _ray_limit(a: int, b: int, den: int, direction: IVec) -> tuple[int, int, int]:
+    """Exact limit of the squash along the ray from (a/den, b/den), as
+    (u, v, s) standing for (u/s, v/s)."""
+    if direction == (-1, 0):
+        big = den + max(0, b)
+        return 0, big, 2 * big - b
+    if direction == (0, -1):
+        big = den + max(0, a)
+        return big, 0, 2 * big - a
+    if direction == (1, 1):
+        c = b - a  # invariant along the ray
         if c >= 0:
-            w = (Fraction(0), 1 / (1 + c), Fraction(1))
-        else:
-            w = (Fraction(0), Fraction(1), 1 / (1 - c))
-    else:
-        raise ValueError(f"ray direction {direction} does not reach the boundary")
-    s = sum(w)
-    return (w[1] / s, w[2] / s)
+            return den, den + c, 2 * den + c
+        return den - c, den, 2 * den - c
+    raise ValueError(f"ray direction {direction} does not reach the boundary")
 
 
 class _Svg:
@@ -415,31 +423,12 @@ class _Svg:
         self.parts.append("</g>")
 
     def polyline(self, pts, **attrs):
-        data = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        data = " ".join(f"{_fmt(x, d)},{_fmt(y, d)}" for x, y, d in pts)
         self.add("polyline", points=data, fill="none", **attrs)
 
     def polygon(self, pts, **attrs):
-        data = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        data = " ".join(f"{_fmt(x, d)},{_fmt(y, d)}" for x, y, d in pts)
         self.add("polygon", points=data, **attrs)
-
-
-def _clip_to_box(anchor: Point, direction: IVec, tmax, box):
-    """Parameter range of anchor + t*direction inside [x0,x1]x[y0,y1]."""
-    x0, x1, y0, y1 = box
-    lo, hi = Fraction(0), tmax
-    for coord, d, lo_b, hi_b in ((anchor[0], direction[0], x0, x1), (anchor[1], direction[1], y0, y1)):
-        if d == 0:
-            if coord < lo_b or coord > hi_b:
-                return None
-            continue
-        t_a = Fraction(lo_b - coord, d)
-        t_b = Fraction(hi_b - coord, d)
-        t_lo, t_hi = (t_a, t_b) if t_a <= t_b else (t_b, t_a)
-        lo = max(lo, t_lo)
-        hi = t_hi if hi is None else min(hi, t_hi)
-    if hi is None or lo > hi:
-        return None
-    return lo, hi
 
 
 def _clip_region(curve: TropicalCurve, alpha: IVec, box) -> list[Point]:
@@ -485,103 +474,117 @@ def render_svg(
     """Deterministic three-panel figure: dual subdivision, affine curve
     with twist markers and locus shading, and the four-quadrant real part."""
     svg = _Svg()
-    xs = [v[0] for v in curve.vertices] or [Fraction(0)]
-    ys = [v[1] for v in curve.vertices] or [Fraction(0)]
-    box = (min(xs) - 2, max(xs) + 2, min(ys) - 2, max(ys) + 2)
-    span = max(box[1] - box[0], box[3] - box[2])
+    # one integer frame: vertex k is (verts[k][0]/den, verts[k][1]/den); the
+    # factor 8 keeps edge samples at k/8 and edge midpoints on the frame
+    den = 8 * lcm(*(c.denominator for v in curve.vertices for c in v))
+    verts = [_on_frame(x, y, den) for x, y in curve.vertices]
+    xs = [v[0] for v in verts]
+    ys = [v[1] for v in verts]
+    x0, x1, y0, y1 = min(xs) - 2 * den, max(xs) + 2 * den, min(ys) - 2 * den, max(ys) + 2 * den
+    span = max(x1 - x0, y1 - y0)
 
-    # panel 1: dual subdivision, unit = 24px
+    # panel 1: dual subdivision, the largest i + j at 120px
     svg.open_group(id="dual", transform="translate(20,20)")
-    du = Fraction(120, max(1, max(p[0] + p[1] for p in curve.dual.lattice_points)))
+    maxsum = max(1, max(p[0] + p[1] for p in curve.dual.lattice_points))
 
     def dmap(p):
-        return (p[0] * du, 140 - p[1] * du)
+        return (120 * p[0], 140 * maxsum - 120 * p[1], maxsum)
 
     for cell in curve.dual.cells:
         svg.polygon(
             [dmap(p) for p in cell], fill="#f6f2e8", stroke="#777", stroke_width="0.8"
         )
     for p in curve.dual.lattice_points:
-        x, y = dmap(p)
-        svg.add("circle", cx=_fmt(x), cy=_fmt(y), r="2.4", fill="#333")
+        x, y, d = dmap(p)
+        svg.add("circle", cx=_fmt(x, d), cy=_fmt(y, d), r="2.4", fill="#333")
         if delta is not None:
             label = "+" if delta.signs[p] > 0 else "−"
             svg.parts.append(
-                f'<text x="{_fmt(x + 4)}" y="{_fmt(y - 4)}" font-size="9">{label}</text>'
+                f'<text x="{_fmt(x + 4 * d, d)}" y="{_fmt(y - 4 * d, d)}" font-size="9">{label}</text>'
             )
     svg.close_group()
 
-    # panel 2: affine curve
-    scale = Fraction(220, span)
-    ox, oy = 200, 20
-
-    def amap(p):
-        return (ox + (p[0] - box[0]) * scale, oy + (box[3] - p[1]) * scale)
+    # panel 2: affine curve, the frame box scaled to 220px
+    def amap(a, b, k=1):
+        """Figure point of the affine point (a/(k*den), b/(k*den))."""
+        return (200 * span * k + 220 * (a - x0 * k), 20 * span * k + 220 * (y1 * k - b), span * k)
 
     svg.open_group(id="curve", transform="translate(0,0)")
     svg.polygon(
-        [amap((box[0], box[2])), amap((box[1], box[2])), amap((box[1], box[3])), amap((box[0], box[3]))],
+        [amap(x0, y0), amap(x1, y0), amap(x1, y1), amap(x0, y1)],
         fill="white", stroke="#aaa", stroke_width="0.8",
     )
     if locus:
+        box = (Fraction(x0, den), Fraction(x1, den), Fraction(y0, den), Fraction(y1, den))
         svg.open_group(id="locus")
         for alpha in sorted(locus):
             region = _clip_region(curve, alpha, box)
             if region:
-                svg.polygon([amap(p) for p in region], fill="#cfe6ff", stroke="none")
+                pts = []
+                for px, py in region:
+                    k = lcm(px.denominator, py.denominator)
+                    pts.append(amap(*_on_frame(px, py, k * den), k))
+                svg.polygon(pts, fill="#cfe6ff", stroke="none")
         svg.close_group()
     for e in curve.edges:
-        rng = _clip_to_box(curve.edge_anchor(e.index), e.direction, curve.edge_tmax(e.index), box)
-        if rng is None:
-            continue
-        p = curve.edge_point(e.index, rng[0])
-        q = curve.edge_point(e.index, rng[1])
-        svg.polyline([amap(p), amap(q)], stroke="#222", stroke_width="1.6")
+        a, b = verts[e.tail]
+        if e.bounded:
+            end = amap(*verts[e.head])
+        else:
+            # the ray leaves the box (margin 2) at parameter n/k, in units of 1/den
+            dx, dy = e.direction
+            exits = []
+            if dx:
+                exits.append((x1 - a if dx > 0 else a - x0, abs(dx)))
+            if dy:
+                exits.append((y1 - b if dy > 0 else b - y0, abs(dy)))
+            if len(exits) == 2 and exits[1][0] * exits[0][1] < exits[0][0] * exits[1][1]:
+                exits.reverse()
+            n, k = exits[0]
+            end = amap(a * k + dx * n, b * k + dy * n, k)
+        svg.polyline([amap(a, b), end], stroke="#222", stroke_width="1.6")
     if twists is not None:
         svg.open_group(id="twist-markers")
         for eid in sorted(twists.edges):
-            t = curve.edge_tmax(eid)
-            mid = curve.edge_point(eid, t / 2)
-            x, y = amap(mid)
-            svg.add("circle", cx=_fmt(x), cy=_fmt(y), r="3.2", fill="#1f6fbf")
+            e = curve.edges[eid]
+            (a, b), (ha, hb) = verts[e.tail], verts[e.head]
+            x, y, d = amap((a + ha) // 2, (b + hb) // 2)
+            svg.add("circle", cx=_fmt(x, d), cy=_fmt(y, d), r="3.2", fill="#1f6fbf")
         svg.close_group()
-    for v in curve.vertices:
-        x, y = amap(v)
-        svg.add("circle", cx=_fmt(x), cy=_fmt(y), r="1.8", fill="#000")
+    for a, b in verts:
+        x, y, d = amap(a, b)
+        svg.add("circle", cx=_fmt(x, d), cy=_fmt(y, d), r="1.8", fill="#000")
     svg.close_group()
 
     # panel 3: four-quadrant real part on the diamond model
-    qs, qox, qoy = 130, 600, 140
-
-    def qmap(u, v, eps):
-        su = -u if eps[0] else u
-        sv = -v if eps[1] else v
-        return (qox + su * qs, qoy - sv * qs)
+    def qmap(u, v, s, eps):
+        return (600 * s + (-130 if eps[0] else 130) * u, 140 * s - (-130 if eps[1] else 130) * v, s)
 
     svg.open_group(id="quadrants")
     for eps in EPS4:
         svg.polygon(
-            [qmap(Fraction(0), Fraction(0), eps), qmap(Fraction(1), Fraction(0), eps), qmap(Fraction(0), Fraction(1), eps)],
+            [qmap(0, 0, 1, eps), qmap(1, 0, 1, eps), qmap(0, 1, 1, eps)],
             fill="none", stroke="#bbb", stroke_width="0.8",
         )
     # mirror copies need the projective compactification, so a degree
     if phase is not None and curve.degree is not None:
         for e in curve.edges:
+            a, b = verts[e.tail]
+            if e.bounded:
+                ha, hb = verts[e.head]
+                samples = [
+                    _triangle_point(a + (ha - a) * k // 8, b + (hb - b) * k // 8, den) for k in range(9)
+                ]
+            else:
+                dx, dy = e.direction
+                samples = [
+                    _triangle_point(a + dx * t * den, b + dy * t * den, den) for t in (0, 1, 2, 4, 8, 16, 64)
+                ]
+                samples.append(_ray_limit(a, b, den, e.direction))
             for eps in sorted(phase.lines[e.index].elements):
-                pts = []
-                tmax = curve.edge_tmax(e.index)
-                if tmax is not None:
-                    samples = [tmax * k / 8 for k in range(9)]
-                    for t in samples:
-                        u, v = _squash(curve.edge_point(e.index, t))
-                        pts.append(qmap(u, v, eps))
-                else:
-                    for t in (0, 1, 2, 4, 8, 16, 64):
-                        u, v = _squash(curve.edge_point(e.index, Fraction(t)))
-                        pts.append(qmap(u, v, eps))
-                    u, v = _ray_limit(curve.edge_anchor(e.index), e.direction)
-                    pts.append(qmap(u, v, eps))
-                svg.polyline(pts, stroke="#b03030", stroke_width="1.2")
+                svg.polyline(
+                    [qmap(u, v, s, eps) for u, v, s in samples], stroke="#b03030", stroke_width="1.2"
+                )
     svg.close_group()
 
     body = "\n".join(svg.parts)

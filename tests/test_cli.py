@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +51,10 @@ def specs(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -208,6 +215,7 @@ _SQUARE = {
         (_CONIC, ["--eps", "7,7"]),
         (_CONIC, ["--eps", "1,1"]),
         (dict(_CONIC, query={"component": [1, 0], "eps": [0, 0]}), ["--eps", "7,7"]),
+        (_CONIC, ["render", "--format", "json"]),
     ],
     ids=[
         "query-eps-not-bits", "query-eps-short", "query-eps-out-of-range", "query-component-short",
@@ -215,7 +223,7 @@ _SQUARE = {
         "point-flag-off-polygon", "twist-seed-eps-out-of-range", "phase-element-not-bits",
         "empty-support", "sign-not-int", "file-not-utf8", "point-query-without-degree",
         "eps-flag-out-of-range-without-query", "eps-flag-without-query",
-        "eps-flag-out-of-range-with-query",
+        "eps-flag-out-of-range-with-query", "render-format-flag",
     ],
 )
 def test_malformed_field_or_flag_exits_1(scenario, extra, tmp_path, capsys):
@@ -224,7 +232,9 @@ def test_malformed_field_or_flag_exits_1(scenario, extra, tmp_path, capsys):
         spec.write_bytes(scenario)
     else:
         spec.write_text(json.dumps(scenario))
-    code, out, err = run(capsys, "hyperbolic", "--spec", str(spec), *extra)
+    # extra may start with a subcommand other than hyperbolic
+    command, extra = (extra[0], extra[1:]) if extra and not extra[0].startswith("-") else ("hyperbolic", extra)
+    code, out, err = run(capsys, command, "--spec", str(spec), *extra)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -243,3 +253,19 @@ def test_eps_flag_overrides_query_eps(tmp_path, capsys):
     plain.write_text(json.dumps(_CONIC))
     code, out_flags, _ = run(capsys, "hyperbolic", "--spec", str(plain), "--point", "(1,0)", "--eps", "1,1")
     assert (code, out_flags) == (0, out)
+
+
+def test_render_locus_is_byte_identical_across_processes(specs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for name in ("stable_quartic.trop.json", "line.trop.json"):
+        outs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropcurve.cli", "render", "--spec", specs[name], "--locus"],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert b'<g id="locus">' in outs[0]

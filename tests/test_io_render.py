@@ -1,11 +1,17 @@
+import hashlib
 import json
+import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tropcurve import (
     SignDistribution,
     build_scenario,
+    curve_from_polynomial,
     honeycomb,
     hyperbolicity_locus,
     load_spec,
@@ -14,7 +20,8 @@ from tropcurve import (
     save_spec,
     twists_from_signs,
 )
-from tropcurve.errors import ParseError, ValidationError
+from tropcurve.errors import ParseError, TropcurveError, ValidationError
+from tropcurve.selfcheck import random_lift, random_sign_distribution
 
 
 def test_shorthand_constant_signs():
@@ -194,3 +201,114 @@ def test_render_is_deterministic():
     a = render_svg(c, phase=phase, twists=twists)
     b = render_svg(c, phase=phase, twists=twists)
     assert a == b
+
+
+def _golden_corpus():
+    """Seeded renders: honeycombs d=1-8, d*simplex and other random lifts
+    (mixed denominators included), and locus-shaded figures."""
+    rng = random.Random(6)
+    groups = {"honeycomb": [], "simplex-lift": [], "other-support": [], "locus": []}
+    for d in range(1, 9):
+        c = honeycomb(d)
+        delta = random_sign_distribution(rng, c)
+        phase = phase_from_signs(c, delta)
+        groups["honeycomb"].append(render_svg(c, phase, twists_from_signs(c, delta), None, delta))
+    for d in range(1, 6):
+        c = honeycomb(d)
+        delta = SignDistribution.constant(c)
+        phase = phase_from_signs(c, delta)
+        locus = hyperbolicity_locus(c, phase).locus
+        groups["locus"].append(render_svg(c, phase, twists_from_signs(c, delta), locus, delta))
+    while len(groups["simplex-lift"]) < 100 or len(groups["other-support"]) < 30:
+        try:
+            c = curve_from_polynomial(random_lift(rng))
+        except TropcurveError:
+            continue
+        key, cap = ("simplex-lift", 100) if c.degree is not None else ("other-support", 30)
+        if len(groups[key]) >= cap:
+            continue
+        delta = random_sign_distribution(rng, c)
+        phase = phase_from_signs(c, delta)
+        twists = twists_from_signs(c, delta)
+        groups[key].append(render_svg(c, phase, twists, None, delta))
+        if c.degree is not None and len(groups["locus"]) < 25:
+            locus = hyperbolicity_locus(c, phase).locus
+            groups["locus"].append(render_svg(c, phase, twists, locus, delta))
+    return groups
+
+
+def test_render_bytes_match_golden_digests():
+    groups = _golden_corpus()
+    digests = {k: (len(v), hashlib.sha256("".join(v).encode()).hexdigest()[:16]) for k, v in groups.items()}
+    assert digests == {
+        "honeycomb": (8, "1b095c05673640b2"),
+        "simplex-lift": (100, "5253fae539c9939c"),
+        "other-support": (30, "6d09fdf4ab1bd454"),
+        "locus": (25, "f8ace0ce5fc8dbdc"),
+    }
+    layers = [s.split('<g id="locus">')[1].split("</g>")[0] for s in groups["locus"] if '<g id="locus">' in s]
+    shaded = [layer for layer in layers if "<polygon " in layer]
+    assert len(shaded) >= 20
+    assert all(not _quadrant_polylines(s) for s in groups["other-support"])
+
+
+# Reference definitions over Fraction for the integer closed forms in io_render.
+
+
+def _fmt_reference(x):
+    scaled = Fraction(x) * 10_000
+    n = scaled.numerator // scaled.denominator
+    sign = "-" if n < 0 else ""
+    whole, frac = divmod(abs(n), 10_000)
+    s = f"{sign}{whole}.{frac:04d}".rstrip("0").rstrip(".")
+    return s if s not in ("", "-") else "0"
+
+
+def _squash_reference(x, y):
+    m = max(Fraction(0), x, y)
+    w0, w1, w2 = 1 / (1 + m), 1 / (1 + m - x), 1 / (1 + m - y)
+    s = w0 + w1 + w2
+    return (w1 / s, w2 / s)
+
+
+def _ray_limit_reference(x, y, direction):
+    if direction == (-1, 0):
+        m = max(Fraction(0), y)
+        w = (1 / (1 + m), Fraction(0), 1 / (1 + m - y))
+    elif direction == (0, -1):
+        m = max(Fraction(0), x)
+        w = (1 / (1 + m), 1 / (1 + m - x), Fraction(0))
+    else:
+        c = y - x
+        w = (Fraction(0), 1 / (1 + c), Fraction(1)) if c >= 0 else (Fraction(0), Fraction(1), 1 / (1 - c))
+    s = sum(w)
+    return (w[1] / s, w[2] / s)
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@seed(6)
+@settings(max_examples=400, deadline=None, database=None)
+@given(x=_rationals, y=_rationals, extra=st.integers(1, 24))
+def test_integer_squash_and_ray_limits_match_fraction_definitions(x, y, extra):
+    from tropcurve.io_render import _ray_limit, _triangle_point
+
+    den = 8 * extra * x.denominator * y.denominator
+    a, b = int(x * den), int(y * den)
+    u, v, s = _triangle_point(a, b, den)
+    assert s > 0 and (Fraction(u, s), Fraction(v, s)) == _squash_reference(x, y)
+    # both orders, so the (1,1) ray sees c = y - x >= 0 and c < 0
+    for (p, q), (i, j) in (((x, y), (a, b)), ((y, x), (b, a))):
+        for direction in ((-1, 0), (0, -1), (1, 1)):
+            u, v, s = _ray_limit(i, j, den, direction)
+            assert s > 0 and (Fraction(u, s), Fraction(v, s)) == _ray_limit_reference(p, q, direction)
+
+
+@seed(6)
+@settings(max_examples=400, deadline=None, database=None)
+@given(num=st.integers(-10**9, 10**9), den=st.integers(1, 10**6))
+def test_integer_formatter_matches_fraction_formatter(num, den):
+    from tropcurve.io_render import _fmt
+
+    assert _fmt(num, den) == _fmt_reference(Fraction(num, den))
