@@ -271,7 +271,10 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=25)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (1, see _Parser)
+        return exc.code
     handler = {
         "build": _cmd_build,
         "analyze": _cmd_analyze,

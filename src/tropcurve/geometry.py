@@ -140,5 +140,10 @@ def line_param(anchor: Point, d, p: Point) -> Fraction:
     return w[0] / d[0] if d[0] != 0 else w[1] / d[1]
 
 
+def on_frame(x: Fraction, y: Fraction, den: int) -> IVec:
+    """Numerators of the point (x, y) over den, a multiple of both denominators."""
+    return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+
+
 def lex_key(p: Point):
     return (p[0], p[1])

@@ -7,6 +7,14 @@ inside another edge, and a proper segment overlap.  Anything else (a
 shared vertex of both curves, an unbounded overlap, chained overlaps)
 raises UnsupportedConfiguration rather than guessing.
 
+The edge-pair scan (``edge_hits``) runs on one integer frame per call:
+both curves' vertices become int pairs over D, the lcm of every
+vertex-coordinate denominator, and each bounded edge gets the int length
+D * tmax.  Pairs are solved and compared on ints; a ``Fraction`` point is
+built only for a hit.  ``classify_hits`` turns the hits into components.
+The ``Fraction`` pair scan ``selfcheck.pair_scan_intersections`` is the
+oracle that must find the same hits in the same order.
+
 Twists of lifted overlaps use the sidedness rule of ``realstruct``: the
 production route for relative twists is ``relative_twist_geometric``.
 ``relative_twist_signs`` reads the same verdict off sign distributions
@@ -18,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from .curve import TropicalCurve
 from .errors import (
@@ -26,7 +35,7 @@ from .errors import (
     UnsupportedConfiguration,
     WrongKind,
 )
-from .geometry import Point, det2, intersect_param_lines, lex_key, line_param, sub
+from .geometry import Point, det2, lex_key, on_frame, sub
 from .realstruct import (
     RealPhaseStructure,
     _outward_direction,
@@ -87,58 +96,95 @@ def transverse_multiplicity(e_dir, ep_dir) -> int:
     return abs(d)
 
 
-def _edge_interval(curve: TropicalCurve, eid: int):
-    e = curve.edges[eid]
-    return curve.edge_anchor(eid), e.direction, curve.edge_tmax(eid)
+def _frame_edges(curve: TropicalCurve, den: int):
+    """Every edge of ``curve`` as (x, y, dx, dy, T): the tail over ``den``,
+    the primitive direction and the int length T = den * tmax (None for a ray)."""
+    verts = [on_frame(x, y, den) for x, y in curve.vertices]
+    out = []
+    for e in curve.edges:
+        x, y = verts[e.tail]
+        dx, dy = e.direction
+        length = None
+        if e.bounded:
+            hx, hy = verts[e.head]
+            # exact: the direction is primitive and head - tail is an int multiple of it
+            length = (hx - x) // dx if dx else (hy - y) // dy
+        out.append((x, y, dx, dy, length))
+    return out
 
 
 def intersection_components(curve_a: TropicalCurve, curve_b: TropicalCurve):
     """Classified connected components of the set-theoretic intersection."""
+    return classify_hits(curve_a, curve_b, *edge_hits(curve_a, curve_b))
+
+
+def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve):
+    """Every edge pair's intersection, as the ``points`` and ``segments``
+    that ``classify_hits`` takes.
+
+    Both curves go on one integer frame: coordinates over D, the lcm of
+    every vertex-coordinate denominator.  Each edge pair is solved and
+    compared on ints; only a hit becomes a ``Fraction`` point.
+    """
     if curve_a is curve_b:
         raise UnsupportedConfiguration("the two curves must be distinct point sets")
+    den = lcm(*(c.denominator for curve in (curve_a, curve_b) for v in curve.vertices for c in v))
+    edges_b = _frame_edges(curve_b, den)
     points: dict[Point, set] = {}
     segments: list[tuple[Point, Point, int, int]] = []
-    for ea in curve_a.edges:
-        pa, da, ta = _edge_interval(curve_a, ea.index)
-        for eb in curve_b.edges:
-            pb, db, tb = _edge_interval(curve_b, eb.index)
-            res = intersect_param_lines(pa, da, pb, db)
-            if res is None:
-                continue
-            if res[0] == "point":
-                t, s = res[1], res[2]
-                if t < 0 or (ta is not None and t > ta):
+    for ea, (px, py, dax, day, ta) in enumerate(_frame_edges(curve_a, den)):
+        for eb, (qx, qy, dbx, dby, tb) in enumerate(edges_b):
+            wx, wy = qx - px, qy - py
+            dd = dax * dby - day * dbx
+            if dd:
+                # p + t*da = q + s*db at t = tn/dd, s = sn/dd
+                tn = wx * dby - wy * dbx
+                sn = wx * day - wy * dax
+                if dd < 0:
+                    dd, tn, sn = -dd, -tn, -sn
+                if tn < 0 or (ta is not None and tn > ta * dd):
                     continue
-                if s < 0 or (tb is not None and s > tb):
+                if sn < 0 or (tb is not None and sn > tb * dd):
                     continue
-                pt = (pa[0] + da[0] * t, pa[1] + da[1] * t)
-                points.setdefault(pt, set()).add(("a", ea.index))
-                points[pt].add(("b", eb.index))
+                scale = den * dd
+                pt = (Fraction(px * dd + dax * tn, scale), Fraction(py * dd + day * tn, scale))
+                points.setdefault(pt, set()).add(("a", ea))
+                points[pt].add(("b", eb))
                 continue
-            # collinear supporting lines: intersect the parameter intervals
-            sigma = 1 if db == da else -1
-            assert db == da or db == (-da[0], -da[1])
-            t0 = line_param(pa, da, pb)
-            if sigma == 1:
+            if wx * day - wy * dax:
+                continue  # parallel supporting lines
+            # collinear supporting lines: intersect the int parameter intervals
+            t0 = wx // dax if dax else wy // day
+            if (dbx, dby) == (dax, day):
                 b_lo, b_hi = t0, (None if tb is None else t0 + tb)
             else:
                 b_lo, b_hi = (None if tb is None else t0 - tb), t0
-            lo = Fraction(0) if b_lo is None else max(Fraction(0), b_lo)
+            lo = 0 if b_lo is None else max(0, b_lo)
             if ta is None and b_hi is None:
                 raise UnsupportedConfiguration("curves share an unbounded ray")
             hi = b_hi if ta is None else (ta if b_hi is None else min(ta, b_hi))
             if lo > hi:
                 continue
-            p1 = (pa[0] + da[0] * lo, pa[1] + da[1] * lo)
+            p1 = (Fraction(px + dax * lo, den), Fraction(py + day * lo, den))
             if lo == hi:
-                points.setdefault(p1, set()).add(("a", ea.index))
-                points[p1].add(("b", eb.index))
+                points.setdefault(p1, set()).add(("a", ea))
+                points[p1].add(("b", eb))
                 continue
-            p2 = (pa[0] + da[0] * hi, pa[1] + da[1] * hi)
+            p2 = (Fraction(px + dax * hi, den), Fraction(py + day * hi, den))
             if lex_key(p2) < lex_key(p1):
                 p1, p2 = p2, p1
-            segments.append((p1, p2, ea.index, eb.index))
+            segments.append((p1, p2, ea, eb))
+    return points, segments
 
+
+def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, points, segments):
+    """Components from an edge-pair scan's hits, sorted.
+
+    ``points`` maps each hit point to the ("a"|"b", edge) pairs through it,
+    in the order the scan (A's edges outer, B's inner) first met it;
+    ``segments`` holds (p1, p2, edge_a, edge_b) overlaps with p1
+    lexicographically first.
+    """
     for i in range(len(segments)):
         for j in range(i + 1, len(segments)):
             if _segments_touch(segments[i], segments[j]):

@@ -25,7 +25,7 @@ from math import lcm
 
 from .curve import TropicalCurve, TropicalPolynomial, curve_from_polynomial, honeycomb
 from .errors import ParseError, ValidationError
-from .geometry import IVec, Point, convex_hull, hull_lattice_points
+from .geometry import IVec, Point, convex_hull, hull_lattice_points, on_frame
 from .gf2 import PhaseLine
 from .realstruct import (
     EPS4,
@@ -373,11 +373,6 @@ def _fmt(num: int, den: int) -> str:
     return f"{s}.{frac:04d}".rstrip("0") if frac else s
 
 
-def _on_frame(x: Fraction, y: Fraction, den: int) -> IVec:
-    """Numerators of the point (x, y) over den, a multiple of both denominators."""
-    return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-
-
 def _triangle_point(a: int, b: int, den: int) -> tuple[int, int, int]:
     """Projective squash of the affine point (a/den, b/den) onto the open
     unit triangle, as (u, v, s) standing for (u/s, v/s).
@@ -477,7 +472,7 @@ def render_svg(
     # one integer frame: vertex k is (verts[k][0]/den, verts[k][1]/den); the
     # factor 8 keeps edge samples at k/8 and edge midpoints on the frame
     den = 8 * lcm(*(c.denominator for v in curve.vertices for c in v))
-    verts = [_on_frame(x, y, den) for x, y in curve.vertices]
+    verts = [on_frame(x, y, den) for x, y in curve.vertices]
     xs = [v[0] for v in verts]
     ys = [v[1] for v in verts]
     x0, x1, y0, y1 = min(xs) - 2 * den, max(xs) + 2 * den, min(ys) - 2 * den, max(ys) + 2 * den
@@ -523,7 +518,7 @@ def render_svg(
                 pts = []
                 for px, py in region:
                     k = lcm(px.denominator, py.denominator)
-                    pts.append(amap(*_on_frame(px, py, k * den), k))
+                    pts.append(amap(*on_frame(px, py, k * den), k))
                 svg.polygon(pts, fill="#cfe6ff", stroke="none")
         svg.close_group()
     for e in curve.edges:

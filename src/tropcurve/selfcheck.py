@@ -34,9 +34,13 @@ from .geometry import (
     det2,
     dot2,
     hull_lattice_points,
+    intersect_param_lines,
+    lex_key,
+    line_param,
     polygon_twice_area,
     primitive,
     rot90,
+    sub,
     sub_i,
 )
 from .gf2 import Gf2Matrix, kernel
@@ -47,7 +51,7 @@ from .hyperbolic import (
     hyperbolicity_locus,
     multi_bridges,
 )
-from .intersect import bezout_total, intersection_components, real_lift
+from .intersect import bezout_total, classify_hits, edge_hits, intersection_components, real_lift
 from .realstruct import (
     EPS4,
     Eps,
@@ -261,6 +265,97 @@ def construction_outcome(build, poly: TropicalPolynomial):
     return (curve.vertices, curve.edges, curve.dual)
 
 
+def pair_scan_intersections(curve_a: TropicalCurve, curve_b: TropicalCurve):
+    """Reference route of ``intersect.edge_hits``: every edge pair solved in
+    ``Fraction`` on the curves' own coordinates."""
+    if curve_a is curve_b:
+        raise UnsupportedConfiguration("the two curves must be distinct point sets")
+    points: dict[Point, set] = {}
+    segments: list[tuple[Point, Point, int, int]] = []
+    for ea in curve_a.edges:
+        pa, da, ta = curve_a.edge_anchor(ea.index), ea.direction, curve_a.edge_tmax(ea.index)
+        for eb in curve_b.edges:
+            pb, db, tb = curve_b.edge_anchor(eb.index), eb.direction, curve_b.edge_tmax(eb.index)
+            res = intersect_param_lines(pa, da, pb, db)
+            if res is None:
+                continue
+            if res[0] == "point":
+                t, s = res[1], res[2]
+                if t < 0 or (ta is not None and t > ta):
+                    continue
+                if s < 0 or (tb is not None and s > tb):
+                    continue
+                pt = (pa[0] + da[0] * t, pa[1] + da[1] * t)
+                points.setdefault(pt, set()).add(("a", ea.index))
+                points[pt].add(("b", eb.index))
+                continue
+            # collinear supporting lines: intersect the parameter intervals
+            sigma = 1 if db == da else -1
+            t0 = line_param(pa, da, pb)
+            if sigma == 1:
+                b_lo, b_hi = t0, (None if tb is None else t0 + tb)
+            else:
+                b_lo, b_hi = (None if tb is None else t0 - tb), t0
+            lo = Fraction(0) if b_lo is None else max(Fraction(0), b_lo)
+            if ta is None and b_hi is None:
+                raise UnsupportedConfiguration("curves share an unbounded ray")
+            hi = b_hi if ta is None else (ta if b_hi is None else min(ta, b_hi))
+            if lo > hi:
+                continue
+            p1 = (pa[0] + da[0] * lo, pa[1] + da[1] * lo)
+            if lo == hi:
+                points.setdefault(p1, set()).add(("a", ea.index))
+                points[p1].add(("b", eb.index))
+                continue
+            p2 = (pa[0] + da[0] * hi, pa[1] + da[1] * hi)
+            if lex_key(p2) < lex_key(p1):
+                p1, p2 = p2, p1
+            segments.append((p1, p2, ea.index, eb.index))
+    return points, segments
+
+
+INTERSECTION_SHIFTS = ("generic", "half-integer", "vertex-on-edge", "vertex-on-vertex")
+
+
+def random_intersection_pair(rng: random.Random, kind: str):
+    """Two random curves of degree 1 to 4 and a shift of ``kind`` for the second.
+
+    "generic" draws (k/101, l/103) and "half-integer" halves in [-2, 2];
+    "vertex-on-edge" moves a vertex of one curve onto the midpoint of a
+    bounded edge of the other (generic when neither has a bounded edge);
+    "vertex-on-vertex" moves a vertex of the second onto one of the first,
+    where collinear edges of the two can touch in a single point.
+    """
+    a = random_nonsingular_curve(rng, rng.randint(1, 4))
+    b = random_nonsingular_curve(rng, rng.randint(1, 4))
+    if kind == "half-integer":
+        return a, b, (Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2))
+    if kind == "vertex-on-vertex":
+        return a, b, sub(rng.choice(a.vertices), rng.choice(b.vertices))
+    hosts = [(host, other, eid) for host, other in ((a, b), (b, a)) for eid in host.bounded_edges]
+    if kind == "vertex-on-edge" and hosts:
+        host, other, eid = rng.choice(hosts)
+        e = host.edges[eid]
+        p, q = host.vertices[e.tail], host.vertices[e.head]
+        mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+        v = rng.choice(other.vertices)
+        return a, b, (sub(mid, v) if host is a else sub(v, mid))
+    return a, b, (Fraction(rng.randrange(-400, 400), 101), Fraction(rng.randrange(-400, 400), 103))
+
+
+def intersection_outcome(scan, curve_a: TropicalCurve, curve_b: TropicalCurve):
+    """The hits an edge-pair scan finds, in scan order (None if the scan
+    refuses), and the components ``classify_hits`` makes of them or the
+    refusal as (type, message)."""
+    hits = None
+    try:
+        points, segments = scan(curve_a, curve_b)
+        hits = (list(points.items()), segments)
+        return hits, classify_hits(curve_a, curve_b, points, segments)
+    except UnsupportedConfiguration as exc:
+        return hits, (type(exc), str(exc))
+
+
 def random_sign_distribution(rng: random.Random, curve: TropicalCurve) -> SignDistribution:
     return SignDistribution({p: rng.choice((1, -1)) for p in curve.dual.lattice_points})
 
@@ -407,6 +502,24 @@ def check_bezout(rng: random.Random, trials: int) -> CheckResult:
     return CheckResult("bezout", True, f"{trials} generic pairs")
 
 
+def check_intersection_routes(rng: random.Random, trials: int) -> CheckResult:
+    """Integer edge-pair scan against the ``Fraction`` pair scan: the same
+    hits in the same order, and so the same components or refusal."""
+    for k in range(trials):
+        kind = INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)]
+        a, b, shift = random_intersection_pair(rng, kind)
+        moved = b.translated(shift)
+        ints = intersection_outcome(edge_hits, a, moved)
+        if ints != intersection_outcome(pair_scan_intersections, a, moved):
+            names = [{p: str(c) for p, c in sorted(x.poly.coefficients.items())} for x in (a, b)]
+            return CheckResult(
+                "intersection-routes", False,
+                f"trial {k} ({kind}): outcomes differ on a={names[0]} b={names[1]}"
+                f" shifted by ({shift[0]}, {shift[1]})",
+            )
+    return CheckResult("intersection-routes", True, f"{trials} random pairs")
+
+
 def check_construction(rng: random.Random, trials: int) -> CheckResult:
     """Gift-wrap construction against the pair scan on mixed random lifts."""
     accepted = 0
@@ -444,4 +557,5 @@ def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_honeycomb_locus(random.Random(seed + 2), max(trials // 2, 5)),
         check_locus_routes(random.Random(seed + 5), max(trials // 2, 5)),
         check_bezout(random.Random(seed + 3), max(trials // 2, 5)),
+        check_intersection_routes(random.Random(seed + 6), max(trials // 2, 5)),
     ]

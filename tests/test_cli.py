@@ -51,10 +51,7 @@ def specs(tmp_path):
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -139,10 +136,14 @@ def test_validation_error_exits_1(specs, capsys):
     assert "real_structure" in err
 
 
-def test_unknown_flag_exits_1(specs):
-    with pytest.raises(SystemExit) as exc:
-        main(["build", "--spec", specs["stable_quartic.trop.json"], "--bogus"])
-    assert exc.value.code == 1
+def test_unknown_flag_exits_1(specs, capsys):
+    assert main(["build", "--spec", specs["stable_quartic.trop.json"], "--bogus"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "verify" in capsys.readouterr().out
 
 
 def test_reports_are_byte_identical(specs, capsys):

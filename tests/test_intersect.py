@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,10 +27,18 @@ from tropcurve.intersect import (
     CONJ_PAIR,
     TANGENT_DOUBLE,
     TWO_REAL,
+    edge_hits,
     relative_twist_geometric,
     relative_twist_signs,
 )
-from tropcurve.selfcheck import random_nonsingular_curve, random_sign_distribution
+from tropcurve.selfcheck import (
+    INTERSECTION_SHIFTS,
+    intersection_outcome,
+    pair_scan_intersections,
+    random_intersection_pair,
+    random_nonsingular_curve,
+    random_sign_distribution,
+)
 
 from conftest import make_line
 
@@ -340,3 +350,30 @@ def test_bezout_small_cases(rng):
         curve = random_nonsingular_curve(rng, d)
         total = bezout_total(line, curve)
         assert total == d
+
+
+def test_int_scan_matches_pair_scan_on_random_pairs():
+    rng = random.Random(7)
+    seen = Counter()
+    for k in range(1000):
+        kind = INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)]
+        a, b, shift = random_intersection_pair(rng, kind)
+        moved = b.translated(shift)
+        ints = intersection_outcome(edge_hits, a, moved)
+        assert ints == intersection_outcome(pair_scan_intersections, a, moved), (
+            k, kind, a.poly.coefficients, b.poly.coefficients, shift,
+        )
+        if isinstance(ints[1], tuple):
+            seen["refused"] += 1
+        else:
+            seen.update({c.kind for c in ints[1]})
+    assert set(seen) == {"transverse", "isolated-vertex", "edge-in-edge", "segment-overlap", "refused"}, seen
+
+
+def test_honeycomb_pair_degree_20():
+    a = honeycomb(20)
+    b = honeycomb(20).translated((Fraction(1, 7), Fraction(-2, 9)))
+    comps = intersection_components(a, b)
+    assert len(comps) == 400
+    assert {c.kind for c in comps} == {"transverse"}
+    assert bezout_total(a, b) == 400
