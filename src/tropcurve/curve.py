@@ -140,6 +140,9 @@ class TropicalCurve:
                     self._cells_of_dual_edge.setdefault(key, ())
                     self._cells_of_dual_edge[key] += (ci,)
         self._primitive_cycles: tuple[PrimitiveCycle, ...] | None = None
+        # filled once per curve by realstruct: the cycle bit rows and Div(C)
+        self._cycle_rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._div_space = None
 
     # -- basic queries -------------------------------------------------
 

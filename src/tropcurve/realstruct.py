@@ -9,14 +9,16 @@ and all four corner copies coincide).  The gluing is read off the Newton
 polygon's sides: the d rays with a stratum's outward direction each meet
 it at one point, where the ray's two copies glue, and the regions along
 the stratum are the lattice points of the dual side.  Components, ovals and nesting are
-computed on that cell structure; the count 1 + dim ker A_T is computed
-independently from the twist matrix so the two routes can be checked
-against each other.
+computed on that cell structure, built once per real part on ints; the
+count 1 + dim ker A_T is computed independently from the twist matrix so
+the two routes can be checked against each other.
 
 Production routes: twisted edges come from signs by the sign rule and
 from a phase structure by the sidedness rule, which intersect and
-hyperbolic reuse.  That the rules agree, and that phase_from_twists
-inverts twists_from_phase, are oracle checks in selfcheck and the tests.
+hyperbolic reuse.  That the rules agree, that phase_from_twists inverts
+twists_from_phase, and that the cell model's report matches a fresh
+union-find per cut (selfcheck.cut_scan_components) are oracle checks in
+selfcheck and the tests.
 """
 
 from __future__ import annotations
@@ -274,26 +276,29 @@ def twists_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> TwistS
 # -- admissible / dividing spaces ---------------------------------------
 
 
-def _cycle_rows(curve: TropicalCurve) -> tuple[list[int], list[int]]:
+def _cycle_rows(curve: TropicalCurve) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bit rows over the bounded edges: per primitive cycle, its edges of
-    odd x and of odd y direction (admissibility), and all its edges."""
-    adm, cycles = [], []
-    for cyc in primitive_cycles(curve):
-        rx = ry = r = 0
-        for eid in cyc.edges:
-            bit = 1 << curve.bounded_index[eid]
-            d = curve.edges[eid].direction
-            if d[0] & 1:
-                rx |= bit
-            if d[1] & 1:
-                ry |= bit
-            r |= bit
-        adm.extend([rx, ry])
-        cycles.append(r)
-    return adm, cycles
+    odd x and of odd y direction (admissibility), and all its edges.
+    Built once per curve."""
+    if curve._cycle_rows is None:
+        adm, cycles = [], []
+        for cyc in primitive_cycles(curve):
+            rx = ry = r = 0
+            for eid in cyc.edges:
+                bit = 1 << curve.bounded_index[eid]
+                d = curve.edges[eid].direction
+                if d[0] & 1:
+                    rx |= bit
+                if d[1] & 1:
+                    ry |= bit
+                r |= bit
+            adm.extend([rx, ry])
+            cycles.append(r)
+        curve._cycle_rows = (tuple(adm), tuple(cycles))
+    return curve._cycle_rows
 
 
-def _all_even(rows: list[int], twists: TwistSet) -> bool:
+def _all_even(rows: tuple[int, ...], twists: TwistSet) -> bool:
     return not any((r & twists.vector.bits).bit_count() & 1 for r in rows)
 
 
@@ -312,13 +317,16 @@ def is_dividing(curve: TropicalCurve, twists: TwistSet) -> bool:
 
 def adm_space(curve: TropicalCurve) -> Gf2Subspace:
     rows = _cycle_rows(curve)[0]
-    return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), tuple(rows)))
+    return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), rows))
 
 
 def div_space(curve: TropicalCurve) -> Gf2Subspace:
-    adm, cycles = _cycle_rows(curve)
-    rows = adm + cycles
-    return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), tuple(rows)))
+    """Dividing twist sets; the kernel is computed once per curve."""
+    if curve._div_space is None:
+        adm, cycles = _cycle_rows(curve)
+        rows = adm + cycles
+        curve._div_space = kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), rows))
+    return curve._div_space
 
 
 def phase_from_twists(
@@ -387,15 +395,28 @@ def region_class(curve: TropicalCurve, alpha: IVec, eps: Eps) -> tuple[IVec, Eps
     return (alpha, min(orbit))
 
 
+def _root(parent, x):
+    """Root of x in a parent map, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    rx, ry = _root(parent, x), _root(parent, y)
+    if rx != ry:
+        parent[rx] = ry
+
+
 class _UnionFind:
+    """Union-find over arbitrary hashable keys."""
+
     def __init__(self):
         self.parent: dict = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            self.parent[x] = p = self.find(p)
-        return p
+        self.parent.setdefault(x, x)
+        return _root(self.parent, x)
 
     def union(self, x, y):
         rx, ry = self.find(x), self.find(y)
@@ -403,16 +424,26 @@ class _UnionFind:
             self.parent[rx] = ry
 
 
+def _code(eps: Eps) -> int:
+    """Index of eps in EPS4; an edge copy (eid, eps) is 4*eid + _code(eps)."""
+    return 2 * eps[0] + eps[1]
+
+
 class RealPart:
-    """Edge copies of the real part plus the quadrant cell bookkeeping."""
+    """Edge copies of the real part, grouped into connected components."""
 
     def __init__(self, curve: TropicalCurve, phase: RealPhaseStructure):
         curve.require_degree()
         phase.validate_for(curve)
         self.curve = curve
         self.phase = phase
+        # bit c of _on[eid] is set iff the copy (eid, EPS4[c]) is drawn
+        self._on = [sum(1 << _code(eps) for eps in line.elements) for line in phase.lines]
+        self._copies = [
+            4 * eid + c for eid, mask in enumerate(self._on) for c in range(4) if mask >> c & 1
+        ]
         self.edge_copies: frozenset[tuple[int, Eps]] = frozenset(
-            (e.index, eps) for e in curve.edges for eps in phase.lines[e.index].elements
+            (x >> 2, EPS4[x & 3]) for x in self._copies
         )
         # rays escaping through each stratum; each ends at one boundary point
         self._rays = {
@@ -422,88 +453,28 @@ class RealPart:
         if any(len(rays) != curve.degree for rays in self._rays.values()):
             raise AssertionError("each boundary stratum must carry exactly d rays")
         self._components: list[frozenset[tuple[int, Eps]]] | None = None
+        self._component_of: dict[int, int] = {}  # edge copy code -> component index
 
     def curve_components(self) -> list[frozenset[tuple[int, Eps]]]:
-        """Connected components of the real part as sets of edge copies."""
+        """Connected components of the real part as sets of edge copies,
+        ordered by their least copy."""
         if self._components is not None:
             return self._components
-        uf = _UnionFind()
-        for eid, eps in self.edge_copies:
-            e = self.curve.edges[eid]
-            key = ("e", eid, eps)
-            uf.union(key, ("v", e.tail, eps))
-            if e.bounded:
-                uf.union(key, ("v", e.head, eps))
-            else:
-                # both copies of a ray glue at its one boundary point: its
-                # phase direction is its stratum's glue vector
-                uf.union(key, ("b", eid))
-        groups: dict = {}
-        for eid, eps in self.edge_copies:
-            groups.setdefault(uf.find(("e", eid, eps)), []).append((eid, eps))
-        self._components = [frozenset(g) for g in sorted(groups.values(), key=min)]
+        edges = self.curve.edges
+        nv = len(self.curve.vertices)
+        # nodes: vertex copy 4*v + c, and the boundary point 4*nv + eid of a ray
+        parent = list(range(4 * nv + len(edges)))
+        for x in self._copies:
+            e, c = edges[x >> 2], x & 3
+            # both copies of a ray glue at its one boundary point: its
+            # phase direction is its stratum's glue vector
+            _union(parent, 4 * e.tail + c, 4 * e.head + c if e.bounded else 4 * nv + e.index)
+        groups: dict[int, list[int]] = {}
+        for x in self._copies:
+            groups.setdefault(_root(parent, 4 * edges[x >> 2].tail + (x & 3)), []).append(x)
+        self._component_of = {x: k for k, g in enumerate(groups.values()) for x in g}
+        self._components = [frozenset((x >> 2, EPS4[x & 3]) for x in g) for g in groups.values()]
         return self._components
-
-    def region_find(self, cut: frozenset[tuple[int, Eps]]) -> _UnionFind:
-        """Union-find of the quadrant region atoms, crossing every edge
-        copy not in `cut` and gluing along the boundary strata."""
-        curve = self.curve
-        uf = _UnionFind()
-        for e in curve.edges:
-            p, q = e.dual
-            for eps in EPS4:
-                if (e.index, eps) not in cut:
-                    uf.union((p, eps), (q, eps))
-        for alpha in curve.dual.lattice_points:
-            for s in curve.strata_of_point(alpha):
-                g = STRATUM_GLUE[s]
-                for eps in EPS4:
-                    uf.union((alpha, eps), (alpha, _xor(eps, g)))
-        return uf
-
-    def side_euler_characteristics(self, cut: frozenset[tuple[int, Eps]], uf: _UnionFind):
-        """Euler characteristic of each side of the cut (a disjoint union
-        of curve components), by counting open cells of the arrangement."""
-        curve = self.curve
-        chi: dict = {}
-
-        def bump(root, delta):
-            chi[root] = chi.get(root, 0) + delta
-
-        for alpha in curve.dual.lattice_points:
-            for eps in EPS4:
-                bump(uf.find((alpha, eps)), 1)
-        on_cut_vertices = {
-            (curve.edges[eid].tail, eps) for (eid, eps) in cut
-        } | {
-            (curve.edges[eid].head, eps) for (eid, eps) in cut if curve.edges[eid].bounded
-        }
-        for e in curve.edges:
-            for eps in EPS4:
-                if (e.index, eps) in cut:
-                    continue
-                bump(uf.find((e.dual[0], eps)), -1)
-        for s in STRATA:
-            g = STRATUM_GLUE[s]
-            classes = sorted({min(eps, _xor(eps, g)) for eps in EPS4})
-            # one interval of the stratum per lattice point of the dual side
-            for alpha in curve.side_points(s):
-                for cls in classes:
-                    bump(uf.find((alpha, cls)), -1)
-            for eid in self._rays[s]:
-                for cls in classes:
-                    if (eid, cls) in cut or (eid, _xor(cls, g)) in cut:
-                        continue  # boundary point lies on the cut curve
-                    bump(uf.find((curve.edges[eid].dual[0], cls)), 1)
-        for v in range(len(curve.vertices)):
-            for eps in EPS4:
-                if (v, eps) in on_cut_vertices:
-                    continue
-                bump(uf.find((curve.vertex_cell[v][0], eps)), 1)
-        d = curve.degree
-        for corner in ((0, 0), (d, 0), (0, d)):
-            bump(uf.find((corner, (0, 0))), 1)
-        return chi
 
 
 @dataclass(frozen=True)
@@ -525,44 +496,147 @@ def real_part(curve: TropicalCurve, phase: RealPhaseStructure) -> RealPart:
     return RealPart(curve, phase)
 
 
+class _CellModel:
+    """The quadrant cell model of a real part, on ints.
+
+    Atom (alpha, eps) is 4*k + _code(eps), k the index of alpha among the
+    lattice points.  The base regions are the classes of atoms glued across
+    every edge copy off the real part and along the boundary strata: the
+    complement of the whole real part.  Each open cell of the model (atom,
+    edge copy, stratum interval, ray boundary point, vertex copy, corner)
+    weighs +-1 in the Euler characteristic of the region it lies in.
+    `weight` sums every cell per base region, `own[K]` the cells on
+    component K, which a cut along K removes.  `joins[K]` holds the pairs of
+    base regions that K's edge copies separate.
+    """
+
+    def __init__(self, rp: RealPart):
+        curve = rp.curve
+        on, comps = rp._on, rp.curve_components()
+        pts = curve.dual.lattice_points
+        atom = {p: 4 * k for k, p in enumerate(pts)}
+        parent = list(range(4 * len(pts)))
+        for e in curve.edges:
+            a, b = atom[e.dual[0]], atom[e.dual[1]]
+            for c in range(4):
+                if not on[e.index] >> c & 1:
+                    _union(parent, a + c, b + c)
+        for p, a in atom.items():
+            for s in curve.strata_of_point(p):
+                g = _code(STRATUM_GLUE[s])
+                for c in range(4):
+                    _union(parent, a + c, a + (c ^ g))
+        ids: dict[int, int] = {}
+        region = [ids.setdefault(_root(parent, x), len(ids)) for x in range(len(parent))]
+        self.members: list[list[tuple[IVec, Eps]]] = [[] for _ in ids]
+        for p, a in atom.items():
+            for c in range(4):
+                self.members[region[a + c]].append((p, EPS4[c]))
+        self.weight = [0] * len(ids)
+        self.own: list[dict[int, int]] = [{} for _ in comps]
+        self.joins: list[set[tuple[int, int]]] = [set() for _ in comps]
+
+        def cell(r: int, w: int, copy: int | None) -> None:
+            """Weight w in region r for a cell on edge copy `copy`, or off
+            the real part if None."""
+            self.weight[r] += w
+            if copy is not None:
+                own = self.own[rp._component_of[copy]]
+                own[r] = own.get(r, 0) + w
+
+        for r in region:
+            self.weight[r] += 1
+        for e in curve.edges:
+            a, b = atom[e.dual[0]], atom[e.dual[1]]
+            for c in range(4):
+                ra, rb = region[a + c], region[b + c]
+                if on[e.index] >> c & 1:
+                    cell(ra, -1, 4 * e.index + c)
+                    if ra != rb:
+                        self.joins[rp._component_of[4 * e.index + c]].add((ra, rb))
+                else:
+                    cell(ra, -1, None)
+        for s in STRATA:
+            g = _code(STRATUM_GLUE[s])
+            classes = sorted({min(c, c ^ g) for c in range(4)})
+            # one interval of the stratum per lattice point of the dual side
+            for alpha in curve.side_points(s):
+                for cls in classes:
+                    cell(region[atom[alpha] + cls], -1, None)
+            # a ray's copies are both drawn or both not, and glue at its
+            # boundary point
+            for eid in rp._rays[s]:
+                a = atom[curve.edges[eid].dual[0]]
+                for cls in classes:
+                    cell(region[a + cls], 1, 4 * eid + cls if on[eid] >> cls & 1 else None)
+        for v, incident in enumerate(curve.vertex_edges):
+            a = atom[curve.vertex_cell[v][0]]
+            for c in range(4):
+                copy = next((4 * eid + c for eid in incident if on[eid] >> c & 1), None)
+                cell(region[a + c], 1, copy)
+        d = curve.degree
+        for corner in ((0, 0), (d, 0), (0, d)):
+            cell(region[atom[corner]], 1, None)
+
+    def sides(self, k: int) -> list[tuple[int, list[int]]]:
+        """The sides of the cut along component k, each as its Euler
+        characteristic and its base regions."""
+        parent = list(range(len(self.weight)))
+        for j, joins in enumerate(self.joins):
+            if j != k:
+                for ra, rb in joins:
+                    _union(parent, ra, rb)
+        own = self.own[k]
+        chi: dict[int, int] = {}
+        regions: dict[int, list[int]] = {}
+        for r, w in enumerate(self.weight):
+            root = _root(parent, r)
+            chi[root] = chi.get(root, 0) + w - own.get(r, 0)
+            regions.setdefault(root, []).append(r)
+        return [(chi[root], regions[root]) for root in chi]
+
+
 def count_components_direct(rp: RealPart) -> ComponentReport:
     """Components of the real part with oval/pseudo-line classification
-    and the nesting tree, straight from the quadrant cell model."""
-    comps = rp.curve_components()
-    infos: list[dict] = []
-    for K in comps:
-        uf = rp.region_find(K)
-        atoms = [
-            (alpha, eps) for alpha in rp.curve.dual.lattice_points for eps in EPS4
-        ]
-        roots = sorted({uf.find(a) for a in atoms})
-        if len(roots) == 1:
-            infos.append({"edge_copies": K, "kind": "pseudo-line", "interior": None})
+    and the nesting tree, straight from the quadrant cell model: a
+    component is an oval iff cutting along it leaves two sides, and its
+    interior is the side with Euler characteristic 1."""
+    model = _CellModel(rp)
+    infos: list[tuple[frozenset[tuple[int, Eps]], str, frozenset | None]] = []
+    for k, K in enumerate(rp.curve_components()):
+        sides = model.sides(k)
+        if len(sides) == 1:
+            infos.append((K, "pseudo-line", None))
             continue
-        assert len(roots) == 2, "a closed curve cuts the projective plane into 1 or 2 sides"
-        chi = rp.side_euler_characteristics(K, uf)
-        chis = sorted(chi[r] for r in roots)
+        assert len(sides) == 2, "a closed curve cuts the projective plane into 1 or 2 sides"
+        chis = sorted(chi for chi, _ in sides)
         assert chis == [0, 1], f"oval sides must be a disk and a Moebius side, got chi={chis}"
-        disk_root = next(r for r in roots if chi[r] == 1)
-        interior = frozenset(a for a in atoms if uf.find(a) == disk_root)
-        infos.append({"edge_copies": K, "kind": "oval", "interior": interior})
+        disk = next(regions for chi, regions in sides if chi == 1)
+        interior = frozenset(a for r in disk for a in model.members[r])
+        infos.append((K, "oval", interior))
+    return _nesting_report(rp.curve, infos)
 
-    # nesting among ovals: witness atom of K inside the disk side of K'
+
+def _nesting_report(
+    curve: TropicalCurve, infos: list[tuple[frozenset[tuple[int, Eps]], str, frozenset | None]]
+) -> ComponentReport:
+    """The report for components given as (edge copies, kind, interior):
+    nesting among ovals from a witness atom of K inside the disk side of K'."""
     n = len(infos)
     witness = []
-    for info in infos:
-        eid, eps = min(info["edge_copies"])
-        witness.append((rp.curve.edges[eid].dual[0], eps))
+    for copies, _, _ in infos:
+        eid, eps = min(copies)
+        witness.append((curve.edges[eid].dual[0], eps))
     inside = [[False] * n for _ in range(n)]
-    for j, outer in enumerate(infos):
-        if outer["kind"] != "oval":
+    for j, (_, kind, interior) in enumerate(infos):
+        if kind != "oval":
             continue
         for i in range(n):
-            if i != j and witness[i] in outer["interior"]:
+            if i != j and witness[i] in interior:
                 inside[i][j] = True
     depths = []
-    for i, info in enumerate(infos):
-        if info["kind"] == "pseudo-line":
+    for i, (_, kind, _) in enumerate(infos):
+        if kind == "pseudo-line":
             depths.append(0)
         else:
             depths.append(1 + sum(1 for j in range(n) if inside[i][j]))
@@ -573,12 +647,12 @@ def count_components_direct(rp: RealPart) -> ComponentReport:
             parents.append(None)
         else:
             parents.append(max(containers, key=lambda j: depths[j]))
-    assert sum(1 for info in infos if info["kind"] == "pseudo-line") <= 1
+    assert sum(1 for _, kind, _ in infos if kind == "pseudo-line") <= 1
     return ComponentReport(
-        count=len(infos),
+        count=n,
         components=tuple(
-            CurveComponentInfo(info["edge_copies"], info["kind"], depths[i], info["interior"])
-            for i, info in enumerate(infos)
+            CurveComponentInfo(copies, kind, depths[i], interior)
+            for i, (copies, kind, interior) in enumerate(infos)
         ),
         nesting_parent=tuple(parents),
     )

@@ -2,6 +2,7 @@
 
 Each check pits two independent routes against each other (gift-wrap
 construction vs pair scan, twist-matrix count vs quadrant-model count,
+the quadrant cell model vs a fresh scan per cut,
 innermost oval vs pencil sweep, plus the bridge locus on honeycombs,
 degree product vs enumerated multiplicities) on randomized inputs.
 Production runs one route per quantity; the second routes are these
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import (
+    STRATA,
+    STRATUM_GLUE,
     DualSubdivision,
     Edge,
     SubdivisionEdge,
@@ -54,10 +57,15 @@ from .hyperbolic import (
 from .intersect import bezout_total, classify_hits, edge_hits, intersection_components, real_lift
 from .realstruct import (
     EPS4,
+    ComponentReport,
     Eps,
+    RealPart,
     RealPhaseStructure,
     SignDistribution,
     TwistSet,
+    _nesting_report,
+    _UnionFind,
+    _xor,
     count_components_direct,
     count_components_matrix,
     div_space,
@@ -385,6 +393,107 @@ def pointwise_signed_locus(
     return frozenset(key for key, v in pointwise_verdicts(curve, phase).items() if v.hyperbolic)
 
 
+def region_find(rp: RealPart, cut: frozenset[tuple[int, Eps]]) -> _UnionFind:
+    """Union-find of the quadrant region atoms, crossing every edge
+    copy not in `cut` and gluing along the boundary strata."""
+    curve = rp.curve
+    uf = _UnionFind()
+    for e in curve.edges:
+        p, q = e.dual
+        for eps in EPS4:
+            if (e.index, eps) not in cut:
+                uf.union((p, eps), (q, eps))
+    for alpha in curve.dual.lattice_points:
+        for s in curve.strata_of_point(alpha):
+            g = STRATUM_GLUE[s]
+            for eps in EPS4:
+                uf.union((alpha, eps), (alpha, _xor(eps, g)))
+    return uf
+
+
+def side_euler_characteristics(
+    rp: RealPart, cut: frozenset[tuple[int, Eps]], uf: _UnionFind
+) -> dict:
+    """Euler characteristic of each side of the cut (a disjoint union
+    of curve components), by counting open cells of the arrangement."""
+    curve = rp.curve
+    chi: dict = {}
+
+    def bump(root, delta):
+        chi[root] = chi.get(root, 0) + delta
+
+    for alpha in curve.dual.lattice_points:
+        for eps in EPS4:
+            bump(uf.find((alpha, eps)), 1)
+    on_cut_vertices = {
+        (curve.edges[eid].tail, eps) for (eid, eps) in cut
+    } | {
+        (curve.edges[eid].head, eps) for (eid, eps) in cut if curve.edges[eid].bounded
+    }
+    for e in curve.edges:
+        for eps in EPS4:
+            if (e.index, eps) in cut:
+                continue
+            bump(uf.find((e.dual[0], eps)), -1)
+    for s in STRATA:
+        g = STRATUM_GLUE[s]
+        classes = sorted({min(eps, _xor(eps, g)) for eps in EPS4})
+        # one interval of the stratum per lattice point of the dual side
+        for alpha in curve.side_points(s):
+            for cls in classes:
+                bump(uf.find((alpha, cls)), -1)
+        for eid in rp._rays[s]:
+            for cls in classes:
+                if (eid, cls) in cut or (eid, _xor(cls, g)) in cut:
+                    continue  # boundary point lies on the cut curve
+                bump(uf.find((curve.edges[eid].dual[0], cls)), 1)
+    for v in range(len(curve.vertices)):
+        for eps in EPS4:
+            if (v, eps) in on_cut_vertices:
+                continue
+            bump(uf.find((curve.vertex_cell[v][0], eps)), 1)
+    d = curve.degree
+    for corner in ((0, 0), (d, 0), (0, d)):
+        bump(uf.find((corner, (0, 0))), 1)
+    return chi
+
+
+def cut_scan_components(rp: RealPart) -> ComponentReport:
+    """Reference route of ``count_components_direct``: for each component,
+    a fresh union-find of the atoms cut along it and a fresh cell count."""
+    atoms = [(alpha, eps) for alpha in rp.curve.dual.lattice_points for eps in EPS4]
+    infos = []
+    for K in rp.curve_components():
+        uf = region_find(rp, K)
+        roots = sorted({uf.find(a) for a in atoms})
+        if len(roots) == 1:
+            infos.append((K, "pseudo-line", None))
+            continue
+        assert len(roots) == 2, "a closed curve cuts the projective plane into 1 or 2 sides"
+        chi = side_euler_characteristics(rp, K, uf)
+        chis = sorted(chi[r] for r in roots)
+        assert chis == [0, 1], f"oval sides must be a disk and a Moebius side, got chi={chis}"
+        disk_root = next(r for r in roots if chi[r] == 1)
+        interior = frozenset(a for a in atoms if uf.find(a) == disk_root)
+        infos.append((K, "oval", interior))
+    return _nesting_report(rp.curve, infos)
+
+
+def report_difference(got: ComponentReport, want: ComponentReport) -> str | None:
+    """The first component where two reports differ, or None."""
+    if got.count != want.count:
+        return f"count {got.count} != {want.count}"
+    for i, (a, b) in enumerate(zip(got.components, want.components)):
+        for field in ("edge_copies", "kind", "nesting_depth", "interior_regions"):
+            if getattr(a, field) != getattr(b, field):
+                return f"component {i}: {field} differs"
+        if got.nesting_parent[i] != want.nesting_parent[i]:
+            return (
+                f"component {i}: nesting_parent {got.nesting_parent[i]} != {want.nesting_parent[i]}"
+            )
+    return None
+
+
 def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
     """Twist-matrix count against the quadrant-model count."""
     for k in range(trials):
@@ -396,11 +505,17 @@ def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
             return CheckResult("component-counts", False, f"trial {k}: inadmissible twist set from signs")
         via_matrix = count_components_matrix(curve, twists)
         phase = phase_from_signs(curve, delta)
-        via_model = count_components_direct(real_part(curve, phase)).count
-        if via_matrix != via_model:
+        rp = real_part(curve, phase)
+        report = count_components_direct(rp)
+        if via_matrix != report.count:
             return CheckResult(
                 "component-counts", False,
-                f"trial {k} (d={d}): matrix {via_matrix} != model {via_model}",
+                f"trial {k} (d={d}): matrix {via_matrix} != model {report.count}",
+            )
+        diff = report_difference(report, cut_scan_components(rp))
+        if diff is not None:
+            return CheckResult(
+                "component-counts", False, f"trial {k} (d={d}): direct vs cut scan: {diff}"
             )
         member = div_space(curve).contains(twists.vector)
         if member != is_dividing(curve, twists):

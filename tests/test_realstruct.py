@@ -24,8 +24,15 @@ from tropcurve import (
     twists_from_signs,
 )
 from tropcurve.errors import NotAdmissible, UnknownPoint
-from tropcurve.realstruct import EPS4, region_class
-from tropcurve.selfcheck import random_nonsingular_curve, random_sign_distribution
+from tropcurve.realstruct import EPS4, _UnionFind, region_class
+from tropcurve.selfcheck import (
+    cut_scan_components,
+    random_lift,
+    random_nonsingular_curve,
+    random_sign_distribution,
+    region_find,
+    report_difference,
+)
 
 from conftest import make_line
 
@@ -267,7 +274,7 @@ def test_oval_flag_matches_region_count_delta(rng):
         atoms = [(a, e) for a in c.dual.lattice_points for e in EPS4]
 
         def n_regions(cut):
-            uf = rp.region_find(cut)
+            uf = region_find(rp, cut)
             return len({uf.find(x) for x in atoms})
 
         full = n_regions(rp.edge_copies)
@@ -282,6 +289,48 @@ def test_oval_flag_matches_region_count_delta(rng):
             outer = report.components[j]
             assert inner.interior_regions < outer.interior_regions
             assert inner.nesting_depth == outer.nesting_depth + 1
+
+
+def test_direct_report_matches_cut_scan():
+    # the cell model against the per-cut union-find scan: full reports,
+    # on random concave lifts and on arbitrary non-singular d*simplex lifts
+    from tropcurve.errors import DegeneratePolygon, SingularSubdivision
+
+    rng = random.Random(8)
+    lifts = 0
+    for k in range(1000):
+        if k % 2:
+            try:
+                c = curve_from_polynomial(random_lift(rng))
+            except (DegeneratePolygon, SingularSubdivision):
+                continue
+            if c.degree is None:
+                continue
+            lifts += 1
+        else:
+            c = random_nonsingular_curve(rng, rng.randint(1, 7))
+        rp = real_part(c, phase_from_signs(c, random_sign_distribution(rng, c)))
+        direct, scan = count_components_direct(rp), cut_scan_components(rp)
+        assert direct == scan, f"draw {k}: {report_difference(direct, scan)}"
+    assert lifts >= 100
+
+
+def test_harnack_m_curve_degree_18():
+    # Harnack's signs on a honeycomb give an M-curve: g + 1 components
+    c = honeycomb(18)
+    delta = SignDistribution(
+        {p: -1 if p[0] % 2 == 0 and p[1] % 2 == 0 else 1 for p in c.dual.lattice_points}
+    )
+    g = 17 * 16 // 2
+    direct = count_components_direct(real_part(c, phase_from_signs(c, delta)))
+    assert direct.count == count_components_matrix(c, twists_from_signs(c, delta)) == g + 1 == 137
+
+
+def test_union_find_handles_long_chains():
+    uf = _UnionFind()
+    for i in range(3000):
+        uf.union(i, i + 1)
+    assert uf.find(0) == uf.find(3000)
 
 
 def test_matrix_count_equals_model_count(rng):
