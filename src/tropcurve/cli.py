@@ -21,7 +21,6 @@ from .io_render import (
 )
 from .realstruct import (
     count_components_direct,
-    count_components_matrix,
     is_admissible,
     is_dividing,
     real_part,
@@ -90,7 +89,7 @@ def _cmd_analyze(args) -> int:
     admissible = is_admissible(curve, twists)
     dividing = is_dividing(curve, twists) if admissible else False
     k = kernel(twist_matrix(curve, twists)).dim if admissible else None
-    matrix_count = count_components_matrix(curve, twists) if admissible else None
+    matrix_count = 1 + k if admissible else None
     direct = count_components_direct(real_part(curve, scen.phase))
     data = {
         "twisted_edges": sorted(_dual_key(curve, e) for e in twists.edges),

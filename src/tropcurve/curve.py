@@ -26,6 +26,7 @@ from .geometry import (
     det2,
     dot2,
     hull_lattice_points,
+    on_frame,
     point_strictly_in_hull,
     polygon_twice_area,
     primitive,
@@ -61,8 +62,10 @@ class TropicalPolynomial:
         return max(self.term(ij, point) for ij in self.coefficients)
 
     def argmax(self, point: Point) -> tuple[IVec, ...]:
-        best = self.value(point)
-        return tuple(sorted(ij for ij in self.coefficients if self.term(ij, point) == best))
+        x, y = point
+        terms = [(a + i * x + j * y, (i, j)) for (i, j), a in self.coefficients.items()]
+        best = max(t for t, _ in terms)
+        return tuple(sorted(ij for t, ij in terms if t == best))
 
     def translated(self, offset: Point) -> "TropicalPolynomial":
         dx, dy = offset
@@ -132,13 +135,6 @@ class TropicalCurve:
         self._vertex_by_point = {p: i for i, p in enumerate(vertices)}
         # dual cell of each vertex, aligned by construction
         self.vertex_cell: tuple[tuple[IVec, IVec, IVec], ...] = dual.cells
-        self._cells_of_dual_edge: dict[frozenset, tuple[int, ...]] = {}
-        for ci, cell in enumerate(dual.cells):
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    key = frozenset((cell[a], cell[b]))
-                    self._cells_of_dual_edge.setdefault(key, ())
-                    self._cells_of_dual_edge[key] += (ci,)
         self._primitive_cycles: tuple[PrimitiveCycle, ...] | None = None
         # filled once per curve by realstruct: the cycle bit rows and Div(C)
         self._cycle_rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None
@@ -148,9 +144,6 @@ class TropicalCurve:
 
     def edge_by_dual(self, p: IVec, q: IVec) -> int:
         return self._edge_by_dual[frozenset((p, q))]
-
-    def cells_of_dual_edge(self, p: IVec, q: IVec) -> tuple[int, ...]:
-        return self._cells_of_dual_edge[frozenset((p, q))]
 
     def vertex_at(self, point: Point) -> int | None:
         return self._vertex_by_point.get(point)
@@ -269,6 +262,25 @@ class TropicalCurve:
         off = (Fraction(offset[0]), Fraction(offset[1]))
         verts = tuple(add(v, off) for v in self.vertices)
         return TropicalCurve(self.poly.translated(off), verts, self.edges, self.dual, self.degree)
+
+
+def integer_frame(curve: TropicalCurve, den: int):
+    """``curve`` over ``den``, a multiple of every vertex-coordinate
+    denominator: the vertices as int pairs, and every edge as
+    (x, y, dx, dy, T), its tail, primitive direction and int length
+    T = den * tmax (None for a ray)."""
+    verts = [on_frame(x, y, den) for x, y in curve.vertices]
+    edges = []
+    for e in curve.edges:
+        x, y = verts[e.tail]
+        dx, dy = e.direction
+        length = None
+        if e.bounded:
+            hx, hy = verts[e.head]
+            # exact: the direction is primitive and head - tail is an int multiple of it
+            length = (hx - x) // dx if dx else (hy - y) // dy
+        edges.append((x, y, dx, dy, length))
+    return verts, edges
 
 
 # -- construction -------------------------------------------------------

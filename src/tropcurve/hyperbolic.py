@@ -6,15 +6,20 @@ the curve is hyperbolic with respect to is the interior of the innermost
 oval of the real part; honeycombs also have a bridge criterion for it.
 The three pencil conditions at a generic point of one component answer
 the per-point query with a reason; swept over every component they are
-the oracle ``selfcheck.pointwise_verdicts``.
+the oracle ``selfcheck.pointwise_verdicts``.  Each query point gets one
+pencil scan (``_pencil_scan``) on the integer frame of
+``curve.integer_frame``, with the point's denominators in D: it decides
+genericity and gives the sector of every vertex and the determinant of
+every ray × edge crossing, which is all the conditions read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .curve import ComplementComponent, TropicalCurve
+from .curve import ComplementComponent, TropicalCurve, integer_frame
 from .errors import (
     NotAdmissible,
     NotDividing,
@@ -22,17 +27,8 @@ from .errors import (
     NotHoneycomb,
     PointOnCurve,
 )
-from .geometry import (
-    IVec,
-    Point,
-    canonical_direction,
-    det2,
-    intersect_param_lines,
-    line_param,
-    sub,
-    sub_i,
-)
-from .gf2 import AffineFlat, Gf2Vector, kernel, solve_affine
+from .geometry import IVec, Point, canonical_direction, det2, on_frame, sub, sub_i
+from .gf2 import _LINE_NORMALS, AffineFlat, Gf2Vector, kernel, solve_affine
 from .realstruct import (
     EPS4,
     Eps,
@@ -56,7 +52,6 @@ RAY_DIR = {(1, 0): (1, 0), (0, 1): (0, 1), (1, 1): (-1, -1)}
 # sectors flanking each ray: (side with det(ray, w) > 0, side with < 0)
 _FLANK = {(1, 0): ((1, 1), (0, 1)), (0, 1): ((1, 0), (1, 1)), (1, 1): ((0, 1), (1, 0))}
 _LINE_RAY_DIRS = ((-1, 0), (0, -1), (1, 1))
-_CLASS_NORMAL = {(1, 0): (0, 1), (0, 1): (1, 0), (1, 1): (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -93,27 +88,50 @@ def is_generic(v: Point, curve: TropicalCurve) -> bool:
     v = (Fraction(v[0]), Fraction(v[1]))
     if curve.on_curve(v):
         raise PointOnCurve(f"{v} lies on the curve")
-    sig = SigmaV(v)
-    for u in curve.vertices:
-        if sig.classify(u)[0] != "sector":
-            return False
-    for label, ray in RAY_DIR.items():
-        for e in curve.edges:
-            p = curve.edge_anchor(e.index)
-            res = intersect_param_lines(v, ray, p, e.direction)
-            if res is not None and res[0] == "collinear":
-                t0 = line_param(v, ray, p)
-                tmax = curve.edge_tmax(e.index)
-                if e.direction == ray:
-                    hi = None if tmax is None else t0 + tmax
-                else:
-                    hi = t0
-                if hi is None or hi >= 0:
-                    return False
-    return True
+    return _pencil_scan(curve, v) is not None
 
 
-def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: int = 60) -> Point:
+def _pencil_scan(curve: TropicalCurve, v: Point):
+    """The pencil at a point v off the curve, or None when v is not generic.
+
+    Returns the sector label of every vertex and, per edge, the
+    (ray label, |det|) of each pencil ray crossing its interior.  It runs
+    on the integer frame: v and the vertices over D, the lcm of their
+    denominators.  v is generic iff no vertex lies on a ray: an edge
+    collinear with a ray reaches the closed ray only through v or through
+    an end vertex on the ray, and a crossing at an edge end is a vertex
+    on the ray.
+    """
+    den = lcm(v[0].denominator, v[1].denominator,
+              *(c.denominator for u in curve.vertices for c in u))
+    verts, edges = integer_frame(curve, den)
+    sig = SigmaV(on_frame(v[0], v[1], den))
+    sector: list[IVec] = []
+    for u in verts:
+        cls = sig.classify(u)
+        if cls[0] != "sector":
+            return None
+        sector.append(cls[1])
+    vx, vy = sig.apex
+    crossings: dict[int, list[tuple[IVec, int]]] = {}
+    for label, (rx, ry) in RAY_DIR.items():
+        for eid, (px, py, dx, dy, length) in enumerate(edges):
+            dd = rx * dy - ry * dx
+            if not dd:
+                continue
+            # v + t*ray = tail + s*direction at t = tn/dd, s = sn/dd
+            wx, wy = px - vx, py - vy
+            tn = wx * dy - wy * dx
+            sn = wx * ry - wy * rx
+            if dd < 0:
+                dd, tn, sn = -dd, -tn, -sn
+            if tn > 0 and sn > 0 and (length is None or sn < length * dd):
+                crossings.setdefault(eid, []).append((label, dd))
+    return sector, crossings
+
+
+def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: int = 60):
+    """A generic point in the component of alpha, with its pencil scan."""
     base = curve.region_point(alpha)
     for k in range(start, start + budget):
         if k == 0:
@@ -121,10 +139,12 @@ def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: in
         else:
             off = (Fraction(1, 101 + 17 * k), Fraction(1, 113 + 19 * k))
             cand = (base[0] + off[0], base[1] + off[1])
+        # dominating(cand) == alpha also puts cand off the curve
         if curve.dominating(cand) != alpha:
             continue
-        if is_generic(cand, curve):
-            return cand
+        scan = _pencil_scan(curve, cand)
+        if scan is not None:
+            return cand, scan
     raise NotGenericAfterRetries(f"no generic point found in the component of {alpha}")
 
 
@@ -182,47 +202,17 @@ class _ComponentAnalysis:
         self.curve = curve
         self.phase = phase
         self.alpha = alpha
-        v = _generic_point(curve, alpha, start=start)
-        self.v = v
-        sig = SigmaV(v)
-        self.sector: list[IVec] = []
+        self.v, (self.sector, crossings) = _generic_point(curve, alpha, start=start)
         self.cond1_failure: str | None = None
-        for vid, u in enumerate(curve.vertices):
-            cls = sig.classify(u)
-            assert cls[0] == "sector"
-            label = cls[1]
-            self.sector.append(label)
-            if self.cond1_failure is None:
-                for eid in curve.vertex_edges[vid]:
-                    if abs(det2(curve.edges[eid].direction, label)) > 1:
-                        self.cond1_failure = (
-                            f"vertex {vid} in sector {label} has no edge of direction {label}"
-                        )
-                        break
-
-        # ray crossings: eid -> list of (ray label, point, |det|)
-        crossings: dict[int, list] = {}
-        for label, ray in RAY_DIR.items():
-            for e in curve.edges:
-                p = curve.edge_anchor(e.index)
-                res = intersect_param_lines(v, ray, p, e.direction)
-                if res is None:
-                    continue
-                if res[0] == "collinear":
-                    # genericity rules out overlaps; a disjoint collinear
-                    # edge is the contained case of the sector conditions
-                    continue
-                t, s = res[1], res[2]
-                tmax = curve.edge_tmax(e.index)
-                if t <= 0 or s <= 0 or (tmax is not None and s >= tmax):
-                    continue
-                pt = (v[0] + ray[0] * t, v[1] + ray[1] * t)
-                crossings.setdefault(e.index, []).append(
-                    (label, pt, abs(det2(e.direction, ray)))
+        for vid, label in enumerate(self.sector):
+            if any(abs(det2(curve.edges[e].direction, label)) > 1 for e in curve.vertex_edges[vid]):
+                self.cond1_failure = (
+                    f"vertex {vid} in sector {label} has no edge of direction {label}"
                 )
+                break
 
         self.cond2_edges: list[int] = sorted(
-            eid for eid, hits in crossings.items() if any(h[2] == 2 for h in hits)
+            eid for eid, hits in crossings.items() if any(det == 2 for _, det in hits)
         )
 
         # condition 3 bookkeeping
@@ -241,21 +231,21 @@ class _ComponentAnalysis:
             if not (in_tail or in_head):
                 continue
             cands = []
-            for label, pt, _ in crossings.get(eid, []):
+            for label, _ in crossings.get(eid, ()):
                 ray = RAY_DIR[label]
                 for d in (e.direction, (-e.direction[0], -e.direction[1])):
                     sgn = det2(ray, d)
                     entered = _FLANK[label][0] if sgn > 0 else _FLANK[label][1]
                     if entered == cls:
                         assert d in _LINE_RAY_DIRS, "entry direction must be a line ray"
-                        cands.append((pt, label, d))
+                        cands.append((label, d))
             assert len(cands) == 1, "edge meets its sector across exactly one ray"
-            u0, label, d = cands[0]
+            label, d = cands[0]
             w_vid = e.head if d == e.direction else e.tail
             assert self.sector[w_vid] == cls
-            self.cond3_overlaps.append(self._overlap_record(eid, u0, label, d, w_vid))
+            self.cond3_overlaps.append(self._overlap_record(eid, label, d, w_vid))
 
-    def _overlap_record(self, eid, u0, ray_label, d, w_vid):
+    def _overlap_record(self, eid, ray_label, d, w_vid):
         curve, phase = self.curve, self.phase
         e = curve.edges[eid]
         line = phase.lines[eid]
@@ -264,7 +254,7 @@ class _ComponentAnalysis:
             eps: continuation_side(curve, phase, eid, w_vid, e.direction, eps)
             for eps in line.elements
         }
-        # the two other rays of the pencil line with vertex u0
+        # the two other rays of the pencil line with its vertex on the crossing
         rv_dir = (-RAY_DIR[ray_label][0], -RAY_DIR[ray_label][1])
         third_dir = next(
             x for x in _LINE_RAY_DIRS if x not in (d, rv_dir)
@@ -305,8 +295,8 @@ class _ComponentAnalysis:
     def _relatively_twisted(self, rec, eps: Eps) -> bool:
         rv_dir, rv_cls = rec["rv"]
         third_dir, third_cls = rec["third"]
-        n_rv = _CLASS_NORMAL[rv_cls]
-        n_third = _CLASS_NORMAL[third_cls]
+        n_rv = _LINE_NORMALS[rv_cls]
+        n_third = _LINE_NORMALS[third_cls]
         c_rv = (eps[0] * n_rv[0] + eps[1] * n_rv[1]) & 1
         c_third = 1 ^ rec["level"] ^ c_rv
 

@@ -28,14 +28,14 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .curve import TropicalCurve
+from .curve import TropicalCurve, integer_frame
 from .errors import (
     ParallelDirections,
     PhasesDiffer,
     UnsupportedConfiguration,
     WrongKind,
 )
-from .geometry import Point, det2, lex_key, on_frame, sub
+from .geometry import Point, det2, lex_key, sub
 from .realstruct import (
     RealPhaseStructure,
     _outward_direction,
@@ -96,23 +96,6 @@ def transverse_multiplicity(e_dir, ep_dir) -> int:
     return abs(d)
 
 
-def _frame_edges(curve: TropicalCurve, den: int):
-    """Every edge of ``curve`` as (x, y, dx, dy, T): the tail over ``den``,
-    the primitive direction and the int length T = den * tmax (None for a ray)."""
-    verts = [on_frame(x, y, den) for x, y in curve.vertices]
-    out = []
-    for e in curve.edges:
-        x, y = verts[e.tail]
-        dx, dy = e.direction
-        length = None
-        if e.bounded:
-            hx, hy = verts[e.head]
-            # exact: the direction is primitive and head - tail is an int multiple of it
-            length = (hx - x) // dx if dx else (hy - y) // dy
-        out.append((x, y, dx, dy, length))
-    return out
-
-
 def intersection_components(curve_a: TropicalCurve, curve_b: TropicalCurve):
     """Classified connected components of the set-theoretic intersection."""
     return classify_hits(curve_a, curve_b, *edge_hits(curve_a, curve_b))
@@ -129,10 +112,11 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve):
     if curve_a is curve_b:
         raise UnsupportedConfiguration("the two curves must be distinct point sets")
     den = lcm(*(c.denominator for curve in (curve_a, curve_b) for v in curve.vertices for c in v))
-    edges_b = _frame_edges(curve_b, den)
+    _, edges_a = integer_frame(curve_a, den)
+    _, edges_b = integer_frame(curve_b, den)
     points: dict[Point, set] = {}
     segments: list[tuple[Point, Point, int, int]] = []
-    for ea, (px, py, dax, day, ta) in enumerate(_frame_edges(curve_a, den)):
+    for ea, (px, py, dax, day, ta) in enumerate(edges_a):
         for eb, (qx, qy, dbx, dby, tb) in enumerate(edges_b):
             wx, wy = qx - px, qy - py
             dd = dax * dby - day * dbx

@@ -179,15 +179,14 @@ class TwistSet:
 
 
 def _opposite_cell_vertices(curve: TropicalCurve, eid: int) -> tuple[IVec, IVec]:
+    """Third point of the dual cell of each end of the bounded edge, the
+    lower vertex index first."""
     e = curve.edges[eid]
-    p, q = e.dual
-    cells = curve.cells_of_dual_edge(p, q)
-    assert len(cells) == 2, "bounded edge must separate two cells"
-    out = []
-    for ci in cells:
-        (extra,) = [v for v in curve.dual.cells[ci] if v not in (p, q)]
-        out.append(extra)
-    return out[0], out[1]
+    v3, v4 = (
+        next(x for x in curve.vertex_cell[v] if x not in e.dual)
+        for v in sorted((e.tail, e.head))
+    )
+    return v3, v4
 
 
 def _twist_sign_rule(curve: TropicalCurve, eid: int) -> tuple[tuple[IVec, ...], int]:

@@ -664,13 +664,22 @@ def check_rank_nullity(rng: random.Random, trials: int) -> CheckResult:
 
 
 def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
-    rng = random.Random(seed)
-    return [
-        check_rank_nullity(random.Random(seed + 1), max(trials * 4, 50)),
-        check_construction(random.Random(seed + 4), max(trials * 8, 50)),
-        check_component_counts(rng, trials),
-        check_honeycomb_locus(random.Random(seed + 2), max(trials // 2, 5)),
-        check_locus_routes(random.Random(seed + 5), max(trials // 2, 5)),
-        check_bezout(random.Random(seed + 3), max(trials // 2, 5)),
-        check_intersection_routes(random.Random(seed + 6), max(trials // 2, 5)),
-    ]
+    """Every check in a fixed order.  An exception raised inside a check
+    becomes that check's mismatch, naming the exception."""
+    checks = (
+        ("rank-nullity", check_rank_nullity, random.Random(seed + 1), max(trials * 4, 50)),
+        ("construction", check_construction, random.Random(seed + 4), max(trials * 8, 50)),
+        ("component-counts", check_component_counts, random.Random(seed), trials),
+        ("honeycomb-locus", check_honeycomb_locus, random.Random(seed + 2), max(trials // 2, 5)),
+        ("locus-routes", check_locus_routes, random.Random(seed + 5), max(trials // 2, 5)),
+        ("bezout", check_bezout, random.Random(seed + 3), max(trials // 2, 5)),
+        ("intersection-routes", check_intersection_routes, random.Random(seed + 6),
+         max(trials // 2, 5)),
+    )
+    results = []
+    for name, check, check_rng, check_trials in checks:
+        try:
+            results.append(check(check_rng, check_trials))
+        except Exception as exc:
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+    return results

@@ -183,6 +183,20 @@ def test_verify_mismatch_exits_3(specs, capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_verify_reports_a_raising_check_as_a_mismatch(capsys, monkeypatch):
+    import tropcurve.selfcheck as sc
+
+    def broken(curve, phase):
+        raise AssertionError("oval nesting must be a chain")
+
+    monkeypatch.setattr(sc, "hyperbolicity_locus", broken)
+    code, out, err = run(capsys, "verify", "--trials", "1")
+    assert code == 3
+    assert "locus-routes: MISMATCH (AssertionError: oval nesting must be a chain)\n" in out
+    assert "rank-nullity: ok" in out and "intersection-routes: ok" in out
+    assert err == ""
+
+
 _CONIC = {"curve": {"honeycomb": 2}, "real_structure": {"signs": "all+"}}
 _TWIST_EDGE = [[0, 1], [1, 0]]
 # the unit square has no degree d, so the pencil conditions do not apply

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -551,3 +553,62 @@ def test_point_query_needs_a_degree():
     phase = phase_from_signs(c, SignDistribution.constant(c))
     with pytest.raises(DegreeUnset):
         hyperbolic_wrt_point(c, phase, (0, 0), (0, 0))
+
+
+# sha256 of the pencil analysis over the corpus below, as recorded with the
+# Fraction pencil scan that the integer scan replaced
+PENCIL_DIGEST = "a1ec272d9cb1a86334eb5e2ac3755af1a62217c8e8ebc61384f2d6cabd98b78b"
+
+
+def test_pencil_analysis_golden():
+    from tropcurve import curve_from_polynomial
+    from tropcurve.errors import DegeneratePolygon, SingularSubdivision
+    from tropcurve.hyperbolic import _ComponentAnalysis
+    from tropcurve.selfcheck import random_lift
+
+    # non-honeycomb lifts bring edges with determinant 2 against a ray
+    rng = random.Random(9)
+    curves = [honeycomb(d) for d in range(1, 6)]
+    curves += [random_nonsingular_curve(rng, d) for d in range(1, 7)]
+    while len(curves) < 31:
+        try:
+            curve = curve_from_polynomial(random_lift(rng))
+        except (SingularSubdivision, DegeneratePolygon):
+            continue
+        if curve.degree is not None and not curve.is_honeycomb():
+            curves.append(curve)
+    lines = []
+    for curve in curves:
+        for delta in (SignDistribution.constant(curve), random_sign_distribution(rng, curve)):
+            phase = phase_from_signs(curve, delta)
+            twisted = frozenset(twists_from_phase(curve, phase).edges)
+            for alpha in curve.dual.lattice_points:
+                ana = _ComponentAnalysis(curve, phase, alpha)
+                lines.append(repr((
+                    alpha, ana.v, ana.sector, ana.cond1_failure, ana.cond2_edges,
+                    ana.cond3_contained, [rec["eid"] for rec in ana.cond3_overlaps],
+                )))
+                for eps in EPS4:
+                    v = ana.verdict(eps, twisted)
+                    lines.append(repr((eps, v.hyperbolic, v.failing_condition, v.detail)))
+        # points on a pencil line of a vertex (vertex hits, overlaps and
+        # collinear edges behind the point) and random half-integer points
+        points = []
+        for ux, uy in curve.vertices:
+            for k in (-3, -1, 1, 2):
+                h = Fraction(k, 2)
+                points += [(ux + h, uy), (ux, uy + h), (ux + h, uy + h)]
+        xs = [int(u[0]) for u in curve.vertices]
+        ys = [int(u[1]) for u in curve.vertices]
+        for _ in range(40):
+            points.append((
+                Fraction(rng.randrange(2 * min(xs) - 4, 2 * max(xs) + 5), 2),
+                Fraction(rng.randrange(2 * min(ys) - 4, 2 * max(ys) + 5), 2),
+            ))
+        for p in points:
+            try:
+                lines.append(repr((p, is_generic(p, curve))))
+            except PointOnCurve:
+                lines.append(repr((p, "on curve")))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PENCIL_DIGEST
