@@ -31,7 +31,6 @@ from .geometry import (
     polygon_twice_area,
     primitive,
     rot90,
-    sub,
     sub_i,
 )
 
@@ -132,7 +131,6 @@ class TropicalCurve:
         self.bounded_edges: tuple[int, ...] = tuple(e.index for e in edges if e.bounded)
         self.bounded_index: dict[int, int] = {eid: k for k, eid in enumerate(self.bounded_edges)}
         self._edge_by_dual = {frozenset(e.dual): e.index for e in edges}
-        self._vertex_by_point = {p: i for i, p in enumerate(vertices)}
         # dual cell of each vertex, aligned by construction
         self.vertex_cell: tuple[tuple[IVec, IVec, IVec], ...] = dual.cells
         self._primitive_cycles: tuple[PrimitiveCycle, ...] | None = None
@@ -144,9 +142,6 @@ class TropicalCurve:
 
     def edge_by_dual(self, p: IVec, q: IVec) -> int:
         return self._edge_by_dual[frozenset((p, q))]
-
-    def vertex_at(self, point: Point) -> int | None:
-        return self._vertex_by_point.get(point)
 
     def edge_anchor(self, eid: int) -> Point:
         return self.vertices[self.edges[eid].tail]
@@ -167,19 +162,6 @@ class TropicalCurve:
         a = self.edge_anchor(eid)
         d = self.edges[eid].direction
         return (a[0] + d[0] * t, a[1] + d[1] * t)
-
-    def edge_contains(self, eid: int, p: Point, strict: bool = False) -> bool:
-        e = self.edges[eid]
-        a = self.edge_anchor(eid)
-        d = e.direction
-        w = sub(p, a)
-        if det2(d, w) != 0:
-            return False
-        t = w[0] / d[0] if d[0] != 0 else w[1] / d[1]
-        tmax = self.edge_tmax(eid)
-        if strict:
-            return t > 0 and (tmax is None or t < tmax)
-        return t >= 0 and (tmax is None or t <= tmax)
 
     def on_curve(self, p: Point) -> bool:
         return len(self.poly.argmax(p)) >= 2

@@ -143,7 +143,3 @@ def line_param(anchor: Point, d, p: Point) -> Fraction:
 def on_frame(x: Fraction, y: Fraction, den: int) -> IVec:
     """Numerators of the point (x, y) over den, a multiple of both denominators."""
     return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-
-
-def lex_key(p: Point):
-    return (p[0], p[1])

@@ -38,6 +38,7 @@ from .realstruct import (
     continuation_side,
     count_components_direct,
     div_space,
+    edge_twisted,
     is_admissible,
     is_dividing,
     real_part,
@@ -139,8 +140,9 @@ def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: in
         else:
             off = (Fraction(1, 101 + 17 * k), Fraction(1, 113 + 19 * k))
             cand = (base[0] + off[0], base[1] + off[1])
-        # dominating(cand) == alpha also puts cand off the curve
-        if curve.dominating(cand) != alpha:
+        # dominating(cand) == alpha also puts cand off the curve; region_point
+        # has checked it for base
+        if k and curve.dominating(cand) != alpha:
             continue
         scan = _pencil_scan(curve, cand)
         if scan is not None:
@@ -324,9 +326,11 @@ def hyperbolic_wrt_point(
     point in the eps-copy of the component?  Checks the three pencil
     conditions at a deterministically sampled generic point."""
     curve.require_degree()
+    phase.validate_for(curve)
     alpha = component.dual_point if isinstance(component, ComplementComponent) else component
-    twisted = frozenset(twists_from_phase(curve, phase).edges)
     ana = _ComponentAnalysis(curve, phase, alpha, start=sample_offset)
+    # the verdict reads twists only on the edges inside their sector
+    twisted = frozenset(eid for eid in ana.cond3_contained if edge_twisted(curve, phase, eid))
     return ana.verdict((eps[0] & 1, eps[1] & 1), twisted)
 
 

@@ -3,9 +3,15 @@
 Components of the set-theoretic intersection are enumerated by exact
 pairwise edge intersection and classified into the four supported
 kinds: transverse point, isolated vertex of one curve, a bounded edge
-inside another edge, and a proper segment overlap.  Anything else (a
-shared vertex of both curves, an unbounded overlap, chained overlaps)
-raises UnsupportedConfiguration rather than guessing.
+inside another edge, and a proper segment overlap.  Anything else
+raises UnsupportedConfiguration rather than guessing: an unbounded
+overlap (found by the scan), and, from classification, a point hit that
+is a vertex of both curves, an overlap endpoint that is a vertex of
+both, and overlaps chained through a shared endpoint.
+
+Edges of a non-singular curve meet only at their end vertices, so
+classification reads incidence off each hit's own edges: a hit point is
+a vertex of a curve iff it ends one of that curve's edges through it.
 
 The edge-pair scan (``edge_hits``) runs on one integer frame per call:
 both curves' vertices become int pairs over D, the lcm of every
@@ -35,7 +41,7 @@ from .errors import (
     UnsupportedConfiguration,
     WrongKind,
 )
-from .geometry import Point, det2, lex_key, sub
+from .geometry import Point, det2
 from .realstruct import (
     RealPhaseStructure,
     _outward_direction,
@@ -72,8 +78,8 @@ class IntersectionComponent:
 
     def sort_key(self):
         if self.segment is not None:
-            return (lex_key(self.segment[0]), lex_key(self.segment[1]))
-        return (lex_key(self.point), lex_key(self.point))
+            return self.segment
+        return (self.point, self.point)
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,7 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve):
                 points[p1].add(("b", eb))
                 continue
             p2 = (Fraction(px + dax * hi, den), Fraction(py + day * hi, den))
-            if lex_key(p2) < lex_key(p1):
+            if p2 < p1:
                 p1, p2 = p2, p1
             segments.append((p1, p2, ea, eb))
     return points, segments
@@ -168,41 +174,37 @@ def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, points, segmen
     in the order the scan (A's edges outer, B's inner) first met it;
     ``segments`` holds (p1, p2, edge_a, edge_b) overlaps with p1
     lexicographically first.
+
+    Incidence is read off each hit's own edges.  Edges of a non-singular
+    curve meet only at their end vertices, so a vertex on a hit edge is one
+    of its ends, a point hit on an overlap is one of the overlap's
+    endpoints, and two overlaps touch only at a shared endpoint.  Three
+    configurations raise UnsupportedConfiguration: a point hit that is a
+    vertex of both curves, an overlap endpoint that is a vertex of both,
+    and two overlaps sharing an endpoint (a chain).
     """
-    for i in range(len(segments)):
-        for j in range(i + 1, len(segments)):
-            if _segments_touch(segments[i], segments[j]):
-                raise UnsupportedConfiguration("overlap components chain through a shared vertex")
+    ends = {pt for p1, p2, _, _ in segments for pt in (p1, p2)}
+    if len(ends) < 2 * len(segments):  # an endpoint shared by two overlaps
+        raise UnsupportedConfiguration("overlap components chain through a shared vertex")
 
     components = []
     for p1, p2, ea, eb in segments:
         components.append(_classify_segment(curve_a, curve_b, p1, p2, ea, eb))
     for pt, gens in points.items():
-        if any(_on_segment_piece(seg, pt) for seg in segments):
-            continue
-        components.append(_classify_point(curve_a, curve_b, pt, gens))
+        if pt not in ends:
+            components.append(_classify_point(curve_a, curve_b, pt, gens))
     components.sort(key=lambda comp: comp.sort_key())
     return components
 
 
-def _on_segment_piece(seg, pt: Point) -> bool:
-    p1, p2, _, _ = seg
-    u = sub(p2, p1)
-    w = sub(pt, p1)
-    if det2(u, w) != 0:
-        return False
-    t = (u[0] * w[0] + u[1] * w[1])
-    return 0 <= t <= (u[0] * u[0] + u[1] * u[1])
-
-
-def _segments_touch(s1, s2) -> bool:
-    for pt in (s1[0], s1[1]):
-        if _on_segment_piece(s2, pt):
-            return True
-    for pt in (s2[0], s2[1]):
-        if _on_segment_piece(s1, pt):
-            return True
-    return False
+def _end_vertex(curve: TropicalCurve, eids, pt: Point) -> int | None:
+    """The vertex at ``pt`` among the ends of the edges ``eids``, or None."""
+    for eid in eids:
+        e = curve.edges[eid]
+        for v in (e.tail, e.head):
+            if v is not None and curve.vertices[v] == pt:
+                return v
+    return None
 
 
 def _vertex_multiplicity(curve: TropicalCurve, vid: int, line_dir) -> int:
@@ -214,10 +216,10 @@ def _vertex_multiplicity(curve: TropicalCurve, vid: int, line_dir) -> int:
 
 
 def _classify_point(curve_a, curve_b, pt: Point, gens) -> IntersectionComponent:
-    va = curve_a.vertex_at(pt)
-    vb = curve_b.vertex_at(pt)
     a_edges = sorted(eid for tag, eid in gens if tag == "a")
     b_edges = sorted(eid for tag, eid in gens if tag == "b")
+    va = _end_vertex(curve_a, a_edges, pt)
+    vb = _end_vertex(curve_b, b_edges, pt)
     if va is not None and vb is not None:
         raise UnsupportedConfiguration(f"{pt} is a vertex of both curves")
     if va is None and vb is None:
@@ -228,20 +230,15 @@ def _classify_point(curve_a, curve_b, pt: Point, gens) -> IntersectionComponent:
         return IntersectionComponent(
             TRANSVERSE, mult, curve_a, curve_b, point=pt, edge_a=a_edges[0], edge_b=b_edges[0]
         )
+    # pt is interior to the one edge of the other curve through it
     if va is not None:
-        assert len(b_edges) == 1
-        host = b_edges[0]
-        if not curve_b.edge_contains(host, pt, strict=True):
-            raise UnsupportedConfiguration(f"vertex at {pt} meets an endpoint of the other edge")
+        (host,) = b_edges
         mult = _vertex_multiplicity(curve_a, va, curve_b.edges[host].direction)
         return IntersectionComponent(
             ISOLATED_VERTEX, mult, curve_a, curve_b,
             point=pt, edge_b=host, vertex_owner="a", vertex_id=va,
         )
-    assert len(a_edges) == 1
-    host = a_edges[0]
-    if not curve_a.edge_contains(host, pt, strict=True):
-        raise UnsupportedConfiguration(f"vertex at {pt} meets an endpoint of the other edge")
+    (host,) = a_edges
     mult = _vertex_multiplicity(curve_b, vb, curve_a.edges[host].direction)
     return IntersectionComponent(
         ISOLATED_VERTEX, mult, curve_a, curve_b,
@@ -250,45 +247,19 @@ def _classify_point(curve_a, curve_b, pt: Point, gens) -> IntersectionComponent:
 
 
 def _classify_segment(curve_a, curve_b, p1: Point, p2: Point, ea: int, eb: int) -> IntersectionComponent:
-    va1, vb1 = curve_a.vertex_at(p1), curve_b.vertex_at(p1)
-    va2, vb2 = curve_a.vertex_at(p2), curve_b.vertex_at(p2)
-    if (va1 is not None and vb1 is not None) or (va2 is not None and vb2 is not None):
-        raise UnsupportedConfiguration("overlap endpoint is a vertex of both curves")
-    seg = (p1, p2)
-    # whole bounded edge of one curve inside the interior of the other's edge
-    e_a = curve_a.edges[ea]
-    if e_a.bounded and va1 is not None and va2 is not None:
-        if {p1, p2} == {curve_a.vertices[e_a.tail], curve_a.vertices[e_a.head]}:
-            if curve_b.edge_contains(eb, p1, strict=True) and curve_b.edge_contains(eb, p2, strict=True):
-                return IntersectionComponent(
-                    EDGE_IN_EDGE, 2, curve_a, curve_b, segment=seg,
-                    edge_a=ea, edge_b=eb, inner="a",
-                )
-        raise UnsupportedConfiguration("overlap spans vertices of one curve but is not its edge")
-    e_b = curve_b.edges[eb]
-    if e_b.bounded and vb1 is not None and vb2 is not None:
-        if {p1, p2} == {curve_b.vertices[e_b.tail], curve_b.vertices[e_b.head]}:
-            if curve_a.edge_contains(ea, p1, strict=True) and curve_a.edge_contains(ea, p2, strict=True):
-                return IntersectionComponent(
-                    EDGE_IN_EDGE, 2, curve_a, curve_b, segment=seg,
-                    edge_a=ea, edge_b=eb, inner="b",
-                )
-        raise UnsupportedConfiguration("overlap spans vertices of one curve but is not its edge")
-    # proper overlap: one endpoint is a vertex of each curve
+    # each end of the overlap ends edge ea or edge eb, so it is a vertex of A, of B, or of both
     ends = []
-    for pt, va, vb in ((p1, va1, vb1), (p2, va2, vb2)):
-        if va is not None:
-            if not curve_b.edge_contains(eb, pt, strict=True):
-                raise UnsupportedConfiguration("overlap endpoint is not interior to the host edge")
-            ends.append(("a", va))
-        elif vb is not None:
-            if not curve_a.edge_contains(ea, pt, strict=True):
-                raise UnsupportedConfiguration("overlap endpoint is not interior to the host edge")
-            ends.append(("b", vb))
-        else:
-            raise UnsupportedConfiguration("overlap endpoint is not a vertex of either curve")
+    for pt in (p1, p2):
+        va, vb = _end_vertex(curve_a, (ea,), pt), _end_vertex(curve_b, (eb,), pt)
+        if va is not None and vb is not None:
+            raise UnsupportedConfiguration("overlap endpoint is a vertex of both curves")
+        ends.append(("a", va) if va is not None else ("b", vb))
+    seg = (p1, p2)
     if ends[0][0] == ends[1][0]:
-        raise UnsupportedConfiguration("overlap endpoints belong to the same curve")
+        # the whole bounded edge of one curve, inside the interior of the other's edge
+        return IntersectionComponent(
+            EDGE_IN_EDGE, 2, curve_a, curve_b, segment=seg, edge_a=ea, edge_b=eb, inner=ends[0][0],
+        )
     return IntersectionComponent(
         SEGMENT_OVERLAP, 2, curve_a, curve_b, segment=seg,
         edge_a=ea, edge_b=eb, end_vertices=(ends[0], ends[1]),

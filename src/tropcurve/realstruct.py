@@ -106,16 +106,18 @@ class RealPhaseStructure:
 
 def phase_from_signs(curve: TropicalCurve, delta: SignDistribution) -> RealPhaseStructure:
     """Phase line of each edge: symmetries whose copy of the dual edge
-    has opposite extended signs at its endpoints."""
+    has opposite extended signs at its endpoints.
+
+    The eps-copy signs at p and q differ iff eps.(q - p) = 1 + [delta_p !=
+    delta_q] (mod 2), and (q - p) mod 2 is the normal of the edge's
+    direction class, so that bit is the level of the edge's line.
+    """
     delta.validate_for(curve)
-    lines = []
-    for e in curve.edges:
-        p, q = e.dual
-        members = [eps for eps in EPS4 if extend_sign(delta, eps, p) != extend_sign(delta, eps, q)]
-        assert len(members) == 2, "a dual edge always has exactly two nonempty copies"
-        a, b = members
-        lines.append(PhaseLine(a, _xor(a, b)))
-    phase = RealPhaseStructure(tuple(lines))
+    signs = delta.signs
+    phase = RealPhaseStructure(tuple(
+        PhaseLine.from_level(e.direction, 1 ^ (signs[e.dual[0]] != signs[e.dual[1]]))
+        for e in curve.edges
+    ))
     phase.validate_for(curve)
     return phase
 

@@ -38,7 +38,6 @@ from .geometry import (
     dot2,
     hull_lattice_points,
     intersect_param_lines,
-    lex_key,
     line_param,
     polygon_twice_area,
     primitive,
@@ -316,7 +315,7 @@ def pair_scan_intersections(curve_a: TropicalCurve, curve_b: TropicalCurve):
                 points[p1].add(("b", eb.index))
                 continue
             p2 = (pa[0] + da[0] * hi, pa[1] + da[1] * hi)
-            if lex_key(p2) < lex_key(p1):
+            if p2 < p1:
                 p1, p2 = p2, p1
             segments.append((p1, p2, ea.index, eb.index))
     return points, segments

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from tropcurve import intersection_components
 from tropcurve.cli import main
+from tropcurve.errors import UnsupportedConfiguration
+from tropcurve.io_render import build_scenario, load_spec
 
 
 @pytest.fixture
@@ -284,3 +287,37 @@ def test_render_locus_is_byte_identical_across_processes(specs):
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
         assert b'<g id="locus">' in outs[0]
+
+
+def _poly_scenario(coefficients):
+    return {
+        "curve": {
+            "support": [[int(c) for c in k.split(",")] for k in coefficients],
+            "coefficients": coefficients,
+        },
+        "real_structure": {"signs": "all+"},
+    }
+
+
+# an edge of the cubic and a ray of the line leave one shared vertex in the
+# same direction, so their overlap starts at a vertex of both curves
+_OVERLAP_CUBIC = _poly_scenario({
+    "0,0": "1/64", "0,1": "-107/56", "0,2": "-31/4", "0,3": "-713/40", "1,0": "-379/64",
+    "1,1": "-193/16", "1,2": "-265/12", "2,0": "-383/16", "2,1": "-955/28", "3,0": "-755/14",
+})
+_OVERLAP_LINE = _poly_scenario({"0,0": 0, "1,0": "-669/64", "0,1": "-393/64"})
+
+
+def test_overlap_endpoint_on_vertices_of_both_exits_2(tmp_path, capsys):
+    paths = []
+    for name, scenario in (("cubic", _OVERLAP_CUBIC), ("line", _OVERLAP_LINE)):
+        path = tmp_path / f"{name}.trop.json"
+        path.write_text(json.dumps(scenario))
+        paths.append(str(path))
+    message = "overlap endpoint is a vertex of both curves"
+    for a, b in (paths, paths[::-1]):
+        curves = [build_scenario(load_spec(Path(p).read_text())).curve for p in (a, b)]
+        with pytest.raises(UnsupportedConfiguration, match=f"^{message}$"):
+            intersection_components(*curves)
+        code, out, err = run(capsys, "intersect", "--a", a, "--b", b)
+        assert (code, out, err) == (2, "", f"unsupported configuration: {message}\n")

@@ -25,9 +25,9 @@ from tropcurve import (
     sigma_v,
     twists_from_phase,
 )
-from tropcurve.errors import DegreeUnset, NotAdmissible, NotHoneycomb, PointOnCurve
+from tropcurve.errors import DegreeUnset, NotAdmissible, NotHoneycomb, PointOnCurve, ValidationError
 from tropcurve.gf2 import Gf2Subspace
-from tropcurve.realstruct import EPS4, region_class, twist_matrix
+from tropcurve.realstruct import EPS4, RealPhaseStructure, region_class, twist_matrix
 from tropcurve.selfcheck import (
     pointwise_signed_locus,
     pointwise_verdicts,
@@ -553,6 +553,14 @@ def test_point_query_needs_a_degree():
     phase = phase_from_signs(c, SignDistribution.constant(c))
     with pytest.raises(DegreeUnset):
         hyperbolic_wrt_point(c, phase, (0, 0), (0, 0))
+
+
+def test_point_query_validates_the_phase():
+    c = honeycomb(2)
+    phase = phase_from_signs(c, SignDistribution.constant(c))
+    short = RealPhaseStructure(phase.lines[:-1])
+    with pytest.raises(ValidationError, match="does not cover every edge"):
+        hyperbolic_wrt_point(c, short, (1, 1), (0, 0))
 
 
 # sha256 of the pencil analysis over the corpus below, as recorded with the

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,11 +19,14 @@ from tropcurve import (
     transverse_multiplicity,
 )
 from tropcurve.errors import (
+    DegeneratePolygon,
     ParallelDirections,
     PhasesDiffer,
+    SingularSubdivision,
     UnsupportedConfiguration,
     WrongKind,
 )
+from tropcurve.geometry import sub
 from tropcurve.intersect import (
     CONJ_PAIR,
     TANGENT_DOUBLE,
@@ -31,11 +35,13 @@ from tropcurve.intersect import (
     relative_twist_geometric,
     relative_twist_signs,
 )
+from tropcurve.realstruct import _outward_direction
 from tropcurve.selfcheck import (
     INTERSECTION_SHIFTS,
     intersection_outcome,
     pair_scan_intersections,
     random_intersection_pair,
+    random_lift,
     random_nonsingular_curve,
     random_sign_distribution,
 )
@@ -240,7 +246,7 @@ def _random_overlap_fixture(rng):
         eid = rng.choice(candidates)
         t = curve.edge_tmax(eid)
         u0 = curve.edge_point(eid, t * Fraction(rng.randrange(1, 4), 4))
-        if curve.vertex_at(u0) is not None:
+        if u0 in curve.vertices:
             continue
         line = make_line(0, -u0[0], -u0[1])
         try:
@@ -377,3 +383,68 @@ def test_honeycomb_pair_degree_20():
     assert len(comps) == 400
     assert {c.kind for c in comps} == {"transverse"}
     assert bezout_total(a, b) == 400
+
+
+def _classified(curve_a, curve_b):
+    """Every field of every component, or the refusal message."""
+    try:
+        comps = intersection_components(curve_a, curve_b)
+    except UnsupportedConfiguration as exc:
+        return ("refused", str(exc))
+    return [
+        (c.kind, c.multiplicity, c.point, c.segment, c.edge_a, c.edge_b,
+         c.vertex_owner, c.vertex_id, c.inner, c.end_vertices)
+        for c in comps
+    ]
+
+
+def _outward_directions(curve, v):
+    return {_outward_direction(curve, eid, v) for eid in curve.vertex_edges[v]}
+
+
+def _vertex_placements(rng, count):
+    """``count`` pairs of d*simplex lifts with a vertex of the second moved
+    onto a vertex of the first that shares one of its outward directions."""
+    pool = []
+    while len(pool) < 40:
+        try:
+            curve = curve_from_polynomial(random_lift(rng))
+        except (DegeneratePolygon, SingularSubdivision):
+            continue
+        if curve.degree is not None:
+            pool.append(curve)
+    placed = 0
+    while placed < count:
+        a, b = rng.sample(pool, 2)
+        va, vb = rng.randrange(len(a.vertices)), rng.randrange(len(b.vertices))
+        if _outward_directions(a, va) & _outward_directions(b, vb):
+            placed += 1
+            yield a, b.translated(sub(a.vertices[va], b.vertices[vb]))
+
+
+# sha256 of the classified outcomes below, recorded before classification
+# read incidence off the hits' own edges
+CLASSIFIED_DIGEST = "9b17c9fdcadb3d5d6b44c7641dc1ff5023a52c84f4536a0ce25e4e81ec095c77"
+
+
+def test_classified_outcomes_match_recorded_digest():
+    rng = random.Random(10)
+    pairs = []
+    for k in range(800):
+        a, b, shift = random_intersection_pair(rng, INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)])
+        pairs.append((a, b.translated(shift)))
+    pairs.extend(_vertex_placements(random.Random(11), 300))
+    outcomes = [_classified(a, b) for a, b in pairs]
+    seen = set()
+    for out in outcomes:
+        if isinstance(out, tuple):
+            seen.add(out[1].split(") ")[-1])  # drop the point a message may start with
+        else:
+            seen.update(c[0] for c in out)
+    assert seen == {
+        "transverse", "isolated-vertex", "edge-in-edge", "segment-overlap",
+        "is a vertex of both curves", "overlap endpoint is a vertex of both curves",
+        "overlap components chain through a shared vertex", "curves share an unbounded ray",
+    }, seen
+    digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+    assert digest == CLASSIFIED_DIGEST
