@@ -11,6 +11,7 @@ Singular inputs are rejected.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,7 +21,6 @@ from .errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
 from .geometry import (
     IVec,
     Point,
-    add,
     canonical_direction,
     convex_hull,
     det2,
@@ -66,12 +66,6 @@ class TropicalPolynomial:
         best = max(t for t, _ in terms)
         return tuple(sorted(ij for t, ij in terms if t == best))
 
-    def translated(self, offset: Point) -> "TropicalPolynomial":
-        dx, dy = offset
-        return TropicalPolynomial(
-            {(i, j): a - i * Fraction(dx) - j * Fraction(dy) for (i, j), a in self.coefficients.items()}
-        )
-
 
 @dataclass(frozen=True)
 class SubdivisionEdge:
@@ -110,13 +104,63 @@ class ComplementComponent:
     boundary_edges: frozenset[int]
 
 
+@dataclass(frozen=True)
+class IntFrame:
+    """A curve on the integer frame 1/den: den is a multiple of every
+    vertex-coordinate and coefficient denominator.  ``vertices`` are int
+    pairs, ``edges`` are (x, y, dx, dy, T) per edge, its tail, primitive
+    direction and int length T = den * tmax (None for a ray), and
+    ``heights`` are the coefficients times den."""
+
+    den: int
+    vertices: tuple[IVec, ...]
+    edges: tuple[tuple[int, int, int, int, int | None], ...]
+    heights: dict[IVec, int]
+
+    def rescaled(self, k: int):
+        """The vertices and edges over k * den."""
+        return (self.vertices, self.edges) if k == 1 else self._moved(k, 0, 0)
+
+    def translated(self, off: Point) -> "IntFrame":
+        """The frame moved by ``off``, over lcm(den, offset denominators)."""
+        den = lcm(self.den, off[0].denominator, off[1].denominator)
+        k = den // self.den
+        sx, sy = on_frame(off[0], off[1], den)
+        heights = {(i, j): h * k - i * sx - j * sy for (i, j), h in self.heights.items()}
+        return IntFrame(den, *self._moved(k, sx, sy), heights)
+
+    def _moved(self, k: int, sx: int, sy: int):
+        """The vertices and edges scaled by k, then shifted by (sx, sy)."""
+        verts = tuple((x * k + sx, y * k + sy) for x, y in self.vertices)
+        edges = tuple(
+            (x * k + sx, y * k + sy, dx, dy, None if t is None else t * k) for x, y, dx, dy, t in self.edges
+        )
+        return verts, edges
+
+
+def _frame_edges(edges, verts):
+    out = []
+    for e in edges:
+        x, y = verts[e.tail]
+        dx, dy = e.direction
+        length = None
+        if e.bounded:
+            hx, hy = verts[e.head]
+            # exact: the direction is primitive and head - tail is an int multiple of it
+            length = (hx - x) // dx if dx else (hy - y) // dy
+        out.append((x, y, dx, dy, length))
+    return tuple(out)
+
+
 class TropicalCurve:
     """Vertices, edges and dual subdivision of a non-singular curve.
 
-    Instances are immutable in practice; comparison is by identity.
+    Instances are immutable in practice; comparison is by identity.  The
+    integer frame (``frame``) is given at construction or built from the
+    ``Fraction`` vertices on first use.
     """
 
-    def __init__(self, poly, vertices, edges, dual, degree):
+    def __init__(self, poly, vertices, edges, dual, degree, frame: IntFrame | None = None):
         self.poly: TropicalPolynomial = poly
         self.vertices: tuple[Point, ...] = vertices
         self.edges: tuple[Edge, ...] = edges
@@ -137,6 +181,32 @@ class TropicalCurve:
         # filled once per curve by realstruct: the cycle bit rows and Div(C)
         self._cycle_rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._div_space = None
+        self._frame = frame
+        self._region_edges: dict[IVec, tuple[int, ...]] | None = None
+
+    # -- integer frame and region index ---------------------------------
+
+    @property
+    def frame(self) -> IntFrame:
+        if self._frame is None:
+            den = lcm(*(a.denominator for a in self.poly.coefficients.values()),
+                      *(c.denominator for v in self.vertices for c in v))
+            verts = tuple(on_frame(x, y, den) for x, y in self.vertices)
+            heights = {p: a.numerator * (den // a.denominator) for p, a in self.poly.coefficients.items()}
+            self._frame = IntFrame(den, verts, _frame_edges(self.edges, verts), heights)
+        return self._frame
+
+    @property
+    def region_edges(self) -> dict[IVec, tuple[int, ...]]:
+        """Lattice point -> ids of the edges whose dual contains it: the
+        boundary of its complement component, in edge order."""
+        if self._region_edges is None:
+            index: dict[IVec, list[int]] = {alpha: [] for alpha in self.dual.lattice_points}
+            for e in self.edges:
+                index[e.dual[0]].append(e.index)
+                index[e.dual[1]].append(e.index)
+            self._region_edges = {alpha: tuple(eids) for alpha, eids in index.items()}
+        return self._region_edges
 
     # -- basic queries -------------------------------------------------
 
@@ -241,28 +311,17 @@ class TropicalCurve:
         return primitive((sx, sy))
 
     def translated(self, offset: Point) -> "TropicalCurve":
-        off = (Fraction(offset[0]), Fraction(offset[1]))
-        verts = tuple(add(v, off) for v in self.vertices)
-        return TropicalCurve(self.poly.translated(off), verts, self.edges, self.dual, self.degree)
-
-
-def integer_frame(curve: TropicalCurve, den: int):
-    """``curve`` over ``den``, a multiple of every vertex-coordinate
-    denominator: the vertices as int pairs, and every edge as
-    (x, y, dx, dy, T), its tail, primitive direction and int length
-    T = den * tmax (None for a ray)."""
-    verts = [on_frame(x, y, den) for x, y in curve.vertices]
-    edges = []
-    for e in curve.edges:
-        x, y = verts[e.tail]
-        dx, dy = e.direction
-        length = None
-        if e.bounded:
-            hx, hy = verts[e.head]
-            # exact: the direction is primitive and head - tail is an int multiple of it
-            length = (hx - x) // dx if dx else (hy - y) // dy
-        edges.append((x, y, dx, dy, length))
-    return verts, edges
+        """The curve moved by ``offset``.  The copy shares the combinatorial
+        structure and what is cached from it; the frame moves on ints, and
+        the coefficients and vertices are read off it."""
+        frame = self.frame.translated((Fraction(offset[0]), Fraction(offset[1])))
+        den = frame.den
+        moved = copy.copy(self)
+        moved.poly = TropicalPolynomial({p: Fraction(h, den) for p, h in frame.heights.items()})
+        moved.vertices = tuple((Fraction(x, den), Fraction(y, den)) for x, y in frame.vertices)
+        moved._frame = frame
+        moved._region_edges = self.region_edges  # one index for the curve and all its copies
+        return moved
 
 
 # -- construction -------------------------------------------------------
@@ -293,6 +352,7 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
     placed.sort()
     vertex_index = {cell: k for k, (_, cell) in enumerate(placed)}
     vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for (x, y), _ in placed)
+    int_vertices = tuple(xy for xy, _ in placed)
 
     # a bounded edge runs from the cell right of p->q to the cell left of it
     # (p < q); a ray leaves its only cell in the direction rot90(a - b),
@@ -313,7 +373,8 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
     degree = _simplex_degree(hull)
     dual_cells = tuple(tuple(sorted(cell)) for _, cell in placed)
     dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells, sub_edges)
-    curve = TropicalCurve(poly, vertices, edges, dual, degree)
+    frame = IntFrame(scale, int_vertices, _frame_edges(edges, int_vertices), height)
+    curve = TropicalCurve(poly, vertices, edges, dual, degree, frame)
     _verify_curve(curve)
     return curve
 
@@ -466,15 +527,12 @@ def primitive_cycles(curve: TropicalCurve) -> list[PrimitiveCycle]:
     """
     if curve._primitive_cycles is None:
         hull = list(curve.dual.polygon)
+        regions = curve.region_edges
         cycles = []
         for alpha in curve.dual.lattice_points:
             if not point_strictly_in_hull(hull, alpha):
                 continue
-            eids = frozenset(
-                curve.edge_by_dual(*se.points)
-                for se in curve.dual.edges
-                if alpha in se.points and se.interior
-            )
+            eids = frozenset(eid for eid in regions[alpha] if curve.edges[eid].bounded)
             _check_cycle(curve, eids, alpha)
             cycles.append(PrimitiveCycle(alpha, eids))
         curve._primitive_cycles = tuple(cycles)
@@ -514,12 +572,8 @@ def complement_components(curve: TropicalCurve) -> list[ComplementComponent]:
     """One component of the curve complement per lattice point of the polygon."""
     curve.require_degree()
     hull = list(curve.dual.polygon)
-    out = []
-    for alpha in curve.dual.lattice_points:
-        eids = frozenset(
-            curve.edge_by_dual(*se.points) for se in curve.dual.edges if alpha in se.points
-        )
-        out.append(
-            ComplementComponent(alpha, point_strictly_in_hull(hull, alpha), eids)
-        )
-    return out
+    regions = curve.region_edges
+    return [
+        ComplementComponent(alpha, point_strictly_in_hull(hull, alpha), frozenset(regions[alpha]))
+        for alpha in curve.dual.lattice_points
+    ]

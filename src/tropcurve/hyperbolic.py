@@ -7,10 +7,11 @@ oval of the real part; honeycombs also have a bridge criterion for it.
 The three pencil conditions at a generic point of one component answer
 the per-point query with a reason; swept over every component they are
 the oracle ``selfcheck.pointwise_verdicts``.  Each query point gets one
-pencil scan (``_pencil_scan``) on the integer frame of
-``curve.integer_frame``, with the point's denominators in D: it decides
-genericity and gives the sector of every vertex and the determinant of
-every ray × edge crossing, which is all the conditions read.
+pencil scan (``_pencil_scan``) on the curve's own integer frame
+(``curve.frame``), rescaled by the int factor that puts the point on it
+too: it decides genericity and gives the sector of every vertex and the
+determinant of every ray × edge crossing, which is all the conditions
+read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .curve import ComplementComponent, TropicalCurve, integer_frame
+from .curve import ComplementComponent, TropicalCurve
 from .errors import (
     NotAdmissible,
     NotDividing,
@@ -97,15 +98,15 @@ def _pencil_scan(curve: TropicalCurve, v: Point):
 
     Returns the sector label of every vertex and, per edge, the
     (ray label, |det|) of each pencil ray crossing its interior.  It runs
-    on the integer frame: v and the vertices over D, the lcm of their
-    denominators.  v is generic iff no vertex lies on a ray: an edge
-    collinear with a ray reaches the closed ray only through v or through
-    an end vertex on the ray, and a crossing at an edge end is a vertex
-    on the ray.
+    on the curve's integer frame rescaled to D, the lcm of its den and v's
+    denominators, with v over D too.  v is generic iff no vertex lies on a
+    ray: an edge collinear with a ray reaches the closed ray only through
+    v or through an end vertex on the ray, and a crossing at an edge end
+    is a vertex on the ray.
     """
-    den = lcm(v[0].denominator, v[1].denominator,
-              *(c.denominator for u in curve.vertices for c in u))
-    verts, edges = integer_frame(curve, den)
+    frame = curve.frame
+    den = lcm(v[0].denominator, v[1].denominator, frame.den)
+    verts, edges = frame.rescaled(den // frame.den)
     sig = SigmaV(on_frame(v[0], v[1], den))
     sector: list[IVec] = []
     for u in verts:

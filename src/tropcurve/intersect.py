@@ -13,13 +13,18 @@ Edges of a non-singular curve meet only at their end vertices, so
 classification reads incidence off each hit's own edges: a hit point is
 a vertex of a curve iff it ends one of that curve's edges through it.
 
-The edge-pair scan (``edge_hits``) runs on one integer frame per call:
-both curves' vertices become int pairs over D, the lcm of every
-vertex-coordinate denominator, and each bounded edge gets the int length
-D * tmax.  Pairs are solved and compared on ints; a ``Fraction`` point is
-built only for a hit.  ``classify_hits`` turns the hits into components.
-The ``Fraction`` pair scan ``selfcheck.pair_scan_intersections`` is the
-oracle that must find the same hits in the same order.
+``edge_hits`` finds the hits by walking A's edges through B's complement
+regions, on the curves' own integer frames rescaled to the pair's frame
+1/D, D = lcm of the two dens.  One vertex of A is located in B by an int
+argmax over B's heights.  Each edge of A is walked from a vertex whose
+place in B is known, and the walk hands the place of its far end to the
+other vertex.  An edge is solved as an int pair only against the boundary
+edges of the regions it crosses and the B edges through the points where
+it meets B, so the work follows the crossings, not |E_A| * |E_B|.  Hits
+are keyed by ints on the pair's frame; ``classify_hits`` compares ints and
+builds ``Fraction`` points for the components only.  The ``Fraction`` pair
+scan ``selfcheck.pair_scan_intersections`` is the oracle that must find
+the same hits in the same order.
 
 Twists of lifted overlaps use the sidedness rule of ``realstruct``: the
 production route for relative twists is ``relative_twist_geometric``.
@@ -32,9 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
+from typing import NamedTuple
 
-from .curve import TropicalCurve, integer_frame
+from .curve import TropicalCurve
 from .errors import (
     ParallelDirections,
     PhasesDiffer,
@@ -76,11 +83,6 @@ class IntersectionComponent:
     inner: str | None = None             # edge-in-edge: whose edge is contained
     end_vertices: tuple[tuple[str, int], tuple[str, int]] | None = None
 
-    def sort_key(self):
-        if self.segment is not None:
-            return self.segment
-        return (self.point, self.point)
-
 
 @dataclass(frozen=True)
 class LiftOutcome:
@@ -104,48 +106,138 @@ def transverse_multiplicity(e_dir, ep_dir) -> int:
 
 def intersection_components(curve_a: TropicalCurve, curve_b: TropicalCurve):
     """Classified connected components of the set-theoretic intersection."""
-    return classify_hits(curve_a, curve_b, *edge_hits(curve_a, curve_b))
+    return classify_hits(curve_a, curve_b, edge_hits(curve_a, curve_b))
 
 
-def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve):
-    """Every edge pair's intersection, as the ``points`` and ``segments``
-    that ``classify_hits`` takes.
+class FrameHits(NamedTuple):
+    """The edge pairs of two curves that meet, on the pair's frame 1/den.
 
-    Both curves go on one integer frame: coordinates over D, the lcm of
-    every vertex-coordinate denominator.  Each edge pair is solved and
-    compared on ints; only a hit becomes a ``Fraction`` point.
+    A point is keyed (x, y, m), the point (x/(den*m), y/(den*m)) with the
+    least m >= 1, so equal points have equal keys.  ``points`` maps each
+    hit point to the ("a"|"b", edge) pairs through it, in the order of
+    its lex-first (edge_a, edge_b) pair; ``segments`` holds
+    (p1, p2, edge_a, edge_b) overlaps in pair order, with p1
+    lexicographically first.  ``solved`` counts the edge pairs solved.
+    """
+
+    den: int
+    points: dict[tuple[int, int, int], set]
+    segments: list
+    solved: int
+
+
+# where a walk stands on curve B: in the open region of a lattice point,
+# inside an edge, or at a vertex
+_REGION, _EDGE, _VERTEX = 0, 1, 2
+
+
+def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve) -> FrameHits:
+    """Every edge pair's intersection, found by walking A's edges through
+    B's complement regions (see the module docstring).  Each pair the walk
+    meets is solved on ints exactly as the pair scan solves it.
     """
     if curve_a is curve_b:
         raise UnsupportedConfiguration("the two curves must be distinct point sets")
-    den = lcm(*(c.denominator for curve in (curve_a, curve_b) for v in curve.vertices for c in v))
-    _, edges_a = integer_frame(curve_a, den)
-    _, edges_b = integer_frame(curve_b, den)
-    points: dict[Point, set] = {}
-    segments: list[tuple[Point, Point, int, int]] = []
-    for ea, (px, py, dax, day, ta) in enumerate(edges_a):
-        for eb, (qx, qy, dbx, dby, tb) in enumerate(edges_b):
-            wx, wy = qx - px, qy - py
-            dd = dax * dby - day * dbx
-            if dd:
-                # p + t*da = q + s*db at t = tn/dd, s = sn/dd
-                tn = wx * dby - wy * dbx
-                sn = wx * day - wy * dax
-                if dd < 0:
-                    dd, tn, sn = -dd, -tn, -sn
-                if tn < 0 or (ta is not None and tn > ta * dd):
-                    continue
-                if sn < 0 or (tb is not None and sn > tb * dd):
-                    continue
-                scale = den * dd
-                pt = (Fraction(px * dd + dax * tn, scale), Fraction(py * dd + day * tn, scale))
-                points.setdefault(pt, set()).add(("a", ea))
-                points[pt].add(("b", eb))
+    frame_a, frame_b = curve_a.frame, curve_b.frame
+    den = lcm(frame_a.den, frame_b.den)
+    ka = den // frame_a.den  # A's edges are rescaled as they are walked
+    _, edges_b = frame_b.rescaled(den // frame_b.den)
+    found: list = []  # (edge_a, edge_b, point key or (key, key))
+    place: list = [None] * len(curve_a.vertices)
+    x0, y0 = frame_a.vertices[0]
+    place[0] = _locate(curve_b, den, (x0 * ka, y0 * ka))
+    walked = [False] * len(curve_a.edges)
+    solved = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for ea in curve_a.vertex_edges[v]:
+            if walked[ea]:
                 continue
-            if wx * day - wy * dax:
-                continue  # parallel supporting lines
+            walked[ea] = True
+            e = curve_a.edges[ea]
+            end, count = _walk(curve_b, edges_b, frame_a.edges[ea], ka, ea, e.tail == v, place[v], found)
+            solved += count
+            if e.bounded:
+                w = e.head if e.tail == v else e.tail
+                if place[w] is None:
+                    place[w] = end
+                    stack.append(w)
+    found.sort(key=itemgetter(0, 1))
+    points: dict[tuple[int, int, int], set] = {}
+    segments = []
+    for ea, eb, hit in found:
+        if len(hit) == 3:
+            points.setdefault(hit, set()).add(("a", ea))
+            points[hit].add(("b", eb))
+        else:
+            segments.append((hit[0], hit[1], ea, eb))
+    return FrameHits(den, points, segments, solved)
+
+
+def _locate(curve: TropicalCurve, den: int, xy) -> tuple:
+    """The walk place of the point xy/den: an int argmax over the heights."""
+    frame = curve.frame
+    k = den // frame.den
+    x, y = xy
+    best = None
+    top: list = []
+    for (i, j), h in frame.heights.items():
+        val = h * k + i * x + j * y
+        if best is None or val > best:
+            best, top = val, [(i, j)]
+        elif val == best:
+            top.append((i, j))
+    if len(top) == 1:
+        return _REGION, top[0]
+    if len(top) == 2:
+        return _EDGE, curve.edge_by_dual(*top)
+    return _VERTEX, curve.vertex_cell.index(tuple(sorted(top)))
+
+
+def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
+    """Walk edge ``ea`` of A (``a_edge`` on A's frame, times ``ka`` on the
+    pair's) from its tail (``forward``) or its head, starting at ``place``
+    in B.
+
+    Each B edge met is solved once and its hit appended to ``found``.
+    Returns the place of the far end (meaningless for a ray) and the
+    number of pairs solved.  The walk stands at a point of B (an edge or a
+    vertex of B), in an open region, or on an overlap; u, the distance
+    walked, is u_n/u_d in units of the primitive direction over den.
+    """
+    px, py, dax, day, ta = a_edge
+    px, py, ta = px * ka, py * ka, (None if ta is None else ta * ka)
+    gx, gy = (dax, day) if forward else (-dax, -day)
+    b_edges = curve_b.edges
+    results: dict = {}
+
+    def solve(eb):
+        if eb in results:
+            return results[eb]
+        qx, qy, dbx, dby, tb = edges_b[eb]
+        res = None
+        wx, wy = qx - px, qy - py
+        dd = dax * dby - day * dbx
+        if dd:
+            # p + t*da = q + s*db at t = tn/dd, s = sn/dd
+            tn = wx * dby - wy * dbx
+            sn = wx * day - wy * dax
+            if dd < 0:
+                dd, tn, sn = -dd, -tn, -sn
+            if 0 <= tn and (ta is None or tn <= ta * dd) and 0 <= sn and (tb is None or sn <= tb * dd):
+                res = (tn, dd, sn)
+                x, y = px * dd + dax * tn, py * dd + day * tn
+                if dd == 1:
+                    found.append((ea, eb, (x, y, 1)))
+                else:
+                    g = gcd(x, y, dd)
+                    found.append((ea, eb, (x // g, y // g, dd // g)))
+        elif not wx * day - wy * dax:
             # collinear supporting lines: intersect the int parameter intervals
             t0 = wx // dax if dax else wy // day
-            if (dbx, dby) == (dax, day):
+            same = (dbx, dby) == (dax, day)
+            if same:
                 b_lo, b_hi = t0, (None if tb is None else t0 + tb)
             else:
                 b_lo, b_hi = (None if tb is None else t0 - tb), t0
@@ -153,27 +245,88 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve):
             if ta is None and b_hi is None:
                 raise UnsupportedConfiguration("curves share an unbounded ray")
             hi = b_hi if ta is None else (ta if b_hi is None else min(ta, b_hi))
-            if lo > hi:
+            if lo <= hi:
+                res = (lo, hi, b_lo, b_hi, same)
+                p1 = (px + dax * lo, py + day * lo, 1)
+                if lo == hi:
+                    found.append((ea, eb, p1))
+                else:
+                    p2 = (px + dax * hi, py + day * hi, 1)
+                    found.append((ea, eb, (p1, p2) if p1 < p2 else (p2, p1)))
+        results[eb] = res
+        return res
+
+    u_n, u_d = 0, 1
+    kind, at = place
+    while True:
+        if kind == _REGION:
+            # the region is convex: a hit further along than u is its exit
+            for eb in curve_b.region_edges[at]:
+                res = solve(eb)
+                if res is None or len(res) != 3:
+                    continue
+                tn, dd, sn = res
+                n = tn if forward else ta * dd - tn
+                if n * u_d > u_n * dd:
+                    break
+            else:
+                return (_REGION, at), len(results)
+            u_n, u_d = n, dd
+            e = b_edges[eb]
+            tb = edges_b[eb][4]
+            if sn == 0:
+                kind, at = _VERTEX, e.tail
+            elif tb is not None and sn == tb * dd:
+                kind, at = _VERTEX, e.head
+            elif ta is not None and n == ta * dd:
+                return (_EDGE, eb), len(results)
+            else:
+                # through the interior of eb, into the region across it
+                p, q = e.dual
+                at = q if p == at else p
+            continue
+        # at a point of B: solve every B edge through it, then pick the
+        # side the walk leaves on by the lex-max slope along the walk
+        if kind == _VERTEX:
+            for eb in curve_b.vertex_edges[at]:
+                solve(eb)
+            if ta is not None and u_n == ta * u_d:
+                return (_VERTEX, at), len(results)
+            cell = curve_b.vertex_cell[at]
+            slopes = [c[0] * gx + c[1] * gy for c in cell]
+            top = max(slopes)
+            lead = [c for c, s in zip(cell, slopes) if s == top]
+            if len(lead) == 1:
+                kind, at = _REGION, lead[0]
                 continue
-            p1 = (Fraction(px + dax * lo, den), Fraction(py + day * lo, den))
-            if lo == hi:
-                points.setdefault(p1, set()).add(("a", ea))
-                points[p1].add(("b", eb))
+            (g,) = [eb for eb in curve_b.vertex_edges[at] if set(b_edges[eb].dual) == set(lead)]
+        else:
+            solve(at)
+            if ta is not None and u_n == ta * u_d:
+                return (_EDGE, at), len(results)
+            p, q = b_edges[at].dual
+            sp, sq = p[0] * gx + p[1] * gy, q[0] * gx + q[1] * gy
+            if sp != sq:
+                kind, at = _REGION, (p if sp > sq else q)
                 continue
-            p2 = (Fraction(px + dax * hi, den), Fraction(py + day * hi, den))
-            if p2 < p1:
-                p1, p2 = p2, p1
-            segments.append((p1, p2, ea, eb))
-    return points, segments
+            g = at
+        # along an overlap with g to its far end: a vertex of g, or the end of ea
+        lo, hi, b_lo, b_hi, same = results[g]
+        e = b_edges[g]
+        if forward:
+            u_n, u_d = hi, 1
+            if hi != b_hi:
+                return (_EDGE, g), len(results)
+            kind, at = _VERTEX, (e.head if same else e.tail)
+        else:
+            u_n, u_d = ta - lo, 1
+            if lo != b_lo:
+                return (_EDGE, g), len(results)
+            kind, at = _VERTEX, (e.tail if same else e.head)
 
 
-def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, points, segments):
-    """Components from an edge-pair scan's hits, sorted.
-
-    ``points`` maps each hit point to the ("a"|"b", edge) pairs through it,
-    in the order the scan (A's edges outer, B's inner) first met it;
-    ``segments`` holds (p1, p2, edge_a, edge_b) overlaps with p1
-    lexicographically first.
+def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, hits: FrameHits):
+    """Components from an edge scan's hits (see ``FrameHits``), sorted.
 
     Incidence is read off each hit's own edges.  Edges of a non-singular
     curve meet only at their end vertices, so a vertex on a hit edge is one
@@ -181,28 +334,51 @@ def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, points, segmen
     endpoints, and two overlaps touch only at a shared endpoint.  Three
     configurations raise UnsupportedConfiguration: a point hit that is a
     vertex of both curves, an overlap endpoint that is a vertex of both,
-    and two overlaps sharing an endpoint (a chain).
+    and two overlaps sharing an endpoint (a chain).  Everything is compared
+    on the pair's frame; ``Fraction`` points are built for the components
+    only.
     """
+    den, points, segments, _ = hits
     ends = {pt for p1, p2, _, _ in segments for pt in (p1, p2)}
     if len(ends) < 2 * len(segments):  # an endpoint shared by two overlaps
         raise UnsupportedConfiguration("overlap components chain through a shared vertex")
 
-    components = []
+    pair = (curve_a, den // curve_a.frame.den, curve_b, den // curve_b.frame.den)
+    # sort on one common frame, den * common
+    common = lcm(*(key[2] for key in points))
+    keyed = []
     for p1, p2, ea, eb in segments:
-        components.append(_classify_segment(curve_a, curve_b, p1, p2, ea, eb))
-    for pt, gens in points.items():
-        if pt not in ends:
-            components.append(_classify_point(curve_a, curve_b, pt, gens))
-    components.sort(key=lambda comp: comp.sort_key())
-    return components
+        keyed.append((_lex(p1, common) + _lex(p2, common), _classify_segment(pair, den, p1, p2, ea, eb)))
+    for key, gens in points.items():
+        if key not in ends:
+            lex = _lex(key, common)
+            keyed.append((lex + lex, _classify_point(pair, den, key, gens)))
+    keyed.sort(key=itemgetter(0))
+    return [comp for _, comp in keyed]
 
 
-def _end_vertex(curve: TropicalCurve, eids, pt: Point) -> int | None:
-    """The vertex at ``pt`` among the ends of the edges ``eids``, or None."""
+def _lex(key, common: int):
+    x, y, m = key
+    f = common // m
+    return x * f, y * f
+
+
+def _point(den: int, key) -> Point:
+    x, y, m = key
+    return Fraction(x, den * m), Fraction(y, den * m)
+
+
+def _end_vertex(curve: TropicalCurve, k: int, eids, key) -> int | None:
+    """The vertex at ``key`` among the ends of the edges ``eids``, or None;
+    k rescales the curve's frame to the pair's."""
+    x, y, m = key
+    if m != 1:
+        return None
+    verts = curve.frame.vertices
     for eid in eids:
         e = curve.edges[eid]
         for v in (e.tail, e.head):
-            if v is not None and curve.vertices[v] == pt:
+            if v is not None and verts[v][0] * k == x and verts[v][1] * k == y:
                 return v
     return None
 
@@ -215,11 +391,13 @@ def _vertex_multiplicity(curve: TropicalCurve, vid: int, line_dir) -> int:
     return total // 2
 
 
-def _classify_point(curve_a, curve_b, pt: Point, gens) -> IntersectionComponent:
-    a_edges = sorted(eid for tag, eid in gens if tag == "a")
-    b_edges = sorted(eid for tag, eid in gens if tag == "b")
-    va = _end_vertex(curve_a, a_edges, pt)
-    vb = _end_vertex(curve_b, b_edges, pt)
+def _classify_point(pair, den: int, key, gens) -> IntersectionComponent:
+    curve_a, ka, curve_b, kb = pair
+    a_edges = [eid for tag, eid in gens if tag == "a"]
+    b_edges = [eid for tag, eid in gens if tag == "b"]
+    va = _end_vertex(curve_a, ka, a_edges, key)
+    vb = _end_vertex(curve_b, kb, b_edges, key)
+    pt = _point(den, key)
     if va is not None and vb is not None:
         raise UnsupportedConfiguration(f"{pt} is a vertex of both curves")
     if va is None and vb is None:
@@ -246,15 +424,16 @@ def _classify_point(curve_a, curve_b, pt: Point, gens) -> IntersectionComponent:
     )
 
 
-def _classify_segment(curve_a, curve_b, p1: Point, p2: Point, ea: int, eb: int) -> IntersectionComponent:
+def _classify_segment(pair, den: int, p1, p2, ea: int, eb: int) -> IntersectionComponent:
+    curve_a, ka, curve_b, kb = pair
     # each end of the overlap ends edge ea or edge eb, so it is a vertex of A, of B, or of both
     ends = []
-    for pt in (p1, p2):
-        va, vb = _end_vertex(curve_a, (ea,), pt), _end_vertex(curve_b, (eb,), pt)
+    for key in (p1, p2):
+        va, vb = _end_vertex(curve_a, ka, (ea,), key), _end_vertex(curve_b, kb, (eb,), key)
         if va is not None and vb is not None:
             raise UnsupportedConfiguration("overlap endpoint is a vertex of both curves")
         ends.append(("a", va) if va is not None else ("b", vb))
-    seg = (p1, p2)
+    seg = (_point(den, p1), _point(den, p2))
     if ends[0][0] == ends[1][0]:
         # the whole bounded edge of one curve, inside the interior of the other's edge
         return IntersectionComponent(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .curve import (
     STRATA,
@@ -53,7 +54,15 @@ from .hyperbolic import (
     hyperbolicity_locus,
     multi_bridges,
 )
-from .intersect import bezout_total, classify_hits, edge_hits, intersection_components, real_lift
+from .intersect import (
+    FrameHits,
+    _point,
+    bezout_total,
+    classify_hits,
+    edge_hits,
+    intersection_components,
+    real_lift,
+)
 from .realstruct import (
     EPS4,
     ComponentReport,
@@ -351,16 +360,51 @@ def random_intersection_pair(rng: random.Random, kind: str):
 
 
 def intersection_outcome(scan, curve_a: TropicalCurve, curve_b: TropicalCurve):
-    """The hits an edge-pair scan finds, in scan order (None if the scan
-    refuses), and the components ``classify_hits`` makes of them or the
-    refusal as (type, message)."""
+    """The hits an edge scan finds, as ``Fraction`` points in scan order
+    (None if the scan refuses), and the components ``classify_hits`` makes
+    of them or the refusal as (type, message).
+
+    ``scan`` is ``edge_hits``, whose int hits are mapped back to
+    ``Fraction``, or ``pair_scan_intersections``, whose hits are put on the
+    pair's frame for classification.
+    """
     hits = None
     try:
-        points, segments = scan(curve_a, curve_b)
+        found = scan(curve_a, curve_b)
+        if isinstance(found, FrameHits):
+            points, segments = _fraction_hits(found)
+        else:
+            points, segments = found
+            found = _frame_hits(curve_a, curve_b, points, segments)
         hits = (list(points.items()), segments)
-        return hits, classify_hits(curve_a, curve_b, points, segments)
+        return hits, classify_hits(curve_a, curve_b, found)
     except UnsupportedConfiguration as exc:
         return hits, (type(exc), str(exc))
+
+
+def _fraction_hits(hits: FrameHits):
+    """``hits`` as the pair scan gives them: ``Fraction`` points."""
+    den = hits.den
+    points = {_point(den, key): gens for key, gens in hits.points.items()}
+    segments = [(_point(den, p1), _point(den, p2), ea, eb) for p1, p2, ea, eb in hits.segments]
+    return points, segments
+
+
+def _frame_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, points, segments) -> FrameHits:
+    """The pair scan's ``Fraction`` hits keyed on the pair's frame, as
+    ``edge_hits`` keys them."""
+    den = lcm(curve_a.frame.den, curve_b.frame.den)
+
+    def key(pt):
+        m = lcm(*(c.denominator // gcd(c.denominator, den) for c in pt))
+        return tuple(c.numerator * (den * m // c.denominator) for c in pt) + (m,)
+
+    return FrameHits(
+        den,
+        {key(pt): gens for pt, gens in points.items()},
+        [(key(p1), key(p2), ea, eb) for p1, p2, ea, eb in segments],
+        0,
+    )
 
 
 def random_sign_distribution(rng: random.Random, curve: TropicalCurve) -> SignDistribution:

@@ -225,3 +225,64 @@ def test_region_points_dominate():
         for alpha in c.dual.lattice_points:
             w = c.region_point(alpha)
             assert c.dominating(w) == alpha
+
+
+def _assert_frame_matches_fractions(curve):
+    """The curve's integer frame equals one rebuilt from its ``Fraction``
+    vertices and coefficients over the frame's den."""
+    frame = curve.frame
+
+    def on_den(value):
+        scaled = value * frame.den
+        assert scaled.denominator == 1, (value, frame.den)
+        return scaled.numerator
+
+    assert frame.vertices == tuple((on_den(x), on_den(y)) for x, y in curve.vertices)
+    expected = []
+    for e in curve.edges:
+        x, y = curve.edge_anchor(e.index)
+        tmax = curve.edge_tmax(e.index)
+        expected.append((on_den(x), on_den(y), *e.direction, None if tmax is None else on_den(tmax)))
+    assert frame.edges == tuple(expected)
+    assert frame.heights == {p: on_den(a) for p, a in curve.poly.coefficients.items()}
+
+
+def test_curve_frame_matches_a_frame_rebuilt_from_fractions():
+    rng = random.Random(41)
+    built = 0
+    while built < 40:
+        poly = random_lift(rng)
+        try:
+            curve = curve_from_polynomial(poly)
+        except (DegeneratePolygon, SingularSubdivision):
+            continue
+        built += 1
+        _assert_frame_matches_fractions(curve)
+        # the pair scan builds no frame; its lazy one is the walk's
+        scanned = pair_scan_curve(poly)
+        _assert_frame_matches_fractions(scanned)
+        assert scanned.frame == curve.frame
+        moved = scanned if rng.random() < 0.5 else curve
+        for _ in range(3):
+            offset = tuple(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12, 101))) for _ in range(2))
+            moved = moved.translated(offset)
+            _assert_frame_matches_fractions(moved)
+
+
+def test_region_index_matches_the_dual_edge_scan():
+    # complement_components and primitive_cycles read the region index;
+    # the oracle scans every dual edge for every lattice point
+    rng = random.Random(43)
+    curves = [honeycomb(d) for d in (1, 3, 5)]
+    curves += [random_nonsingular_curve(rng, d) for d in (2, 4, 6)]
+    for curve in curves:
+        for comp in complement_components(curve):
+            assert comp.boundary_edges == frozenset(
+                curve.edge_by_dual(*se.points) for se in curve.dual.edges if comp.dual_point in se.points
+            )
+        for cycle in primitive_cycles(curve):
+            assert cycle.edges == frozenset(
+                curve.edge_by_dual(*se.points)
+                for se in curve.dual.edges
+                if cycle.center in se.points and se.interior
+            )

@@ -31,6 +31,7 @@ from tropcurve.intersect import (
     CONJ_PAIR,
     TANGENT_DOUBLE,
     TWO_REAL,
+    classify_hits,
     edge_hits,
     relative_twist_geometric,
     relative_twist_signs,
@@ -448,3 +449,73 @@ def test_classified_outcomes_match_recorded_digest():
     }, seen
     digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
     assert digest == CLASSIFIED_DIGEST
+
+
+def _simplex_lift(rng, d):
+    """A d*simplex lift: a random positive definite quadratic form, sheared
+    so that regions are not hexagons, plus rational noise."""
+    while True:
+        qa, qc = rng.randint(1, 6), rng.randint(1, 6)
+        qb = rng.randint(-2 * min(qa, qc), 2 * min(qa, qc))
+        if qb * qb < 4 * qa * qc:
+            break
+    noise = rng.choice((1, 4, 16))
+    return TropicalPolynomial({
+        (i, j): -(qa * i * i + qb * i * j + qc * j * j)
+        + Fraction(rng.randint(-noise, noise), 8 * rng.choice((1, 2, 3, 5, 7)))
+        for i in range(d + 1)
+        for j in range(d + 1 - i)
+    })
+
+
+def _placement(rng, a, b, kind):
+    """A shift of b of the given ``INTERSECTION_SHIFTS`` kind against a, as
+    ``selfcheck.random_intersection_pair`` draws it."""
+    if kind == "half-integer":
+        return (Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2))
+    if kind == "vertex-on-vertex":
+        return sub(rng.choice(a.vertices), rng.choice(b.vertices))
+    hosts = [(host, other, eid) for host, other in ((a, b), (b, a)) for eid in host.bounded_edges]
+    if kind == "vertex-on-edge" and hosts:
+        host, other, eid = rng.choice(hosts)
+        e = host.edges[eid]
+        p, q = host.vertices[e.tail], host.vertices[e.head]
+        mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+        v = rng.choice(other.vertices)
+        return sub(mid, v) if host is a else sub(v, mid)
+    return (Fraction(rng.randrange(-600, 600), 101), Fraction(rng.randrange(-600, 600), 103))
+
+
+def test_walk_matches_pair_scan_on_arbitrary_simplex_lifts():
+    # degrees 1 to 6, regions with up to 8 sides
+    rng = random.Random(12)
+    pool = []
+    for d in range(1, 7):
+        while sum(c.degree == d for c in pool) < 5:
+            try:
+                pool.append(curve_from_polynomial(_simplex_lift(rng, d)))
+            except SingularSubdivision:
+                continue
+    assert max(len(eids) for c in pool for eids in c.region_edges.values()) >= 8
+    seen = Counter()
+    for k in range(200):
+        kind = INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)]
+        a, b = rng.choice(pool), rng.choice(pool)
+        moved = b.translated(_placement(rng, a, b, kind))
+        walk = intersection_outcome(edge_hits, a, moved)
+        assert walk == intersection_outcome(pair_scan_intersections, a, moved), (k, kind)
+        if isinstance(walk[1], tuple):
+            seen["refused"] += 1
+        else:
+            seen.update(c.kind for c in walk[1])
+    assert set(seen) == {"transverse", "isolated-vertex", "edge-in-edge", "segment-overlap", "refused"}, seen
+
+
+def test_walk_work_follows_the_output():
+    a = honeycomb(20)
+    b = honeycomb(20).translated((Fraction(1, 7), Fraction(-2, 9)))
+    hits = edge_hits(a, b)
+    comps = classify_hits(a, b, hits)
+    assert len(comps) == 400
+    # the pair scan solves 630 * 630 = 396,900 pairs
+    assert hits.solved <= 8 * (len(a.edges) + len(comps))
