@@ -7,12 +7,18 @@ intersection runs, and an optional point query.  Rationals travel as
 "p/q" strings; floats are rejected outright.
 
 SVG figure coordinates are the exact rationals floor-rounded to 4
-decimals, computed on one integer frame: every vertex is an int pair over
-D = 8 * lcm of the vertex-coordinate denominators, and each coordinate is
-written as one floor division num // den.  The quadrant panel maps an
-affine point (a/D, b/D) onto the unit triangle by the projective squash in
-closed form: with M = max(0, a, b), A = D + M, B = A - a, C = A - b and
-S = AB + AC + BC, the squash is (AC/S, AB/S).
+decimals, computed on the curve's own integer frame scaled by 8: every
+vertex is an int pair over D = 8 * curve.frame.den, and each coordinate is
+written from one floor division n = (10^4 * num) // den, as n // 10^4 and
+the decimal suffix of n % 10^4 read from a table.  The quadrant panel maps
+an affine point (a/D, b/D) onto the unit triangle by the projective squash
+in closed form: with M = max(0, a, b), A = D + M, B = A - a, C = A - b and
+S = AB + AC + BC, the squash is (u/s, v/s) = (AC/S, AB/S).  Its copy in
+quadrant eps is at x = 600 + 130u/s (eps0 = 0) or 600 - 130u/s (eps0 = 1)
+and y = 140 - 130v/s (eps1 = 0) or 140 + 130v/s (eps1 = 1); with
+q, r = divmod(1300000 * u, s), 10^4 times the rounded x is 6000000 + q or
+6000000 - q - (r > 0), and y likewise from v.  Locus shading clips the
+frame box on homogeneous int triples.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .curve import TropicalCurve, TropicalPolynomial, curve_from_polynomial, honeycomb
 from .errors import ParseError, ValidationError
-from .geometry import IVec, Point, convex_hull, hull_lattice_points, on_frame
+from .geometry import IVec, convex_hull, hull_lattice_points
 from .gf2 import PhaseLine
 from .realstruct import (
     EPS4,
@@ -157,7 +163,8 @@ def _normalize_curve(data, field: str) -> dict:
         raise ParseError("support must be a nonempty list of lattice points", field)
     if not isinstance(data["coefficients"], dict):
         raise ParseError("coefficients must be an object keyed by lattice points", field)
-    support = sorted({_parse_point(p, f"{field}.support") for p in data["support"]})
+    points = {_parse_point(p, f"{field}.support") for p in data["support"]}
+    support = sorted(points)
     if any(c < 0 for p in support for c in p):
         raise ValidationError("support points must have nonnegative coordinates", field)
     coeffs = {}
@@ -167,7 +174,7 @@ def _normalize_curve(data, field: str) -> dict:
     missing = [p for p in support if p not in coeffs]
     if missing:
         raise ValidationError(f"support points {missing} have no coefficient", field)
-    extra = [p for p in coeffs if p not in support]
+    extra = coeffs.keys() - points
     if extra:
         raise ValidationError(f"coefficients given outside the support: {sorted(extra)}", field)
     return {
@@ -204,7 +211,7 @@ def _normalize_structure(data, curve_data: dict, field: str) -> dict:
             missing = [p for p in lattice if p not in table]
             if missing:
                 raise ValidationError(f"signs missing for lattice points {missing}", field)
-            extra = [p for p in table if p not in lattice]
+            extra = table.keys() - set(lattice)
             if extra:
                 raise ValidationError(f"signs given off the polygon: {sorted(extra)}", field)
         else:
@@ -362,15 +369,34 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
 # -- SVG rendering --------------------------------------------------------
 #
 # A figure coordinate is an exact rational kept as two ints, num/den with
-# den > 0; a mapped point is the triple (x_num, y_num, den).
+# den > 0; a mapped point is the triple (x_num, y_num, den).  It is written
+# as the whole part of n = floor(10^4 * num / den) and the decimal suffix of
+# n mod 10^4, read from one table.
+
+_SUFFIXES: list[str] = []
+
+
+def _suffixes() -> list[str]:
+    """The suffix of f/10^4 for every f < 10^4: "" for 0, then ".0001", ...,
+    ".5", ....  Built on first use, so a process that never renders keeps no
+    table."""
+    if not _SUFFIXES:
+        _SUFFIXES.extend(f".{f:04d}".rstrip("0") if f else "" for f in range(10_000))
+    return _SUFFIXES
 
 
 def _fmt(num: int, den: int) -> str:
     """Fixed 4-decimal rendering of num/den, den > 0 (floor rounding)."""
     n = (10_000 * num) // den
-    whole, frac = divmod(abs(n), 10_000)
-    s = f"-{whole}" if n < 0 else str(whole)
-    return f"{s}.{frac:04d}".rstrip("0") if frac else s
+    suffix = _SUFFIXES or _suffixes()
+    if n < 0:
+        whole, frac = divmod(-n, 10_000)
+        return f"-{whole}{suffix[frac]}"
+    return f"{n // 10_000}{suffix[n % 10_000]}"
+
+
+def _pt(x: int, y: int, den: int) -> str:
+    return f"{_fmt(x, den)},{_fmt(y, den)}"
 
 
 def _triangle_point(a: int, b: int, den: int) -> tuple[int, int, int]:
@@ -402,57 +428,62 @@ def _ray_limit(a: int, b: int, den: int, direction: IVec) -> tuple[int, int, int
     raise ValueError(f"ray direction {direction} does not reach the boundary")
 
 
-class _Svg:
-    def __init__(self):
-        self.parts: list[str] = []
-
-    def add(self, tag: str, **attrs):
-        body = " ".join(f'{k.replace("_", "-")}="{v}"' for k, v in attrs.items())
-        self.parts.append(f"<{tag} {body}/>")
-
-    def open_group(self, **attrs):
-        body = " ".join(f'{k.replace("_", "-")}="{v}"' for k, v in attrs.items())
-        self.parts.append(f"<g {body}>")
-
-    def close_group(self):
-        self.parts.append("</g>")
-
-    def polyline(self, pts, **attrs):
-        data = " ".join(f"{_fmt(x, d)},{_fmt(y, d)}" for x, y, d in pts)
-        self.add("polyline", points=data, fill="none", **attrs)
-
-    def polygon(self, pts, **attrs):
-        data = " ".join(f"{_fmt(x, d)},{_fmt(y, d)}" for x, y, d in pts)
-        self.add("polygon", points=data, **attrs)
+def _quadrant_decimals(u: int, v: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """floor(10^4 * coordinate) of the triangle point (u/s, v/s), 0 <= u, v <= s,
+    in the quadrant panel: x = 600 + 130u/s and 600 - 130u/s for eps0 = 0, 1,
+    and y = 140 - 130v/s and 140 + 130v/s for eps1 = 0, 1.  One division
+    per coordinate gives both signs, and every value is nonnegative."""
+    q, r = divmod(1_300_000 * u, s)
+    xs = (6_000_000 + q, 6_000_000 - q - (r > 0))
+    q, r = divmod(1_300_000 * v, s)
+    return xs, (1_400_000 - q - (r > 0), 1_400_000 + q)
 
 
-def _clip_region(curve: TropicalCurve, alpha: IVec, box) -> list[Point]:
-    """Complement component of alpha clipped to the frame box."""
+def _quadrant_points(decimals, eps) -> str:
+    """The points attribute of one quadrant copy of a sampled polyline."""
+    suffix = _SUFFIXES or _suffixes()
+    e0, e1 = eps
+    return " ".join([
+        f"{xs[e0] // 10_000}{suffix[xs[e0] % 10_000]},{ys[e1] // 10_000}{suffix[ys[e1] % 10_000]}"
+        for xs, ys in decimals
+    ])
+
+
+def _clip_region(curve: TropicalCurve, alpha: IVec, box: tuple[int, int, int, int], den: int):
+    """Complement component of alpha clipped to the frame box
+    x0 <= x <= x1, y0 <= y <= y1, the box on the frame 1/den (den a
+    multiple of ``curve.frame.den``).
+
+    Sutherland-Hodgman against the half-plane of every other support
+    monomial, in support order.  A point is an int triple (X, Y, W) with
+    W > 0 standing for (X/(W*den), Y/(W*den)); the crossing of the line
+    F = 0 between points P and Q is Fp*Q - Fq*P (sign flipped so W > 0),
+    reduced by its gcd."""
     x0, x1, y0, y1 = box
-    poly: list[Point] = [
-        (Fraction(x0), Fraction(y0)),
-        (Fraction(x1), Fraction(y0)),
-        (Fraction(x1), Fraction(y1)),
-        (Fraction(x0), Fraction(y1)),
-    ]
-    a_alpha = curve.poly.coefficients[alpha]
+    poly = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
+    heights = curve.frame.heights
+    k = den // curve.frame.den
+    h_alpha = heights[alpha]
     for beta in curve.poly.support:
         if beta == alpha:
             continue
-        # keep (alpha - beta) . X >= a_beta - a_alpha
+        # keep (alpha - beta) . X >= a_beta - a_alpha, times W * den
         nx, ny = alpha[0] - beta[0], alpha[1] - beta[1]
-        c = curve.poly.coefficients[beta] - a_alpha
-        out: list[Point] = []
+        c = k * (heights[beta] - h_alpha)
+        values = [nx * x + ny * y - c * w for x, y, w in poly]
+        out = []
         m = len(poly)
         for i in range(m):
-            p, q = poly[i], poly[(i + 1) % m]
-            fp = nx * p[0] + ny * p[1] - c
-            fq = nx * q[0] + ny * q[1] - c
+            j = (i + 1) % m
+            p, q, fp, fq = poly[i], poly[j], values[i], values[j]
             if fp >= 0:
                 out.append(p)
-            if (fp > 0 and fq < 0) or (fp < 0 and fq > 0):
-                t = fp / (fp - fq)
-                out.append((p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t))
+            if fp * fq < 0:
+                if fp < 0:
+                    fp, fq = -fp, -fq
+                x, y, w = fp * q[0] - fq * p[0], fp * q[1] - fq * p[1], fp * q[2] - fq * p[2]
+                g = gcd(x, y, w)
+                out.append((x // g, y // g, w // g))
         poly = out
         if not poly:
             break
@@ -468,65 +499,58 @@ def render_svg(
 ) -> str:
     """Deterministic three-panel figure: dual subdivision, affine curve
     with twist markers and locus shading, and the four-quadrant real part."""
-    svg = _Svg()
-    # one integer frame: vertex k is (verts[k][0]/den, verts[k][1]/den); the
-    # factor 8 keeps edge samples at k/8 and edge midpoints on the frame
-    den = 8 * lcm(*(c.denominator for v in curve.vertices for c in v))
-    verts = [on_frame(x, y, den) for x, y in curve.vertices]
+    parts: list[str] = []
+    # the curve's integer frame times 8: vertex k is (verts[k][0]/den,
+    # verts[k][1]/den), and edge samples at k/8 and edge midpoints stay on it
+    frame = curve.frame
+    den = 8 * frame.den
+    verts = [(8 * x, 8 * y) for x, y in frame.vertices]
     xs = [v[0] for v in verts]
     ys = [v[1] for v in verts]
     x0, x1, y0, y1 = min(xs) - 2 * den, max(xs) + 2 * den, min(ys) - 2 * den, max(ys) + 2 * den
     span = max(x1 - x0, y1 - y0)
 
     # panel 1: dual subdivision, the largest i + j at 120px
-    svg.open_group(id="dual", transform="translate(20,20)")
+    parts.append('<g id="dual" transform="translate(20,20)">')
     maxsum = max(1, max(p[0] + p[1] for p in curve.dual.lattice_points))
-
-    def dmap(p):
-        return (120 * p[0], 140 * maxsum - 120 * p[1], maxsum)
-
+    lattice = {
+        p: (_fmt(120 * p[0], maxsum), _fmt(140 * maxsum - 120 * p[1], maxsum)) for p in curve.dual.lattice_points
+    }
     for cell in curve.dual.cells:
-        svg.polygon(
-            [dmap(p) for p in cell], fill="#f6f2e8", stroke="#777", stroke_width="0.8"
-        )
-    for p in curve.dual.lattice_points:
-        x, y, d = dmap(p)
-        svg.add("circle", cx=_fmt(x, d), cy=_fmt(y, d), r="2.4", fill="#333")
+        points = " ".join(",".join(lattice[p]) for p in cell)
+        parts.append(f'<polygon points="{points}" fill="#f6f2e8" stroke="#777" stroke-width="0.8"/>')
+    for p, (cx, cy) in lattice.items():
+        parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.4" fill="#333"/>')
         if delta is not None:
             label = "+" if delta.signs[p] > 0 else "−"
-            svg.parts.append(
-                f'<text x="{_fmt(x + 4 * d, d)}" y="{_fmt(y - 4 * d, d)}" font-size="9">{label}</text>'
-            )
-    svg.close_group()
+            x, y = _fmt(120 * p[0] + 4 * maxsum, maxsum), _fmt(136 * maxsum - 120 * p[1], maxsum)
+            parts.append(f'<text x="{x}" y="{y}" font-size="9">{label}</text>')
+    parts.append("</g>")
 
     # panel 2: affine curve, the frame box scaled to 220px
     def amap(a, b, k=1):
         """Figure point of the affine point (a/(k*den), b/(k*den))."""
         return (200 * span * k + 220 * (a - x0 * k), 20 * span * k + 220 * (y1 * k - b), span * k)
 
-    svg.open_group(id="curve", transform="translate(0,0)")
-    svg.polygon(
-        [amap(x0, y0), amap(x1, y0), amap(x1, y1), amap(x0, y1)],
-        fill="white", stroke="#aaa", stroke_width="0.8",
-    )
+    parts.append('<g id="curve" transform="translate(0,0)">')
+    box = " ".join(_pt(*amap(x, y)) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    parts.append(f'<polygon points="{box}" fill="white" stroke="#aaa" stroke-width="0.8"/>')
     if locus:
-        box = (Fraction(x0, den), Fraction(x1, den), Fraction(y0, den), Fraction(y1, den))
-        svg.open_group(id="locus")
+        parts.append('<g id="locus">')
         for alpha in sorted(locus):
-            region = _clip_region(curve, alpha, box)
+            region = _clip_region(curve, alpha, (x0, x1, y0, y1), den)
             if region:
-                pts = []
-                for px, py in region:
-                    k = lcm(px.denominator, py.denominator)
-                    pts.append(amap(*on_frame(px, py, k * den), k))
-                svg.polygon(pts, fill="#cfe6ff", stroke="none")
-        svg.close_group()
+                points = " ".join(_pt(*amap(x, y, w)) for x, y, w in region)
+                parts.append(f'<polygon points="{points}" fill="#cfe6ff" stroke="none"/>')
+        parts.append("</g>")
+    vertex_xy = [(_fmt(x, d), _fmt(y, d)) for x, y, d in (amap(a, b) for a, b in verts)]
     for e in curve.edges:
-        a, b = verts[e.tail]
+        start = ",".join(vertex_xy[e.tail])
         if e.bounded:
-            end = amap(*verts[e.head])
+            end = ",".join(vertex_xy[e.head])
         else:
             # the ray leaves the box (margin 2) at parameter n/k, in units of 1/den
+            a, b = verts[e.tail]
             dx, dy = e.direction
             exits = []
             if dx:
@@ -536,30 +560,26 @@ def render_svg(
             if len(exits) == 2 and exits[1][0] * exits[0][1] < exits[0][0] * exits[1][1]:
                 exits.reverse()
             n, k = exits[0]
-            end = amap(a * k + dx * n, b * k + dy * n, k)
-        svg.polyline([amap(a, b), end], stroke="#222", stroke_width="1.6")
+            end = _pt(*amap(a * k + dx * n, b * k + dy * n, k))
+        parts.append(f'<polyline points="{start} {end}" fill="none" stroke="#222" stroke-width="1.6"/>')
     if twists is not None:
-        svg.open_group(id="twist-markers")
+        parts.append('<g id="twist-markers">')
         for eid in sorted(twists.edges):
             e = curve.edges[eid]
             (a, b), (ha, hb) = verts[e.tail], verts[e.head]
             x, y, d = amap((a + ha) // 2, (b + hb) // 2)
-            svg.add("circle", cx=_fmt(x, d), cy=_fmt(y, d), r="3.2", fill="#1f6fbf")
-        svg.close_group()
-    for a, b in verts:
-        x, y, d = amap(a, b)
-        svg.add("circle", cx=_fmt(x, d), cy=_fmt(y, d), r="1.8", fill="#000")
-    svg.close_group()
+            parts.append(f'<circle cx="{_fmt(x, d)}" cy="{_fmt(y, d)}" r="3.2" fill="#1f6fbf"/>')
+        parts.append("</g>")
+    for cx, cy in vertex_xy:
+        parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.8" fill="#000"/>')
+    parts.append("</g>")
 
     # panel 3: four-quadrant real part on the diamond model
-    def qmap(u, v, s, eps):
-        return (600 * s + (-130 if eps[0] else 130) * u, 140 * s - (-130 if eps[1] else 130) * v, s)
-
-    svg.open_group(id="quadrants")
+    parts.append('<g id="quadrants">')
+    triangle = [_quadrant_decimals(u, v, 1) for u, v in ((0, 0), (1, 0), (0, 1))]
     for eps in EPS4:
-        svg.polygon(
-            [qmap(0, 0, 1, eps), qmap(1, 0, 1, eps), qmap(0, 1, 1, eps)],
-            fill="none", stroke="#bbb", stroke_width="0.8",
+        parts.append(
+            f'<polygon points="{_quadrant_points(triangle, eps)}" fill="none" stroke="#bbb" stroke-width="0.8"/>'
         )
     # mirror copies need the projective compactification, so a degree
     if phase is not None and curve.degree is not None:
@@ -576,13 +596,13 @@ def render_svg(
                     _triangle_point(a + dx * t * den, b + dy * t * den, den) for t in (0, 1, 2, 4, 8, 16, 64)
                 ]
                 samples.append(_ray_limit(a, b, den, e.direction))
+            decimals = [_quadrant_decimals(u, v, s) for u, v, s in samples]
             for eps in sorted(phase.lines[e.index].elements):
-                svg.polyline(
-                    [qmap(u, v, s, eps) for u, v, s in samples], stroke="#b03030", stroke_width="1.2"
-                )
-    svg.close_group()
+                points = _quadrant_points(decimals, eps)
+                parts.append(f'<polyline points="{points}" fill="none" stroke="#b03030" stroke-width="1.2"/>')
+    parts.append("</g>")
 
-    body = "\n".join(svg.parts)
+    body = "\n".join(parts)
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'width="760" height="300" viewBox="0 0 760 300">\n'

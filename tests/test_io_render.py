@@ -3,13 +3,15 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from tropcurve import (
     SignDistribution,
+    TropicalPolynomial,
     build_scenario,
     curve_from_polynomial,
     honeycomb,
@@ -21,7 +23,7 @@ from tropcurve import (
     twists_from_signs,
 )
 from tropcurve.errors import ParseError, TropcurveError, ValidationError
-from tropcurve.selfcheck import random_lift, random_sign_distribution
+from tropcurve.selfcheck import pair_scan_curve, random_lift, random_sign_distribution
 
 
 def test_shorthand_constant_signs():
@@ -252,6 +254,58 @@ def test_render_bytes_match_golden_digests():
     assert all(not _quadrant_polylines(s) for s in groups["other-support"])
 
 
+def _large_and_mixed_corpus():
+    """Seeded renders: honeycombs d=9, 10, 12 (and d=9 locus-shaded), and
+    translated lifts with mixed coefficient denominators, every second one
+    with all coefficients raised by 1/13 so that its frame denominator is
+    13 times the vertex lcm."""
+    rng = random.Random(12)
+    groups = {"honeycomb-large": [], "mixed-denominator": []}
+    for d in (9, 10, 12):
+        c = honeycomb(d)
+        delta = random_sign_distribution(rng, c)
+        phase = phase_from_signs(c, delta)
+        groups["honeycomb-large"].append(render_svg(c, phase, twists_from_signs(c, delta), None, delta))
+    c = honeycomb(9)
+    delta = SignDistribution.constant(c)
+    phase = phase_from_signs(c, delta)
+    locus = hyperbolicity_locus(c, phase).locus
+    groups["honeycomb-large"].append(render_svg(c, phase, twists_from_signs(c, delta), locus, delta))
+    offsets = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(-5, 6), Fraction(3, 10)), (Fraction(7, 9), Fraction(0))]
+    wide_frames = 0
+    while len(groups["mixed-denominator"]) < 40:
+        k = len(groups["mixed-denominator"])
+        poly = random_lift(rng)
+        if len({a.denominator for a in poly.coefficients.values()}) < 2:
+            continue
+        if k % 2:
+            poly = TropicalPolynomial({p: a + Fraction(1, 13) for p, a in poly.coefficients.items()})
+        try:
+            c = curve_from_polynomial(poly)
+        except TropcurveError:
+            continue
+        c = c.translated(offsets[k % 3])
+        wide_frames += c.frame.den > lcm(*(x.denominator for v in c.vertices for x in v))
+        delta = random_sign_distribution(rng, c)
+        phase = phase_from_signs(c, delta)
+        twists = twists_from_signs(c, delta)
+        locus = hyperbolicity_locus(c, phase).locus if c.degree is not None else None
+        groups["mixed-denominator"].append(render_svg(c, phase, twists, locus, delta))
+    return groups, wide_frames
+
+
+def test_render_bytes_match_golden_digests_large_and_mixed():
+    groups, wide_frames = _large_and_mixed_corpus()
+    digests = {k: (len(v), hashlib.sha256("".join(v).encode()).hexdigest()[:16]) for k, v in groups.items()}
+    assert digests == {
+        "honeycomb-large": (4, "45ed5ef4cf871f2d"),
+        "mixed-denominator": (40, "a263eccd34630e37"),
+    }
+    assert wide_frames == 20
+    shaded = [s for s in groups["mixed-denominator"] if '<g id="locus">' in s]
+    assert sum("<polygon " in s.split('<g id="locus">')[1].split("</g>")[0] for s in shaded) >= 10
+
+
 # Reference definitions over Fraction for the integer closed forms in io_render.
 
 
@@ -312,3 +366,111 @@ def test_integer_formatter_matches_fraction_formatter(num, den):
     from tropcurve.io_render import _fmt
 
     assert _fmt(num, den) == _fmt_reference(Fraction(num, den))
+
+
+@seed(12)
+@settings(max_examples=400, deadline=None, database=None)
+@given(s=st.integers(1, 10**12), u_part=st.fractions(0, 1), v_part=st.fractions(0, 1))
+@example(s=13, u_part=Fraction(1), v_part=Fraction(0))  # u = s, v = 0: both remainders 0
+@example(s=13, u_part=Fraction(1, 13), v_part=Fraction(2, 13))  # 1300000 * u divisible by s
+@example(s=7, u_part=Fraction(3, 7), v_part=Fraction(1))  # a remainder, v = s
+def test_quadrant_closed_forms_match_fraction_definitions(s, u_part, v_part):
+    from tropcurve.io_render import _quadrant_decimals, _quadrant_points
+
+    u, v = int(u_part * s), int(v_part * s)
+    decimals = [_quadrant_decimals(u, v, s)]
+    for eps in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x = 600 + (-130 if eps[0] else 130) * Fraction(u, s)
+        y = 140 - (-130 if eps[1] else 130) * Fraction(v, s)
+        assert _quadrant_points(decimals, eps) == f"{_fmt_reference(x)},{_fmt_reference(y)}"
+
+
+def _structures(curve, delta):
+    phase = phase_from_signs(curve, delta)
+    locus = hyperbolicity_locus(curve, phase).locus if curve.degree is not None else None
+    return phase, twists_from_signs(curve, delta), locus, delta
+
+
+def test_render_does_not_depend_on_the_construction_or_the_frame():
+    # the pair scan's frame is built from its Fraction vertices, a translated
+    # copy's frame is over lcm(den, offset denominators): the bytes agree
+    rng = random.Random(120)
+    built = 0
+    while built < 40:
+        poly = random_lift(rng)
+        try:
+            curve = curve_from_polynomial(poly)
+        except TropcurveError:
+            continue
+        built += 1
+        delta = random_sign_distribution(rng, curve)
+        svg = render_svg(curve, *_structures(curve, delta))
+        assert svg == render_svg(pair_scan_curve(poly), *_structures(pair_scan_curve(poly), delta))
+        if built % 4:
+            continue
+        moved = curve
+        for _ in range(3):
+            offset = tuple(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12, 101))) for _ in range(2))
+            moved = moved.translated(offset)
+            twin = pair_scan_curve(moved.poly)
+            assert render_svg(moved, *_structures(moved, delta)) == render_svg(twin, *_structures(twin, delta))
+
+
+def _clip_reference(curve, alpha, box):
+    """The clip over Fraction on the curve's own coordinates."""
+    x0, x1, y0, y1 = box
+    poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    a_alpha = curve.poly.coefficients[alpha]
+    for beta in curve.poly.support:
+        if beta == alpha:
+            continue
+        nx, ny = alpha[0] - beta[0], alpha[1] - beta[1]
+        c = curve.poly.coefficients[beta] - a_alpha
+        out = []
+        m = len(poly)
+        for i in range(m):
+            p, q = poly[i], poly[(i + 1) % m]
+            fp = nx * p[0] + ny * p[1] - c
+            fq = nx * q[0] + ny * q[1] - c
+            if fp >= 0:
+                out.append(p)
+            if (fp > 0 and fq < 0) or (fp < 0 and fq > 0):
+                t = fp / (fp - fq)
+                out.append((p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t))
+        poly = out
+        if not poly:
+            break
+    return poly
+
+
+def test_integer_clip_matches_the_fraction_clip():
+    from tropcurve.io_render import _clip_region
+
+    rng = random.Random(121)
+    curves = [honeycomb(d) for d in (1, 3, 5)]
+    while len(curves) < 20:
+        try:
+            curves.append(curve_from_polynomial(random_lift(rng)))
+        except TropcurveError:
+            continue
+    empty = corners = 0
+    for curve in curves:
+        den = 8 * curve.frame.den * rng.choice((1, 3))
+        k = den // curve.frame.den
+        xs = [k * x for x, _ in curve.frame.vertices]
+        ys = [k * y for _, y in curve.frame.vertices]
+        boxes = [(min(xs) - 2 * den, max(xs) + 2 * den, min(ys) - 2 * den, max(ys) + 2 * den)]
+        # boxes with a curve vertex as a corner, and a box far from the curve
+        for vx, vy in rng.sample(list(zip(xs, ys)), min(3, len(xs))):
+            boxes.append((vx, vx + rng.randint(1, 3 * den), vy - rng.randint(1, 3 * den), vy))
+        boxes.append((max(xs) + 50 * den, max(xs) + 51 * den, max(ys) + 50 * den, max(ys) + 51 * den))
+        for box in boxes:
+            frac_box = tuple(Fraction(b, den) for b in box)
+            for alpha in curve.dual.lattice_points:
+                got = _clip_region(curve, alpha, box, den)
+                assert all(w > 0 for _, _, w in got)
+                want = _clip_reference(curve, alpha, frac_box)
+                assert [(Fraction(x, w * den), Fraction(y, w * den)) for x, y, w in got] == want
+                empty += not got
+                corners += any(p in want for p in ((frac_box[0], frac_box[3]), (frac_box[1], frac_box[2])))
+    assert empty > 100 and corners > 100
