@@ -178,9 +178,9 @@ class TropicalCurve:
         # dual cell of each vertex, aligned by construction
         self.vertex_cell: tuple[tuple[IVec, IVec, IVec], ...] = dual.cells
         self._primitive_cycles: tuple[PrimitiveCycle, ...] | None = None
-        # filled once per curve by realstruct: the cycle bit rows and Div(C)
-        self._cycle_rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        self._div_space = None
+        # realstruct's per-curve rule tables, one piece per route, each
+        # built on first use; translated copies share the dict
+        self._real_tables: dict = {}
         self._frame = frame
         self._region_edges: dict[IVec, tuple[int, ...]] | None = None
 

@@ -48,7 +48,13 @@ class Gf2Vector:
         return (self.bits & other.bits).bit_count() & 1
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if self.bit(i))
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
     @property
     def is_zero(self) -> bool:
@@ -63,18 +69,23 @@ class Gf2Vector:
         return [self.bit(i) for i in range(self.length)]
 
 
-def _reduce_rows(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Row-reduce in place (lowest pivot index first).
+def _reduce_rows(rows: list[int], width: int | None = None) -> tuple[list[int], list[int], list[int]]:
+    """Row-reduce (lowest pivot index first).
 
-    Returns (reduced nonzero rows, pivot columns), both sorted by pivot.
+    Bits from ``width`` up are tags: they ride along with every row
+    operation but are never pivoted on.  Returns the reduced rows that are
+    nonzero below ``width`` and their pivot columns, both sorted by pivot,
+    and the rows that reduced to zero below it.
     """
+    low = -1 if width is None else (1 << width) - 1
     basis: list[int] = []   # basis[k] has pivot pivots[k]
     pivots: list[int] = []
+    null: list[int] = []
     for row in rows:
         for b, p in zip(basis, pivots):
             if (row >> p) & 1:
                 row ^= b
-        if row:
+        if row & low:
             p = (row & -row).bit_length() - 1
             # insert keeping pivots sorted, then back-substitute
             idx = 0
@@ -85,7 +96,9 @@ def _reduce_rows(rows: list[int]) -> tuple[list[int], list[int]]:
             for k in range(len(basis)):
                 if k != idx and (basis[k] >> p) & 1:
                     basis[k] ^= row
-    return basis, pivots
+        else:
+            null.append(row)
+    return basis, pivots, null
 
 
 @dataclass(frozen=True)
@@ -135,7 +148,7 @@ class Gf2Matrix:
         return Gf2Vector(self.rows, out)
 
     def rank(self) -> int:
-        basis, _ = _reduce_rows(list(self.row_bits))
+        basis, _, _ = _reduce_rows(list(self.row_bits))
         return len(basis)
 
 
@@ -149,7 +162,7 @@ class Gf2Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Gf2Vector]) -> "Gf2Subspace":
         rows = [v.bits for v in vectors]
-        reduced, _ = _reduce_rows(rows)
+        reduced, _, _ = _reduce_rows(rows)
         return cls(ambient_dim, tuple(Gf2Vector(ambient_dim, r) for r in reduced))
 
     @property
@@ -194,7 +207,7 @@ class Gf2Subspace:
         """Rows c with c.x = 0 cutting out exactly this subspace."""
         n = self.ambient_dim
         rows = [b.bits for b in self.basis]
-        reduced, pivots = _reduce_rows(rows)
+        reduced, pivots, _ = _reduce_rows(rows)
         pivot_set = set(pivots)
         free = [j for j in range(n) if j not in pivot_set]
         out = []
@@ -237,8 +250,12 @@ class AffineFlat:
 
 def kernel(m: Gf2Matrix) -> Gf2Subspace:
     """Basis of {v : m.v = 0}; dim = cols - rank, verified."""
-    n = m.cols
-    reduced, pivots = _reduce_rows(list(m.row_bits))
+    reduced, pivots, _ = _reduce_rows(list(m.row_bits))
+    return _kernel(reduced, pivots, m.cols)
+
+
+def _kernel(reduced: Sequence[int], pivots: Sequence[int], n: int) -> Gf2Subspace:
+    """The kernel of a matrix in reduced row echelon form."""
     pivot_set = set(pivots)
     basis = []
     for j in range(n):
@@ -252,6 +269,55 @@ def kernel(m: Gf2Matrix) -> Gf2Subspace:
     space = Gf2Subspace.from_vectors(n, basis)
     assert space.dim + len(reduced) == n, "rank-nullity violated"
     return space
+
+
+@dataclass(frozen=True)
+class Gf2Factoring:
+    """The row reduction of a fixed system {row_k . x = b_k}, kept so that
+    each right-hand side b (bit k = b_k) is solved by popcounts.
+
+    ``combos[i]`` is a set of input rows that sums to the reduced row with
+    pivot ``pivots[i]``, and each of ``null`` a set that sums to zero.  The
+    system is inconsistent iff b is odd on one of ``null``; otherwise the
+    solution with free coordinates 0 has pivot bit p = b . combo_p.  The
+    reduced rows are unique under the lowest-pivot rule, so that solution
+    is the offset ``solve_affine`` returns.
+    """
+
+    cols: int
+    reduced: tuple[int, ...]
+    pivots: tuple[int, ...]
+    combos: tuple[int, ...]
+    null: tuple[int, ...]
+
+    def solve(self, rhs: int) -> int | None:
+        """The solution bits with free coordinates 0, or None."""
+        for z in self.null:
+            if (rhs & z).bit_count() & 1:
+                return None
+        x = 0
+        for p, c in zip(self.pivots, self.combos):
+            if (rhs & c).bit_count() & 1:
+                x |= 1 << p
+        return x
+
+    def kernel(self) -> Gf2Subspace:
+        return _kernel(self.reduced, self.pivots, self.cols)
+
+
+def factor(rows: Sequence[int], cols: int) -> Gf2Factoring:
+    """Factor the system matrix with the given bit rows, each tagged with
+    its index above bit ``cols``."""
+    tagged = [r | 1 << (cols + k) for k, r in enumerate(rows)]
+    basis, pivots, null = _reduce_rows(tagged, cols)
+    low = (1 << cols) - 1
+    return Gf2Factoring(
+        cols,
+        tuple(b & low for b in basis),
+        tuple(pivots),
+        tuple(b >> cols for b in basis),
+        tuple(z >> cols for z in null),
+    )
 
 
 def solve_affine(
@@ -270,17 +336,11 @@ def solve_affine(
     for c, _ in constraints:
         if c.length != n:
             raise ValueError("mixed ambient dimensions")
-    # augmented rows: constraint bits plus rhs in bit n
-    aug = [c.bits | ((b & 1) << n) for c, b in constraints]
-    reduced, pivots = _reduce_rows(aug)
-    particular = 0
-    for b, p in zip(reduced, pivots):
-        if p == n:
-            return None  # row 0 = 1
-        if (b >> n) & 1:
-            particular |= 1 << p
-    hom = Gf2Matrix(len(constraints), n, tuple(c.bits for c, _ in constraints))
-    return AffineFlat(Gf2Vector(n, particular), kernel(hom))
+    fac = factor([c.bits for c, _ in constraints], n)
+    particular = fac.solve(sum((b & 1) << k for k, (_, b) in enumerate(constraints)))
+    if particular is None:
+        return None
+    return AffineFlat(Gf2Vector(n, particular), fac.kernel())
 
 
 _LINE_NORMALS = {(1, 0): (0, 1), (0, 1): (1, 0), (1, 1): (1, 1)}
@@ -291,6 +351,8 @@ class PhaseLine:
     """1-dimensional affine line {a, a + direction} in (Z/2)^2.
 
     Stored canonically: rep is the lexicographically smaller element.
+    ``level`` is the invariant bit rep.n for n the normal of the direction
+    class; together with the direction it pins the line down completely.
     """
 
     rep: tuple[int, int]
@@ -302,8 +364,10 @@ class PhaseLine:
         if d == (0, 0):
             raise ValueError("phase line needs a nonzero direction")
         other = (r[0] ^ d[0], r[1] ^ d[1])
+        n = _LINE_NORMALS[d]
         object.__setattr__(self, "rep", min(r, other))
         object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "level", (r[0] * n[0] + r[1] * n[1]) & 1)
 
     @property
     def elements(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -316,22 +380,18 @@ class PhaseLine:
         return e in self.elements
 
     def translate(self, eps: tuple[int, int]) -> "PhaseLine":
-        return PhaseLine((self.rep[0] ^ (eps[0] & 1), self.rep[1] ^ (eps[1] & 1)), self.direction)
-
-    @property
-    def level(self) -> int:
-        """Invariant bit rep.n for n the normal of the direction class.
-
-        Together with the direction it pins the line down completely.
-        """
         n = _LINE_NORMALS[self.direction]
-        return (self.rep[0] * n[0] + self.rep[1] * n[1]) & 1
+        return PHASE_LINES[self.direction, self.level ^ ((eps[0] * n[0] + eps[1] * n[1]) & 1)]
 
     @classmethod
     def from_level(cls, direction: tuple[int, int], level: int) -> "PhaseLine":
-        d = (direction[0] & 1, direction[1] & 1)
-        n = _LINE_NORMALS[d]
-        for a in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            if (a[0] * n[0] + a[1] * n[1]) & 1 == (level & 1):
-                return cls(a, d)
-        raise AssertionError("unreachable")
+        return PHASE_LINES[(direction[0] & 1, direction[1] & 1), level & 1]
+
+
+# the six phase lines, keyed by (direction class, level); the lines the
+# library builds are these objects, and other lines compare equal by value
+PHASE_LINES: dict[tuple[tuple[int, int], int], PhaseLine] = {
+    (d, (a[0] * n[0] + a[1] * n[1]) & 1): PhaseLine(a, d)
+    for d, n in _LINE_NORMALS.items()
+    for a in ((0, 0), (1, 0), (0, 1))
+}

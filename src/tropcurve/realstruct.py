@@ -9,13 +9,22 @@ and all four corner copies coincide).  The gluing is read off the Newton
 polygon's sides: the d rays with a stratum's outward direction each meet
 it at one point, where the ray's two copies glue, and the regions along
 the stratum are the lattice points of the dual side.  Components, ovals and nesting are
-computed on that cell structure, built once per real part on ints; the
-count 1 + dim ker A_T is computed independently from the twist matrix so
-the two routes can be checked against each other.
+computed on that cell structure; the count 1 + dim ker A_T is computed
+independently from the twist matrix so the two routes can be checked
+against each other.
+
+Each curve compiles its rules once into int tables (``curve._real_tables``),
+one piece per route, built on the route's first call (``_piece``) and
+shared by the curve's translated copies.  A phase structure is read as one level bit
+per edge, since the curve fixes each edge's direction class, and a sign
+distribution as one bit per lattice point; conversions, twist solving
+and the cell model are then popcounts and XORs over those bits.
 
 Production routes: twisted edges come from signs by the sign rule and
-from a phase structure by the sidedness rule, which intersect and
-hyperbolic reuse.  That the rules agree, that phase_from_twists inverts
+from a phase structure by the compiled sidedness rule, which intersect
+and hyperbolic reuse through ``edge_twisted``.  The geometric sidedness
+rule (continuations at each end, ``selfcheck.edge_twisted_geometric``) is
+its oracle.  That the rules agree, that phase_from_twists inverts
 twists_from_phase, and that the cell model's report matches a fresh
 union-find per cut (selfcheck.cut_scan_components) are oracle checks in
 selfcheck and the tests.
@@ -24,21 +33,29 @@ selfcheck and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, wraps
 from typing import Callable, Iterable
 
 from .curve import STRATA, STRATUM_GLUE, STRATUM_RAY_DIR, TropicalCurve, primitive_cycles
 from .errors import NotAdmissible, UnknownPoint, ValidationError
 from .geometry import IVec, det2
-from .gf2 import Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, kernel, solve_affine
+from .gf2 import PHASE_LINES, Gf2Factoring, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, factor, kernel
 
 EPS4 = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 Eps = tuple[int, int]
 
+# the set bits of each 4-bit mask, lowest first
+_BITS = tuple(tuple(c for c in range(4) if m >> c & 1) for m in range(16))
+
 
 def _xor(a: Eps, b: Eps) -> Eps:
     return (a[0] ^ b[0], a[1] ^ b[1])
+
+
+def _code(eps: Eps) -> int:
+    """Index of eps in EPS4; an edge copy (eid, eps) is 4*eid + _code(eps)."""
+    return 2 * eps[0] + eps[1]
 
 
 @dataclass
@@ -53,12 +70,7 @@ class SignDistribution:
                 raise ValueError(f"sign at {v} must be +-1")
 
     def validate_for(self, curve: TropicalCurve) -> None:
-        need = set(curve.dual.lattice_points)
-        have = set(self.signs)
-        if need - have:
-            raise ValidationError(f"sign distribution misses lattice points {sorted(need - have)}")
-        if have - need:
-            raise ValidationError(f"sign distribution has extra points {sorted(have - need)}")
+        _base(curve).minus(self)
 
     def resign(self, eps: Eps) -> "SignDistribution":
         """Symmetric re-signing v -> (-1)^(eps.v) * sign(v)."""
@@ -91,67 +103,7 @@ class RealPhaseStructure:
         return RealPhaseStructure(tuple(ln.translate(eps) for ln in self.lines))
 
     def validate_for(self, curve: TropicalCurve) -> None:
-        if len(self.lines) != len(curve.edges):
-            raise ValidationError("phase structure does not cover every edge")
-        for e in curve.edges:
-            want = (e.direction[0] & 1, e.direction[1] & 1)
-            if self.lines[e.index].direction != want:
-                raise ValidationError(
-                    f"edge {e.index}: phase direction {self.lines[e.index].direction} != {want}"
-                )
-        for v, incident in enumerate(curve.vertex_edges):
-            if sum(self.lines[eid].level for eid in incident) % 2 != 1:
-                raise ValidationError(f"vertex {v}: phase lines share a common point")
-
-
-def phase_from_signs(curve: TropicalCurve, delta: SignDistribution) -> RealPhaseStructure:
-    """Phase line of each edge: symmetries whose copy of the dual edge
-    has opposite extended signs at its endpoints.
-
-    The eps-copy signs at p and q differ iff eps.(q - p) = 1 + [delta_p !=
-    delta_q] (mod 2), and (q - p) mod 2 is the normal of the edge's
-    direction class, so that bit is the level of the edge's line.
-    """
-    delta.validate_for(curve)
-    signs = delta.signs
-    phase = RealPhaseStructure(tuple(
-        PhaseLine.from_level(e.direction, 1 ^ (signs[e.dual[0]] != signs[e.dual[1]]))
-        for e in curve.edges
-    ))
-    phase.validate_for(curve)
-    return phase
-
-
-def signs_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> SignDistribution:
-    """A sign distribution inducing the phase structure (the other is its
-    negation).  Propagates sign flips over the subdivision edges: the
-    identity copy of an edge is drawn iff the endpoint signs differ."""
-    phase.validate_for(curve)
-    flip: dict[frozenset, bool] = {}
-    adj: dict[IVec, list[IVec]] = {pt: [] for pt in curve.dual.lattice_points}
-    for e in curve.edges:
-        p, q = e.dual
-        flip[frozenset((p, q))] = phase.lines[e.index].contains((0, 0))
-        adj[p].append(q)
-        adj[q].append(p)
-    signs: dict[IVec, int] = {}
-    root = curve.dual.lattice_points[0]
-    signs[root] = 1
-    stack = [root]
-    while stack:
-        p = stack.pop()
-        for q in adj[p]:
-            s = -signs[p] if flip[frozenset((p, q))] else signs[p]
-            if q in signs:
-                if signs[q] != s:
-                    raise ValidationError("phase structure is not induced by any sign distribution")
-            else:
-                signs[q] = s
-                stack.append(q)
-    if len(signs) != len(curve.dual.lattice_points):
-        raise AssertionError("dual subdivision graph is disconnected")
-    delta = SignDistribution(signs)
-    return delta
+        _base(curve).levels(self)
 
 
 @dataclass(frozen=True)
@@ -180,37 +132,320 @@ class TwistSet:
         return cls(ids, vector)
 
 
-def _opposite_cell_vertices(curve: TropicalCurve, eid: int) -> tuple[IVec, IVec]:
-    """Third point of the dual cell of each end of the bounded edge, the
-    lower vertex index first."""
+# -- the per-curve tables -------------------------------------------------
+
+
+def _parities(bits: int, masks: tuple[int, ...], offsets: int) -> int:
+    """Bit k is the parity of bits & masks[k], flipped by bit k of offsets."""
+    out = offsets
+    for k, mask in enumerate(masks):
+        if (bits & mask).bit_count() & 1:
+            out ^= 1 << k
+    return out
+
+
+def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
     e = curve.edges[eid]
-    v3, v4 = (
-        next(x for x in curve.vertex_cell[v] if x not in e.dual)
-        for v in sorted((e.tail, e.head))
-    )
-    return v3, v4
+    if e.tail == v:
+        return e.direction
+    assert e.bounded and e.head == v
+    return (-e.direction[0], -e.direction[1])
 
 
-def _twist_sign_rule(curve: TropicalCurve, eid: int) -> tuple[tuple[IVec, ...], int]:
-    """Sign rule for a bounded edge: the cell vertices whose signs decide
-    it (the two opposite ones when they agree mod 2, else all four) and an
-    offset; it is twisted iff their minus signs plus the offset are odd."""
-    p, q = curve.edges[eid].dual
-    v3, v4 = _opposite_cell_vertices(curve, eid)
-    if (v3[0] - v4[0]) % 2 == 0 and (v3[1] - v4[1]) % 2 == 0:
-        return (v3, v4), 0
-    return (p, q, v3, v4), 1
+# bits _code(eps) of the two elements of each phase line, by (class, level)
+_ON_MASKS = {
+    cls: tuple(sum(1 << _code(eps) for eps in PHASE_LINES[cls, level].elements) for level in (0, 1))
+    for cls, _ in PHASE_LINES
+}
+
+
+class _Base:
+    """The lattice point index, each edge's dual index pair and direction
+    class, and one incident-edge bitmask per vertex.  Reads a sign
+    distribution into a bit per lattice point and a phase structure into
+    a level bit per edge, checking each against the curve."""
+
+    def __init__(self, curve: TropicalCurve):
+        self.points = curve.dual.lattice_points
+        self.point_bit = {p: 1 << k for k, p in enumerate(self.points)}
+        index = {p: k for k, p in enumerate(self.points)}
+        self.duals = tuple((index[e.dual[0]], index[e.dual[1]]) for e in curve.edges)
+        self.classes = tuple((e.direction[0] & 1, e.direction[1] & 1) for e in curve.edges)
+        # the edge's phase line at level 0 and at level 1
+        self.line_pairs = tuple((PHASE_LINES[c, 0], PHASE_LINES[c, 1]) for c in self.classes)
+        self.vmasks = tuple(sum(1 << eid for eid in incident) for incident in curve.vertex_edges)
+
+    def minus(self, delta: SignDistribution) -> int:
+        """Bit k is set iff lattice point k has sign -1."""
+        signs = delta.signs
+        if signs.keys() != self.point_bit.keys():
+            need, have = set(self.point_bit), set(signs)
+            if need - have:
+                raise ValidationError(f"sign distribution misses lattice points {sorted(need - have)}")
+            raise ValidationError(f"sign distribution has extra points {sorted(have - need)}")
+        bit = self.point_bit
+        return sum(bit[p] for p, s in signs.items() if s < 0)
+
+    def levels(self, phase: RealPhaseStructure) -> int:
+        """Bit e is the level of edge e's phase line."""
+        lines = phase.lines
+        if len(lines) != len(self.classes):
+            raise ValidationError("phase structure does not cover every edge")
+        levels = 0
+        for e, (line, want) in enumerate(zip(lines, self.classes)):
+            if line.direction != want:
+                raise ValidationError(f"edge {e}: phase direction {line.direction} != {want}")
+            if line.level:
+                levels |= 1 << e
+        for v, mask in enumerate(self.vmasks):
+            if not (levels & mask).bit_count() & 1:
+                raise ValidationError(f"vertex {v}: phase lines share a common point")
+        return levels
+
+    def phase_of_signs(self, minus: int) -> RealPhaseStructure:
+        """The phase structure induced by the signs with the given minus
+        bits: an edge's level is 1 iff its dual endpoints agree."""
+        return RealPhaseStructure(tuple(
+            pair[1 ^ ((minus >> i ^ minus >> j) & 1)] for pair, (i, j) in zip(self.line_pairs, self.duals)
+        ))
+
+
+class _Cells:
+    """The parts of the quadrant cell model that do not depend on the
+    phase.
+
+    Atom 4*k + c is (lattice point k, EPS4[c]); ``glued`` is the atom
+    parent array glued along the strata, and ``edge_atoms`` holds the
+    atoms 4*k of each edge's dual endpoints.  Cell weights are doubled so
+    that each vertex copy on the real part can give half its weight to
+    each of its two edge copies there: ``weight2`` is every cell's doubled
+    weight per atom.  Edge copy x = 4*eid + c carries ``copy_cell2[x]`` at
+    its first dual atom (its own cell and, for the lesser copy of a ray,
+    the boundary point where the ray's two copies glue) and half of each
+    end vertex copy at ``vertex_atoms``.
+    """
+
+    def __init__(self, curve: TropicalCurve, base: _Base):
+        d = curve.require_degree()
+        edges = curve.edges
+        ray_glue = [0] * len(edges)
+        for s in STRATA:
+            rays = [e.index for e in edges if not e.bounded and e.direction == STRATUM_RAY_DIR[s]]
+            if len(rays) != d:
+                raise AssertionError("each boundary stratum must carry exactly d rays")
+            for eid in rays:
+                ray_glue[eid] = _code(STRATUM_GLUE[s])
+        # both copies of a ray are drawn or neither
+        self.copy_cell2 = tuple(0 if g and c < c ^ g else -2 for g in ray_glue for c in range(4))
+        atom = {p: 4 * k for k, p in enumerate(base.points)}
+        self.edge_atoms = tuple((atom[e.dual[0]], atom[e.dual[1]]) for e in edges)
+        self.vertex_atoms = tuple(atom[cell[0]] for cell in curve.vertex_cell)
+        parent = list(range(4 * len(base.points)))
+        for p, a in atom.items():
+            for s in curve.strata_of_point(p):
+                g = _code(STRATUM_GLUE[s])
+                for c in range(4):
+                    _union(parent, a + c, a + (c ^ g))
+        self.glued = parent
+
+        weight2 = [2] * len(parent)
+        for eid, (a, _) in enumerate(self.edge_atoms):
+            for c in range(4):
+                weight2[a + c] += self.copy_cell2[4 * eid + c]
+        for s in STRATA:
+            g = _code(STRATUM_GLUE[s])
+            # one interval of the stratum per lattice point of the dual side
+            for alpha in curve.side_points(s):
+                for c in {min(c, c ^ g) for c in range(4)}:
+                    weight2[atom[alpha] + c] -= 2
+        for a in self.vertex_atoms:
+            for c in range(4):
+                weight2[a + c] += 2
+        for corner in ((0, 0), (d, 0), (0, d)):
+            weight2[atom[corner]] += 2
+        self.weight2 = tuple(weight2)
+
+
+def _piece(build):
+    """A piece of a curve's real-structure tables: ``build(curve)`` runs on
+    the first call for the curve, and the result is kept in
+    ``curve._real_tables``, which the curve's translated copies share."""
+    name = build.__name__
+
+    @wraps(build)
+    def get(curve: TropicalCurve):
+        tables = curve._real_tables
+        try:
+            return tables[name]
+        except KeyError:
+            piece = tables[name] = build(curve)
+            return piece
+
+    return get
+
+
+_base = _piece(_Base)
+
+
+@_piece
+def _sign_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
+    """Per bounded edge, the lattice points whose minus signs decide its
+    twist (the two cell vertices opposite it when they agree mod 2, else
+    all four) as a mask, and the offsets as one int."""
+    bit = _base(curve).point_bit
+    masks, offsets = [], 0
+    for k, eid in enumerate(curve.bounded_edges):
+        e = curve.edges[eid]
+        p, q = e.dual
+        v3, v4 = (next(x for x in curve.vertex_cell[v] if x not in e.dual) for v in (e.tail, e.head))
+        if (v3[0] - v4[0]) % 2 == 0 and (v3[1] - v4[1]) % 2 == 0:
+            masks.append(bit[v3] | bit[v4])
+        else:
+            masks.append(bit[p] | bit[q] | bit[v3] | bit[v4])
+            offsets |= 1 << k
+    return tuple(masks), offsets
+
+
+@_piece
+def _sign_solver(curve: TropicalCurve) -> Gf2Factoring:
+    """The sign rule's system over the lattice points, factored."""
+    return factor(_sign_rule(curve)[0], len(_base(curve).points))
+
+
+@_piece
+def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]:
+    """A spanning tree of the dual graph rooted at lattice point 0, as
+    (point, parent point, edge) in discovery order, and the non-tree edges
+    as (point, point, edge)."""
+    base = _base(curve)
+    adj: list[list[tuple[int, int]]] = [[] for _ in base.points]
+    for eid, (i, j) in enumerate(base.duals):
+        adj[i].append((j, eid))
+        adj[j].append((i, eid))
+    tree, seen, used = [], {0}, set()
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, eid in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                used.add(eid)
+                tree.append((j, i, eid))
+                stack.append(j)
+    if len(seen) != len(base.points):
+        raise AssertionError("dual subdivision graph is disconnected")
+    rest = tuple((i, j, eid) for eid, (i, j) in enumerate(base.duals) if eid not in used)
+    return tuple(tree), rest
+
+
+@_piece
+def _side_rule(curve: TropicalCurve) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """The sidedness rule per bounded edge e in closed form:
+
+        twisted(e) = l_f + l_g + [D_f != D_g] l_e + s_f + s_g  (mod 2)
+
+    for f, g the first other edges at e's tail and head, l the levels, D
+    the direction classes, and s_f whether f leaves the tail on the left of
+    e's direction (s_g likewise at the head).  At a vertex the three
+    classes are distinct and the two other edges lie on opposite sides of
+    e, so a phase element of e continues along f iff it is the one point
+    where e's and f's lines meet.  Returns the edges of each rule, their
+    level masks, and the constants as one int.
+    """
+    classes = _base(curve).classes
+    terms, masks, consts = [], [], 0
+    for k, eid in enumerate(curve.bounded_edges):
+        e = curve.edges[eid]
+        ends = []
+        for v in (e.tail, e.head):
+            others = [o for o in curve.vertex_edges[v] if o != eid]
+            if len({classes[x] for x in (eid, *others)}) != 3:
+                raise AssertionError(f"edge {eid}: direction classes at vertex {v} are not distinct")
+            s0, s1 = (det2(e.direction, _outward_direction(curve, o, v)) for o in others)
+            if s0 * s1 >= 0:
+                raise AssertionError(f"edge {eid}: the other edges at vertex {v} are not on opposite sides")
+            ends.append((others[0], s0 > 0))
+        (f, s_f), (g, s_g) = ends
+        ids = (f, g, eid) if classes[f] != classes[g] else (f, g)
+        terms.append(ids)
+        mask = 0
+        for x in ids:
+            mask ^= 1 << x
+        masks.append(mask)
+        if s_f != s_g:
+            consts |= 1 << k
+    return tuple(terms), tuple(masks), consts
+
+
+@_piece
+def _cells(curve: TropicalCurve) -> _Cells:
+    return _Cells(curve, _base(curve))
+
+
+@_piece
+def _cycle_rows(curve: TropicalCurve) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bit rows over the bounded edges: per primitive cycle, its edges of
+    odd x and of odd y direction (admissibility), and all its edges."""
+    adm, cycles = [], []
+    for cyc in primitive_cycles(curve):
+        rx = ry = r = 0
+        for eid in cyc.edges:
+            bit = 1 << curve.bounded_index[eid]
+            d = curve.edges[eid].direction
+            if d[0] & 1:
+                rx |= bit
+            if d[1] & 1:
+                ry |= bit
+            r |= bit
+        adm.extend([rx, ry])
+        cycles.append(r)
+    return tuple(adm), tuple(cycles)
+
+
+def _twist_set(curve: TropicalCurve, bits: int) -> TwistSet:
+    return TwistSet.from_vector(curve, Gf2Vector(len(curve.bounded_edges), bits))
+
+
+# -- conversions ----------------------------------------------------------
+
+
+def phase_from_signs(curve: TropicalCurve, delta: SignDistribution) -> RealPhaseStructure:
+    """Phase line of each edge: symmetries whose copy of the dual edge
+    has opposite extended signs at its endpoints.
+
+    The eps-copy signs at p and q differ iff eps.(q - p) = 1 + [delta_p !=
+    delta_q] (mod 2), and (q - p) mod 2 is the normal of the edge's
+    direction class, so that bit is the level of the edge's line.
+    """
+    base = _base(curve)
+    return base.phase_of_signs(base.minus(delta))
+
+
+def signs_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> SignDistribution:
+    """A sign distribution inducing the phase structure (the other is its
+    negation).  Propagates sign flips along a spanning tree of the dual
+    graph: the identity copy of an edge is drawn, its level is 0, iff the
+    endpoint signs differ."""
+    base = _base(curve)
+    levels = base.levels(phase)
+    tree, rest = _sign_tree(curve)
+    minus = 0
+    for j, i, eid in tree:
+        if not (minus >> i ^ levels >> eid) & 1:
+            minus |= 1 << j
+    for i, j, eid in rest:
+        if not (minus >> i ^ minus >> j ^ levels >> eid) & 1:
+            raise ValidationError("phase structure is not induced by any sign distribution")
+    pts = base.points
+    signs = {pts[0]: 1}
+    for j, _, _ in tree:
+        signs[pts[j]] = -1 if minus >> j & 1 else 1
+    return SignDistribution(signs)
 
 
 def twists_from_signs(curve: TropicalCurve, delta: SignDistribution) -> TwistSet:
     """Twisted edges read off the sign distribution by the sign rule."""
-    delta.validate_for(curve)
-    twisted = []
-    for eid in curve.bounded_edges:
-        points, offset = _twist_sign_rule(curve, eid)
-        if (sum(delta.signs[x] == -1 for x in points) + offset) % 2:
-            twisted.append(eid)
-    return TwistSet.from_edges(curve, twisted)
+    return _twist_set(curve, _parities(_base(curve).minus(delta), *_sign_rule(curve)))
 
 
 def _continuation_edge(curve: TropicalCurve, phase: RealPhaseStructure, eid: int, v: int, eps: Eps) -> int:
@@ -224,14 +459,6 @@ def _continuation_edge(curve: TropicalCurve, phase: RealPhaseStructure, eid: int
             found = oid
     assert found is not None, "phase continuation does not exist"
     return found
-
-
-def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
-    e = curve.edges[eid]
-    if e.tail == v:
-        return e.direction
-    assert e.bounded and e.head == v
-    return (-e.direction[0], -e.direction[1])
 
 
 def continuation_side(
@@ -257,46 +484,22 @@ def sides_differ(
 
 
 def edge_twisted(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
-    """Sidedness rule for the bounded edge eid."""
-    e = curve.edges[eid]
-    assert e.bounded, "only bounded edges carry a twist"
-    return sides_differ(
-        phase.lines[eid].elements,
-        partial(continuation_side, curve, phase, eid, e.tail, e.direction),
-        partial(continuation_side, curve, phase, eid, e.head, e.direction),
-    )
+    """Sidedness rule for the bounded edge eid, read off the levels of the
+    lines of eid and its neighbours (see ``_side_rule``)."""
+    assert curve.edges[eid].bounded, "only bounded edges carry a twist"
+    terms, _, consts = _side_rule(curve)
+    k = curve.bounded_index[eid]
+    lines = phase.lines
+    return bool((sum(lines[x].level for x in terms[k]) + (consts >> k)) & 1)
 
 
 def twists_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> TwistSet:
     """Twisted edges read off the phase structure by the sidedness rule."""
-    return TwistSet.from_edges(
-        curve, (eid for eid in curve.bounded_edges if edge_twisted(curve, phase, eid))
-    )
+    _, masks, consts = _side_rule(curve)
+    return _twist_set(curve, _parities(_base(curve).levels(phase), masks, consts))
 
 
 # -- admissible / dividing spaces ---------------------------------------
-
-
-def _cycle_rows(curve: TropicalCurve) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bit rows over the bounded edges: per primitive cycle, its edges of
-    odd x and of odd y direction (admissibility), and all its edges.
-    Built once per curve."""
-    if curve._cycle_rows is None:
-        adm, cycles = [], []
-        for cyc in primitive_cycles(curve):
-            rx = ry = r = 0
-            for eid in cyc.edges:
-                bit = 1 << curve.bounded_index[eid]
-                d = curve.edges[eid].direction
-                if d[0] & 1:
-                    rx |= bit
-                if d[1] & 1:
-                    ry |= bit
-                r |= bit
-            adm.extend([rx, ry])
-            cycles.append(r)
-        curve._cycle_rows = (tuple(adm), tuple(cycles))
-    return curve._cycle_rows
 
 
 def _all_even(rows: tuple[int, ...], twists: TwistSet) -> bool:
@@ -321,13 +524,12 @@ def adm_space(curve: TropicalCurve) -> Gf2Subspace:
     return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), rows))
 
 
+@_piece
 def div_space(curve: TropicalCurve) -> Gf2Subspace:
     """Dividing twist sets; the kernel is computed once per curve."""
-    if curve._div_space is None:
-        adm, cycles = _cycle_rows(curve)
-        rows = adm + cycles
-        curve._div_space = kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), rows))
-    return curve._div_space
+    adm, cycles = _cycle_rows(curve)
+    rows = adm + cycles
+    return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), rows))
 
 
 def phase_from_twists(
@@ -335,30 +537,26 @@ def phase_from_twists(
 ) -> RealPhaseStructure:
     """A phase structure inducing the given admissible twist set.
 
-    Solves the sign-product relations for a sign distribution over GF(2)
-    and translates the induced phase structure so the seed symmetry lies
-    on the seed edge.  Insolvability is exactly inadmissibility.
+    Solves the sign rule's relations for a sign distribution over GF(2)
+    and re-signs it so the induced phase structure puts the seed symmetry
+    on the seed edge (re-signing by eps translates the phase by eps).
+    Insolvability is exactly inadmissibility.
     """
     if seed is None:
         seed = (curve.bounded_edges[0] if curve.bounded_edges else 0, (0, 0))
-    pts = curve.dual.lattice_points
-    index = {p: k for k, p in enumerate(pts)}
-    n = len(pts)
-    constraints = []
-    for eid in curve.bounded_edges:
-        points, offset = _twist_sign_rule(curve, eid)
-        t = 1 if eid in twists.edges else 0
-        constraints.append((Gf2Vector.from_indices(n, (index[x] for x in points)), t ^ offset))
-    flat = solve_affine(constraints, n)
-    if flat is None:
+    minus = _sign_solver(curve).solve(twists.vector.bits ^ _sign_rule(curve)[1])
+    if minus is None:
         raise NotAdmissible("no sign distribution induces this twist set")
-    bits = flat.offset
-    delta = SignDistribution({p: -1 if bits.bit(index[p]) else 1 for p in pts})
-    phase = phase_from_signs(curve, delta)
+    base = _base(curve)
     seed_edge, seed_eps = seed
-    if not phase.lines[seed_edge].contains(seed_eps):
-        shifts = [_xor(seed_eps, el) for el in phase.lines[seed_edge].elements]
-        phase = phase.translate(min(shifts))
+    i, j = base.duals[seed_edge]
+    line = base.line_pairs[seed_edge][1 ^ ((minus >> i ^ minus >> j) & 1)]
+    if not line.contains(seed_eps):
+        shift = min(_xor(seed_eps, el) for el in line.elements)
+        for p, bit in base.point_bit.items():
+            if (shift[0] * p[0] + shift[1] * p[1]) & 1:
+                minus ^= bit
+    phase = base.phase_of_signs(minus)
     assert phase.lines[seed_edge].contains(seed_eps)
     return phase
 
@@ -371,17 +569,19 @@ def count_components_matrix(curve: TropicalCurve, twists: TwistSet) -> int:
 
 
 def twist_matrix(curve: TropicalCurve, twists: TwistSet) -> Gf2Matrix:
-    """The symmetric pairing |cycle_i * cycle_j * T| mod 2."""
-    cycles = primitive_cycles(curve)
-    g = len(cycles)
+    """The symmetric pairing |cycle_i * cycle_j * T| mod 2, on the cycles'
+    bit rows over the bounded edges."""
+    cycles = _cycle_rows(curve)[1]
+    t = twists.vector.bits
     rows = []
     for ci in cycles:
+        rt = ci & t
         r = 0
         for j, cj in enumerate(cycles):
-            if len(ci.edges & cj.edges & twists.edges) % 2:
+            if (rt & cj).bit_count() & 1:
                 r |= 1 << j
         rows.append(r)
-    return Gf2Matrix(g, g, tuple(rows))
+    return Gf2Matrix(len(cycles), len(cycles), tuple(rows))
 
 
 # -- the quadrant model of the real part --------------------------------
@@ -425,36 +625,24 @@ class _UnionFind:
             self.parent[rx] = ry
 
 
-def _code(eps: Eps) -> int:
-    """Index of eps in EPS4; an edge copy (eid, eps) is 4*eid + _code(eps)."""
-    return 2 * eps[0] + eps[1]
-
-
 class RealPart:
     """Edge copies of the real part, grouped into connected components."""
 
     def __init__(self, curve: TropicalCurve, phase: RealPhaseStructure):
         curve.require_degree()
-        phase.validate_for(curve)
+        base = _base(curve)
+        levels = base.levels(phase)
         self.curve = curve
         self.phase = phase
         # bit c of _on[eid] is set iff the copy (eid, EPS4[c]) is drawn
-        self._on = [sum(1 << _code(eps) for eps in line.elements) for line in phase.lines]
-        self._copies = [
-            4 * eid + c for eid, mask in enumerate(self._on) for c in range(4) if mask >> c & 1
-        ]
-        self.edge_copies: frozenset[tuple[int, Eps]] = frozenset(
-            (x >> 2, EPS4[x & 3]) for x in self._copies
-        )
-        # rays escaping through each stratum; each ends at one boundary point
-        self._rays = {
-            s: [e.index for e in curve.edges if not e.bounded and e.direction == STRATUM_RAY_DIR[s]]
-            for s in STRATA
-        }
-        if any(len(rays) != curve.degree for rays in self._rays.values()):
-            raise AssertionError("each boundary stratum must carry exactly d rays")
+        self._on = [_ON_MASKS[cls][levels >> eid & 1] for eid, cls in enumerate(base.classes)]
+        self._copies = [4 * eid + c for eid, mask in enumerate(self._on) for c in _BITS[mask]]
         self._components: list[frozenset[tuple[int, Eps]]] | None = None
         self._component_of: dict[int, int] = {}  # edge copy code -> component index
+
+    @cached_property
+    def edge_copies(self) -> frozenset[tuple[int, Eps]]:
+        return frozenset((x >> 2, EPS4[x & 3]) for x in self._copies)
 
     def curve_components(self) -> list[frozenset[tuple[int, Eps]]]:
         """Connected components of the real part as sets of edge copies,
@@ -500,101 +688,64 @@ def real_part(curve: TropicalCurve, phase: RealPhaseStructure) -> RealPart:
 class _CellModel:
     """The quadrant cell model of a real part, on ints.
 
-    Atom (alpha, eps) is 4*k + _code(eps), k the index of alpha among the
-    lattice points.  The base regions are the classes of atoms glued across
-    every edge copy off the real part and along the boundary strata: the
-    complement of the whole real part.  Each open cell of the model (atom,
-    edge copy, stratum interval, ray boundary point, vertex copy, corner)
-    weighs +-1 in the Euler characteristic of the region it lies in.
-    `weight` sums every cell per base region, `own[K]` the cells on
-    component K, which a cut along K removes.  `joins[K]` holds the pairs of
-    base regions that K's edge copies separate.
+    The base regions are the classes of atoms glued across every edge copy
+    off the real part and along the boundary strata (``_Cells.glued``): the
+    complement of the whole real part, numbered by least atom.  Each open
+    cell of the model (atom, edge copy, stratum interval, ray boundary
+    point, vertex copy, corner) weighs +-1 in the Euler characteristic of
+    the region it lies in.  `weight2` sums every cell per base region,
+    `own2[K]` the cells on component K, which a cut along K removes, both
+    doubled.  `joins[K]` holds the pairs of base regions that K's edge
+    copies separate.
     """
 
     def __init__(self, rp: RealPart):
-        curve = rp.curve
+        cells = _cells(rp.curve)
         on, comps = rp._on, rp.curve_components()
-        pts = curve.dual.lattice_points
-        atom = {p: 4 * k for k, p in enumerate(pts)}
-        parent = list(range(4 * len(pts)))
-        for e in curve.edges:
-            a, b = atom[e.dual[0]], atom[e.dual[1]]
-            for c in range(4):
-                if not on[e.index] >> c & 1:
-                    _union(parent, a + c, b + c)
-        for p, a in atom.items():
-            for s in curve.strata_of_point(p):
-                g = _code(STRATUM_GLUE[s])
-                for c in range(4):
-                    _union(parent, a + c, a + (c ^ g))
+        parent = cells.glued[:]
+        for (a, b), mask in zip(cells.edge_atoms, on):
+            for c in _BITS[15 ^ mask]:
+                _union(parent, a + c, b + c)
         ids: dict[int, int] = {}
         region = [ids.setdefault(_root(parent, x), len(ids)) for x in range(len(parent))]
+        pts = rp.curve.dual.lattice_points
         self.members: list[list[tuple[IVec, Eps]]] = [[] for _ in ids]
-        for p, a in atom.items():
-            for c in range(4):
-                self.members[region[a + c]].append((p, EPS4[c]))
-        self.weight = [0] * len(ids)
-        self.own: list[dict[int, int]] = [{} for _ in comps]
+        self.weight2 = [0] * len(ids)
+        for x, (r, w) in enumerate(zip(region, cells.weight2)):
+            self.members[r].append((pts[x >> 2], EPS4[x & 3]))
+            self.weight2[r] += w
+        self.own2: list[dict[int, int]] = [{} for _ in comps]
         self.joins: list[set[tuple[int, int]]] = [set() for _ in comps]
-
-        def cell(r: int, w: int, copy: int | None) -> None:
-            """Weight w in region r for a cell on edge copy `copy`, or off
-            the real part if None."""
-            self.weight[r] += w
-            if copy is not None:
-                own = self.own[rp._component_of[copy]]
-                own[r] = own.get(r, 0) + w
-
-        for r in region:
-            self.weight[r] += 1
-        for e in curve.edges:
-            a, b = atom[e.dual[0]], atom[e.dual[1]]
-            for c in range(4):
-                ra, rb = region[a + c], region[b + c]
-                if on[e.index] >> c & 1:
-                    cell(ra, -1, 4 * e.index + c)
-                    if ra != rb:
-                        self.joins[rp._component_of[4 * e.index + c]].add((ra, rb))
-                else:
-                    cell(ra, -1, None)
-        for s in STRATA:
-            g = _code(STRATUM_GLUE[s])
-            classes = sorted({min(c, c ^ g) for c in range(4)})
-            # one interval of the stratum per lattice point of the dual side
-            for alpha in curve.side_points(s):
-                for cls in classes:
-                    cell(region[atom[alpha] + cls], -1, None)
-            # a ray's copies are both drawn or both not, and glue at its
-            # boundary point
-            for eid in rp._rays[s]:
-                a = atom[curve.edges[eid].dual[0]]
-                for cls in classes:
-                    cell(region[a + cls], 1, 4 * eid + cls if on[eid] >> cls & 1 else None)
-        for v, incident in enumerate(curve.vertex_edges):
-            a = atom[curve.vertex_cell[v][0]]
-            for c in range(4):
-                copy = next((4 * eid + c for eid in incident if on[eid] >> c & 1), None)
-                cell(region[a + c], 1, copy)
-        d = curve.degree
-        for corner in ((0, 0), (d, 0), (0, d)):
-            cell(region[atom[corner]], 1, None)
+        edges, vertex_atoms = rp.curve.edges, cells.vertex_atoms
+        for x in rp._copies:
+            e, c = edges[x >> 2], x & 3
+            k = rp._component_of[x]
+            own = self.own2[k]
+            a, b = cells.edge_atoms[e.index]
+            ra, rb = region[a + c], region[b + c]
+            own[ra] = own.get(ra, 0) + cells.copy_cell2[x]
+            for v in (e.tail, e.head) if e.bounded else (e.tail,):
+                r = region[vertex_atoms[v] + c]
+                own[r] = own.get(r, 0) + 1
+            if ra != rb:
+                self.joins[k].add((ra, rb))
 
     def sides(self, k: int) -> list[tuple[int, list[int]]]:
         """The sides of the cut along component k, each as its Euler
         characteristic and its base regions."""
-        parent = list(range(len(self.weight)))
+        parent = list(range(len(self.weight2)))
         for j, joins in enumerate(self.joins):
             if j != k:
                 for ra, rb in joins:
                     _union(parent, ra, rb)
-        own = self.own[k]
-        chi: dict[int, int] = {}
+        own = self.own2[k]
+        chi2: dict[int, int] = {}
         regions: dict[int, list[int]] = {}
-        for r, w in enumerate(self.weight):
+        for r, w in enumerate(self.weight2):
             root = _root(parent, r)
-            chi[root] = chi.get(root, 0) + w - own.get(r, 0)
+            chi2[root] = chi2.get(root, 0) + w - own.get(r, 0)
             regions.setdefault(root, []).append(r)
-        return [(chi[root], regions[root]) for root in chi]
+        return [(chi2[root] // 2, regions[root]) for root in chi2]
 
 
 def count_components_direct(rp: RealPart) -> ComponentReport:

@@ -7,7 +7,8 @@ innermost oval vs pencil sweep, plus the bridge locus on honeycombs,
 degree product vs enumerated multiplicities) on randomized inputs.
 Production runs one route per quantity; the second routes are these
 oracles, among them the twist round trip (twists_from_phase recovers what
-phase_from_twists got) and the pointwise pencil sweep of the locus.
+phase_from_twists got), the geometric sidedness rule behind the compiled
+one (edge_twisted_geometric) and the pointwise pencil sweep of the locus.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .curve import (
     STRATA,
     STRATUM_GLUE,
+    STRATUM_RAY_DIR,
     DualSubdivision,
     Edge,
     SubdivisionEdge,
@@ -46,7 +49,7 @@ from .geometry import (
     sub,
     sub_i,
 )
-from .gf2 import Gf2Matrix, kernel
+from .gf2 import Gf2Matrix, PhaseLine, kernel
 from .hyperbolic import (
     PointVerdict,
     _ComponentAnalysis,
@@ -74,15 +77,18 @@ from .realstruct import (
     _nesting_report,
     _UnionFind,
     _xor,
+    continuation_side,
     count_components_direct,
     count_components_matrix,
     div_space,
+    edge_twisted,
     is_admissible,
     is_dividing,
     phase_from_signs,
     phase_from_twists,
     real_part,
     region_class,
+    sides_differ,
     twists_from_phase,
     twists_from_signs,
 )
@@ -485,7 +491,8 @@ def side_euler_characteristics(
         for alpha in curve.side_points(s):
             for cls in classes:
                 bump(uf.find((alpha, cls)), -1)
-        for eid in rp._rays[s]:
+        rays = [e.index for e in curve.edges if not e.bounded and e.direction == STRATUM_RAY_DIR[s]]
+        for eid in rays:
             for cls in classes:
                 if (eid, cls) in cut or (eid, _xor(cls, g)) in cut:
                     continue  # boundary point lies on the cut curve
@@ -566,6 +573,62 @@ def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
         if twists_from_phase(curve, phase_from_twists(curve, twists)).edges != twists.edges:
             return CheckResult("component-counts", False, f"trial {k} (d={d}): twist round trip failed")
     return CheckResult("component-counts", True, f"{trials} random curves")
+
+
+def edge_twisted_geometric(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
+    """The sidedness rule for a bounded edge, read off the geometry: the
+    continuations of a phase element of the edge at its two ends leave on
+    opposite sides of it.  Reference route of ``realstruct.edge_twisted``."""
+    e = curve.edges[eid]
+    assert e.bounded, "only bounded edges carry a twist"
+    return sides_differ(
+        phase.lines[eid].elements,
+        partial(continuation_side, curve, phase, eid, e.tail, e.direction),
+        partial(continuation_side, curve, phase, eid, e.head, e.direction),
+    )
+
+
+def check_twist_rules(rng: random.Random, trials: int) -> CheckResult:
+    """The compiled sidedness rule against the geometric one on every
+    bounded edge under each valid level configuration of the lines at its
+    ends, and the phase route of the twists against the sign rule, on
+    honeycombs and random lifts."""
+    configurations = 0
+    for k in range(trials):
+        curves = [honeycomb(rng.randrange(1, 6))]
+        try:
+            curves.append(curve_from_polynomial(random_lift(rng)))
+        except (SingularSubdivision, DegeneratePolygon):
+            pass
+        for curve in curves:
+            delta = random_sign_distribution(rng, curve)
+            phase = phase_from_signs(curve, delta)
+            if twists_from_phase(curve, phase).edges != twists_from_signs(curve, delta).edges:
+                return CheckResult(
+                    "twist-rules", False,
+                    f"trial {k}: twists_from_phase . phase_from_signs != twists_from_signs",
+                )
+            for eid in curve.bounded_edges:
+                e = curve.edges[eid]
+                ends = (curve.vertex_edges[e.tail], curve.vertex_edges[e.head])
+                local = sorted(set(ends[0]) | set(ends[1]))
+                for bits in range(1 << len(local)):
+                    lines = list(phase.lines)
+                    for n, x in enumerate(local):
+                        lines[x] = PhaseLine.from_level(lines[x].direction, bits >> n & 1)
+                    if any(sum(lines[x].level for x in incident) % 2 == 0 for incident in ends):
+                        continue  # the lines at an end share a point
+                    config = RealPhaseStructure(tuple(lines))
+                    if edge_twisted(curve, config, eid) != edge_twisted_geometric(curve, config, eid):
+                        return CheckResult(
+                            "twist-rules", False,
+                            f"trial {k}: edge {eid} with levels {[bits >> n & 1 for n in range(len(local))]}"
+                            f" on edges {local}",
+                        )
+                    configurations += 1
+    return CheckResult(
+        "twist-rules", True, f"{trials} honeycombs and random lifts, {configurations} edge configurations"
+    )
 
 
 def check_honeycomb_locus(rng: random.Random, trials: int) -> CheckResult:
@@ -713,6 +776,7 @@ def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         ("rank-nullity", check_rank_nullity, random.Random(seed + 1), max(trials * 4, 50)),
         ("construction", check_construction, random.Random(seed + 4), max(trials * 8, 50)),
         ("component-counts", check_component_counts, random.Random(seed), trials),
+        ("twist-rules", check_twist_rules, random.Random(seed + 7), trials),
         ("honeycomb-locus", check_honeycomb_locus, random.Random(seed + 2), max(trials // 2, 5)),
         ("locus-routes", check_locus_routes, random.Random(seed + 5), max(trials // 2, 5)),
         ("bezout", check_bezout, random.Random(seed + 3), max(trials // 2, 5)),

@@ -133,3 +133,24 @@ def test_phase_line_translate():
     moved = line.translate((0, 1))
     assert set(moved.elements) == {(0, 1), (1, 1)}
     assert moved.direction == (1, 0)
+
+
+def test_factored_solve_matches_brute_force():
+    from tropcurve.gf2 import factor
+
+    rng = random.Random(12)
+    for _ in range(300):
+        rows, cols = rng.randrange(0, 8), rng.randrange(1, 7)
+        a = [rng.getrandbits(cols) for _ in range(rows)]
+        fac = factor(a, cols)
+        free = ~sum(1 << p for p in fac.pivots)
+        for rhs in range(1 << rows):
+            sols = [x for x in range(1 << cols)
+                    if all((r & x).bit_count() % 2 == rhs >> k & 1 for k, r in enumerate(a))]
+            x = fac.solve(rhs)
+            if not sols:
+                assert x is None
+                continue
+            # the one solution with every free coordinate 0
+            assert [s for s in sols if not s & free] == [x]
+        assert fac.kernel() == kernel(Gf2Matrix(rows, cols, tuple(a)))
