@@ -8,10 +8,12 @@ eps+(1,0), the y stratum with eps+(0,1), the z stratum with eps+(1,1),
 and all four corner copies coincide).  The gluing is read off the Newton
 polygon's sides: the d rays with a stratum's outward direction each meet
 it at one point, where the ray's two copies glue, and the regions along
-the stratum are the lattice points of the dual side.  Components, ovals and nesting are
-computed on that cell structure; the count 1 + dim ker A_T is computed
-independently from the twist matrix so the two routes can be checked
-against each other.
+the stratum are the lattice points of the dual side.  Components, ovals
+and nesting are read off one labelling of the faces of that cell
+structure, the complement of the real part: the faces form a tree whose
+edges are the ovals (``count_components_direct``).  The count
+1 + dim ker A_T is computed independently from the twist matrix so the
+two routes can be checked against each other.
 
 Each curve compiles its rules once into int tables (``curve._real_tables``),
 one piece per route, built on the route's first call (``_piece``) and
@@ -25,15 +27,17 @@ from a phase structure by the compiled sidedness rule, which intersect
 and hyperbolic reuse through ``edge_twisted``.  The geometric sidedness
 rule (continuations at each end, ``selfcheck.edge_twisted_geometric``) is
 its oracle.  That the rules agree, that phase_from_twists inverts
-twists_from_phase, and that the cell model's report matches a fresh
-union-find per cut (selfcheck.cut_scan_components) are oracle checks in
-selfcheck and the tests.
+twists_from_phase, and that the face tree's report matches the oracle
+``selfcheck.cut_scan_components`` (components by vertex-copy
+connectivity, a fresh union-find of the atoms per cut, nesting from
+witness atoms) are oracle checks in selfcheck and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import product
 from typing import Callable, Iterable
 
 from .curve import STRATA, STRATUM_GLUE, STRATUM_RAY_DIR, TropicalCurve, primitive_cycles
@@ -98,6 +102,10 @@ class RealPhaseStructure:
     """One affine line in (Z/2)^2 per edge of the curve."""
 
     lines: tuple[PhaseLine, ...]
+
+    # (tables, level bits) of the last curve tables that read this phase
+    # (see ``_Base.levels``); not a field, so equality and hashing ignore it
+    _read = None
 
     def translate(self, eps: Eps) -> "RealPhaseStructure":
         return RealPhaseStructure(tuple(ln.translate(eps) for ln in self.lines))
@@ -187,7 +195,12 @@ class _Base:
         return sum(bit[p] for p, s in signs.items() if s < 0)
 
     def levels(self, phase: RealPhaseStructure) -> int:
-        """Bit e is the level of edge e's phase line."""
+        """Bit e is the level of edge e's phase line.  A phase is checked
+        once per curve tables: the bits are kept on the phase and reused
+        while the same tables read it again."""
+        read = phase._read
+        if read is not None and read[0] is self:
+            return read[1]
         lines = phase.lines
         if len(lines) != len(self.classes):
             raise ValidationError("phase structure does not cover every edge")
@@ -200,29 +213,38 @@ class _Base:
         for v, mask in enumerate(self.vmasks):
             if not (levels & mask).bit_count() & 1:
                 raise ValidationError(f"vertex {v}: phase lines share a common point")
+        object.__setattr__(phase, "_read", (self, levels))
         return levels
 
     def phase_of_signs(self, minus: int) -> RealPhaseStructure:
         """The phase structure induced by the signs with the given minus
-        bits: an edge's level is 1 iff its dual endpoints agree."""
-        return RealPhaseStructure(tuple(
-            pair[1 ^ ((minus >> i ^ minus >> j) & 1)] for pair, (i, j) in zip(self.line_pairs, self.duals)
-        ))
+        bits: an edge's level is 1 iff its dual endpoints agree.  Such a
+        phase is valid, so it comes with its level bits already read."""
+        lines, levels = [], 0
+        for e, (pair, (i, j)) in enumerate(zip(self.line_pairs, self.duals)):
+            level = 1 ^ ((minus >> i ^ minus >> j) & 1)
+            lines.append(pair[level])
+            levels |= level << e
+        phase = RealPhaseStructure(tuple(lines))
+        object.__setattr__(phase, "_read", (self, levels))
+        return phase
 
 
 class _Cells:
     """The parts of the quadrant cell model that do not depend on the
     phase.
 
-    Atom 4*k + c is (lattice point k, EPS4[c]); ``glued`` is the atom
-    parent array glued along the strata, and ``edge_atoms`` holds the
-    atoms 4*k of each edge's dual endpoints.  Cell weights are doubled so
-    that each vertex copy on the real part can give half its weight to
-    each of its two edge copies there: ``weight2`` is every cell's doubled
-    weight per atom.  Edge copy x = 4*eid + c carries ``copy_cell2[x]`` at
-    its first dual atom (its own cell and, for the lesser copy of a ray,
-    the boundary point where the ray's two copies glue) and half of each
-    end vertex copy at ``vertex_atoms``.
+    Atom 4*k + c is (lattice point k, EPS4[c]), reported as
+    ``atom_keys[4*k + c]``; edge copy x = 4*eid + c is reported as
+    ``copy_keys[x]``.  ``glued`` is the atom parent array glued along the
+    strata, and ``edge_atoms`` holds the atoms 4*k of each edge's dual
+    endpoints.  Cell weights are doubled so that each vertex copy on the
+    real part can give half its weight to each of its two edge copies
+    there: ``weight2`` is every cell's doubled weight per atom.  Edge copy
+    x carries ``copy_cell2[x]`` at its first dual atom (its own cell and,
+    for the lesser copy of a ray, the boundary point where the ray's two
+    copies glue) and half of each end vertex copy at ``end_atoms[eid]``,
+    the atom 4*k of the first point of each end vertex's dual cell.
     """
 
     def __init__(self, curve: TropicalCurve, base: _Base):
@@ -239,7 +261,12 @@ class _Cells:
         self.copy_cell2 = tuple(0 if g and c < c ^ g else -2 for g in ray_glue for c in range(4))
         atom = {p: 4 * k for k, p in enumerate(base.points)}
         self.edge_atoms = tuple((atom[e.dual[0]], atom[e.dual[1]]) for e in edges)
-        self.vertex_atoms = tuple(atom[cell[0]] for cell in curve.vertex_cell)
+        vertex_atoms = tuple(atom[cell[0]] for cell in curve.vertex_cell)
+        self.end_atoms = tuple(
+            (vertex_atoms[e.tail], vertex_atoms[e.head]) if e.bounded else (vertex_atoms[e.tail],) for e in edges
+        )
+        self.atom_keys = tuple(product(base.points, EPS4))
+        self.copy_keys = tuple(product(range(len(edges)), EPS4))
         parent = list(range(4 * len(base.points)))
         for p, a in atom.items():
             for s in curve.strata_of_point(p):
@@ -258,7 +285,7 @@ class _Cells:
             for alpha in curve.side_points(s):
                 for c in {min(c, c ^ g) for c in range(4)}:
                     weight2[atom[alpha] + c] -= 2
-        for a in self.vertex_atoms:
+        for a in vertex_atoms:
             for c in range(4):
                 weight2[a + c] += 2
         for corner in ((0, 0), (d, 0), (0, d)):
@@ -604,8 +631,12 @@ def _root(parent, x):
 
 
 def _union(parent: list[int], x: int, y: int) -> None:
+    """Join the classes of x and y under the lesser root, so that
+    parent[x] <= x holds throughout."""
     rx, ry = _root(parent, x), _root(parent, y)
-    if rx != ry:
+    if rx < ry:
+        parent[ry] = rx
+    elif ry < rx:
         parent[rx] = ry
 
 
@@ -626,7 +657,8 @@ class _UnionFind:
 
 
 class RealPart:
-    """Edge copies of the real part, grouped into connected components."""
+    """The edge copies drawn by a phase structure: copy (eid, EPS4[c]) is
+    drawn iff EPS4[c] lies on edge eid's phase line."""
 
     def __init__(self, curve: TropicalCurve, phase: RealPhaseStructure):
         curve.require_degree()
@@ -637,33 +669,10 @@ class RealPart:
         # bit c of _on[eid] is set iff the copy (eid, EPS4[c]) is drawn
         self._on = [_ON_MASKS[cls][levels >> eid & 1] for eid, cls in enumerate(base.classes)]
         self._copies = [4 * eid + c for eid, mask in enumerate(self._on) for c in _BITS[mask]]
-        self._components: list[frozenset[tuple[int, Eps]]] | None = None
-        self._component_of: dict[int, int] = {}  # edge copy code -> component index
 
     @cached_property
     def edge_copies(self) -> frozenset[tuple[int, Eps]]:
         return frozenset((x >> 2, EPS4[x & 3]) for x in self._copies)
-
-    def curve_components(self) -> list[frozenset[tuple[int, Eps]]]:
-        """Connected components of the real part as sets of edge copies,
-        ordered by their least copy."""
-        if self._components is not None:
-            return self._components
-        edges = self.curve.edges
-        nv = len(self.curve.vertices)
-        # nodes: vertex copy 4*v + c, and the boundary point 4*nv + eid of a ray
-        parent = list(range(4 * nv + len(edges)))
-        for x in self._copies:
-            e, c = edges[x >> 2], x & 3
-            # both copies of a ray glue at its one boundary point: its
-            # phase direction is its stratum's glue vector
-            _union(parent, 4 * e.tail + c, 4 * e.head + c if e.bounded else 4 * nv + e.index)
-        groups: dict[int, list[int]] = {}
-        for x in self._copies:
-            groups.setdefault(_root(parent, 4 * edges[x >> 2].tail + (x & 3)), []).append(x)
-        self._component_of = {x: k for k, g in enumerate(groups.values()) for x in g}
-        self._components = [frozenset((x >> 2, EPS4[x & 3]) for x in g) for g in groups.values()]
-        return self._components
 
 
 @dataclass(frozen=True)
@@ -685,126 +694,130 @@ def real_part(curve: TropicalCurve, phase: RealPhaseStructure) -> RealPart:
     return RealPart(curve, phase)
 
 
-class _CellModel:
-    """The quadrant cell model of a real part, on ints.
-
-    The base regions are the classes of atoms glued across every edge copy
-    off the real part and along the boundary strata (``_Cells.glued``): the
-    complement of the whole real part, numbered by least atom.  Each open
-    cell of the model (atom, edge copy, stratum interval, ray boundary
-    point, vertex copy, corner) weighs +-1 in the Euler characteristic of
-    the region it lies in.  `weight2` sums every cell per base region,
-    `own2[K]` the cells on component K, which a cut along K removes, both
-    doubled.  `joins[K]` holds the pairs of base regions that K's edge
-    copies separate.
-    """
-
-    def __init__(self, rp: RealPart):
-        cells = _cells(rp.curve)
-        on, comps = rp._on, rp.curve_components()
-        parent = cells.glued[:]
-        for (a, b), mask in zip(cells.edge_atoms, on):
-            for c in _BITS[15 ^ mask]:
-                _union(parent, a + c, b + c)
-        ids: dict[int, int] = {}
-        region = [ids.setdefault(_root(parent, x), len(ids)) for x in range(len(parent))]
-        pts = rp.curve.dual.lattice_points
-        self.members: list[list[tuple[IVec, Eps]]] = [[] for _ in ids]
-        self.weight2 = [0] * len(ids)
-        for x, (r, w) in enumerate(zip(region, cells.weight2)):
-            self.members[r].append((pts[x >> 2], EPS4[x & 3]))
-            self.weight2[r] += w
-        self.own2: list[dict[int, int]] = [{} for _ in comps]
-        self.joins: list[set[tuple[int, int]]] = [set() for _ in comps]
-        edges, vertex_atoms = rp.curve.edges, cells.vertex_atoms
-        for x in rp._copies:
-            e, c = edges[x >> 2], x & 3
-            k = rp._component_of[x]
-            own = self.own2[k]
-            a, b = cells.edge_atoms[e.index]
-            ra, rb = region[a + c], region[b + c]
-            own[ra] = own.get(ra, 0) + cells.copy_cell2[x]
-            for v in (e.tail, e.head) if e.bounded else (e.tail,):
-                r = region[vertex_atoms[v] + c]
-                own[r] = own.get(r, 0) + 1
-            if ra != rb:
-                self.joins[k].add((ra, rb))
-
-    def sides(self, k: int) -> list[tuple[int, list[int]]]:
-        """The sides of the cut along component k, each as its Euler
-        characteristic and its base regions."""
-        parent = list(range(len(self.weight2)))
-        for j, joins in enumerate(self.joins):
-            if j != k:
-                for ra, rb in joins:
-                    _union(parent, ra, rb)
-        own = self.own2[k]
-        chi2: dict[int, int] = {}
-        regions: dict[int, list[int]] = {}
-        for r, w in enumerate(self.weight2):
-            root = _root(parent, r)
-            chi2[root] = chi2.get(root, 0) + w - own.get(r, 0)
-            regions.setdefault(root, []).append(r)
-        return [(chi2[root] // 2, regions[root]) for root in chi2]
+def _tree_walk(adj: dict[int, list[tuple[int, int]]], root: int) -> tuple[list[int], dict]:
+    """The faces reachable from root, each after its parent face, and
+    each one's parent face and the oval between them (None at the root)."""
+    up: dict[int, tuple[int, int] | None] = {root: None}
+    order, stack = [], [root]
+    while stack:
+        f = stack.pop()
+        order.append(f)
+        for g, k in adj[f]:
+            if g not in up:
+                up[g] = (f, k)
+                stack.append(g)
+    return order, up
 
 
 def count_components_direct(rp: RealPart) -> ComponentReport:
     """Components of the real part with oval/pseudo-line classification
-    and the nesting tree, straight from the quadrant cell model: a
-    component is an oval iff cutting along it leaves two sides, and its
-    interior is the side with Euler characteristic 1."""
-    model = _CellModel(rp)
-    infos: list[tuple[frozenset[tuple[int, Eps]], str, frozenset | None]] = []
-    for k, K in enumerate(rp.curve_components()):
-        sides = model.sides(k)
-        if len(sides) == 1:
-            infos.append((K, "pseudo-line", None))
-            continue
-        assert len(sides) == 2, "a closed curve cuts the projective plane into 1 or 2 sides"
-        chis = sorted(chi for chi, _ in sides)
-        assert chis == [0, 1], f"oval sides must be a disk and a Moebius side, got chi={chis}"
-        disk = next(regions for chi, regions in sides if chi == 1)
-        interior = frozenset(a for r in disk for a in model.members[r])
-        infos.append((K, "oval", interior))
-    return _nesting_report(rp.curve, infos)
+    and the nesting tree, from one labelling of the faces.
 
+    The faces are the classes of atoms glued along the strata and across
+    every edge copy that is not drawn: the complement of the real part.
+    They form a tree whose edges are the ovals, since an oval cuts RP^2
+    into a disk and a Moebius band and the pseudo-line does not separate.
+    A drawn copy separates the faces of its two dual atoms, and the copies
+    that separate the same pair of faces make one component, listed in
+    the order of their least copies: an oval if the faces differ, the
+    pseudo-line if they are one face.  Subtree sums of the doubled cell
+    weights give each oval's two sides their Euler characteristics, less
+    the cells on the oval itself; the side with characteristic 1 is the
+    disk, its interior.  The face outside every oval roots the tree: an
+    oval's depth is the number of ovals on the way down to it, its parent
+    the oval just above, and its interior the atoms of the faces below.
+    """
+    cells = _cells(rp.curve)
+    edge_atoms, end_atoms, cell2 = cells.edge_atoms, cells.end_atoms, cells.copy_cell2
+    parent = cells.glued[:]
+    for (a, b), mask in zip(edge_atoms, rp._on):
+        for c in _BITS[15 ^ mask]:
+            _union(parent, a + c, b + c)
+    # parent[x] <= x, so one pass in atom order leaves each atom on the
+    # least atom of its face, which names the face
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]
+    region = parent
 
-def _nesting_report(
-    curve: TropicalCurve, infos: list[tuple[frozenset[tuple[int, Eps]], str, frozenset | None]]
-) -> ComponentReport:
-    """The report for components given as (edge copies, kind, interior):
-    nesting among ovals from a witness atom of K inside the disk side of K'."""
-    n = len(infos)
-    witness = []
-    for copies, _, _ in infos:
-        eid, eps = min(copies)
-        witness.append((curve.edges[eid].dual[0], eps))
-    inside = [[False] * n for _ in range(n)]
-    for j, (_, kind, interior) in enumerate(infos):
-        if kind != "oval":
-            continue
-        for i in range(n):
-            if i != j and witness[i] in interior:
-                inside[i][j] = True
-    depths = []
-    for i, (_, kind, _) in enumerate(infos):
-        if kind == "pseudo-line":
-            depths.append(0)
+    # face pair -> [copies, cells on the lesser face, cells on the other]
+    groups: dict[tuple[int, int], list] = {}
+    for x in rp._copies:
+        eid, c = x >> 2, x & 3
+        a, b = edge_atoms[eid]
+        f, g = region[a + c], region[b + c]
+        pair = (f, g) if f < g else (g, f)
+        group = groups.get(pair)
+        if group is None:
+            group = groups[pair] = [[], 0, 0]
+        group[0].append(x)
+        group[1 if f == pair[0] else 2] += cell2[x]
+        for v in end_atoms[eid]:
+            h = region[v + c]
+            if h != pair[0] and h != pair[1]:
+                raise AssertionError(f"edge copy {x}: a vertex copy lies off the two faces the copy separates")
+            group[1 if h == pair[0] else 2] += 1
+    pairs = list(groups)
+    ovals = [k for k, (f, g) in enumerate(pairs) if f != g]
+    if len(pairs) - len(ovals) > 1:
+        raise AssertionError("the real part has more than one pseudo-line")
+    faces = set(region)
+    if len(faces) != len(ovals) + 1:
+        raise AssertionError(f"{len(faces)} faces around {len(ovals)} ovals: the faces do not form a tree")
+
+    adj: dict[int, list[tuple[int, int]]] = {f: [] for f in faces}
+    for k in ovals:
+        f, g = pairs[k]
+        adj[f].append((g, k))
+        adj[g].append((f, k))
+    order, up = _tree_walk(adj, 0)
+    if len(order) != len(faces):
+        raise AssertionError("the faces of the real part are not connected")
+    sub = [0] * len(region)
+    for w, f in zip(cells.weight2, region):
+        sub[f] += w
+    for f in reversed(order[1:]):
+        sub[up[f][0]] += sub[f]
+    total = sub[0]
+    # each oval's face on its disk side; the one face left is the root
+    inner = [0] * len(pairs)
+    for k in ovals:
+        f, g = pairs[k]
+        _, own_f, own_g = groups[f, g]
+        if up[g] == (f, k):
+            child, own_child, other, own_other = g, own_g, f, own_f
         else:
-            depths.append(1 + sum(1 for j in range(n) if inside[i][j]))
-    parents: list[int | None] = []
-    for i in range(n):
-        containers = [j for j in range(n) if inside[i][j]]
-        if not containers:
+            child, own_child, other, own_other = f, own_f, g, own_g
+        chis = (sub[child] - own_child) // 2, (total - sub[child] - own_other) // 2
+        if sorted(chis) != [0, 1]:
+            raise AssertionError(f"oval sides must be a disk and a Moebius side, got chi={sorted(chis)}")
+        inner[k] = child if chis[0] == 1 else other
+        faces.discard(inner[k])
+    if len(faces) != 1:
+        raise AssertionError("the ovals' disk sides do not leave one face outside them all")
+    root = faces.pop()
+    if root != 0:
+        order, up = _tree_walk(adj, root)
+
+    # the atoms of each face and of every face below it
+    below: dict[int, list[tuple[IVec, Eps]]] = {f: [] for f in order}
+    for key, f in zip(cells.atom_keys, region):
+        below[f].append(key)
+    for f in reversed(order[1:]):
+        below[up[f][0]].extend(below[f])
+    depth = {root: 0}
+    for f in order[1:]:
+        depth[f] = depth[up[f][0]] + 1
+    keys = cells.copy_keys
+    infos, parents = [], []
+    for k, (pair, (copies, _, _)) in enumerate(groups.items()):
+        edge_copies = frozenset(keys[x] for x in copies)
+        if pair[0] == pair[1]:
+            infos.append(CurveComponentInfo(edge_copies, "pseudo-line", 0, None))
             parents.append(None)
-        else:
-            parents.append(max(containers, key=lambda j: depths[j]))
-    assert sum(1 for _, kind, _ in infos if kind == "pseudo-line") <= 1
-    return ComponentReport(
-        count=n,
-        components=tuple(
-            CurveComponentInfo(copies, kind, depths[i], interior)
-            for i, (copies, kind, interior) in enumerate(infos)
-        ),
-        nesting_parent=tuple(parents),
-    )
+            continue
+        f = inner[k]
+        infos.append(CurveComponentInfo(edge_copies, "oval", depth[f], frozenset(below[f])))
+        # the oval just above is the one into the face outside this oval
+        above = up[up[f][0]]
+        parents.append(None if above is None else above[1])
+    return ComponentReport(count=len(infos), components=tuple(infos), nesting_parent=tuple(parents))

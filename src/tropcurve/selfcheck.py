@@ -2,13 +2,16 @@
 
 Each check pits two independent routes against each other (gift-wrap
 construction vs pair scan, twist-matrix count vs quadrant-model count,
-the quadrant cell model vs a fresh scan per cut,
+the face tree of the quadrant model vs components by vertex-copy
+connectivity and a fresh scan per cut,
 innermost oval vs pencil sweep, plus the bridge locus on honeycombs,
 degree product vs enumerated multiplicities) on randomized inputs.
 Production runs one route per quantity; the second routes are these
 oracles, among them the twist round trip (twists_from_phase recovers what
 phase_from_twists got), the geometric sidedness rule behind the compiled
 one (edge_twisted_geometric) and the pointwise pencil sweep of the locus.
+One check holds the component reports to theorems instead of a second
+route: the classical restrictions on real plane curves (real-topology).
 """
 
 from __future__ import annotations
@@ -69,12 +72,12 @@ from .intersect import (
 from .realstruct import (
     EPS4,
     ComponentReport,
+    CurveComponentInfo,
     Eps,
     RealPart,
     RealPhaseStructure,
     SignDistribution,
     TwistSet,
-    _nesting_report,
     _UnionFind,
     _xor,
     continuation_side,
@@ -508,12 +511,32 @@ def side_euler_characteristics(
     return chi
 
 
+def vertex_copy_components(rp: RealPart) -> list[frozenset[tuple[int, Eps]]]:
+    """Connected components of the real part as sets of edge copies,
+    ordered by their least copy: drawn copies of one symmetry meet at
+    their shared vertices, and both copies of a ray at the one boundary
+    point where they glue (its phase direction is its stratum's glue
+    vector)."""
+    edges = rp.curve.edges
+    uf = _UnionFind()
+    copies = sorted(rp.edge_copies)
+    for eid, eps in copies:
+        e = edges[eid]
+        uf.union(("vertex", e.tail, eps), ("vertex", e.head, eps) if e.bounded else ("ray", eid))
+    groups: dict = {}
+    for eid, eps in copies:
+        groups.setdefault(uf.find(("vertex", edges[eid].tail, eps)), []).append((eid, eps))
+    return [frozenset(g) for g in groups.values()]
+
+
 def cut_scan_components(rp: RealPart) -> ComponentReport:
-    """Reference route of ``count_components_direct``: for each component,
-    a fresh union-find of the atoms cut along it and a fresh cell count."""
+    """Reference route of ``count_components_direct``: components by
+    vertex-copy connectivity, then for each one a fresh union-find of the
+    atoms cut along it and a fresh cell count, and nesting from witness
+    atoms."""
     atoms = [(alpha, eps) for alpha in rp.curve.dual.lattice_points for eps in EPS4]
     infos = []
-    for K in rp.curve_components():
+    for K in vertex_copy_components(rp):
         uf = region_find(rp, K)
         roots = sorted({uf.find(a) for a in atoms})
         if len(roots) == 1:
@@ -527,6 +550,47 @@ def cut_scan_components(rp: RealPart) -> ComponentReport:
         interior = frozenset(a for a in atoms if uf.find(a) == disk_root)
         infos.append((K, "oval", interior))
     return _nesting_report(rp.curve, infos)
+
+
+def _nesting_report(
+    curve: TropicalCurve, infos: list[tuple[frozenset[tuple[int, Eps]], str, frozenset | None]]
+) -> ComponentReport:
+    """The report for components given as (edge copies, kind, interior):
+    nesting among ovals from a witness atom of K inside the disk side of K'."""
+    n = len(infos)
+    witness = []
+    for copies, _, _ in infos:
+        eid, eps = min(copies)
+        witness.append((curve.edges[eid].dual[0], eps))
+    inside = [[False] * n for _ in range(n)]
+    for j, (_, kind, interior) in enumerate(infos):
+        if kind != "oval":
+            continue
+        for i in range(n):
+            if i != j and witness[i] in interior:
+                inside[i][j] = True
+    depths = []
+    for i, (_, kind, _) in enumerate(infos):
+        if kind == "pseudo-line":
+            depths.append(0)
+        else:
+            depths.append(1 + sum(1 for j in range(n) if inside[i][j]))
+    parents: list[int | None] = []
+    for i in range(n):
+        containers = [j for j in range(n) if inside[i][j]]
+        if not containers:
+            parents.append(None)
+        else:
+            parents.append(max(containers, key=lambda j: depths[j]))
+    assert sum(1 for _, kind, _ in infos if kind == "pseudo-line") <= 1
+    return ComponentReport(
+        count=n,
+        components=tuple(
+            CurveComponentInfo(copies, kind, depths[i], interior)
+            for i, (copies, kind, interior) in enumerate(infos)
+        ),
+        nesting_parent=tuple(parents),
+    )
 
 
 def report_difference(got: ComponentReport, want: ComponentReport) -> str | None:
@@ -573,6 +637,88 @@ def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
         if twists_from_phase(curve, phase_from_twists(curve, twists)).edges != twists.edges:
             return CheckResult("component-counts", False, f"trial {k} (d={d}): twist round trip failed")
     return CheckResult("component-counts", True, f"{trials} random curves")
+
+
+def climbing_sign_walk(rng: random.Random, curve: TropicalCurve, steps: int):
+    """Sign distributions along a seeded walk that flips one random sign
+    per step and keeps the flip unless the twist-matrix count of real
+    components drops.  Random signs alone rarely give M-curves; the climb
+    reaches them.  Yields the first distribution and every kept one."""
+    delta = random_sign_distribution(rng, curve)
+    count = count_components_matrix(curve, twists_from_signs(curve, delta))
+    yield delta
+    points = curve.dual.lattice_points
+    for _ in range(steps):
+        p = rng.choice(points)
+        trial = SignDistribution({**delta.signs, p: -delta.signs[p]})
+        n = count_components_matrix(curve, twists_from_signs(curve, trial))
+        if n >= count:
+            delta, count = trial, n
+            yield delta
+
+
+def real_topology_violation(degree: int, report: ComponentReport, dividing: bool) -> str | None:
+    """The first classical restriction on real plane curves of the degree
+    that the real scheme breaks, or None.  With d = 2k or 2k+1,
+    g = (d-1)(d-2)/2, l components, and p - n the even ovals (inside an
+    even number of ovals, so of odd nesting depth) less the odd ones."""
+    d, k = degree, degree // 2
+    g = (d - 1) * (d - 2) // 2
+    l = report.count
+    ovals = [c for c in report.components if c.kind == "oval"]
+    if l > g + 1:
+        return f"Harnack: {l} components > g + 1 = {g + 1}"
+    if l - len(ovals) != d % 2:
+        return f"{l - len(ovals)} pseudo-lines in degree {d}"
+    deepest = max((c.nesting_depth for c in ovals), default=0)
+    if deepest > k:
+        return f"Bezout: a nest of depth {deepest} > k = {k}"
+    if deepest == k and len(ovals) > k:
+        return f"Bezout: a nest of depth k = {k} beside {len(ovals) - k} more ovals"
+    if dividing and (l - g - 1) % 2:
+        return f"Klein: a dividing curve with {l} components, g + 1 = {g + 1}"
+    if d % 2:
+        return None
+    even = sum(1 for c in ovals if c.nesting_depth % 2)
+    chi = even - (len(ovals) - even)
+    bound = 3 * k * (k - 1) // 2
+    if not -bound <= chi <= bound + 1:
+        return f"Petrovsky: p - n = {chi} outside [{-bound}, {bound + 1}]"
+    if l == g + 1 and (chi - k * k) % 8:
+        return f"Gudkov-Rokhlin: an M-curve with p - n = {chi}, k^2 = {k * k}"
+    if l == g and (chi - k * k) % 8 not in (1, 7):
+        return f"Gudkov-Krakhnov-Kharlamov: an (M-1)-curve with p - n = {chi}, k^2 = {k * k}"
+    if dividing and (chi - k * k) % 4:
+        return f"Arnold: a dividing curve with p - n = {chi}, k^2 = {k * k}"
+    return None
+
+
+def check_real_topology(rng: random.Random, trials: int) -> CheckResult:
+    """Every real scheme met on climbing sign walks, over honeycombs and
+    random concave lifts of degree 1 to 7, against the classical
+    restrictions on real plane curves (``real_topology_violation``): the
+    patchworked curve is a real algebraic curve of its degree."""
+    schemes = m_curves = dividing_sets = 0
+    for k in range(trials):
+        d = rng.randrange(1, 8)
+        curve = honeycomb(d) if k % 2 else random_nonsingular_curve(rng, d)
+        g = (d - 1) * (d - 2) // 2
+        for delta in climbing_sign_walk(rng, curve, 5 * len(curve.dual.lattice_points)):
+            report = count_components_direct(real_part(curve, phase_from_signs(curve, delta)))
+            dividing = is_dividing(curve, twists_from_signs(curve, delta))
+            problem = real_topology_violation(d, report, dividing)
+            if problem is not None:
+                signs = sorted(p for p, s in delta.signs.items() if s < 0)
+                return CheckResult(
+                    "real-topology", False, f"trial {k} (d={d}): {problem}; minus signs at {signs}"
+                )
+            schemes += 1
+            m_curves += report.count == g + 1
+            dividing_sets += dividing
+    return CheckResult(
+        "real-topology", True,
+        f"{trials} sign walks, {schemes} real schemes, {m_curves} M-curves, {dividing_sets} dividing",
+    )
 
 
 def edge_twisted_geometric(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
@@ -777,6 +923,7 @@ def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         ("construction", check_construction, random.Random(seed + 4), max(trials * 8, 50)),
         ("component-counts", check_component_counts, random.Random(seed), trials),
         ("twist-rules", check_twist_rules, random.Random(seed + 7), trials),
+        ("real-topology", check_real_topology, random.Random(seed + 8), trials),
         ("honeycomb-locus", check_honeycomb_locus, random.Random(seed + 2), max(trials // 2, 5)),
         ("locus-routes", check_locus_routes, random.Random(seed + 5), max(trials // 2, 5)),
         ("bezout", check_bezout, random.Random(seed + 3), max(trials // 2, 5)),

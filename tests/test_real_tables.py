@@ -251,3 +251,33 @@ def test_translated_copies_share_the_tables_and_agree():
         early = fresh.translated((Fraction(1, 2), Fraction(0)))
         assert twists_from_phase(early, phase) == twists_from_phase(curve, phase)
         assert early._real_tables is fresh._real_tables and fresh._real_tables
+
+
+def test_a_phase_read_for_one_curve_is_checked_again_for_another():
+    # a phase carries the level bits its curve's tables read; another
+    # curve's tables must still check it, with the same messages as a
+    # phase that was never read
+    from tropcurve.selfcheck import random_nonsingular_curve
+
+    rng = random.Random(21)
+    checked = 0
+    for d in (2, 3, 4):
+        curve = honeycomb(d)
+        for _ in range(6):
+            other = random_nonsingular_curve(rng, d)
+            phase = phase_from_signs(other, random_sign_distribution(rng, other))
+            twists_from_phase(other, phase)
+            never_read = RealPhaseStructure(phase.lines)
+            for route in (signs_from_phase, twists_from_phase, real_part):
+                try:
+                    want = route(curve, never_read)
+                except ValidationError as exc:
+                    with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                        route(curve, phase)
+                    checked += 1
+                else:
+                    got = route(curve, phase)
+                    assert (got.edge_copies == want.edge_copies if route is real_part else got == want)
+            # the other curve's tables still read the phase it was built for
+            assert twists_from_phase(other, phase) == twists_from_phase(other, never_read)
+    assert checked >= 10

@@ -26,10 +26,13 @@ from tropcurve import (
 from tropcurve.errors import NotAdmissible, UnknownPoint
 from tropcurve.realstruct import EPS4, _UnionFind, region_class
 from tropcurve.selfcheck import (
+    check_real_topology,
+    climbing_sign_walk,
     cut_scan_components,
     random_lift,
     random_nonsingular_curve,
     random_sign_distribution,
+    real_topology_violation,
     region_find,
     report_difference,
 )
@@ -313,6 +316,97 @@ def test_direct_report_matches_cut_scan():
         direct, scan = count_components_direct(rp), cut_scan_components(rp)
         assert direct == scan, f"draw {k}: {report_difference(direct, scan)}"
     assert lifts >= 100
+
+
+def _harnack_signs(c):
+    return SignDistribution(
+        {p: -1 if p[0] % 2 == 0 and p[1] % 2 == 0 else 1 for p in c.dual.lattice_points}
+    )
+
+
+def test_direct_report_matches_cut_scan_on_deep_nests_and_many_ovals():
+    # the random draws above nest at most 2 deep and reach at most 7 ovals;
+    # hyperbolic honeycombs nest d // 2 deep, Harnack's signs and climbing
+    # sign walks give M-curves
+    from tropcurve import is_hyperbolic, multi_bridges
+    from tropcurve.errors import DegeneratePolygon, SingularSubdivision
+
+    rng = random.Random(14)
+    for d in range(4, 11):
+        c = honeycomb(d)
+        bridges = multi_bridges(c)
+        found = 0
+        for _ in range(200):
+            edges = set().union(*(b.edges for b in bridges if rng.random() < 0.5))
+            twists = TwistSet.from_edges(c, edges)
+            if not is_hyperbolic(c, twists)[0]:
+                continue
+            rp = real_part(c, phase_from_twists(c, twists))
+            direct, scan = count_components_direct(rp), cut_scan_components(rp)
+            assert direct == scan, f"d={d}: {report_difference(direct, scan)}"
+            chain = sorted(
+                (comp.nesting_depth, i) for i, comp in enumerate(direct.components) if comp.kind == "oval"
+            )
+            assert [depth for depth, _ in chain] == list(range(1, d // 2 + 1))
+            assert [direct.nesting_parent[i] for _, i in chain] == [None] + [i for _, i in chain[:-1]]
+            found += 1
+            if found == 2:
+                break
+        assert found == 2, f"d={d}: fewer than two hyperbolic unions of multi-bridges"
+
+    for d in range(1, 13):
+        c = honeycomb(d)
+        rp = real_part(c, phase_from_signs(c, _harnack_signs(c)))
+        direct, scan = count_components_direct(rp), cut_scan_components(rp)
+        assert direct == scan, f"Harnack d={d}: {report_difference(direct, scan)}"
+        assert direct.count == (d - 1) * (d - 2) // 2 + 1
+
+    curves = m_curves = 0
+    while curves < 12:
+        try:
+            c = curve_from_polynomial(random_lift(rng))
+        except (DegeneratePolygon, SingularSubdivision):
+            continue
+        if c.degree is None:
+            continue
+        curves += 1
+        g = (c.degree - 1) * (c.degree - 2) // 2
+        for delta in climbing_sign_walk(rng, c, 3 * len(c.dual.lattice_points)):
+            rp = real_part(c, phase_from_signs(c, delta))
+            direct, scan = count_components_direct(rp), cut_scan_components(rp)
+            assert direct == scan, f"walk on d={c.degree}: {report_difference(direct, scan)}"
+            m_curves += direct.count == g + 1
+    assert m_curves >= 10
+
+
+def test_real_topology_check_passes_and_sees_m_curves():
+    result = check_real_topology(random.Random(3), 12)
+    assert result.passed, result.detail
+    schemes, m_curves = (int(result.detail.split(", ")[k].split()[0]) for k in (1, 2))
+    assert m_curves >= 20 and schemes > m_curves
+
+
+def test_real_topology_violation_names_the_restriction():
+    from tropcurve.realstruct import ComponentReport, CurveComponentInfo
+
+    def report(*depths):
+        comps = tuple(
+            CurveComponentInfo(frozenset(), "pseudo-line" if t == 0 else "oval", t, None) for t in depths
+        )
+        return ComponentReport(len(comps), comps, (None,) * len(comps))
+
+    # Harnack's sextic <9 u 1<1>> and a quintic M-curve pass
+    assert real_topology_violation(6, report(*[1] * 10, 2), False) is None
+    assert real_topology_violation(5, report(0, *[1] * 6), False) is None
+    assert real_topology_violation(4, report(*[1] * 5), False).startswith("Harnack")
+    assert real_topology_violation(4, report(0, 1), False).startswith("1 pseudo-lines")
+    assert real_topology_violation(4, report(1, 2, 3), False).startswith("Bezout: a nest of depth 3")
+    assert real_topology_violation(4, report(1, 2, 1), False).startswith("Bezout: a nest of depth k")
+    assert real_topology_violation(6, report(*[1] * 11), False).startswith("Petrovsky")
+    assert real_topology_violation(6, report(*[1] * 9, 2, 2), False).startswith("Gudkov-Rokhlin")
+    assert real_topology_violation(6, report(*[1] * 8, 2, 2), False).startswith("Gudkov-Krakhnov-Kharlamov")
+    assert real_topology_violation(4, report(1, 1, 1), True).startswith("Klein")
+    assert real_topology_violation(4, report(1, 1), True).startswith("Arnold")
 
 
 def test_harnack_m_curve_degree_18():
