@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
@@ -21,7 +22,6 @@ from .errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
 from .geometry import (
     IVec,
     Point,
-    canonical_direction,
     convex_hull,
     det2,
     dot2,
@@ -39,6 +39,8 @@ from .geometry import (
 STRATA = ("x", "y", "z")
 STRATUM_RAY_DIR = {"x": (-1, 0), "y": (0, -1), "z": (1, 1)}
 STRATUM_GLUE = {"x": (1, 0), "y": (0, 1), "z": (1, 1)}
+# the primitive edge directions of a honeycomb, both orientations
+_HONEYCOMB_DIRECTIONS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
 
 
 class TropicalPolynomial:
@@ -56,9 +58,6 @@ class TropicalPolynomial:
 
     def term(self, ij: IVec, point: Point) -> Fraction:
         return self.coefficients[ij] + ij[0] * point[0] + ij[1] * point[1]
-
-    def value(self, point: Point) -> Fraction:
-        return max(self.term(ij, point) for ij in self.coefficients)
 
     def argmax(self, point: Point) -> tuple[IVec, ...]:
         x, y = point
@@ -116,6 +115,24 @@ class IntFrame:
     vertices: tuple[IVec, ...]
     edges: tuple[tuple[int, int, int, int, int | None], ...]
     heights: dict[IVec, int]
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, height) per support point, in (i, j) order."""
+        return tuple((i, j, h) for (i, j), h in sorted(self.heights.items()))
+
+    def argmax(self, den: int, x: int, y: int) -> tuple[IVec, ...]:
+        """The support points whose terms are largest at the point
+        (x/den, y/den), den a multiple of the frame's: h*(den // self.den)
+        + i*x + j*y compared as ints.  In (i, j) order."""
+        k = den // self.den
+        terms = self._terms
+        vals = [h * k + i * x + j * y for i, j, h in terms]
+        best = max(vals)
+        if vals.count(best) == 1:
+            i, j, _ = terms[vals.index(best)]
+            return ((i, j),)
+        return tuple((i, j) for (i, j, _), v in zip(terms, vals) if v == best)
 
     def rescaled(self, k: int):
         """The vertices and edges over k * den."""
@@ -233,15 +250,27 @@ class TropicalCurve:
         d = self.edges[eid].direction
         return (a[0] + d[0] * t, a[1] + d[1] * t)
 
+    def frame_point(self, p: Point) -> tuple[int, int, int]:
+        """(D, x, y): the point p is (x/D, y/D), D = lcm(frame.den, p's
+        denominators)."""
+        den = lcm(self.frame.den, p[0].denominator, p[1].denominator)
+        return (den, *on_frame(p[0], p[1], den))
+
+    def argmax(self, p: Point) -> tuple[IVec, ...]:
+        """The support points whose terms are largest at p, by the frame's
+        int argmax; ``poly.argmax`` is the ``Fraction`` route."""
+        return self.frame.argmax(*self.frame_point(p))
+
     def on_curve(self, p: Point) -> bool:
-        return len(self.poly.argmax(p)) >= 2
+        return len(self.argmax(p)) >= 2
 
     def dominating(self, p: Point) -> IVec | None:
-        am = self.poly.argmax(p)
+        am = self.argmax(p)
         return am[0] if len(am) == 1 else None
 
     def is_honeycomb(self) -> bool:
-        return all(canonical_direction(e.direction) in ((1, 0), (0, 1), (1, 1)) for e in self.edges)
+        # edge directions are primitive, so no canonical form is needed
+        return all(e.direction in _HONEYCOMB_DIRECTIONS for e in self.edges)
 
     def require_degree(self) -> int:
         if self.degree is None:
@@ -274,23 +303,32 @@ class TropicalCurve:
 
     def region_point(self, alpha: IVec) -> Point:
         """A rational point strictly inside the complement component of alpha."""
+        den, x, y = self.region_frame_point(alpha)
+        return (Fraction(x, den), Fraction(y, den))
+
+    def region_frame_point(self, alpha: IVec) -> tuple[int, int, int]:
+        """``region_point`` as (D, x, y), the point (x/D, y/D): the centroid
+        of the region's corner vertices, D = n * frame.den for n corners,
+        pushed along the recession direction by 1, 2, 4, ... while the
+        region is unbounded."""
         if alpha not in self.dual.lattice_points:
             raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
-        corner_ids = [v for v, cell in enumerate(self.vertex_cell) if alpha in cell]
-        n = len(corner_ids)
-        cx = sum((self.vertices[v][0] for v in corner_ids), Fraction(0)) / n
-        cy = sum((self.vertices[v][1] for v in corner_ids), Fraction(0)) / n
-        base = (cx, cy)
+        frame = self.frame
+        corners = [frame.vertices[v] for v, cell in enumerate(self.vertex_cell) if alpha in cell]
+        den = len(corners) * frame.den
+        x = sum(c[0] for c in corners)
+        y = sum(c[1] for c in corners)
+        inside = (alpha,)
         if point_strictly_in_hull(list(self.dual.polygon), alpha):
-            if self.dominating(base) == alpha:
-                return base
+            if frame.argmax(den, x, y) == inside:
+                return den, x, y
             raise AssertionError("centroid of a bounded region is not interior")
-        push = self._recession_direction(alpha)
-        t = Fraction(1)
+        px, py = self._recession_direction(alpha)
+        t = den
         for _ in range(80):
-            cand = (base[0] + push[0] * t, base[1] + push[1] * t)
-            if self.dominating(cand) == alpha:
-                return cand
+            cx, cy = x + px * t, y + py * t
+            if frame.argmax(den, cx, cy) == inside:
+                return den, cx, cy
             t *= 2
         raise AssertionError(f"could not sample the unbounded region of {alpha}")
 

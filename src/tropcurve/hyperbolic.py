@@ -11,7 +11,9 @@ pencil scan (``_pencil_scan``) on the curve's own integer frame
 (``curve.frame``), rescaled by the int factor that puts the point on it
 too: it decides genericity and gives the sector of every vertex and the
 determinant of every ray × edge crossing, which is all the conditions
-read.
+read.  The query point itself is found on ints as well: the region point
+and each retry are tested by the frame's int argmax, and only the point
+returned becomes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from .errors import (
     NotHoneycomb,
     PointOnCurve,
 )
-from .geometry import IVec, Point, canonical_direction, det2, on_frame, sub, sub_i
+from .geometry import IVec, Point, canonical_direction, det2, sub, sub_i
 from .gf2 import _LINE_NORMALS, AffineFlat, Gf2Vector, kernel, solve_affine
 from .realstruct import (
     EPS4,
     Eps,
     RealPhaseStructure,
     TwistSet,
+    _cells,
     _UnionFind,
     continuation_side,
     count_components_direct,
@@ -43,7 +46,6 @@ from .realstruct import (
     is_admissible,
     is_dividing,
     real_part,
-    region_class,
     sides_differ,
     twist_matrix,
     twists_from_phase,
@@ -76,7 +78,8 @@ class SigmaV:
             return ("sector", (1, 1))
         if w[0] < 0 and w[1] > w[0]:
             return ("sector", (1, 0))
-        assert w[1] < 0 and w[0] > w[1]
+        if not (w[1] < 0 and w[0] > w[1]):
+            raise AssertionError(f"{p} lies in no part of the pencil subdivision at {self.apex}")
         return ("sector", (0, 1))
 
 
@@ -88,26 +91,26 @@ def is_generic(v: Point, curve: TropicalCurve) -> bool:
     """True when the three pencil rays meet the curve transversely in
     edge interiors (no vertex hits, no overlaps)."""
     v = (Fraction(v[0]), Fraction(v[1]))
-    if curve.on_curve(v):
+    den, x, y = curve.frame_point(v)
+    if len(curve.frame.argmax(den, x, y)) >= 2:
         raise PointOnCurve(f"{v} lies on the curve")
-    return _pencil_scan(curve, v) is not None
+    return _pencil_scan(curve, den, x, y) is not None
 
 
-def _pencil_scan(curve: TropicalCurve, v: Point):
-    """The pencil at a point v off the curve, or None when v is not generic.
+def _pencil_scan(curve: TropicalCurve, den: int, x: int, y: int):
+    """The pencil at the point v = (x/den, y/den) off the curve, or None
+    when v is not generic; den is a multiple of the curve's frame den.
 
     Returns the sector label of every vertex and, per edge, the
     (ray label, |det|) of each pencil ray crossing its interior.  It runs
-    on the curve's integer frame rescaled to D, the lcm of its den and v's
-    denominators, with v over D too.  v is generic iff no vertex lies on a
-    ray: an edge collinear with a ray reaches the closed ray only through
-    v or through an end vertex on the ray, and a crossing at an edge end
-    is a vertex on the ray.
+    on the curve's integer frame rescaled to den.  v is generic iff no
+    vertex lies on a ray: an edge collinear with a ray reaches the closed
+    ray only through v or through an end vertex on the ray, and a crossing
+    at an edge end is a vertex on the ray.
     """
     frame = curve.frame
-    den = lcm(v[0].denominator, v[1].denominator, frame.den)
     verts, edges = frame.rescaled(den // frame.den)
-    sig = SigmaV(on_frame(v[0], v[1], den))
+    sig = SigmaV((x, y))
     sector: list[IVec] = []
     for u in verts:
         cls = sig.classify(u)
@@ -133,21 +136,29 @@ def _pencil_scan(curve: TropicalCurve, v: Point):
 
 
 def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: int = 60):
-    """A generic point in the component of alpha, with its pencil scan."""
-    base = curve.region_point(alpha)
+    """A generic point in the component of alpha, with its pencil scan.
+
+    The candidates are the region point and the region point moved by
+    (1/(101+17k), 1/(113+19k)), each tested on ints over the lcm of the
+    denominators involved."""
+    frame = curve.frame
+    den0, x0, y0 = curve.region_frame_point(alpha)
+    inside = (alpha,)
     for k in range(start, start + budget):
         if k == 0:
-            cand = base
+            den, x, y = den0, x0, y0
         else:
-            off = (Fraction(1, 101 + 17 * k), Fraction(1, 113 + 19 * k))
-            cand = (base[0] + off[0], base[1] + off[1])
-        # dominating(cand) == alpha also puts cand off the curve; region_point
-        # has checked it for base
-        if k and curve.dominating(cand) != alpha:
-            continue
-        scan = _pencil_scan(curve, cand)
+            mx, my = 101 + 17 * k, 113 + 19 * k
+            den = lcm(den0, mx, my)
+            s = den // den0
+            x, y = x0 * s + den // mx, y0 * s + den // my
+            # a single dominating term also puts the candidate off the
+            # curve; region_frame_point has checked it for k == 0
+            if frame.argmax(den, x, y) != inside:
+                continue
+        scan = _pencil_scan(curve, den, x, y)
         if scan is not None:
-            return cand, scan
+            return (Fraction(x, den), Fraction(y, den)), scan
     raise NotGenericAfterRetries(f"no generic point found in the component of {alpha}")
 
 
@@ -350,20 +361,22 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
     elif hyp:
         report = count_components_direct(real_part(curve, phase))
         ovals = [c for c in report.components if c.kind == "oval"]
-        assert len(ovals) == d // 2, "hyperbolic curve must have floor(d/2) ovals"
+        if len(ovals) != d // 2:
+            raise AssertionError("hyperbolic curve must have floor(d/2) ovals")
         depths = sorted(c.nesting_depth for c in ovals)
-        assert depths == list(range(1, len(ovals) + 1)), "oval nesting must be a chain"
+        if depths != list(range(1, len(ovals) + 1)):
+            raise AssertionError("oval nesting must be a chain")
         innermost = max(ovals, key=lambda c: c.nesting_depth)
         for other in report.components:
             if other is innermost:
                 continue
             eid, eps0 = min(other.edge_copies)
             witness = (curve.edges[eid].dual[0], eps0)
-            assert witness not in innermost.interior_regions, (
-                "innermost oval interior must not contain other components"
-            )
+            if witness in innermost.interior_regions:
+                raise AssertionError("innermost oval interior must not contain other components")
         atoms = set(innermost.interior_regions)
-    signed = frozenset(region_class(curve, a, e) for a, e in atoms)
+    # each atom's region_class, read off the curve's table
+    signed = frozenset(map(_cells(curve).region_class.__getitem__, atoms)) if atoms else frozenset()
     return HyperbolicityReport(
         hyperbolic=hyp,
         kernel_dim=k,
@@ -419,12 +432,13 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
     for (fam, level) in sorted(groups):
         eids = frozenset(groups[(fam, level)])
         direction = canonical_direction(curve.edges[min(eids)].direction)
-        assert all(
-            canonical_direction(curve.edges[e].direction) == direction for e in eids
-        )
-        assert _removal_components(curve, eids) == 2, "bridge removal must leave two parts"
+        if any(canonical_direction(curve.edges[e].direction) != direction for e in eids):
+            raise AssertionError(f"the edges of multi-bridge {(fam, level)} are not parallel")
+        if _removal_components(curve, eids) != 2:
+            raise AssertionError("bridge removal must leave two parts")
         bridges.append(MultiBridge(eids, (fam, level), direction))
-    assert len(bridges) == 3 * (d - 1)
+    if len(bridges) != 3 * (d - 1):
+        raise AssertionError(f"{len(bridges)} multi-bridges, not 3(d-1) = {3 * (d - 1)}")
     return bridges
 
 
@@ -479,11 +493,14 @@ def hyp_alpha_flat(curve: TropicalCurve, alpha: IVec) -> HypAlphaFlat:
         for eid in sorted(b.edges):
             constraints.append((Gf2Vector.from_indices(n, [curve.bounded_index[eid]]), 1))
     flat = solve_affine(constraints, n)
-    assert flat is not None
-    assert div.dim - flat.dim == len(constraining), "codimension equals the bridge count"
+    if flat is None:
+        raise AssertionError("the constraining bridges admit no dividing twist set")
+    if div.dim - flat.dim != len(constraining):
+        raise AssertionError("codimension equals the bridge count")
     origin_bits = 0
     for b in constraining:
         for eid in b.edges:
             origin_bits |= 1 << curve.bounded_index[eid]
-    assert flat.contains(Gf2Vector(n, origin_bits))
+    if not flat.contains(Gf2Vector(n, origin_bits)):
+        raise AssertionError("the flat misses the twist set of the constraining bridges")
     return HypAlphaFlat(alpha, flat, constraining)

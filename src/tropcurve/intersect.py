@@ -15,10 +15,10 @@ a vertex of a curve iff it ends one of that curve's edges through it.
 
 ``edge_hits`` finds the hits by walking A's edges through B's complement
 regions, on the curves' own integer frames rescaled to the pair's frame
-1/D, D = lcm of the two dens.  One vertex of A is located in B by an int
-argmax over B's heights.  Each edge of A is walked from a vertex whose
-place in B is known, and the walk hands the place of its far end to the
-other vertex.  An edge is solved as an int pair only against the boundary
+1/D, D = lcm of the two dens.  One vertex of A is located in B by B's
+int argmax (``IntFrame.argmax``).  Each edge of A is walked from a
+vertex whose place in B is known, and the walk hands the place of its
+far end to the other vertex.  An edge is solved as an int pair only against the boundary
 edges of the regions it crosses and the B edges through the points where
 it meets B, so the work follows the crossings, not |E_A| * |E_B|.  Hits
 are keyed by ints on the pair's frame; ``classify_hits`` compares ints and
@@ -176,23 +176,13 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve) -> FrameHits:
 
 
 def _locate(curve: TropicalCurve, den: int, xy) -> tuple:
-    """The walk place of the point xy/den: an int argmax over the heights."""
-    frame = curve.frame
-    k = den // frame.den
-    x, y = xy
-    best = None
-    top: list = []
-    for (i, j), h in frame.heights.items():
-        val = h * k + i * x + j * y
-        if best is None or val > best:
-            best, top = val, [(i, j)]
-        elif val == best:
-            top.append((i, j))
+    """The walk place of the point xy/den, by the curve's int argmax."""
+    top = curve.frame.argmax(den, *xy)
     if len(top) == 1:
         return _REGION, top[0]
     if len(top) == 2:
         return _EDGE, curve.edge_by_dual(*top)
-    return _VERTEX, curve.vertex_cell.index(tuple(sorted(top)))
+    return _VERTEX, curve.vertex_cell.index(top)
 
 
 def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):

@@ -237,11 +237,14 @@ class _Cells:
     Atom 4*k + c is (lattice point k, EPS4[c]), reported as
     ``atom_keys[4*k + c]``; edge copy x = 4*eid + c is reported as
     ``copy_keys[x]``.  ``glued`` is the atom parent array glued along the
-    strata, and ``edge_atoms`` holds the atoms 4*k of each edge's dual
-    endpoints.  Cell weights are doubled so that each vertex copy on the
-    real part can give half its weight to each of its two edge copies
-    there: ``weight2`` is every cell's doubled weight per atom.  Edge copy
-    x carries ``copy_cell2[x]`` at its first dual atom (its own cell and,
+    strata, flat: each atom points at the least atom of its glue orbit.
+    The key of that atom is ``region_class(curve, alpha, eps)``, and the
+    ``region_class`` table maps each atom key (alpha, eps) to it.
+    ``edge_atoms`` holds the atoms 4*k of each edge's dual endpoints.
+    Cell weights are doubled so that each vertex copy on the real part
+    can give half its weight to each of its two edge copies there:
+    ``weight2`` is every cell's doubled weight per atom.  Edge copy x
+    carries ``copy_cell2[x]`` at its first dual atom (its own cell and,
     for the lesser copy of a ray, the boundary point where the ray's two
     copies glue) and half of each end vertex copy at ``end_atoms[eid]``,
     the atom 4*k of the first point of each end vertex's dual cell.
@@ -273,7 +276,12 @@ class _Cells:
                 g = _code(STRATUM_GLUE[s])
                 for c in range(4):
                     _union(parent, a + c, a + (c ^ g))
+        # parent[x] <= x, so one pass in atom order flattens the forest
+        for x, p in enumerate(parent):
+            parent[x] = parent[p]
         self.glued = parent
+        keys = self.atom_keys
+        self.region_class = {keys[x]: keys[p] for x, p in enumerate(parent)}
 
         weight2 = [2] * len(parent)
         for eid, (a, _) in enumerate(self.edge_atoms):

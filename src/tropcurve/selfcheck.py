@@ -12,6 +12,9 @@ phase_from_twists got), the geometric sidedness rule behind the compiled
 one (edge_twisted_geometric) and the pointwise pencil sweep of the locus.
 One check holds the component reports to theorems instead of a second
 route: the classical restrictions on real plane curves (real-topology).
+Point location (point-location) holds the curve's int argmax and region
+points to the ``Fraction`` argmax of the polynomial and a ``Fraction``
+centroid.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import floor, gcd, lcm
 
 from .curve import (
     STRATA,
@@ -46,6 +49,7 @@ from .geometry import (
     hull_lattice_points,
     intersect_param_lines,
     line_param,
+    point_strictly_in_hull,
     polygon_twice_area,
     primitive,
     rot90,
@@ -901,6 +905,85 @@ def check_construction(rng: random.Random, trials: int) -> CheckResult:
     return CheckResult("construction", True, f"{trials} random lifts, {accepted} non-singular")
 
 
+def fraction_region_point(curve: TropicalCurve, alpha: IVec) -> Point | None:
+    """Reference route of ``TropicalCurve.region_point``: the ``Fraction``
+    centroid of the region's corner vertices, pushed along the recession
+    direction by 1, 2, 4, ... while the region is unbounded, each point
+    tested by ``TropicalPolynomial.argmax``.  None if no point is found."""
+    corners = [curve.vertices[v] for v, cell in enumerate(curve.vertex_cell) if alpha in cell]
+    n = len(corners)
+    base = (sum((c[0] for c in corners), Fraction(0)) / n, sum((c[1] for c in corners), Fraction(0)) / n)
+    inside = (alpha,)
+    if point_strictly_in_hull(list(curve.dual.polygon), alpha):
+        return base if curve.poly.argmax(base) == inside else None
+    push = curve._recession_direction(alpha)
+    t = Fraction(1)
+    for _ in range(80):
+        cand = (base[0] + push[0] * t, base[1] + push[1] * t)
+        if curve.poly.argmax(cand) == inside:
+            return cand
+        t *= 2
+    return None
+
+
+def _point_queries(rng: random.Random, curve: TropicalCurve) -> list[Point]:
+    """The vertices (three-way ties), the midpoint of every bounded edge
+    and a point on every ray (two-way ties), and as many random rationals
+    near the vertices, with denominators coprime to the frame's den."""
+    queries = list(curve.vertices)
+    for e in curve.edges:
+        queries.append(curve.edge_point(e.index, curve.edge_tmax(e.index) / 2 if e.bounded else Fraction(1, 2)))
+    den = curve.frame.den
+    xs = [floor(c) for v in curve.vertices for c in v]
+    lo, hi = min(xs) - 2, max(xs) + 2
+    for _ in curve.vertices:
+        q = rng.choice((11, 13, 17, 19, 23, 29, 31))
+        while gcd(q, den) > 1:
+            q += 1
+        queries.append((Fraction(rng.randint(lo * q, hi * q), q), Fraction(rng.randint(lo * q, hi * q), q)))
+    return queries
+
+
+def check_point_location(rng: random.Random, trials: int) -> CheckResult:
+    """The curve's int argmax (``TropicalCurve.argmax``, which
+    ``dominating`` and ``on_curve`` read) against ``TropicalPolynomial.argmax``
+    at the points ``_point_queries`` draws, and ``region_point`` against
+    ``fraction_region_point`` on every lattice point, on honeycombs, random
+    lifts and chains of translated copies (frame den > 1)."""
+    queries = regions = 0
+    for k in range(trials):
+        curves = [honeycomb(rng.randrange(1, 7))]
+        try:
+            curves.append(curve_from_polynomial(random_lift(rng)))
+        except (SingularSubdivision, DegeneratePolygon):
+            pass
+        moved = rng.choice(curves)
+        for _ in range(2):
+            q, r = rng.choice((2, 3, 5, 7)), rng.choice((2, 3, 5, 7))
+            moved = moved.translated((Fraction(rng.randrange(1, q) + q * rng.randint(-3, 3), q),
+                                      Fraction(rng.randrange(1, r) + r * rng.randint(-3, 3), r)))
+            curves.append(moved)
+        for curve in curves:
+            name = {p: str(a) for p, a in sorted(curve.poly.coefficients.items())}
+            for p in _point_queries(rng, curve):
+                if curve.argmax(p) != curve.poly.argmax(p):
+                    return CheckResult(
+                        "point-location", False,
+                        f"trial {k}: argmax {curve.argmax(p)} != {curve.poly.argmax(p)} at ({p[0]}, {p[1]})"
+                        f" on {name}",
+                    )
+                queries += 1
+            for alpha in curve.dual.lattice_points:
+                got, want = curve.region_point(alpha), fraction_region_point(curve, alpha)
+                if got != want:
+                    return CheckResult(
+                        "point-location", False,
+                        f"trial {k}: region point of {alpha} is {got}, not {want}, on {name}",
+                    )
+                regions += 1
+    return CheckResult("point-location", True, f"{trials} trials, {queries} argmax queries, {regions} region points")
+
+
 def check_rank_nullity(rng: random.Random, trials: int) -> CheckResult:
     for _ in range(trials):
         rows = rng.randrange(1, 40)
@@ -929,6 +1012,7 @@ def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         ("bezout", check_bezout, random.Random(seed + 3), max(trials // 2, 5)),
         ("intersection-routes", check_intersection_routes, random.Random(seed + 6),
          max(trials // 2, 5)),
+        ("point-location", check_point_location, random.Random(seed + 9), max(trials // 2, 5)),
     )
     results = []
     for name, check, check_rng, check_trials in checks:

@@ -13,7 +13,9 @@ from tropcurve import (
 from tropcurve.errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
 from tropcurve.geometry import canonical_direction, det2, rot90, sub_i
 from tropcurve.selfcheck import (
+    check_point_location,
     construction_outcome,
+    fraction_region_point,
     pair_scan_curve,
     random_lift,
     random_nonsingular_curve,
@@ -220,11 +222,39 @@ def test_translation_moves_vertices_only():
 
 
 def test_region_points_dominate():
-    for d in (1, 2, 4):
-        c = honeycomb(d)
+    rng = random.Random(59)
+    curves = [honeycomb(d) for d in (1, 2, 4)] + [random_nonsingular_curve(rng, d) for d in (2, 3, 5)]
+    curves.append(curves[-1].translated((Fraction(2, 5), Fraction(1, 7))))
+    for c in curves:
         for alpha in c.dual.lattice_points:
             w = c.region_point(alpha)
             assert c.dominating(w) == alpha
+            assert w == fraction_region_point(c, alpha)
+
+
+def test_is_honeycomb_matches_the_canonical_direction_rule():
+    def by_classes(curve):
+        return all(canonical_direction(e.direction) in ((1, 0), (0, 1), (1, 1)) for e in curve.edges)
+
+    for d in range(1, 13):
+        c = honeycomb(d)
+        assert c.is_honeycomb() and by_classes(c)
+    rng = random.Random(47)
+    seen, curves = set(), 0
+    while curves < 300:
+        try:
+            c = curve_from_polynomial(random_lift(rng))
+        except (DegeneratePolygon, SingularSubdivision):
+            continue
+        curves += 1
+        assert c.is_honeycomb() == by_classes(c)
+        seen.add(c.is_honeycomb())
+    assert seen == {True, False}
+
+
+def test_point_location_check_passes():
+    result = check_point_location(random.Random(61), 8)
+    assert result.passed, result.detail
 
 
 def _assert_frame_matches_fractions(curve):

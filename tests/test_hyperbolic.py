@@ -620,3 +620,43 @@ def test_pencil_analysis_golden():
                 lines.append(repr((p, "on curve")))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PENCIL_DIGEST
+
+
+_OPTIMIZED_LOCUS = """
+import dataclasses
+import tropcurve.hyperbolic as hyp
+from tropcurve import TwistSet, honeycomb, phase_from_twists
+
+assert False, "the interpreter must run with -O"  # stripped under -O
+real = hyp.count_components_direct
+
+
+def one_oval_short(rp):
+    report = real(rp)
+    oval = next(k for k, c in enumerate(report.components) if c.kind == "oval")
+    return dataclasses.replace(report, components=report.components[:oval] + report.components[oval + 1:])
+
+
+hyp.count_components_direct = one_oval_short
+curve = honeycomb(4)
+phase = phase_from_twists(curve, TwistSet.from_edges(curve, curve.bounded_edges))
+try:
+    hyp.hyperbolicity_locus(curve, phase)
+except AssertionError as exc:
+    print("AssertionError:", exc)
+"""
+
+
+def test_locus_invariants_hold_under_python_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_LOCUS],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "AssertionError: hyperbolic curve must have floor(d/2) ovals\n"

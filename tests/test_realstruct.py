@@ -24,7 +24,7 @@ from tropcurve import (
     twists_from_signs,
 )
 from tropcurve.errors import NotAdmissible, UnknownPoint
-from tropcurve.realstruct import EPS4, _UnionFind, region_class
+from tropcurve.realstruct import EPS4, _cells, _UnionFind, region_class
 from tropcurve.selfcheck import (
     check_real_topology,
     climbing_sign_walk,
@@ -491,6 +491,21 @@ def test_region_class_orbits():
     c4 = honeycomb(4)
     assert region_class(c4, (1, 1), (1, 1)) == ((1, 1), (1, 1))
     assert region_class(c4, (1, 1), (0, 1)) == ((1, 1), (0, 1))
+
+
+def test_region_class_table_matches_region_class():
+    rng = random.Random(67)
+    curves = [honeycomb(d) for d in range(1, 9)] + [random_nonsingular_curve(rng, d) for d in (1, 2, 3, 4, 5, 6)]
+    for c in curves:
+        d = c.degree
+        table = _cells(c).region_class
+        keys = [(alpha, eps) for alpha in c.dual.lattice_points for eps in EPS4]
+        assert sorted(table) == sorted(keys)
+        for alpha, eps in keys:
+            assert table[alpha, eps] == region_class(c, alpha, eps)
+        # at each corner two strata glue all four copies into one
+        for corner in ((0, 0), (d, 0), (0, d)):
+            assert {table[corner, eps] for eps in EPS4} == {(corner, (0, 0))}
 
 
 def test_real_part_requires_degree():
