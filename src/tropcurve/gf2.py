@@ -200,7 +200,8 @@ class Gf2Subspace:
         # x in both spaces  <=>  x satisfies the orthogonality constraints of both.
         cons = self.orthogonal_constraints() + other.orthogonal_constraints()
         flat = solve_affine([(c, 0) for c in cons], self.ambient_dim)
-        assert flat is not None
+        if flat is None:
+            raise AssertionError("homogeneous constraints always have the zero solution")
         return flat.space
 
     def orthogonal_constraints(self) -> list[Gf2Vector]:
@@ -267,7 +268,8 @@ def _kernel(reduced: Sequence[int], pivots: Sequence[int], n: int) -> Gf2Subspac
                 v |= 1 << p
         basis.append(Gf2Vector(n, v))
     space = Gf2Subspace.from_vectors(n, basis)
-    assert space.dim + len(reduced) == n, "rank-nullity violated"
+    if space.dim + len(reduced) != n:
+        raise AssertionError("rank-nullity violated")
     return space
 
 

@@ -26,6 +26,15 @@ builds ``Fraction`` points for the components only.  The ``Fraction`` pair
 scan ``selfcheck.pair_scan_intersections`` is the oracle that must find
 the same hits in the same order.
 
+Most hits are crossings strictly inside one edge of each curve, which the
+walk's int solve proves (0 < t < T_a and 0 < s < T_b).  Such a point is no
+vertex of either curve, and no other edge pair meets there, so the walk
+records it as a crossing (edge_a, edge_b, |det|) and ``classify_hits``
+builds its transverse component directly.  Hits at an edge end, collinear
+hits and overlaps go through the incidence reading above.  A forced real
+lift without locations is one shared frozen ``LiftOutcome`` per
+(reals, pairs).
+
 Twists of lifted overlaps use the sidedness rule of ``realstruct``: the
 production route for relative twists is ``relative_twist_geometric``.
 ``relative_twist_signs`` reads the same verdict off sign distributions
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
@@ -114,14 +123,23 @@ class FrameHits(NamedTuple):
 
     A point is keyed (x, y, m), the point (x/(den*m), y/(den*m)) with the
     least m >= 1, so equal points have equal keys.  ``points`` maps each
-    hit point to the ("a"|"b", edge) pairs through it, in the order of
-    its lex-first (edge_a, edge_b) pair; ``segments`` holds
-    (p1, p2, edge_a, edge_b) overlaps in pair order, with p1
-    lexicographically first.  ``solved`` counts the edge pairs solved.
+    hit point, in the order of its lex-first (edge_a, edge_b) pair, to one
+    of two values:
+
+    - a crossing (edge_a, edge_b, mult) when the point lies strictly inside
+      one edge of each curve.  It is no vertex of either curve, no other
+      edge pair meets there, and mult = |det| of the two primitive
+      directions;
+    - otherwise the set of ("a"|"b", edge) pairs through it: a hit at an
+      end of an edge, or a collinear pair touching in one point.
+
+    ``segments`` holds (p1, p2, edge_a, edge_b) overlaps in pair order,
+    with p1 lexicographically first.  ``solved`` counts the edge pairs
+    solved.
     """
 
     den: int
-    points: dict[tuple[int, int, int], set]
+    points: dict[tuple[int, int, int], tuple[int, int, int] | set]
     segments: list
     solved: int
 
@@ -142,7 +160,7 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve) -> FrameHits:
     den = lcm(frame_a.den, frame_b.den)
     ka = den // frame_a.den  # A's edges are rescaled as they are walked
     _, edges_b = frame_b.rescaled(den // frame_b.den)
-    found: list = []  # (edge_a, edge_b, point key or (key, key))
+    found: list = []  # (edge_a, edge_b, point key or (key, key), crossing multiplicity or 0)
     place: list = [None] * len(curve_a.vertices)
     x0, y0 = frame_a.vertices[0]
     place[0] = _locate(curve_b, den, (x0 * ka, y0 * ka))
@@ -164,12 +182,13 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve) -> FrameHits:
                     place[w] = end
                     stack.append(w)
     found.sort(key=itemgetter(0, 1))
-    points: dict[tuple[int, int, int], set] = {}
+    points: dict[tuple[int, int, int], tuple | set] = {}
     segments = []
-    for ea, eb, hit in found:
-        if len(hit) == 3:
-            points.setdefault(hit, set()).add(("a", ea))
-            points[hit].add(("b", eb))
+    for ea, eb, hit, mult in found:
+        if mult:
+            points[hit] = (ea, eb, mult)
+        elif len(hit) == 3:
+            points.setdefault(hit, set()).update((("a", ea), ("b", eb)))
         else:
             segments.append((hit[0], hit[1], ea, eb))
     return FrameHits(den, points, segments, solved)
@@ -219,10 +238,13 @@ def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
                 res = (tn, dd, sn)
                 x, y = px * dd + dax * tn, py * dd + day * tn
                 if dd == 1:
-                    found.append((ea, eb, (x, y, 1)))
+                    key = (x, y, 1)
                 else:
                     g = gcd(x, y, dd)
-                    found.append((ea, eb, (x // g, y // g, dd // g)))
+                    key = (x // g, y // g, dd // g)
+                # strictly inside both edges: a crossing of multiplicity dd
+                inside = 0 < tn and (ta is None or tn < ta * dd) and 0 < sn and (tb is None or sn < tb * dd)
+                found.append((ea, eb, key, dd if inside else 0))
         elif not wx * day - wy * dax:
             # collinear supporting lines: intersect the int parameter intervals
             t0 = wx // dax if dax else wy // day
@@ -239,10 +261,10 @@ def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
                 res = (lo, hi, b_lo, b_hi, same)
                 p1 = (px + dax * lo, py + day * lo, 1)
                 if lo == hi:
-                    found.append((ea, eb, p1))
+                    found.append((ea, eb, p1, 0))
                 else:
                     p2 = (px + dax * hi, py + day * hi, 1)
-                    found.append((ea, eb, (p1, p2) if p1 < p2 else (p2, p1)))
+                    found.append((ea, eb, (p1, p2) if p1 < p2 else (p2, p1), 0))
         results[eb] = res
         return res
 
@@ -318,7 +340,8 @@ def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
 def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, hits: FrameHits):
     """Components from an edge scan's hits (see ``FrameHits``), sorted.
 
-    Incidence is read off each hit's own edges.  Edges of a non-singular
+    A crossing is a transverse component as it stands.  For every other
+    hit, incidence is read off the hit's own edges.  Edges of a non-singular
     curve meet only at their end vertices, so a vertex on a hit edge is one
     of its ends, a point hit on an overlap is one of the overlap's
     endpoints, and two overlaps touch only at a shared endpoint.  Three
@@ -340,9 +363,17 @@ def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, hits: FrameHit
     for p1, p2, ea, eb in segments:
         keyed.append((_lex(p1, common) + _lex(p2, common), _classify_segment(pair, den, p1, p2, ea, eb)))
     for key, gens in points.items():
-        if key not in ends:
-            lex = _lex(key, common)
-            keyed.append((lex + lex, _classify_point(pair, den, key, gens)))
+        if type(gens) is tuple:
+            ea, eb, mult = gens
+            comp = IntersectionComponent(
+                TRANSVERSE, mult, curve_a, curve_b, point=_point(den, key), edge_a=ea, edge_b=eb
+            )
+        elif key in ends:
+            continue
+        else:
+            comp = _classify_point(pair, den, key, gens)
+        lex = _lex(key, common)
+        keyed.append((lex + lex, comp))
     keyed.sort(key=itemgetter(0))
     return [comp for _, comp in keyed]
 
@@ -377,7 +408,8 @@ def _vertex_multiplicity(curve: TropicalCurve, vid: int, line_dir) -> int:
     total = 0
     for eid in curve.vertex_edges[vid]:
         total += abs(det2(_outward_direction(curve, eid, vid), line_dir))
-    assert total % 2 == 0, "balanced vertex gives an even determinant sum"
+    if total % 2:
+        raise AssertionError("balanced vertex gives an even determinant sum")
     return total // 2
 
 
@@ -391,7 +423,8 @@ def _classify_point(pair, den: int, key, gens) -> IntersectionComponent:
     if va is not None and vb is not None:
         raise UnsupportedConfiguration(f"{pt} is a vertex of both curves")
     if va is None and vb is None:
-        assert len(a_edges) == 1 and len(b_edges) == 1
+        if len(a_edges) != 1 or len(b_edges) != 1:
+            raise AssertionError(f"{pt} is a vertex of neither curve but lies on several edges of one")
         mult = transverse_multiplicity(
             curve_a.edges[a_edges[0]].direction, curve_b.edges[b_edges[0]].direction
         )
@@ -465,10 +498,12 @@ def relative_twist_signs(
     pa, qa = ea.dual
     pb, qb = eb.dual
     if eb.direction != ea.direction:
-        assert eb.direction == (-ea.direction[0], -ea.direction[1])
+        if eb.direction != (-ea.direction[0], -ea.direction[1]):
+            raise AssertionError("overlapping edges must be parallel")
         pb, qb = qb, pb
     shift = (pa[0] - pb[0], pa[1] - pb[1])
-    assert (qa[0] - qb[0], qa[1] - qb[1]) == shift
+    if (qa[0] - qb[0], qa[1] - qb[1]) != shift:
+        raise AssertionError("the two dual edges must differ by one translation")
     # third vertex of the dual cell of each overlap-end vertex
     v3 = {}
     for tag, vid in comp.end_vertices:
@@ -478,18 +513,21 @@ def relative_twist_signs(
         (third,) = [v for v in cell if v not in dual_pair]
         v3[tag] = third
     sa, sb = delta_a.signs, delta_b.signs
-    assert sa[pa] * sa[qa] * sb[pb] * sb[qb] == 1, "equal phases force the premise product"
+    if sa[pa] * sa[qa] * sb[pb] * sb[qb] != 1:
+        raise AssertionError("equal phases force the premise product")
     v3a = v3["a"]
     v3b = v3["b"]
     v3b_shifted = (v3b[0] + shift[0], v3b[1] + shift[1])
     if (v3a[0] - v3b_shifted[0]) % 2 == 0 and (v3a[1] - v3b_shifted[1]) % 2 == 0:
         r1 = sa[v3a] * sa[pa] * sb[v3b] * sb[pb] == -1
         r2 = sa[v3a] * sa[qa] * sb[v3b] * sb[qb] == -1
-        assert r1 == r2
+        if r1 != r2:
+            raise AssertionError("the sign rule reads differently at the two dual vertices")
         return r1
     r1 = sa[pa] * sa[v3a] * sb[qb] * sb[v3b] == 1
     r2 = sa[qa] * sa[v3a] * sb[pb] * sb[v3b] == 1
-    assert r1 == r2
+    if r1 != r2:
+        raise AssertionError("the sign rule reads differently at the two dual vertices")
     return r1
 
 
@@ -521,12 +559,25 @@ def tangency_possible(
 
 
 def _forced(mult: int, reals: int, pairs: int, locations=None) -> LiftOutcome:
-    assert reals + 2 * pairs == mult, "lift counts must add up to the multiplicity"
+    """The forced lift of ``reals`` real points and ``pairs`` conjugate
+    pairs; an unlocated one is shared by every component it fits."""
+    if reals + 2 * pairs != mult:
+        raise AssertionError("lift counts must add up to the multiplicity")
+    if locations is None:
+        return _shared_forced(reals, pairs)
+    return _forced_outcome(reals, pairs, locations)
+
+
+def _forced_outcome(reals: int, pairs: int, locations=None) -> LiftOutcome:
     if reals and pairs:
         return LiftOutcome("forced-mixed", reals, pairs, locations)
     if reals:
         return LiftOutcome("forced-real", reals, 0, locations)
     return LiftOutcome("forced-pairs", 0, pairs, locations)
+
+
+# frozen, so one outcome per (reals, pairs) serves every caller
+_shared_forced = cache(_forced_outcome)
 
 
 _INDET_NOTE = (
@@ -544,7 +595,8 @@ def real_lift(
         if m % 2 == 1:
             return _forced(m, 1, (m - 1) // 2)
         # even multiplicity forces equal direction classes, so the lines compare
-        assert phase_a.lines[comp.edge_a].direction == phase_b.lines[comp.edge_b].direction
+        if phase_a.lines[comp.edge_a].direction != phase_b.lines[comp.edge_b].direction:
+            raise AssertionError("an even crossing joins edges of one direction class")
         if phase_a.lines[comp.edge_a] == phase_b.lines[comp.edge_b]:
             return _forced(m, 2, (m - 2) // 2)
         return _forced(m, 0, m // 2)
@@ -567,7 +619,8 @@ def real_lift(
                 "indeterminate", possible=(TWO_REAL, CONJ_PAIR, TANGENT_DOUBLE), note=_INDET_NOTE
             )
         return _forced(2, 2, 0)
-    assert comp.kind == ISOLATED_VERTEX
+    if comp.kind != ISOLATED_VERTEX:
+        raise AssertionError(f"unknown component kind {comp.kind!r}")
     return LiftOutcome(
         "indeterminate", non_real_possible=True,
         note="a nearby line can meet the lifted curve in non-real points",

@@ -396,9 +396,13 @@ def intersection_outcome(scan, curve_a: TropicalCurve, curve_b: TropicalCurve):
 
 
 def _fraction_hits(hits: FrameHits):
-    """``hits`` as the pair scan gives them: ``Fraction`` points."""
+    """``hits`` as the pair scan gives them: ``Fraction`` points, each
+    crossing (edge_a, edge_b, mult) as the set of its two edges."""
     den = hits.den
-    points = {_point(den, key): gens for key, gens in hits.points.items()}
+    points = {
+        _point(den, key): {("a", gens[0]), ("b", gens[1])} if type(gens) is tuple else gens
+        for key, gens in hits.points.items()
+    }
     segments = [(_point(den, p1), _point(den, p2), ea, eb) for p1, p2, ea, eb in hits.segments]
     return points, segments
 

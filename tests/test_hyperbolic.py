@@ -622,9 +622,11 @@ def test_pencil_analysis_golden():
     assert digest == PENCIL_DIGEST
 
 
-_OPTIMIZED_LOCUS = """
+_OPTIMIZED_INVARIANTS = """
 import dataclasses
+import tropcurve.gf2 as gf2
 import tropcurve.hyperbolic as hyp
+import tropcurve.intersect as isect
 from tropcurve import TwistSet, honeycomb, phase_from_twists
 
 assert False, "the interpreter must run with -O"  # stripped under -O
@@ -644,6 +646,14 @@ try:
     hyp.hyperbolicity_locus(curve, phase)
 except AssertionError as exc:
     print("AssertionError:", exc)
+try:
+    isect._forced(3, 2, 0)
+except AssertionError as exc:
+    print("AssertionError:", exc)
+try:
+    gf2._kernel([0b1], [], 2)  # one row without a pivot
+except AssertionError as exc:
+    print("AssertionError:", exc)
 """
 
 
@@ -655,8 +665,12 @@ def test_locus_invariants_hold_under_python_optimize():
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMIZED_LOCUS],
+        [sys.executable, "-O", "-c", _OPTIMIZED_INVARIANTS],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "AssertionError: hyperbolic curve must have floor(d/2) ovals\n"
+    assert proc.stdout == (
+        "AssertionError: hyperbolic curve must have floor(d/2) ovals\n"
+        "AssertionError: lift counts must add up to the multiplicity\n"
+        "AssertionError: rank-nullity violated\n"
+    )

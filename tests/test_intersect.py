@@ -39,6 +39,7 @@ from tropcurve.intersect import (
 from tropcurve.realstruct import _outward_direction
 from tropcurve.selfcheck import (
     INTERSECTION_SHIFTS,
+    _fraction_hits,
     intersection_outcome,
     pair_scan_intersections,
     random_intersection_pair,
@@ -428,14 +429,20 @@ def _vertex_placements(rng, count):
 CLASSIFIED_DIGEST = "9b17c9fdcadb3d5d6b44c7641dc1ff5023a52c84f4536a0ce25e4e81ec095c77"
 
 
-def test_classified_outcomes_match_recorded_digest():
+def _digest_pairs():
+    """The 1100 pairs both golden digests run on: 800 draws cycling the
+    shift kinds and 300 vertex-on-vertex placements."""
     rng = random.Random(10)
     pairs = []
     for k in range(800):
         a, b, shift = random_intersection_pair(rng, INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)])
         pairs.append((a, b.translated(shift)))
     pairs.extend(_vertex_placements(random.Random(11), 300))
-    outcomes = [_classified(a, b) for a, b in pairs]
+    return pairs
+
+
+def test_classified_outcomes_match_recorded_digest():
+    outcomes = [_classified(a, b) for a, b in _digest_pairs()]
     seen = set()
     for out in outcomes:
         if isinstance(out, tuple):
@@ -449,6 +456,37 @@ def test_classified_outcomes_match_recorded_digest():
     }, seen
     digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
     assert digest == CLASSIFIED_DIGEST
+
+
+# sha256 of every real lift on the pairs above, recorded before transverse
+# crossings were classified where the walk solves them
+LIFT_DIGEST = "145b553d4269d483243dd25e2b9ce007b982eff8191b20f198f6a567ef905c10"
+
+
+def _lifts(rng, curve_a, curve_b):
+    """Every field of the real lift of every component under random phases
+    of the two curves, or None for a refused pair."""
+    phase_a = phase_from_signs(curve_a, random_sign_distribution(rng, curve_a))
+    phase_b = phase_from_signs(curve_b, random_sign_distribution(rng, curve_b))
+    try:
+        comps = intersection_components(curve_a, curve_b)
+    except UnsupportedConfiguration:
+        return None
+    return [
+        (c.kind, lift.variant, lift.reals, lift.pairs, lift.locations, lift.possible,
+         lift.non_real_possible, lift.note)
+        for c in comps
+        for lift in (real_lift(c, phase_a, phase_b),)
+    ]
+
+
+def test_real_lifts_match_recorded_digest():
+    rng = random.Random(13)
+    outcomes = [_lifts(rng, a, b) for a, b in _digest_pairs()]
+    variants = Counter(row[1] for out in outcomes if out for row in out)
+    assert set(variants) == {"forced-real", "forced-pairs", "indeterminate"}, variants
+    digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+    assert digest == LIFT_DIGEST
 
 
 def _simplex_lift(rng, d):
@@ -519,3 +557,46 @@ def test_walk_work_follows_the_output():
     assert len(comps) == 400
     # the pair scan solves 630 * 630 = 396,900 pairs
     assert hits.solved <= 8 * (len(a.edges) + len(comps))
+
+
+# a cubic whose bounded edge 5 has direction (1, 2), from (39/8, 33/8) to (43/8, 41/8)
+SLANTED_CUBIC = {
+    (0, 0): Fraction(7, 4), (0, 1): Fraction(-5, 8), (0, 2): Fraction(-7), (0, 3): Fraction(-35, 2),
+    (1, 0): Fraction(-11, 8), (1, 1): Fraction(-6), (1, 2): Fraction(-51, 4),
+    (2, 0): Fraction(-25, 4), (2, 1): Fraction(-55, 4), (3, 0): Fraction(-67, 4),
+}
+
+
+def _crossing_pair(case):
+    if case == "half-integer":
+        # every hit lies on the pair's frame lattice (m = 1), inside both edges
+        return honeycomb(3), honeycomb(3).translated((Fraction(1, 2), Fraction(-1, 2)))
+    # the conic's vertex (1, 1) onto the midpoint (41/8, 37/8) of the cubic's edge 5
+    return (curve_from_polynomial(TropicalPolynomial(SLANTED_CUBIC)),
+            honeycomb(2).translated((Fraction(33, 8), Fraction(29, 8))))
+
+
+@pytest.mark.parametrize("case", ["half-integer", "vertex-on-edge"])
+def test_crossings_are_the_hits_inside_both_edges(case):
+    a, b = _crossing_pair(case)
+    hits = edge_hits(a, b)
+    vertices = set(a.vertices) | set(b.vertices)
+    # a hit lies on both curves, so it is inside both edges iff it is a vertex of neither
+    inside = {key for key in hits.points
+              if (Fraction(key[0], hits.den * key[2]), Fraction(key[1], hits.den * key[2])) not in vertices}
+    crossings = {key for key, gens in hits.points.items() if type(gens) is tuple}
+    assert crossings == inside
+    for key in crossings:
+        ea, eb, mult = hits.points[key]
+        assert mult == transverse_multiplicity(a.edges[ea].direction, b.edges[eb].direction)
+    points, segments = _fraction_hits(hits)
+    scan_points, scan_segments = pair_scan_intersections(a, b)
+    assert list(points.items()) == list(scan_points.items())
+    assert segments == scan_segments
+    assert intersection_outcome(edge_hits, a, b) == intersection_outcome(pair_scan_intersections, a, b)
+    kinds = Counter(c.kind for c in classify_hits(a, b, hits))
+    if case == "half-integer":
+        assert {key[2] for key in hits.points} == {1}
+        assert len(crossings) == 9 and kinds == {"transverse": 9}
+    else:
+        assert len(crossings) == 4 and kinds == {"transverse": 4, "isolated-vertex": 1}
