@@ -4,8 +4,9 @@ A real tropical curve is hyperbolic when some point sees every line
 through it meet the curve in only real points.  The set of complement
 components carrying such points is the inside of the innermost oval; on
 honeycombs a census of twisted multi-bridges gives it too, and the two
-must agree.  The pencil conditions at a sample point say why a component
-is left out.
+must agree.  A point query reads its verdict off the same locus and says
+why a component copy is left out: condition 3 when the curve is
+hyperbolic but the copy lies outside the innermost oval.
 """
 
 from pathlib import Path

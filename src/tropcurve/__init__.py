@@ -19,16 +19,13 @@ from .hyperbolic import (
     HyperbolicityReport,
     MultiBridge,
     PointVerdict,
-    SigmaV,
     honeycomb_locus,
     hyp_alpha_flat,
     hyperbolic_wrt_point,
     hyperbolicity_locus,
-    is_generic,
     is_hyperbolic,
     is_stable_limit,
     multi_bridges,
-    sigma_v,
 )
 from .intersect import (
     IntersectionComponent,

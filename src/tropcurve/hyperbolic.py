@@ -4,34 +4,21 @@ A real tropical curve is hyperbolic iff its twist set is dividing with
 twist-matrix kernel of dimension ceil(d/2)-1.  The locus of components
 the curve is hyperbolic with respect to is the interior of the innermost
 oval of the real part; honeycombs also have a bridge criterion for it.
-The three pencil conditions at a generic point of one component answer
-the per-point query with a reason; swept over every component they are
-the oracle ``selfcheck.pointwise_verdicts``.  Each query point gets one
-pencil scan (``_pencil_scan``) on the curve's own integer frame
-(``curve.frame``), rescaled by the int factor that puts the point on it
-too: it decides genericity and gives the sector of every vertex and the
-determinant of every ray × edge crossing, which is all the conditions
-read.  The query point itself is found on ints as well: the region point
-and each retry are tested by the frame's int argmax, and only the point
-returned becomes a ``Fraction``.
+A point query reads its verdict off that locus: the eps-copy of a
+component is in it iff its ``region_class`` is in the signed locus, and a
+"no" names the fact of the oval route that fails.  The three pencil
+conditions at a generic point of one component are the oracle
+``selfcheck.pointwise_verdicts``, not a production route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .curve import ComplementComponent, TropicalCurve
-from .errors import (
-    NotAdmissible,
-    NotDividing,
-    NotGenericAfterRetries,
-    NotHoneycomb,
-    PointOnCurve,
-)
-from .geometry import IVec, Point, canonical_direction, det2, sub, sub_i
-from .gf2 import _LINE_NORMALS, AffineFlat, Gf2Vector, kernel, solve_affine
+from .errors import NotAdmissible, NotDividing, NotHoneycomb
+from .geometry import IVec, canonical_direction, sub_i
+from .gf2 import AffineFlat, Gf2Vector, kernel, solve_affine
 from .realstruct import (
     EPS4,
     Eps,
@@ -39,127 +26,14 @@ from .realstruct import (
     TwistSet,
     _cells,
     _UnionFind,
-    continuation_side,
     count_components_direct,
     div_space,
-    edge_twisted,
     is_admissible,
     is_dividing,
     real_part,
-    sides_differ,
     twist_matrix,
     twists_from_phase,
 )
-
-# rays of the pencil subdivision at a point: label -> outward direction
-RAY_DIR = {(1, 0): (1, 0), (0, 1): (0, 1), (1, 1): (-1, -1)}
-# sectors flanking each ray: (side with det(ray, w) > 0, side with < 0)
-_FLANK = {(1, 0): ((1, 1), (0, 1)), (0, 1): ((1, 0), (1, 1)), (1, 1): ((0, 1), (1, 0))}
-_LINE_RAY_DIRS = ((-1, 0), (0, -1), (1, 1))
-
-
-@dataclass(frozen=True)
-class SigmaV:
-    """Subdivision of the plane by the three pencil rays at the apex."""
-
-    apex: Point
-
-    def classify(self, p: Point):
-        w = sub(p, self.apex)
-        if w == (0, 0):
-            return ("apex",)
-        if w[1] == 0 and w[0] > 0:
-            return ("ray", (1, 0))
-        if w[0] == 0 and w[1] > 0:
-            return ("ray", (0, 1))
-        if w[0] == w[1] and w[0] < 0:
-            return ("ray", (1, 1))
-        if w[0] > 0 and w[1] > 0:
-            return ("sector", (1, 1))
-        if w[0] < 0 and w[1] > w[0]:
-            return ("sector", (1, 0))
-        if not (w[1] < 0 and w[0] > w[1]):
-            raise AssertionError(f"{p} lies in no part of the pencil subdivision at {self.apex}")
-        return ("sector", (0, 1))
-
-
-def sigma_v(v: Point) -> SigmaV:
-    return SigmaV((Fraction(v[0]), Fraction(v[1])))
-
-
-def is_generic(v: Point, curve: TropicalCurve) -> bool:
-    """True when the three pencil rays meet the curve transversely in
-    edge interiors (no vertex hits, no overlaps)."""
-    v = (Fraction(v[0]), Fraction(v[1]))
-    den, x, y = curve.frame_point(v)
-    if len(curve.frame.argmax(den, x, y)) >= 2:
-        raise PointOnCurve(f"{v} lies on the curve")
-    return _pencil_scan(curve, den, x, y) is not None
-
-
-def _pencil_scan(curve: TropicalCurve, den: int, x: int, y: int):
-    """The pencil at the point v = (x/den, y/den) off the curve, or None
-    when v is not generic; den is a multiple of the curve's frame den.
-
-    Returns the sector label of every vertex and, per edge, the
-    (ray label, |det|) of each pencil ray crossing its interior.  It runs
-    on the curve's integer frame rescaled to den.  v is generic iff no
-    vertex lies on a ray: an edge collinear with a ray reaches the closed
-    ray only through v or through an end vertex on the ray, and a crossing
-    at an edge end is a vertex on the ray.
-    """
-    frame = curve.frame
-    verts, edges = frame.rescaled(den // frame.den)
-    sig = SigmaV((x, y))
-    sector: list[IVec] = []
-    for u in verts:
-        cls = sig.classify(u)
-        if cls[0] != "sector":
-            return None
-        sector.append(cls[1])
-    vx, vy = sig.apex
-    crossings: dict[int, list[tuple[IVec, int]]] = {}
-    for label, (rx, ry) in RAY_DIR.items():
-        for eid, (px, py, dx, dy, length) in enumerate(edges):
-            dd = rx * dy - ry * dx
-            if not dd:
-                continue
-            # v + t*ray = tail + s*direction at t = tn/dd, s = sn/dd
-            wx, wy = px - vx, py - vy
-            tn = wx * dy - wy * dx
-            sn = wx * ry - wy * rx
-            if dd < 0:
-                dd, tn, sn = -dd, -tn, -sn
-            if tn > 0 and sn > 0 and (length is None or sn < length * dd):
-                crossings.setdefault(eid, []).append((label, dd))
-    return sector, crossings
-
-
-def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: int = 60):
-    """A generic point in the component of alpha, with its pencil scan.
-
-    The candidates are the region point and the region point moved by
-    (1/(101+17k), 1/(113+19k)), each tested on ints over the lcm of the
-    denominators involved."""
-    frame = curve.frame
-    den0, x0, y0 = curve.region_frame_point(alpha)
-    inside = (alpha,)
-    for k in range(start, start + budget):
-        if k == 0:
-            den, x, y = den0, x0, y0
-        else:
-            mx, my = 101 + 17 * k, 113 + 19 * k
-            den = lcm(den0, mx, my)
-            s = den // den0
-            x, y = x0 * s + den // mx, y0 * s + den // my
-            # a single dominating term also puts the candidate off the
-            # curve; region_frame_point has checked it for k == 0
-            if frame.argmax(den, x, y) != inside:
-                continue
-        scan = _pencil_scan(curve, den, x, y)
-        if scan is not None:
-            return (Fraction(x, den), Fraction(y, den)), scan
-    raise NotGenericAfterRetries(f"no generic point found in the component of {alpha}")
 
 
 @dataclass(frozen=True)
@@ -207,143 +81,36 @@ def is_hyperbolic(curve: TropicalCurve, twists: TwistSet) -> tuple[bool, int]:
 # -- pointwise criterion -------------------------------------------------
 
 
-class _ComponentAnalysis:
-    """Geometry of the pencil conditions at a generic point of one
-    component; everything that does not depend on the symmetry."""
-
-    def __init__(self, curve: TropicalCurve, phase: RealPhaseStructure,
-                 alpha: IVec, start: int = 0):
-        self.curve = curve
-        self.phase = phase
-        self.alpha = alpha
-        self.v, (self.sector, crossings) = _generic_point(curve, alpha, start=start)
-        self.cond1_failure: str | None = None
-        for vid, label in enumerate(self.sector):
-            if any(abs(det2(curve.edges[e].direction, label)) > 1 for e in curve.vertex_edges[vid]):
-                self.cond1_failure = (
-                    f"vertex {vid} in sector {label} has no edge of direction {label}"
-                )
-                break
-
-        self.cond2_edges: list[int] = sorted(
-            eid for eid, hits in crossings.items() if any(det == 2 for _, det in hits)
-        )
-
-        # condition 3 bookkeeping
-        self.cond3_contained: list[int] = []   # must be twisted
-        self.cond3_overlaps: list[dict] = []   # relative-twist checks
-        for eid in curve.bounded_edges:
-            e = curve.edges[eid]
-            cls = canonical_direction(e.direction)
-            if cls not in ((1, 0), (0, 1), (1, 1)):
-                continue
-            in_tail = self.sector[e.tail] == cls
-            in_head = self.sector[e.head] == cls
-            if in_tail and in_head:
-                self.cond3_contained.append(eid)
-                continue
-            if not (in_tail or in_head):
-                continue
-            cands = []
-            for label, _ in crossings.get(eid, ()):
-                ray = RAY_DIR[label]
-                for d in (e.direction, (-e.direction[0], -e.direction[1])):
-                    sgn = det2(ray, d)
-                    entered = _FLANK[label][0] if sgn > 0 else _FLANK[label][1]
-                    if entered == cls:
-                        assert d in _LINE_RAY_DIRS, "entry direction must be a line ray"
-                        cands.append((label, d))
-            assert len(cands) == 1, "edge meets its sector across exactly one ray"
-            label, d = cands[0]
-            w_vid = e.head if d == e.direction else e.tail
-            assert self.sector[w_vid] == cls
-            self.cond3_overlaps.append(self._overlap_record(eid, label, d, w_vid))
-
-    def _overlap_record(self, eid, ray_label, d, w_vid):
-        curve, phase = self.curve, self.phase
-        e = curve.edges[eid]
-        line = phase.lines[eid]
-        # far-end continuations on the curve side, per phase element
-        side_w = {
-            eps: continuation_side(curve, phase, eid, w_vid, e.direction, eps)
-            for eps in line.elements
-        }
-        # the two other rays of the pencil line with its vertex on the crossing
-        rv_dir = (-RAY_DIR[ray_label][0], -RAY_DIR[ray_label][1])
-        third_dir = next(
-            x for x in _LINE_RAY_DIRS if x not in (d, rv_dir)
-        )
-        return {
-            "eid": eid,
-            "level": line.level,
-            "elements": line.elements,
-            "side_w": side_w,
-            "rv": (rv_dir, canonical_direction(rv_dir)),
-            "third": (third_dir, canonical_direction(third_dir)),
-            "ref_dir": e.direction,
-        }
-
-    def verdict(self, eps: Eps, twisted: frozenset[int]) -> PointVerdict:
-        if self.cond1_failure is not None:
-            return PointVerdict(self.alpha, eps, False, 1, self.cond1_failure)
-        for eid in self.cond2_edges:
-            if not self.phase.lines[eid].contains(eps):
-                return PointVerdict(
-                    self.alpha, eps, False, 2,
-                    f"edge {eid} crosses a ray with determinant 2 but {eps} is not on its phase line",
-                )
-        for eid in self.cond3_contained:
-            if eid not in twisted:
-                return PointVerdict(
-                    self.alpha, eps, False, 3,
-                    f"edge {eid} lies inside its sector but is not twisted",
-                )
-        for rec in self.cond3_overlaps:
-            if self._relatively_twisted(rec, eps):
-                return PointVerdict(
-                    self.alpha, eps, False, 3,
-                    f"edge {rec['eid']} is relatively twisted against the pencil line",
-                )
-        return PointVerdict(self.alpha, eps, True)
-
-    def _relatively_twisted(self, rec, eps: Eps) -> bool:
-        rv_dir, rv_cls = rec["rv"]
-        third_dir, third_cls = rec["third"]
-        n_rv = _LINE_NORMALS[rv_cls]
-        n_third = _LINE_NORMALS[third_cls]
-        c_rv = (eps[0] * n_rv[0] + eps[1] * n_rv[1]) & 1
-        c_third = 1 ^ rec["level"] ^ c_rv
-
-        def side_u0(phi: Eps) -> bool:
-            # continuation of phi at u0 along the pencil line
-            if ((phi[0] * n_rv[0] + phi[1] * n_rv[1]) & 1) == c_rv:
-                cont_dir = rv_dir
-                assert ((phi[0] * n_third[0] + phi[1] * n_third[1]) & 1) != c_third
-            else:
-                cont_dir = third_dir
-                assert ((phi[0] * n_third[0] + phi[1] * n_third[1]) & 1) == c_third
-            return det2(rec["ref_dir"], cont_dir) > 0
-
-        return sides_differ(rec["elements"], side_u0, rec["side_w"].__getitem__)
-
-
 def hyperbolic_wrt_point(
     curve: TropicalCurve,
     phase: RealPhaseStructure,
     component: ComplementComponent | IVec,
     eps: Eps,
-    sample_offset: int = 0,
 ) -> PointVerdict:
     """Is every curve near this data hyperbolic with respect to a real
-    point in the eps-copy of the component?  Checks the three pencil
-    conditions at a deterministically sampled generic point."""
-    curve.require_degree()
-    phase.validate_for(curve)
+    point in the eps-copy of the component?  Read off the locus: a "no"
+    gives condition 1 when the twist set is not dividing, 2 when the
+    twist-matrix kernel dimension is not ceil(d/2)-1, and 3 when the copy
+    lies outside the innermost oval."""
+    d = curve.require_degree()
+    report = hyperbolicity_locus(curve, phase)
     alpha = component.dual_point if isinstance(component, ComplementComponent) else component
-    ana = _ComponentAnalysis(curve, phase, alpha, start=sample_offset)
-    # the verdict reads twists only on the edges inside their sector
-    twisted = frozenset(eid for eid in ana.cond3_contained if edge_twisted(curve, phase, eid))
-    return ana.verdict((eps[0] & 1, eps[1] & 1), twisted)
+    if alpha not in curve.dual.lattice_points:
+        raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
+    eps = (eps[0] & 1, eps[1] & 1)
+    copy = _cells(curve).region_class[(alpha, eps)]
+    if copy in report.signed_locus:
+        return PointVerdict(alpha, eps, True)
+    if report.hyperbolic:
+        return PointVerdict(alpha, eps, False, 3, f"the copy {copy} lies outside the innermost oval")
+    # hyperbolic is dividing with kernel dimension ceil(d/2)-1, so with that
+    # dimension the twist set is not dividing
+    want = (d + 1) // 2 - 1
+    if report.kernel_dim != want:
+        return PointVerdict(
+            alpha, eps, False, 2, f"the twist-matrix kernel has dimension {report.kernel_dim}, not {want}"
+        )
+    return PointVerdict(alpha, eps, False, 1, "the twist set is not dividing")
 
 
 # -- loci -----------------------------------------------------------------

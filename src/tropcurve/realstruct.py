@@ -24,13 +24,16 @@ and the cell model are then popcounts and XORs over those bits.
 
 Production routes: twisted edges come from signs by the sign rule and
 from a phase structure by the compiled sidedness rule, which intersect
-and hyperbolic reuse through ``edge_twisted``.  The geometric sidedness
-rule (continuations at each end, ``selfcheck.edge_twisted_geometric``) is
-its oracle.  That the rules agree, that phase_from_twists inverts
-twists_from_phase, and that the face tree's report matches the oracle
-``selfcheck.cut_scan_components`` (components by vertex-copy
-connectivity, a fresh union-find of the atoms per cut, nesting from
-witness atoms) are oracle checks in selfcheck and the tests.
+reuses through ``edge_twisted`` and hyperbolic through
+``twists_from_phase``.  The geometric sidedness rule (continuations at
+each end, ``selfcheck.edge_twisted_geometric``) is its oracle; intersect
+applies it to overlaps, and the pencil oracle
+``selfcheck._ComponentAnalysis`` to its pencil-line condition.  That the
+rules agree, that phase_from_twists inverts twists_from_phase, and that
+the face tree's report matches the oracle ``selfcheck.cut_scan_components``
+(components by vertex-copy connectivity, a fresh union-find of the atoms
+per cut, nesting from witness atoms) are oracle checks in selfcheck and
+the tests.
 """
 
 from __future__ import annotations
@@ -156,7 +159,8 @@ def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
     e = curve.edges[eid]
     if e.tail == v:
         return e.direction
-    assert e.bounded and e.head == v
+    if not (e.bounded and e.head == v):
+        raise AssertionError(f"vertex {v} is not an end of edge {eid}")
     return (-e.direction[0], -e.direction[1])
 
 
@@ -490,9 +494,11 @@ def _continuation_edge(curve: TropicalCurve, phase: RealPhaseStructure, eid: int
         if oid == eid:
             continue
         if phase.lines[oid].contains(eps):
-            assert found is None, "phase continuation is not unique"
+            if found is not None:
+                raise AssertionError("phase continuation is not unique")
             found = oid
-    assert found is not None, "phase continuation does not exist"
+    if found is None:
+        raise AssertionError("phase continuation does not exist")
     return found
 
 
@@ -503,7 +509,8 @@ def continuation_side(
     leaves v on the left of ref_dir."""
     cont = _continuation_edge(curve, phase, eid, v, eps)
     s = det2(ref_dir, _outward_direction(curve, cont, v))
-    assert s != 0, "a phase continuation is never parallel to the edge it continues"
+    if s == 0:
+        raise AssertionError("a phase continuation is never parallel to the edge it continues")
     return s > 0
 
 
@@ -514,14 +521,16 @@ def sides_differ(
     iff, for a phase element eps on it, the continuations at the two ends
     leave on opposite sides.  The verdict must not depend on the element."""
     verdicts = {side_a(eps) != side_b(eps) for eps in elements}
-    assert len(verdicts) == 1, "twist verdict must not depend on the phase element"
+    if len(verdicts) != 1:
+        raise AssertionError("twist verdict must not depend on the phase element")
     return verdicts.pop()
 
 
 def edge_twisted(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
     """Sidedness rule for the bounded edge eid, read off the levels of the
     lines of eid and its neighbours (see ``_side_rule``)."""
-    assert curve.edges[eid].bounded, "only bounded edges carry a twist"
+    if not curve.edges[eid].bounded:
+        raise AssertionError("only bounded edges carry a twist")
     terms, _, consts = _side_rule(curve)
     k = curve.bounded_index[eid]
     lines = phase.lines
@@ -592,7 +601,8 @@ def phase_from_twists(
             if (shift[0] * p[0] + shift[1] * p[1]) & 1:
                 minus ^= bit
     phase = base.phase_of_signs(minus)
-    assert phase.lines[seed_edge].contains(seed_eps)
+    if not phase.lines[seed_edge].contains(seed_eps):
+        raise AssertionError("the seed element must lie on the seed edge's phase line")
     return phase
 
 

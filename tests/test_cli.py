@@ -102,14 +102,52 @@ def test_hyperbolic_report(specs, capsys):
     }
 
 
+def _point_json(component, failing_condition, detail):
+    return json.dumps({
+        "component": list(component), "detail": detail, "eps": [0, 0],
+        "failing_condition": failing_condition, "hyperbolic": failing_condition is None,
+    }, sort_keys=True, indent=2) + "\n"
+
+
 def test_hyperbolic_single_point(specs, capsys):
-    code, out, _ = run(
-        capsys,
-        "hyperbolic", "--spec", specs["stable_quartic.trop.json"],
-        "--point", "(1,1)", "--eps", "0,0",
-    )
-    assert code == 0
-    assert "hyperbolic" in out
+    argv = ("hyperbolic", "--spec", specs["stable_quartic.trop.json"], "--point", "(1,1)", "--eps", "0,0")
+    assert run(capsys, *argv) == (0, "point (1,1) eps=(0, 0): hyperbolic\n", "")
+    assert run(capsys, *argv, "--format", "json") == (0, _point_json((1, 1), None, ""), "")
+
+
+# the reproducer conic of tests/test_hyperbolic.py: hyperbolic, and its
+# copy ((0,0),(0,0)) lies outside the one oval
+_OUTER_COPY_CONIC = {
+    "curve": {
+        "support": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]],
+        "coefficients": {"0,0": -6, "0,1": -2, "0,2": "2/3", "1,0": -1, "1,1": 6, "2,0": "1/3"},
+    },
+    "real_structure": {"signs": {"0,0": -1, "0,1": 1, "0,2": -1, "1,0": -1, "1,1": -1, "2,0": -1}},
+}
+# a quartic whose only negative sign is at (0,2): its twist set is not dividing
+_NOT_DIVIDING_QUARTIC = {
+    "curve": {"honeycomb": 4},
+    "real_structure": {"signs": {f"{i},{j}": -1 if (i, j) == (0, 2) else 1 for i in range(5) for j in range(5 - i)}},
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, point, condition, detail",
+    [
+        (_NOT_DIVIDING_QUARTIC, (1, 1), 1, "the twist set is not dividing"),
+        ({"curve": {"honeycomb": 4}, "real_structure": {"twists": {"edges": []}}}, (1, 1), 2,
+         "the twist-matrix kernel has dimension 3, not 1"),
+        (_OUTER_COPY_CONIC, (0, 0), 3, "the copy ((0, 0), (0, 0)) lies outside the innermost oval"),
+    ],
+    ids=["not-dividing", "kernel-dimension", "outside-the-innermost-oval"],
+)
+def test_hyperbolic_point_reasons(scenario, point, condition, detail, tmp_path, capsys):
+    spec = tmp_path / "point.trop.json"
+    spec.write_text(json.dumps(scenario))
+    argv = ("hyperbolic", "--spec", str(spec), "--point", f"({point[0]},{point[1]})", "--eps", "0,0")
+    text = f"point ({point[0]},{point[1]}) eps=(0, 0): not hyperbolic (condition {condition}: {detail})\n"
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--format", "json") == (0, _point_json(point, condition, detail), "")
 
 
 def test_intersect_generic_line(specs, capsys):
@@ -202,7 +240,7 @@ def test_verify_reports_a_raising_check_as_a_mismatch(capsys, monkeypatch):
 
 _CONIC = {"curve": {"honeycomb": 2}, "real_structure": {"signs": "all+"}}
 _TWIST_EDGE = [[0, 1], [1, 0]]
-# the unit square has no degree d, so the pencil conditions do not apply
+# the unit square has no degree d, so it has no locus to read a point verdict off
 _SQUARE = {
     "curve": {
         "support": [[0, 0], [1, 0], [0, 1], [1, 1]],

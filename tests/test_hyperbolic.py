@@ -15,20 +15,21 @@ from tropcurve import (
     hyperbolicity_locus,
     is_admissible,
     is_dividing,
-    is_generic,
     is_hyperbolic,
     is_stable_limit,
     multi_bridges,
     phase_from_signs,
     phase_from_twists,
     primitive_cycles,
-    sigma_v,
     twists_from_phase,
 )
 from tropcurve.errors import DegreeUnset, NotAdmissible, NotHoneycomb, PointOnCurve, ValidationError
 from tropcurve.gf2 import Gf2Subspace
 from tropcurve.realstruct import EPS4, RealPhaseStructure, region_class, twist_matrix
 from tropcurve.selfcheck import (
+    SigmaV,
+    _ComponentAnalysis,
+    is_generic,
     pointwise_signed_locus,
     pointwise_verdicts,
     random_nonsingular_curve,
@@ -50,7 +51,7 @@ def bridge_twists(curve, keys):
 
 
 def test_sigma_v_classification():
-    sig = sigma_v((Fraction(0), Fraction(0)))
+    sig = SigmaV((Fraction(0), Fraction(0)))
     assert sig.classify((Fraction(3), Fraction(0))) == ("ray", (1, 0))
     assert sig.classify((Fraction(0), Fraction(2))) == ("ray", (0, 1))
     assert sig.classify((Fraction(-1), Fraction(-1))) == ("ray", (1, 1))
@@ -216,22 +217,22 @@ def test_stable_honeycombs_hyperbolic_everywhere():
 
 
 def test_verdict_depends_only_on_component():
-    c, phase = stable_phase(3)
-    for alpha in ((0, 0), (1, 1), (2, 0)):
-        verdicts = {
-            hyperbolic_wrt_point(c, phase, alpha, (0, 0), sample_offset=k).hyperbolic
+    # the pencil oracle gives one verdict wherever in the component it samples
+    def verdicts(curve, phase, alpha, eps):
+        twisted = frozenset(twists_from_phase(curve, phase).edges)
+        return {
+            _ComponentAnalysis(curve, phase, alpha, start=k).verdict(eps, twisted).hyperbolic
             for k in (0, 7, 19, 40, 77)
         }
-        assert verdicts == {True}
+
+    c, phase = stable_phase(3)
+    for alpha in ((0, 0), (1, 1), (2, 0)):
+        assert verdicts(c, phase, alpha, (0, 0)) == {True}
     c4 = honeycomb(4)
     T = bridge_twists(c4, [("d", 3)])
     phase4 = phase_from_twists(c4, T)
     for alpha, eps in (((2, 1), (0, 0)), ((1, 1), (0, 0))):
-        verdicts = {
-            hyperbolic_wrt_point(c4, phase4, alpha, eps, sample_offset=k).hyperbolic
-            for k in (0, 7, 19, 40, 77)
-        }
-        assert len(verdicts) == 1
+        assert len(verdicts(c4, phase4, alpha, eps)) == 1
 
 
 def test_verdict_constant_on_glued_classes():
@@ -264,7 +265,7 @@ def test_failing_condition_three_reported():
 
 
 def test_honeycomb_conditions_one_and_two_pass():
-    # honeycombs never fail the vertex or determinant-2 conditions
+    # on a hyperbolic curve every "no" is a copy outside the innermost oval
     c4 = honeycomb(4)
     T = bridge_twists(c4, [("d", 3)])
     phase = phase_from_twists(c4, T)
@@ -399,7 +400,6 @@ def test_pencil_line_relative_twist_matches_intersect_machinery(rng):
         intersection_components,
         is_relatively_twisted,
     )
-    from tropcurve.hyperbolic import _ComponentAnalysis
     from tropcurve.intersect import SEGMENT_OVERLAP
     from tropcurve.realstruct import EPS4 as _EPS4
 
@@ -512,27 +512,73 @@ def test_reproducer_conic_locus_is_the_innermost_oval_interior():
     assert report.signed_locus == frozenset({((0, 1), (0, 0)), ((1, 0), (1, 0)), ((1, 1), (0, 1))})
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the pencil conditions ignore edges outside the three pencil classes",
-)
 def test_reproducer_conic_pointwise_rejects_the_outer_copy():
     c, phase = reproducer_conic()
-    assert not hyperbolic_wrt_point(c, phase, (0, 0), (0, 0)).hyperbolic
+    verdict = hyperbolic_wrt_point(c, phase, (0, 0), (0, 0))
+    assert not verdict.hyperbolic
+    assert verdict.failing_condition == 3
 
 
 def test_locus_runs_no_pointwise_sweep(monkeypatch):
-    import tropcurve.hyperbolic as hyp
+    import tropcurve.selfcheck as sc
 
     def refuse(*args, **kwargs):
         raise RuntimeError("the pointwise sweep is an oracle, not a production route")
 
-    monkeypatch.setattr(hyp, "_ComponentAnalysis", refuse)
+    monkeypatch.setattr(sc, "_ComponentAnalysis", refuse)
+    monkeypatch.setattr(sc, "_pencil_scan", refuse)
     c4 = honeycomb(4)
-    report = hyperbolicity_locus(c4, phase_from_twists(c4, bridge_twists(c4, [("d", 3)])))
+    phase4 = phase_from_twists(c4, bridge_twists(c4, [("d", 3)]))
+    report = hyperbolicity_locus(c4, phase4)
     assert report.locus == frozenset({(1, 1)})
     c, phase = reproducer_conic()
     assert hyperbolicity_locus(c, phase).locus == frozenset({(0, 1), (1, 0), (1, 1)})
+    # point queries read the same locus, on every copy
+    for curve, ph, want in ((c4, phase4, report), (c, phase, hyperbolicity_locus(c, phase))):
+        for alpha in curve.dual.lattice_points:
+            for eps in EPS4:
+                verdict = hyperbolic_wrt_point(curve, ph, alpha, eps)
+                assert verdict.hyperbolic == (region_class(curve, alpha, eps) in want.signed_locus)
+
+
+def test_point_query_matches_the_pencil_oracle(rng):
+    # where the pencil conditions hold (honeycombs and lifts near them),
+    # the locus route and the oracle agree on every copy, under every eps
+    cases = []
+    for d in (1, 2, 3, 4):
+        c = honeycomb(d)
+        cases.append((c, phase_from_signs(c, SignDistribution.constant(c))))
+        for _ in range(2):
+            cases.append((c, phase_from_signs(c, random_sign_distribution(rng, c))))
+    # random_nonsingular_curve draws are mostly honeycombs; keep the others
+    lifts = 0
+    while lifts < 6:
+        c = random_nonsingular_curve(rng, rng.randrange(2, 6))
+        if c.is_honeycomb():
+            continue
+        lifts += 1
+        for _ in range(3):
+            cases.append((c, phase_from_signs(c, random_sign_distribution(rng, c))))
+    conditions = set()
+    for curve, phase in cases:
+        oracle = pointwise_verdicts(curve, phase)
+        for alpha in curve.dual.lattice_points:
+            for eps in EPS4:
+                got = hyperbolic_wrt_point(curve, phase, alpha, eps)
+                assert got.hyperbolic == oracle[region_class(curve, alpha, eps)].hyperbolic
+                conditions.add(got.failing_condition)
+    assert conditions == {None, 1, 2, 3}
+    # non-canonical symmetries: eps is read modulo 2
+    c, phase = stable_phase(2)
+    assert hyperbolic_wrt_point(c, phase, (1, 1), (2, -1)) == hyperbolic_wrt_point(c, phase, (1, 1), (0, 1))
+
+
+def test_point_query_rejects_a_point_off_the_polygon():
+    c, phase = stable_phase(2)
+    with pytest.raises(ValueError, match="is not a lattice point of the Newton polygon"):
+        hyperbolic_wrt_point(c, phase, (3, 3), (0, 0))
+    with pytest.raises(ValueError, match="is not a lattice point of the Newton polygon"):
+        hyperbolic_wrt_point(c, phase, (1, -1), (0, 0))
 
 
 def test_report_has_one_field_per_quantity():
@@ -571,7 +617,6 @@ PENCIL_DIGEST = "a1ec272d9cb1a86334eb5e2ac3755af1a62217c8e8ebc61384f2d6cabd98b78
 def test_pencil_analysis_golden():
     from tropcurve import curve_from_polynomial
     from tropcurve.errors import DegeneratePolygon, SingularSubdivision
-    from tropcurve.hyperbolic import _ComponentAnalysis
     from tropcurve.selfcheck import random_lift
 
     # non-honeycomb lifts bring edges with determinant 2 against a ray
@@ -627,6 +672,7 @@ import dataclasses
 import tropcurve.gf2 as gf2
 import tropcurve.hyperbolic as hyp
 import tropcurve.intersect as isect
+import tropcurve.realstruct as realstruct
 from tropcurve import TwistSet, honeycomb, phase_from_twists
 
 assert False, "the interpreter must run with -O"  # stripped under -O
@@ -654,6 +700,10 @@ try:
     gf2._kernel([0b1], [], 2)  # one row without a pivot
 except AssertionError as exc:
     print("AssertionError:", exc)
+try:
+    realstruct.sides_differ(((0, 0), (1, 1)), lambda e: e == (0, 0), lambda e: False)
+except AssertionError as exc:
+    print("AssertionError:", exc)
 """
 
 
@@ -673,4 +723,5 @@ def test_locus_invariants_hold_under_python_optimize():
         "AssertionError: hyperbolic curve must have floor(d/2) ovals\n"
         "AssertionError: lift counts must add up to the multiplicity\n"
         "AssertionError: rank-nullity violated\n"
+        "AssertionError: twist verdict must not depend on the phase element\n"
     )
