@@ -12,6 +12,7 @@ from .gf2 import kernel
 from .hyperbolic import hyperbolic_wrt_point, hyperbolicity_locus
 from .intersect import intersection_components, real_lift
 from .io_render import (
+    _edge_key,
     build_scenario,
     check_lattice_point,
     load_spec,
@@ -51,11 +52,6 @@ def _fmt_point(p) -> str:
     return f"({p[0]},{p[1]})"
 
 
-def _dual_key(curve, eid) -> str:
-    a, b = sorted(curve.edges[eid].dual)
-    return f"{a[0]},{a[1]}|{b[0]},{b[1]}"
-
-
 def _cmd_build(args) -> int:
     scen = build_scenario(_read_spec(args.spec))
     curve = scen.curve
@@ -92,7 +88,7 @@ def _cmd_analyze(args) -> int:
     matrix_count = 1 + k if admissible else None
     direct = count_components_direct(real_part(curve, scen.phase))
     data = {
-        "twisted_edges": sorted(_dual_key(curve, e) for e in twists.edges),
+        "twisted_edges": sorted(_edge_key(curve.edges[e].dual) for e in twists.edges),
         "twist_count": len(twists.edges),
         "admissible": admissible,
         "dividing": dividing,

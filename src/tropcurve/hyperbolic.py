@@ -25,7 +25,8 @@ from .realstruct import (
     RealPhaseStructure,
     TwistSet,
     _cells,
-    _UnionFind,
+    _root,
+    _union,
     count_components_direct,
     div_space,
     is_admissible,
@@ -210,11 +211,11 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
 
 
 def _removal_components(curve: TropicalCurve, removed: frozenset[int]) -> int:
-    uf = _UnionFind()
+    parent = list(range(len(curve.vertices)))
     for eid in curve.bounded_edges:
         if eid not in removed:
-            uf.union(curve.edges[eid].tail, curve.edges[eid].head)
-    return len({uf.find(v) for v in range(len(curve.vertices))})
+            _union(parent, curve.edges[eid].tail, curve.edges[eid].head)
+    return len({_root(parent, v) for v in range(len(parent))})
 
 
 def honeycomb_locus(curve: TropicalCurve, twists: TwistSet) -> frozenset[IVec]:

@@ -1,13 +1,14 @@
 """Intersection components of two tropical curves and their real lifts.
 
-Components of the set-theoretic intersection are enumerated by exact
-pairwise edge intersection and classified into the four supported
-kinds: transverse point, isolated vertex of one curve, a bounded edge
-inside another edge, and a proper segment overlap.  Anything else
-raises UnsupportedConfiguration rather than guessing: an unbounded
-overlap (found by the scan), and, from classification, a point hit that
-is a vertex of both curves, an overlap endpoint that is a vertex of
-both, and overlaps chained through a shared endpoint.
+Components of the set-theoretic intersection are found by walking one
+curve's edges through the other's complement regions (``edge_hits``)
+and classified into the four supported kinds: transverse point, isolated
+vertex of one curve, a bounded edge inside another edge, and a proper
+segment overlap.  Anything else raises UnsupportedConfiguration rather
+than guessing: an unbounded overlap (found by the walk), and, from
+classification, a point hit that is a vertex of both curves, an overlap
+endpoint that is a vertex of both, and overlaps chained through a shared
+endpoint.
 
 Edges of a non-singular curve meet only at their end vertices, so
 classification reads incidence off each hit's own edges: a hit point is
@@ -35,17 +36,19 @@ hits and overlaps go through the incidence reading above.  A forced real
 lift without locations is one shared frozen ``LiftOutcome`` per
 (reals, pairs).
 
-Twists of lifted overlaps use the sidedness rule of ``realstruct``: the
-production route for relative twists is ``relative_twist_geometric``.
-``relative_twist_signs`` reads the same verdict off sign distributions
-and is kept as the oracle that the tests compare against.
+Twists of lifted overlaps use the compiled sidedness rule of
+``realstruct``: ``edge_twisted`` for an edge inside another, and
+``is_relatively_twisted`` for a segment overlap, which applies the same
+closed form across the overlap's two ends, one on each curve.  Its
+oracles are ``selfcheck.relative_twist_geometric`` (the continuations at
+each end) and ``selfcheck.relative_twist_signs`` (sign distributions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
@@ -61,10 +64,9 @@ from .geometry import Point, det2
 from .realstruct import (
     RealPhaseStructure,
     _outward_direction,
-    continuation_side,
+    _side_ends,
+    _twisted_between,
     edge_twisted,
-    sides_differ,
-    signs_from_phase,
 )
 
 TWO_REAL = "two-real"
@@ -471,66 +473,6 @@ def _classify_segment(pair, den: int, p1, p2, ea: int, eb: int) -> IntersectionC
 # -- real lifts ----------------------------------------------------------
 
 
-def relative_twist_geometric(
-    comp: IntersectionComponent, phase_a: RealPhaseStructure, phase_b: RealPhaseStructure
-) -> bool:
-    """Sidedness rule across the overlap: a shared phase element whose
-    continuations at the two overlap endpoints leave on distinct sides of
-    the supporting line."""
-    ref_dir = comp.curve_a.edges[comp.edge_a].direction
-    hosts = {"a": (comp.curve_a, phase_a, comp.edge_a), "b": (comp.curve_b, phase_b, comp.edge_b)}
-    end0, end1 = (
-        partial(continuation_side, *hosts[tag], vid, ref_dir) for tag, vid in comp.end_vertices
-    )
-    return sides_differ(phase_a.lines[comp.edge_a].elements, end0, end1)
-
-
-def relative_twist_signs(
-    comp: IntersectionComponent, phase_a: RealPhaseStructure, phase_b: RealPhaseStructure
-) -> bool:
-    """Relative twist from sign distributions after aligning the two dual
-    edges by a translation.  Reference route for the tests; production
-    uses relative_twist_geometric."""
-    delta_a = signs_from_phase(comp.curve_a, phase_a)
-    delta_b = signs_from_phase(comp.curve_b, phase_b)
-    ea = comp.curve_a.edges[comp.edge_a]
-    eb = comp.curve_b.edges[comp.edge_b]
-    pa, qa = ea.dual
-    pb, qb = eb.dual
-    if eb.direction != ea.direction:
-        if eb.direction != (-ea.direction[0], -ea.direction[1]):
-            raise AssertionError("overlapping edges must be parallel")
-        pb, qb = qb, pb
-    shift = (pa[0] - pb[0], pa[1] - pb[1])
-    if (qa[0] - qb[0], qa[1] - qb[1]) != shift:
-        raise AssertionError("the two dual edges must differ by one translation")
-    # third vertex of the dual cell of each overlap-end vertex
-    v3 = {}
-    for tag, vid in comp.end_vertices:
-        curve = comp.curve_a if tag == "a" else comp.curve_b
-        cell = curve.vertex_cell[vid]
-        dual_pair = (pa, qa) if tag == "a" else (comp.curve_b.edges[comp.edge_b].dual)
-        (third,) = [v for v in cell if v not in dual_pair]
-        v3[tag] = third
-    sa, sb = delta_a.signs, delta_b.signs
-    if sa[pa] * sa[qa] * sb[pb] * sb[qb] != 1:
-        raise AssertionError("equal phases force the premise product")
-    v3a = v3["a"]
-    v3b = v3["b"]
-    v3b_shifted = (v3b[0] + shift[0], v3b[1] + shift[1])
-    if (v3a[0] - v3b_shifted[0]) % 2 == 0 and (v3a[1] - v3b_shifted[1]) % 2 == 0:
-        r1 = sa[v3a] * sa[pa] * sb[v3b] * sb[pb] == -1
-        r2 = sa[v3a] * sa[qa] * sb[v3b] * sb[qb] == -1
-        if r1 != r2:
-            raise AssertionError("the sign rule reads differently at the two dual vertices")
-        return r1
-    r1 = sa[pa] * sa[v3a] * sb[qb] * sb[v3b] == 1
-    r2 = sa[qa] * sa[v3a] * sb[pb] * sb[v3b] == 1
-    if r1 != r2:
-        raise AssertionError("the sign rule reads differently at the two dual vertices")
-    return r1
-
-
 def is_relatively_twisted(
     comp: IntersectionComponent, phase_a: RealPhaseStructure, phase_b: RealPhaseStructure
 ) -> bool:
@@ -538,7 +480,18 @@ def is_relatively_twisted(
         raise WrongKind("relative twist is defined for segment overlaps")
     if phase_a.lines[comp.edge_a] != phase_b.lines[comp.edge_b]:
         raise PhasesDiffer("relative twist needs equal phase lines on the overlap")
-    return relative_twist_geometric(comp, phase_a, phase_b)
+    # the side at each end against the direction of A's edge
+    ea, eb = comp.curve_a.edges[comp.edge_a], comp.curve_b.edges[comp.edge_b]
+    hosts = {
+        "a": (comp.curve_a, phase_a.lines, comp.edge_a, False),
+        "b": (comp.curve_b, phase_b.lines, comp.edge_b, eb.direction != ea.direction),
+    }
+    ends = []
+    for tag, vid in comp.end_vertices:
+        curve, lines, eid, flip = hosts[tag]
+        f, s = _side_ends(curve)[eid, vid]
+        ends += [lines, (f, s ^ flip)]
+    return _twisted_between(phase_a.lines[comp.edge_a].level, *ends)
 
 
 def tangency_possible(

@@ -23,17 +23,20 @@ distribution as one bit per lattice point; conversions, twist solving
 and the cell model are then popcounts and XORs over those bits.
 
 Production routes: twisted edges come from signs by the sign rule and
-from a phase structure by the compiled sidedness rule, which intersect
-reuses through ``edge_twisted`` and hyperbolic through
-``twists_from_phase``.  The geometric sidedness rule (continuations at
-each end, ``selfcheck.edge_twisted_geometric``) is its oracle; intersect
-applies it to overlaps, and the pencil oracle
-``selfcheck._ComponentAnalysis`` to its pencil-line condition.  That the
-rules agree, that phase_from_twists inverts twists_from_phase, and that
-the face tree's report matches the oracle ``selfcheck.cut_scan_components``
-(components by vertex-copy connectivity, a fresh union-find of the atoms
-per cut, nesting from witness atoms) are oracle checks in selfcheck and
-the tests.
+from a phase structure by the compiled sidedness rule: one (edge, side)
+pair per edge end (``_side_ends``) and one closed form across two ends
+(``_twisted_between``).  Hyperbolic reads it through
+``twists_from_phase``, and intersect through ``edge_twisted`` and, across
+the two ends of an overlap on different curves, ``is_relatively_twisted``.
+The geometric sidedness rule (continuations at each end,
+``selfcheck.edge_twisted_geometric`` and
+``selfcheck.relative_twist_geometric``) is its oracle, which the pencil
+oracle ``selfcheck._ComponentAnalysis`` also applies to its pencil-line
+condition.  That the rules agree, that phase_from_twists inverts
+twists_from_phase, and that the face tree's report matches the oracle
+``selfcheck.cut_scan_components`` (components by vertex-copy
+connectivity, a fresh union-find of the atoms per cut, nesting from
+witness atoms) are oracle checks in selfcheck and the tests.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import product
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .curve import STRATA, STRATUM_GLUE, STRATUM_RAY_DIR, TropicalCurve, primitive_cycles
 from .errors import NotAdmissible, UnknownPoint, ValidationError
@@ -378,42 +381,56 @@ def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], 
 
 
 @_piece
-def _side_rule(curve: TropicalCurve) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """The sidedness rule per bounded edge e in closed form:
-
-        twisted(e) = l_f + l_g + [D_f != D_g] l_e + s_f + s_g  (mod 2)
-
-    for f, g the first other edges at e's tail and head, l the levels, D
-    the direction classes, and s_f whether f leaves the tail on the left of
-    e's direction (s_g likewise at the head).  At a vertex the three
-    classes are distinct and the two other edges lie on opposite sides of
-    e, so a phase element of e continues along f iff it is the one point
-    where e's and f's lines meet.  Returns the edges of each rule, their
-    level masks, and the constants as one int.
+def _side_ends(curve: TropicalCurve) -> dict[tuple[int, int], tuple[int, bool]]:
+    """The sidedness rule at every end v of every edge e, rays included:
+    (eid, v) -> (f, s) for f the first other edge at v and s whether f
+    leaves v on the left of e's direction.  At a vertex the three
+    direction classes are distinct and the two other edges lie on
+    opposite sides of e, so a phase element of e continues along f iff it
+    is the one point where e's and f's lines meet (``_twisted_between``).
     """
     classes = _base(curve).classes
-    terms, masks, consts = [], [], 0
-    for k, eid in enumerate(curve.bounded_edges):
-        e = curve.edges[eid]
-        ends = []
-        for v in (e.tail, e.head):
+    ends = {}
+    for e in curve.edges:
+        eid = e.index
+        for v in (e.tail, e.head) if e.bounded else (e.tail,):
             others = [o for o in curve.vertex_edges[v] if o != eid]
             if len({classes[x] for x in (eid, *others)}) != 3:
                 raise AssertionError(f"edge {eid}: direction classes at vertex {v} are not distinct")
             s0, s1 = (det2(e.direction, _outward_direction(curve, o, v)) for o in others)
             if s0 * s1 >= 0:
                 raise AssertionError(f"edge {eid}: the other edges at vertex {v} are not on opposite sides")
-            ends.append((others[0], s0 > 0))
-        (f, s_f), (g, s_g) = ends
-        ids = (f, g, eid) if classes[f] != classes[g] else (f, g)
-        terms.append(ids)
-        mask = 0
-        for x in ids:
-            mask ^= 1 << x
-        masks.append(mask)
+            ends[eid, v] = (others[0], s0 > 0)
+    return ends
+
+
+def _twisted_between(level: int, lines0, end0: tuple[int, bool], lines1, end1: tuple[int, bool]) -> bool:
+    """The sidedness rule across a piece of curve on a phase line of the
+    given level, between two ends (f, s) of ``_side_ends`` taken against
+    one reference direction, f read in the phase lines of its own curve:
+
+        twisted = l_f0 + l_f1 + [D_f0 != D_f1] level + s0 + s1  (mod 2)
+
+    for l the levels and D the direction classes."""
+    (f0, s0), (f1, s1) = end0, end1
+    line0, line1 = lines0[f0], lines1[f1]
+    return bool((line0.level + line1.level + (line0.direction != line1.direction) * level + s0 + s1) & 1)
+
+
+@_piece
+def _side_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
+    """``_twisted_between`` for every bounded edge at once: per edge, the
+    mask of the level bits it sums, and the constants s0 + s1 as one int."""
+    classes = _base(curve).classes
+    ends = _side_ends(curve)
+    masks, consts = [], 0
+    for k, eid in enumerate(curve.bounded_edges):
+        e = curve.edges[eid]
+        (f, s_f), (g, s_g) = ends[eid, e.tail], ends[eid, e.head]
+        masks.append(1 << f ^ 1 << g ^ (1 << eid if classes[f] != classes[g] else 0))
         if s_f != s_g:
             consts |= 1 << k
-    return tuple(terms), tuple(masks), consts
+    return tuple(masks), consts
 
 
 @_piece
@@ -487,60 +504,19 @@ def twists_from_signs(curve: TropicalCurve, delta: SignDistribution) -> TwistSet
     return _twist_set(curve, _parities(_base(curve).minus(delta), *_sign_rule(curve)))
 
 
-def _continuation_edge(curve: TropicalCurve, phase: RealPhaseStructure, eid: int, v: int, eps: Eps) -> int:
-    """The unique other edge at v whose phase line contains eps."""
-    found = None
-    for oid in curve.vertex_edges[v]:
-        if oid == eid:
-            continue
-        if phase.lines[oid].contains(eps):
-            if found is not None:
-                raise AssertionError("phase continuation is not unique")
-            found = oid
-    if found is None:
-        raise AssertionError("phase continuation does not exist")
-    return found
-
-
-def continuation_side(
-    curve: TropicalCurve, phase: RealPhaseStructure, eid: int, v: int, ref_dir: IVec, eps: Eps
-) -> bool:
-    """Whether the phase continuation of eps at the end v of edge eid
-    leaves v on the left of ref_dir."""
-    cont = _continuation_edge(curve, phase, eid, v, eps)
-    s = det2(ref_dir, _outward_direction(curve, cont, v))
-    if s == 0:
-        raise AssertionError("a phase continuation is never parallel to the edge it continues")
-    return s > 0
-
-
-def sides_differ(
-    elements: tuple[Eps, Eps], side_a: Callable[[Eps], bool], side_b: Callable[[Eps], bool]
-) -> bool:
-    """The sidedness rule: a piece of curve between two ends is twisted
-    iff, for a phase element eps on it, the continuations at the two ends
-    leave on opposite sides.  The verdict must not depend on the element."""
-    verdicts = {side_a(eps) != side_b(eps) for eps in elements}
-    if len(verdicts) != 1:
-        raise AssertionError("twist verdict must not depend on the phase element")
-    return verdicts.pop()
-
-
 def edge_twisted(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
-    """Sidedness rule for the bounded edge eid, read off the levels of the
-    lines of eid and its neighbours (see ``_side_rule``)."""
-    if not curve.edges[eid].bounded:
+    """Sidedness rule for the bounded edge eid, between its two ends."""
+    e = curve.edges[eid]
+    if not e.bounded:
         raise AssertionError("only bounded edges carry a twist")
-    terms, _, consts = _side_rule(curve)
-    k = curve.bounded_index[eid]
+    ends = _side_ends(curve)
     lines = phase.lines
-    return bool((sum(lines[x].level for x in terms[k]) + (consts >> k)) & 1)
+    return _twisted_between(lines[eid].level, lines, ends[eid, e.tail], lines, ends[eid, e.head])
 
 
 def twists_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> TwistSet:
     """Twisted edges read off the phase structure by the sidedness rule."""
-    _, masks, consts = _side_rule(curve)
-    return _twist_set(curve, _parities(_base(curve).levels(phase), masks, consts))
+    return _twist_set(curve, _parities(_base(curve).levels(phase), *_side_rule(curve)))
 
 
 # -- admissible / dividing spaces ---------------------------------------
@@ -656,22 +632,6 @@ def _union(parent: list[int], x: int, y: int) -> None:
         parent[ry] = rx
     elif ry < rx:
         parent[rx] = ry
-
-
-class _UnionFind:
-    """Union-find over arbitrary hashable keys."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        return _root(self.parent, x)
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
 
 
 class RealPart:

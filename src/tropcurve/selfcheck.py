@@ -9,8 +9,10 @@ degree product vs enumerated multiplicities) on randomized inputs.
 Production runs one route per quantity; the second routes are these
 oracles, among them the twist round trip (twists_from_phase recovers what
 phase_from_twists got), the geometric sidedness rule behind the compiled
-one (edge_twisted_geometric) and the pointwise pencil sweep of the locus,
-which keeps the pencil subdivision at a point (``SigmaV``, ``is_generic``).
+one (edge_twisted_geometric for edges, relative_twist_geometric and the
+sign-based relative_twist_signs for overlaps) and the pointwise pencil
+sweep of the locus, which keeps the pencil subdivision at a point
+(``SigmaV``, ``is_generic``).
 One check holds the component reports to theorems instead of a second
 route: the classical restrictions on real plane curves (real-topology).
 Point location (point-location) holds the curve's int argmax and region
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import floor, gcd, lcm
+from typing import Callable
 
 from .curve import (
     STRATA,
@@ -72,12 +75,15 @@ from .hyperbolic import (
     multi_bridges,
 )
 from .intersect import (
+    SEGMENT_OVERLAP,
     FrameHits,
+    IntersectionComponent,
     _point,
     bezout_total,
     classify_hits,
     edge_hits,
     intersection_components,
+    is_relatively_twisted,
     real_lift,
 )
 from .realstruct import (
@@ -89,9 +95,9 @@ from .realstruct import (
     RealPhaseStructure,
     SignDistribution,
     TwistSet,
-    _UnionFind,
+    _outward_direction,
+    _root,
     _xor,
-    continuation_side,
     count_components_direct,
     count_components_matrix,
     div_space,
@@ -102,7 +108,7 @@ from .realstruct import (
     phase_from_twists,
     real_part,
     region_class,
-    sides_differ,
+    signs_from_phase,
     twists_from_phase,
     twists_from_signs,
 )
@@ -379,6 +385,29 @@ def random_intersection_pair(rng: random.Random, kind: str):
     return a, b, (Fraction(rng.randrange(-400, 400), 101), Fraction(rng.randrange(-400, 400), 103))
 
 
+def random_overlap_configurations(rng: random.Random, pairs: int):
+    """The segment overlaps of ``pairs`` random intersection pairs, the
+    shift kinds in turn, each under random phases of both curves: yields
+    (component, phase of A, phase of B) for every translate of B's phase
+    whose line on the overlap equals A's.  Refused pairs are skipped."""
+    for n in range(pairs):
+        a, b, shift = random_intersection_pair(rng, INTERSECTION_SHIFTS[n % len(INTERSECTION_SHIFTS)])
+        b = b.translated(shift)
+        try:
+            comps = intersection_components(a, b)
+        except UnsupportedConfiguration:
+            continue
+        for comp in comps:
+            if comp.kind != SEGMENT_OVERLAP:
+                continue
+            phase_a = phase_from_signs(a, random_sign_distribution(rng, a))
+            phase_b = phase_from_signs(b, random_sign_distribution(rng, b))
+            for eps in EPS4:
+                moved = phase_b.translate(eps)
+                if moved.lines[comp.edge_b] == phase_a.lines[comp.edge_a]:
+                    yield comp, phase_a, moved
+
+
 def intersection_outcome(scan, curve_a: TropicalCurve, curve_b: TropicalCurve):
     """The hits an edge scan finds, as ``Fraction`` points in scan order
     (None if the scan refuses), and the components ``classify_hits`` makes
@@ -433,6 +462,130 @@ def _frame_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, points, segments
 
 def random_sign_distribution(rng: random.Random, curve: TropicalCurve) -> SignDistribution:
     return SignDistribution({p: rng.choice((1, -1)) for p in curve.dual.lattice_points})
+
+
+# -- the geometric sidedness rule ---------------------------------------
+#
+# The oracle of the compiled rule (``realstruct._side_ends`` and
+# ``_twisted_between``): at each end of a piece of curve, follow each
+# phase element of the piece onto the edge it continues along, and compare
+# the sides those edges leave on.
+
+
+def _continuation_edge(curve: TropicalCurve, phase: RealPhaseStructure, eid: int, v: int, eps: Eps) -> int:
+    """The unique other edge at v whose phase line contains eps."""
+    found = None
+    for oid in curve.vertex_edges[v]:
+        if oid == eid:
+            continue
+        if phase.lines[oid].contains(eps):
+            if found is not None:
+                raise AssertionError("phase continuation is not unique")
+            found = oid
+    if found is None:
+        raise AssertionError("phase continuation does not exist")
+    return found
+
+
+def continuation_side(
+    curve: TropicalCurve, phase: RealPhaseStructure, eid: int, v: int, ref_dir: IVec, eps: Eps
+) -> bool:
+    """Whether the phase continuation of eps at the end v of edge eid
+    leaves v on the left of ref_dir."""
+    cont = _continuation_edge(curve, phase, eid, v, eps)
+    s = det2(ref_dir, _outward_direction(curve, cont, v))
+    if s == 0:
+        raise AssertionError("a phase continuation is never parallel to the edge it continues")
+    return s > 0
+
+
+def sides_differ(
+    elements: tuple[Eps, Eps], side_a: Callable[[Eps], bool], side_b: Callable[[Eps], bool]
+) -> bool:
+    """The sidedness rule: a piece of curve between two ends is twisted
+    iff, for a phase element eps on it, the continuations at the two ends
+    leave on opposite sides.  The verdict must not depend on the element."""
+    verdicts = {side_a(eps) != side_b(eps) for eps in elements}
+    if len(verdicts) != 1:
+        raise AssertionError("twist verdict must not depend on the phase element")
+    return verdicts.pop()
+
+
+def _continuations_differ(elements: tuple[Eps, Eps], ref_dir: IVec, end0, end1) -> bool:
+    """``sides_differ`` on the continuations at two ends, each given as
+    (curve, phase, edge, vertex), against one reference direction."""
+    return sides_differ(elements, *(partial(continuation_side, *end, ref_dir) for end in (end0, end1)))
+
+
+def edge_twisted_geometric(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
+    """The sidedness rule for a bounded edge, read off the geometry: the
+    continuations of a phase element of the edge at its two ends leave on
+    opposite sides of it.  Reference route of ``realstruct.edge_twisted``."""
+    e = curve.edges[eid]
+    if not e.bounded:
+        raise AssertionError("only bounded edges carry a twist")
+    return _continuations_differ(
+        phase.lines[eid].elements, e.direction, (curve, phase, eid, e.tail), (curve, phase, eid, e.head)
+    )
+
+
+def relative_twist_geometric(
+    comp: IntersectionComponent, phase_a: RealPhaseStructure, phase_b: RealPhaseStructure
+) -> bool:
+    """Sidedness rule across the overlap: a shared phase element whose
+    continuations at the two overlap endpoints leave on distinct sides of
+    the supporting line.  Reference route of
+    ``intersect.is_relatively_twisted``."""
+    ref_dir = comp.curve_a.edges[comp.edge_a].direction
+    hosts = {"a": (comp.curve_a, phase_a, comp.edge_a), "b": (comp.curve_b, phase_b, comp.edge_b)}
+    end0, end1 = ((*hosts[tag], vid) for tag, vid in comp.end_vertices)
+    return _continuations_differ(phase_a.lines[comp.edge_a].elements, ref_dir, end0, end1)
+
+
+def relative_twist_signs(
+    comp: IntersectionComponent, phase_a: RealPhaseStructure, phase_b: RealPhaseStructure
+) -> bool:
+    """Relative twist from sign distributions after aligning the two dual
+    edges by a translation.  A second oracle of
+    ``intersect.is_relatively_twisted``, beside relative_twist_geometric."""
+    delta_a = signs_from_phase(comp.curve_a, phase_a)
+    delta_b = signs_from_phase(comp.curve_b, phase_b)
+    ea = comp.curve_a.edges[comp.edge_a]
+    eb = comp.curve_b.edges[comp.edge_b]
+    pa, qa = ea.dual
+    pb, qb = eb.dual
+    if eb.direction != ea.direction:
+        if eb.direction != (-ea.direction[0], -ea.direction[1]):
+            raise AssertionError("overlapping edges must be parallel")
+        pb, qb = qb, pb
+    shift = (pa[0] - pb[0], pa[1] - pb[1])
+    if (qa[0] - qb[0], qa[1] - qb[1]) != shift:
+        raise AssertionError("the two dual edges must differ by one translation")
+    # third vertex of the dual cell of each overlap-end vertex
+    v3 = {}
+    for tag, vid in comp.end_vertices:
+        curve = comp.curve_a if tag == "a" else comp.curve_b
+        cell = curve.vertex_cell[vid]
+        dual_pair = (pa, qa) if tag == "a" else (comp.curve_b.edges[comp.edge_b].dual)
+        (third,) = [v for v in cell if v not in dual_pair]
+        v3[tag] = third
+    sa, sb = delta_a.signs, delta_b.signs
+    if sa[pa] * sa[qa] * sb[pb] * sb[qb] != 1:
+        raise AssertionError("equal phases force the premise product")
+    v3a = v3["a"]
+    v3b = v3["b"]
+    v3b_shifted = (v3b[0] + shift[0], v3b[1] + shift[1])
+    if (v3a[0] - v3b_shifted[0]) % 2 == 0 and (v3a[1] - v3b_shifted[1]) % 2 == 0:
+        r1 = sa[v3a] * sa[pa] * sb[v3b] * sb[pb] == -1
+        r2 = sa[v3a] * sa[qa] * sb[v3b] * sb[qb] == -1
+        if r1 != r2:
+            raise AssertionError("the sign rule reads differently at the two dual vertices")
+        return r1
+    r1 = sa[pa] * sa[v3a] * sb[qb] * sb[v3b] == 1
+    r2 = sa[qa] * sa[v3a] * sb[pb] * sb[v3b] == 1
+    if r1 != r2:
+        raise AssertionError("the sign rule reads differently at the two dual vertices")
+    return r1
 
 
 # -- the pencil oracle of the pointwise locus ----------------------------
@@ -700,6 +853,22 @@ def pointwise_signed_locus(
     return frozenset(key for key, v in pointwise_verdicts(curve, phase).items() if v.hyperbolic)
 
 
+class _UnionFind:
+    """Union-find over arbitrary hashable keys."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        return _root(self.parent, x)
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+
 def region_find(rp: RealPart, cut: frozenset[tuple[int, Eps]]) -> _UnionFind:
     """Union-find of the quadrant region atoms, crossing every edge
     copy not in `cut` and gluing along the boundary strata."""
@@ -797,10 +966,12 @@ def cut_scan_components(rp: RealPart) -> ComponentReport:
         if len(roots) == 1:
             infos.append((K, "pseudo-line", None))
             continue
-        assert len(roots) == 2, "a closed curve cuts the projective plane into 1 or 2 sides"
+        if len(roots) != 2:
+            raise AssertionError("a closed curve cuts the projective plane into 1 or 2 sides")
         chi = side_euler_characteristics(rp, K, uf)
         chis = sorted(chi[r] for r in roots)
-        assert chis == [0, 1], f"oval sides must be a disk and a Moebius side, got chi={chis}"
+        if chis != [0, 1]:
+            raise AssertionError(f"oval sides must be a disk and a Moebius side, got chi={chis}")
         disk_root = next(r for r in roots if chi[r] == 1)
         interior = frozenset(a for a in atoms if uf.find(a) == disk_root)
         infos.append((K, "oval", interior))
@@ -837,7 +1008,8 @@ def _nesting_report(
             parents.append(None)
         else:
             parents.append(max(containers, key=lambda j: depths[j]))
-    assert sum(1 for _, kind, _ in infos if kind == "pseudo-line") <= 1
+    if sum(1 for _, kind, _ in infos if kind == "pseudo-line") > 1:
+        raise AssertionError("the real part has more than one pseudo-line")
     return ComponentReport(
         count=n,
         components=tuple(
@@ -976,24 +1148,13 @@ def check_real_topology(rng: random.Random, trials: int) -> CheckResult:
     )
 
 
-def edge_twisted_geometric(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
-    """The sidedness rule for a bounded edge, read off the geometry: the
-    continuations of a phase element of the edge at its two ends leave on
-    opposite sides of it.  Reference route of ``realstruct.edge_twisted``."""
-    e = curve.edges[eid]
-    assert e.bounded, "only bounded edges carry a twist"
-    return sides_differ(
-        phase.lines[eid].elements,
-        partial(continuation_side, curve, phase, eid, e.tail, e.direction),
-        partial(continuation_side, curve, phase, eid, e.head, e.direction),
-    )
-
-
 def check_twist_rules(rng: random.Random, trials: int) -> CheckResult:
     """The compiled sidedness rule against the geometric one on every
     bounded edge under each valid level configuration of the lines at its
     ends, and the phase route of the twists against the sign rule, on
-    honeycombs and random lifts."""
+    honeycombs and random lifts; then the relative twist of every segment
+    overlap against the geometric rule across its two ends, on random
+    intersection pairs (``random_overlap_configurations``)."""
     configurations = 0
     for k in range(trials):
         curves = [honeycomb(rng.randrange(1, 6))]
@@ -1027,8 +1188,19 @@ def check_twist_rules(rng: random.Random, trials: int) -> CheckResult:
                             f" on edges {local}",
                         )
                     configurations += 1
+    overlaps = 0
+    for k in range(trials):
+        for comp, phase_a, phase_b in random_overlap_configurations(rng, 8):
+            if is_relatively_twisted(comp, phase_a, phase_b) != relative_twist_geometric(comp, phase_a, phase_b):
+                return CheckResult(
+                    "twist-rules", False,
+                    f"trial {k}: overlap of edges {comp.edge_a} and {comp.edge_b} between {comp.end_vertices}",
+                )
+            overlaps += 1
     return CheckResult(
-        "twist-rules", True, f"{trials} honeycombs and random lifts, {configurations} edge configurations"
+        "twist-rules", True,
+        f"{trials} honeycombs and random lifts, {configurations} edge configurations,"
+        f" {overlaps} overlap configurations",
     )
 
 

@@ -359,3 +359,13 @@ def test_overlap_endpoint_on_vertices_of_both_exits_2(tmp_path, capsys):
             intersection_components(*curves)
         code, out, err = run(capsys, "intersect", "--a", a, "--b", b)
         assert (code, out, err) == (2, "", f"unsupported configuration: {message}\n")
+
+
+def test_production_modules_do_not_load_the_oracles():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tropcurve, tropcurve.cli; print('tropcurve.selfcheck' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -672,7 +672,7 @@ import dataclasses
 import tropcurve.gf2 as gf2
 import tropcurve.hyperbolic as hyp
 import tropcurve.intersect as isect
-import tropcurve.realstruct as realstruct
+import tropcurve.selfcheck as selfcheck
 from tropcurve import TwistSet, honeycomb, phase_from_twists
 
 assert False, "the interpreter must run with -O"  # stripped under -O
@@ -701,7 +701,13 @@ try:
 except AssertionError as exc:
     print("AssertionError:", exc)
 try:
-    realstruct.sides_differ(((0, 0), (1, 1)), lambda e: e == (0, 0), lambda e: False)
+    selfcheck.sides_differ(((0, 0), (1, 1)), lambda e: e == (0, 0), lambda e: False)
+except AssertionError as exc:
+    print("AssertionError:", exc)
+conic = honeycomb(2)
+ray = next(e.index for e in conic.edges if not e.bounded)
+try:
+    selfcheck.edge_twisted_geometric(conic, phase_from_twists(conic, TwistSet.from_edges(conic, ())), ray)
 except AssertionError as exc:
     print("AssertionError:", exc)
 """
@@ -724,4 +730,5 @@ def test_locus_invariants_hold_under_python_optimize():
         "AssertionError: lift counts must add up to the multiplicity\n"
         "AssertionError: rank-nullity violated\n"
         "AssertionError: twist verdict must not depend on the phase element\n"
+        "AssertionError: only bounded edges carry a twist\n"
     )

@@ -33,8 +33,6 @@ from tropcurve.intersect import (
     TWO_REAL,
     classify_hits,
     edge_hits,
-    relative_twist_geometric,
-    relative_twist_signs,
 )
 from tropcurve.realstruct import _outward_direction
 from tropcurve.selfcheck import (
@@ -45,7 +43,10 @@ from tropcurve.selfcheck import (
     random_intersection_pair,
     random_lift,
     random_nonsingular_curve,
+    random_overlap_configurations,
     random_sign_distribution,
+    relative_twist_geometric,
+    relative_twist_signs,
 )
 
 from conftest import make_line
@@ -304,10 +305,29 @@ def test_relative_twist_routes_agree(rng):
         for ph_l in matching:
             geo = relative_twist_geometric(comp, phase_c, ph_l)
             sgn = relative_twist_signs(comp, phase_c, ph_l)
-            assert geo == sgn
+            assert is_relatively_twisted(comp, phase_c, ph_l) == geo == sgn
             trials += 1
     assert trials >= 100
     assert seen_cases == {True, False}, "both congruence cases must be exercised"
+
+
+def test_relative_twist_routes_agree_on_random_pairs():
+    # every shift kind, so overlaps along rays and between edges that run
+    # opposite ways are reached as well as a vertex inside an edge
+    rng = random.Random(18)
+    configurations, kinds = 0, Counter()
+    for comp, phase_a, phase_b in random_overlap_configurations(rng, 1200):
+        ea, eb = comp.curve_a.edges[comp.edge_a], comp.curve_b.edges[comp.edge_b]
+        kinds["ray"] += not (ea.bounded and eb.bounded)
+        kinds["opposite"] += ea.direction != eb.direction
+        twisted = is_relatively_twisted(comp, phase_a, phase_b)
+        assert twisted == relative_twist_geometric(comp, phase_a, phase_b)
+        assert twisted == relative_twist_signs(comp, phase_a, phase_b)
+        kinds["twisted"] += twisted
+        configurations += 1
+    assert configurations >= 100
+    assert 0 < kinds["twisted"] < configurations
+    assert kinds["ray"] > 0 and kinds["opposite"] > 0
 
 
 def test_lift_outcome_symmetry_under_common_translation(rng):

@@ -24,8 +24,9 @@ from tropcurve import (
     twists_from_signs,
 )
 from tropcurve.errors import NotAdmissible, UnknownPoint
-from tropcurve.realstruct import EPS4, _cells, _UnionFind, region_class
+from tropcurve.realstruct import EPS4, _cells, region_class
 from tropcurve.selfcheck import (
+    _UnionFind,
     check_real_topology,
     climbing_sign_walk,
     cut_scan_components,
