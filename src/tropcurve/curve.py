@@ -15,30 +15,23 @@ import copy
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Mapping
+from math import lcm
+from typing import Mapping, NamedTuple
 
 from .errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
 from .geometry import (
     IVec,
     Point,
     convex_hull,
-    det2,
-    dot2,
     hull_lattice_points,
     on_frame,
-    point_strictly_in_hull,
     polygon_twice_area,
     primitive,
     rot90,
+    side_lattice_points,
     sub_i,
 )
 
-# Outward directions of the three boundary strata of the projective
-# compactification, keyed by stratum label.
-STRATA = ("x", "y", "z")
-STRATUM_RAY_DIR = {"x": (-1, 0), "y": (0, -1), "z": (1, 1)}
-STRATUM_GLUE = {"x": (1, 0), "y": (0, 1), "z": (1, 1)}
 # the primitive edge directions of a honeycomb, both orientations
 _HONEYCOMB_DIRECTIONS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
 
@@ -72,12 +65,41 @@ class SubdivisionEdge:
     interior: bool
 
 
+class Side(NamedTuple):
+    """A side of the Newton polygon: the boundary stratum of the toric
+    compactification that the rays leaving along ``normal`` meet."""
+
+    normal: IVec              # primitive and outward
+    glue: IVec                # normal mod 2: the quadrant copies glue across the stratum by it
+    points: tuple[IVec, ...]  # lattice points, counterclockwise
+
+
 @dataclass(frozen=True)
 class DualSubdivision:
     polygon: tuple[IVec, ...]            # hull vertices, counterclockwise
     lattice_points: tuple[IVec, ...]
     cells: tuple[tuple[IVec, IVec, IVec], ...]
     edges: tuple[SubdivisionEdge, ...]
+
+    @cached_property
+    def sides(self) -> tuple[Side, ...]:
+        """The polygon's sides, counterclockwise from ``polygon[0]``."""
+        hull = self.polygon
+        out = []
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            nx, ny = primitive((b[1] - a[1], a[0] - b[0]))  # outward for a ccw hull
+            out.append(Side((nx, ny), (nx & 1, ny & 1), tuple(side_lattice_points(a, b))))
+        return tuple(out)
+
+    @cached_property
+    def sides_at(self) -> dict[IVec, tuple[Side, ...]]:
+        """Boundary lattice point -> the sides through it (two at a
+        vertex of the polygon); interior points are absent."""
+        at: dict[IVec, tuple[Side, ...]] = {}
+        for side in self.sides:
+            for p in side.points:
+                at[p] = at.get(p, ()) + (side,)
+        return at
 
 
 @dataclass(frozen=True)
@@ -277,28 +299,6 @@ class TropicalCurve:
             raise DegreeUnset("operation needs a curve of degree d (Newton polygon d*simplex)")
         return self.degree
 
-    # -- projective boundary data ---------------------------------------
-
-    def strata_of_point(self, alpha: IVec) -> tuple[str, ...]:
-        d = self.require_degree()
-        out = []
-        if alpha[0] == 0:
-            out.append("x")
-        if alpha[1] == 0:
-            out.append("y")
-        if alpha[0] + alpha[1] == d:
-            out.append("z")
-        return tuple(out)
-
-    def side_points(self, stratum: str) -> list[IVec]:
-        """Lattice points of the Newton polygon side dual to the stratum."""
-        d = self.require_degree()
-        if stratum == "x":
-            return [(0, j) for j in range(d + 1)]
-        if stratum == "y":
-            return [(i, 0) for i in range(d + 1)]
-        return [(i, d - i) for i in range(d + 1)]
-
     # -- region sampling -------------------------------------------------
 
     def region_point(self, alpha: IVec) -> Point:
@@ -309,8 +309,8 @@ class TropicalCurve:
     def region_frame_point(self, alpha: IVec) -> tuple[int, int, int]:
         """``region_point`` as (D, x, y), the point (x/D, y/D): the centroid
         of the region's corner vertices, D = n * frame.den for n corners,
-        pushed along the recession direction by 1, 2, 4, ... while the
-        region is unbounded."""
+        pushed by 1, 2, 4, ... along the sides' outward normals at alpha
+        while the region is unbounded."""
         if alpha not in self.dual.lattice_points:
             raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
         frame = self.frame
@@ -319,11 +319,15 @@ class TropicalCurve:
         x = sum(c[0] for c in corners)
         y = sum(c[1] for c in corners)
         inside = (alpha,)
-        if point_strictly_in_hull(list(self.dual.polygon), alpha):
+        sides = self.dual.sides_at.get(alpha)
+        if sides is None:
             if frame.argmax(den, x, y) == inside:
                 return den, x, y
             raise AssertionError("centroid of a bounded region is not interior")
-        px, py = self._recession_direction(alpha)
+        # the outward normals of the sides, each weighted by its lattice length
+        px = sum(s.normal[0] * (len(s.points) - 1) for s in sides)
+        py = sum(s.normal[1] * (len(s.points) - 1) for s in sides)
+        px, py = primitive((px, py))
         t = den
         for _ in range(80):
             cx, cy = x + px * t, y + py * t
@@ -331,22 +335,6 @@ class TropicalCurve:
                 return den, cx, cy
             t *= 2
         raise AssertionError(f"could not sample the unbounded region of {alpha}")
-
-    def _recession_direction(self, alpha: IVec) -> IVec:
-        hull = list(self.dual.polygon)
-        n = len(hull)
-        normals = []
-        for i in range(n):
-            a, b = hull[i], hull[(i + 1) % n]
-            u = sub_i(b, a)
-            if det2(u, sub_i(alpha, a)) == 0 and 0 <= dot2(u, sub_i(alpha, a)) <= dot2(u, u):
-                nv = rot90(u)
-                normals.append((-nv[0], -nv[1]))  # outward for a ccw hull
-        if not normals:
-            raise AssertionError(f"{alpha} is not on the hull boundary")
-        sx = sum(v[0] for v in normals)
-        sy = sum(v[1] for v in normals)
-        return primitive((sx, sy))
 
     def translated(self, offset: Point) -> "TropicalCurve":
         """The curve moved by ``offset``.  The copy shares the combinatorial
@@ -425,9 +413,7 @@ def _boundary_segments(hull: list[IVec], height: dict[IVec, int]) -> set[tuple[I
     """
     segments = set()
     for a, b in zip(hull, hull[1:] + hull[:1]):
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        steps = gcd(dx, dy)
-        side = [(a[0] + t * dx // steps, a[1] + t * dy // steps) for t in range(steps + 1)]
+        side = side_lattice_points(a, b)
         for s0, s1, s2 in zip(side, side[1:], side[2:]):
             if 2 * height[s1] <= height[s0] + height[s2]:
                 raise SingularSubdivision(
@@ -564,11 +550,11 @@ def primitive_cycles(curve: TropicalCurve) -> list[PrimitiveCycle]:
     new list of them.
     """
     if curve._primitive_cycles is None:
-        hull = list(curve.dual.polygon)
+        boundary = curve.dual.sides_at
         regions = curve.region_edges
         cycles = []
         for alpha in curve.dual.lattice_points:
-            if not point_strictly_in_hull(hull, alpha):
+            if alpha in boundary:
                 continue
             eids = frozenset(eid for eid in regions[alpha] if curve.edges[eid].bounded)
             _check_cycle(curve, eids, alpha)
@@ -609,9 +595,9 @@ def _check_cycle(curve: TropicalCurve, eids: frozenset[int], alpha: IVec) -> Non
 def complement_components(curve: TropicalCurve) -> list[ComplementComponent]:
     """One component of the curve complement per lattice point of the polygon."""
     curve.require_degree()
-    hull = list(curve.dual.polygon)
+    boundary = curve.dual.sides_at
     regions = curve.region_edges
     return [
-        ComplementComponent(alpha, point_strictly_in_hull(hull, alpha), frozenset(regions[alpha]))
+        ComplementComponent(alpha, alpha not in boundary, frozenset(regions[alpha]))
         for alpha in curve.dual.lattice_points
     ]

@@ -106,6 +106,13 @@ def point_strictly_in_hull(hull: list[IVec], p: IVec) -> bool:
     return True
 
 
+def side_lattice_points(a: IVec, b: IVec) -> list[IVec]:
+    """The lattice points of the segment a-b, in order from a to b."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    steps = gcd(dx, dy)
+    return [(a[0] + t * dx // steps, a[1] + t * dy // steps) for t in range(steps + 1)]
+
+
 def hull_lattice_points(hull: list[IVec]) -> list[IVec]:
     xs = [p[0] for p in hull]
     ys = [p[1] for p in hull]

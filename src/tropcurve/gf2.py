@@ -206,19 +206,9 @@ class Gf2Subspace:
 
     def orthogonal_constraints(self) -> list[Gf2Vector]:
         """Rows c with c.x = 0 cutting out exactly this subspace."""
-        n = self.ambient_dim
-        rows = [b.bits for b in self.basis]
-        reduced, pivots, _ = _reduce_rows(rows)
-        pivot_set = set(pivots)
-        free = [j for j in range(n) if j not in pivot_set]
-        out = []
-        for j in free:
-            c = 1 << j
-            for b, p in zip(reduced, pivots):
-                if (b >> j) & 1:
-                    c |= 1 << p
-            out.append(Gf2Vector(n, c))
-        return out
+        reduced, pivots, _ = _reduce_rows([b.bits for b in self.basis])
+        # c.x = 0 on the space iff c is orthogonal to its basis rows
+        return list(_kernel(reduced, pivots, self.ambient_dim).basis)
 
 
 @dataclass(frozen=True)

@@ -497,18 +497,11 @@ def is_relatively_twisted(
 def tangency_possible(
     comp: IntersectionComponent, phase_a: RealPhaseStructure, phase_b: RealPhaseStructure
 ) -> bool:
-    """Necessary condition for a double real lift on the component."""
-    if comp.kind == EDGE_IN_EDGE:
-        if phase_a.lines[comp.edge_a] != phase_b.lines[comp.edge_b]:
-            return False
-        if comp.inner == "a":
-            return not edge_twisted(comp.curve_a, phase_a, comp.edge_a)
-        return not edge_twisted(comp.curve_b, phase_b, comp.edge_b)
-    if comp.kind == SEGMENT_OVERLAP:
-        if phase_a.lines[comp.edge_a] != phase_b.lines[comp.edge_b]:
-            return False
-        return is_relatively_twisted(comp, phase_a, phase_b)
-    raise WrongKind("tangency is only meaningful for overlap components")
+    """Necessary condition for a double real lift on the component: the
+    lift ``real_lift`` decides leaves a tangency possible."""
+    if comp.kind not in (EDGE_IN_EDGE, SEGMENT_OVERLAP):
+        raise WrongKind("tangency is only meaningful for overlap components")
+    return TANGENT_DOUBLE in real_lift(comp, phase_a, phase_b).possible
 
 
 def _forced(mult: int, reals: int, pairs: int, locations=None) -> LiftOutcome:
@@ -533,9 +526,12 @@ def _forced_outcome(reals: int, pairs: int, locations=None) -> LiftOutcome:
 _shared_forced = cache(_forced_outcome)
 
 
-_INDET_NOTE = (
-    "two-real and conjugate-pair are realised by infinitely many curves; "
-    "tangent-double-real by exactly two pairs of realisations"
+# the lift of an overlap that its phases leave open; frozen, so shared
+_INDETERMINATE = LiftOutcome(
+    "indeterminate",
+    possible=(TWO_REAL, CONJ_PAIR, TANGENT_DOUBLE),
+    note="two-real and conjugate-pair are realised by infinitely many curves; "
+    "tangent-double-real by exactly two pairs of realisations",
 )
 
 
@@ -553,25 +549,16 @@ def real_lift(
         if phase_a.lines[comp.edge_a] == phase_b.lines[comp.edge_b]:
             return _forced(m, 2, (m - 2) // 2)
         return _forced(m, 0, m // 2)
-    if comp.kind == EDGE_IN_EDGE:
-        inner_curve = comp.curve_a if comp.inner == "a" else comp.curve_b
-        inner_phase = phase_a if comp.inner == "a" else phase_b
-        inner_edge = comp.edge_a if comp.inner == "a" else comp.edge_b
+    if comp.kind in (EDGE_IN_EDGE, SEGMENT_OVERLAP):
         if phase_a.lines[comp.edge_a] != phase_b.lines[comp.edge_b]:
             return _forced(2, 2, 0, locations=comp.segment)
-        if edge_twisted(inner_curve, inner_phase, inner_edge):
-            return _forced(2, 2, 0)
-        return LiftOutcome(
-            "indeterminate", possible=(TWO_REAL, CONJ_PAIR, TANGENT_DOUBLE), note=_INDET_NOTE
-        )
-    if comp.kind == SEGMENT_OVERLAP:
-        if phase_a.lines[comp.edge_a] != phase_b.lines[comp.edge_b]:
-            return _forced(2, 2, 0, locations=comp.segment)
-        if is_relatively_twisted(comp, phase_a, phase_b):
-            return LiftOutcome(
-                "indeterminate", possible=(TWO_REAL, CONJ_PAIR, TANGENT_DOUBLE), note=_INDET_NOTE
-            )
-        return _forced(2, 2, 0)
+        if comp.kind == SEGMENT_OVERLAP:
+            undecided = is_relatively_twisted(comp, phase_a, phase_b)
+        elif comp.inner == "a":
+            undecided = not edge_twisted(comp.curve_a, phase_a, comp.edge_a)
+        else:
+            undecided = not edge_twisted(comp.curve_b, phase_b, comp.edge_b)
+        return _INDETERMINATE if undecided else _forced(2, 2, 0)
     if comp.kind != ISOLATED_VERTEX:
         raise AssertionError(f"unknown component kind {comp.kind!r}")
     return LiftOutcome(

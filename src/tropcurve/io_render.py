@@ -238,7 +238,11 @@ def _normalize_structure(data, curve_data: dict, field: str) -> dict:
         pair = _parse_edge_key(key, f"{field}.phase")
         if not (isinstance(value, list) and len(value) == 2):
             raise ParseError(f"bad phase line {value!r} for {key}", field)
-        table[_edge_key(pair)] = sorted(parse_eps(x, f"{field}.phase[{key}]") for x in value)
+        a, b = table[_edge_key(pair)] = sorted(parse_eps(x, f"{field}.phase[{key}]") for x in value)
+        if a == b:
+            raise ValidationError(
+                f"phase line for {key} needs two distinct elements, got {list(a)} twice", field
+            )
     return {"phase": {k: [list(a), list(b)] for k, (a, b) in sorted(table.items())}}
 
 

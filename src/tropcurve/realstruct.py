@@ -3,12 +3,13 @@ structures, twisted edges, and the quadrant model of the real part.
 
 The real part lives in the four-quadrant model of the real projective
 plane: one copy of the projective triangle per symmetry eps in (Z/2)^2,
-glued along boundary strata (the x stratum identifies eps with
-eps+(1,0), the y stratum with eps+(0,1), the z stratum with eps+(1,1),
-and all four corner copies coincide).  The gluing is read off the Newton
-polygon's sides: the d rays with a stratum's outward direction each meet
-it at one point, where the ray's two copies glue, and the regions along
-the stratum are the lattice points of the dual side.  Components, ovals
+glued along the boundary strata.  Each stratum is a side of the Newton
+polygon (``DualSubdivision.sides``), and across it eps is identified
+with eps + n mod 2 for n the side's primitive outward normal; at a
+corner the gluings of both sides through it apply.  The rays leaving
+along a side's normal, one per unit of its lattice length, each meet
+the stratum at one point, where the ray's two copies glue, and the
+regions along it are the lattice points of the side.  Components, ovals
 and nesting are read off one labelling of the faces of that cell
 structure, the complement of the real part: the faces form a tree whose
 edges are the ovals (``count_components_direct``).  The count
@@ -46,7 +47,7 @@ from functools import cached_property, wraps
 from itertools import product
 from typing import Iterable
 
-from .curve import STRATA, STRATUM_GLUE, STRATUM_RAY_DIR, TropicalCurve, primitive_cycles
+from .curve import TropicalCurve, primitive_cycles
 from .errors import NotAdmissible, UnknownPoint, ValidationError
 from .geometry import IVec, det2
 from .gf2 import PHASE_LINES, Gf2Factoring, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, factor, kernel
@@ -243,8 +244,8 @@ class _Cells:
 
     Atom 4*k + c is (lattice point k, EPS4[c]), reported as
     ``atom_keys[4*k + c]``; edge copy x = 4*eid + c is reported as
-    ``copy_keys[x]``.  ``glued`` is the atom parent array glued along the
-    strata, flat: each atom points at the least atom of its glue orbit.
+    ``copy_keys[x]``.  ``glued`` is the atom parent array glued across the
+    polygon's sides, flat: each atom points at the least atom of its glue orbit.
     The key of that atom is ``region_class(curve, alpha, eps)``, and the
     ``region_class`` table maps each atom key (alpha, eps) to it.
     ``edge_atoms`` holds the atoms 4*k of each edge's dual endpoints.
@@ -258,52 +259,48 @@ class _Cells:
     """
 
     def __init__(self, curve: TropicalCurve, base: _Base):
-        d = curve.require_degree()
+        curve.require_degree()
         edges = curve.edges
+        atom = {p: 4 * k for k, p in enumerate(base.points)}
+        parent = list(range(4 * len(base.points)))
+        weight2 = [2] * len(parent)
         ray_glue = [0] * len(edges)
-        for s in STRATA:
-            rays = [e.index for e in edges if not e.bounded and e.direction == STRATUM_RAY_DIR[s]]
-            if len(rays) != d:
-                raise AssertionError("each boundary stratum must carry exactly d rays")
+        for side in curve.dual.sides:
+            g = _code(side.glue)
+            rays = [e.index for e in edges if not e.bounded and e.direction == side.normal]
+            if len(rays) != len(side.points) - 1:
+                raise AssertionError("each side must carry as many rays as its lattice length")
             for eid in rays:
-                ray_glue[eid] = _code(STRATUM_GLUE[s])
+                ray_glue[eid] = g
+            # the copies glue across the side, one interval of it per lattice point
+            for alpha in side.points:
+                a = atom[alpha]
+                for c in range(4):
+                    _union(parent, a + c, a + (c ^ g))
+                for c in {min(c, c ^ g) for c in range(4)}:
+                    weight2[a + c] -= 2
+        # parent[x] <= x, so one pass in atom order flattens the forest
+        for x, p in enumerate(parent):
+            parent[x] = parent[p]
+        self.glued = parent
+        self.atom_keys = keys = tuple(product(base.points, EPS4))
+        self.region_class = {keys[x]: keys[p] for x, p in enumerate(parent)}
+        self.copy_keys = tuple(product(range(len(edges)), EPS4))
+
         # both copies of a ray are drawn or neither
         self.copy_cell2 = tuple(0 if g and c < c ^ g else -2 for g in ray_glue for c in range(4))
-        atom = {p: 4 * k for k, p in enumerate(base.points)}
         self.edge_atoms = tuple((atom[e.dual[0]], atom[e.dual[1]]) for e in edges)
         vertex_atoms = tuple(atom[cell[0]] for cell in curve.vertex_cell)
         self.end_atoms = tuple(
             (vertex_atoms[e.tail], vertex_atoms[e.head]) if e.bounded else (vertex_atoms[e.tail],) for e in edges
         )
-        self.atom_keys = tuple(product(base.points, EPS4))
-        self.copy_keys = tuple(product(range(len(edges)), EPS4))
-        parent = list(range(4 * len(base.points)))
-        for p, a in atom.items():
-            for s in curve.strata_of_point(p):
-                g = _code(STRATUM_GLUE[s])
-                for c in range(4):
-                    _union(parent, a + c, a + (c ^ g))
-        # parent[x] <= x, so one pass in atom order flattens the forest
-        for x, p in enumerate(parent):
-            parent[x] = parent[p]
-        self.glued = parent
-        keys = self.atom_keys
-        self.region_class = {keys[x]: keys[p] for x, p in enumerate(parent)}
-
-        weight2 = [2] * len(parent)
         for eid, (a, _) in enumerate(self.edge_atoms):
             for c in range(4):
                 weight2[a + c] += self.copy_cell2[4 * eid + c]
-        for s in STRATA:
-            g = _code(STRATUM_GLUE[s])
-            # one interval of the stratum per lattice point of the dual side
-            for alpha in curve.side_points(s):
-                for c in {min(c, c ^ g) for c in range(4)}:
-                    weight2[atom[alpha] + c] -= 2
         for a in vertex_atoms:
             for c in range(4):
                 weight2[a + c] += 2
-        for corner in ((0, 0), (d, 0), (0, d)):
+        for corner in curve.dual.polygon:
             weight2[atom[corner]] += 2
         self.weight2 = tuple(weight2)
 
@@ -610,10 +607,10 @@ def twist_matrix(curve: TropicalCurve, twists: TwistSet) -> Gf2Matrix:
 
 def region_class(curve: TropicalCurve, alpha: IVec, eps: Eps) -> tuple[IVec, Eps]:
     """Canonical representative of (alpha, eps) modulo boundary gluing."""
+    curve.require_degree()
     orbit = {eps}
-    for s in curve.strata_of_point(alpha):
-        g = STRATUM_GLUE[s]
-        orbit |= {_xor(e, g) for e in orbit}
+    for side in curve.dual.sides_at.get(alpha, ()):
+        orbit |= {_xor(e, side.glue) for e in orbit}
     return (alpha, min(orbit))
 
 

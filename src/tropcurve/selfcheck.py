@@ -30,9 +30,6 @@ from math import floor, gcd, lcm
 from typing import Callable
 
 from .curve import (
-    STRATA,
-    STRATUM_GLUE,
-    STRATUM_RAY_DIR,
     DualSubdivision,
     Edge,
     SubdivisionEdge,
@@ -879,11 +876,10 @@ def region_find(rp: RealPart, cut: frozenset[tuple[int, Eps]]) -> _UnionFind:
         for eps in EPS4:
             if (e.index, eps) not in cut:
                 uf.union((p, eps), (q, eps))
-    for alpha in curve.dual.lattice_points:
-        for s in curve.strata_of_point(alpha):
-            g = STRATUM_GLUE[s]
+    for side in curve.dual.sides:
+        for alpha in side.points:
             for eps in EPS4:
-                uf.union((alpha, eps), (alpha, _xor(eps, g)))
+                uf.union((alpha, eps), (alpha, _xor(eps, side.glue)))
     return uf
 
 
@@ -911,14 +907,14 @@ def side_euler_characteristics(
             if (e.index, eps) in cut:
                 continue
             bump(uf.find((e.dual[0], eps)), -1)
-    for s in STRATA:
-        g = STRATUM_GLUE[s]
+    for side in curve.dual.sides:
+        g = side.glue
         classes = sorted({min(eps, _xor(eps, g)) for eps in EPS4})
-        # one interval of the stratum per lattice point of the dual side
-        for alpha in curve.side_points(s):
+        # one interval of the stratum per lattice point of the side
+        for alpha in side.points:
             for cls in classes:
                 bump(uf.find((alpha, cls)), -1)
-        rays = [e.index for e in curve.edges if not e.bounded and e.direction == STRATUM_RAY_DIR[s]]
+        rays = [e.index for e in curve.edges if not e.bounded and e.direction == side.normal]
         for eid in rays:
             for cls in classes:
                 if (eid, cls) in cut or (eid, _xor(cls, g)) in cut:
@@ -929,8 +925,7 @@ def side_euler_characteristics(
             if (v, eps) in on_cut_vertices:
                 continue
             bump(uf.find((curve.vertex_cell[v][0], eps)), 1)
-    d = curve.degree
-    for corner in ((0, 0), (d, 0), (0, d)):
+    for corner in curve.dual.polygon:
         bump(uf.find((corner, (0, 0))), 1)
     return chi
 
@@ -1328,6 +1323,26 @@ def check_construction(rng: random.Random, trials: int) -> CheckResult:
     return CheckResult("construction", True, f"{trials} random lifts, {accepted} non-singular")
 
 
+def _recession_direction(curve: TropicalCurve, alpha: IVec) -> IVec:
+    """The primitive form of the sum of the hull sides through the
+    boundary point alpha, each turned outward (a normal weighted by its
+    side's lattice length), by a scan of the hull."""
+    hull = list(curve.dual.polygon)
+    n = len(hull)
+    normals = []
+    for i in range(n):
+        a, b = hull[i], hull[(i + 1) % n]
+        u = sub_i(b, a)
+        if det2(u, sub_i(alpha, a)) == 0 and 0 <= dot2(u, sub_i(alpha, a)) <= dot2(u, u):
+            nv = rot90(u)
+            normals.append((-nv[0], -nv[1]))  # outward for a ccw hull
+    if not normals:
+        raise AssertionError(f"{alpha} is not on the hull boundary")
+    sx = sum(v[0] for v in normals)
+    sy = sum(v[1] for v in normals)
+    return primitive((sx, sy))
+
+
 def fraction_region_point(curve: TropicalCurve, alpha: IVec) -> Point | None:
     """Reference route of ``TropicalCurve.region_point``: the ``Fraction``
     centroid of the region's corner vertices, pushed along the recession
@@ -1339,7 +1354,7 @@ def fraction_region_point(curve: TropicalCurve, alpha: IVec) -> Point | None:
     inside = (alpha,)
     if point_strictly_in_hull(list(curve.dual.polygon), alpha):
         return base if curve.poly.argmax(base) == inside else None
-    push = curve._recession_direction(alpha)
+    push = _recession_direction(curve, alpha)
     t = Fraction(1)
     for _ in range(80):
         cand = (base[0] + push[0] * t, base[1] + push[1] * t)
