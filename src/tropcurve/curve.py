@@ -213,6 +213,8 @@ class TropicalCurve:
         self.vertex_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, incident))
         self.bounded_edges: tuple[int, ...] = tuple(e.index for e in edges if e.bounded)
         self.bounded_index: dict[int, int] = {eid: k for k, eid in enumerate(self.bounded_edges)}
+        # edge directions are primitive, so no canonical form is needed
+        self._honeycomb = all(e.direction in _HONEYCOMB_DIRECTIONS for e in edges)
         self._edge_by_dual = {frozenset(e.dual): e.index for e in edges}
         # dual cell of each vertex, aligned by construction
         self.vertex_cell: tuple[tuple[IVec, IVec, IVec], ...] = dual.cells
@@ -291,8 +293,7 @@ class TropicalCurve:
         return am[0] if len(am) == 1 else None
 
     def is_honeycomb(self) -> bool:
-        # edge directions are primitive, so no canonical form is needed
-        return all(e.direction in _HONEYCOMB_DIRECTIONS for e in self.edges)
+        return self._honeycomb
 
     def require_degree(self) -> int:
         if self.degree is None:

@@ -1,9 +1,13 @@
 """Hyperbolicity of real tropical curves and the hyperbolicity locus.
 
 A real tropical curve is hyperbolic iff its twist set is dividing with
-twist-matrix kernel of dimension ceil(d/2)-1.  The locus of components
-the curve is hyperbolic with respect to is the interior of the innermost
-oval of the real part; honeycombs also have a bridge criterion for it.
+twist-matrix kernel of dimension ceil(d/2)-1, read off the matrix's rank.
+The locus of components the curve is hyperbolic with respect to is the
+interior of the innermost oval of the real part: no oval lies inside it,
+so it is one face of the face labelling (``realstruct._face_tree``), the
+innermost oval's disk face, and no component report is built.  The
+report route is the oracle ``selfcheck.locus_from_report``.  Honeycombs
+also have a bridge criterion for the locus.
 A point query reads its verdict off that locus: the eps-copy of a
 component is in it iff its ``region_class`` is in the signed locus, and a
 "no" names the fact of the oval route that fails.  The three pencil
@@ -18,16 +22,15 @@ from dataclasses import dataclass
 from .curve import ComplementComponent, TropicalCurve
 from .errors import NotAdmissible, NotDividing, NotHoneycomb
 from .geometry import IVec, canonical_direction, sub_i
-from .gf2 import AffineFlat, Gf2Vector, kernel, solve_affine
+from .gf2 import AffineFlat, Gf2Vector, solve_affine
 from .realstruct import (
-    EPS4,
     Eps,
     RealPhaseStructure,
     TwistSet,
     _cells,
+    _face_tree,
     _root,
     _union,
-    count_components_direct,
     div_space,
     is_admissible,
     is_dividing,
@@ -75,7 +78,8 @@ def is_hyperbolic(curve: TropicalCurve, twists: TwistSet) -> tuple[bool, int]:
     d = curve.require_degree()
     if not is_admissible(curve, twists):
         raise NotAdmissible("hyperbolicity needs an admissible twist set")
-    k = kernel(twist_matrix(curve, twists)).dim
+    m = twist_matrix(curve, twists)
+    k = m.cols - m.rank()
     return (is_dividing(curve, twists) and k == (d + 1) // 2 - 1, k)
 
 
@@ -118,33 +122,31 @@ def hyperbolic_wrt_point(
 
 
 def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
-    """Twist-matrix data plus the locus: the interior of the innermost oval."""
+    """Twist-matrix data plus the locus: the interior of the innermost
+    oval, which is its disk face in the face labelling of the real part."""
     d = curve.require_degree()
     phase.validate_for(curve)
     twists = twists_from_phase(curve, phase)
     hyp, k = is_hyperbolic(curve, twists)
-    atoms: set[tuple[IVec, Eps]] = set()
+    signed: frozenset[tuple[IVec, Eps]] = frozenset()
     if hyp and d == 1:
-        atoms = {(a, e) for a in curve.dual.lattice_points for e in EPS4}
+        signed = frozenset(_cells(curve).region_class.values())
     elif hyp:
-        report = count_components_direct(real_part(curve, phase))
-        ovals = [c for c in report.components if c.kind == "oval"]
-        if len(ovals) != d // 2:
+        tree = _face_tree(real_part(curve, phase))
+        if len(tree.disk) != d // 2:
             raise AssertionError("hyperbolic curve must have floor(d/2) ovals")
-        depths = sorted(c.nesting_depth for c in ovals)
-        if depths != list(range(1, len(ovals) + 1)):
+        depths = sorted(tree.depth[f] for f in tree.disk.values())
+        if depths != list(range(1, len(depths) + 1)):
             raise AssertionError("oval nesting must be a chain")
-        innermost = max(ovals, key=lambda c: c.nesting_depth)
-        for other in report.components:
-            if other is innermost:
-                continue
-            eid, eps0 = min(other.edge_copies)
-            witness = (curve.edges[eid].dual[0], eps0)
-            if witness in innermost.interior_regions:
-                raise AssertionError("innermost oval interior must not contain other components")
-        atoms = set(innermost.interior_regions)
-    # each atom's region_class, read off the curve's table
-    signed = frozenset(map(_cells(curve).region_class.__getitem__, atoms)) if atoms else frozenset()
+        # no oval lies below the deepest one, so its interior is its disk
+        # face, and no other component may touch that face
+        face = max(tree.disk.values(), key=tree.depth.__getitem__)
+        if sum(face in pair for pair in tree.groups) != 1:
+            raise AssertionError("innermost oval interior must not contain other components")
+        # each atom's region_class, read off the curve's table
+        cells = _cells(curve)
+        keys, glued = cells.atom_keys, cells.glued
+        signed = frozenset([keys[glued[x]] for x, f in enumerate(tree.region) if f == face])
     return HyperbolicityReport(
         hyperbolic=hyp,
         kernel_dim=k,
@@ -169,7 +171,7 @@ def _stable_limit(curve: TropicalCurve, phase: RealPhaseStructure, twists: Twist
     # are constant iff no phase line contains (0,0)
     return (
         curve.is_honeycomb()
-        and twists.edges == frozenset(curve.bounded_edges)
+        and twists.vector.bits == (1 << len(curve.bounded_edges)) - 1
         and not any(line.contains((0, 0)) for line in phase.lines)
     )
 

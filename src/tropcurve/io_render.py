@@ -117,6 +117,14 @@ def _parse_edge_key(key: str, field: str) -> tuple[IVec, IVec]:
     return (parse_point_key(parts[0], field), parse_point_key(parts[1], field))
 
 
+def _claim(named: dict, item, key: str, what: str, field: str) -> None:
+    """Record that ``key`` names ``item``; a second key for it is an error,
+    not a silent overwrite."""
+    first = named.setdefault(item, key)
+    if first != key:
+        raise ValidationError(f"keys {first!r} and {key!r} both name {what}", field)
+
+
 @dataclass
 class ScenarioSpec:
     """Normalized scenario contents (plain JSON-shaped data)."""
@@ -167,9 +175,10 @@ def _normalize_curve(data, field: str) -> dict:
     support = sorted(points)
     if any(c < 0 for p in support for c in p):
         raise ValidationError("support points must have nonnegative coordinates", field)
-    coeffs = {}
+    coeffs, named = {}, {}
     for key, value in data["coefficients"].items():
         pt = parse_point_key(key, f"{field}.coefficients")
+        _claim(named, pt, key, f"the lattice point {pt}", field)
         coeffs[pt] = _parse_rational(value, f"{field}.coefficients[{key}]")
     missing = [p for p in support if p not in coeffs]
     if missing:
@@ -202,9 +211,10 @@ def _normalize_structure(data, curve_data: dict, field: str) -> dict:
         elif signs == "all-":
             table = {p: -1 for p in lattice}
         elif isinstance(signs, dict):
-            table = {}
+            table, named = {}, {}
             for key, value in signs.items():
                 pt = parse_point_key(key, f"{field}.signs")
+                _claim(named, pt, key, f"the lattice point {pt}", field)
                 if type(value) is not int or value not in (1, -1):
                     raise ValidationError(f"sign at {pt} must be 1 or -1", field)
                 table[pt] = value
@@ -233,12 +243,13 @@ def _normalize_structure(data, curve_data: dict, field: str) -> dict:
         return {"twists": out}
     if not isinstance(data["phase"], dict):
         raise ParseError("phase must be an object keyed by dual edges", field)
-    table = {}
+    table, named = {}, {}
     for key, value in data["phase"].items():
-        pair = _parse_edge_key(key, f"{field}.phase")
+        edge = _edge_key(_parse_edge_key(key, f"{field}.phase"))
+        _claim(named, edge, key, f"the dual edge {edge}", field)
         if not (isinstance(value, list) and len(value) == 2):
             raise ParseError(f"bad phase line {value!r} for {key}", field)
-        a, b = table[_edge_key(pair)] = sorted(parse_eps(x, f"{field}.phase[{key}]") for x in value)
+        a, b = table[edge] = sorted(parse_eps(x, f"{field}.phase[{key}]") for x in value)
         if a == b:
             raise ValidationError(
                 f"phase line for {key} needs two distinct elements, got {list(a)} twice", field
@@ -246,10 +257,21 @@ def _normalize_structure(data, curve_data: dict, field: str) -> dict:
     return {"phase": {k: [list(a), list(b)] for k, (a, b) in sorted(table.items())}}
 
 
+def _members(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members; a key given twice is an error, not a
+    silent overwrite."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"key {key!r} appears twice in one object")
+        out[key] = value
+    return out
+
+
 def load_spec(text: str) -> ScenarioSpec:
     """Parse and normalize a scenario file."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_members)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):

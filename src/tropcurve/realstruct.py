@@ -12,9 +12,12 @@ the stratum at one point, where the ray's two copies glue, and the
 regions along it are the lattice points of the side.  Components, ovals
 and nesting are read off one labelling of the faces of that cell
 structure, the complement of the real part: the faces form a tree whose
-edges are the ovals (``count_components_direct``).  The count
-1 + dim ker A_T is computed independently from the twist matrix so the
-two routes can be checked against each other.
+edges are the ovals (``_face_tree``, which reads the curve's compiled
+``_face_plan``).  ``count_components_direct`` builds the whole component
+report from it; the hyperbolicity locus reads one face of it.  The count
+1 + dim ker A_T, the dimension being cols - rank, is computed
+independently from the twist matrix so the two routes can be checked
+against each other.
 
 Each curve compiles its rules once into int tables (``curve._real_tables``),
 one piece per route, built on the route's first call (``_piece``) and
@@ -45,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .curve import TropicalCurve, primitive_cycles
 from .errors import NotAdmissible, UnknownPoint, ValidationError
@@ -435,6 +438,27 @@ def _cells(curve: TropicalCurve) -> _Cells:
     return _Cells(curve, _base(curve))
 
 
+# per direction class and level bit, the copy codes c left undrawn and drawn
+_LEVEL_CODES = {cls: tuple((_BITS[15 ^ m], _BITS[m]) for m in masks) for cls, masks in _ON_MASKS.items()}
+
+
+@_piece
+def _face_plan(curve: TropicalCurve) -> tuple[tuple, ...]:
+    """What the face labelling (``_face_tree``) reads of each edge, in edge
+    order: its two dual atoms (``_Cells.edge_atoms``), its end atoms
+    (``_Cells.end_atoms``), its four copies' doubled own cells
+    (``_Cells.copy_cell2``) and, per level bit, the copy codes c left
+    undrawn and drawn.  The codes are the shared ``_BITS`` tuples and
+    equal cell tuples are one tuple, so the plan stays small."""
+    cells = _cells(curve)
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    plan = []
+    for eid, ((a, b), ends, cls) in enumerate(zip(cells.edge_atoms, cells.end_atoms, _base(curve).classes)):
+        cell2 = cells.copy_cell2[4 * eid:4 * eid + 4]
+        plan.append((a, b, ends, shared.setdefault(cell2, cell2), _LEVEL_CODES[cls]))
+    return tuple(plan)
+
+
 @_piece
 def _cycle_rows(curve: TropicalCurve) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bit rows over the bounded edges: per primitive cycle, its edges of
@@ -580,10 +604,12 @@ def phase_from_twists(
 
 
 def count_components_matrix(curve: TropicalCurve, twists: TwistSet) -> int:
-    """Number of real components from the cycle/twist pairing matrix."""
+    """Number of real components from the cycle/twist pairing matrix:
+    one plus its kernel dimension, cols - rank."""
     if not is_admissible(curve, twists):
         raise NotAdmissible("component count needs an admissible twist set")
-    return 1 + kernel(twist_matrix(curve, twists)).dim
+    m = twist_matrix(curve, twists)
+    return 1 + m.cols - m.rank()
 
 
 def twist_matrix(curve: TropicalCurve, twists: TwistSet) -> Gf2Matrix:
@@ -633,17 +659,21 @@ def _union(parent: list[int], x: int, y: int) -> None:
 
 class RealPart:
     """The edge copies drawn by a phase structure: copy (eid, EPS4[c]) is
-    drawn iff EPS4[c] lies on edge eid's phase line."""
+    drawn iff EPS4[c] lies on edge eid's phase line, the line at the
+    level of bit eid of ``_levels``."""
 
     def __init__(self, curve: TropicalCurve, phase: RealPhaseStructure):
         curve.require_degree()
-        base = _base(curve)
-        levels = base.levels(phase)
         self.curve = curve
         self.phase = phase
-        # bit c of _on[eid] is set iff the copy (eid, EPS4[c]) is drawn
-        self._on = [_ON_MASKS[cls][levels >> eid & 1] for eid, cls in enumerate(base.classes)]
-        self._copies = [4 * eid + c for eid, mask in enumerate(self._on) for c in _BITS[mask]]
+        self._levels = _base(curve).levels(phase)
+
+    @cached_property
+    def _copies(self) -> list[int]:
+        """The drawn copies 4*eid + c, in order."""
+        levels = self._levels
+        plan = _face_plan(self.curve)
+        return [4 * eid + c for eid, (*_, codes) in enumerate(plan) for c in codes[levels >> eid & 1][1]]
 
     @cached_property
     def edge_copies(self) -> frozenset[tuple[int, Eps]]:
@@ -684,53 +714,80 @@ def _tree_walk(adj: dict[int, list[tuple[int, int]]], root: int) -> tuple[list[i
     return order, up
 
 
-def count_components_direct(rp: RealPart) -> ComponentReport:
-    """Components of the real part with oval/pseudo-line classification
-    and the nesting tree, from one labelling of the faces.
+class _FaceTree(NamedTuple):
+    """The faces of a real part's complement and the tree they form
+    (``_face_tree``).  A face is named by its least atom."""
+
+    region: list[int]  # atom -> its face
+    # face pair (lesser first) -> [drawn copies, own cells on the lesser
+    # face, own cells on the other], in the order of their least copies
+    groups: dict[tuple[int, int], list]
+    disk: dict[tuple[int, int], int]  # an oval's face pair -> its face on the disk side
+    order: list[int]  # the faces from the root down, each after its parent
+    # face -> (parent face, index in groups of the oval between), None at the root
+    up: dict[int, tuple[int, int] | None]
+    depth: dict[int, int]  # face -> the number of ovals on the way down to it
+
+
+def _face_tree(rp: RealPart) -> _FaceTree:
+    """One labelling of the faces of the real part's complement.
 
     The faces are the classes of atoms glued along the strata and across
-    every edge copy that is not drawn: the complement of the real part.
-    They form a tree whose edges are the ovals, since an oval cuts RP^2
-    into a disk and a Moebius band and the pseudo-line does not separate.
-    A drawn copy separates the faces of its two dual atoms, and the copies
-    that separate the same pair of faces make one component, listed in
-    the order of their least copies: an oval if the faces differ, the
+    every edge copy that is not drawn.  They form a tree whose edges are
+    the ovals, since an oval cuts RP^2 into a disk and a Moebius band and
+    the pseudo-line does not separate.  A drawn copy separates the faces
+    of its two dual atoms, and the copies that separate the same pair of
+    faces make one component: an oval if the faces differ, the
     pseudo-line if they are one face.  Subtree sums of the doubled cell
     weights give each oval's two sides their Euler characteristics, less
     the cells on the oval itself; the side with characteristic 1 is the
-    disk, its interior.  The face outside every oval roots the tree: an
-    oval's depth is the number of ovals on the way down to it, its parent
-    the oval just above, and its interior the atoms of the faces below.
+    disk.  The face outside every oval roots the tree.  Reads the curve's
+    ``_face_plan`` and the real part's level bits.
     """
     cells = _cells(rp.curve)
-    edge_atoms, end_atoms, cell2 = cells.edge_atoms, cells.end_atoms, cells.copy_cell2
+    plan = _face_plan(rp.curve)
+    levels = rp._levels
     parent = cells.glued[:]
-    for (a, b), mask in zip(edge_atoms, rp._on):
-        for c in _BITS[15 ^ mask]:
-            _union(parent, a + c, b + c)
+    for eid, (a, b, _, _, codes) in enumerate(plan):
+        for c in codes[levels >> eid & 1][0]:
+            # _union(parent, a + c, b + c), inlined
+            x, y = a + c, b + c
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
     # parent[x] <= x, so one pass in atom order leaves each atom on the
     # least atom of its face, which names the face
     for x, p in enumerate(parent):
         parent[x] = parent[p]
     region = parent
 
-    # face pair -> [copies, cells on the lesser face, cells on the other]
     groups: dict[tuple[int, int], list] = {}
-    for x in rp._copies:
-        eid, c = x >> 2, x & 3
-        a, b = edge_atoms[eid]
-        f, g = region[a + c], region[b + c]
-        pair = (f, g) if f < g else (g, f)
-        group = groups.get(pair)
-        if group is None:
-            group = groups[pair] = [[], 0, 0]
-        group[0].append(x)
-        group[1 if f == pair[0] else 2] += cell2[x]
-        for v in end_atoms[eid]:
-            h = region[v + c]
-            if h != pair[0] and h != pair[1]:
-                raise AssertionError(f"edge copy {x}: a vertex copy lies off the two faces the copy separates")
-            group[1 if h == pair[0] else 2] += 1
+    for eid, (a, b, ends, cell2, codes) in enumerate(plan):
+        for c in codes[levels >> eid & 1][1]:
+            f = fa = region[a + c]
+            g = region[b + c]
+            if g < f:
+                f, g = g, f
+            group = groups.get((f, g))
+            if group is None:
+                group = groups[f, g] = [[], 0, 0]
+            group[0].append(4 * eid + c)
+            group[1 if fa == f else 2] += cell2[c]
+            for v in ends:
+                h = region[v + c]
+                if h == f:
+                    group[1] += 1
+                elif h == g:
+                    group[2] += 1
+                else:
+                    raise AssertionError(
+                        f"edge copy {4 * eid + c}: a vertex copy lies off the two faces the copy separates"
+                    )
     pairs = list(groups)
     ovals = [k for k, (f, g) in enumerate(pairs) if f != g]
     if len(pairs) - len(ovals) > 1:
@@ -754,10 +811,10 @@ def count_components_direct(rp: RealPart) -> ComponentReport:
         sub[up[f][0]] += sub[f]
     total = sub[0]
     # each oval's face on its disk side; the one face left is the root
-    inner = [0] * len(pairs)
+    disk = {}
     for k in ovals:
-        f, g = pairs[k]
-        _, own_f, own_g = groups[f, g]
+        f, g = pair = pairs[k]
+        _, own_f, own_g = groups[pair]
         if up[g] == (f, k):
             child, own_child, other, own_other = g, own_g, f, own_f
         else:
@@ -765,33 +822,47 @@ def count_components_direct(rp: RealPart) -> ComponentReport:
         chis = (sub[child] - own_child) // 2, (total - sub[child] - own_other) // 2
         if sorted(chis) != [0, 1]:
             raise AssertionError(f"oval sides must be a disk and a Moebius side, got chi={sorted(chis)}")
-        inner[k] = child if chis[0] == 1 else other
-        faces.discard(inner[k])
+        disk[pair] = child if chis[0] == 1 else other
+        faces.discard(disk[pair])
     if len(faces) != 1:
         raise AssertionError("the ovals' disk sides do not leave one face outside them all")
     root = faces.pop()
     if root != 0:
         order, up = _tree_walk(adj, root)
-
-    # the atoms of each face and of every face below it
-    below: dict[int, list[tuple[IVec, Eps]]] = {f: [] for f in order}
-    for key, f in zip(cells.atom_keys, region):
-        below[f].append(key)
-    for f in reversed(order[1:]):
-        below[up[f][0]].extend(below[f])
     depth = {root: 0}
     for f in order[1:]:
         depth[f] = depth[up[f][0]] + 1
+    return _FaceTree(region, groups, disk, order, up, depth)
+
+
+def count_components_direct(rp: RealPart) -> ComponentReport:
+    """Components of the real part with oval/pseudo-line classification
+    and the nesting tree, read off the face labelling (``_face_tree``).
+
+    Components are listed in the order of their least copies.  An oval's
+    depth is the number of ovals on the way down to its disk face, its
+    parent the oval just above, and its interior the atoms of its disk
+    face and of every face below it.
+    """
+    tree = _face_tree(rp)
+    cells = _cells(rp.curve)
+    order, up = tree.order, tree.up
+    # the atoms of each face and of every face below it
+    below: dict[int, list[tuple[IVec, Eps]]] = {f: [] for f in order}
+    for key, f in zip(cells.atom_keys, tree.region):
+        below[f].append(key)
+    for f in reversed(order[1:]):
+        below[up[f][0]].extend(below[f])
     keys = cells.copy_keys
     infos, parents = [], []
-    for k, (pair, (copies, _, _)) in enumerate(groups.items()):
+    for pair, (copies, _, _) in tree.groups.items():
         edge_copies = frozenset(keys[x] for x in copies)
         if pair[0] == pair[1]:
             infos.append(CurveComponentInfo(edge_copies, "pseudo-line", 0, None))
             parents.append(None)
             continue
-        f = inner[k]
-        infos.append(CurveComponentInfo(edge_copies, "oval", depth[f], frozenset(below[f])))
+        f = tree.disk[pair]
+        infos.append(CurveComponentInfo(edge_copies, "oval", tree.depth[f], frozenset(below[f])))
         # the oval just above is the one into the face outside this oval
         above = up[up[f][0]]
         parents.append(None if above is None else above[1])

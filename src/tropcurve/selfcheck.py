@@ -4,7 +4,9 @@ Each check pits two independent routes against each other (gift-wrap
 construction vs pair scan, twist-matrix count vs quadrant-model count,
 the face tree of the quadrant model vs components by vertex-copy
 connectivity and a fresh scan per cut,
-innermost oval vs pencil sweep, plus the bridge locus on honeycombs,
+innermost oval's disk face vs the innermost oval of the whole component
+report (``locus_from_report``) and the pencil sweep, plus the bridge
+locus on honeycombs,
 degree product vs enumerated multiplicities) on randomized inputs.
 Production runs one route per quantity; the second routes are these
 oracles, among them the twist round trip (twists_from_phase recovers what
@@ -66,9 +68,12 @@ from .geometry import (
 )
 from .gf2 import _LINE_NORMALS, Gf2Matrix, PhaseLine, kernel
 from .hyperbolic import (
+    HyperbolicityReport,
     PointVerdict,
+    _stable_limit,
     honeycomb_locus,
     hyperbolicity_locus,
+    is_hyperbolic,
     multi_bridges,
 )
 from .intersect import (
@@ -92,6 +97,7 @@ from .realstruct import (
     RealPhaseStructure,
     SignDistribution,
     TwistSet,
+    _cells,
     _outward_direction,
     _root,
     _xor,
@@ -850,6 +856,47 @@ def pointwise_signed_locus(
     return frozenset(key for key, v in pointwise_verdicts(curve, phase).items() if v.hyperbolic)
 
 
+def locus_from_report(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
+    """The oracle for ``hyperbolicity_locus``: the innermost oval and its
+    interior taken from the whole component report
+    (``count_components_direct``), with every other component's witness
+    atom checked to lie outside that interior."""
+    d = curve.require_degree()
+    phase.validate_for(curve)
+    twists = twists_from_phase(curve, phase)
+    hyp, k = is_hyperbolic(curve, twists)
+    atoms: set[tuple[IVec, Eps]] = set()
+    if hyp and d == 1:
+        atoms = {(a, e) for a in curve.dual.lattice_points for e in EPS4}
+    elif hyp:
+        report = count_components_direct(real_part(curve, phase))
+        ovals = [c for c in report.components if c.kind == "oval"]
+        if len(ovals) != d // 2:
+            raise AssertionError("hyperbolic curve must have floor(d/2) ovals")
+        depths = sorted(c.nesting_depth for c in ovals)
+        if depths != list(range(1, len(ovals) + 1)):
+            raise AssertionError("oval nesting must be a chain")
+        innermost = max(ovals, key=lambda c: c.nesting_depth)
+        for other in report.components:
+            if other is innermost:
+                continue
+            eid, eps0 = min(other.edge_copies)
+            witness = (curve.edges[eid].dual[0], eps0)
+            if witness in innermost.interior_regions:
+                raise AssertionError("innermost oval interior must not contain other components")
+        atoms = set(innermost.interior_regions)
+    # each atom's region_class, read off the curve's table
+    signed = frozenset(map(_cells(curve).region_class.__getitem__, atoms)) if atoms else frozenset()
+    return HyperbolicityReport(
+        hyperbolic=hyp,
+        kernel_dim=k,
+        component_count=1 + k,
+        stable=_stable_limit(curve, phase, twists),
+        locus=frozenset(a for a, _ in signed),
+        signed_locus=signed,
+    )
+
+
 class _UnionFind:
     """Union-find over arbitrary hashable keys."""
 
@@ -1200,7 +1247,8 @@ def check_twist_rules(rng: random.Random, trials: int) -> CheckResult:
 
 
 def check_honeycomb_locus(rng: random.Random, trials: int) -> CheckResult:
-    """Bridge criterion vs innermost oval vs pencil sweep."""
+    """Bridge criterion vs innermost oval (face and report routes) vs
+    pencil sweep."""
     for k in range(trials):
         d = rng.randrange(2, 6)
         curve = honeycomb(d)
@@ -1213,6 +1261,8 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> CheckResult:
         via_bridges = honeycomb_locus(curve, twists)
         phase = phase_from_twists(curve, twists)
         report = hyperbolicity_locus(curve, phase)
+        if report != locus_from_report(curve, phase):
+            return CheckResult("honeycomb-locus", False, f"trial {k} (d={d}): face and report routes differ")
         if report.locus != via_bridges:
             return CheckResult(
                 "honeycomb-locus", False,
@@ -1233,12 +1283,16 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> CheckResult:
 
 
 def check_locus_routes(rng: random.Random, trials: int) -> CheckResult:
-    """Innermost-oval signed locus against the pencil sweep on random lifts."""
+    """Innermost-oval signed locus against the component-report route and
+    the pencil sweep on random lifts."""
     for k in range(trials):
         d = rng.randrange(2, 6)
         curve = random_nonsingular_curve(rng, d)
         phase = phase_from_signs(curve, random_sign_distribution(rng, curve))
-        oval = hyperbolicity_locus(curve, phase).signed_locus
+        report = hyperbolicity_locus(curve, phase)
+        if report != locus_from_report(curve, phase):
+            return CheckResult("locus-routes", False, f"trial {k} (d={d}): face and report routes differ")
+        oval = report.signed_locus
         sweep = pointwise_signed_locus(curve, phase)
         if oval != sweep:
             return CheckResult(

@@ -668,7 +668,6 @@ def test_pencil_analysis_golden():
 
 
 _OPTIMIZED_INVARIANTS = """
-import dataclasses
 import tropcurve.gf2 as gf2
 import tropcurve.hyperbolic as hyp
 import tropcurve.intersect as isect
@@ -676,16 +675,17 @@ import tropcurve.selfcheck as selfcheck
 from tropcurve import TwistSet, honeycomb, phase_from_twists
 
 assert False, "the interpreter must run with -O"  # stripped under -O
-real = hyp.count_components_direct
+real = hyp._face_tree
 
 
 def one_oval_short(rp):
-    report = real(rp)
-    oval = next(k for k, c in enumerate(report.components) if c.kind == "oval")
-    return dataclasses.replace(report, components=report.components[:oval] + report.components[oval + 1:])
+    tree = real(rp)
+    oval = next(iter(tree.disk))
+    del tree.disk[oval], tree.groups[oval]
+    return tree
 
 
-hyp.count_components_direct = one_oval_short
+hyp._face_tree = one_oval_short
 curve = honeycomb(4)
 phase = phase_from_twists(curve, TwistSet.from_edges(curve, curve.bounded_edges))
 try:
@@ -732,3 +732,93 @@ def test_locus_invariants_hold_under_python_optimize():
         "AssertionError: twist verdict must not depend on the phase element\n"
         "AssertionError: only bounded edges carry a twist\n"
     )
+
+
+# -- the locus against the component-report route ------------------------
+
+
+def locus_corpus():
+    """(curve, phase) pairs: honeycombs d = 1..7 under the constant and a
+    random sign distribution and under random unions of multi-bridges,
+    and seeded ``random_lift`` draws of a degree under random signs."""
+    from tropcurve import curve_from_polynomial
+    from tropcurve.errors import DegeneratePolygon, SingularSubdivision
+    from tropcurve.selfcheck import random_lift
+
+    rng = random.Random(20)
+    cases = []
+    for d in range(1, 8):
+        c = honeycomb(d)
+        cases.append((c, phase_from_signs(c, SignDistribution.constant(c))))
+        cases.append((c, phase_from_signs(c, random_sign_distribution(rng, c))))
+        bridges = multi_bridges(c)
+        for _ in range(4):
+            edges = set()
+            for b in bridges:
+                if rng.random() < 0.5:
+                    edges |= b.edges
+            cases.append((c, phase_from_twists(c, TwistSet.from_edges(c, edges))))
+    lifts = 0
+    while lifts < 16:
+        try:
+            c = curve_from_polynomial(random_lift(rng))
+        except (SingularSubdivision, DegeneratePolygon):
+            continue
+        if c.degree is None:
+            continue
+        lifts += 1
+        for _ in range(3):
+            cases.append((c, phase_from_signs(c, random_sign_distribution(rng, c))))
+    return cases
+
+
+def locus_lines(cases):
+    """One line per locus and one per point query, a query at every
+    lattice point under a symmetry that cycles with the point."""
+    lines = []
+    for curve, phase in cases:
+        r = hyperbolicity_locus(curve, phase)
+        lines.append(repr((r.hyperbolic, r.kernel_dim, r.component_count, r.stable,
+                           sorted(r.locus), sorted(r.signed_locus))))
+        for k, alpha in enumerate(curve.dual.lattice_points):
+            v = hyperbolic_wrt_point(curve, phase, alpha, EPS4[k % 4])
+            lines.append(repr((v.component, v.eps, v.hyperbolic, v.failing_condition, v.detail)))
+    return lines
+
+
+# sha256 of ``locus_lines`` over ``locus_corpus``, as recorded with the
+# component-report route that the face labelling replaced
+LOCUS_DIGEST = "b3f006ee942b205caad4c41d413ce5c8dd5809d31d044a87135bab67eabc5ca8"
+
+
+def test_locus_golden():
+    lines = locus_lines(locus_corpus())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LOCUS_DIGEST
+
+
+def test_locus_matches_the_report_route():
+    from dataclasses import fields
+
+    from tropcurve.selfcheck import locus_from_report
+
+    hyperbolic = 0
+    for curve, phase in locus_corpus():
+        got, want = hyperbolicity_locus(curve, phase), locus_from_report(curve, phase)
+        for f in fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        hyperbolic += got.hyperbolic and curve.degree >= 4
+    # nested ovals, where the innermost one is read off its disk face
+    assert hyperbolic >= 12
+
+
+def test_locus_builds_no_component_report(monkeypatch):
+    import tropcurve.hyperbolic as hyp
+    import tropcurve.realstruct as rs
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the locus reads the face labelling, not the component report")
+
+    monkeypatch.setattr(rs, "count_components_direct", refuse)
+    monkeypatch.setattr(hyp, "count_components_direct", refuse, raising=False)
+    lines = locus_lines(locus_corpus())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LOCUS_DIGEST

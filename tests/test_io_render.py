@@ -474,3 +474,59 @@ def test_integer_clip_matches_the_fraction_clip():
                 empty += not got
                 corners += any(p in want for p in ((frac_box[0], frac_box[3]), (frac_box[1], frac_box[2])))
     assert empty > 100 and corners > 100
+
+
+# two keys that name one lattice point or one dual edge, each with its message
+_DUPLICATE_KEYS = [
+    (
+        {
+            "curve": {
+                "support": [[0, 0], [1, 0], [0, 1]],
+                "coefficients": {"0,0": "0", "(0,0)": "5", "1,0": 0, "0,1": 0},
+            },
+            "real_structure": {"signs": "all+"},
+        },
+        "curve: keys '0,0' and '(0,0)' both name the lattice point (0, 0)",
+    ),
+    (
+        {
+            "curve": {"honeycomb": 1},
+            "real_structure": {"signs": {"0,0": 1, "0, 0": -1, "1,0": 1, "0,1": 1}},
+        },
+        "real_structure: keys '0,0' and '0, 0' both name the lattice point (0, 0)",
+    ),
+    (
+        {
+            "curve": {"honeycomb": 1},
+            "real_structure": {"phase": {
+                "0,0|1,0": [[0, 0], [0, 1]], "1,0|0,0": [[1, 0], [1, 1]],
+                "0,0|0,1": [[0, 0], [1, 0]], "0,1|1,0": [[0, 0], [1, 1]],
+            }},
+        },
+        "real_structure: keys '0,0|1,0' and '1,0|0,0' both name the dual edge 0,0|1,0",
+    ),
+]
+
+
+@pytest.mark.parametrize("data,message", _DUPLICATE_KEYS, ids=["coefficients", "signs", "phase"])
+def test_two_keys_for_one_point_or_edge_are_rejected(data, message):
+    with pytest.raises(ValidationError) as exc:
+        load_spec(json.dumps(data))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("data,message", _DUPLICATE_KEYS, ids=["coefficients", "signs", "phase"])
+def test_two_keys_for_one_point_or_edge_exit_1(data, message, tmp_path, capsys):
+    from tropcurve.cli import main
+
+    spec = tmp_path / "duplicate.trop.json"
+    spec.write_text(json.dumps(data))
+    assert main(["analyze", "--spec", str(spec)]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+def test_a_key_given_twice_in_one_object_is_rejected():
+    text = '{"curve": {"honeycomb": 1}, "real_structure": {"signs": {"0,0": 1, "0,0": -1, "1,0": 1, "0,1": 1}}}'
+    with pytest.raises(ParseError, match="key '0,0' appears twice in one object"):
+        load_spec(text)
