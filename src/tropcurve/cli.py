@@ -7,7 +7,7 @@ import json
 import sys
 
 from .curve import complement_components, primitive_cycles
-from .errors import TropcurveError, UnsupportedConfiguration, ValidationError
+from .errors import InvariantViolation, TropcurveError, UnsupportedConfiguration, ValidationError
 from .gf2 import kernel
 from .hyperbolic import hyperbolic_wrt_point, hyperbolicity_locus
 from .intersect import intersection_components, real_lift
@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except UnsupportedConfiguration as exc:
         sys.stderr.write(f"unsupported configuration: {exc}\n")
         return 2
+    except InvariantViolation as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
     except (TropcurveError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -30,6 +30,14 @@ class UnsupportedConfiguration(TropcurveError):
     """Intersection component outside the four classified kinds."""
 
 
+class InvariantViolation(TropcurveError, AssertionError):
+    """An internal invariant failed: a fault in the library, not in the input.
+
+    It is also an AssertionError, so handlers of the plain assertion keep
+    catching it; unlike an ``assert`` it is raised under ``python -O`` too.
+    """
+
+
 class ParallelDirections(TropcurveError):
     """Transverse multiplicity of parallel directions is undefined."""
 

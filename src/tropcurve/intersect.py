@@ -27,6 +27,14 @@ builds ``Fraction`` points for the components only.  The ``Fraction`` pair
 scan ``selfcheck.pair_scan_intersections`` is the oracle that must find
 the same hits in the same order.
 
+A component is an ``IntersectionComponent``, a ``typing.NamedTuple``:
+its fields are read by name, and a component is also a tuple of its
+fields in declaration order.  Equality and hashing are field-wise,
+with the two curves compared by identity; the repr leaves the curves out.
+One record is built per component, and a ``NamedTuple`` builds in about a
+third of the time of a frozen dataclass, whose ``__init__`` sets each
+field through ``object.__setattr__``.
+
 Most hits are crossings strictly inside one edge of each curve, which the
 walk's int solve proves (0 < t < T_a and 0 < s < T_b).  Such a point is no
 vertex of either curve, and no other edge pair meets there, so the walk
@@ -46,7 +54,7 @@ each end) and ``selfcheck.relative_twist_signs`` (sign distributions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -55,6 +63,7 @@ from typing import NamedTuple
 
 from .curve import TropicalCurve
 from .errors import (
+    InvariantViolation,
     ParallelDirections,
     PhasesDiffer,
     UnsupportedConfiguration,
@@ -79,12 +88,16 @@ EDGE_IN_EDGE = "edge-in-edge"
 SEGMENT_OVERLAP = "segment-overlap"
 
 
-@dataclass(frozen=True)
-class IntersectionComponent:
+class IntersectionComponent(NamedTuple):
+    """One classified component of A ∩ B.
+
+    Equality and hashing are field-wise; the curves compare by identity.
+    """
+
     kind: str
     multiplicity: int
-    curve_a: TropicalCurve = field(repr=False)
-    curve_b: TropicalCurve = field(repr=False)
+    curve_a: TropicalCurve
+    curve_b: TropicalCurve
     point: Point | None = None
     segment: tuple[Point, Point] | None = None
     edge_a: int | None = None
@@ -93,6 +106,15 @@ class IntersectionComponent:
     vertex_id: int | None = None
     inner: str | None = None             # edge-in-edge: whose edge is contained
     end_vertices: tuple[tuple[str, int], tuple[str, int]] | None = None
+
+    def __repr__(self) -> str:
+        # the curves are left out: their default repr names a memory address
+        return (
+            f"IntersectionComponent(kind={self.kind!r}, multiplicity={self.multiplicity!r}, "
+            f"point={self.point!r}, segment={self.segment!r}, edge_a={self.edge_a!r}, "
+            f"edge_b={self.edge_b!r}, vertex_owner={self.vertex_owner!r}, "
+            f"vertex_id={self.vertex_id!r}, inner={self.inner!r}, end_vertices={self.end_vertices!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -367,9 +389,7 @@ def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, hits: FrameHit
     for key, gens in points.items():
         if type(gens) is tuple:
             ea, eb, mult = gens
-            comp = IntersectionComponent(
-                TRANSVERSE, mult, curve_a, curve_b, point=_point(den, key), edge_a=ea, edge_b=eb
-            )
+            comp = IntersectionComponent(TRANSVERSE, mult, curve_a, curve_b, _point(den, key), None, ea, eb)
         elif key in ends:
             continue
         else:
@@ -411,7 +431,7 @@ def _vertex_multiplicity(curve: TropicalCurve, vid: int, line_dir) -> int:
     for eid in curve.vertex_edges[vid]:
         total += abs(det2(_outward_direction(curve, eid, vid), line_dir))
     if total % 2:
-        raise AssertionError("balanced vertex gives an even determinant sum")
+        raise InvariantViolation("balanced vertex gives an even determinant sum")
     return total // 2
 
 
@@ -426,7 +446,7 @@ def _classify_point(pair, den: int, key, gens) -> IntersectionComponent:
         raise UnsupportedConfiguration(f"{pt} is a vertex of both curves")
     if va is None and vb is None:
         if len(a_edges) != 1 or len(b_edges) != 1:
-            raise AssertionError(f"{pt} is a vertex of neither curve but lies on several edges of one")
+            raise InvariantViolation(f"{pt} is a vertex of neither curve but lies on several edges of one")
         mult = transverse_multiplicity(
             curve_a.edges[a_edges[0]].direction, curve_b.edges[b_edges[0]].direction
         )
@@ -508,7 +528,7 @@ def _forced(mult: int, reals: int, pairs: int, locations=None) -> LiftOutcome:
     """The forced lift of ``reals`` real points and ``pairs`` conjugate
     pairs; an unlocated one is shared by every component it fits."""
     if reals + 2 * pairs != mult:
-        raise AssertionError("lift counts must add up to the multiplicity")
+        raise InvariantViolation("lift counts must add up to the multiplicity")
     if locations is None:
         return _shared_forced(reals, pairs)
     return _forced_outcome(reals, pairs, locations)
@@ -545,7 +565,7 @@ def real_lift(
             return _forced(m, 1, (m - 1) // 2)
         # even multiplicity forces equal direction classes, so the lines compare
         if phase_a.lines[comp.edge_a].direction != phase_b.lines[comp.edge_b].direction:
-            raise AssertionError("an even crossing joins edges of one direction class")
+            raise InvariantViolation("an even crossing joins edges of one direction class")
         if phase_a.lines[comp.edge_a] == phase_b.lines[comp.edge_b]:
             return _forced(m, 2, (m - 2) // 2)
         return _forced(m, 0, m // 2)
@@ -560,7 +580,7 @@ def real_lift(
             undecided = not edge_twisted(comp.curve_b, phase_b, comp.edge_b)
         return _INDETERMINATE if undecided else _forced(2, 2, 0)
     if comp.kind != ISOLATED_VERTEX:
-        raise AssertionError(f"unknown component kind {comp.kind!r}")
+        raise InvariantViolation(f"unknown component kind {comp.kind!r}")
     return LiftOutcome(
         "indeterminate", non_real_possible=True,
         note="a nearby line can meet the lifted curve in non-real points",

@@ -78,6 +78,7 @@ from .hyperbolic import (
 )
 from .intersect import (
     SEGMENT_OVERLAP,
+    TRANSVERSE,
     FrameHits,
     IntersectionComponent,
     _point,
@@ -386,6 +387,31 @@ def random_intersection_pair(rng: random.Random, kind: str):
         v = rng.choice(other.vertices)
         return a, b, (sub(mid, v) if host is a else sub(v, mid))
     return a, b, (Fraction(rng.randrange(-400, 400), 101), Fraction(rng.randrange(-400, 400), 103))
+
+
+def random_steep_crossing_pair(rng: random.Random):
+    """Two random curves of degree 1 to 4 and a shift for the second that
+    puts an interior point of one of its edges on an interior point of an
+    edge of the first, the two directions with |det| >= 2: a transverse
+    crossing of multiplicity >= 2 unless the point happens to be special.
+    Honeycomb directions never meet with |det| >= 2, so curves are drawn
+    until one pair of edges has a non-honeycomb direction between them."""
+    for _ in range(100):
+        a = random_nonsingular_curve(rng, rng.randint(1, 4))
+        b = random_nonsingular_curve(rng, rng.randint(1, 4))
+        steep = [(ea, eb) for ea in a.edges for eb in b.edges if abs(det2(ea.direction, eb.direction)) >= 2]
+        if steep:
+            ea, eb = rng.choice(steep)
+            return a, b, sub(_edge_point(rng, a, ea), _edge_point(rng, b, eb))
+    raise RuntimeError("no pair of edges with |det| >= 2 after 100 tries")
+
+
+def _edge_point(rng: random.Random, curve: TropicalCurve, edge) -> Point:
+    """A random point strictly inside ``edge`` of ``curve``."""
+    tmax = curve.edge_tmax(edge.index)
+    t = Fraction(rng.randint(1, 9), 2) if tmax is None else tmax * Fraction(rng.randint(1, 9), 10)
+    p, d = curve.edge_anchor(edge.index), edge.direction
+    return p[0] + d[0] * t, p[1] + d[1] * t
 
 
 def random_overlap_configurations(rng: random.Random, pairs: int):
@@ -1347,10 +1373,23 @@ def check_bezout(rng: random.Random, trials: int) -> CheckResult:
 
 def check_intersection_routes(rng: random.Random, trials: int) -> CheckResult:
     """Integer edge-pair scan against the ``Fraction`` pair scan: the same
-    hits in the same order, and so the same components or refusal."""
-    for k in range(trials):
-        kind = INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)]
-        a, b, shift = random_intersection_pair(rng, kind)
+    hits in the same order, and so the same components or refusal.
+
+    After the ``trials`` pairs of the four shift kinds come ``trials // 4``
+    (at least 2) steep crossings (``random_steep_crossing_pair``).  The walk
+    records a crossing with its own |det|, while the pair scan's hits reach
+    ``transverse_multiplicity``, so only pairs with a crossing of
+    multiplicity >= 2 tell a wrong multiplicity apart; the pairs of the
+    four shift kinds rarely have one.
+    """
+    draws = [INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)] for k in range(trials)]
+    draws += ["steep"] * max(trials // 4, 2)
+    multiple = 0
+    for k, kind in enumerate(draws):
+        if kind == "steep":
+            a, b, shift = random_steep_crossing_pair(rng)
+        else:
+            a, b, shift = random_intersection_pair(rng, kind)
         moved = b.translated(shift)
         ints = intersection_outcome(edge_hits, a, moved)
         if ints != intersection_outcome(pair_scan_intersections, a, moved):
@@ -1360,7 +1399,14 @@ def check_intersection_routes(rng: random.Random, trials: int) -> CheckResult:
                 f"trial {k} ({kind}): outcomes differ on a={names[0]} b={names[1]}"
                 f" shifted by ({shift[0]}, {shift[1]})",
             )
-    return CheckResult("intersection-routes", True, f"{trials} random pairs")
+        comps = ints[1]
+        if type(comps) is list and any(c.kind == TRANSVERSE and c.multiplicity >= 2 for c in comps):
+            multiple += 1
+    return CheckResult(
+        "intersection-routes", True,
+        f"{trials} random pairs and {len(draws) - trials} steep crossings,"
+        f" {multiple} pairs with a crossing of multiplicity >= 2",
+    )
 
 
 def check_construction(rng: random.Random, trials: int) -> CheckResult:

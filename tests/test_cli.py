@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -369,3 +370,60 @@ def test_production_modules_do_not_load_the_oracles():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _line_scenario(c1, c2, signs=(1, 1, 1)):
+    """The tropical line max(0, c1 + x, c2 + y) with the signs of 1, x and y."""
+    scenario = _poly_scenario({"0,0": 0, "1,0": str(c1), "0,1": str(c2)})
+    scenario["real_structure"] = {"signs": dict(zip(("0,0", "1,0", "0,1"), signs))}
+    return scenario
+
+
+_CONIC = {"curve": {"honeycomb": 2}, "real_structure": {"signs": "all+"}}
+_HOOK = _poly_scenario({"0,0": 0, "1,0": -9, "1,1": -1, "1,2": -1, "1,3": -9})
+# the pairs of demos/04_real_intersections.py: edge-in-edge, segment overlap, a det-4 crossing
+_DEMO_PAIRS = [
+    (_CONIC, _line_scenario(5, 5)),
+    (_CONIC, _line_scenario(5, 5, (1, -1, 1))),
+    (_CONIC, _line_scenario("-3/2", "-3/2")),
+    (_CONIC, _line_scenario("-3/2", "-3/2", (1, -1, -1))),
+    (_line_scenario(24, -7), _HOOK),
+    (_line_scenario(24, -7, (1, -1, 1)), _HOOK),
+]
+
+
+def test_intersect_output_of_the_demo_pairs_is_unchanged(tmp_path, capsys):
+    outputs = []
+    for k, pair in enumerate(_DEMO_PAIRS):
+        paths = []
+        for name, scenario in zip("ab", pair):
+            paths.append(tmp_path / f"{k}{name}.trop.json")
+            paths[-1].write_text(json.dumps(scenario))
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "intersect", "--a", str(paths[0]), "--b", str(paths[1]), "--format", fmt)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+    assert outputs[0] == (
+        "components: 1   total multiplicity: 2\n"
+        "  edge-in-edge at (1, 1) mult=2 -> forced-real reals=2 pairs=0\n"
+    )
+    # recorded when components were frozen dataclasses
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == "17457e8be48c533b74b5829fef5ee7dbbb93a577dc4bcf48e71ba624bb33bd3e"
+
+
+def test_intersect_invariant_exits_4(tmp_path, capsys, monkeypatch):
+    paths = []
+    scenarios = (
+        _poly_scenario({"0,0": 0, "1,0": -2, "0,1": -2, "1,1": 0}),
+        _line_scenario(0, 4),  # its diagonal ray passes through the vertex (2,-2) of the first curve
+    )
+    for name, scenario in zip("ab", scenarios):
+        paths.append(str(tmp_path / f"{name}.trop.json"))
+        Path(paths[-1]).write_text(json.dumps(scenario))
+    assert run(capsys, "intersect", "--a", paths[0], "--b", paths[1])[0] == 0
+    # a fault that hides the vertex: the hit lies on two edges of one curve and is a vertex of neither
+    monkeypatch.setattr("tropcurve.intersect._end_vertex", lambda curve, k, eids, key: None)
+    code, out, err = run(capsys, "intersect", "--a", paths[0], "--b", paths[1])
+    assert (code, out) == (4, "")
+    assert err == "internal error: (Fraction(2, 1), Fraction(-2, 1)) is a vertex of neither curve but lies on several edges of one\n"

@@ -1,11 +1,13 @@
-"""The CLI on mutated real structures: every run ends in a documented
-exit code (0, 1 or 2) and never in a traceback."""
+"""The CLI on mutated real structures and on seeded intersection pairs:
+every run ends in a documented exit code (0, 1 or 2) and never in a
+traceback."""
 
 import contextlib
 import io
 import json
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from tropcurve import curve_from_polynomial, honeycomb, phase_from_signs, twists_from_signs
 from tropcurve.cli import main
 from tropcurve.errors import DegeneratePolygon, SingularSubdivision, ValidationError
+from tropcurve.geometry import sub
 from tropcurve.io_render import load_spec
 from tropcurve.realstruct import EPS4
 from tropcurve.selfcheck import random_lift, random_sign_distribution
@@ -108,7 +111,7 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -126,6 +129,62 @@ def test_cli_survives_mutated_real_structures(scenario):
             ["hyperbolic", "--spec", path, *query],
             ["render", "--spec", path, "--locus"],
         ):
-            code, err = _run(argv)
+            code, _, err = _run(argv)
             assert code in (0, 1, 2), argv
             assert "Traceback" not in err
+
+
+def _curve_spec(curve, rng):
+    """A scenario for ``curve`` from its coefficients, with all-plus or
+    random signs."""
+    poly = curve.poly
+    coeffs = {_key(p): str(a) for p, a in sorted(poly.coefficients.items())}
+    signs = "all+" if rng.random() < 0.5 else {_key(p): s for p, s in random_sign_distribution(rng, curve).signs.items()}
+    return {
+        "curve": {"support": [list(p) for p in sorted(poly.coefficients)], "coefficients": coeffs},
+        "real_structure": {"signs": signs},
+    }
+
+
+_SECOND = ("lift", "translated", "vertex-on-vertex", "shared-ray")
+
+
+@st.composite
+def _intersection_pairs(draw):
+    """Two curves for ``intersect``: the second is another curve of the
+    pool, a translated copy of the first, another curve moved so that one
+    of its vertices sits on a vertex of the first, or the first moved along
+    one of its rays, so that the two share that ray."""
+    _, a = draw(st.sampled_from(_CURVES))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(_SECOND))
+    if kind == "lift":
+        _, b = draw(st.sampled_from(_CURVES))
+    elif kind == "translated":
+        b = a.translated((Fraction(rng.randint(-40, 40), rng.choice((1, 2, 7))), Fraction(rng.randint(-40, 40), 3)))
+    elif kind == "vertex-on-vertex":
+        _, b = draw(st.sampled_from(_CURVES))
+        b = b.translated(sub(rng.choice(a.vertices), rng.choice(b.vertices)))
+    else:
+        ray = rng.choice([e for e in a.edges if not e.bounded])
+        t = Fraction(rng.randint(1, 9), rng.choice((1, 2)))
+        b = a.translated((ray.direction[0] * t, ray.direction[1] * t))
+    return _curve_spec(a, rng), _curve_spec(b, rng), draw(st.booleans())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(pair=_intersection_pairs())
+def test_cli_intersect_survives_seeded_pairs(pair):
+    spec_a, spec_b, swap = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, spec in (("a", spec_a), ("b", spec_b)):
+            paths.append(str(Path(tmp) / f"{name}.trop.json"))
+            Path(paths[-1]).write_text(json.dumps(spec))
+        a, b = paths[::-1] if swap else paths
+        for fmt in ("text", "json"):
+            argv = ["intersect", "--a", a, "--b", b, "--format", fmt]
+            code, out, err = _run(argv)
+            assert code in (0, 1, 2), (argv, err)
+            assert "Traceback" not in err
+            assert _run(argv) == (code, out, err), argv

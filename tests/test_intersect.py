@@ -20,6 +20,7 @@ from tropcurve import (
 )
 from tropcurve.errors import (
     DegeneratePolygon,
+    InvariantViolation,
     ParallelDirections,
     PhasesDiffer,
     SingularSubdivision,
@@ -31,6 +32,8 @@ from tropcurve.intersect import (
     CONJ_PAIR,
     TANGENT_DOUBLE,
     TWO_REAL,
+    IntersectionComponent,
+    _forced,
     classify_hits,
     edge_hits,
 )
@@ -38,6 +41,7 @@ from tropcurve.realstruct import _outward_direction
 from tropcurve.selfcheck import (
     INTERSECTION_SHIFTS,
     _fraction_hits,
+    check_intersection_routes,
     intersection_outcome,
     pair_scan_intersections,
     random_intersection_pair,
@@ -620,3 +624,85 @@ def test_crossings_are_the_hits_inside_both_edges(case):
         assert len(crossings) == 9 and kinds == {"transverse": 9}
     else:
         assert len(crossings) == 4 and kinds == {"transverse": 4, "isolated-vertex": 1}
+
+
+# -- the component record ------------------------------------------------
+
+
+def _isolated_vertex_pair():
+    q = curve_from_polynomial(TropicalPolynomial({(0, 0): 0, (1, 0): -2, (0, 1): -2, (1, 1): 0}))
+    return q, make_line(0, 0, 4)
+
+
+# the text the frozen dataclass printed, curves left out
+_RECORD_REPRS = {
+    "transverse": (
+        "IntersectionComponent(kind='transverse', multiplicity=1, point=(Fraction(-1, 1), Fraction(0, 1)),"
+        " segment=None, edge_a=0, edge_b=1, vertex_owner=None, vertex_id=None, inner=None, end_vertices=None)"
+    ),
+    "isolated-vertex": (
+        "IntersectionComponent(kind='isolated-vertex', multiplicity=2, point=(Fraction(2, 1), Fraction(-2, 1)),"
+        " segment=None, edge_a=None, edge_b=2, vertex_owner='a', vertex_id=1, inner=None, end_vertices=None)"
+    ),
+    "segment-overlap": (
+        "IntersectionComponent(kind='segment-overlap', multiplicity=2, point=None,"
+        " segment=((Fraction(3, 2), Fraction(3, 2)), (Fraction(2, 1), Fraction(2, 1))), edge_a=3, edge_b=2,"
+        " vertex_owner=None, vertex_id=None, inner=None, end_vertices=(('b', 0), ('a', 1)))"
+    ),
+}
+
+
+def _record_pair(kind):
+    if kind == "transverse":
+        return make_line(), make_line(0, 1, -2)
+    if kind == "isolated-vertex":
+        return _isolated_vertex_pair()
+    return overlap_fixture()[:2]
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORD_REPRS))
+def test_component_repr_is_the_dataclass_text(kind):
+    (comp,) = intersection_components(*_record_pair(kind))
+    assert comp.kind == kind
+    assert repr(comp) == _RECORD_REPRS[kind]
+
+
+def test_component_equality_hash_and_immutability():
+    a, b = _isolated_vertex_pair()
+    (first,), (second,) = intersection_components(a, b), intersection_components(a, b)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    # the curves compare by identity: the same polynomial built again is another curve
+    (rebuilt,) = intersection_components(_isolated_vertex_pair()[0], b)
+    assert rebuilt != first
+    assert rebuilt._replace(curve_a=a) == first
+    with pytest.raises(AttributeError):
+        first.multiplicity = 3
+    assert isinstance(first, tuple) and first[:2] == ("isolated-vertex", 2)
+
+
+def test_component_fields_keep_their_order():
+    assert IntersectionComponent._fields == (
+        "kind", "multiplicity", "curve_a", "curve_b", "point", "segment", "edge_a", "edge_b",
+        "vertex_owner", "vertex_id", "inner", "end_vertices",
+    )
+    a, b = make_line(), make_line(0, 1, -2)
+    bare = IntersectionComponent("transverse", 1, a, b)
+    assert bare[4:] == (None,) * 8
+
+
+def test_intersect_invariants_are_typed():
+    with pytest.raises(InvariantViolation, match="^lift counts must add up to the multiplicity$") as info:
+        _forced(3, 2, 0)
+    assert isinstance(info.value, AssertionError)
+
+
+def test_intersection_routes_kill_a_capped_transverse_multiplicity(monkeypatch):
+    clean = check_intersection_routes(random.Random(6), 4)
+    assert clean.passed, clean.detail
+    assert "2 steep crossings" in clean.detail and "0 pairs" not in clean.detail
+    # ``_classify_point`` reads the module attribute, so this is the name to patch
+    monkeypatch.setattr("tropcurve.intersect.transverse_multiplicity", lambda e_dir, ep_dir: 1)
+    capped = check_intersection_routes(random.Random(6), 4)
+    assert not capped.passed
+    assert "outcomes differ" in capped.detail
