@@ -206,11 +206,13 @@ def test_segment_overlap_cases():
         is_relatively_twisted(comp, ph_c, distinct)
 
 
+def _isolated_vertex_pair():
+    q = curve_from_polynomial(TropicalPolynomial({(0, 0): 0, (1, 0): -2, (0, 1): -2, (1, 1): 0}))
+    return q, make_line(0, 0, 4)  # vertex (0,-4); diagonal ray through the vertex (2,-2)
+
+
 def test_isolated_vertex_component():
-    q = curve_from_polynomial(
-        TropicalPolynomial({(0, 0): 0, (1, 0): -2, (0, 1): -2, (1, 1): 0})
-    )
-    line = make_line(0, 0, 4)  # vertex (0,-4); diagonal ray through the vertex (2,-2)
+    q, line = _isolated_vertex_pair()
     comps = intersection_components(q, line)
     assert [c.kind for c in comps] == ["isolated-vertex"]
     comp = comps[0]
@@ -627,11 +629,6 @@ def test_crossings_are_the_hits_inside_both_edges(case):
 
 
 # -- the component record ------------------------------------------------
-
-
-def _isolated_vertex_pair():
-    q = curve_from_polynomial(TropicalPolynomial({(0, 0): 0, (1, 0): -2, (0, 1): -2, (1, 1): 0}))
-    return q, make_line(0, 0, 4)
 
 
 # the text the frozen dataclass printed, curves left out
