@@ -340,15 +340,28 @@ class TropicalCurve:
     def translated(self, offset: Point) -> "TropicalCurve":
         """The curve moved by ``offset``.  The copy shares the combinatorial
         structure and what is cached from it; the frame moves on ints, and
-        the coefficients and vertices are read off it."""
+        the ``Fraction`` coefficients and vertices are read off it on first
+        use (intersecting two curves needs only their frames)."""
         frame = self.frame.translated((Fraction(offset[0]), Fraction(offset[1])))
-        den = frame.den
         moved = copy.copy(self)
-        moved.poly = TropicalPolynomial({p: Fraction(h, den) for p, h in frame.heights.items()})
-        moved.vertices = tuple((Fraction(x, den), Fraction(y, den)) for x, y in frame.vertices)
+        for name in ("poly", "vertices"):  # built again from the moved frame on first use
+            vars(moved).pop(name, None)
         moved._frame = frame
         moved._region_edges = self.region_edges  # one index for the curve and all its copies
         return moved
+
+    # Set by __init__; a translated copy drops both and builds them from
+    # its frame on first use.
+
+    @cached_property
+    def poly(self) -> TropicalPolynomial:
+        den = self._frame.den
+        return TropicalPolynomial({p: Fraction(h, den) for p, h in self._frame.heights.items()})
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        den = self._frame.den
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self._frame.vertices)
 
 
 # -- construction -------------------------------------------------------

@@ -185,7 +185,7 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve) -> FrameHits:
     ka = den // frame_a.den  # A's edges are rescaled as they are walked
     _, edges_b = frame_b.rescaled(den // frame_b.den)
     found: list = []  # (edge_a, edge_b, point key or (key, key), crossing multiplicity or 0)
-    place: list = [None] * len(curve_a.vertices)
+    place: list = [None] * len(frame_a.vertices)
     x0, y0 = frame_a.vertices[0]
     place[0] = _locate(curve_b, den, (x0 * ka, y0 * ka))
     walked = [False] * len(curve_a.edges)

@@ -221,6 +221,21 @@ def test_translation_moves_vertices_only():
     _check_structure(moved)
 
 
+def test_translated_copies_build_fraction_data_on_first_use():
+    c = honeycomb(4)
+    first = (Fraction(5, 3), Fraction(-7, 2))
+    second = (Fraction(1, 4), Fraction(2))
+    moved = c.translated(first).translated(second)  # the middle copy is never read
+    assert "vertices" not in vars(moved) and "poly" not in vars(moved)
+    once = c.translated((first[0] + second[0], first[1] + second[1]))
+    assert moved.frame == once.frame
+    assert moved.vertices == once.vertices == tuple(
+        (x + first[0] + second[0], y + first[1] + second[1]) for x, y in c.vertices
+    )
+    assert moved.poly.coefficients == once.poly.coefficients
+    _check_structure(moved)
+
+
 def test_region_points_dominate():
     rng = random.Random(59)
     curves = [honeycomb(d) for d in (1, 2, 4)] + [random_nonsingular_curve(rng, d) for d in (2, 3, 5)]
