@@ -8,7 +8,6 @@ import sys
 
 from .curve import complement_components, primitive_cycles
 from .errors import InvariantViolation, TropcurveError, UnsupportedConfiguration, ValidationError
-from .gf2 import kernel
 from .hyperbolic import hyperbolic_wrt_point, hyperbolicity_locus
 from .intersect import intersection_components, real_lift
 from .io_render import (
@@ -22,10 +21,10 @@ from .io_render import (
 )
 from .realstruct import (
     count_components_direct,
+    count_components_matrix,
     is_admissible,
     is_dividing,
     real_part,
-    twist_matrix,
 )
 
 
@@ -84,8 +83,8 @@ def _cmd_analyze(args) -> int:
     curve, twists = scen.curve, scen.twists
     admissible = is_admissible(curve, twists)
     dividing = is_dividing(curve, twists) if admissible else False
-    k = kernel(twist_matrix(curve, twists)).dim if admissible else None
-    matrix_count = 1 + k if admissible else None
+    matrix_count = count_components_matrix(curve, twists) if admissible else None
+    k = matrix_count - 1 if admissible else None
     direct = count_components_direct(real_part(curve, scen.phase))
     data = {
         "twisted_edges": sorted(_edge_key(curve.edges[e].dual) for e in twists.edges),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple
 
-from .errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
+from .errors import DegeneratePolygon, DegreeUnset, InvariantViolation, SingularSubdivision
 from .geometry import (
     IVec,
     Point,
@@ -195,17 +195,19 @@ class TropicalCurve:
     """Vertices, edges and dual subdivision of a non-singular curve.
 
     Instances are immutable in practice; comparison is by identity.  The
-    integer frame (``frame``) is given at construction or built from the
-    ``Fraction`` vertices on first use.
+    integer frame (``frame``) is the only coordinates a curve stores: the
+    ``Fraction`` coefficients (``poly``) and vertices (``vertices``) are
+    read off it on first use.  Structure derived from the curve (the
+    region index, the primitive cycles, realstruct's rule tables) is built
+    once, on first use.
     """
 
-    def __init__(self, poly, vertices, edges, dual, degree, frame: IntFrame | None = None):
-        self.poly: TropicalPolynomial = poly
-        self.vertices: tuple[Point, ...] = vertices
+    def __init__(self, edges, dual, degree, frame: IntFrame):
         self.edges: tuple[Edge, ...] = edges
         self.dual: DualSubdivision = dual
         self.degree: int | None = degree
-        incident: list[list[int]] = [[] for _ in vertices]
+        self.frame: IntFrame = frame
+        incident: list[list[int]] = [[] for _ in dual.cells]
         for e in edges:
             incident[e.tail].append(e.index)
             if e.head is not None:
@@ -218,36 +220,45 @@ class TropicalCurve:
         self._edge_by_dual = {frozenset(e.dual): e.index for e in edges}
         # dual cell of each vertex, aligned by construction
         self.vertex_cell: tuple[tuple[IVec, IVec, IVec], ...] = dual.cells
-        self._primitive_cycles: tuple[PrimitiveCycle, ...] | None = None
         # realstruct's per-curve rule tables, one piece per route, each
         # built on first use; translated copies share the dict
         self._real_tables: dict = {}
-        self._frame = frame
-        self._region_edges: dict[IVec, tuple[int, ...]] | None = None
 
-    # -- integer frame and region index ---------------------------------
+    # -- coordinates and derived structure, each built on first use ------
 
-    @property
-    def frame(self) -> IntFrame:
-        if self._frame is None:
-            den = lcm(*(a.denominator for a in self.poly.coefficients.values()),
-                      *(c.denominator for v in self.vertices for c in v))
-            verts = tuple(on_frame(x, y, den) for x, y in self.vertices)
-            heights = {p: a.numerator * (den // a.denominator) for p, a in self.poly.coefficients.items()}
-            self._frame = IntFrame(den, verts, _frame_edges(self.edges, verts), heights)
-        return self._frame
+    @cached_property
+    def poly(self) -> TropicalPolynomial:
+        den = self.frame.den
+        return TropicalPolynomial({p: Fraction(h, den) for p, h in self.frame.heights.items()})
 
-    @property
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        den = self.frame.den
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.frame.vertices)
+
+    @cached_property
     def region_edges(self) -> dict[IVec, tuple[int, ...]]:
         """Lattice point -> ids of the edges whose dual contains it: the
         boundary of its complement component, in edge order."""
-        if self._region_edges is None:
-            index: dict[IVec, list[int]] = {alpha: [] for alpha in self.dual.lattice_points}
-            for e in self.edges:
-                index[e.dual[0]].append(e.index)
-                index[e.dual[1]].append(e.index)
-            self._region_edges = {alpha: tuple(eids) for alpha, eids in index.items()}
-        return self._region_edges
+        index: dict[IVec, list[int]] = {alpha: [] for alpha in self.dual.lattice_points}
+        for e in self.edges:
+            index[e.dual[0]].append(e.index)
+            index[e.dual[1]].append(e.index)
+        return {alpha: tuple(eids) for alpha, eids in index.items()}
+
+    @cached_property
+    def _cycles(self) -> tuple[PrimitiveCycle, ...]:
+        """The primitive cycles, checked once; ``primitive_cycles`` reads them."""
+        boundary = self.dual.sides_at
+        regions = self.region_edges
+        cycles = []
+        for alpha in self.dual.lattice_points:
+            if alpha in boundary:
+                continue
+            eids = frozenset(eid for eid in regions[alpha] if self.edges[eid].bounded)
+            _check_cycle(self, eids, alpha)
+            cycles.append(PrimitiveCycle(alpha, eids))
+        return tuple(cycles)
 
     # -- basic queries -------------------------------------------------
 
@@ -285,9 +296,6 @@ class TropicalCurve:
         int argmax; ``poly.argmax`` is the ``Fraction`` route."""
         return self.frame.argmax(*self.frame_point(p))
 
-    def on_curve(self, p: Point) -> bool:
-        return len(self.argmax(p)) >= 2
-
     def dominating(self, p: Point) -> IVec | None:
         am = self.argmax(p)
         return am[0] if len(am) == 1 else None
@@ -324,7 +332,7 @@ class TropicalCurve:
         if sides is None:
             if frame.argmax(den, x, y) == inside:
                 return den, x, y
-            raise AssertionError("centroid of a bounded region is not interior")
+            raise InvariantViolation("centroid of a bounded region is not interior")
         # the outward normals of the sides, each weighted by its lattice length
         px = sum(s.normal[0] * (len(s.points) - 1) for s in sides)
         py = sum(s.normal[1] * (len(s.points) - 1) for s in sides)
@@ -335,33 +343,21 @@ class TropicalCurve:
             if frame.argmax(den, cx, cy) == inside:
                 return den, cx, cy
             t *= 2
-        raise AssertionError(f"could not sample the unbounded region of {alpha}")
+        raise InvariantViolation(f"could not sample the unbounded region of {alpha}")
 
     def translated(self, offset: Point) -> "TropicalCurve":
-        """The curve moved by ``offset``.  The copy shares the combinatorial
-        structure and what is cached from it; the frame moves on ints, and
-        the ``Fraction`` coefficients and vertices are read off it on first
-        use (intersecting two curves needs only their frames)."""
+        """The curve moved by ``offset``.  Only the frame moves, on ints;
+        the copy shares the combinatorial structure and what is cached
+        from it, and reads its own ``Fraction`` coefficients and vertices
+        off the moved frame on first use (intersecting two curves needs
+        only their frames)."""
         frame = self.frame.translated((Fraction(offset[0]), Fraction(offset[1])))
         moved = copy.copy(self)
-        for name in ("poly", "vertices"):  # built again from the moved frame on first use
+        for name in ("poly", "vertices"):
             vars(moved).pop(name, None)
-        moved._frame = frame
-        moved._region_edges = self.region_edges  # one index for the curve and all its copies
+        moved.frame = frame
+        moved.region_edges = self.region_edges  # one index for the curve and all its copies
         return moved
-
-    # Set by __init__; a translated copy drops both and builds them from
-    # its frame on first use.
-
-    @cached_property
-    def poly(self) -> TropicalPolynomial:
-        den = self._frame.den
-        return TropicalPolynomial({p: Fraction(h, den) for p, h in self._frame.heights.items()})
-
-    @cached_property
-    def vertices(self) -> tuple[Point, ...]:
-        den = self._frame.den
-        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self._frame.vertices)
 
 
 # -- construction -------------------------------------------------------
@@ -391,8 +387,7 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
         placed.append(((wy * b1 - uy * b2, ux * b2 - wx * b1), cell))
     placed.sort()
     vertex_index = {cell: k for k, (_, cell) in enumerate(placed)}
-    vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for (x, y), _ in placed)
-    int_vertices = tuple(xy for xy, _ in placed)
+    vertices = tuple(xy for xy, _ in placed)
 
     # a bounded edge runs from the cell right of p->q to the cell left of it
     # (p < q); a ray leaves its only cell in the direction rot90(a - b),
@@ -413,8 +408,8 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
     degree = _simplex_degree(hull)
     dual_cells = tuple(tuple(sorted(cell)) for _, cell in placed)
     dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells, sub_edges)
-    frame = IntFrame(scale, int_vertices, _frame_edges(edges, int_vertices), height)
-    curve = TropicalCurve(poly, vertices, edges, dual, degree, frame)
+    frame = IntFrame(scale, vertices, _frame_edges(edges, vertices), height)
+    curve = TropicalCurve(edges, dual, degree, frame)
     _verify_curve(curve)
     return curve
 
@@ -519,13 +514,13 @@ def _simplex_degree(hull: list[IVec]) -> int | None:
 
 def _verify_curve(curve: TropicalCurve) -> None:
     area2 = polygon_twice_area(list(curve.dual.polygon))
-    if len(curve.vertices) != area2:
+    if len(curve.vertex_cell) != area2:
         raise SingularSubdivision(
-            f"{len(curve.vertices)} vertices for a polygon of twice-area {area2}"
+            f"{len(curve.vertex_cell)} vertices for a polygon of twice-area {area2}"
         )
     for v, incident in enumerate(curve.vertex_edges):
         if len(incident) != 3:
-            raise AssertionError(f"vertex {v} is {len(incident)}-valent")
+            raise InvariantViolation(f"vertex {v} is {len(incident)}-valent")
         sx = sy = 0
         for eid in incident:
             e = curve.edges[eid]
@@ -535,11 +530,11 @@ def _verify_curve(curve: TropicalCurve) -> None:
             sx += d[0]
             sy += d[1]
         if (sx, sy) != (0, 0):
-            raise AssertionError(f"balancing fails at vertex {v}")
+            raise InvariantViolation(f"balancing fails at vertex {v}")
     for e in curve.edges:
         dual_dir = sub_i(e.dual[1], e.dual[0])
         if rot90(dual_dir) != e.direction:
-            raise AssertionError(f"edge {e.index} direction is not the dual rotation")
+            raise InvariantViolation(f"edge {e.index} direction is not the dual rotation")
 
 
 def honeycomb(d: int) -> TropicalCurve:
@@ -553,7 +548,7 @@ def honeycomb(d: int) -> TropicalCurve:
     }
     curve = curve_from_polynomial(TropicalPolynomial(coeffs))
     if not curve.is_honeycomb():
-        raise AssertionError("quadratic lift did not produce a honeycomb")
+        raise InvariantViolation("quadratic lift did not produce a honeycomb")
     return curve
 
 
@@ -563,18 +558,7 @@ def primitive_cycles(curve: TropicalCurve) -> list[PrimitiveCycle]:
     The cycles are built and checked once per curve; each call returns a
     new list of them.
     """
-    if curve._primitive_cycles is None:
-        boundary = curve.dual.sides_at
-        regions = curve.region_edges
-        cycles = []
-        for alpha in curve.dual.lattice_points:
-            if alpha in boundary:
-                continue
-            eids = frozenset(eid for eid in regions[alpha] if curve.edges[eid].bounded)
-            _check_cycle(curve, eids, alpha)
-            cycles.append(PrimitiveCycle(alpha, eids))
-        curve._primitive_cycles = tuple(cycles)
-    return list(curve._primitive_cycles)
+    return list(curve._cycles)
 
 
 def _check_cycle(curve: TropicalCurve, eids: frozenset[int], alpha: IVec) -> None:
@@ -582,11 +566,11 @@ def _check_cycle(curve: TropicalCurve, eids: frozenset[int], alpha: IVec) -> Non
     for eid in eids:
         e = curve.edges[eid]
         if not e.bounded:
-            raise AssertionError(f"cycle around {alpha} uses an unbounded edge")
+            raise InvariantViolation(f"cycle around {alpha} uses an unbounded edge")
         for v in (e.tail, e.head):
             degree_count[v] = degree_count.get(v, 0) + 1
     if any(c != 2 for c in degree_count.values()):
-        raise AssertionError(f"edges around {alpha} do not close up")
+        raise InvariantViolation(f"edges around {alpha} do not close up")
     # connectivity
     verts = list(degree_count)
     reached = {verts[0]}
@@ -603,7 +587,7 @@ def _check_cycle(curve: TropicalCurve, eids: frozenset[int], alpha: IVec) -> Non
                 reached.add(w)
                 frontier.append(w)
     if len(reached) != len(verts):
-        raise AssertionError(f"cycle around {alpha} is disconnected")
+        raise InvariantViolation(f"cycle around {alpha} is disconnected")
 
 
 def complement_components(curve: TropicalCurve) -> list[ComplementComponent]:

@@ -13,10 +13,6 @@ Point = tuple[Fraction, Fraction]
 IVec = tuple[int, int]
 
 
-def add(p: Point, q) -> Point:
-    return (p[0] + q[0], p[1] + q[1])
-
-
 def sub(p: Point, q) -> Point:
     return (p[0] - q[0], p[1] - q[1])
 

@@ -213,7 +213,7 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
 
 
 def _removal_components(curve: TropicalCurve, removed: frozenset[int]) -> int:
-    parent = list(range(len(curve.vertices)))
+    parent = list(range(len(curve.vertex_cell)))
     for eid in curve.bounded_edges:
         if eid not in removed:
             _union(parent, curve.edges[eid].tail, curve.edges[eid].head)

@@ -39,8 +39,9 @@ Most hits are crossings strictly inside one edge of each curve, which the
 walk's int solve proves (0 < t < T_a and 0 < s < T_b).  Such a point is no
 vertex of either curve, and no other edge pair meets there, so the walk
 records it as a crossing (edge_a, edge_b, |det|) and ``classify_hits``
-builds its transverse component directly.  Hits at an edge end, collinear
-hits and overlaps go through the incidence reading above.  A forced real
+builds its transverse component directly; the pair scan's hits are marked
+the same way before classification.  Hits at an edge end, collinear hits
+and overlaps go through the incidence reading above.  A forced real
 lift without locations is one shared frozen ``LiftOutcome`` per
 (reals, pairs).
 
@@ -364,16 +365,16 @@ def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
 def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, hits: FrameHits):
     """Components from an edge scan's hits (see ``FrameHits``), sorted.
 
-    A crossing is a transverse component as it stands.  For every other
-    hit, incidence is read off the hit's own edges.  Edges of a non-singular
-    curve meet only at their end vertices, so a vertex on a hit edge is one
-    of its ends, a point hit on an overlap is one of the overlap's
-    endpoints, and two overlaps touch only at a shared endpoint.  Three
-    configurations raise UnsupportedConfiguration: a point hit that is a
-    vertex of both curves, an overlap endpoint that is a vertex of both,
-    and two overlaps sharing an endpoint (a chain).  Everything is compared
-    on the pair's frame; ``Fraction`` points are built for the components
-    only.
+    A crossing is a transverse component as it stands.  Every other point
+    hit is a vertex of at least one curve, and its incidence is read off
+    the hit's own edges.  Edges of a non-singular curve meet only at their
+    end vertices, so a vertex on a hit edge is one of its ends, a point hit
+    on an overlap is one of the overlap's endpoints, and two overlaps touch
+    only at a shared endpoint.  Three configurations raise
+    UnsupportedConfiguration: a point hit that is a vertex of both curves,
+    an overlap endpoint that is a vertex of both, and two overlaps sharing
+    an endpoint (a chain).  Everything is compared on the pair's frame;
+    ``Fraction`` points are built for the components only.
     """
     den, points, segments, _ = hits
     ends = {pt for p1, p2, _, _ in segments for pt in (p1, p2)}
@@ -447,12 +448,7 @@ def _classify_point(pair, den: int, key, gens) -> IntersectionComponent:
     if va is None and vb is None:
         if len(a_edges) != 1 or len(b_edges) != 1:
             raise InvariantViolation(f"{pt} is a vertex of neither curve but lies on several edges of one")
-        mult = transverse_multiplicity(
-            curve_a.edges[a_edges[0]].direction, curve_b.edges[b_edges[0]].direction
-        )
-        return IntersectionComponent(
-            TRANSVERSE, mult, curve_a, curve_b, point=pt, edge_a=a_edges[0], edge_b=b_edges[0]
-        )
+        raise InvariantViolation(f"{pt} lies inside one edge of each curve but is not marked as a crossing")
     # pt is interior to the one edge of the other curve through it
     if va is not None:
         (host,) = b_edges

@@ -31,12 +31,15 @@ from functools import partial
 from math import floor, gcd, lcm
 from typing import Callable
 
+from . import intersect
 from .curve import (
     DualSubdivision,
     Edge,
+    IntFrame,
     SubdivisionEdge,
     TropicalCurve,
     TropicalPolynomial,
+    _frame_edges,
     _simplex_degree,
     _verify_curve,
     curve_from_polynomial,
@@ -59,6 +62,7 @@ from .geometry import (
     hull_lattice_points,
     intersect_param_lines,
     line_param,
+    on_frame,
     point_strictly_in_hull,
     polygon_twice_area,
     primitive,
@@ -252,9 +256,15 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
             edges.append(Edge(idx, vertex_index[anchor], None, out_dir, dual_pair, False))
             sub_edges.append(SubdivisionEdge(dual_pair, False))
 
+    # its own frame from the solved vertices: den is the lcm of every
+    # coefficient and vertex-coordinate denominator
+    den = lcm(*(a.denominator for a in coeffs.values()), *(c.denominator for v in order for c in v))
+    verts = tuple(on_frame(x, y, den) for x, y in order)
+    heights = {p: a.numerator * (den // a.denominator) for p, a in coeffs.items()}
+    frame = IntFrame(den, verts, _frame_edges(edges, verts), heights)
     degree = _simplex_degree(hull)
     dual = DualSubdivision(tuple(hull), tuple(lattice), cells, tuple(sub_edges))
-    curve = TropicalCurve(poly, tuple(order), tuple(edges), dual, degree)
+    curve = TropicalCurve(tuple(edges), dual, degree, frame)
     _verify_curve(curve)
     return curve
 
@@ -474,16 +484,28 @@ def _fraction_hits(hits: FrameHits):
 
 def _frame_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, points, segments) -> FrameHits:
     """The pair scan's ``Fraction`` hits keyed on the pair's frame, as
-    ``edge_hits`` keys them."""
+    ``edge_hits`` keys them.  A point on exactly one edge of each curve
+    that is a vertex of neither is a crossing (edge_a, edge_b, mult), with
+    mult from ``intersect.transverse_multiplicity``, looked up when called;
+    every other point keeps its set of edges."""
     den = lcm(curve_a.frame.den, curve_b.frame.den)
+    vertices = set(curve_a.vertices) | set(curve_b.vertices)
 
     def key(pt):
         m = lcm(*(c.denominator // gcd(c.denominator, den) for c in pt))
         return tuple(c.numerator * (den * m // c.denominator) for c in pt) + (m,)
 
+    def mark(pt, gens):
+        pairs = sorted(gens)
+        if [tag for tag, _ in pairs] != ["a", "b"] or pt in vertices:
+            return gens
+        (_, ea), (_, eb) = pairs
+        mult = intersect.transverse_multiplicity(curve_a.edges[ea].direction, curve_b.edges[eb].direction)
+        return (ea, eb, mult)
+
     return FrameHits(
         den,
-        {key(pt): gens for pt, gens in points.items()},
+        {key(pt): mark(pt, gens) for pt, gens in points.items()},
         [(key(p1), key(p2), ea, eb) for p1, p2, ea, eb in segments],
         0,
     )
@@ -1484,7 +1506,7 @@ def _point_queries(rng: random.Random, curve: TropicalCurve) -> list[Point]:
 
 def check_point_location(rng: random.Random, trials: int) -> CheckResult:
     """The curve's int argmax (``TropicalCurve.argmax``, which
-    ``dominating`` and ``on_curve`` read) against ``TropicalPolynomial.argmax``
+    ``dominating`` reads) against ``TropicalPolynomial.argmax``
     at the points ``_point_queries`` draws, and ``region_point`` against
     ``fraction_region_point`` on every lattice point, on honeycombs, random
     lifts and chains of translated copies (frame den > 1)."""

@@ -1,16 +1,22 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from tropcurve import (
+    TropicalCurve,
     TropicalPolynomial,
     complement_components,
     curve_from_polynomial,
     honeycomb,
+    phase_from_signs,
     primitive_cycles,
+    render_svg,
+    twists_from_signs,
 )
-from tropcurve.errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
+from tropcurve.curve import _verify_curve
+from tropcurve.errors import DegeneratePolygon, DegreeUnset, InvariantViolation, SingularSubdivision
 from tropcurve.geometry import canonical_direction, det2, rot90, sub_i
 from tropcurve.selfcheck import (
     check_point_location,
@@ -19,6 +25,7 @@ from tropcurve.selfcheck import (
     pair_scan_curve,
     random_lift,
     random_nonsingular_curve,
+    random_sign_distribution,
 )
 
 
@@ -227,6 +234,7 @@ def test_translated_copies_build_fraction_data_on_first_use():
     second = (Fraction(1, 4), Fraction(2))
     moved = c.translated(first).translated(second)  # the middle copy is never read
     assert "vertices" not in vars(moved) and "poly" not in vars(moved)
+    assert moved.region_edges is c.region_edges
     once = c.translated((first[0] + second[0], first[1] + second[1]))
     assert moved.frame == once.frame
     assert moved.vertices == once.vertices == tuple(
@@ -234,6 +242,37 @@ def test_translated_copies_build_fraction_data_on_first_use():
     )
     assert moved.poly.coefficients == once.poly.coefficients
     _check_structure(moved)
+
+
+def test_a_curve_stores_only_its_frame():
+    # the construct op's calls read the frame, never the Fraction view
+    rng = random.Random(17)
+    built = 0
+    while built < 8:
+        poly = random_lift(rng)
+        try:
+            curve = curve_from_polynomial(poly)
+        except (DegeneratePolygon, SingularSubdivision):
+            continue
+        built += 1
+        delta = random_sign_distribution(rng, curve)
+        phase = phase_from_signs(curve, delta)
+        twists = twists_from_signs(curve, delta)
+        primitive_cycles(curve)
+        if curve.degree is not None:
+            complement_components(curve)
+        render_svg(curve, phase, twists, None, delta)
+        assert "vertices" not in vars(curve) and "poly" not in vars(curve)
+        assert curve.poly.coefficients == poly.coefficients
+
+
+def test_curve_invariants_are_typed():
+    c = honeycomb(2)
+    flipped = list(c.edges)
+    e = flipped[c.bounded_edges[0]]
+    flipped[e.index] = dataclasses.replace(e, direction=(-e.direction[0], -e.direction[1]))
+    with pytest.raises(InvariantViolation, match="^balancing fails at vertex "):
+        _verify_curve(TropicalCurve(tuple(flipped), c.dual, c.degree, c.frame))
 
 
 def test_region_points_dominate():
@@ -303,7 +342,7 @@ def test_curve_frame_matches_a_frame_rebuilt_from_fractions():
             continue
         built += 1
         _assert_frame_matches_fractions(curve)
-        # the pair scan builds no frame; its lazy one is the walk's
+        # the pair scan builds its own frame from the vertices it solves
         scanned = pair_scan_curve(poly)
         _assert_frame_matches_fractions(scanned)
         assert scanned.frame == curve.frame

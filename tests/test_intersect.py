@@ -32,6 +32,7 @@ from tropcurve.intersect import (
     CONJ_PAIR,
     TANGENT_DOUBLE,
     TWO_REAL,
+    FrameHits,
     IntersectionComponent,
     _forced,
     classify_hits,
@@ -628,6 +629,16 @@ def test_crossings_are_the_hits_inside_both_edges(case):
         assert len(crossings) == 4 and kinds == {"transverse": 4, "isolated-vertex": 1}
 
 
+def test_an_unmarked_crossing_is_an_invariant_violation():
+    # a point inside one edge of each curve reaches classify_hits only as a crossing
+    a, b = _crossing_pair("half-integer")
+    hits = edge_hits(a, b)
+    key, (ea, eb, _) = next((key, gens) for key, gens in hits.points.items() if type(gens) is tuple)
+    unmarked = FrameHits(hits.den, {key: {("a", ea), ("b", eb)}}, [], 0)
+    with pytest.raises(InvariantViolation, match="not marked as a crossing$"):
+        classify_hits(a, b, unmarked)
+
+
 # -- the component record ------------------------------------------------
 
 
@@ -698,7 +709,8 @@ def test_intersection_routes_kill_a_capped_transverse_multiplicity(monkeypatch):
     clean = check_intersection_routes(random.Random(6), 4)
     assert clean.passed, clean.detail
     assert "2 steep crossings" in clean.detail and "0 pairs" not in clean.detail
-    # ``_classify_point`` reads the module attribute, so this is the name to patch
+    # the pair scan's hits are marked as crossings by ``selfcheck._frame_hits``,
+    # which reads the module attribute, so this is the name to patch
     monkeypatch.setattr("tropcurve.intersect.transverse_multiplicity", lambda e_dir, ep_dir: 1)
     capped = check_intersection_routes(random.Random(6), 4)
     assert not capped.passed

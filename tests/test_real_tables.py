@@ -238,6 +238,7 @@ def test_translated_copies_share_the_tables_and_agree():
         phase = phase_from_signs(curve, delta)
         moved = curve.translated((Fraction(7, 3), Fraction(-5, 2)))
         assert moved._real_tables is curve._real_tables
+        assert moved.region_edges is curve.region_edges
         twists = twists_from_signs(curve, delta)
         assert twists_from_signs(moved, delta) == twists
         assert twists_from_phase(moved, phase) == twists_from_phase(curve, phase)
@@ -251,6 +252,7 @@ def test_translated_copies_share_the_tables_and_agree():
         early = fresh.translated((Fraction(1, 2), Fraction(0)))
         assert twists_from_phase(early, phase) == twists_from_phase(curve, phase)
         assert early._real_tables is fresh._real_tables and fresh._real_tables
+        assert early.region_edges is fresh.region_edges
 
 
 def test_a_phase_read_for_one_curve_is_checked_again_for_another():
