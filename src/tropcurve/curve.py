@@ -247,6 +247,23 @@ class TropicalCurve:
         return {alpha: tuple(eids) for alpha, eids in index.items()}
 
     @cached_property
+    def region_exits(self) -> dict[IVec, tuple[tuple[int, int, int], ...]]:
+        """Lattice point alpha -> (eid, bx, by) for each edge of
+        ``region_edges[alpha]``, in its order, with (bx, by) = beta - alpha
+        for beta the edge's other dual point.  A walk in direction g leaves
+        the region only through edges with (bx, by) . g > 0."""
+        exits = {}
+        for alpha, eids in self.region_edges.items():
+            ax, ay = alpha
+            row = []
+            for eid in eids:
+                p, q = self.edges[eid].dual
+                bx, by = q if p == alpha else p
+                row.append((eid, bx - ax, by - ay))
+            exits[alpha] = tuple(row)
+        return exits
+
+    @cached_property
     def _cycles(self) -> tuple[PrimitiveCycle, ...]:
         """The primitive cycles, checked once; ``primitive_cycles`` reads them."""
         boundary = self.dual.sides_at
@@ -356,7 +373,9 @@ class TropicalCurve:
         for name in ("poly", "vertices"):
             vars(moved).pop(name, None)
         moved.frame = frame
-        moved.region_edges = self.region_edges  # one index for the curve and all its copies
+        # one index for the curve and all its copies
+        moved.region_edges = self.region_edges
+        moved.region_exits = self.region_exits
         return moved
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class Gf2Vector:
@@ -201,7 +203,7 @@ class Gf2Subspace:
         cons = self.orthogonal_constraints() + other.orthogonal_constraints()
         flat = solve_affine([(c, 0) for c in cons], self.ambient_dim)
         if flat is None:
-            raise AssertionError("homogeneous constraints always have the zero solution")
+            raise InvariantViolation("homogeneous constraints always have the zero solution")
         return flat.space
 
     def orthogonal_constraints(self) -> list[Gf2Vector]:
@@ -259,7 +261,7 @@ def _kernel(reduced: Sequence[int], pivots: Sequence[int], n: int) -> Gf2Subspac
         basis.append(Gf2Vector(n, v))
     space = Gf2Subspace.from_vectors(n, basis)
     if space.dim + len(reduced) != n:
-        raise AssertionError("rank-nullity violated")
+        raise InvariantViolation("rank-nullity violated")
     return space
 
 

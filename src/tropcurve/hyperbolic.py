@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import ComplementComponent, TropicalCurve
-from .errors import NotAdmissible, NotDividing, NotHoneycomb
+from .errors import InvariantViolation, NotAdmissible, NotDividing, NotHoneycomb
 from .geometry import IVec, canonical_direction, sub_i
 from .gf2 import AffineFlat, Gf2Vector, solve_affine
 from .realstruct import (
@@ -134,15 +134,15 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
     elif hyp:
         tree = _face_tree(real_part(curve, phase))
         if len(tree.disk) != d // 2:
-            raise AssertionError("hyperbolic curve must have floor(d/2) ovals")
+            raise InvariantViolation("hyperbolic curve must have floor(d/2) ovals")
         depths = sorted(tree.depth[f] for f in tree.disk.values())
         if depths != list(range(1, len(depths) + 1)):
-            raise AssertionError("oval nesting must be a chain")
+            raise InvariantViolation("oval nesting must be a chain")
         # no oval lies below the deepest one, so its interior is its disk
         # face, and no other component may touch that face
         face = max(tree.disk.values(), key=tree.depth.__getitem__)
         if sum(face in pair for pair in tree.groups) != 1:
-            raise AssertionError("innermost oval interior must not contain other components")
+            raise InvariantViolation("innermost oval interior must not contain other components")
         # each atom's region_class, read off the curve's table
         cells = _cells(curve)
         keys, glued = cells.atom_keys, cells.glued
@@ -203,12 +203,12 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
         eids = frozenset(groups[(fam, level)])
         direction = canonical_direction(curve.edges[min(eids)].direction)
         if any(canonical_direction(curve.edges[e].direction) != direction for e in eids):
-            raise AssertionError(f"the edges of multi-bridge {(fam, level)} are not parallel")
+            raise InvariantViolation(f"the edges of multi-bridge {(fam, level)} are not parallel")
         if _removal_components(curve, eids) != 2:
-            raise AssertionError("bridge removal must leave two parts")
+            raise InvariantViolation("bridge removal must leave two parts")
         bridges.append(MultiBridge(eids, (fam, level), direction))
     if len(bridges) != 3 * (d - 1):
-        raise AssertionError(f"{len(bridges)} multi-bridges, not 3(d-1) = {3 * (d - 1)}")
+        raise InvariantViolation(f"{len(bridges)} multi-bridges, not 3(d-1) = {3 * (d - 1)}")
     return bridges
 
 
@@ -264,13 +264,13 @@ def hyp_alpha_flat(curve: TropicalCurve, alpha: IVec) -> HypAlphaFlat:
             constraints.append((Gf2Vector.from_indices(n, [curve.bounded_index[eid]]), 1))
     flat = solve_affine(constraints, n)
     if flat is None:
-        raise AssertionError("the constraining bridges admit no dividing twist set")
+        raise InvariantViolation("the constraining bridges admit no dividing twist set")
     if div.dim - flat.dim != len(constraining):
-        raise AssertionError("codimension equals the bridge count")
+        raise InvariantViolation("codimension equals the bridge count")
     origin_bits = 0
     for b in constraining:
         for eid in b.edges:
             origin_bits |= 1 << curve.bounded_index[eid]
     if not flat.contains(Gf2Vector(n, origin_bits)):
-        raise AssertionError("the flat misses the twist set of the constraining bridges")
+        raise InvariantViolation("the flat misses the twist set of the constraining bridges")
     return HypAlphaFlat(alpha, flat, constraining)

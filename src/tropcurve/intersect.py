@@ -19,13 +19,18 @@ regions, on the curves' own integer frames rescaled to the pair's frame
 1/D, D = lcm of the two dens.  One vertex of A is located in B by B's
 int argmax (``IntFrame.argmax``).  Each edge of A is walked from a
 vertex whose place in B is known, and the walk hands the place of its
-far end to the other vertex.  An edge is solved as an int pair only against the boundary
-edges of the regions it crosses and the B edges through the points where
-it meets B, so the work follows the crossings, not |E_A| * |E_B|.  Hits
-are keyed by ints on the pair's frame; ``classify_hits`` compares ints and
-builds ``Fraction`` points for the components only.  The ``Fraction`` pair
-scan ``selfcheck.pair_scan_intersections`` is the oracle that must find
-the same hits in the same order.
+far end to the other vertex.  An edge is solved as an int pair only
+against the B edges through the points where it meets B and, in each
+region it crosses, the boundary edges that face its direction g: the edge
+from alpha to beta when (beta - alpha) . g > 0 (``region_exits``).  A
+region is convex, so the walk meets any other boundary line only at or
+behind where it stands, and there only on the edge or vertex it entered
+through, whose edges are already solved.  The work follows the crossings,
+not |E_A| * |E_B|.  Hits are keyed by ints on the pair's frame;
+``classify_hits`` compares ints and builds ``Fraction`` points for the
+components only.  The ``Fraction`` pair scan
+``selfcheck.pair_scan_intersections`` is the oracle that must find the
+same hits in the same order.
 
 A component is an ``IntersectionComponent``, a ``typing.NamedTuple``:
 its fields are read by name, and a component is also a tuple of its
@@ -160,7 +165,7 @@ class FrameHits(NamedTuple):
 
     ``segments`` holds (p1, p2, edge_a, edge_b) overlaps in pair order,
     with p1 lexicographically first.  ``solved`` counts the edge pairs
-    solved.
+    solved: a walk solves only the region edges its direction faces.
     """
 
     den: int
@@ -234,7 +239,10 @@ def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
     pair's) from its tail (``forward``) or its head, starting at ``place``
     in B.
 
-    Each B edge met is solved once and its hit appended to ``found``.
+    Each B edge met is solved once and its hit appended to ``found``.  In
+    a region only the edges facing the direction g are solved: a convex
+    region's other edges meet the walk at or behind u, where the edge or
+    vertex it entered through was solved already.
     Returns the place of the far end (meaningless for a ray) and the
     number of pairs solved.  The walk stands at a point of B (an edge or a
     vertex of B), in an open region, or on an overlap; u, the distance
@@ -297,8 +305,11 @@ def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
     kind, at = place
     while True:
         if kind == _REGION:
-            # the region is convex: a hit further along than u is its exit
-            for eb in curve_b.region_edges[at]:
+            # the region is convex: a hit further along than u is its exit,
+            # on an edge whose other dual point beta has (beta - alpha) . g > 0
+            for eb, bx, by in curve_b.region_exits[at]:
+                if bx * gx + by * gy <= 0:
+                    continue
                 res = solve(eb)
                 if res is None or len(res) != 3:
                     continue

@@ -51,7 +51,7 @@ from itertools import product
 from typing import Iterable, NamedTuple
 
 from .curve import TropicalCurve, primitive_cycles
-from .errors import NotAdmissible, UnknownPoint, ValidationError
+from .errors import InvariantViolation, NotAdmissible, UnknownPoint, ValidationError
 from .geometry import IVec, det2
 from .gf2 import PHASE_LINES, Gf2Factoring, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, factor, kernel
 
@@ -167,7 +167,7 @@ def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
     if e.tail == v:
         return e.direction
     if not (e.bounded and e.head == v):
-        raise AssertionError(f"vertex {v} is not an end of edge {eid}")
+        raise InvariantViolation(f"vertex {v} is not an end of edge {eid}")
     return (-e.direction[0], -e.direction[1])
 
 
@@ -272,7 +272,7 @@ class _Cells:
             g = _code(side.glue)
             rays = [e.index for e in edges if not e.bounded and e.direction == side.normal]
             if len(rays) != len(side.points) - 1:
-                raise AssertionError("each side must carry as many rays as its lattice length")
+                raise InvariantViolation("each side must carry as many rays as its lattice length")
             for eid in rays:
                 ray_glue[eid] = g
             # the copies glue across the side, one interval of it per lattice point
@@ -375,7 +375,7 @@ def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], 
                 tree.append((j, i, eid))
                 stack.append(j)
     if len(seen) != len(base.points):
-        raise AssertionError("dual subdivision graph is disconnected")
+        raise InvariantViolation("dual subdivision graph is disconnected")
     rest = tuple((i, j, eid) for eid, (i, j) in enumerate(base.duals) if eid not in used)
     return tuple(tree), rest
 
@@ -396,10 +396,10 @@ def _side_ends(curve: TropicalCurve) -> dict[tuple[int, int], tuple[int, bool]]:
         for v in (e.tail, e.head) if e.bounded else (e.tail,):
             others = [o for o in curve.vertex_edges[v] if o != eid]
             if len({classes[x] for x in (eid, *others)}) != 3:
-                raise AssertionError(f"edge {eid}: direction classes at vertex {v} are not distinct")
+                raise InvariantViolation(f"edge {eid}: direction classes at vertex {v} are not distinct")
             s0, s1 = (det2(e.direction, _outward_direction(curve, o, v)) for o in others)
             if s0 * s1 >= 0:
-                raise AssertionError(f"edge {eid}: the other edges at vertex {v} are not on opposite sides")
+                raise InvariantViolation(f"edge {eid}: the other edges at vertex {v} are not on opposite sides")
             ends[eid, v] = (others[0], s0 > 0)
     return ends
 
@@ -529,7 +529,7 @@ def edge_twisted(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> b
     """Sidedness rule for the bounded edge eid, between its two ends."""
     e = curve.edges[eid]
     if not e.bounded:
-        raise AssertionError("only bounded edges carry a twist")
+        raise InvariantViolation("only bounded edges carry a twist")
     ends = _side_ends(curve)
     lines = phase.lines
     return _twisted_between(lines[eid].level, lines, ends[eid, e.tail], lines, ends[eid, e.head])
@@ -599,7 +599,7 @@ def phase_from_twists(
                 minus ^= bit
     phase = base.phase_of_signs(minus)
     if not phase.lines[seed_edge].contains(seed_eps):
-        raise AssertionError("the seed element must lie on the seed edge's phase line")
+        raise InvariantViolation("the seed element must lie on the seed edge's phase line")
     return phase
 
 
@@ -785,16 +785,16 @@ def _face_tree(rp: RealPart) -> _FaceTree:
                 elif h == g:
                     group[2] += 1
                 else:
-                    raise AssertionError(
+                    raise InvariantViolation(
                         f"edge copy {4 * eid + c}: a vertex copy lies off the two faces the copy separates"
                     )
     pairs = list(groups)
     ovals = [k for k, (f, g) in enumerate(pairs) if f != g]
     if len(pairs) - len(ovals) > 1:
-        raise AssertionError("the real part has more than one pseudo-line")
+        raise InvariantViolation("the real part has more than one pseudo-line")
     faces = set(region)
     if len(faces) != len(ovals) + 1:
-        raise AssertionError(f"{len(faces)} faces around {len(ovals)} ovals: the faces do not form a tree")
+        raise InvariantViolation(f"{len(faces)} faces around {len(ovals)} ovals: the faces do not form a tree")
 
     adj: dict[int, list[tuple[int, int]]] = {f: [] for f in faces}
     for k in ovals:
@@ -803,7 +803,7 @@ def _face_tree(rp: RealPart) -> _FaceTree:
         adj[g].append((f, k))
     order, up = _tree_walk(adj, 0)
     if len(order) != len(faces):
-        raise AssertionError("the faces of the real part are not connected")
+        raise InvariantViolation("the faces of the real part are not connected")
     sub = [0] * len(region)
     for w, f in zip(cells.weight2, region):
         sub[f] += w
@@ -821,11 +821,11 @@ def _face_tree(rp: RealPart) -> _FaceTree:
             child, own_child, other, own_other = f, own_f, g, own_g
         chis = (sub[child] - own_child) // 2, (total - sub[child] - own_other) // 2
         if sorted(chis) != [0, 1]:
-            raise AssertionError(f"oval sides must be a disk and a Moebius side, got chi={sorted(chis)}")
+            raise InvariantViolation(f"oval sides must be a disk and a Moebius side, got chi={sorted(chis)}")
         disk[pair] = child if chis[0] == 1 else other
         faces.discard(disk[pair])
     if len(faces) != 1:
-        raise AssertionError("the ovals' disk sides do not leave one face outside them all")
+        raise InvariantViolation("the ovals' disk sides do not leave one face outside them all")
     root = faces.pop()
     if root != 0:
         order, up = _tree_walk(adj, root)

@@ -11,6 +11,7 @@ from tropcurve import intersection_components
 from tropcurve.cli import main
 from tropcurve.errors import UnsupportedConfiguration
 from tropcurve.io_render import build_scenario, load_spec
+from tropcurve.realstruct import _face_tree
 
 
 @pytest.fixture
@@ -427,3 +428,17 @@ def test_intersect_invariant_exits_4(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "intersect", "--a", paths[0], "--b", paths[1])
     assert (code, out) == (4, "")
     assert err == "internal error: (Fraction(2, 1), Fraction(-2, 1)) is a vertex of neither curve but lies on several edges of one\n"
+
+
+def test_hyperbolic_invariant_exits_4(specs, capsys, monkeypatch):
+    def drop_an_oval(rp):
+        tree = _face_tree(rp)
+        return tree._replace(disk=dict(list(tree.disk.items())[1:]))
+
+    argv = ("hyperbolic", "--spec", specs["stable_quartic.trop.json"])
+    assert run(capsys, *argv)[0] == 0
+    # a fault in the face labelling: the hyperbolic quartic shows one oval, not two
+    monkeypatch.setattr("tropcurve.hyperbolic._face_tree", drop_an_oval)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "internal error: hyperbolic curve must have floor(d/2) ovals\n"

@@ -1,6 +1,6 @@
-"""The CLI on mutated real structures and on seeded intersection pairs:
-every run ends in a documented exit code (0, 1 or 2) and never in a
-traceback."""
+"""The CLI on mutated real structures, on mutated curves and on seeded
+intersection pairs: every run ends in a documented exit code (0, 1 or 2)
+and never in a traceback."""
 
 import contextlib
 import io
@@ -184,6 +184,56 @@ def test_cli_intersect_survives_seeded_pairs(pair):
         a, b = paths[::-1] if swap else paths
         for fmt in ("text", "json"):
             argv = ["intersect", "--a", a, "--b", b, "--format", fmt]
+            code, out, err = _run(argv)
+            assert code in (0, 1, 2), (argv, err)
+            assert "Traceback" not in err
+            assert _run(argv) == (code, out, err), argv
+
+
+_MUTATIONS = ("drop", "nudge", "non-simplex", "collinear")
+
+
+@st.composite
+def _mutated_curves(draw):
+    """A curve spec of the pool, mutated: one support point dropped, one
+    coefficient moved by +-1/8, a rectangle support with near-honeycomb
+    heights, or a support on one line; with all-plus or random signs."""
+    _, curve = draw(st.sampled_from(_CURVES))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    coeffs = dict(curve.poly.coefficients)
+    kind = draw(st.sampled_from(_MUTATIONS))
+    if kind == "drop":
+        del coeffs[rng.choice(sorted(coeffs))]
+    elif kind == "nudge":
+        p = rng.choice(sorted(coeffs))
+        coeffs[p] += Fraction(rng.choice((1, -1)), 8)
+    elif kind == "non-simplex":
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        coeffs = {(i, j): Fraction(-16 * (i * i + i * j + j * j) + rng.randrange(16), 8)
+                  for i in range(a + 1) for j in range(b + 1)}
+    else:
+        u = rng.choice(((1, 0), (0, 1), (1, 1), (1, -1)))
+        coeffs = {(k * u[0], 2 + k * u[1]): Fraction(rng.randint(-8, 8), 8) for k in range(rng.randint(1, 4))}
+    points = sorted(coeffs)
+    signs = "all+" if rng.random() < 0.5 else {_key(p): rng.choice((1, -1)) for p in points}
+    return {
+        "curve": {"support": [list(p) for p in points], "coefficients": {_key(p): str(coeffs[p]) for p in points}},
+        "real_structure": {"signs": signs},
+    }
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(spec=_mutated_curves())
+def test_cli_survives_mutated_curves(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.trop.json")
+        Path(path).write_text(json.dumps(spec))
+        for argv in (
+            ["build", "--spec", path],
+            ["analyze", "--spec", path, "--format", "json"],
+            ["hyperbolic", "--spec", path],
+            ["render", "--spec", path],
+        ):
             code, out, err = _run(argv)
             assert code in (0, 1, 2), (argv, err)
             assert "Traceback" not in err

@@ -244,6 +244,22 @@ def test_translated_copies_build_fraction_data_on_first_use():
     _check_structure(moved)
 
 
+def test_region_exits_follow_region_edges_and_are_shared_by_copies():
+    rng = random.Random(31)
+    for c in (honeycomb(4), random_nonsingular_curve(rng, 4)):
+        assert c.region_exits.keys() == c.region_edges.keys()
+        for alpha, row in c.region_exits.items():
+            assert tuple(eid for eid, _, _ in row) == c.region_edges[alpha]
+            for eid, bx, by in row:
+                (beta,) = set(c.edges[eid].dual) - {alpha}
+                assert (bx, by) == (beta[0] - alpha[0], beta[1] - alpha[1])
+        copy = c.translated((Fraction(5, 3), Fraction(-7, 2)))
+        copy_of_copy = copy.translated((Fraction(1, 4), Fraction(2)))
+        assert copy.region_exits is c.region_exits
+        assert copy_of_copy.region_exits is c.region_exits
+        assert copy_of_copy.region_edges is c.region_edges
+
+
 def test_a_curve_stores_only_its_frame():
     # the construct op's calls read the frame, never the Fraction view
     rng = random.Random(17)

@@ -582,8 +582,23 @@ def test_walk_work_follows_the_output():
     hits = edge_hits(a, b)
     comps = classify_hits(a, b, hits)
     assert len(comps) == 400
-    # the pair scan solves 630 * 630 = 396,900 pairs
-    assert hits.solved <= 8 * (len(a.edges) + len(comps))
+    # the pair scan solves 630 * 630 = 396,900 pairs; the walk solves 1,749
+    assert hits.solved <= 2 * (len(a.edges) + len(comps))
+
+
+def test_a_walk_solves_only_the_edges_its_direction_faces():
+    # the line's vertex (13/2, 10/3) lies in the region of (3, 0) of honeycomb(3);
+    # its ray (-1, 0) crosses ray 17, edge 13 and edge 6 of the hexagon
+    # into the region of (0, 2), and its rays (0, -1) and (1, 1) face no
+    # edge of the region they start in
+    a = make_line().translated((Fraction(13, 2), Fraction(10, 3)))
+    b = honeycomb(3)
+    hits = edge_hits(a, b)
+    assert [(gens[0], gens[1]) for gens in hits.points.values()] == [(0, 6), (0, 13), (0, 17)]
+    # rays 16 and 17 in (3, 0), edge 13 in (2, 1), edges 4 and 6 in the
+    # hexagon; the region of (0, 2) has no edge facing (-1, 0).  Solving
+    # every edge of each region met would take 12.
+    assert hits.solved == 5
 
 
 # a cubic whose bounded edge 5 has direction (1, 2), from (39/8, 33/8) to (43/8, 41/8)
