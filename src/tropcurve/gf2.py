@@ -78,29 +78,35 @@ def _reduce_rows(rows: list[int], width: int | None = None) -> tuple[list[int], 
     operation but are never pivoted on.  Returns the reduced rows that are
     nonzero below ``width`` and their pivot columns, both sorted by pivot,
     and the rows that reduced to zero below it.
+
+    The basis is kept fully reduced, keyed by pivot bit, with one int
+    holding every pivot bit: a new row is cleared by the rows at the set
+    bits of ``row & pivots`` alone, since no basis row has another's pivot.
     """
+    if not rows:
+        return [], [], []
     low = -1 if width is None else (1 << width) - 1
-    basis: list[int] = []   # basis[k] has pivot pivots[k]
-    pivots: list[int] = []
+    basis: dict[int, int] = {}   # pivot bit -> reduced row
+    pivots = 0
     null: list[int] = []
     for row in rows:
-        for b, p in zip(basis, pivots):
-            if (row >> p) & 1:
-                row ^= b
+        hit = row & pivots
+        while hit:
+            p = hit & -hit
+            row ^= basis[p]
+            hit ^= p
         if row & low:
-            p = (row & -row).bit_length() - 1
-            # insert keeping pivots sorted, then back-substitute
-            idx = 0
-            while idx < len(pivots) and pivots[idx] < p:
-                idx += 1
-            basis.insert(idx, row)
-            pivots.insert(idx, p)
-            for k in range(len(basis)):
-                if k != idx and (basis[k] >> p) & 1:
-                    basis[k] ^= row
+            p = row & -row
+            # back-substitute; assigning to present keys keeps the dict's size
+            for q, b in basis.items():
+                if b & p:
+                    basis[q] = b ^ row
+            basis[p] = row
+            pivots |= p
         else:
             null.append(row)
-    return basis, pivots, null
+    order = sorted(basis)
+    return [basis[p] for p in order], [p.bit_length() - 1 for p in order], null
 
 
 @dataclass(frozen=True)

@@ -481,16 +481,17 @@ def _clip_region(curve: TropicalCurve, alpha: IVec, box: tuple[int, int, int, in
     multiple of ``curve.frame.den``).
 
     Sutherland-Hodgman against the half-plane of every other support
-    monomial, in support order.  A point is an int triple (X, Y, W) with
-    W > 0 standing for (X/(W*den), Y/(W*den)); the crossing of the line
-    F = 0 between points P and Q is Fp*Q - Fq*P (sign flipped so W > 0),
-    reduced by its gcd."""
+    monomial, in support order: the frozenset of the frame's heights
+    iterates as ``curve.poly.support`` does, without building ``poly``.
+    A point is an int triple (X, Y, W) with W > 0 standing for
+    (X/(W*den), Y/(W*den)); the crossing of the line F = 0 between points
+    P and Q is Fp*Q - Fq*P (sign flipped so W > 0), reduced by its gcd."""
     x0, x1, y0, y1 = box
     poly = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
     heights = curve.frame.heights
     k = den // curve.frame.den
     h_alpha = heights[alpha]
-    for beta in curve.poly.support:
+    for beta in frozenset(heights):
         if beta == alpha:
             continue
         # keep (alpha - beta) . X >= a_beta - a_alpha, times W * den

@@ -17,7 +17,9 @@ edges are the ovals (``_face_tree``, which reads the curve's compiled
 report from it; the hyperbolicity locus reads one face of it.  The count
 1 + dim ker A_T, the dimension being cols - rank, is computed
 independently from the twist matrix so the two routes can be checked
-against each other.
+against each other.  Two cycles share at most one edge, so A_T takes one
+popcount per cycle for its diagonal and one bit test per edge of the
+per-curve table of shared edges (``_cycle_rows``) for the rest.
 
 Each curve compiles its rules once into int tables (``curve._real_tables``),
 one piece per route, built on the route's first call (``_piece``) and
@@ -460,11 +462,17 @@ def _face_plan(curve: TropicalCurve) -> tuple[tuple, ...]:
 
 
 @_piece
-def _cycle_rows(curve: TropicalCurve) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _cycle_rows(
+    curve: TropicalCurve,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """Bit rows over the bounded edges: per primitive cycle, its edges of
-    odd x and of odd y direction (admissibility), and all its edges."""
+    odd x and of odd y direction (admissibility), and all its edges.  The
+    third item lists each edge on two cycles as (edge bit, i, j), i < j
+    the indices of those cycles, in bounded-edge order; two cycles share
+    at most one edge, as their centres span at most one dual edge."""
     adm, cycles = [], []
-    for cyc in primitive_cycles(curve):
+    on: dict[int, list[int]] = {}
+    for i, cyc in enumerate(primitive_cycles(curve)):
         rx = ry = r = 0
         for eid in cyc.edges:
             bit = 1 << curve.bounded_index[eid]
@@ -474,9 +482,18 @@ def _cycle_rows(curve: TropicalCurve) -> tuple[tuple[int, ...], tuple[int, ...]]
             if d[1] & 1:
                 ry |= bit
             r |= bit
+            on.setdefault(bit, []).append(i)
         adm.extend([rx, ry])
         cycles.append(r)
-    return tuple(adm), tuple(cycles)
+    shared, pairs = [], set()
+    for bit in sorted(on):
+        ij = on[bit]
+        if len(ij) == 2:
+            if (ij[0], ij[1]) in pairs:
+                raise InvariantViolation(f"cycles {ij[0]} and {ij[1]} share more than one edge")
+            pairs.add((ij[0], ij[1]))
+            shared.append((bit, ij[0], ij[1]))
+    return tuple(adm), tuple(cycles), tuple(shared)
 
 
 def _twist_set(curve: TropicalCurve, bits: int) -> TwistSet:
@@ -554,7 +571,7 @@ def is_admissible(curve: TropicalCurve, twists: TwistSet) -> bool:
 
 def is_dividing(curve: TropicalCurve, twists: TwistSet) -> bool:
     """Each primitive cycle has an even number of twisted edges."""
-    adm, cycles = _cycle_rows(curve)
+    adm, cycles, _ = _cycle_rows(curve)
     if not _all_even(adm, twists):
         raise NotAdmissible("twist set violates the cycle direction-sum condition")
     return _all_even(cycles, twists)
@@ -568,7 +585,7 @@ def adm_space(curve: TropicalCurve) -> Gf2Subspace:
 @_piece
 def div_space(curve: TropicalCurve) -> Gf2Subspace:
     """Dividing twist sets; the kernel is computed once per curve."""
-    adm, cycles = _cycle_rows(curve)
+    adm, cycles, _ = _cycle_rows(curve)
     rows = adm + cycles
     return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), rows))
 
@@ -614,17 +631,16 @@ def count_components_matrix(curve: TropicalCurve, twists: TwistSet) -> int:
 
 def twist_matrix(curve: TropicalCurve, twists: TwistSet) -> Gf2Matrix:
     """The symmetric pairing |cycle_i * cycle_j * T| mod 2, on the cycles'
-    bit rows over the bounded edges."""
-    cycles = _cycle_rows(curve)[1]
+    bit rows over the bounded edges.  Off the diagonal it is the twist bit
+    of the one edge two cycles share, read from ``_cycle_rows``' table of
+    shared edges; on it, the parity of cycle_i * T."""
+    _, cycles, shared = _cycle_rows(curve)
     t = twists.vector.bits
-    rows = []
-    for ci in cycles:
-        rt = ci & t
-        r = 0
-        for j, cj in enumerate(cycles):
-            if (rt & cj).bit_count() & 1:
-                r |= 1 << j
-        rows.append(r)
+    rows = [((c & t).bit_count() & 1) << i for i, c in enumerate(cycles)]
+    for bit, i, j in shared:
+        if t & bit:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return Gf2Matrix(len(cycles), len(cycles), tuple(rows))
 
 

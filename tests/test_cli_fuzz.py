@@ -197,7 +197,8 @@ _MUTATIONS = ("drop", "nudge", "non-simplex", "collinear")
 def _mutated_curves(draw):
     """A curve spec of the pool, mutated: one support point dropped, one
     coefficient moved by +-1/8, a rectangle support with near-honeycomb
-    heights, or a support on one line; with all-plus or random signs."""
+    heights, or a support on one line; with all-plus or random signs.
+    Comes with one of its support points, for a ``--point`` query."""
     _, curve = draw(st.sampled_from(_CURVES))
     rng = random.Random(draw(st.integers(0, 2**16)))
     coeffs = dict(curve.poly.coefficients)
@@ -216,15 +217,17 @@ def _mutated_curves(draw):
         coeffs = {(k * u[0], 2 + k * u[1]): Fraction(rng.randint(-8, 8), 8) for k in range(rng.randint(1, 4))}
     points = sorted(coeffs)
     signs = "all+" if rng.random() < 0.5 else {_key(p): rng.choice((1, -1)) for p in points}
-    return {
+    spec = {
         "curve": {"support": [list(p) for p in points], "coefficients": {_key(p): str(coeffs[p]) for p in points}},
         "real_structure": {"signs": signs},
     }
+    return spec, rng.choice(points)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(spec=_mutated_curves())
-def test_cli_survives_mutated_curves(spec):
+@given(scenario=_mutated_curves())
+def test_cli_survives_mutated_curves(scenario):
+    spec, point = scenario
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "fuzz.trop.json")
         Path(path).write_text(json.dumps(spec))
@@ -232,6 +235,9 @@ def test_cli_survives_mutated_curves(spec):
             ["build", "--spec", path],
             ["analyze", "--spec", path, "--format", "json"],
             ["hyperbolic", "--spec", path],
+            ["hyperbolic", "--spec", path, "--point", f"({point[0]},{point[1]})"],
+            # outside every polygon of the pool
+            ["hyperbolic", "--spec", path, "--point", "(99,99)"],
             ["render", "--spec", path],
         ):
             code, out, err = _run(argv)

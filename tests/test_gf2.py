@@ -154,3 +154,71 @@ def test_factored_solve_matches_brute_force():
             # the one solution with every free coordinate 0
             assert [s for s in sols if not s & free] == [x]
         assert fac.kernel() == kernel(Gf2Matrix(rows, cols, tuple(a)))
+
+
+def _reduce_rows_reference(rows, width=None):
+    """Row reduction with the basis as lists sorted by pivot, each new row
+    tested against every pivot in turn: the reduction the pivot-bit one in
+    ``gf2._reduce_rows`` must reproduce exactly."""
+    low = -1 if width is None else (1 << width) - 1
+    basis, pivots, null = [], [], []
+    for row in rows:
+        for b, p in zip(basis, pivots):
+            if (row >> p) & 1:
+                row ^= b
+        if row & low:
+            p = (row & -row).bit_length() - 1
+            idx = 0
+            while idx < len(pivots) and pivots[idx] < p:
+                idx += 1
+            basis.insert(idx, row)
+            pivots.insert(idx, p)
+            for k in range(len(basis)):
+                if k != idx and (basis[k] >> p) & 1:
+                    basis[k] ^= row
+        else:
+            null.append(row)
+    return basis, pivots, null
+
+
+def test_reduce_rows_matches_the_reference():
+    from tropcurve.gf2 import _reduce_rows
+
+    rng = random.Random(24)
+    for k in range(3000):
+        cols = rng.randrange(1, 48)
+        rows = [rng.getrandbits(cols) & rng.getrandbits(cols) if rng.random() < 0.5 else rng.getrandbits(cols)
+                for _ in range(rng.randrange(0, 50))]
+        if rows and rng.random() < 0.2:
+            rows += rng.sample(rows, min(len(rows), 3)) + [0]
+        if k % 2:
+            rows = [r | 1 << (cols + i) for i, r in enumerate(rows)]
+            assert _reduce_rows(rows, cols) == _reduce_rows_reference(rows, cols)
+        else:
+            assert _reduce_rows(rows) == _reduce_rows_reference(rows)
+
+
+def _factor_fields(fac):
+    return fac.reduced, fac.pivots, fac.combos, fac.null
+
+
+def test_factor_of_sign_rule_systems_matches_the_reference():
+    from tropcurve import curve_from_polynomial, honeycomb
+    from tropcurve import gf2
+    from tropcurve.errors import DegeneratePolygon, SingularSubdivision
+    from tropcurve.realstruct import _base, _sign_rule
+    from tropcurve.selfcheck import random_lift
+
+    curves = [honeycomb(d) for d in range(1, 8)]
+    rng = random.Random(9)
+    while len(curves) < 60:
+        try:
+            curves.append(curve_from_polynomial(random_lift(rng)))
+        except (SingularSubdivision, DegeneratePolygon):
+            continue
+    systems = [(_sign_rule(c)[0], len(_base(c).points)) for c in curves]
+    got = [_factor_fields(gf2.factor(rows, cols)) for rows, cols in systems]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_reduce_rows", _reduce_rows_reference)
+        want = [_factor_fields(gf2.factor(rows, cols)) for rows, cols in systems]
+    assert got == want

@@ -181,6 +181,17 @@ def test_render_markers_and_locus_counts():
     assert len(re.findall(r"<polygon ", locus_layer)) == len(report.locus)
 
 
+def test_render_with_a_locus_builds_no_fraction_coefficients():
+    # the locus clip reads the frame's int heights, so neither a curve nor
+    # a translated copy gets its Fraction coefficients from a render
+    for c in (honeycomb(3), honeycomb(5).translated((Fraction(1, 3), Fraction(-2, 7)))):
+        phase = phase_from_signs(c, SignDistribution.constant(c))
+        locus = hyperbolicity_locus(c, phase).locus
+        assert locus
+        render_svg(c, phase, None, locus)
+        assert "poly" not in vars(c)
+
+
 def test_render_handles_curves_without_a_degree():
     from fractions import Fraction
 

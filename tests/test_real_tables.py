@@ -283,3 +283,58 @@ def test_a_phase_read_for_one_curve_is_checked_again_for_another():
             # the other curve's tables still read the phase it was built for
             assert twists_from_phase(other, phase) == twists_from_phase(other, never_read)
     assert checked >= 10
+
+
+def test_shared_edge_table_lists_each_edge_between_two_interior_points():
+    from tropcurve import primitive_cycles
+    from tropcurve.realstruct import _cycle_rows
+
+    curves = [honeycomb(d) for d in range(2, 9)] + _lift_curves(6, 60)
+    assert any(c.degree is None for c in curves)
+    for curve in curves:
+        index = {cyc.center: i for i, cyc in enumerate(primitive_cycles(curve))}
+        want = []
+        for k, eid in enumerate(curve.bounded_edges):
+            p, q = curve.edges[eid].dual
+            if p in index and q in index:
+                want.append((1 << k, *sorted((index[p], index[q]))))
+        assert _cycle_rows(curve)[2] == tuple(want)
+        assert len({(i, j) for _, i, j in want}) == len(want)
+
+
+def test_two_cycles_sharing_two_edges_violate_an_invariant():
+    from tropcurve import primitive_cycles
+    from tropcurve.curve import PrimitiveCycle
+    from tropcurve.errors import InvariantViolation
+    from tropcurve.realstruct import _cycle_rows
+
+    curve = honeycomb(4)
+    a, b, c = primitive_cycles(curve)
+    # give b one more edge of a, one that no other cycle has
+    own = next(iter(a.edges - b.edges - c.edges))
+    broken = copy.copy(curve)
+    broken._real_tables = {}
+    vars(broken)["_cycles"] = (a, PrimitiveCycle(b.center, b.edges | {own}), c)
+    with pytest.raises(InvariantViolation, match="^cycles 0 and 1 share more than one edge$"):
+        _cycle_rows(broken)
+
+
+def _twist_matrix_without(part):
+    """``twist_matrix`` with its shared-edge terms or its diagonal dropped."""
+    from tropcurve.gf2 import Gf2Matrix
+
+    def broken(curve, twists):
+        full = twist_matrix(curve, twists).row_bits
+        rows = tuple(r & 1 << i if part == "shared" else r & ~(1 << i) for i, r in enumerate(full))
+        return Gf2Matrix(len(rows), len(rows), rows)
+
+    return broken
+
+
+@pytest.mark.parametrize("part", ["shared", "diagonal"])
+def test_component_counts_check_kills_a_broken_twist_matrix(part, monkeypatch):
+    from tropcurve.selfcheck import check_component_counts
+
+    monkeypatch.setattr("tropcurve.realstruct.twist_matrix", _twist_matrix_without(part))
+    result = check_component_counts(random.Random(0), 5)
+    assert not result.passed and "matrix" in result.detail, result.detail
