@@ -265,16 +265,16 @@ class TropicalCurve:
 
     @cached_property
     def _cycles(self) -> tuple[PrimitiveCycle, ...]:
-        """The primitive cycles, checked once; ``primitive_cycles`` reads them."""
+        """The primitive cycles, checked once; ``primitive_cycles`` reads
+        them.  The cycle around an interior lattice point is every edge of
+        its region; ``_check_cycle`` raises if one of them is a ray."""
         boundary = self.dual.sides_at
-        regions = self.region_edges
         cycles = []
-        for alpha in self.dual.lattice_points:
-            if alpha in boundary:
-                continue
-            eids = frozenset(eid for eid in regions[alpha] if self.edges[eid].bounded)
-            _check_cycle(self, eids, alpha)
-            cycles.append(PrimitiveCycle(alpha, eids))
+        for alpha, eids in self.region_edges.items():
+            if alpha not in boundary:
+                eids = frozenset(eids)
+                _check_cycle(self, eids, alpha)
+                cycles.append(PrimitiveCycle(alpha, eids))
         return tuple(cycles)
 
     # -- basic queries -------------------------------------------------
@@ -581,31 +581,35 @@ def primitive_cycles(curve: TropicalCurve) -> list[PrimitiveCycle]:
 
 
 def _check_cycle(curve: TropicalCurve, eids: frozenset[int], alpha: IVec) -> None:
-    degree_count: dict[int, int] = {}
+    """The edges around alpha form one closed cycle of bounded edges.
+
+    One pass over the edges checks that none is a ray and counts the
+    cycle's edges at each vertex, keeping the XOR of their ids; with two
+    at every vertex, one walk from any edge, leaving each vertex by the
+    other edge there (the XOR less the edge it came in on), must meet
+    every edge before it returns."""
+    edges = curve.edges
+    count: dict[int, int] = {}
+    other: dict[int, int] = {}
     for eid in eids:
-        e = curve.edges[eid]
+        e = edges[eid]
         if not e.bounded:
             raise InvariantViolation(f"cycle around {alpha} uses an unbounded edge")
         for v in (e.tail, e.head):
-            degree_count[v] = degree_count.get(v, 0) + 1
-    if any(c != 2 for c in degree_count.values()):
+            count[v] = count.get(v, 0) + 1
+            other[v] = other.get(v, 0) ^ eid
+    if not count or any(c != 2 for c in count.values()):
         raise InvariantViolation(f"edges around {alpha} do not close up")
-    # connectivity
-    verts = list(degree_count)
-    reached = {verts[0]}
-    frontier = [verts[0]]
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for eid in eids:
-        e = curve.edges[eid]
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    if len(reached) != len(verts):
+    start = eid = next(iter(eids))
+    v, walked = edges[start].head, 1
+    while True:
+        eid = other[v] ^ eid
+        if eid == start:
+            break
+        e = edges[eid]
+        v = e.head if e.tail == v else e.tail
+        walked += 1
+    if walked != len(eids):
         raise InvariantViolation(f"cycle around {alpha} is disconnected")
 
 

@@ -26,7 +26,23 @@ one piece per route, built on the route's first call (``_piece``) and
 shared by the curve's translated copies.  A phase structure is read as one level bit
 per edge, since the curve fixes each edge's direction class, and a sign
 distribution as one bit per lattice point; conversions, twist solving
-and the cell model are then popcounts and XORs over those bits.
+and the cell model are then popcounts and XORs over those bits.  A route
+builds only the pieces it reads, and each piece reads the curve once per
+vertex, edge or side point, not once per edge end through helper calls:
+
+- ``_base`` (every route): the lattice index, each edge's dual indices
+  and direction class, each vertex's incident edges;
+- ``_sign_rule`` (signs to twists and back): per vertex, its dual cell's
+  point bits and coordinate parities, then two table reads per edge;
+- ``_side_ends`` (one twist, overlaps, ``_side_rule``): per vertex, one
+  class check and three determinants for its three edge ends;
+- ``_side_rule`` (phase to twists): two ends per bounded edge;
+- ``_cycle_rows`` (admissible, dividing, the twist matrix): per edge of
+  each primitive cycle;
+- ``_cells`` (component reports, the locus, point queries): per edge,
+  vertex and side point, its key tables on first read;
+- ``_face_plan`` (drawn copies, the face labelling): one row per edge,
+  read off ``_cells``.
 
 Production routes: twisted edges come from signs by the sign rule and
 from a phase structure by the compiled sidedness rule: one (edge, side)
@@ -49,12 +65,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, NamedTuple
 
 from .curve import TropicalCurve, primitive_cycles
 from .errors import InvariantViolation, NotAdmissible, UnknownPoint, ValidationError
-from .geometry import IVec, det2
+from .geometry import IVec
 from .gf2 import PHASE_LINES, Gf2Factoring, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, factor, kernel
 
 EPS4 = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -164,13 +180,23 @@ def _parities(bits: int, masks: tuple[int, ...], offsets: int) -> int:
     return out
 
 
-def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
+def _end_sign(curve: TropicalCurve, eid: int, v: int) -> int:
+    """+1 if edge eid leaves vertex v along its direction, -1 if it ends there."""
     e = curve.edges[eid]
     if e.tail == v:
-        return e.direction
+        return 1
     if not (e.bounded and e.head == v):
         raise InvariantViolation(f"vertex {v} is not an end of edge {eid}")
-    return (-e.direction[0], -e.direction[1])
+    return -1
+
+
+def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
+    dx, dy = curve.edges[eid].direction
+    return (dx, dy) if _end_sign(curve, eid, v) > 0 else (-dx, -dy)
+
+
+# the level-0 and level-1 phase lines of each direction class
+_LINE_PAIRS = {cls: (PHASE_LINES[cls, 0], PHASE_LINES[cls, 1]) for cls, _ in PHASE_LINES}
 
 
 # bits _code(eps) of the two elements of each phase line, by (class, level)
@@ -187,14 +213,26 @@ class _Base:
     a level bit per edge, checking each against the curve."""
 
     def __init__(self, curve: TropicalCurve):
-        self.points = curve.dual.lattice_points
-        self.point_bit = {p: 1 << k for k, p in enumerate(self.points)}
-        index = {p: k for k, p in enumerate(self.points)}
-        self.duals = tuple((index[e.dual[0]], index[e.dual[1]]) for e in curve.edges)
-        self.classes = tuple((e.direction[0] & 1, e.direction[1] & 1) for e in curve.edges)
+        self.points = points = curve.dual.lattice_points
+        index = {p: k for k, p in enumerate(points)}
+        self.point_bit = {p: 1 << k for p, k in index.items()}
+        duals, classes = [], []
+        for e in curve.edges:
+            p, q = e.dual
+            duals.append((index[p], index[q]))
+            dx, dy = e.direction
+            classes.append((dx & 1, dy & 1))
+        self.duals = tuple(duals)
+        self.classes = tuple(classes)
         # the edge's phase line at level 0 and at level 1
-        self.line_pairs = tuple((PHASE_LINES[c, 0], PHASE_LINES[c, 1]) for c in self.classes)
-        self.vmasks = tuple(sum(1 << eid for eid in incident) for incident in curve.vertex_edges)
+        self.line_pairs = tuple(map(_LINE_PAIRS.__getitem__, classes))
+        vmasks = []
+        for incident in curve.vertex_edges:
+            mask = 0
+            for eid in incident:
+                mask |= 1 << eid
+            vmasks.append(mask)
+        self.vmasks = tuple(vmasks)
 
     def minus(self, delta: SignDistribution) -> int:
         """Bit k is set iff lattice point k has sign -1."""
@@ -243,71 +281,123 @@ class _Base:
         return phase
 
 
+def _orbit_least(glues: int) -> tuple[int, ...]:
+    """Per code c, the least code of c's orbit under the glue codes set in
+    the 4-bit mask: one glue g pairs c with c ^ g, two distinct glues join
+    all four codes."""
+    group = {0}
+    for g in _BITS[glues]:
+        group |= {x ^ g for x in group}
+    return tuple(min(c ^ x for x in group) for c in range(4))
+
+
+_ORBIT_LEAST = tuple(map(_orbit_least, range(16)))
+# per glue code g, the codes c < c ^ g: the lesser of each glued pair
+_LOW = tuple(tuple(c for c in range(4) if c < c ^ g) for g in range(4))
+# doubled own cells of an edge's four copies: -2 each for a bounded edge;
+# a ray of glue code g gives its lesser copies' cells to the boundary
+# point where its two copies glue
+_BOUNDED_CELL2 = (-2, -2, -2, -2)
+_RAY_CELL2 = tuple(tuple(0 if c in _LOW[g] else -2 for c in range(4)) for g in range(4))
+
+
 class _Cells:
     """The parts of the quadrant cell model that do not depend on the
     phase.
 
     Atom 4*k + c is (lattice point k, EPS4[c]), reported as
     ``atom_keys[4*k + c]``; edge copy x = 4*eid + c is reported as
-    ``copy_keys[x]``.  ``glued`` is the atom parent array glued across the
-    polygon's sides, flat: each atom points at the least atom of its glue orbit.
-    The key of that atom is ``region_class(curve, alpha, eps)``, and the
-    ``region_class`` table maps each atom key (alpha, eps) to it.
-    ``edge_atoms`` holds the atoms 4*k of each edge's dual endpoints.
-    Cell weights are doubled so that each vertex copy on the real part
-    can give half its weight to each of its two edge copies there:
-    ``weight2`` is every cell's doubled weight per atom.  Edge copy x
-    carries ``copy_cell2[x]`` at its first dual atom (its own cell and,
-    for the lesser copy of a ray, the boundary point where the ray's two
-    copies glue) and half of each end vertex copy at ``end_atoms[eid]``,
+    ``copy_keys[x]``.  ``glued`` maps each atom to the least atom of its
+    glue orbit across the polygon's sides.  The key of that atom is
+    ``region_class(curve, alpha, eps)``, and the ``region_class`` table
+    maps each atom key (alpha, eps) to it.  ``edge_atoms`` holds the atoms
+    4*k of each edge's dual endpoints.  Cell weights are doubled so that
+    each vertex copy on the real part can give half its weight to each of
+    its two edge copies there: ``weight2`` is every cell's doubled weight
+    per atom.  Edge eid's copies carry ``edge_cell2[eid]`` (per copy,
+    ``copy_cell2``) at its first dual atom: their own cells and, for the
+    lesser copies of a ray, the boundary point where the ray's two copies
+    glue.  They carry half of each end vertex copy at ``end_atoms[eid]``,
     the atom 4*k of the first point of each end vertex's dual cell.
+
+    Built from one pass over the edges, one over the vertices and one over
+    each side's points.  The rays are grouped by direction once, and a
+    boundary point's glue orbits are read off ``_ORBIT_LEAST`` for the
+    glues of the sides through it.  The face labelling reads ``glued``,
+    ``weight2`` and, through ``_face_plan``, the edge tables; the key
+    tables and ``copy_cell2`` are built on first read.
     """
 
     def __init__(self, curve: TropicalCurve, base: _Base):
         curve.require_degree()
         edges = curve.edges
-        atom = {p: 4 * k for k, p in enumerate(base.points)}
-        parent = list(range(4 * len(base.points)))
-        weight2 = [2] * len(parent)
-        ray_glue = [0] * len(edges)
+        self._points = points = base.points
+        index = {p: k for k, p in enumerate(points)}
+        rays: dict[IVec, list[int]] = {}
+        for e in edges:
+            if not e.bounded:
+                rays.setdefault(e.direction, []).append(e.index)
+        # the weights that are equal on a lattice point's four atoms (its
+        # region, each edge's own cell -2 and each vertex copy +2), then
+        # per atom the ray cells, the sides' glued copies and the corners
+        row = [2] * len(points)
+        for i, _ in base.duals:
+            row[i] -= 2
+        vertex_atoms = []
+        for cell in curve.vertex_cell:
+            k = index[cell[0]]
+            row[k] += 2
+            vertex_atoms.append(4 * k)
+        weight2 = [w for w in row for _ in range(4)]
+        glued = list(range(len(weight2)))
+        cell2 = [_BOUNDED_CELL2] * len(edges)
+        glues: dict[int, int] = {}
         for side in curve.dual.sides:
             g = _code(side.glue)
-            rays = [e.index for e in edges if not e.bounded and e.direction == side.normal]
-            if len(rays) != len(side.points) - 1:
+            out = rays.get(side.normal, ())
+            if len(out) != len(side.points) - 1:
                 raise InvariantViolation("each side must carry as many rays as its lattice length")
-            for eid in rays:
-                ray_glue[eid] = g
+            c0, c1 = _LOW[g]
+            for eid in out:
+                cell2[eid] = _RAY_CELL2[g]
+                a = 4 * base.duals[eid][0]
+                weight2[a + c0] += 2
+                weight2[a + c1] += 2
             # the copies glue across the side, one interval of it per lattice point
             for alpha in side.points:
-                a = atom[alpha]
-                for c in range(4):
-                    _union(parent, a + c, a + (c ^ g))
-                for c in {min(c, c ^ g) for c in range(4)}:
-                    weight2[a + c] -= 2
-        # parent[x] <= x, so one pass in atom order flattens the forest
-        for x, p in enumerate(parent):
-            parent[x] = parent[p]
-        self.glued = parent
-        self.atom_keys = keys = tuple(product(base.points, EPS4))
-        self.region_class = {keys[x]: keys[p] for x, p in enumerate(parent)}
-        self.copy_keys = tuple(product(range(len(edges)), EPS4))
-
-        # both copies of a ray are drawn or neither
-        self.copy_cell2 = tuple(0 if g and c < c ^ g else -2 for g in ray_glue for c in range(4))
-        self.edge_atoms = tuple((atom[e.dual[0]], atom[e.dual[1]]) for e in edges)
-        vertex_atoms = tuple(atom[cell[0]] for cell in curve.vertex_cell)
+                a = 4 * index[alpha]
+                glues[a] = glues.get(a, 0) | 1 << g
+                weight2[a + c0] -= 2
+                weight2[a + c1] -= 2
+        for a, m in glues.items():
+            least = _ORBIT_LEAST[m]
+            glued[a:a + 4] = (a + least[0], a + least[1], a + least[2], a + least[3])
+        for corner in curve.dual.polygon:
+            weight2[4 * index[corner]] += 2
+        self.glued = glued
+        self.weight2 = tuple(weight2)
+        self.edge_cell2 = tuple(cell2)
+        self.edge_atoms = tuple((4 * i, 4 * j) for i, j in base.duals)
         self.end_atoms = tuple(
             (vertex_atoms[e.tail], vertex_atoms[e.head]) if e.bounded else (vertex_atoms[e.tail],) for e in edges
         )
-        for eid, (a, _) in enumerate(self.edge_atoms):
-            for c in range(4):
-                weight2[a + c] += self.copy_cell2[4 * eid + c]
-        for a in vertex_atoms:
-            for c in range(4):
-                weight2[a + c] += 2
-        for corner in curve.dual.polygon:
-            weight2[atom[corner]] += 2
-        self.weight2 = tuple(weight2)
+
+    @cached_property
+    def atom_keys(self) -> tuple[tuple[IVec, Eps], ...]:
+        return tuple(product(self._points, EPS4))
+
+    @cached_property
+    def region_class(self) -> dict[tuple[IVec, Eps], tuple[IVec, Eps]]:
+        keys = self.atom_keys
+        return {keys[x]: keys[p] for x, p in enumerate(self.glued)}
+
+    @cached_property
+    def copy_keys(self) -> tuple[tuple[int, Eps], ...]:
+        return tuple(product(range(len(self.edge_cell2)), EPS4))
+
+    @cached_property
+    def copy_cell2(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.edge_cell2))
 
 
 def _piece(build):
@@ -335,17 +425,30 @@ _base = _piece(_Base)
 def _sign_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
     """Per bounded edge, the lattice points whose minus signs decide its
     twist (the two cell vertices opposite it when they agree mod 2, else
-    all four) as a mask, and the offsets as one int."""
-    bit = _base(curve).point_bit
+    all four) as a mask, and the offsets as one int.
+
+    Read per vertex: the bits of its dual cell's points and the parities
+    of their coordinate sums.  An edge's two cells share its dual points
+    p, q, so the opposite vertices are the cells' sums less p + q: they
+    agree mod 2 iff the sums do, and their bits are the two cells' bits
+    less p's and q's."""
+    base = _base(curve)
+    bit = base.point_bit
+    cell_bits, parity = [], []
+    for a, b, c in curve.vertex_cell:
+        cell_bits.append(bit[a] | bit[b] | bit[c])
+        parity.append((a[0] + b[0] + c[0]) & 1 | ((a[1] + b[1] + c[1]) & 1) << 1)
+    edges, duals = curve.edges, base.duals
     masks, offsets = [], 0
     for k, eid in enumerate(curve.bounded_edges):
-        e = curve.edges[eid]
-        p, q = e.dual
-        v3, v4 = (next(x for x in curve.vertex_cell[v] if x not in e.dual) for v in (e.tail, e.head))
-        if (v3[0] - v4[0]) % 2 == 0 and (v3[1] - v4[1]) % 2 == 0:
-            masks.append(bit[v3] | bit[v4])
+        e = edges[eid]
+        t, h = e.tail, e.head
+        both = cell_bits[t] | cell_bits[h]
+        if parity[t] == parity[h]:
+            i, j = duals[eid]
+            masks.append(both ^ (1 << i | 1 << j))
         else:
-            masks.append(bit[p] | bit[q] | bit[v3] | bit[v4])
+            masks.append(both)
             offsets |= 1 << k
     return tuple(masks), offsets
 
@@ -390,19 +493,46 @@ def _side_ends(curve: TropicalCurve) -> dict[tuple[int, int], tuple[int, bool]]:
     direction classes are distinct and the two other edges lie on
     opposite sides of e, so a phase element of e continues along f iff it
     is the one point where e's and f's lines meet (``_twisted_between``).
+
+    Built per vertex from its three edges a, b, c (in ``vertex_edges``
+    order): one class check, each edge's sign at v and the three
+    determinants of their directions, which give all six sides.  A
+    failed check raises for the first failing end in edge order, the tail
+    of an edge before its head.
     """
     classes = _base(curve).classes
+    edges = curve.edges
     ends = {}
-    for e in curve.edges:
-        eid = e.index
-        for v in (e.tail, e.head) if e.bounded else (e.tail,):
-            others = [o for o in curve.vertex_edges[v] if o != eid]
-            if len({classes[x] for x in (eid, *others)}) != 3:
-                raise InvariantViolation(f"edge {eid}: direction classes at vertex {v} are not distinct")
-            s0, s1 = (det2(e.direction, _outward_direction(curve, o, v)) for o in others)
-            if s0 * s1 >= 0:
-                raise InvariantViolation(f"edge {eid}: the other edges at vertex {v} are not on opposite sides")
-            ends[eid, v] = (others[0], s0 > 0)
+    failed = []
+    for v, incident in enumerate(curve.vertex_edges):
+        distinct = False
+        if len(incident) == 3:
+            a, b, c = incident
+            ka, kb, kc = classes[a], classes[b], classes[c]
+            distinct = ka != kb and ka != kc and kb != kc
+        if not distinct:
+            failed.extend(
+                (x, edges[x].tail != v, f"edge {x}: direction classes at vertex {v} are not distinct")
+                for x in incident
+            )
+            continue
+        sa, sb, sc = _end_sign(curve, a, v), _end_sign(curve, b, v), _end_sign(curve, c, v)
+        (ax, ay), (bx, by), (cx, cy) = edges[a].direction, edges[b].direction, edges[c].direction
+        ab, ac, bc = ax * by - ay * bx, ax * cy - ay * cx, bx * cy - by * cx
+        # the end of x at v sees the other edge y on the side of
+        # det(d_x, o_y) = s_y det(d_x, d_y), d the directions, o outward
+        a0, a1 = sb * ab, sc * ac
+        b0, b1 = -sa * ab, sc * bc
+        c0, c1 = -sa * ac, -sb * bc
+        if a0 * a1 >= 0 or b0 * b1 >= 0 or c0 * c1 >= 0:
+            for x, sx, s0, s1 in ((a, sa, a0, a1), (b, sb, b0, b1), (c, sc, c0, c1)):
+                if s0 * s1 >= 0:
+                    failed.append((x, sx < 0, f"edge {x}: the other edges at vertex {v} are not on opposite sides"))
+        ends[a, v] = (b, a0 > 0)
+        ends[b, v] = (a, b0 > 0)
+        ends[c, v] = (a, c0 > 0)
+    if failed:
+        raise InvariantViolation(min(failed)[2])
     return ends
 
 
@@ -449,16 +579,14 @@ def _face_plan(curve: TropicalCurve) -> tuple[tuple, ...]:
     """What the face labelling (``_face_tree``) reads of each edge, in edge
     order: its two dual atoms (``_Cells.edge_atoms``), its end atoms
     (``_Cells.end_atoms``), its four copies' doubled own cells
-    (``_Cells.copy_cell2``) and, per level bit, the copy codes c left
-    undrawn and drawn.  The codes are the shared ``_BITS`` tuples and
-    equal cell tuples are one tuple, so the plan stays small."""
+    (``_Cells.edge_cell2``) and, per level bit, the copy codes c left
+    undrawn and drawn.  The cells and codes are shared constant tuples, so
+    the plan stays small."""
     cells = _cells(curve)
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    plan = []
-    for eid, ((a, b), ends, cls) in enumerate(zip(cells.edge_atoms, cells.end_atoms, _base(curve).classes)):
-        cell2 = cells.copy_cell2[4 * eid:4 * eid + 4]
-        plan.append((a, b, ends, shared.setdefault(cell2, cell2), _LEVEL_CODES[cls]))
-    return tuple(plan)
+    return tuple(
+        (a, b, ends, cell2, _LEVEL_CODES[cls])
+        for (a, b), ends, cell2, cls in zip(cells.edge_atoms, cells.end_atoms, cells.edge_cell2, _base(curve).classes)
+    )
 
 
 @_piece

@@ -1,7 +1,9 @@
 """The per-curve real-structure tables against the routes they replaced:
 a golden digest of realstruct outputs, the old solve_affine route of
-phase_from_twists, validation messages, non-interned phase lines and
-translated copies that share the tables."""
+phase_from_twists, validation messages, non-interned phase lines,
+translated copies that share the tables, and the per-edge and union-find
+builders of the sidedness table, the cell model and the cycle check,
+with the invariants they raise."""
 
 import copy
 import re
@@ -22,12 +24,14 @@ from tropcurve import (
     is_admissible,
     phase_from_signs,
     phase_from_twists,
+    primitive_cycles,
     real_part,
     signs_from_phase,
     twists_from_phase,
     twists_from_signs,
 )
-from tropcurve.errors import DegeneratePolygon, NotAdmissible, SingularSubdivision, ValidationError
+from tropcurve.curve import _check_cycle
+from tropcurve.errors import DegeneratePolygon, InvariantViolation, NotAdmissible, SingularSubdivision, ValidationError
 from tropcurve.gf2 import Gf2Vector, solve_affine
 from tropcurve.realstruct import RealPhaseStructure, edge_twisted, twist_matrix
 from tropcurve.selfcheck import random_lift, random_sign_distribution
@@ -338,3 +342,299 @@ def test_component_counts_check_kills_a_broken_twist_matrix(part, monkeypatch):
     monkeypatch.setattr("tropcurve.realstruct.twist_matrix", _twist_matrix_without(part))
     result = check_component_counts(random.Random(0), 5)
     assert not result.passed and "matrix" in result.detail, result.detail
+
+
+# -- the per-vertex and per-side table builders against the per-edge and
+# union-find builders they replaced ------------------------------------
+
+
+def _outward_direction_reference(curve, eid, v):
+    e = curve.edges[eid]
+    if e.tail == v:
+        return e.direction
+    if not (e.bounded and e.head == v):
+        raise InvariantViolation(f"vertex {v} is not an end of edge {eid}")
+    return (-e.direction[0], -e.direction[1])
+
+
+def _side_ends_reference(curve):
+    """The sidedness rule per edge end: the other edges at the end, one
+    class check and two determinants each."""
+    from tropcurve.geometry import det2
+    from tropcurve.realstruct import _base
+
+    classes = _base(curve).classes
+    ends = {}
+    for e in curve.edges:
+        eid = e.index
+        for v in (e.tail, e.head) if e.bounded else (e.tail,):
+            others = [o for o in curve.vertex_edges[v] if o != eid]
+            if len({classes[x] for x in (eid, *others)}) != 3:
+                raise InvariantViolation(f"edge {eid}: direction classes at vertex {v} are not distinct")
+            s0, s1 = (det2(e.direction, _outward_direction_reference(curve, o, v)) for o in others)
+            if s0 * s1 >= 0:
+                raise InvariantViolation(f"edge {eid}: the other edges at vertex {v} are not on opposite sides")
+            ends[eid, v] = (others[0], s0 > 0)
+    return ends
+
+
+class _Cells_reference:
+    """The cell model from a union-find of the atoms glued across each
+    side, and the rays of each side found by a scan of every edge."""
+
+    def __init__(self, curve):
+        from itertools import product
+
+        from tropcurve.realstruct import EPS4, _base, _code, _union
+
+        curve.require_degree()
+        base = _base(curve)
+        edges = curve.edges
+        atom = {p: 4 * k for k, p in enumerate(base.points)}
+        parent = list(range(4 * len(base.points)))
+        weight2 = [2] * len(parent)
+        ray_glue = [0] * len(edges)
+        for side in curve.dual.sides:
+            g = _code(side.glue)
+            rays = [e.index for e in edges if not e.bounded and e.direction == side.normal]
+            if len(rays) != len(side.points) - 1:
+                raise InvariantViolation("each side must carry as many rays as its lattice length")
+            for eid in rays:
+                ray_glue[eid] = g
+            for alpha in side.points:
+                a = atom[alpha]
+                for c in range(4):
+                    _union(parent, a + c, a + (c ^ g))
+                for c in {min(c, c ^ g) for c in range(4)}:
+                    weight2[a + c] -= 2
+        for x, p in enumerate(parent):
+            parent[x] = parent[p]
+        self.glued = parent
+        self.atom_keys = keys = tuple(product(base.points, EPS4))
+        self.region_class = {keys[x]: keys[p] for x, p in enumerate(parent)}
+        self.copy_keys = tuple(product(range(len(edges)), EPS4))
+        self.copy_cell2 = tuple(0 if g and c < c ^ g else -2 for g in ray_glue for c in range(4))
+        self.edge_atoms = tuple((atom[e.dual[0]], atom[e.dual[1]]) for e in edges)
+        vertex_atoms = tuple(atom[cell[0]] for cell in curve.vertex_cell)
+        self.end_atoms = tuple(
+            (vertex_atoms[e.tail], vertex_atoms[e.head]) if e.bounded else (vertex_atoms[e.tail],) for e in edges
+        )
+        for eid, (a, _) in enumerate(self.edge_atoms):
+            for c in range(4):
+                weight2[a + c] += self.copy_cell2[4 * eid + c]
+        for a in vertex_atoms:
+            for c in range(4):
+                weight2[a + c] += 2
+        for corner in curve.dual.polygon:
+            weight2[atom[corner]] += 2
+        self.weight2 = tuple(weight2)
+
+
+_CELL_FIELDS = ("glued", "weight2", "copy_cell2", "edge_atoms", "end_atoms", "atom_keys", "region_class", "copy_keys")
+
+
+def _check_cycle_reference(curve, eids, alpha):
+    """A cycle check by vertex degrees and a search of the vertex graph."""
+    degree_count = {}
+    for eid in eids:
+        e = curve.edges[eid]
+        if not e.bounded:
+            raise InvariantViolation(f"cycle around {alpha} uses an unbounded edge")
+        for v in (e.tail, e.head):
+            degree_count[v] = degree_count.get(v, 0) + 1
+    if any(c != 2 for c in degree_count.values()):
+        raise InvariantViolation(f"edges around {alpha} do not close up")
+    verts = list(degree_count)
+    reached = {verts[0]}
+    frontier = [verts[0]]
+    adj = {v: [] for v in verts}
+    for eid in eids:
+        e = curve.edges[eid]
+        adj[e.tail].append(e.head)
+        adj[e.head].append(e.tail)
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    if len(reached) != len(verts):
+        raise InvariantViolation(f"cycle around {alpha} is disconnected")
+
+
+def _table_curves():
+    from tropcurve.selfcheck import random_nonsingular_curve
+
+    rng = random.Random(25)
+    return [honeycomb(d) for d in range(1, 9)] + [random_nonsingular_curve(rng, d) for d in range(2, 8) for _ in range(4)]
+
+
+def _fresh(curve):
+    """The curve rebuilt from its polynomial, with nothing cached."""
+    return curve_from_polynomial(curve.poly)
+
+
+def _invariant(build, *args):
+    try:
+        return build(*args)
+    except InvariantViolation as exc:
+        return ("InvariantViolation", str(exc))
+
+
+def _with_directions(curve, directions):
+    """A copy of the curve with the given edges' directions replaced and
+    no tables built."""
+    import dataclasses
+
+    edges = list(curve.edges)
+    for eid, d in directions.items():
+        edges[eid] = dataclasses.replace(edges[eid], direction=d)
+    broken = copy.copy(curve)
+    broken.edges = tuple(edges)
+    broken._real_tables = {}
+    return broken
+
+
+def test_side_ends_and_cells_match_the_references():
+    from tropcurve.realstruct import _cells, _face_plan, _side_ends
+
+    for curve in _table_curves():
+        curve = _fresh(curve)
+        assert _side_ends(curve) == _side_ends_reference(curve)
+        cells, want = _cells(curve), _Cells_reference(curve)
+        for name in _CELL_FIELDS:
+            assert getattr(cells, name) == getattr(want, name), name
+        # the parent's plan, read off the per-copy cells
+        plan = tuple(
+            (a, b, ends, want.copy_cell2[4 * eid:4 * eid + 4], _face_plan(curve)[eid][4])
+            for eid, ((a, b), ends) in enumerate(zip(want.edge_atoms, want.end_atoms))
+        )
+        assert _face_plan(curve) == plan
+
+
+def test_sign_rule_matches_the_reference():
+    from tropcurve.realstruct import _base, _sign_rule
+
+    for curve in _table_curves():
+        curve = _fresh(curve)
+        bit = _base(curve).point_bit
+        masks, offsets = [], 0
+        for k, eid in enumerate(curve.bounded_edges):
+            points, offset = _sign_rule_reference(curve, eid)
+            masks.append(sum(bit[p] for p in points))
+            offsets |= offset << k
+        assert _sign_rule(curve) == (tuple(masks), offsets)
+
+
+def test_cycle_check_matches_the_reference_on_broken_cycles():
+    rng = random.Random(26)
+    checked = set()
+    for curve in _table_curves():
+        cycles = primitive_cycles(curve)
+        rays = [e.index for e in curve.edges if not e.bounded]
+        for cyc in cycles:
+            assert _check_cycle(curve, cyc.edges, cyc.center) is None
+            variants = [cyc.edges - {rng.choice(sorted(cyc.edges))}, cyc.edges | {rng.choice(rays)}]
+            variants += [cyc.edges | other.edges for other in cycles if not (other.edges & cyc.edges)][:2]
+            variants += [cyc.edges ^ other.edges for other in cycles if other is not cyc][:2]
+            for eids in variants:
+                got = _invariant(_check_cycle, curve, eids, cyc.center)
+                assert got == _invariant(_check_cycle_reference, curve, eids, cyc.center)
+                checked.add(next(k for k in ("unbounded", "close up", "disconnected") if k in got[1]) if got else "ok")
+    assert checked == {"ok", "unbounded", "close up", "disconnected"}
+
+
+def test_side_ends_and_cells_raise_as_the_references_on_broken_curves():
+    from tropcurve.realstruct import _cells, _side_ends
+
+    rng = random.Random(27)
+    raised = set()
+    for curve in _table_curves()[1:12]:
+        for _ in range(6):
+            eid = rng.randrange(len(curve.edges))
+            d = curve.edges[eid].direction
+            new = rng.choice([(-d[0], -d[1]), rng.choice(curve.edges).direction, (1, 2), (2, -1)])
+            broken = _with_directions(curve, {eid: new})
+            got = _invariant(_side_ends, broken)
+            assert got == _invariant(_side_ends_reference, _with_directions(curve, {eid: new}))
+            cells = _invariant(_cells, broken)
+            want = _invariant(_Cells_reference, _with_directions(curve, {eid: new}))
+            if isinstance(want, tuple):
+                assert cells == want
+            else:
+                assert all(getattr(cells, name) == getattr(want, name) for name in _CELL_FIELDS)
+            raised.update(
+                k for x in (got, cells) if isinstance(x, tuple)
+                for k in ("not distinct", "opposite sides", "lattice length") if k in x[1]
+            )
+    assert raised == {"not distinct", "opposite sides", "lattice length"}
+
+
+# the messages below were recorded with the per-edge and union-find builders
+
+
+def test_side_ends_invariants_name_the_first_failing_end():
+    from tropcurve.realstruct import _side_ends
+
+    c = honeycomb(3)
+    # edge 6 takes the class of edge 2 at their common vertex 2; the first
+    # failing end in edge order is edge 2's tail
+    with pytest.raises(InvariantViolation, match="^edge 2: direction classes at vertex 2 are not distinct$"):
+        _side_ends(_with_directions(c, {6: c.edges[2].direction}))
+    # ray 5 turned back at vertex 5: the other two edges there, 7 (at its
+    # head) and 8, see both others on one side
+    ray = c.edges[5]
+    with pytest.raises(InvariantViolation, match="^edge 7: the other edges at vertex 5 are not on opposite sides$"):
+        _side_ends(_with_directions(c, {5: (-ray.direction[0], -ray.direction[1])}))
+
+
+def test_cells_invariant_counts_the_rays_of_each_side():
+    from tropcurve.realstruct import _cells
+
+    c = honeycomb(3)
+    normal = next(s.normal for s in c.dual.sides if s.normal != c.edges[0].direction)
+    with pytest.raises(InvariantViolation, match="^each side must carry as many rays as its lattice length$"):
+        _cells(_with_directions(c, {0: normal}))
+
+
+def test_cycle_invariants():
+    c3, c5 = honeycomb(3), honeycomb(5)
+    (cyc,) = primitive_cycles(c3)
+    with pytest.raises(InvariantViolation, match=r"^edges around \(1, 1\) do not close up$"):
+        _check_cycle(c3, cyc.edges - {min(cyc.edges)}, cyc.center)
+    around = {x.center: x.edges for x in primitive_cycles(c5)}
+    with pytest.raises(InvariantViolation, match=r"^cycle around \(1, 1\) is disconnected$"):
+        _check_cycle(c5, around[1, 1] | around[3, 1], (1, 1))
+    with pytest.raises(InvariantViolation, match=r"^cycle around \(1, 1\) uses an unbounded edge$"):
+        _check_cycle(c3, cyc.edges | {0}, cyc.center)
+
+
+def test_a_ray_on_an_interior_region_reaches_the_cycle_check():
+    # the cycles read each interior region's edges unfiltered, so a ray
+    # there raises instead of being dropped
+    c = honeycomb(3)
+    (cyc,) = primitive_cycles(c)
+    broken = copy.copy(c)
+    vars(broken).pop("_cycles", None)
+    broken.region_edges = {**c.region_edges, cyc.center: c.region_edges[cyc.center] + (0,)}
+    with pytest.raises(InvariantViolation, match=r"^cycle around \(1, 1\) uses an unbounded edge$"):
+        primitive_cycles(broken)
+
+
+def test_a_first_locus_builds_no_copy_keys_or_region_class():
+    from tropcurve import hyperbolicity_locus
+    from tropcurve.realstruct import _cells
+
+    hyperbolic = 0
+    for d in range(2, 7):
+        for every in (True, False):
+            curve = honeycomb(d)
+            if every:
+                phase = phase_from_twists(curve, TwistSet.from_edges(curve, curve.bounded_edges))
+            else:
+                phase = phase_from_signs(curve, SignDistribution.constant(curve))
+            report = hyperbolicity_locus(curve, phase)
+            hyperbolic += report.hyperbolic
+            built = vars(_cells(curve)) if "_cells" in curve._real_tables else {}
+            assert "copy_keys" not in built and "region_class" not in built
+    assert hyperbolic >= 5
