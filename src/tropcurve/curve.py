@@ -264,6 +264,39 @@ class TropicalCurve:
         return exits
 
     @cached_property
+    def walk_order(self) -> tuple[tuple[int, int, bool, int], ...]:
+        """(eid, start, forward, placed) for every edge, in the order
+        ``intersect.edge_hits`` walks them: depth first from vertex 0, by a
+        stack of vertices, each vertex's edges in ``vertex_edges`` order.
+        Edge eid is walked from vertex ``start``, which is its tail iff
+        ``forward`` (a ray always leaves its tail).  A bounded edge whose
+        far end no earlier entry placed places it (``placed``, else -1),
+        so every entry starts at vertex 0 or at a vertex placed before it.
+        The order depends on the combinatorics alone."""
+        edges, vertex_edges = self.edges, self.vertex_edges
+        order = []
+        walked = [False] * len(edges)
+        placed = [False] * len(vertex_edges)
+        placed[0] = True
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for eid in vertex_edges[v]:
+                if walked[eid]:
+                    continue
+                walked[eid] = True
+                e = edges[eid]
+                w = -1
+                if e.bounded:
+                    far = e.head if e.tail == v else e.tail
+                    if not placed[far]:
+                        placed[far] = True
+                        stack.append(far)
+                        w = far
+                order.append((eid, v, e.tail == v, w))
+        return tuple(order)
+
+    @cached_property
     def _cycles(self) -> tuple[PrimitiveCycle, ...]:
         """The primitive cycles, checked once; ``primitive_cycles`` reads
         them.  The cycle around an interior lattice point is every edge of
@@ -376,6 +409,7 @@ class TropicalCurve:
         # one index for the curve and all its copies
         moved.region_edges = self.region_edges
         moved.region_exits = self.region_exits
+        moved.walk_order = self.walk_order
         return moved
 
 

@@ -19,7 +19,11 @@ regions, on the curves' own integer frames rescaled to the pair's frame
 1/D, D = lcm of the two dens.  One vertex of A is located in B by B's
 int argmax (``IntFrame.argmax``).  Each edge of A is walked from a
 vertex whose place in B is known, and the walk hands the place of its
-far end to the other vertex.  An edge is solved as an int pair only
+far end to the other vertex.  The order of the walks depends on A alone,
+so it is compiled once per curve (``TropicalCurve.walk_order``) and one
+call runs every walk in one loop.  A ray of A that starts in an open
+region of B with no exit facing its direction meets nothing and is not
+walked.  An edge is solved as an int pair only
 against the B edges through the points where it meets B and, in each
 region it crosses, the boundary edges that face its direction g: the edge
 from alpha to beta when (beta - alpha) . g > 0 (``region_exits``).  A
@@ -183,6 +187,14 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve) -> FrameHits:
     """Every edge pair's intersection, found by walking A's edges through
     B's complement regions (see the module docstring).  Each pair the walk
     meets is solved on ints exactly as the pair scan solves it.
+
+    The walks run in one loop over ``curve_a.walk_order``.  ``solve`` reads
+    the edge being walked (its tail p, direction da and int length ta, on
+    the pair's frame) from this scope, solves it against one B edge and
+    keeps the result in ``results``, a fresh dict per edge of A, so each B
+    edge met is solved once per walk.  A walk stands at a point of B (an
+    edge or a vertex of B), in an open region, or on an overlap, and the
+    place where it ends is handed to the vertex its edge places.
     """
     if curve_a is curve_b:
         raise UnsupportedConfiguration("the two curves must be distinct point sets")
@@ -190,69 +202,16 @@ def edge_hits(curve_a: TropicalCurve, curve_b: TropicalCurve) -> FrameHits:
     den = lcm(frame_a.den, frame_b.den)
     ka = den // frame_a.den  # A's edges are rescaled as they are walked
     _, edges_b = frame_b.rescaled(den // frame_b.den)
+    a_edges = frame_a.edges
+    b_edges = curve_b.edges
+    exits = curve_b.region_exits
+    b_vertex_edges = curve_b.vertex_edges
+    b_cells = curve_b.vertex_cell
     found: list = []  # (edge_a, edge_b, point key or (key, key), crossing multiplicity or 0)
     place: list = [None] * len(frame_a.vertices)
     x0, y0 = frame_a.vertices[0]
     place[0] = _locate(curve_b, den, (x0 * ka, y0 * ka))
-    walked = [False] * len(curve_a.edges)
     solved = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for ea in curve_a.vertex_edges[v]:
-            if walked[ea]:
-                continue
-            walked[ea] = True
-            e = curve_a.edges[ea]
-            end, count = _walk(curve_b, edges_b, frame_a.edges[ea], ka, ea, e.tail == v, place[v], found)
-            solved += count
-            if e.bounded:
-                w = e.head if e.tail == v else e.tail
-                if place[w] is None:
-                    place[w] = end
-                    stack.append(w)
-    found.sort(key=itemgetter(0, 1))
-    points: dict[tuple[int, int, int], tuple | set] = {}
-    segments = []
-    for ea, eb, hit, mult in found:
-        if mult:
-            points[hit] = (ea, eb, mult)
-        elif len(hit) == 3:
-            points.setdefault(hit, set()).update((("a", ea), ("b", eb)))
-        else:
-            segments.append((hit[0], hit[1], ea, eb))
-    return FrameHits(den, points, segments, solved)
-
-
-def _locate(curve: TropicalCurve, den: int, xy) -> tuple:
-    """The walk place of the point xy/den, by the curve's int argmax."""
-    top = curve.frame.argmax(den, *xy)
-    if len(top) == 1:
-        return _REGION, top[0]
-    if len(top) == 2:
-        return _EDGE, curve.edge_by_dual(*top)
-    return _VERTEX, curve.vertex_cell.index(top)
-
-
-def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
-    """Walk edge ``ea`` of A (``a_edge`` on A's frame, times ``ka`` on the
-    pair's) from its tail (``forward``) or its head, starting at ``place``
-    in B.
-
-    Each B edge met is solved once and its hit appended to ``found``.  In
-    a region only the edges facing the direction g are solved: a convex
-    region's other edges meet the walk at or behind u, where the edge or
-    vertex it entered through was solved already.
-    Returns the place of the far end (meaningless for a ray) and the
-    number of pairs solved.  The walk stands at a point of B (an edge or a
-    vertex of B), in an open region, or on an overlap; u, the distance
-    walked, is u_n/u_d in units of the primitive direction over den.
-    """
-    px, py, dax, day, ta = a_edge
-    px, py, ta = px * ka, py * ka, (None if ta is None else ta * ka)
-    gx, gy = (dax, day) if forward else (-dax, -day)
-    b_edges = curve_b.edges
-    results: dict = {}
 
     def solve(eb):
         if eb in results:
@@ -301,76 +260,125 @@ def _walk(curve_b, edges_b, a_edge, ka, ea, forward, place, found):
         results[eb] = res
         return res
 
-    u_n, u_d = 0, 1
-    kind, at = place
-    while True:
-        if kind == _REGION:
-            # the region is convex: a hit further along than u is its exit,
-            # on an edge whose other dual point beta has (beta - alpha) . g > 0
-            for eb, bx, by in curve_b.region_exits[at]:
-                if bx * gx + by * gy <= 0:
-                    continue
-                res = solve(eb)
-                if res is None or len(res) != 3:
-                    continue
-                tn, dd, sn = res
-                n = tn if forward else ta * dd - tn
-                if n * u_d > u_n * dd:
+    for ea, v, forward, w in curve_a.walk_order:
+        kind, at = place[v]
+        px, py, dax, day, ta = a_edges[ea]
+        gx, gy = (dax, day) if forward else (-dax, -day)
+        if ta is None and kind == _REGION:
+            for _, bx, by in exits[at]:
+                if bx * gx + by * gy > 0:
                     break
             else:
-                return (_REGION, at), len(results)
-            u_n, u_d = n, dd
-            e = b_edges[eb]
-            tb = edges_b[eb][4]
-            if sn == 0:
-                kind, at = _VERTEX, e.tail
-            elif tb is not None and sn == tb * dd:
-                kind, at = _VERTEX, e.head
-            elif ta is not None and n == ta * dd:
-                return (_EDGE, eb), len(results)
+                continue  # a ray that faces no exit of its region meets nothing
+        px, py = px * ka, py * ka
+        if ta is not None:
+            ta *= ka
+        results = {}
+        # walk ea from its tail (forward) or its head, starting at place[v];
+        # u, the distance walked, is u_n/u_d in units of the primitive
+        # direction over den
+        u_n, u_d = 0, 1
+        while True:
+            if kind == _REGION:
+                # the region is convex: a hit further along than u is its exit,
+                # on an edge whose other dual point beta has (beta - alpha) . g > 0
+                for eb, bx, by in exits[at]:
+                    if bx * gx + by * gy <= 0:
+                        continue
+                    res = solve(eb)
+                    if res is None or len(res) != 3:
+                        continue
+                    tn, dd, sn = res
+                    n = tn if forward else ta * dd - tn
+                    if n * u_d > u_n * dd:
+                        break
+                else:
+                    break  # the far end lies in this region
+                u_n, u_d = n, dd
+                e = b_edges[eb]
+                tb = edges_b[eb][4]
+                if sn == 0:
+                    kind, at = _VERTEX, e.tail
+                elif tb is not None and sn == tb * dd:
+                    kind, at = _VERTEX, e.head
+                elif ta is not None and n == ta * dd:
+                    kind, at = _EDGE, eb
+                    break
+                else:
+                    # through the interior of eb, into the region across it
+                    p, q = e.dual
+                    at = q if p == at else p
+                continue
+            # at a point of B: solve every B edge through it, then pick the
+            # side the walk leaves on by the lex-max slope along the walk
+            if kind == _VERTEX:
+                for eb in b_vertex_edges[at]:
+                    solve(eb)
+                if ta is not None and u_n == ta * u_d:
+                    break
+                cell = b_cells[at]
+                slopes = [c[0] * gx + c[1] * gy for c in cell]
+                top = max(slopes)
+                lead = [c for c, s in zip(cell, slopes) if s == top]
+                if len(lead) == 1:
+                    kind, at = _REGION, lead[0]
+                    continue
+                along = [eb for eb in b_vertex_edges[at] if set(b_edges[eb].dual) == set(lead)]
+                if len(along) != 1:
+                    raise InvariantViolation(f"{len(along)} edges of B at vertex {at} run along edge {ea} of A")
+                g = along[0]
             else:
-                # through the interior of eb, into the region across it
-                p, q = e.dual
-                at = q if p == at else p
-            continue
-        # at a point of B: solve every B edge through it, then pick the
-        # side the walk leaves on by the lex-max slope along the walk
-        if kind == _VERTEX:
-            for eb in curve_b.vertex_edges[at]:
-                solve(eb)
-            if ta is not None and u_n == ta * u_d:
-                return (_VERTEX, at), len(results)
-            cell = curve_b.vertex_cell[at]
-            slopes = [c[0] * gx + c[1] * gy for c in cell]
-            top = max(slopes)
-            lead = [c for c, s in zip(cell, slopes) if s == top]
-            if len(lead) == 1:
-                kind, at = _REGION, lead[0]
-                continue
-            (g,) = [eb for eb in curve_b.vertex_edges[at] if set(b_edges[eb].dual) == set(lead)]
+                solve(at)
+                if ta is not None and u_n == ta * u_d:
+                    break
+                p, q = b_edges[at].dual
+                sp, sq = p[0] * gx + p[1] * gy, q[0] * gx + q[1] * gy
+                if sp != sq:
+                    kind, at = _REGION, (p if sp > sq else q)
+                    continue
+                g = at
+            # along an overlap with g to its far end: a vertex of g, or the end of ea
+            res = results[g]
+            if res is None or len(res) != 5:
+                raise InvariantViolation(f"edge {ea} of A runs along edge {g} of B but does not overlap it")
+            lo, hi, b_lo, b_hi, same = res
+            e = b_edges[g]
+            if forward:
+                u_n, u_d = hi, 1
+                if hi != b_hi:
+                    kind, at = _EDGE, g
+                    break
+                kind, at = _VERTEX, (e.head if same else e.tail)
+            else:
+                u_n, u_d = ta - lo, 1
+                if lo != b_lo:
+                    kind, at = _EDGE, g
+                    break
+                kind, at = _VERTEX, (e.tail if same else e.head)
+        solved += len(results)
+        if w >= 0:
+            place[w] = (kind, at)
+    found.sort(key=itemgetter(0, 1))
+    points: dict[tuple[int, int, int], tuple | set] = {}
+    segments = []
+    for ea, eb, hit, mult in found:
+        if mult:
+            points[hit] = (ea, eb, mult)
+        elif len(hit) == 3:
+            points.setdefault(hit, set()).update((("a", ea), ("b", eb)))
         else:
-            solve(at)
-            if ta is not None and u_n == ta * u_d:
-                return (_EDGE, at), len(results)
-            p, q = b_edges[at].dual
-            sp, sq = p[0] * gx + p[1] * gy, q[0] * gx + q[1] * gy
-            if sp != sq:
-                kind, at = _REGION, (p if sp > sq else q)
-                continue
-            g = at
-        # along an overlap with g to its far end: a vertex of g, or the end of ea
-        lo, hi, b_lo, b_hi, same = results[g]
-        e = b_edges[g]
-        if forward:
-            u_n, u_d = hi, 1
-            if hi != b_hi:
-                return (_EDGE, g), len(results)
-            kind, at = _VERTEX, (e.head if same else e.tail)
-        else:
-            u_n, u_d = ta - lo, 1
-            if lo != b_lo:
-                return (_EDGE, g), len(results)
-            kind, at = _VERTEX, (e.tail if same else e.head)
+            segments.append((hit[0], hit[1], ea, eb))
+    return FrameHits(den, points, segments, solved)
+
+
+def _locate(curve: TropicalCurve, den: int, xy) -> tuple:
+    """The walk place of the point xy/den, by the curve's int argmax."""
+    top = curve.frame.argmax(den, *xy)
+    if len(top) == 1:
+        return _REGION, top[0]
+    if len(top) == 2:
+        return _EDGE, curve.edge_by_dual(*top)
+    return _VERTEX, curve.vertex_cell.index(top)
 
 
 def classify_hits(curve_a: TropicalCurve, curve_b: TropicalCurve, hits: FrameHits):

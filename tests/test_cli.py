@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -428,6 +430,41 @@ def test_intersect_invariant_exits_4(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "intersect", "--a", paths[0], "--b", paths[1])
     assert (code, out) == (4, "")
     assert err == "internal error: (Fraction(2, 1), Fraction(-2, 1)) is a vertex of neither curve but lies on several edges of one\n"
+
+
+def _without_ray_2_at_vertex_0(curve):
+    broken = copy.copy(curve)
+    broken.vertex_edges = (tuple(e for e in curve.vertex_edges[0] if e != 2),) + curve.vertex_edges[1:]
+    return broken
+
+
+def _ray_2_turned(curve):
+    broken = copy.copy(curve)
+    edges = list(curve.frame.edges)
+    x, y, dx, dy, t = edges[2]
+    edges[2] = (x, y, dy, -dx, t)
+    broken.frame = dataclasses.replace(curve.frame, edges=tuple(edges))
+    return broken
+
+
+@pytest.mark.parametrize("pair, fault, message", [
+    # the conic's edge 3 reaches the line's vertex and runs along its ray 2
+    (2, _without_ray_2_at_vertex_0, "0 edges of B at vertex 0 run along edge 3 of A"),
+    # the conic's edge 3 starts on the line's ray 2 and runs along it
+    (0, _ray_2_turned, "edge 3 of A runs along edge 2 of B but does not overlap it"),
+])
+def test_intersect_walk_invariants_exit_4(tmp_path, capsys, monkeypatch, pair, fault, message):
+    paths = []
+    for name, scenario in zip("ab", _DEMO_PAIRS[pair]):
+        paths.append(str(tmp_path / f"{name}.trop.json"))
+        Path(paths[-1]).write_text(json.dumps(scenario))
+    assert run(capsys, "intersect", "--a", paths[0], "--b", paths[1])[0] == 0
+    # a broken curve B: the walk along an overlap finds no edge to follow, or no overlap
+    monkeypatch.setattr("tropcurve.cli.intersection_components",
+                        lambda a, b: intersection_components(a, fault(b)))
+    code, out, err = run(capsys, "intersect", "--a", paths[0], "--b", paths[1])
+    assert (code, out) == (4, "")
+    assert err == f"internal error: {message}\n"
 
 
 def test_hyperbolic_invariant_exits_4(specs, capsys, monkeypatch):

@@ -260,6 +260,27 @@ def test_region_exits_follow_region_edges_and_are_shared_by_copies():
         assert copy_of_copy.region_edges is c.region_edges
 
 
+def test_walk_order_walks_every_edge_once_from_a_placed_vertex():
+    rng = random.Random(37)
+    curves = [honeycomb(d) for d in (1, 2, 5)]
+    curves += [random_nonsingular_curve(rng, d) for d in (2, 3, 4, 6) for _ in range(3)]
+    for c in curves:
+        order = c.walk_order
+        assert sorted(eid for eid, _, _, _ in order) == list(range(len(c.edges)))
+        placed = {0}
+        for eid, start, forward, w in order:
+            e = c.edges[eid]
+            assert start in placed
+            assert start == (e.tail if forward else e.head)
+            if w >= 0:
+                assert e.bounded and w == (e.head if forward else e.tail) and w not in placed
+                placed.add(w)
+        assert placed == set(range(len(c.vertex_edges)))
+        copy = c.translated((Fraction(5, 3), Fraction(-7, 2)))
+        copy_of_copy = copy.translated((Fraction(1, 4), Fraction(2)))
+        assert copy.walk_order is order and copy_of_copy.walk_order is order
+
+
 def test_a_curve_stores_only_its_frame():
     # the construct op's calls read the frame, never the Fraction view
     rng = random.Random(17)
