@@ -39,19 +39,11 @@ def _read_spec(path: str):
         return load_spec(fh.read())
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _fmt_point(p) -> str:
     return f"({p[0]},{p[1]})"
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> tuple[dict, list[str]]:
     scen = build_scenario(_read_spec(args.spec))
     curve = scen.curve
     cycles = primitive_cycles(curve)
@@ -67,18 +59,13 @@ def _cmd_build(args) -> int:
     }
     if curve.degree is not None:
         data["complement_components"] = len(complement_components(curve))
-    if args.format == "json":
-        _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
     lines = [f"{k}: {v}" for k, v in sorted(data.items())]
     lines.append("vertex coordinates:")
-    for v in curve.vertices:
-        lines.append(f"  ({v[0]}, {v[1]})")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    lines += [f"  ({v[0]}, {v[1]})" for v in curve.vertices]
+    return data, lines
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[dict, list[str]]:
     scen = build_scenario(_read_spec(args.spec))
     curve, twists = scen.curve, scen.twists
     admissible = is_admissible(curve, twists)
@@ -96,9 +83,6 @@ def _cmd_analyze(args) -> int:
         "components_direct": direct.count,
         "kinds": sorted(c.kind for c in direct.components),
     }
-    if args.format == "json":
-        _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
     lines = [
         f"twisted edges ({data['twist_count']}): " + " ".join(data["twisted_edges"]),
         f"admissible: {admissible}",
@@ -107,8 +91,7 @@ def _cmd_analyze(args) -> int:
         f"components (matrix): {matrix_count}",
         f"components (direct): {direct.count}  [{', '.join(data['kinds'])}]",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return data, lines
 
 
 def _lift_data(comp, out):
@@ -134,16 +117,13 @@ def _lift_data(comp, out):
     return entry
 
 
-def _cmd_intersect(args) -> int:
+def _cmd_intersect(args) -> tuple[dict, list[str]]:
     sa = build_scenario(_read_spec(args.a))
     sb = build_scenario(_read_spec(args.b))
     comps = intersection_components(sa.curve, sb.curve)
     rows = [_lift_data(c, real_lift(c, sa.phase, sb.phase)) for c in comps]
     total = sum(c.multiplicity for c in comps)
     data = {"components": rows, "count": len(rows), "total_multiplicity": total}
-    if args.format == "json":
-        _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
     lines = [f"components: {len(rows)}   total multiplicity: {total}"]
     for r in rows:
         loc = f" at ({r['at'][0]}, {r['at'][1]})"
@@ -153,8 +133,7 @@ def _cmd_intersect(args) -> int:
             f"  {r['kind']}{loc} mult={r['multiplicity']} -> {r['lift']}"
             f" reals={r['reals']} pairs={r['pairs']}{extra}{poss}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return data, lines
 
 
 def _report_data(report):
@@ -170,7 +149,7 @@ def _report_data(report):
     }
 
 
-def _cmd_hyperbolic(args) -> int:
+def _cmd_hyperbolic(args) -> tuple[dict, list[str]]:
     scen = build_scenario(_read_spec(args.spec))
     curve, phase = scen.curve, scen.phase
     query = scen.query
@@ -190,17 +169,9 @@ def _cmd_hyperbolic(args) -> int:
             "failing_condition": verdict.failing_condition,
             "detail": verdict.detail,
         }
-        if args.format == "json":
-            _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)
-        else:
-            status = "hyperbolic" if verdict.hyperbolic else f"not hyperbolic (condition {verdict.failing_condition}: {verdict.detail})"
-            _emit(f"point {_fmt_point(alpha)} eps={eps}: {status}\n", args.out)
-        return 0
+        status = "hyperbolic" if verdict.hyperbolic else f"not hyperbolic (condition {verdict.failing_condition}: {verdict.detail})"
+        return data, [f"point {_fmt_point(alpha)} eps={eps}: {status}"]
     report = hyperbolicity_locus(curve, phase)
-    data = _report_data(report)
-    if args.format == "json":
-        _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
     lines = [
         f"hyperbolic: {report.hyperbolic}",
         f"kernel dim: {report.kernel_dim}",
@@ -210,19 +181,13 @@ def _cmd_hyperbolic(args) -> int:
         f"signed locus RH ({len(report.signed_locus)}): "
         + " ".join(f"{_fmt_point(a)}@{e[0]}{e[1]}" for a, e in sorted(report.signed_locus)),
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _report_data(report), lines
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> str:
     scen = build_scenario(_read_spec(args.spec))
-    locus = None
-    if args.locus:
-        report = hyperbolicity_locus(scen.curve, scen.phase)
-        locus = report.locus
-    svg = render_svg(scen.curve, phase=scen.phase, twists=scen.twists, locus=locus, delta=scen.delta)
-    _emit(svg, args.out)
-    return 0
+    locus = hyperbolicity_locus(scen.curve, scen.phase).locus if args.locus else None
+    return render_svg(scen.curve, phase=scen.phase, twists=scen.twists, locus=locus, delta=scen.delta)
 
 
 def _cmd_verify(args) -> int:
@@ -241,27 +206,29 @@ def main(argv=None) -> int:
     parser = _Parser(prog="tropcurve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
-        p.add_argument("--spec", required=True, help="scenario file (.trop.json)")
+    def command(name, help, handler, inputs=(("--spec", "scenario file (.trop.json)"),), fmt=True):
+        """A subcommand whose output ``main`` writes, with its input files,
+        --format (not for render's SVG) and --out."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for flag, text in inputs:
+            p.add_argument(flag, required=True, help=text)
         if fmt:
             p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
+        return p
 
-    common(sub.add_parser("build", help="print curve combinatorics"))
-    common(sub.add_parser("analyze", help="twists, admissibility, component counts"))
-    p = sub.add_parser("intersect", help="classify intersection components of two scenarios")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p = sub.add_parser("hyperbolic", help="hyperbolicity report or a single point verdict")
-    common(p)
+    command("build", "print curve combinatorics", _cmd_build)
+    command("analyze", "twists, admissibility, component counts", _cmd_analyze)
+    command("intersect", "classify intersection components of two scenarios", _cmd_intersect,
+            inputs=(("--a", None), ("--b", None)))
+    p = command("hyperbolic", "hyperbolicity report or a single point verdict", _cmd_hyperbolic)
     p.add_argument("--point", default=None, help='component lattice point "(i,j)"')
     p.add_argument("--eps", default=None, help="symmetry bits b,b")
-    p = sub.add_parser("render", help="emit an SVG figure")
-    common(p, fmt=False)
+    p = command("render", "emit an SVG figure", _cmd_render, fmt=False)
     p.add_argument("--locus", action="store_true", help="shade the hyperbolicity locus")
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=25)
 
@@ -269,16 +236,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help (0) or a usage error (1, see _Parser)
         return exc.code
-    handler = {
-        "build": _cmd_build,
-        "analyze": _cmd_analyze,
-        "intersect": _cmd_intersect,
-        "hyperbolic": _cmd_hyperbolic,
-        "render": _cmd_render,
-        "verify": _cmd_verify,
-    }[args.command]
     try:
-        return handler(args)
+        result = args.handler(args)
+        if args.command == "verify":  # it writes its own lines and exit code
+            return result
+        if isinstance(result, str):  # render's SVG
+            text = result
+        elif args.format == "json":
+            text = json.dumps(result[0], sort_keys=True, indent=2) + "\n"
+        else:
+            text = "\n".join(result[1]) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return 0
     except UnsupportedConfiguration as exc:
         sys.stderr.write(f"unsupported configuration: {exc}\n")
         return 2

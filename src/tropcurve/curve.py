@@ -29,7 +29,7 @@ from .geometry import (
     primitive,
     rot90,
     side_lattice_points,
-    sub_i,
+    sub,
 )
 
 # the primitive edge directions of a honeycomb, both orientations
@@ -59,12 +59,6 @@ class TropicalPolynomial:
         return tuple(sorted(ij for t, ij in terms if t == best))
 
 
-@dataclass(frozen=True)
-class SubdivisionEdge:
-    points: tuple[IVec, IVec]  # ordered so rot90(q - p) is the curve-edge direction
-    interior: bool
-
-
 class Side(NamedTuple):
     """A side of the Newton polygon: the boundary stratum of the toric
     compactification that the rays leaving along ``normal`` meet."""
@@ -79,7 +73,6 @@ class DualSubdivision:
     polygon: tuple[IVec, ...]            # hull vertices, counterclockwise
     lattice_points: tuple[IVec, ...]
     cells: tuple[tuple[IVec, IVec, IVec], ...]
-    edges: tuple[SubdivisionEdge, ...]
 
     @cached_property
     def sides(self) -> tuple[Side, ...]:
@@ -448,19 +441,18 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
     records = []
     for (a, b), cell in left.items():
         if (b, a) not in left:
-            records.append(((b, a), vertex_index[cell], None, rot90(sub_i(a, b))))
+            records.append(((b, a), vertex_index[cell], None, rot90(sub(a, b))))
         elif a < b:
-            records.append(((a, b), vertex_index[left[(b, a)]], vertex_index[cell], rot90(sub_i(b, a))))
+            records.append(((a, b), vertex_index[left[(b, a)]], vertex_index[cell], rot90(sub(b, a))))
     records.sort(key=lambda rec: (min(rec[0]), max(rec[0])))
     edges = tuple(
         Edge(idx, tail, head, direction, pair, head is not None)
         for idx, (pair, tail, head, direction) in enumerate(records)
     )
-    sub_edges = tuple(SubdivisionEdge(e.dual, e.bounded) for e in edges)
 
     degree = _simplex_degree(hull)
     dual_cells = tuple(tuple(sorted(cell)) for _, cell in placed)
-    dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells, sub_edges)
+    dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells)
     frame = IntFrame(scale, vertices, _frame_edges(edges, vertices), height)
     curve = TropicalCurve(edges, dual, degree, frame)
     _verify_curve(curve)
@@ -585,7 +577,7 @@ def _verify_curve(curve: TropicalCurve) -> None:
         if (sx, sy) != (0, 0):
             raise InvariantViolation(f"balancing fails at vertex {v}")
     for e in curve.edges:
-        dual_dir = sub_i(e.dual[1], e.dual[0])
+        dual_dir = sub(e.dual[1], e.dual[0])
         if rot90(dual_dir) != e.direction:
             raise InvariantViolation(f"edge {e.index} direction is not the dual rotation")
 

@@ -13,7 +13,8 @@ Point = tuple[Fraction, Fraction]
 IVec = tuple[int, int]
 
 
-def sub(p: Point, q) -> Point:
+def sub(p, q):
+    """p - q for points or lattice vectors."""
     return (p[0] - q[0], p[1] - q[1])
 
 
@@ -55,7 +56,7 @@ def convex_hull(points: list[IVec]) -> list[IVec]:
     def half(seq):
         out: list[IVec] = []
         for p in seq:
-            while len(out) >= 2 and det2(sub_i(out[-1], out[-2]), sub_i(p, out[-2])) <= 0:
+            while len(out) >= 2 and det2(sub(out[-1], out[-2]), sub(p, out[-2])) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -63,10 +64,6 @@ def convex_hull(points: list[IVec]) -> list[IVec]:
     lower = half(pts)
     upper = half(list(reversed(pts)))
     return lower[:-1] + upper[:-1]
-
-
-def sub_i(p: IVec, q: IVec) -> IVec:
-    return (p[0] - q[0], p[1] - q[1])
 
 
 def polygon_twice_area(hull: list[IVec]) -> int:
@@ -83,11 +80,11 @@ def point_in_hull(hull: list[IVec], p: IVec) -> bool:
     if n == 1:
         return p == hull[0]
     if n == 2:
-        u = sub_i(hull[1], hull[0])
-        w = sub_i(p, hull[0])
+        u = sub(hull[1], hull[0])
+        w = sub(p, hull[0])
         return det2(u, w) == 0 and 0 <= dot2(u, w) <= dot2(u, u)
     for i in range(n):
-        if det2(sub_i(hull[(i + 1) % n], hull[i]), sub_i(p, hull[i])) < 0:
+        if det2(sub(hull[(i + 1) % n], hull[i]), sub(p, hull[i])) < 0:
             return False
     return True
 
@@ -97,7 +94,7 @@ def point_strictly_in_hull(hull: list[IVec], p: IVec) -> bool:
     if n < 3:
         return False
     for i in range(n):
-        if det2(sub_i(hull[(i + 1) % n], hull[i]), sub_i(p, hull[i])) <= 0:
+        if det2(sub(hull[(i + 1) % n], hull[i]), sub(p, hull[i])) <= 0:
             return False
     return True
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .curve import ComplementComponent, TropicalCurve
 from .errors import InvariantViolation, NotAdmissible, NotDividing, NotHoneycomb
-from .geometry import IVec, canonical_direction, sub_i
+from .geometry import IVec, canonical_direction, sub
 from .gf2 import AffineFlat, Gf2Vector, solve_affine
 from .realstruct import (
     Eps,
@@ -190,7 +190,7 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
     groups: dict[tuple[str, int], set[int]] = {}
     for eid in curve.bounded_edges:
         p, q = curve.edges[eid].dual
-        fam = _DUAL_FAMILY[canonical_direction(sub_i(q, p))]
+        fam = _DUAL_FAMILY[canonical_direction(sub(q, p))]
         if fam == "v":
             level = p[0]
         elif fam == "h":

@@ -53,7 +53,10 @@ def parse_point_key(key: str, field: str) -> IVec:
     m = _POINT_KEY.match(key)
     if not m:
         raise ParseError(f"bad lattice point key {key!r}", field)
-    return (int(m.group(1)), int(m.group(2)))
+    try:
+        return (int(m.group(1)), int(m.group(2)))
+    except ValueError:  # a coordinate past sys.get_int_max_str_digits()
+        raise ParseError("lattice point key has a coordinate with too many digits", field) from None
 
 
 def _parse_point(value, field: str) -> IVec:
@@ -274,6 +277,10 @@ def load_spec(text: str) -> ScenarioSpec:
         data = json.loads(text, object_pairs_hook=_members)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise ParseError("invalid JSON: an integer has too many digits") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("scenario must be a JSON object")
     unknown = set(data) - {"curve", "real_structure", "second", "query"}

@@ -20,6 +20,13 @@ route: the classical restrictions on real plane curves (real-topology).
 Point location (point-location) holds the curve's int argmax and region
 points to the ``Fraction`` argmax of the polynomial and a ``Fraction``
 centroid.
+
+``CHECKS`` lists every check in run order with its seed offset and trial
+budget.  A check ``check_*(rng, trials)`` returns the detail of its pass and
+raises ``Mismatch`` where its routes disagree.  ``run_check`` is the one
+place that turns a run into a ``CheckResult``: a pass, a ``Mismatch``, or
+any other exception, which fails the check naming the exception.
+``run_all`` runs ``CHECKS`` for the CLI verify command.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .curve import (
     DualSubdivision,
     Edge,
     IntFrame,
-    SubdivisionEdge,
     TropicalCurve,
     TropicalPolynomial,
     _frame_edges,
@@ -68,7 +74,6 @@ from .geometry import (
     primitive,
     rot90,
     sub,
-    sub_i,
 )
 from .gf2 import _LINE_NORMALS, Gf2Matrix, PhaseLine, kernel
 from .hyperbolic import (
@@ -129,6 +134,10 @@ class CheckResult:
     detail: str
 
 
+class Mismatch(Exception):
+    """Raised by a check when its routes disagree; the message says where."""
+
+
 def random_nonsingular_curve(rng: random.Random, degree: int, tries: int = 300) -> TropicalCurve:
     """Random concave-dominant integer lift, rejected until non-singular."""
     for _ in range(tries):
@@ -146,13 +155,13 @@ def random_nonsingular_curve(rng: random.Random, degree: int, tries: int = 300) 
 
 def _tie_line(p: IVec, q: IVec, ap: Fraction, aq: Fraction) -> tuple[Point, IVec]:
     """Base point and direction of {X : ap + p.X = aq + q.X}."""
-    n = sub_i(p, q)
+    n = sub(p, q)
     c = aq - ap
     if n[0] != 0:
         base = (Fraction(c, n[0]), Fraction(0))
     else:
         base = (Fraction(0), Fraction(c, n[1]))
-    return base, rot90(sub_i(q, p))
+    return base, rot90(sub(q, p))
 
 
 def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
@@ -178,8 +187,8 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
             for s in support:
                 if s == p or s == q:
                     continue
-                g0 = coeffs[p] - coeffs[s] + dot2(sub_i(p, s), base)
-                g1 = dot2(sub_i(p, s), d)
+                g0 = coeffs[p] - coeffs[s] + dot2(sub(p, s), base)
+                g1 = dot2(sub(p, s), d)
                 if g1 == 0:
                     if g0 < 0:
                         feasible = False
@@ -196,7 +205,7 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
                         hi = bound
             if not feasible or (lo is not None and hi is not None and lo >= hi):
                 continue
-            if collinear_tie or primitive(sub_i(q, p)) != sub_i(q, p):
+            if collinear_tie or primitive(sub(q, p)) != sub(q, p):
                 raise SingularSubdivision(f"dual edge {p}-{q} carries weight > 1")
             dual_edges.append((p, q, base, d, lo, hi))
 
@@ -213,7 +222,7 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
                     raise SingularSubdivision(
                         f"vertex at {pt} is dual to a cell with {len(cell)} points"
                     )
-                if abs(det2(sub_i(cell[1], cell[0]), sub_i(cell[2], cell[0]))) != 1:
+                if abs(det2(sub(cell[1], cell[0]), sub(cell[2], cell[0]))) != 1:
                     raise SingularSubdivision(f"cell {cell} has Euclidean area > 1/2")
                 vertex_points[pt] = cell
 
@@ -233,7 +242,6 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
     # assemble curve edges (sorted by dual pair for determinism)
     dual_edges.sort(key=lambda rec: tuple(sorted((rec[0], rec[1]))))
     edges = []
-    sub_edges = []
     for p, q, base, d, lo, hi in dual_edges:
         if lo is not None and hi is not None:
             a = (base[0] + d[0] * lo, base[1] + d[1] * lo)
@@ -242,7 +250,6 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
             edges.append(
                 Edge(idx, vertex_index[a], vertex_index[b], primitive(d), (p, q), True)
             )
-            sub_edges.append(SubdivisionEdge((p, q), True))
         else:
             if lo is None and hi is None:
                 raise SingularSubdivision("support line without any bounding monomial")
@@ -254,7 +261,6 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
                 out_dir, dual_pair = primitive((-d[0], -d[1])), (q, p)
             idx = len(edges)
             edges.append(Edge(idx, vertex_index[anchor], None, out_dir, dual_pair, False))
-            sub_edges.append(SubdivisionEdge(dual_pair, False))
 
     # its own frame from the solved vertices: den is the lcm of every
     # coefficient and vertex-coordinate denominator
@@ -263,7 +269,7 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
     heights = {p: a.numerator * (den // a.denominator) for p, a in coeffs.items()}
     frame = IntFrame(den, verts, _frame_edges(edges, verts), heights)
     degree = _simplex_degree(hull)
-    dual = DualSubdivision(tuple(hull), tuple(lattice), cells, tuple(sub_edges))
+    dual = DualSubdivision(tuple(hull), tuple(lattice), cells)
     curve = TropicalCurve(tuple(edges), dual, degree, frame)
     _verify_curve(curve)
     return curve
@@ -1125,7 +1131,7 @@ def report_difference(got: ComponentReport, want: ComponentReport) -> str | None
     return None
 
 
-def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
+def check_component_counts(rng: random.Random, trials: int) -> str:
     """Twist-matrix count against the quadrant-model count."""
     for k in range(trials):
         d = rng.randrange(1, 6)
@@ -1133,27 +1139,22 @@ def check_component_counts(rng: random.Random, trials: int) -> CheckResult:
         delta = random_sign_distribution(rng, curve)
         twists = twists_from_signs(curve, delta)
         if not is_admissible(curve, twists):
-            return CheckResult("component-counts", False, f"trial {k}: inadmissible twist set from signs")
+            raise Mismatch(f"trial {k}: inadmissible twist set from signs")
         via_matrix = count_components_matrix(curve, twists)
         phase = phase_from_signs(curve, delta)
         rp = real_part(curve, phase)
         report = count_components_direct(rp)
         if via_matrix != report.count:
-            return CheckResult(
-                "component-counts", False,
-                f"trial {k} (d={d}): matrix {via_matrix} != model {report.count}",
-            )
+            raise Mismatch(f"trial {k} (d={d}): matrix {via_matrix} != model {report.count}")
         diff = report_difference(report, cut_scan_components(rp))
         if diff is not None:
-            return CheckResult(
-                "component-counts", False, f"trial {k} (d={d}): direct vs cut scan: {diff}"
-            )
+            raise Mismatch(f"trial {k} (d={d}): direct vs cut scan: {diff}")
         member = div_space(curve).contains(twists.vector)
         if member != is_dividing(curve, twists):
-            return CheckResult("component-counts", False, f"trial {k}: dividing test disagrees")
+            raise Mismatch(f"trial {k}: dividing test disagrees")
         if twists_from_phase(curve, phase_from_twists(curve, twists)).edges != twists.edges:
-            return CheckResult("component-counts", False, f"trial {k} (d={d}): twist round trip failed")
-    return CheckResult("component-counts", True, f"{trials} random curves")
+            raise Mismatch(f"trial {k} (d={d}): twist round trip failed")
+    return f"{trials} random curves"
 
 
 def climbing_sign_walk(rng: random.Random, curve: TropicalCurve, steps: int):
@@ -1210,7 +1211,7 @@ def real_topology_violation(degree: int, report: ComponentReport, dividing: bool
     return None
 
 
-def check_real_topology(rng: random.Random, trials: int) -> CheckResult:
+def check_real_topology(rng: random.Random, trials: int) -> str:
     """Every real scheme met on climbing sign walks, over honeycombs and
     random concave lifts of degree 1 to 7, against the classical
     restrictions on real plane curves (``real_topology_violation``): the
@@ -1226,19 +1227,14 @@ def check_real_topology(rng: random.Random, trials: int) -> CheckResult:
             problem = real_topology_violation(d, report, dividing)
             if problem is not None:
                 signs = sorted(p for p, s in delta.signs.items() if s < 0)
-                return CheckResult(
-                    "real-topology", False, f"trial {k} (d={d}): {problem}; minus signs at {signs}"
-                )
+                raise Mismatch(f"trial {k} (d={d}): {problem}; minus signs at {signs}")
             schemes += 1
             m_curves += report.count == g + 1
             dividing_sets += dividing
-    return CheckResult(
-        "real-topology", True,
-        f"{trials} sign walks, {schemes} real schemes, {m_curves} M-curves, {dividing_sets} dividing",
-    )
+    return f"{trials} sign walks, {schemes} real schemes, {m_curves} M-curves, {dividing_sets} dividing"
 
 
-def check_twist_rules(rng: random.Random, trials: int) -> CheckResult:
+def check_twist_rules(rng: random.Random, trials: int) -> str:
     """The compiled sidedness rule against the geometric one on every
     bounded edge under each valid level configuration of the lines at its
     ends, and the phase route of the twists against the sign rule, on
@@ -1256,10 +1252,7 @@ def check_twist_rules(rng: random.Random, trials: int) -> CheckResult:
             delta = random_sign_distribution(rng, curve)
             phase = phase_from_signs(curve, delta)
             if twists_from_phase(curve, phase).edges != twists_from_signs(curve, delta).edges:
-                return CheckResult(
-                    "twist-rules", False,
-                    f"trial {k}: twists_from_phase . phase_from_signs != twists_from_signs",
-                )
+                raise Mismatch(f"trial {k}: twists_from_phase . phase_from_signs != twists_from_signs")
             for eid in curve.bounded_edges:
                 e = curve.edges[eid]
                 ends = (curve.vertex_edges[e.tail], curve.vertex_edges[e.head])
@@ -1272,29 +1265,26 @@ def check_twist_rules(rng: random.Random, trials: int) -> CheckResult:
                         continue  # the lines at an end share a point
                     config = RealPhaseStructure(tuple(lines))
                     if edge_twisted(curve, config, eid) != edge_twisted_geometric(curve, config, eid):
-                        return CheckResult(
-                            "twist-rules", False,
+                        raise Mismatch(
                             f"trial {k}: edge {eid} with levels {[bits >> n & 1 for n in range(len(local))]}"
-                            f" on edges {local}",
+                            f" on edges {local}"
                         )
                     configurations += 1
     overlaps = 0
     for k in range(trials):
         for comp, phase_a, phase_b in random_overlap_configurations(rng, 8):
             if is_relatively_twisted(comp, phase_a, phase_b) != relative_twist_geometric(comp, phase_a, phase_b):
-                return CheckResult(
-                    "twist-rules", False,
-                    f"trial {k}: overlap of edges {comp.edge_a} and {comp.edge_b} between {comp.end_vertices}",
+                raise Mismatch(
+                    f"trial {k}: overlap of edges {comp.edge_a} and {comp.edge_b} between {comp.end_vertices}"
                 )
             overlaps += 1
-    return CheckResult(
-        "twist-rules", True,
+    return (
         f"{trials} honeycombs and random lifts, {configurations} edge configurations,"
-        f" {overlaps} overlap configurations",
+        f" {overlaps} overlap configurations"
     )
 
 
-def check_honeycomb_locus(rng: random.Random, trials: int) -> CheckResult:
+def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
     """Bridge criterion vs innermost oval (face and report routes) vs
     pencil sweep."""
     for k in range(trials):
@@ -1310,27 +1300,24 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> CheckResult:
         phase = phase_from_twists(curve, twists)
         report = hyperbolicity_locus(curve, phase)
         if report != locus_from_report(curve, phase):
-            return CheckResult("honeycomb-locus", False, f"trial {k} (d={d}): face and report routes differ")
+            raise Mismatch(f"trial {k} (d={d}): face and report routes differ")
         if report.locus != via_bridges:
-            return CheckResult(
-                "honeycomb-locus", False,
-                f"trial {k} (d={d}): bridges {sorted(via_bridges)} != oval {sorted(report.locus)}",
+            raise Mismatch(
+                f"trial {k} (d={d}): bridges {sorted(via_bridges)} != oval {sorted(report.locus)}"
             )
         if report.hyperbolic != bool(via_bridges):
-            return CheckResult(
-                "honeycomb-locus", False,
-                f"trial {k} (d={d}): hyperbolic={report.hyperbolic} but locus={sorted(via_bridges)}",
+            raise Mismatch(
+                f"trial {k} (d={d}): hyperbolic={report.hyperbolic} but locus={sorted(via_bridges)}"
             )
         sweep = pointwise_signed_locus(curve, phase)
         if report.signed_locus != sweep:
-            return CheckResult(
-                "honeycomb-locus", False,
-                f"trial {k} (d={d}): oval and sweep differ on {sorted(report.signed_locus ^ sweep)}",
+            raise Mismatch(
+                f"trial {k} (d={d}): oval and sweep differ on {sorted(report.signed_locus ^ sweep)}"
             )
-    return CheckResult("honeycomb-locus", True, f"{trials} random dividing twist sets")
+    return f"{trials} random dividing twist sets"
 
 
-def check_locus_routes(rng: random.Random, trials: int) -> CheckResult:
+def check_locus_routes(rng: random.Random, trials: int) -> str:
     """Innermost-oval signed locus against the component-report route and
     the pencil sweep on random lifts."""
     for k in range(trials):
@@ -1339,18 +1326,15 @@ def check_locus_routes(rng: random.Random, trials: int) -> CheckResult:
         phase = phase_from_signs(curve, random_sign_distribution(rng, curve))
         report = hyperbolicity_locus(curve, phase)
         if report != locus_from_report(curve, phase):
-            return CheckResult("locus-routes", False, f"trial {k} (d={d}): face and report routes differ")
+            raise Mismatch(f"trial {k} (d={d}): face and report routes differ")
         oval = report.signed_locus
         sweep = pointwise_signed_locus(curve, phase)
         if oval != sweep:
-            return CheckResult(
-                "locus-routes", False,
-                f"trial {k} (d={d}): oval and sweep differ on {sorted(oval ^ sweep)}",
-            )
-    return CheckResult("locus-routes", True, f"{trials} random curves")
+            raise Mismatch(f"trial {k} (d={d}): oval and sweep differ on {sorted(oval ^ sweep)}")
+    return f"{trials} random curves"
 
 
-def check_bezout(rng: random.Random, trials: int) -> CheckResult:
+def check_bezout(rng: random.Random, trials: int) -> str:
     """Sum of enumerated multiplicities against the degree product."""
     done = 0
     attempts = 0
@@ -1373,9 +1357,7 @@ def check_bezout(rng: random.Random, trials: int) -> CheckResult:
         if any(c.kind != "transverse" for c in comps):
             continue  # generic position only
         if total != da * db:
-            return CheckResult(
-                "bezout", False, f"(d={da},{db}): total {total} != {da * db}"
-            )
+            raise Mismatch(f"(d={da},{db}): total {total} != {da * db}")
         delta_a = random_sign_distribution(rng, a)
         delta_b = random_sign_distribution(rng, b)
         pa, pb = phase_from_signs(a, delta_a), phase_from_signs(b, delta_b)
@@ -1383,17 +1365,14 @@ def check_bezout(rng: random.Random, trials: int) -> CheckResult:
             out = real_lift(comp, pa, pb)
             if out.variant.startswith("forced"):
                 if (out.reals - comp.multiplicity) % 2 != 0:
-                    return CheckResult(
-                        "bezout", False,
-                        f"(d={da},{db}): parity broken on mult-{comp.multiplicity} component",
-                    )
+                    raise Mismatch(f"(d={da},{db}): parity broken on mult-{comp.multiplicity} component")
         done += 1
     if done < trials:
-        return CheckResult("bezout", False, f"only {done}/{trials} generic pairs found")
-    return CheckResult("bezout", True, f"{trials} generic pairs")
+        raise Mismatch(f"only {done}/{trials} generic pairs found")
+    return f"{trials} generic pairs"
 
 
-def check_intersection_routes(rng: random.Random, trials: int) -> CheckResult:
+def check_intersection_routes(rng: random.Random, trials: int) -> str:
     """Integer edge-pair scan against the ``Fraction`` pair scan: the same
     hits in the same order, and so the same components or refusal.
 
@@ -1416,22 +1395,20 @@ def check_intersection_routes(rng: random.Random, trials: int) -> CheckResult:
         ints = intersection_outcome(edge_hits, a, moved)
         if ints != intersection_outcome(pair_scan_intersections, a, moved):
             names = [{p: str(c) for p, c in sorted(x.poly.coefficients.items())} for x in (a, b)]
-            return CheckResult(
-                "intersection-routes", False,
+            raise Mismatch(
                 f"trial {k} ({kind}): outcomes differ on a={names[0]} b={names[1]}"
-                f" shifted by ({shift[0]}, {shift[1]})",
+                f" shifted by ({shift[0]}, {shift[1]})"
             )
         comps = ints[1]
         if type(comps) is list and any(c.kind == TRANSVERSE and c.multiplicity >= 2 for c in comps):
             multiple += 1
-    return CheckResult(
-        "intersection-routes", True,
+    return (
         f"{trials} random pairs and {len(draws) - trials} steep crossings,"
-        f" {multiple} pairs with a crossing of multiplicity >= 2",
+        f" {multiple} pairs with a crossing of multiplicity >= 2"
     )
 
 
-def check_construction(rng: random.Random, trials: int) -> CheckResult:
+def check_construction(rng: random.Random, trials: int) -> str:
     """Gift-wrap construction against the pair scan on mixed random lifts."""
     accepted = 0
     for k in range(trials):
@@ -1440,9 +1417,9 @@ def check_construction(rng: random.Random, trials: int) -> CheckResult:
         scan = construction_outcome(pair_scan_curve, poly)
         if walk != scan:
             coeffs = {p: str(a) for p, a in sorted(poly.coefficients.items())}
-            return CheckResult("construction", False, f"trial {k}: outcomes differ on {coeffs}")
+            raise Mismatch(f"trial {k}: outcomes differ on {coeffs}")
         accepted += isinstance(walk, tuple)
-    return CheckResult("construction", True, f"{trials} random lifts, {accepted} non-singular")
+    return f"{trials} random lifts, {accepted} non-singular"
 
 
 def _recession_direction(curve: TropicalCurve, alpha: IVec) -> IVec:
@@ -1454,8 +1431,8 @@ def _recession_direction(curve: TropicalCurve, alpha: IVec) -> IVec:
     normals = []
     for i in range(n):
         a, b = hull[i], hull[(i + 1) % n]
-        u = sub_i(b, a)
-        if det2(u, sub_i(alpha, a)) == 0 and 0 <= dot2(u, sub_i(alpha, a)) <= dot2(u, u):
+        u = sub(b, a)
+        if det2(u, sub(alpha, a)) == 0 and 0 <= dot2(u, sub(alpha, a)) <= dot2(u, u):
             nv = rot90(u)
             normals.append((-nv[0], -nv[1]))  # outward for a ccw hull
     if not normals:
@@ -1504,7 +1481,7 @@ def _point_queries(rng: random.Random, curve: TropicalCurve) -> list[Point]:
     return queries
 
 
-def check_point_location(rng: random.Random, trials: int) -> CheckResult:
+def check_point_location(rng: random.Random, trials: int) -> str:
     """The curve's int argmax (``TropicalCurve.argmax``, which
     ``dominating`` reads) against ``TropicalPolynomial.argmax``
     at the points ``_point_queries`` draws, and ``region_point`` against
@@ -1527,57 +1504,65 @@ def check_point_location(rng: random.Random, trials: int) -> CheckResult:
             name = {p: str(a) for p, a in sorted(curve.poly.coefficients.items())}
             for p in _point_queries(rng, curve):
                 if curve.argmax(p) != curve.poly.argmax(p):
-                    return CheckResult(
-                        "point-location", False,
+                    raise Mismatch(
                         f"trial {k}: argmax {curve.argmax(p)} != {curve.poly.argmax(p)} at ({p[0]}, {p[1]})"
-                        f" on {name}",
+                        f" on {name}"
                     )
                 queries += 1
             for alpha in curve.dual.lattice_points:
                 got, want = curve.region_point(alpha), fraction_region_point(curve, alpha)
                 if got != want:
-                    return CheckResult(
-                        "point-location", False,
-                        f"trial {k}: region point of {alpha} is {got}, not {want}, on {name}",
-                    )
+                    raise Mismatch(f"trial {k}: region point of {alpha} is {got}, not {want}, on {name}")
                 regions += 1
-    return CheckResult("point-location", True, f"{trials} trials, {queries} argmax queries, {regions} region points")
+    return f"{trials} trials, {queries} argmax queries, {regions} region points"
 
 
-def check_rank_nullity(rng: random.Random, trials: int) -> CheckResult:
+def check_rank_nullity(rng: random.Random, trials: int) -> str:
     for _ in range(trials):
         rows = rng.randrange(1, 40)
         cols = rng.randrange(1, 40)
         m = Gf2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
         ker = kernel(m)
         if m.rank() + ker.dim != cols:
-            return CheckResult("rank-nullity", False, f"{rows}x{cols} matrix")
+            raise Mismatch(f"{rows}x{cols} matrix")
         for v in ker.basis:
             if not m.mul_vector(v).is_zero:
-                return CheckResult("rank-nullity", False, "kernel vector not annihilated")
-    return CheckResult("rank-nullity", True, f"{trials} random matrices")
+                raise Mismatch("kernel vector not annihilated")
+    return f"{trials} random matrices"
+
+
+# name -> (check, seed offset, trial budget from the --trials value), in run order
+CHECKS: dict[str, tuple[Callable[[random.Random, int], str], int, Callable[[int], int]]] = {
+    "rank-nullity": (check_rank_nullity, 1, lambda t: max(t * 4, 50)),
+    "construction": (check_construction, 4, lambda t: max(t * 8, 50)),
+    "component-counts": (check_component_counts, 0, lambda t: t),
+    "twist-rules": (check_twist_rules, 7, lambda t: t),
+    "real-topology": (check_real_topology, 8, lambda t: t),
+    "honeycomb-locus": (check_honeycomb_locus, 2, lambda t: max(t // 2, 5)),
+    "locus-routes": (check_locus_routes, 5, lambda t: max(t // 2, 5)),
+    "bezout": (check_bezout, 3, lambda t: max(t // 2, 5)),
+    "intersection-routes": (check_intersection_routes, 6, lambda t: max(t // 2, 5)),
+    "point-location": (check_point_location, 9, lambda t: max(t // 2, 5)),
+}
+
+
+def run_check(name: str, rng: random.Random, trials: int) -> CheckResult:
+    """Run the check ``name`` of ``CHECKS`` on ``trials`` draws from ``rng``.
+    It passes with the detail the check returns; a ``Mismatch`` fails it
+    with its message, and any other exception fails it naming the
+    exception."""
+    check = CHECKS[name][0]
+    try:
+        return CheckResult(name, True, check(rng, trials))
+    except Mismatch as exc:
+        return CheckResult(name, False, str(exc))
+    except Exception as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
 def run_all(seed: int = 0, trials: int = 25) -> list[CheckResult]:
-    """Every check in a fixed order.  An exception raised inside a check
-    becomes that check's mismatch, naming the exception."""
-    checks = (
-        ("rank-nullity", check_rank_nullity, random.Random(seed + 1), max(trials * 4, 50)),
-        ("construction", check_construction, random.Random(seed + 4), max(trials * 8, 50)),
-        ("component-counts", check_component_counts, random.Random(seed), trials),
-        ("twist-rules", check_twist_rules, random.Random(seed + 7), trials),
-        ("real-topology", check_real_topology, random.Random(seed + 8), trials),
-        ("honeycomb-locus", check_honeycomb_locus, random.Random(seed + 2), max(trials // 2, 5)),
-        ("locus-routes", check_locus_routes, random.Random(seed + 5), max(trials // 2, 5)),
-        ("bezout", check_bezout, random.Random(seed + 3), max(trials // 2, 5)),
-        ("intersection-routes", check_intersection_routes, random.Random(seed + 6),
-         max(trials // 2, 5)),
-        ("point-location", check_point_location, random.Random(seed + 9), max(trials // 2, 5)),
-    )
-    results = []
-    for name, check, check_rng, check_trials in checks:
-        try:
-            results.append(check(check_rng, check_trials))
-        except Exception as exc:
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-    return results
+    """Every check of ``CHECKS`` in order, each on its own seeded rng."""
+    return [
+        run_check(name, random.Random(seed + offset), budget(trials))
+        for name, (_, offset, budget) in CHECKS.items()
+    ]

@@ -479,3 +479,54 @@ def test_hyperbolic_invariant_exits_4(specs, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == "internal error: hyperbolic curve must have floor(d/2) ovals\n"
+
+
+_HUGE = "1" + "0" * 5000  # past Python's 4300-digit limit on int <-> str conversion
+_HUGE_CONIC = '{"curve": {"honeycomb": %s}, "real_structure": {"signs": "all+"}}' % _HUGE
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (_HUGE_CONIC, ["build"]),
+        (_HUGE_CONIC, ["analyze"]),
+        (_HUGE_CONIC, ["intersect"]),
+        (_HUGE_CONIC, ["hyperbolic"]),
+        (_HUGE_CONIC, ["render"]),
+        ("[" * 100_000 + "]" * 100_000, ["build"]),
+        (json.dumps(dict(_CONIC, real_structure={"signs": {f"{_HUGE},0": 1}})), ["analyze"]),
+        (json.dumps(dict(_SQUARE, curve=dict(_SQUARE["curve"], coefficients={f"0,{_HUGE}": 0}))), ["build"]),
+        (json.dumps(_CONIC), ["hyperbolic", "--point", f"({_HUGE},0)"]),
+    ],
+    ids=[
+        "huge-int-build", "huge-int-analyze", "huge-int-intersect", "huge-int-hyperbolic",
+        "huge-int-render", "deep-nesting", "huge-sign-key", "huge-coefficient-key", "huge-point-flag",
+    ],
+)
+def test_oversized_input_exits_1_with_one_error_line(text, argv, tmp_path, capsys):
+    spec = tmp_path / "big.trop.json"
+    spec.write_text(text)
+    inputs = ["--a", str(spec), "--b", str(spec)] if argv[0] == "intersect" else ["--spec", str(spec)]
+    code, out, err = run(capsys, argv[0], *inputs, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_VERIFY_SEED0_TRIALS5 = """\
+rank-nullity: ok (50 random matrices)
+construction: ok (50 random lifts, 38 non-singular)
+component-counts: ok (5 random curves)
+twist-rules: ok (5 honeycombs and random lifts, 536 edge configurations, 14 overlap configurations)
+real-topology: ok (5 sign walks, 117 real schemes, 88 M-curves, 88 dividing)
+honeycomb-locus: ok (5 random dividing twist sets)
+locus-routes: ok (5 random curves)
+bezout: ok (5 generic pairs)
+intersection-routes: ok (5 random pairs and 2 steep crossings, 2 pairs with a crossing of multiplicity >= 2)
+point-location: ok (5 trials, 492 argmax queries, 145 region points)
+"""
+
+
+def test_verify_output_is_pinned(capsys):
+    # every check's draws, trial budget and detail message show in these lines
+    code, out, err = run(capsys, "verify", "--seed", "0", "--trials", "5")
+    assert (code, out, err) == (0, _VERIFY_SEED0_TRIALS5, "")

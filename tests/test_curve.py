@@ -17,15 +17,15 @@ from tropcurve import (
 )
 from tropcurve.curve import _verify_curve
 from tropcurve.errors import DegeneratePolygon, DegreeUnset, InvariantViolation, SingularSubdivision
-from tropcurve.geometry import canonical_direction, det2, rot90, sub_i
+from tropcurve.geometry import canonical_direction, det2, rot90, sub
 from tropcurve.selfcheck import (
-    check_point_location,
     construction_outcome,
     fraction_region_point,
     pair_scan_curve,
     random_lift,
     random_nonsingular_curve,
     random_sign_distribution,
+    run_check,
 )
 
 
@@ -114,7 +114,7 @@ def _check_structure(curve):
     area2 = 0
     for cell in curve.dual.cells:
         (a, b, c) = cell
-        area2 += abs(det2(sub_i(b, a), sub_i(c, a)))
+        area2 += abs(det2(sub(b, a), sub(c, a)))
     assert area2 == len(curve.dual.cells)
     assert len(curve.vertices) == len(curve.dual.cells)
     for v, incident in enumerate(curve.vertex_edges):
@@ -127,7 +127,7 @@ def _check_structure(curve):
             sy += d[1]
         assert (sx, sy) == (0, 0)
     for e in curve.edges:
-        assert rot90(sub_i(e.dual[1], e.dual[0])) == e.direction
+        assert rot90(sub(e.dual[1], e.dual[0])) == e.direction
 
 
 def test_honeycomb_invariants():
@@ -187,7 +187,7 @@ def test_primitive_cycles_counts_and_hexagons():
 def test_cycle_of_cubic_is_a_hexagon():
     # independent oracle: count dual-subdivision edges at the interior point
     c = honeycomb(3)
-    incident = [se for se in c.dual.edges if (1, 1) in se.points and se.interior]
+    incident = [e for e in c.edges if (1, 1) in e.dual and e.bounded]
     assert len(incident) == 6
     (cycle,) = primitive_cycles(c)
     assert cycle.center == (1, 1)
@@ -344,7 +344,7 @@ def test_is_honeycomb_matches_the_canonical_direction_rule():
 
 
 def test_point_location_check_passes():
-    result = check_point_location(random.Random(61), 8)
+    result = run_check("point-location", random.Random(61), 8)
     assert result.passed, result.detail
 
 
@@ -398,12 +398,6 @@ def test_region_index_matches_the_dual_edge_scan():
     curves += [random_nonsingular_curve(rng, d) for d in (2, 4, 6)]
     for curve in curves:
         for comp in complement_components(curve):
-            assert comp.boundary_edges == frozenset(
-                curve.edge_by_dual(*se.points) for se in curve.dual.edges if comp.dual_point in se.points
-            )
+            assert comp.boundary_edges == frozenset(e.index for e in curve.edges if comp.dual_point in e.dual)
         for cycle in primitive_cycles(curve):
-            assert cycle.edges == frozenset(
-                curve.edge_by_dual(*se.points)
-                for se in curve.dual.edges
-                if cycle.center in se.points and se.interior
-            )
+            assert cycle.edges == frozenset(e.index for e in curve.edges if cycle.center in e.dual and e.bounded)

@@ -42,7 +42,6 @@ from tropcurve.realstruct import _outward_direction
 from tropcurve.selfcheck import (
     INTERSECTION_SHIFTS,
     _fraction_hits,
-    check_intersection_routes,
     intersection_outcome,
     pair_scan_intersections,
     random_intersection_pair,
@@ -52,6 +51,7 @@ from tropcurve.selfcheck import (
     random_sign_distribution,
     relative_twist_geometric,
     relative_twist_signs,
+    run_check,
 )
 
 from conftest import make_line
@@ -733,12 +733,12 @@ def test_intersect_invariants_are_typed():
 
 
 def test_intersection_routes_kill_a_capped_transverse_multiplicity(monkeypatch):
-    clean = check_intersection_routes(random.Random(6), 4)
+    clean = run_check("intersection-routes", random.Random(6), 4)
     assert clean.passed, clean.detail
     assert "2 steep crossings" in clean.detail and "0 pairs" not in clean.detail
     # the pair scan's hits are marked as crossings by ``selfcheck._frame_hits``,
     # which reads the module attribute, so this is the name to patch
     monkeypatch.setattr("tropcurve.intersect.transverse_multiplicity", lambda e_dir, ep_dir: 1)
-    capped = check_intersection_routes(random.Random(6), 4)
+    capped = run_check("intersection-routes", random.Random(6), 4)
     assert not capped.passed
     assert "outcomes differ" in capped.detail

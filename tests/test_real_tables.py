@@ -337,10 +337,10 @@ def _twist_matrix_without(part):
 
 @pytest.mark.parametrize("part", ["shared", "diagonal"])
 def test_component_counts_check_kills_a_broken_twist_matrix(part, monkeypatch):
-    from tropcurve.selfcheck import check_component_counts
+    from tropcurve.selfcheck import run_check
 
     monkeypatch.setattr("tropcurve.realstruct.twist_matrix", _twist_matrix_without(part))
-    result = check_component_counts(random.Random(0), 5)
+    result = run_check("component-counts", random.Random(0), 5)
     assert not result.passed and "matrix" in result.detail, result.detail
 
 

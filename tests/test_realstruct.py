@@ -27,7 +27,6 @@ from tropcurve.errors import NotAdmissible, UnknownPoint
 from tropcurve.realstruct import EPS4, _cells, region_class
 from tropcurve.selfcheck import (
     _UnionFind,
-    check_real_topology,
     climbing_sign_walk,
     cut_scan_components,
     random_lift,
@@ -36,6 +35,7 @@ from tropcurve.selfcheck import (
     real_topology_violation,
     region_find,
     report_difference,
+    run_check,
 )
 
 from conftest import make_line
@@ -381,7 +381,7 @@ def test_direct_report_matches_cut_scan_on_deep_nests_and_many_ovals():
 
 
 def test_real_topology_check_passes_and_sees_m_curves():
-    result = check_real_topology(random.Random(3), 12)
+    result = run_check("real-topology", random.Random(3), 12)
     assert result.passed, result.detail
     schemes, m_curves = (int(result.detail.split(", ")[k].split()[0]) for k in (1, 2))
     assert m_curves >= 20 and schemes > m_curves

@@ -25,7 +25,7 @@ from tropcurve.geometry import (
     hull_lattice_points,
     point_strictly_in_hull,
     side_lattice_points,
-    sub_i,
+    sub,
 )
 from tropcurve.realstruct import _cells, region_class
 from tropcurve.selfcheck import random_lift, random_sign_distribution
@@ -170,12 +170,12 @@ def test_sides_of_other_polygons(curve):
         # outward: the polygon lies on the side's inner half-plane, and the
         # normal is perpendicular to the side
         assert all((p[0] - a[0]) * nx + (p[1] - a[1]) * ny <= 0 for p in polygon)
-        assert det2(side.normal, sub_i(b, a)) != 0 and (b[0] - a[0]) * nx + (b[1] - a[1]) * ny == 0
+        assert det2(side.normal, sub(b, a)) != 0 and (b[0] - a[0]) * nx + (b[1] - a[1]) * ny == 0
         on_line = [p for p in lattice if (p[0] - a[0]) * nx + (p[1] - a[1]) * ny == 0]
         assert sorted(side.points) == sorted(on_line)
         # counterclockwise, in unit steps from one vertex to the next
         assert side.points[0] == a and side.points[-1] == b
-        steps = {sub_i(q, p) for p, q in zip(side.points, side.points[1:])}
+        steps = {sub(q, p) for p, q in zip(side.points, side.points[1:])}
         assert len(steps) == 1 and gcd(*steps.pop()) == 1
     at = curve.dual.sides_at
     boundary = {p for p in lattice if not point_strictly_in_hull(list(polygon), p)}
