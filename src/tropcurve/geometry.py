@@ -55,10 +55,14 @@ def convex_hull(points: list[IVec]) -> list[IVec]:
 
     def half(seq):
         out: list[IVec] = []
-        for p in seq:
-            while len(out) >= 2 and det2(sub(out[-1], out[-2]), sub(p, out[-2])) <= 0:
+        for x, y in seq:
+            # pop while out[-2] -> out[-1] -> (x, y) does not turn left
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
                 out.pop()
-            out.append(p)
+            out.append((x, y))
         return out
 
     lower = half(pts)
@@ -72,21 +76,6 @@ def polygon_twice_area(hull: list[IVec]) -> int:
     for i in range(n):
         a += det2(hull[i], hull[(i + 1) % n])
     return abs(a)
-
-
-def point_in_hull(hull: list[IVec], p: IVec) -> bool:
-    """Closed containment test for a counterclockwise hull."""
-    n = len(hull)
-    if n == 1:
-        return p == hull[0]
-    if n == 2:
-        u = sub(hull[1], hull[0])
-        w = sub(p, hull[0])
-        return det2(u, w) == 0 and 0 <= dot2(u, w) <= dot2(u, u)
-    for i in range(n):
-        if det2(sub(hull[(i + 1) % n], hull[i]), sub(p, hull[i])) < 0:
-            return False
-    return True
 
 
 def point_strictly_in_hull(hull: list[IVec], p: IVec) -> bool:
@@ -106,14 +95,44 @@ def side_lattice_points(a: IVec, b: IVec) -> list[IVec]:
     return [(a[0] + t * dx // steps, a[1] + t * dy // steps) for t in range(steps + 1)]
 
 
+def hull_lattice_count(hull: list[IVec]) -> int:
+    """The number of lattice points of a counterclockwise hull, by Pick's
+    theorem: (twice-area + boundary points) / 2 + 1.  A segment counts as
+    the cycle of its two directed edges and a point as one edge of length 0."""
+    n = len(hull)
+    boundary = sum(
+        gcd(hull[(i + 1) % n][0] - hull[i][0], hull[(i + 1) % n][1] - hull[i][1]) for i in range(n)
+    )
+    return (polygon_twice_area(hull) + boundary) // 2 + 1
+
+
 def hull_lattice_points(hull: list[IVec]) -> list[IVec]:
+    """The lattice points of a counterclockwise hull, sorted.
+
+    Column x of a polygon runs from the highest lower bound to the lowest
+    upper bound that its half-planes det(q - p, z - p) >= 0 put on y there:
+    an edge p -> q heading right (ux > 0) bounds y from below at
+    py + ceil(uy (x - px) / ux), one heading left from above at
+    py + floor(uy (x - px) / ux), and a vertical edge only bounds x."""
+    n = len(hull)
+    if n == 1:
+        return list(hull)
+    if n == 2:
+        return side_lattice_points(*sorted(hull))
+    lower, upper = [], []
+    for i, (px, py) in enumerate(hull):
+        qx, qy = hull[(i + 1) % n]
+        ux, uy = qx - px, qy - py
+        if ux > 0:
+            lower.append((px, py, ux, uy))
+        elif ux < 0:
+            upper.append((px, py, -ux, uy))
     xs = [p[0] for p in hull]
-    ys = [p[1] for p in hull]
     out = []
     for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if point_in_hull(hull, (x, y)):
-                out.append((x, y))
+        lo = max(py - (uy * (px - x)) // w for px, py, w, uy in lower)
+        hi = min(py + (uy * (px - x)) // w for px, py, w, uy in upper)
+        out.extend((x, y) for y in range(lo, hi + 1))
     return out
 
 

@@ -17,8 +17,11 @@ S = AB + AC + BC, the squash is (u/s, v/s) = (AC/S, AB/S).  Its copy in
 quadrant eps is at x = 600 + 130u/s (eps0 = 0) or 600 - 130u/s (eps0 = 1)
 and y = 140 - 130v/s (eps1 = 0) or 140 + 130v/s (eps1 = 1); with
 q, r = divmod(1300000 * u, s), 10^4 times the rounded x is 6000000 + q or
-6000000 - q - (r > 0), and y likewise from v.  Locus shading clips the
-frame box on homogeneous int triples.
+6000000 - q - (r > 0), and y likewise from v.  Each vertex is squashed
+once, and every edge that ends there reads its decimals; a bounded edge's
+interior samples step from its tail by (head - tail)/8, an exact int step
+on this frame.  Locus shading clips the frame box on homogeneous int
+triples.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from fractions import Fraction
 from math import gcd
 
 from .curve import TropicalCurve, TropicalPolynomial, curve_from_polynomial, honeycomb
-from .errors import ParseError, ValidationError
-from .geometry import IVec, convex_hull, hull_lattice_points
+from .errors import InvariantViolation, ParseError, ValidationError
+from .geometry import IVec, convex_hull, hull_lattice_count, hull_lattice_points
 from .gf2 import PhaseLine
 from .realstruct import (
     EPS4,
@@ -44,6 +47,10 @@ from .realstruct import (
     twists_from_phase,
     twists_from_signs,
 )
+
+# the lattice points of honeycomb(100): a scenario curve whose Newton polygon
+# has more is refused before any of them is listed
+MAX_LATTICE_POINTS = 5151
 
 _POINT_KEY = re.compile(r"^\(?\s*(-?\d+)\s*,\s*(-?\d+)\s*\)?$")
 
@@ -150,15 +157,20 @@ class Scenario:
     query: tuple[IVec, tuple[int, int]] | None = None
 
 
-def _curve_lattice_points(curve_data: dict) -> list[IVec]:
-    if "honeycomb" in curve_data:
-        d = curve_data["honeycomb"]
-        return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
-    support = [tuple(p) for p in curve_data["support"]]
-    return hull_lattice_points(convex_hull(support))
+def _check_size(count: int, field: str) -> None:
+    if count > MAX_LATTICE_POINTS:
+        try:
+            shown = str(count)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            shown = "too many"
+        raise ValidationError(
+            f"the Newton polygon has {shown} lattice points, more than the cap of {MAX_LATTICE_POINTS}", field
+        )
 
 
-def _normalize_curve(data, field: str) -> dict:
+def _normalize_curve(data, field: str) -> tuple[dict, list[IVec]]:
+    """The normalized curve and the lattice points of its Newton polygon,
+    counted before they are listed."""
     if not isinstance(data, dict):
         raise ParseError("curve must be an object", field)
     if "honeycomb" in data:
@@ -167,7 +179,8 @@ def _normalize_curve(data, field: str) -> dict:
             raise ValidationError("honeycomb degree must be a positive integer", field)
         if len(data) != 1:
             raise ValidationError("honeycomb curves take no further fields", field)
-        return {"honeycomb": d}
+        _check_size((d + 1) * (d + 2) // 2, field)
+        return {"honeycomb": d}, [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
     if "support" not in data or "coefficients" not in data:
         raise ParseError("curve needs either 'honeycomb' or 'support'+'coefficients'", field)
     if not (isinstance(data["support"], list) and data["support"]):
@@ -178,6 +191,8 @@ def _normalize_curve(data, field: str) -> dict:
     support = sorted(points)
     if any(c < 0 for p in support for c in p):
         raise ValidationError("support points must have nonnegative coordinates", field)
+    hull = convex_hull(support)
+    _check_size(hull_lattice_count(hull), field)
     coeffs, named = {}, {}
     for key, value in data["coefficients"].items():
         pt = parse_point_key(key, f"{field}.coefficients")
@@ -189,13 +204,14 @@ def _normalize_curve(data, field: str) -> dict:
     extra = coeffs.keys() - points
     if extra:
         raise ValidationError(f"coefficients given outside the support: {sorted(extra)}", field)
-    return {
+    curve = {
         "support": [list(p) for p in support],
         "coefficients": {f"{p[0]},{p[1]}": _format_rational(coeffs[p]) for p in support},
     }
+    return curve, hull_lattice_points(hull)
 
 
-def _normalize_structure(data, curve_data: dict, field: str) -> dict:
+def _normalize_structure(data, lattice: list[IVec], field: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError("real_structure must be an object", field)
     kinds = [k for k in ("signs", "twists", "phase") if k in data]
@@ -206,7 +222,6 @@ def _normalize_structure(data, curve_data: dict, field: str) -> dict:
     kind = kinds[0]
     if set(data) != {kind}:
         raise ParseError(f"unknown fields in real_structure: {sorted(set(data) - {kind})}", field)
-    lattice = _curve_lattice_points(curve_data)
     if kind == "signs":
         signs = data["signs"]
         if signs == "all+":
@@ -290,18 +305,18 @@ def load_spec(text: str) -> ScenarioSpec:
         raise ParseError("scenario needs a 'curve'", "curve")
     if "real_structure" not in data:
         raise ParseError("scenario needs a 'real_structure'", "real_structure")
-    curve = _normalize_curve(data["curve"], "curve")
-    structure = _normalize_structure(data["real_structure"], curve, "real_structure")
+    curve, lattice = _normalize_curve(data["curve"], "curve")
+    structure = _normalize_structure(data["real_structure"], lattice, "real_structure")
     second = None
     if data.get("second") is not None:
         sec = data["second"]
         if not isinstance(sec, dict) or "curve" not in sec or "real_structure" not in sec:
             raise ParseError("'second' needs its own curve and real_structure", "second")
-        sec_curve = _normalize_curve(sec["curve"], "second.curve")
+        sec_curve, sec_lattice = _normalize_curve(sec["curve"], "second.curve")
         second = {
             "curve": sec_curve,
             "real_structure": _normalize_structure(
-                sec["real_structure"], sec_curve, "second.real_structure"
+                sec["real_structure"], sec_lattice, "second.real_structure"
             ),
         }
     query = None
@@ -404,7 +419,15 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
 # A figure coordinate is an exact rational kept as two ints, num/den with
 # den > 0; a mapped point is the triple (x_num, y_num, den).  It is written
 # as the whole part of n = floor(10^4 * num / den) and the decimal suffix of
-# n mod 10^4, read from one table.
+# n mod 10^4, read from one table.  Where a coordinate is nonnegative by
+# construction (the lattice points of panel 1, the vertices of panel 2 and
+# every point of panel 3), render_svg writes n from its closed form inline.
+#
+# Panel 3 squashes each vertex once into a table of its quadrant decimals.
+# A bounded edge adds its 7 interior samples tail + k * (head - tail)/8,
+# k = 1..7, and a ray its 6 finite samples tail + t * direction, t = 1, 2,
+# 4, 8, 16, 64 (in affine units, den on this frame), then its exact limit
+# on the triangle's boundary.  Every copy of an edge is one polyline.
 
 _SUFFIXES: list[str] = []
 
@@ -458,7 +481,7 @@ def _ray_limit(a: int, b: int, den: int, direction: IVec) -> tuple[int, int, int
         if c >= 0:
             return den, den + c, 2 * den + c
         return den - c, den, 2 * den - c
-    raise ValueError(f"ray direction {direction} does not reach the boundary")
+    raise InvariantViolation(f"ray direction {direction} does not reach the boundary")
 
 
 def _quadrant_decimals(u: int, v: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -470,6 +493,29 @@ def _quadrant_decimals(u: int, v: int, s: int) -> tuple[tuple[int, int], tuple[i
     xs = (6_000_000 + q, 6_000_000 - q - (r > 0))
     q, r = divmod(1_300_000 * v, s)
     return xs, (1_400_000 - q - (r > 0), 1_400_000 + q)
+
+
+# the interior samples of a bounded edge, at k/8 of the way from tail to
+# head, and the finite samples of a ray, at t units along its direction
+_EDGE_STEPS = range(1, 8)
+_RAY_STEPS = (1, 2, 4, 8, 16, 64)
+
+
+def _sample_decimals(a: int, b: int, sa: int, sb: int, steps, den: int) -> list:
+    """``_quadrant_decimals(*_triangle_point(a + t*sa, b + t*sb, den))`` for
+    every t in steps, with both closed forms inlined."""
+    out = []
+    for t in steps:
+        x, y = a + t * sa, b + t * sb
+        big = x if x > y else y
+        big = den + big if big > 0 else den
+        bx, by = big - x, big - y
+        ab, ac = big * bx, big * by
+        s = ab + ac + bx * by
+        q, r = divmod(1_300_000 * ac, s)
+        p, w = divmod(1_300_000 * ab, s)
+        out.append(((6_000_000 + q, 6_000_000 - q - (r > 0)), (1_400_000 - p - (w > 0), 1_400_000 + p)))
+    return out
 
 
 def _quadrant_points(decimals, eps) -> str:
@@ -544,21 +590,32 @@ def render_svg(
     x0, x1, y0, y1 = min(xs) - 2 * den, max(xs) + 2 * den, min(ys) - 2 * den, max(ys) + 2 * den
     span = max(x1 - x0, y1 - y0)
 
-    # panel 1: dual subdivision, the largest i + j at 120px
+    suffix = _SUFFIXES or _suffixes()
+
+    # panel 1: dual subdivision, the largest i + j at 120px.  Lattice points
+    # are nonnegative (TropicalPolynomial refuses others), so every figure
+    # coordinate here is nonnegative and 10^4 times it is one floor division.
     parts.append('<g id="dual" transform="translate(20,20)">')
     maxsum = max(1, max(p[0] + p[1] for p in curve.dual.lattice_points))
-    lattice = {
-        p: (_fmt(120 * p[0], maxsum), _fmt(140 * maxsum - 120 * p[1], maxsum)) for p in curve.dual.lattice_points
-    }
-    for cell in curve.dual.cells:
-        points = " ".join(",".join(lattice[p]) for p in cell)
-        parts.append(f'<polygon points="{points}" fill="#f6f2e8" stroke="#777" stroke-width="0.8"/>')
-    for p, (cx, cy) in lattice.items():
-        parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.4" fill="#333"/>')
-        if delta is not None:
+    lattice = {}
+    dots = []
+    for p in curve.dual.lattice_points:
+        x = 1_200_000 * p[0] // maxsum
+        y = (1_400_000 * maxsum - 1_200_000 * p[1]) // maxsum
+        cx, cy = f"{x // 10_000}{suffix[x % 10_000]}", f"{y // 10_000}{suffix[y % 10_000]}"
+        lattice[p] = f"{cx},{cy}"
+        dots.append(f'<circle cx="{cx}" cy="{cy}" r="2.4" fill="#333"/>')
+        if delta is not None:  # the label sits 4px right of and above the dot
             label = "+" if delta.signs[p] > 0 else "−"
-            x, y = _fmt(120 * p[0] + 4 * maxsum, maxsum), _fmt(136 * maxsum - 120 * p[1], maxsum)
-            parts.append(f'<text x="{x}" y="{y}" font-size="9">{label}</text>')
+            x, y = x + 40_000, y - 40_000
+            dots.append(
+                f'<text x="{x // 10_000}{suffix[x % 10_000]}" y="{y // 10_000}{suffix[y % 10_000]}"'
+                f' font-size="9">{label}</text>'
+            )
+    for cell in curve.dual.cells:
+        points = " ".join([lattice[p] for p in cell])
+        parts.append(f'<polygon points="{points}" fill="#f6f2e8" stroke="#777" stroke-width="0.8"/>')
+    parts.extend(dots)
     parts.append("</g>")
 
     # panel 2: affine curve, the frame box scaled to 220px
@@ -577,11 +634,19 @@ def render_svg(
                 points = " ".join(_pt(*amap(x, y, w)) for x, y, w in region)
                 parts.append(f'<polygon points="{points}" fill="#cfe6ff" stroke="none"/>')
         parts.append("</g>")
-    vertex_xy = [(_fmt(x, d), _fmt(y, d)) for x, y, d in (amap(a, b) for a, b in verts)]
+    # amap of a vertex, which lies at least 2 units inside the frame box
+    vertex_xy = []
+    dots = []
+    for a, b in verts:
+        x = 2_000_000 + 2_200_000 * (a - x0) // span
+        y = 200_000 + 2_200_000 * (y1 - b) // span
+        cx, cy = f"{x // 10_000}{suffix[x % 10_000]}", f"{y // 10_000}{suffix[y % 10_000]}"
+        vertex_xy.append(f"{cx},{cy}")
+        dots.append(f'<circle cx="{cx}" cy="{cy}" r="1.8" fill="#000"/>')
     for e in curve.edges:
-        start = ",".join(vertex_xy[e.tail])
+        start = vertex_xy[e.tail]
         if e.bounded:
-            end = ",".join(vertex_xy[e.head])
+            end = vertex_xy[e.head]
         else:
             # the ray leaves the box (margin 2) at parameter n/k, in units of 1/den
             a, b = verts[e.tail]
@@ -604,8 +669,7 @@ def render_svg(
             x, y, d = amap((a + ha) // 2, (b + hb) // 2)
             parts.append(f'<circle cx="{_fmt(x, d)}" cy="{_fmt(y, d)}" r="3.2" fill="#1f6fbf"/>')
         parts.append("</g>")
-    for cx, cy in vertex_xy:
-        parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.8" fill="#000"/>')
+    parts.extend(dots)
     parts.append("</g>")
 
     # panel 3: four-quadrant real part on the diamond model
@@ -617,20 +681,23 @@ def render_svg(
         )
     # mirror copies need the projective compactification, so a degree
     if phase is not None and curve.degree is not None:
+        at_vertex = [_quadrant_decimals(*_triangle_point(a, b, den)) for a, b in verts]
         for e in curve.edges:
             a, b = verts[e.tail]
             if e.bounded:
                 ha, hb = verts[e.head]
-                samples = [
-                    _triangle_point(a + (ha - a) * k // 8, b + (hb - b) * k // 8, den) for k in range(9)
+                decimals = [
+                    at_vertex[e.tail],
+                    *_sample_decimals(a, b, (ha - a) // 8, (hb - b) // 8, _EDGE_STEPS, den),
+                    at_vertex[e.head],
                 ]
             else:
                 dx, dy = e.direction
-                samples = [
-                    _triangle_point(a + dx * t * den, b + dy * t * den, den) for t in (0, 1, 2, 4, 8, 16, 64)
+                decimals = [
+                    at_vertex[e.tail],
+                    *_sample_decimals(a, b, dx * den, dy * den, _RAY_STEPS, den),
+                    _quadrant_decimals(*_ray_limit(a, b, den, e.direction)),
                 ]
-                samples.append(_ray_limit(a, b, den, e.direction))
-            decimals = [_quadrant_decimals(u, v, s) for u, v, s in samples]
             for eps in sorted(phase.lines[e.index].elements):
                 points = _quadrant_points(decimals, eps)
                 parts.append(f'<polyline points="{points}" fill="none" stroke="#b03030" stroke-width="1.2"/>')

@@ -11,7 +11,7 @@ import pytest
 
 from tropcurve import intersection_components
 from tropcurve.cli import main
-from tropcurve.errors import UnsupportedConfiguration
+from tropcurve.errors import UnsupportedConfiguration, ValidationError
 from tropcurve.io_render import build_scenario, load_spec
 from tropcurve.realstruct import _face_tree
 
@@ -510,6 +510,41 @@ def test_oversized_input_exits_1_with_one_error_line(text, argv, tmp_path, capsy
     code, out, err = run(capsys, argv[0], *inputs, *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _triangle_support(n):
+    corners = [[0, 0], [n, 0], [0, n]]
+    return {"support": corners, "coefficients": {f"{i},{j}": 0 for i, j in corners}}
+
+
+@pytest.mark.parametrize(
+    "text, field, count",
+    [
+        (json.dumps(dict(_CONIC, curve={"honeycomb": 100_000})), "curve", "5000150001"),
+        (json.dumps(dict(_CONIC, curve=_triangle_support(10**6))), "curve", "500001500001"),
+        (json.dumps(dict(_CONIC, curve={"honeycomb": 10**4000})), "curve", "too many"),
+        (json.dumps(dict(_CONIC, second=dict(_CONIC, curve={"honeycomb": 101}))), "second.curve", "5253"),
+    ],
+    ids=["honeycomb-100000", "support-triangle-10^6", "honeycomb-4001-digits", "second-honeycomb-101"],
+)
+def test_oversized_newton_polygon_exits_1_with_one_error_line(text, field, count, tmp_path, capsys):
+    spec = tmp_path / "big.trop.json"
+    spec.write_text(text)
+    code, out, err = run(capsys, "build", "--spec", str(spec))
+    assert (code, out) == (1, "")
+    assert err == f"error: {field}: the Newton polygon has {count} lattice points, more than the cap of 5151\n"
+
+
+def test_the_lattice_point_cap_admits_honeycomb_100():
+    spec = load_spec(json.dumps(dict(_CONIC, curve={"honeycomb": 100})))
+    assert len(spec.real_structure["signs"]) == 5151
+    # the 100-triangle has 5151 points too, and any polygon with one more is refused
+    load_spec(json.dumps(dict(_CONIC, curve=_triangle_support(100))))
+    wide = _triangle_support(100)
+    wide["support"].append([101, 0])
+    wide["coefficients"]["101,0"] = 0
+    with pytest.raises(ValidationError, match="has 5152 lattice points"):
+        load_spec(json.dumps(dict(_CONIC, curve=wide)))
 
 
 _VERIFY_SEED0_TRIALS5 = """\

@@ -22,7 +22,7 @@ from tropcurve import (
     save_spec,
     twists_from_signs,
 )
-from tropcurve.errors import ParseError, TropcurveError, ValidationError
+from tropcurve.errors import InvariantViolation, ParseError, TropcurveError, ValidationError
 from tropcurve.selfcheck import pair_scan_curve, random_lift, random_sign_distribution
 
 
@@ -368,6 +368,28 @@ def test_integer_squash_and_ray_limits_match_fraction_definitions(x, y, extra):
         for direction in ((-1, 0), (0, -1), (1, 1)):
             u, v, s = _ray_limit(i, j, den, direction)
             assert s > 0 and (Fraction(u, s), Fraction(v, s)) == _ray_limit_reference(p, q, direction)
+
+
+def test_a_ray_that_misses_the_boundary_is_an_invariant_violation():
+    from tropcurve.io_render import _ray_limit
+
+    with pytest.raises(InvariantViolation, match=r"ray direction \(1, 0\) does not reach the boundary"):
+        _ray_limit(0, 0, 8, (1, 0))
+
+
+@seed(6)
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    a=st.integers(-10**4, 10**4), b=st.integers(-10**4, 10**4),
+    sa=st.integers(-10**3, 10**3), sb=st.integers(-10**3, 10**3), den=st.integers(1, 10**3),
+)
+@example(a=-16, b=-16, sa=8, sb=8, den=8)  # crosses the origin: max(0, x, y) changes branch
+def test_sample_decimals_match_the_squash_and_quadrant_closed_forms(a, b, sa, sb, den):
+    from tropcurve.io_render import _EDGE_STEPS, _RAY_STEPS, _quadrant_decimals, _sample_decimals, _triangle_point
+
+    for steps in (_EDGE_STEPS, _RAY_STEPS):
+        expected = [_quadrant_decimals(*_triangle_point(a + t * sa, b + t * sb, den)) for t in steps]
+        assert _sample_decimals(a, b, sa, sb, steps, den) == expected
 
 
 @seed(6)

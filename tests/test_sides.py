@@ -21,7 +21,10 @@ from tropcurve import (
 )
 from tropcurve.errors import DegeneratePolygon, DegreeUnset, SingularSubdivision
 from tropcurve.geometry import (
+    convex_hull,
     det2,
+    dot2,
+    hull_lattice_count,
     hull_lattice_points,
     point_strictly_in_hull,
     side_lattice_points,
@@ -190,3 +193,48 @@ def test_side_lattice_points_walk_the_segment():
         pts = side_lattice_points(a, b)
         assert pts[0] == a and pts[-1] == b
         assert len(pts) == len(set(pts)) and set(pts) == set(hull_lattice_points([a, b]))
+
+
+def _in_hull_reference(hull, p):
+    """Closed containment in a counterclockwise hull: the test the column
+    enumeration replaced."""
+    n = len(hull)
+    if n == 1:
+        return p == hull[0]
+    if n == 2:
+        u, w = sub(hull[1], hull[0]), sub(p, hull[0])
+        return det2(u, w) == 0 and 0 <= dot2(u, w) <= dot2(u, u)
+    return all(det2(sub(hull[(i + 1) % n], hull[i]), sub(p, hull[i])) >= 0 for i in range(n))
+
+
+def _random_hull_points(rng):
+    """A point, a segment or a polygon's points, anywhere in the plane."""
+    cx, cy = rng.randint(-40, 40), rng.randint(-40, 40)
+    kind = rng.choice(["point", "segment", "polygon", "polygon"])
+    if kind == "point":
+        return [(cx, cy)]
+    if kind == "segment":
+        dx, dy = rng.randint(-6, 6), rng.randint(-6, 6)
+        return [(cx + dx * t, cy + dy * t) for t in rng.sample(range(-4, 5), rng.randint(2, 4))]
+    r = rng.randint(1, 15)
+    return [(cx + rng.randint(-r, r), cy + rng.randint(-r, r)) for _ in range(rng.randint(3, 8))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hull_lattice_points_by_column_match_the_bounding_box_scan(seed):
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(400):
+        hull = convex_hull(_random_hull_points(rng))
+        kinds.add(min(len(hull), 3))
+        xs, ys = [p[0] for p in hull], [p[1] for p in hull]
+        box = [
+            (x, y)
+            for x in range(min(xs), max(xs) + 1)
+            for y in range(min(ys), max(ys) + 1)
+            if _in_hull_reference(hull, (x, y))
+        ]
+        points = hull_lattice_points(hull)
+        assert points == box, hull
+        assert len(points) == hull_lattice_count(hull), hull
+    assert kinds == {1, 2, 3}
