@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, update_wrapper
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple
@@ -184,15 +184,45 @@ def _frame_edges(edges, verts):
     return tuple(out)
 
 
+class curve_table:
+    """A table derived from a curve's combinatorics: ``build(curve)`` runs
+    on the first read for the curve, and the table is kept in the curve's
+    store ``curve._tables`` under the builder's name.  A translated copy
+    shares its curve's store, so the table is built once for the curve and
+    all its copies, by whichever of them reads it first.
+
+    On a ``TropicalCurve`` method it reads as an attribute
+    (``curve.region_exits``); on a module function or class it reads as a
+    call (``_base(curve)``).  Builder names are unique across the package.
+    """
+
+    def __init__(self, build):
+        update_wrapper(self, build, updated=())
+        self.build = build
+
+    def __call__(self, curve: "TropicalCurve"):
+        tables = curve._tables
+        try:
+            return tables[self.__name__]
+        except KeyError:
+            table = tables[self.__name__] = self.build(curve)
+            return table
+
+    def __get__(self, curve, owner=None):
+        return self if curve is None else self(curve)
+
+
 class TropicalCurve:
     """Vertices, edges and dual subdivision of a non-singular curve.
 
     Instances are immutable in practice; comparison is by identity.  The
     integer frame (``frame``) is the only coordinates a curve stores: the
     ``Fraction`` coefficients (``poly``) and vertices (``vertices``) are
-    read off it on first use.  Structure derived from the curve (the
-    region index, the primitive cycles, realstruct's rule tables) is built
-    once, on first use.
+    read off it on first use, per copy.  Every table derived from the
+    combinatorics (the region index and exits, the walk order, the
+    primitive cycles, the dual-edge index, realstruct's rule tables) is a
+    ``curve_table``, built once on first use into the store ``_tables``
+    that translated copies share.
     """
 
     def __init__(self, edges, dual, degree, frame: IntFrame):
@@ -210,14 +240,12 @@ class TropicalCurve:
         self.bounded_index: dict[int, int] = {eid: k for k, eid in enumerate(self.bounded_edges)}
         # edge directions are primitive, so no canonical form is needed
         self._honeycomb = all(e.direction in _HONEYCOMB_DIRECTIONS for e in edges)
-        self._edge_by_dual = {frozenset(e.dual): e.index for e in edges}
         # dual cell of each vertex, aligned by construction
         self.vertex_cell: tuple[tuple[IVec, IVec, IVec], ...] = dual.cells
-        # realstruct's per-curve rule tables, one piece per route, each
-        # built on first use; translated copies share the dict
-        self._real_tables: dict = {}
+        # the curve_table store; copy.copy shares it with translated copies
+        self._tables: dict = {}
 
-    # -- coordinates and derived structure, each built on first use ------
+    # -- coordinates, per copy, and derived tables, each built on first use
 
     @cached_property
     def poly(self) -> TropicalPolynomial:
@@ -229,7 +257,7 @@ class TropicalCurve:
         den = self.frame.den
         return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.frame.vertices)
 
-    @cached_property
+    @curve_table
     def region_edges(self) -> dict[IVec, tuple[int, ...]]:
         """Lattice point -> ids of the edges whose dual contains it: the
         boundary of its complement component, in edge order."""
@@ -239,7 +267,7 @@ class TropicalCurve:
             index[e.dual[1]].append(e.index)
         return {alpha: tuple(eids) for alpha, eids in index.items()}
 
-    @cached_property
+    @curve_table
     def region_exits(self) -> dict[IVec, tuple[tuple[int, int, int], ...]]:
         """Lattice point alpha -> (eid, bx, by) for each edge of
         ``region_edges[alpha]``, in its order, with (bx, by) = beta - alpha
@@ -256,7 +284,7 @@ class TropicalCurve:
             exits[alpha] = tuple(row)
         return exits
 
-    @cached_property
+    @curve_table
     def walk_order(self) -> tuple[tuple[int, int, bool, int], ...]:
         """(eid, start, forward, placed) for every edge, in the order
         ``intersect.edge_hits`` walks them: depth first from vertex 0, by a
@@ -289,7 +317,7 @@ class TropicalCurve:
                 order.append((eid, v, e.tail == v, w))
         return tuple(order)
 
-    @cached_property
+    @curve_table
     def _cycles(self) -> tuple[PrimitiveCycle, ...]:
         """The primitive cycles, checked once; ``primitive_cycles`` reads
         them.  The cycle around an interior lattice point is every edge of
@@ -302,6 +330,11 @@ class TropicalCurve:
                 _check_cycle(self, eids, alpha)
                 cycles.append(PrimitiveCycle(alpha, eids))
         return tuple(cycles)
+
+    @curve_table
+    def _edge_by_dual(self) -> dict[frozenset[IVec], int]:
+        """Dual edge {p, q} -> the id of its edge; ``edge_by_dual`` reads it."""
+        return {frozenset(e.dual): e.index for e in self.edges}
 
     # -- basic queries -------------------------------------------------
 
@@ -389,20 +422,16 @@ class TropicalCurve:
         raise InvariantViolation(f"could not sample the unbounded region of {alpha}")
 
     def translated(self, offset: Point) -> "TropicalCurve":
-        """The curve moved by ``offset``.  Only the frame moves, on ints;
-        the copy shares the combinatorial structure and what is cached
-        from it, and reads its own ``Fraction`` coefficients and vertices
-        off the moved frame on first use (intersecting two curves needs
-        only their frames)."""
+        """The curve moved by ``offset``.  Only the frame moves, on ints,
+        and nothing is built: the copy shares the combinatorial structure
+        and the table store, and reads its own ``Fraction`` coefficients
+        and vertices off the moved frame on first use (intersecting two
+        curves needs only their frames)."""
         frame = self.frame.translated((Fraction(offset[0]), Fraction(offset[1])))
         moved = copy.copy(self)
         for name in ("poly", "vertices"):
             vars(moved).pop(name, None)
         moved.frame = frame
-        # one index for the curve and all its copies
-        moved.region_edges = self.region_edges
-        moved.region_exits = self.region_exits
-        moved.walk_order = self.walk_order
         return moved
 
 

@@ -98,10 +98,10 @@ def hyperbolic_wrt_point(
     twist-matrix kernel dimension is not ceil(d/2)-1, and 3 when the copy
     lies outside the innermost oval."""
     d = curve.require_degree()
-    report = hyperbolicity_locus(curve, phase)
     alpha = component.dual_point if isinstance(component, ComplementComponent) else component
     if alpha not in curve.dual.lattice_points:
         raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
+    report = hyperbolicity_locus(curve, phase)
     eps = (eps[0] & 1, eps[1] & 1)
     copy = _cells(curve).region_class[(alpha, eps)]
     if copy in report.signed_locus:

@@ -13,7 +13,7 @@ regions along it are the lattice points of the side.  Components, ovals
 and nesting are read off one labelling of the faces of that cell
 structure, the complement of the real part: the faces form a tree whose
 edges are the ovals (``_face_tree``, which reads the curve's compiled
-``_face_plan``).  ``count_components_direct`` builds the whole component
+cell model ``_cells``).  ``count_components_direct`` builds the whole component
 report from it; the hyperbolicity locus reads one face of it.  The count
 1 + dim ker A_T, the dimension being cols - rank, is computed
 independently from the twist matrix so the two routes can be checked
@@ -21,14 +21,15 @@ against each other.  Two cycles share at most one edge, so A_T takes one
 popcount per cycle for its diagonal and one bit test per edge of the
 per-curve table of shared edges (``_cycle_rows``) for the rest.
 
-Each curve compiles its rules once into int tables (``curve._real_tables``),
-one piece per route, built on the route's first call (``_piece``) and
-shared by the curve's translated copies.  A phase structure is read as one level bit
-per edge, since the curve fixes each edge's direction class, and a sign
-distribution as one bit per lattice point; conversions, twist solving
-and the cell model are then popcounts and XORs over those bits.  A route
-builds only the pieces it reads, and each piece reads the curve once per
-vertex, edge or side point, not once per edge end through helper calls:
+Each curve compiles its rules once into int tables, one per route,
+each a ``curve_table``: built on the route's first call into the curve's
+table store, which its translated copies share.  A phase structure is
+read as one level bit per edge, since the curve fixes each edge's
+direction class, and a sign distribution as one bit per lattice point;
+conversions, twist solving and the cell model are then popcounts and
+XORs over those bits.  A route builds only the tables it reads, and each
+table reads the curve once per vertex, edge or side point, not once per
+edge end through helper calls:
 
 - ``_base`` (every route): the lattice index, each edge's dual indices
   and direction class, each vertex's incident edges;
@@ -39,10 +40,9 @@ vertex, edge or side point, not once per edge end through helper calls:
 - ``_side_rule`` (phase to twists): two ends per bounded edge;
 - ``_cycle_rows`` (admissible, dividing, the twist matrix): per edge of
   each primitive cycle;
-- ``_cells`` (component reports, the locus, point queries): per edge,
-  vertex and side point, its key tables on first read;
-- ``_face_plan`` (drawn copies, the face labelling): one row per edge,
-  read off ``_cells``.
+- ``_cells`` (drawn copies, component reports, the locus, point
+  queries): per edge, vertex and side point, with one row per edge for
+  the face labelling, and its key tables on first read.
 
 Production routes: twisted edges come from signs by the sign rule and
 from a phase structure by the compiled sidedness rule: one (edge, side)
@@ -64,11 +64,11 @@ witness atoms) are oracle checks in selfcheck and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
-from itertools import chain, product
+from functools import cached_property
+from itertools import product
 from typing import Iterable, NamedTuple
 
-from .curve import TropicalCurve, primitive_cycles
+from .curve import TropicalCurve, curve_table, primitive_cycles
 from .errors import InvariantViolation, NotAdmissible, UnknownPoint, ValidationError
 from .geometry import IVec
 from .gf2 import PHASE_LINES, Gf2Factoring, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, factor, kernel
@@ -281,6 +281,9 @@ class _Base:
         return phase
 
 
+_base = curve_table(_Base)
+
+
 def _orbit_least(glues: int) -> tuple[int, ...]:
     """Per code c, the least code of c's orbit under the glue codes set in
     the 4-bit mask: one glue g pairs c with c ^ g, two distinct glues join
@@ -300,6 +303,9 @@ _LOW = tuple(tuple(c for c in range(4) if c < c ^ g) for g in range(4))
 _BOUNDED_CELL2 = (-2, -2, -2, -2)
 _RAY_CELL2 = tuple(tuple(0 if c in _LOW[g] else -2 for c in range(4)) for g in range(4))
 
+# per direction class and level bit, the copy codes c left undrawn and drawn
+_LEVEL_CODES = {cls: tuple((_BITS[15 ^ m], _BITS[m]) for m in masks) for cls, masks in _ON_MASKS.items()}
+
 
 class _Cells:
     """The parts of the quadrant cell model that do not depend on the
@@ -310,26 +316,31 @@ class _Cells:
     ``copy_keys[x]``.  ``glued`` maps each atom to the least atom of its
     glue orbit across the polygon's sides.  The key of that atom is
     ``region_class(curve, alpha, eps)``, and the ``region_class`` table
-    maps each atom key (alpha, eps) to it.  ``edge_atoms`` holds the atoms
-    4*k of each edge's dual endpoints.  Cell weights are doubled so that
-    each vertex copy on the real part can give half its weight to each of
-    its two edge copies there: ``weight2`` is every cell's doubled weight
-    per atom.  Edge eid's copies carry ``edge_cell2[eid]`` (per copy,
-    ``copy_cell2``) at its first dual atom: their own cells and, for the
-    lesser copies of a ray, the boundary point where the ray's two copies
-    glue.  They carry half of each end vertex copy at ``end_atoms[eid]``,
-    the atom 4*k of the first point of each end vertex's dual cell.
+    maps each atom key (alpha, eps) to it.  Cell weights are doubled so
+    that each vertex copy on the real part can give half its weight to
+    each of its two edge copies there: ``weight2`` is every cell's doubled
+    weight per atom.
 
-    Built from one pass over the edges, one over the vertices and one over
-    each side's points.  The rays are grouped by direction once, and a
-    boundary point's glue orbits are read off ``_ORBIT_LEAST`` for the
-    glues of the sides through it.  The face labelling reads ``glued``,
-    ``weight2`` and, through ``_face_plan``, the edge tables; the key
-    tables and ``copy_cell2`` are built on first read.
+    ``edge_rows`` holds what the face labelling reads of each edge, in
+    edge order, as (a, b, ends, cell2, codes): a and b the atoms 4*k of
+    its dual endpoints; ends the atom 4*k of the first point of each end
+    vertex's dual cell, where its copies carry half of each end vertex
+    copy; cell2 what its four copies carry at a, their own doubled cells
+    and, for the lesser copies of a ray, the boundary point where the
+    ray's two copies glue; and codes, per level bit, the copy codes c left
+    undrawn and drawn.  cell2 and codes are shared constant tuples, so the
+    rows stay small.
+
+    Built from one pass over the edges, one over the vertices, one over
+    each side's points and one more over the edges for the rows.  The
+    rays are grouped by direction once, and a boundary point's glue orbits
+    are read off ``_ORBIT_LEAST`` for the glues of the sides through it.
+    The key tables are built on first read.
     """
 
-    def __init__(self, curve: TropicalCurve, base: _Base):
+    def __init__(self, curve: TropicalCurve):
         curve.require_degree()
+        base = _base(curve)
         edges = curve.edges
         self._points = points = base.points
         index = {p: k for k, p in enumerate(points)}
@@ -376,10 +387,11 @@ class _Cells:
             weight2[4 * index[corner]] += 2
         self.glued = glued
         self.weight2 = tuple(weight2)
-        self.edge_cell2 = tuple(cell2)
-        self.edge_atoms = tuple((4 * i, 4 * j) for i, j in base.duals)
-        self.end_atoms = tuple(
-            (vertex_atoms[e.tail], vertex_atoms[e.head]) if e.bounded else (vertex_atoms[e.tail],) for e in edges
+        self.edge_rows = tuple(
+            (4 * i, 4 * j,
+             (vertex_atoms[e.tail], vertex_atoms[e.head]) if e.bounded else (vertex_atoms[e.tail],),
+             c2, _LEVEL_CODES[cls])
+            for e, (i, j), c2, cls in zip(edges, base.duals, cell2, base.classes)
         )
 
     @cached_property
@@ -393,35 +405,13 @@ class _Cells:
 
     @cached_property
     def copy_keys(self) -> tuple[tuple[int, Eps], ...]:
-        return tuple(product(range(len(self.edge_cell2)), EPS4))
-
-    @cached_property
-    def copy_cell2(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(self.edge_cell2))
+        return tuple(product(range(len(self.edge_rows)), EPS4))
 
 
-def _piece(build):
-    """A piece of a curve's real-structure tables: ``build(curve)`` runs on
-    the first call for the curve, and the result is kept in
-    ``curve._real_tables``, which the curve's translated copies share."""
-    name = build.__name__
-
-    @wraps(build)
-    def get(curve: TropicalCurve):
-        tables = curve._real_tables
-        try:
-            return tables[name]
-        except KeyError:
-            piece = tables[name] = build(curve)
-            return piece
-
-    return get
+_cells = curve_table(_Cells)
 
 
-_base = _piece(_Base)
-
-
-@_piece
+@curve_table
 def _sign_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
     """Per bounded edge, the lattice points whose minus signs decide its
     twist (the two cell vertices opposite it when they agree mod 2, else
@@ -453,13 +443,13 @@ def _sign_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
     return tuple(masks), offsets
 
 
-@_piece
+@curve_table
 def _sign_solver(curve: TropicalCurve) -> Gf2Factoring:
     """The sign rule's system over the lattice points, factored."""
     return factor(_sign_rule(curve)[0], len(_base(curve).points))
 
 
-@_piece
+@curve_table
 def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]:
     """A spanning tree of the dual graph rooted at lattice point 0, as
     (point, parent point, edge) in discovery order, and the non-tree edges
@@ -485,7 +475,7 @@ def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], 
     return tuple(tree), rest
 
 
-@_piece
+@curve_table
 def _side_ends(curve: TropicalCurve) -> dict[tuple[int, int], tuple[int, bool]]:
     """The sidedness rule at every end v of every edge e, rays included:
     (eid, v) -> (f, s) for f the first other edge at v and s whether f
@@ -549,7 +539,7 @@ def _twisted_between(level: int, lines0, end0: tuple[int, bool], lines1, end1: t
     return bool((line0.level + line1.level + (line0.direction != line1.direction) * level + s0 + s1) & 1)
 
 
-@_piece
+@curve_table
 def _side_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
     """``_twisted_between`` for every bounded edge at once: per edge, the
     mask of the level bits it sums, and the constants s0 + s1 as one int."""
@@ -565,31 +555,7 @@ def _side_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
     return tuple(masks), consts
 
 
-@_piece
-def _cells(curve: TropicalCurve) -> _Cells:
-    return _Cells(curve, _base(curve))
-
-
-# per direction class and level bit, the copy codes c left undrawn and drawn
-_LEVEL_CODES = {cls: tuple((_BITS[15 ^ m], _BITS[m]) for m in masks) for cls, masks in _ON_MASKS.items()}
-
-
-@_piece
-def _face_plan(curve: TropicalCurve) -> tuple[tuple, ...]:
-    """What the face labelling (``_face_tree``) reads of each edge, in edge
-    order: its two dual atoms (``_Cells.edge_atoms``), its end atoms
-    (``_Cells.end_atoms``), its four copies' doubled own cells
-    (``_Cells.edge_cell2``) and, per level bit, the copy codes c left
-    undrawn and drawn.  The cells and codes are shared constant tuples, so
-    the plan stays small."""
-    cells = _cells(curve)
-    return tuple(
-        (a, b, ends, cell2, _LEVEL_CODES[cls])
-        for (a, b), ends, cell2, cls in zip(cells.edge_atoms, cells.end_atoms, cells.edge_cell2, _base(curve).classes)
-    )
-
-
-@_piece
+@curve_table
 def _cycle_rows(
     curve: TropicalCurve,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -710,7 +676,7 @@ def adm_space(curve: TropicalCurve) -> Gf2Subspace:
     return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), rows))
 
 
-@_piece
+@curve_table
 def div_space(curve: TropicalCurve) -> Gf2Subspace:
     """Dividing twist sets; the kernel is computed once per curve."""
     adm, cycles, _ = _cycle_rows(curve)
@@ -816,8 +782,8 @@ class RealPart:
     def _copies(self) -> list[int]:
         """The drawn copies 4*eid + c, in order."""
         levels = self._levels
-        plan = _face_plan(self.curve)
-        return [4 * eid + c for eid, (*_, codes) in enumerate(plan) for c in codes[levels >> eid & 1][1]]
+        rows = _cells(self.curve).edge_rows
+        return [4 * eid + c for eid, (*_, codes) in enumerate(rows) for c in codes[levels >> eid & 1][1]]
 
     @cached_property
     def edge_copies(self) -> frozenset[tuple[int, Eps]]:
@@ -886,13 +852,13 @@ def _face_tree(rp: RealPart) -> _FaceTree:
     weights give each oval's two sides their Euler characteristics, less
     the cells on the oval itself; the side with characteristic 1 is the
     disk.  The face outside every oval roots the tree.  Reads the curve's
-    ``_face_plan`` and the real part's level bits.
+    ``_cells`` and the real part's level bits.
     """
     cells = _cells(rp.curve)
-    plan = _face_plan(rp.curve)
+    rows = cells.edge_rows
     levels = rp._levels
     parent = cells.glued[:]
-    for eid, (a, b, _, _, codes) in enumerate(plan):
+    for eid, (a, b, _, _, codes) in enumerate(rows):
         for c in codes[levels >> eid & 1][0]:
             # _union(parent, a + c, b + c), inlined
             x, y = a + c, b + c
@@ -911,7 +877,7 @@ def _face_tree(rp: RealPart) -> _FaceTree:
     region = parent
 
     groups: dict[tuple[int, int], list] = {}
-    for eid, (a, b, ends, cell2, codes) in enumerate(plan):
+    for eid, (a, b, ends, cell2, codes) in enumerate(rows):
         for c in codes[levels >> eid & 1][1]:
             f = fa = region[a + c]
             g = region[b + c]

@@ -1286,35 +1286,37 @@ def check_twist_rules(rng: random.Random, trials: int) -> str:
 
 def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
     """Bridge criterion vs innermost oval (face and report routes) vs
-    pencil sweep."""
+    pencil sweep, on random dividing twist sets and then on the fully
+    twisted honeycombs of degree 2..7.  Those are hyperbolic, so a route
+    that answers "not hyperbolic" for one degree fails; they draw nothing
+    from rng."""
+    draws = []
     for k in range(trials):
         d = rng.randrange(2, 6)
         curve = honeycomb(d)
-        bridges = multi_bridges(curve)
         edges: set[int] = set()
-        for b in bridges:
+        for b in multi_bridges(curve):
             if rng.random() < 0.5:
                 edges |= b.edges
+        draws.append((f"trial {k} (d={d})", curve, edges))
+    for d in range(2, 8):
+        curve = honeycomb(d)
+        draws.append((f"fully twisted d={d}", curve, curve.bounded_edges))
+    for label, curve, edges in draws:
         twists = TwistSet.from_edges(curve, edges)
         via_bridges = honeycomb_locus(curve, twists)
         phase = phase_from_twists(curve, twists)
         report = hyperbolicity_locus(curve, phase)
         if report != locus_from_report(curve, phase):
-            raise Mismatch(f"trial {k} (d={d}): face and report routes differ")
+            raise Mismatch(f"{label}: face and report routes differ")
         if report.locus != via_bridges:
-            raise Mismatch(
-                f"trial {k} (d={d}): bridges {sorted(via_bridges)} != oval {sorted(report.locus)}"
-            )
+            raise Mismatch(f"{label}: bridges {sorted(via_bridges)} != oval {sorted(report.locus)}")
         if report.hyperbolic != bool(via_bridges):
-            raise Mismatch(
-                f"trial {k} (d={d}): hyperbolic={report.hyperbolic} but locus={sorted(via_bridges)}"
-            )
+            raise Mismatch(f"{label}: hyperbolic={report.hyperbolic} but locus={sorted(via_bridges)}")
         sweep = pointwise_signed_locus(curve, phase)
         if report.signed_locus != sweep:
-            raise Mismatch(
-                f"trial {k} (d={d}): oval and sweep differ on {sorted(report.signed_locus ^ sweep)}"
-            )
-    return f"{trials} random dividing twist sets"
+            raise Mismatch(f"{label}: oval and sweep differ on {sorted(report.signed_locus ^ sweep)}")
+    return f"{trials} random dividing twist sets and the fully twisted honeycombs of degree 2..7"
 
 
 def check_locus_routes(rng: random.Random, trials: int) -> str:

@@ -553,7 +553,7 @@ construction: ok (50 random lifts, 38 non-singular)
 component-counts: ok (5 random curves)
 twist-rules: ok (5 honeycombs and random lifts, 536 edge configurations, 14 overlap configurations)
 real-topology: ok (5 sign walks, 117 real schemes, 88 M-curves, 88 dividing)
-honeycomb-locus: ok (5 random dividing twist sets)
+honeycomb-locus: ok (5 random dividing twist sets and the fully twisted honeycombs of degree 2..7)
 locus-routes: ok (5 random curves)
 bezout: ok (5 generic pairs)
 intersection-routes: ok (5 random pairs and 2 steep crossings, 2 pairs with a crossing of multiplicity >= 2)

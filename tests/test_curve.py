@@ -228,6 +228,18 @@ def test_translation_moves_vertices_only():
     _check_structure(moved)
 
 
+def test_translated_builds_nothing_and_swaps_only_the_frame():
+    c = honeycomb(4)
+    for _ in range(2):
+        attrs, tables = dict(vars(c)), dict(c._tables)
+        moved = c.translated((Fraction(5, 3), Fraction(-7, 2)))
+        assert vars(c).keys() == attrs.keys() and all(vars(c)[k] is v for k, v in attrs.items())
+        assert c._tables == tables and moved._tables is c._tables
+        assert [k for k, v in vars(moved).items() if v is not attrs.get(k)] == ["frame"]
+        primitive_cycles(moved)  # the second round translates a curve with a built store
+    assert c._tables
+
+
 def test_translated_copies_build_fraction_data_on_first_use():
     c = honeycomb(4)
     first = (Fraction(5, 3), Fraction(-7, 2))

@@ -581,6 +581,34 @@ def test_point_query_rejects_a_point_off_the_polygon():
         hyperbolic_wrt_point(c, phase, (1, -1), (0, 0))
 
 
+def test_point_query_checks_the_point_before_computing_the_locus(monkeypatch):
+    import tropcurve.hyperbolic as hyp
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("an off-polygon point needs no locus")
+
+    monkeypatch.setattr(hyp, "hyperbolicity_locus", refuse)
+    c, phase = stable_phase(3)
+    with pytest.raises(ValueError, match="is not a lattice point of the Newton polygon"):
+        hyperbolic_wrt_point(c, phase, (4, 0), (0, 0))
+
+
+def test_honeycomb_locus_check_kills_a_verdict_that_no_quintic_is_hyperbolic(monkeypatch):
+    import tropcurve.hyperbolic as hyp
+    from tropcurve.selfcheck import run_check
+
+    real = hyp.is_hyperbolic
+
+    def never_for_quintics(curve, twists):
+        hyperbolic, k = real(curve, twists)
+        return hyperbolic and curve.degree != 5, k
+
+    assert run_check("honeycomb-locus", random.Random(2), 5).passed
+    monkeypatch.setattr(hyp, "is_hyperbolic", never_for_quintics)
+    result = run_check("honeycomb-locus", random.Random(2), 5)
+    assert not result.passed and result.detail.startswith("fully twisted d=5: "), result.detail
+
+
 def test_report_has_one_field_per_quantity():
     from dataclasses import fields
 

@@ -235,13 +235,58 @@ def test_phase_of_non_interned_lines_gives_the_same_results():
             assert _report_key(got) == _report_key(count_components_direct(real_part(curve, phase)))
 
 
+def _every_table():
+    """Each ``curve_table`` of the package, by its store name."""
+    import importlib
+    import pkgutil
+
+    import tropcurve
+    from tropcurve.curve import TropicalCurve, curve_table
+
+    spaces = [vars(TropicalCurve)]
+    for info in pkgutil.iter_modules(tropcurve.__path__):
+        if not info.name.startswith("_"):
+            spaces.append(vars(importlib.import_module(f"tropcurve.{info.name}")))
+    found = {id(t): t for space in spaces for t in space.values() if isinstance(t, curve_table)}
+    tables = {t.__name__: t for t in found.values()}
+    assert len(tables) == len(found), "two tables share a store name"
+    return tables
+
+
+def test_every_table_is_one_object_for_a_curve_and_its_copies():
+    # whichever of a curve and its copies builds a table first, and
+    # whether the copy was made before or after the build
+    from tropcurve.selfcheck import random_nonsingular_curve
+
+    tables = _every_table()
+    assert {"region_edges", "region_exits", "walk_order", "_cycles", "_edge_by_dual",
+            "_Base", "_Cells", "_sign_rule", "_side_ends", "_cycle_rows", "div_space"} <= set(tables)
+    offset = (Fraction(7, 3), Fraction(-5, 2))
+    rng = random.Random(5)
+    lift = next(c for c in (random_nonsingular_curve(rng, 4) for _ in range(50)) if not c.is_honeycomb())
+    for curve in (honeycomb(3), lift):
+        for name, table in tables.items():
+            for copy_first in (True, False):
+                fresh = _fresh(curve)
+                early = fresh.translated(offset).translated(offset)
+                first, second = (early, fresh) if copy_first else (fresh, early)
+                built = table(first)
+                assert table(second) is built, name
+                assert table(fresh.translated(offset)) is built, name
+                assert fresh._tables[name] is built and early._tables is fresh._tables
+        # the store holds every table under its own name, and nothing else
+        for table in tables.values():
+            table(fresh)
+        assert fresh._tables.keys() == tables.keys()
+
+
 def test_translated_copies_share_the_tables_and_agree():
     rng = random.Random(9)
     for curve in (honeycomb(3), honeycomb(5), *_lift_curves(13, 10)):
         delta = random_sign_distribution(rng, curve)
         phase = phase_from_signs(curve, delta)
         moved = curve.translated((Fraction(7, 3), Fraction(-5, 2)))
-        assert moved._real_tables is curve._real_tables
+        assert moved._tables is curve._tables
         assert moved.region_edges is curve.region_edges
         twists = twists_from_signs(curve, delta)
         assert twists_from_signs(moved, delta) == twists
@@ -255,7 +300,7 @@ def test_translated_copies_share_the_tables_and_agree():
         fresh = curve_from_polynomial(curve.poly)
         early = fresh.translated((Fraction(1, 2), Fraction(0)))
         assert twists_from_phase(early, phase) == twists_from_phase(curve, phase)
-        assert early._real_tables is fresh._real_tables and fresh._real_tables
+        assert early._tables is fresh._tables and fresh._tables
         assert early.region_edges is fresh.region_edges
 
 
@@ -317,8 +362,7 @@ def test_two_cycles_sharing_two_edges_violate_an_invariant():
     # give b one more edge of a, one that no other cycle has
     own = next(iter(a.edges - b.edges - c.edges))
     broken = copy.copy(curve)
-    broken._real_tables = {}
-    vars(broken)["_cycles"] = (a, PrimitiveCycle(b.center, b.edges | {own}), c)
+    broken._tables = {"_cycles": (a, PrimitiveCycle(b.center, b.edges | {own}), c)}
     with pytest.raises(InvariantViolation, match="^cycles 0 and 1 share more than one edge$"):
         _cycle_rows(broken)
 
@@ -385,6 +429,7 @@ class _Cells_reference:
     def __init__(self, curve):
         from itertools import product
 
+        from tropcurve.gf2 import PHASE_LINES
         from tropcurve.realstruct import EPS4, _base, _code, _union
 
         curve.require_degree()
@@ -428,9 +473,20 @@ class _Cells_reference:
         for corner in curve.dual.polygon:
             weight2[atom[corner]] += 2
         self.weight2 = tuple(weight2)
+        # the face labelling's rows, read off the per-copy cells, with the
+        # copy codes off and on each edge's phase line at levels 0 and 1
+        rows = []
+        for e, (a, b), ends in zip(edges, self.edge_atoms, self.end_atoms):
+            cls = (e.direction[0] & 1, e.direction[1] & 1)
+            codes = tuple(
+                tuple(c for c in range(4) if PHASE_LINES[cls, level].contains(EPS4[c]) == drawn)
+                for level in (0, 1) for drawn in (False, True)
+            )
+            rows.append((a, b, ends, self.copy_cell2[4 * e.index:4 * e.index + 4], (codes[:2], codes[2:])))
+        self.edge_rows = tuple(rows)
 
 
-_CELL_FIELDS = ("glued", "weight2", "copy_cell2", "edge_atoms", "end_atoms", "atom_keys", "region_class", "copy_keys")
+_CELL_FIELDS = ("glued", "weight2", "edge_rows", "atom_keys", "region_class", "copy_keys")
 
 
 def _check_cycle_reference(curve, eids, alpha):
@@ -491,12 +547,12 @@ def _with_directions(curve, directions):
         edges[eid] = dataclasses.replace(edges[eid], direction=d)
     broken = copy.copy(curve)
     broken.edges = tuple(edges)
-    broken._real_tables = {}
+    broken._tables = {}
     return broken
 
 
 def test_side_ends_and_cells_match_the_references():
-    from tropcurve.realstruct import _cells, _face_plan, _side_ends
+    from tropcurve.realstruct import _cells, _side_ends
 
     for curve in _table_curves():
         curve = _fresh(curve)
@@ -504,12 +560,6 @@ def test_side_ends_and_cells_match_the_references():
         cells, want = _cells(curve), _Cells_reference(curve)
         for name in _CELL_FIELDS:
             assert getattr(cells, name) == getattr(want, name), name
-        # the parent's plan, read off the per-copy cells
-        plan = tuple(
-            (a, b, ends, want.copy_cell2[4 * eid:4 * eid + 4], _face_plan(curve)[eid][4])
-            for eid, ((a, b), ends) in enumerate(zip(want.edge_atoms, want.end_atoms))
-        )
-        assert _face_plan(curve) == plan
 
 
 def test_sign_rule_matches_the_reference():
@@ -615,7 +665,7 @@ def test_a_ray_on_an_interior_region_reaches_the_cycle_check():
     c = honeycomb(3)
     (cyc,) = primitive_cycles(c)
     broken = copy.copy(c)
-    vars(broken).pop("_cycles", None)
+    broken._tables = {}
     broken.region_edges = {**c.region_edges, cyc.center: c.region_edges[cyc.center] + (0,)}
     with pytest.raises(InvariantViolation, match=r"^cycle around \(1, 1\) uses an unbounded edge$"):
         primitive_cycles(broken)
@@ -635,6 +685,6 @@ def test_a_first_locus_builds_no_copy_keys_or_region_class():
                 phase = phase_from_signs(curve, SignDistribution.constant(curve))
             report = hyperbolicity_locus(curve, phase)
             hyperbolic += report.hyperbolic
-            built = vars(_cells(curve)) if "_cells" in curve._real_tables else {}
+            built = vars(_cells(curve)) if _cells.__name__ in curve._tables else {}
             assert "copy_keys" not in built and "region_class" not in built
     assert hyperbolic >= 5

@@ -83,7 +83,8 @@ def _curve_lines(curve, rng):
         ]))
         return lines
     cells = _cells(curve)
-    lines.append(("cells", cells.glued, cells.weight2, cells.copy_cell2, sorted(cells.region_class.items())))
+    copy_cell2 = tuple(c for row in cells.edge_rows for c in row[3])
+    lines.append(("cells", cells.glued, cells.weight2, copy_cell2, sorted(cells.region_class.items())))
     lines.append(("classes", [region_class(curve, alpha, eps) for alpha in points for eps in ((0, 1), (1, 1))]))
     lines.append(("bounded", [c.bounded for c in complement_components(curve)]))
     for _ in range(3):

@@ -6,11 +6,11 @@ Part 1 takes the distinct curves of the benchmark's locus workload at
 each seed (its set-up, run untimed), rebuilds each curve from its
 polynomial so that nothing is cached, and times the first use of every
 table, one table at a time in dependency order, so each time excludes the
-tables it reads.  The key tables of ``_Cells`` (``atom_keys``,
-``region_class``, ``copy_keys``) are timed on their first read; where
-``_Cells`` builds them itself, that read costs nothing.  ``locus_sum_ms``
-sums the tables a locus op on a hyperbolic curve builds (``LOCUS``).
-``_base`` and ``_sign_rule`` are built in the workload's set-up, and
+tables it reads.  Each table is named as in the curve's table store, and
+the key tables of ``_Cells`` (``atom_keys``, ``region_class``,
+``copy_keys``) are timed on their first read.  ``locus_sum_ms`` sums the
+tables a locus op on a hyperbolic curve builds (``LOCUS``).  ``_Base``
+and ``_sign_rule`` are built in the workload's set-up, and
 ``region_class`` and ``copy_keys`` only by point queries and component
 reports; they are reported outside the sum.
 
@@ -36,8 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LADDER = (4, 10, 20, 40)
-LOCUS = ("sides", "sides_at", "region_edges", "_cycles", "_cycle_rows", "_side_ends", "_side_rule", "_cells",
-         "_face_plan", "atom_keys")
+LOCUS = ("sides", "sides_at", "region_edges", "_cycles", "_cycle_rows", "_side_ends", "_side_rule", "_Cells",
+         "atom_keys")
 
 
 def _tables():
@@ -52,8 +52,7 @@ def _tables():
         ("_cycle_rows", rs._cycle_rows),
         ("_side_ends", rs._side_ends),
         ("_side_rule", rs._side_rule),
-        ("_cells", rs._cells),
-        ("_face_plan", rs._face_plan),
+        ("_Cells", rs._cells),
         ("atom_keys", lambda c: rs._cells(c).atom_keys),
         ("region_class", lambda c: rs._cells(c).region_class),
         ("copy_keys", lambda c: rs._cells(c).copy_keys),
@@ -88,7 +87,7 @@ def first_use(seed: int, repeats: int) -> dict:
 
     polys = _locus_curves(seed)
     tables = _tables()
-    sums = {name: [] for name in ("_base", "_sign_rule", *(n for n, _ in tables))}
+    sums = {name: [] for name in ("_Base", "_sign_rule", *(n for n, _ in tables))}
     for _ in range(repeats):
         curves = [curve_from_polynomial(TropicalPolynomial(p.coefficients)) for p in polys]
         run = dict.fromkeys(sums, 0.0)
@@ -96,7 +95,7 @@ def first_use(seed: int, repeats: int) -> dict:
         gc.disable()
         try:
             for curve in curves:
-                run["_base"] += _timed(rs._base, curve)
+                run["_Base"] += _timed(rs._base, curve)
                 run["_sign_rule"] += _timed(rs._sign_rule, curve)
                 for name, use in tables:
                     run[name] += _timed(use, curve)
