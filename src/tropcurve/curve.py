@@ -2,11 +2,13 @@
 
 A curve is the corner locus of a max-plus polynomial.  Its dual
 subdivision is the projection of the upper hull of the lifted support
-{(p, a_p)}.  Construction scales the coefficients to integers by the lcm
-of their denominators and walks that hull cell by cell (gift wrapping
-across each edge), in Python ints; every accepted cell is unimodular, so
-each vertex solves a determinant-1 system and is exact in (1/lcm)*Z^2.
-Singular inputs are rejected.
+{(p, a_p)}.  One int builder, ``_curve_from_heights(height, scale)``,
+builds every curve from int heights a_p * scale: it walks that hull cell
+by cell (gift wrapping across each edge), in Python ints; every accepted
+cell is unimodular, so each vertex solves a determinant-1 system and is
+exact in (1/scale)*Z^2.  ``curve_from_polynomial`` scales ``Fraction``
+coefficients by the lcm of their denominators, and ``honeycomb`` hands
+over its int heights with scale 1.  Singular inputs are rejected.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class TropicalPolynomial:
         for (i, j), a in coefficients.items():
             if i < 0 or j < 0:
                 raise ValueError(f"support point {(i, j)} outside the positive quadrant")
-            self.coefficients[(int(i), int(j))] = Fraction(a)
+            self.coefficients[(int(i), int(j))] = a if type(a) is Fraction else Fraction(a)
         self.support = frozenset(self.coefficients)
 
     def term(self, ij: IVec, point: Point) -> Fraction:
@@ -439,16 +441,23 @@ class TropicalCurve:
 
 
 def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
-    """Corner locus plus dual subdivision; rejects singular inputs."""
-    hull = convex_hull(list(poly.support))
+    """Corner locus plus dual subdivision; rejects singular inputs.  The
+    coefficients are scaled to int heights by the lcm of their
+    denominators, and ``_curve_from_heights`` builds the curve."""
+    scale = lcm(*(a.denominator for a in poly.coefficients.values()))
+    height = {p: a.numerator * (scale // a.denominator) for p, a in poly.coefficients.items()}
+    return _curve_from_heights(height, scale)
+
+
+def _curve_from_heights(height: dict[IVec, int], scale: int) -> TropicalCurve:
+    """The curve of the coefficients height[p] / scale, built on ints."""
+    hull = convex_hull(list(height))
     if len(hull) < 3:
         raise DegeneratePolygon("support hull is not 2-dimensional")
     lattice = hull_lattice_points(hull)
-    missing = [pt for pt in lattice if pt not in poly.support]
+    missing = [pt for pt in lattice if pt not in height]
     if missing:
         raise SingularSubdivision(f"lattice points {missing} are not in the support")
-    scale = lcm(*(a.denominator for a in poly.coefficients.values()))
-    height = {p: a.numerator * (scale // a.denominator) for p, a in poly.coefficients.items()}
     boundary = _boundary_segments(hull, height)
     left = _walk_cells(height, boundary, polygon_twice_area(hull))
 
@@ -466,17 +475,20 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
 
     # a bounded edge runs from the cell right of p->q to the cell left of it
     # (p < q); a ray leaves its only cell in the direction rot90(a - b),
-    # where the cell lies left of a->b
+    # where the cell lies left of a->b.  Each record leads with its dual
+    # edge as (min, max), unique per edge, so the records sort on it.
     records = []
     for (a, b), cell in left.items():
         if (b, a) not in left:
-            records.append(((b, a), vertex_index[cell], None, rot90(sub(a, b))))
+            key = (a, b) if a < b else (b, a)
+            records.append((key, (b, a), vertex_index[cell], None, (b[1] - a[1], a[0] - b[0])))
         elif a < b:
-            records.append(((a, b), vertex_index[left[(b, a)]], vertex_index[cell], rot90(sub(b, a))))
-    records.sort(key=lambda rec: (min(rec[0]), max(rec[0])))
+            records.append(((a, b), (a, b), vertex_index[left[(b, a)]], vertex_index[cell],
+                            (a[1] - b[1], b[0] - a[0])))
+    records.sort()
     edges = tuple(
         Edge(idx, tail, head, direction, pair, head is not None)
-        for idx, (pair, tail, head, direction) in enumerate(records)
+        for idx, (_, pair, tail, head, direction) in enumerate(records)
     )
 
     degree = _simplex_degree(hull)
@@ -615,12 +627,8 @@ def honeycomb(d: int) -> TropicalCurve:
     """Canonical degree-d honeycomb from the concave quadratic lift."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    coeffs = {
-        (i, j): Fraction(-(i * i + i * j + j * j))
-        for i in range(d + 1)
-        for j in range(d + 1 - i)
-    }
-    curve = curve_from_polynomial(TropicalPolynomial(coeffs))
+    height = {(i, j): -(i * i + i * j + j * j) for i in range(d + 1) for j in range(d + 1 - i)}
+    curve = _curve_from_heights(height, 1)
     if not curve.is_honeycomb():
         raise InvariantViolation("quadratic lift did not produce a honeycomb")
     return curve

@@ -462,12 +462,13 @@ def _classify_point(pair, den: int, key, gens) -> IntersectionComponent:
     va = _end_vertex(curve_a, ka, a_edges, key)
     vb = _end_vertex(curve_b, kb, b_edges, key)
     pt = _point(den, key)
+    written = f"({pt[0]},{pt[1]})"  # as the CLI writes a point: (21/2,53/8)
     if va is not None and vb is not None:
-        raise UnsupportedConfiguration(f"{pt} is a vertex of both curves")
+        raise UnsupportedConfiguration(f"{written} is a vertex of both curves")
     if va is None and vb is None:
         if len(a_edges) != 1 or len(b_edges) != 1:
-            raise InvariantViolation(f"{pt} is a vertex of neither curve but lies on several edges of one")
-        raise InvariantViolation(f"{pt} lies inside one edge of each curve but is not marked as a crossing")
+            raise InvariantViolation(f"{written} is a vertex of neither curve but lies on several edges of one")
+        raise InvariantViolation(f"{written} lies inside one edge of each curve but is not marked as a crossing")
     # pt is interior to the one edge of the other curve through it
     if va is not None:
         (host,) = b_edges

@@ -4,7 +4,13 @@ A scenario bundles a curve (canonical honeycomb or explicit support and
 rational coefficients), exactly one description of its real structure
 (signs, twists, or explicit phase lines), an optional second curve for
 intersection runs, and an optional point query.  Rationals travel as
-"p/q" strings; floats are rejected outright.
+"p/q" strings; floats are rejected outright.  Parsing reads the canonical
+spelling on ints: a coefficient key "i,j" of a support point, or a sign
+key "i,j" of a lattice point, is looked up in a table of those keys, and
+a coefficient that is an int or an ASCII-digit "p", "-p", "p/q" or "-p/q"
+is reduced with int and gcd.  Every other spelling goes through the key
+regex and ``Fraction``, so the same points, values and refusals result,
+and two keys that name one point are still refused.
 
 SVG figure coordinates are the exact rationals floor-rounded to 4
 decimals, computed on the curve's own integer frame scaled by 8: every
@@ -18,10 +24,12 @@ quadrant eps is at x = 600 + 130u/s (eps0 = 0) or 600 - 130u/s (eps0 = 1)
 and y = 140 - 130v/s (eps1 = 0) or 140 + 130v/s (eps1 = 1); with
 q, r = divmod(1300000 * u, s), 10^4 times the rounded x is 6000000 + q or
 6000000 - q - (r > 0), and y likewise from v.  Each vertex is squashed
-once, and every edge that ends there reads its decimals; a bounded edge's
-interior samples step from its tail by (head - tail)/8, an exact int step
-on this frame.  Locus shading clips the frame box on homogeneous int
-triples.
+once into its four coordinate strings, which every edge that ends there
+reads.  Each edge then runs one int loop over its samples (a bounded
+edge's interior samples step from its tail by (head - tail)/8, an exact
+int step on this frame) and writes, sample by sample, the coordinates of
+its two drawn copies only.  Locus shading clips the frame box on
+homogeneous int triples.
 """
 
 from __future__ import annotations
@@ -111,8 +119,30 @@ def _parse_rational(value, field: str) -> Fraction:
     raise ValidationError(f"cannot parse rational {value!r}", field)
 
 
-def _format_rational(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _rational_parts(value, field: str) -> tuple[int, int]:
+    """The reduced numerator and denominator of a coefficient.  An int, or
+    a string of ASCII digits "p", "-p", "p/q" or "-p/q", is read with int
+    and gcd; any other value goes through ``_parse_rational``."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (not slash or (den.isascii() and den.isdigit())):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:  # past sys.get_int_max_str_digits()
+                q = 0
+            if q == 0:
+                raise ValidationError(f"cannot parse rational {value!r}", field)
+            g = gcd(p, q)
+            return p // g, q // g
+    x = _parse_rational(value, field)
+    return x.numerator, x.denominator
+
+
+def _format_rational(p: int, q: int):
+    return p if q == 1 else f"{p}/{q}"
 
 
 def _edge_key(pair) -> str:
@@ -193,11 +223,13 @@ def _normalize_curve(data, field: str) -> tuple[dict, list[IVec]]:
         raise ValidationError("support points must have nonnegative coordinates", field)
     hull = convex_hull(support)
     _check_size(hull_lattice_count(hull), field)
+    # a support point's canonical key "i,j" is looked up; any other key is parsed
+    keys = {f"{i},{j}": (i, j) for i, j in support}
     coeffs, named = {}, {}
     for key, value in data["coefficients"].items():
-        pt = parse_point_key(key, f"{field}.coefficients")
+        pt = keys.get(key) or parse_point_key(key, f"{field}.coefficients")
         _claim(named, pt, key, f"the lattice point {pt}", field)
-        coeffs[pt] = _parse_rational(value, f"{field}.coefficients[{key}]")
+        coeffs[pt] = _rational_parts(value, f"{field}.coefficients[{key}]")
     missing = [p for p in support if p not in coeffs]
     if missing:
         raise ValidationError(f"support points {missing} have no coefficient", field)
@@ -206,7 +238,7 @@ def _normalize_curve(data, field: str) -> tuple[dict, list[IVec]]:
         raise ValidationError(f"coefficients given outside the support: {sorted(extra)}", field)
     curve = {
         "support": [list(p) for p in support],
-        "coefficients": {f"{p[0]},{p[1]}": _format_rational(coeffs[p]) for p in support},
+        "coefficients": {key: _format_rational(*coeffs[pt]) for key, pt in keys.items()},
     }
     return curve, hull_lattice_points(hull)
 
@@ -229,9 +261,10 @@ def _normalize_structure(data, lattice: list[IVec], field: str) -> dict:
         elif signs == "all-":
             table = {p: -1 for p in lattice}
         elif isinstance(signs, dict):
+            keys = {f"{i},{j}": (i, j) for i, j in lattice}
             table, named = {}, {}
             for key, value in signs.items():
-                pt = parse_point_key(key, f"{field}.signs")
+                pt = keys.get(key) or parse_point_key(key, f"{field}.signs")
                 _claim(named, pt, key, f"the lattice point {pt}", field)
                 if type(value) is not int or value not in (1, -1):
                     raise ValidationError(f"sign at {pt} must be 1 or -1", field)
@@ -421,23 +454,30 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
 # as the whole part of n = floor(10^4 * num / den) and the decimal suffix of
 # n mod 10^4, read from one table.  Where a coordinate is nonnegative by
 # construction (the lattice points of panel 1, the vertices of panel 2 and
-# every point of panel 3), render_svg writes n from its closed form inline.
+# every point of panel 3), render_svg writes n from its closed form inline,
+# and its whole part, at most 730, from a second table.
 #
-# Panel 3 squashes each vertex once into a table of its quadrant decimals.
-# A bounded edge adds its 7 interior samples tail + k * (head - tail)/8,
-# k = 1..7, and a ray its 6 finite samples tail + t * direction, t = 1, 2,
-# 4, 8, 16, 64 (in affine units, den on this frame), then its exact limit
-# on the triangle's boundary.  Every copy of an edge is one polyline.
+# Panel 3 squashes each vertex once into its four quadrant coordinate
+# strings.  A bounded edge adds its 7 interior samples tail + k * (head -
+# tail)/8, k = 1..7, and a ray its 6 finite samples tail + t * direction,
+# t = 1, 2, 4, 8, 16, 64 (in affine units, den on this frame), then its
+# exact limit on the triangle's boundary.  One loop per edge squashes each
+# sample and writes the coordinates of the edge's two drawn copies, the
+# phase line's rep and rep ^ direction; each copy is one polyline.
 
 _SUFFIXES: list[str] = []
+# str(k) for k <= 730: every coordinate that render_svg writes from its
+# closed form lies in [0, 730], so its whole part is read from this table
+_WHOLES: list[str] = []
 
 
 def _suffixes() -> list[str]:
     """The suffix of f/10^4 for every f < 10^4: "" for 0, then ".0001", ...,
-    ".5", ....  Built on first use, so a process that never renders keeps no
-    table."""
+    ".5", ....  Built on first use with ``_WHOLES``, so a process that never
+    renders keeps no table."""
     if not _SUFFIXES:
         _SUFFIXES.extend(f".{f:04d}".rstrip("0") if f else "" for f in range(10_000))
+        _WHOLES.extend(map(str, range(731)))
     return _SUFFIXES
 
 
@@ -484,48 +524,27 @@ def _ray_limit(a: int, b: int, den: int, direction: IVec) -> tuple[int, int, int
     raise InvariantViolation(f"ray direction {direction} does not reach the boundary")
 
 
-def _quadrant_decimals(u: int, v: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """floor(10^4 * coordinate) of the triangle point (u/s, v/s), 0 <= u, v <= s,
-    in the quadrant panel: x = 600 + 130u/s and 600 - 130u/s for eps0 = 0, 1,
-    and y = 140 - 130v/s and 140 + 130v/s for eps1 = 0, 1.  One division
-    per coordinate gives both signs, and every value is nonnegative."""
+def _quadrant_strings(u: int, v: int, s: int) -> tuple[tuple[str, str], tuple[str, str]]:
+    """The coordinates of the triangle point (u/s, v/s), 0 <= u, v <= s, in
+    the quadrant panel, floor-rounded to 4 decimals: x = 600 + 130u/s and
+    600 - 130u/s for eps0 = 0, 1, and y = 140 - 130v/s and 140 + 130v/s for
+    eps1 = 0, 1.  One division per coordinate gives both signs, and every
+    value is nonnegative."""
+    suffix, whole = _SUFFIXES or _suffixes(), _WHOLES
     q, r = divmod(1_300_000 * u, s)
-    xs = (6_000_000 + q, 6_000_000 - q - (r > 0))
+    x0, x1 = 6_000_000 + q, 6_000_000 - q - (r > 0)
     q, r = divmod(1_300_000 * v, s)
-    return xs, (1_400_000 - q - (r > 0), 1_400_000 + q)
+    y0, y1 = 1_400_000 - q - (r > 0), 1_400_000 + q
+    return (
+        (f"{whole[x0 // 10_000]}{suffix[x0 % 10_000]}", f"{whole[x1 // 10_000]}{suffix[x1 % 10_000]}"),
+        (f"{whole[y0 // 10_000]}{suffix[y0 % 10_000]}", f"{whole[y1 // 10_000]}{suffix[y1 % 10_000]}"),
+    )
 
 
 # the interior samples of a bounded edge, at k/8 of the way from tail to
 # head, and the finite samples of a ray, at t units along its direction
 _EDGE_STEPS = range(1, 8)
 _RAY_STEPS = (1, 2, 4, 8, 16, 64)
-
-
-def _sample_decimals(a: int, b: int, sa: int, sb: int, steps, den: int) -> list:
-    """``_quadrant_decimals(*_triangle_point(a + t*sa, b + t*sb, den))`` for
-    every t in steps, with both closed forms inlined."""
-    out = []
-    for t in steps:
-        x, y = a + t * sa, b + t * sb
-        big = x if x > y else y
-        big = den + big if big > 0 else den
-        bx, by = big - x, big - y
-        ab, ac = big * bx, big * by
-        s = ab + ac + bx * by
-        q, r = divmod(1_300_000 * ac, s)
-        p, w = divmod(1_300_000 * ab, s)
-        out.append(((6_000_000 + q, 6_000_000 - q - (r > 0)), (1_400_000 - p - (w > 0), 1_400_000 + p)))
-    return out
-
-
-def _quadrant_points(decimals, eps) -> str:
-    """The points attribute of one quadrant copy of a sampled polyline."""
-    suffix = _SUFFIXES or _suffixes()
-    e0, e1 = eps
-    return " ".join([
-        f"{xs[e0] // 10_000}{suffix[xs[e0] % 10_000]},{ys[e1] // 10_000}{suffix[ys[e1] % 10_000]}"
-        for xs, ys in decimals
-    ])
 
 
 def _clip_region(curve: TropicalCurve, alpha: IVec, box: tuple[int, int, int, int], den: int):
@@ -590,7 +609,7 @@ def render_svg(
     x0, x1, y0, y1 = min(xs) - 2 * den, max(xs) + 2 * den, min(ys) - 2 * den, max(ys) + 2 * den
     span = max(x1 - x0, y1 - y0)
 
-    suffix = _SUFFIXES or _suffixes()
+    suffix, whole = _SUFFIXES or _suffixes(), _WHOLES
 
     # panel 1: dual subdivision, the largest i + j at 120px.  Lattice points
     # are nonnegative (TropicalPolynomial refuses others), so every figure
@@ -602,14 +621,14 @@ def render_svg(
     for p in curve.dual.lattice_points:
         x = 1_200_000 * p[0] // maxsum
         y = (1_400_000 * maxsum - 1_200_000 * p[1]) // maxsum
-        cx, cy = f"{x // 10_000}{suffix[x % 10_000]}", f"{y // 10_000}{suffix[y % 10_000]}"
+        cx, cy = f"{whole[x // 10_000]}{suffix[x % 10_000]}", f"{whole[y // 10_000]}{suffix[y % 10_000]}"
         lattice[p] = f"{cx},{cy}"
         dots.append(f'<circle cx="{cx}" cy="{cy}" r="2.4" fill="#333"/>')
         if delta is not None:  # the label sits 4px right of and above the dot
             label = "+" if delta.signs[p] > 0 else "−"
             x, y = x + 40_000, y - 40_000
             dots.append(
-                f'<text x="{x // 10_000}{suffix[x % 10_000]}" y="{y // 10_000}{suffix[y % 10_000]}"'
+                f'<text x="{whole[x // 10_000]}{suffix[x % 10_000]}" y="{whole[y // 10_000]}{suffix[y % 10_000]}"'
                 f' font-size="9">{label}</text>'
             )
     for cell in curve.dual.cells:
@@ -640,7 +659,7 @@ def render_svg(
     for a, b in verts:
         x = 2_000_000 + 2_200_000 * (a - x0) // span
         y = 200_000 + 2_200_000 * (y1 - b) // span
-        cx, cy = f"{x // 10_000}{suffix[x % 10_000]}", f"{y // 10_000}{suffix[y % 10_000]}"
+        cx, cy = f"{whole[x // 10_000]}{suffix[x % 10_000]}", f"{whole[y // 10_000]}{suffix[y % 10_000]}"
         vertex_xy.append(f"{cx},{cy}")
         dots.append(f'<circle cx="{cx}" cy="{cy}" r="1.8" fill="#000"/>')
     for e in curve.edges:
@@ -674,33 +693,55 @@ def render_svg(
 
     # panel 3: four-quadrant real part on the diamond model
     parts.append('<g id="quadrants">')
-    triangle = [_quadrant_decimals(u, v, 1) for u, v in ((0, 0), (1, 0), (0, 1))]
-    for eps in EPS4:
-        parts.append(
-            f'<polygon points="{_quadrant_points(triangle, eps)}" fill="none" stroke="#bbb" stroke-width="0.8"/>'
-        )
+    triangle = [_quadrant_strings(u, v, 1) for u, v in ((0, 0), (1, 0), (0, 1))]
+    for e0, e1 in EPS4:
+        points = " ".join([f"{xs[e0]},{ys[e1]}" for xs, ys in triangle])
+        parts.append(f'<polygon points="{points}" fill="none" stroke="#bbb" stroke-width="0.8"/>')
     # mirror copies need the projective compactification, so a degree
     if phase is not None and curve.degree is not None:
-        at_vertex = [_quadrant_decimals(*_triangle_point(a, b, den)) for a, b in verts]
+        at_vertex = [_quadrant_strings(*_triangle_point(a, b, den)) for a, b in verts]
+        lines = phase.lines
         for e in curve.edges:
+            # the edge's two copies, rep and rep ^ direction: a PhaseLine
+            # keeps rep the smaller, so they are in sorted order
+            line = lines[e.index]
+            (e0, e1), (d0, d1) = line.rep, line.direction
+            f0, f1 = e0 ^ d0, e1 ^ d1
+            xs, ys = at_vertex[e.tail]
+            one, two = [f"{xs[e0]},{ys[e1]}"], [f"{xs[f0]},{ys[f1]}"]
             a, b = verts[e.tail]
             if e.bounded:
                 ha, hb = verts[e.head]
-                decimals = [
-                    at_vertex[e.tail],
-                    *_sample_decimals(a, b, (ha - a) // 8, (hb - b) // 8, _EDGE_STEPS, den),
-                    at_vertex[e.head],
-                ]
+                sa, sb, steps = (ha - a) // 8, (hb - b) // 8, _EDGE_STEPS
+                end = at_vertex[e.head]
             else:
                 dx, dy = e.direction
-                decimals = [
-                    at_vertex[e.tail],
-                    *_sample_decimals(a, b, dx * den, dy * den, _RAY_STEPS, den),
-                    _quadrant_decimals(*_ray_limit(a, b, den, e.direction)),
-                ]
-            for eps in sorted(phase.lines[e.index].elements):
-                points = _quadrant_points(decimals, eps)
-                parts.append(f'<polyline points="{points}" fill="none" stroke="#b03030" stroke-width="1.2"/>')
+                sa, sb, steps = dx * den, dy * den, _RAY_STEPS
+                end = _quadrant_strings(*_ray_limit(a, b, den, e.direction))
+            # each sample squashed as _triangle_point, then _quadrant_strings
+            # for the two copies' coordinates, inline
+            for t in steps:
+                x, y = a + t * sa, b + t * sb
+                big = x if x > y else y
+                big = den + big if big > 0 else den
+                bx, by = big - x, big - y
+                ab, ac = big * bx, big * by
+                s = ab + ac + bx * by
+                q, r = divmod(1_300_000 * ac, s)
+                p, w = divmod(1_300_000 * ab, s)
+                xs = (6_000_000 + q, 6_000_000 - q - (r > 0))
+                ys = (1_400_000 - p - (w > 0), 1_400_000 + p)
+                n, m = xs[e0], ys[e1]
+                one.append(f"{whole[n // 10_000]}{suffix[n % 10_000]},{whole[m // 10_000]}{suffix[m % 10_000]}")
+                n, m = xs[f0], ys[f1]
+                two.append(f"{whole[n // 10_000]}{suffix[n % 10_000]},{whole[m // 10_000]}{suffix[m % 10_000]}")
+            xs, ys = end
+            one.append(f"{xs[e0]},{ys[e1]}")
+            two.append(f"{xs[f0]},{ys[f1]}")
+            for points in (one, two):
+                parts.append(
+                    f'<polyline points="{" ".join(points)}" fill="none" stroke="#b03030" stroke-width="1.2"/>'
+                )
     parts.append("</g>")
 
     body = "\n".join(parts)

@@ -365,6 +365,21 @@ def test_overlap_endpoint_on_vertices_of_both_exits_2(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"unsupported configuration: {message}\n")
 
 
+# a line and a conic whose vertices meet at (1, 7/8)
+_VERTEX_LINE = _poly_scenario({"0,0": "1/4", "0,1": "-5/8", "1,0": "-3/4"})
+_VERTEX_CONIC = _poly_scenario({"0,0": "1/4", "0,1": "21/8", "0,2": "-3/8", "1,0": "5/2", "1,1": "13/8", "2,0": 0})
+
+
+def test_a_vertex_of_both_curves_exits_2_with_the_point_as_written(tmp_path, capsys):
+    paths = []
+    for name, scenario in (("line", _VERTEX_LINE), ("conic", _VERTEX_CONIC)):
+        path = tmp_path / f"{name}.trop.json"
+        path.write_text(json.dumps(scenario))
+        paths.append(str(path))
+    code, out, err = run(capsys, "intersect", "--a", paths[0], "--b", paths[1])
+    assert (code, out, err) == (2, "", "unsupported configuration: (1,7/8) is a vertex of both curves\n")
+
+
 def test_production_modules_do_not_load_the_oracles():
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
@@ -429,7 +444,7 @@ def test_intersect_invariant_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("tropcurve.intersect._end_vertex", lambda curve, k, eids, key: None)
     code, out, err = run(capsys, "intersect", "--a", paths[0], "--b", paths[1])
     assert (code, out) == (4, "")
-    assert err == "internal error: (Fraction(2, 1), Fraction(-2, 1)) is a vertex of neither curve but lies on several edges of one\n"
+    assert err == "internal error: (2,-2) is a vertex of neither curve but lies on several edges of one\n"
 
 
 def _without_ray_2_at_vertex_0(curve):

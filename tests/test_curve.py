@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -413,3 +414,122 @@ def test_region_index_matches_the_dual_edge_scan():
             assert comp.boundary_edges == frozenset(e.index for e in curve.edges if comp.dual_point in e.dual)
         for cycle in primitive_cycles(curve):
             assert cycle.edges == frozenset(e.index for e in curve.edges if cycle.center in e.dual and e.bounded)
+
+
+# A reference copy of the builder as it was before honeycomb and
+# curve_from_polynomial shared one int builder: the polynomial's Fraction
+# coefficients scaled by their lcm, and the edge records sorted by a key
+# function over their dual pair.
+
+
+def _curve_from_polynomial_reference(poly):
+    from tropcurve.curve import (
+        DualSubdivision,
+        Edge,
+        IntFrame,
+        _boundary_segments,
+        _frame_edges,
+        _simplex_degree,
+        _walk_cells,
+    )
+    from tropcurve.geometry import convex_hull, hull_lattice_points, polygon_twice_area
+
+    hull = convex_hull(list(poly.support))
+    if len(hull) < 3:
+        raise DegeneratePolygon("support hull is not 2-dimensional")
+    lattice = hull_lattice_points(hull)
+    missing = [pt for pt in lattice if pt not in poly.support]
+    if missing:
+        raise SingularSubdivision(f"lattice points {missing} are not in the support")
+    scale = lcm(*(a.denominator for a in poly.coefficients.values()))
+    height = {p: a.numerator * (scale // a.denominator) for p, a in poly.coefficients.items()}
+    boundary = _boundary_segments(hull, height)
+    left = _walk_cells(height, boundary, polygon_twice_area(hull))
+    placed = []
+    for cell in set(left.values()):
+        p, q, r = cell
+        ux, uy = q[0] - p[0], q[1] - p[1]
+        wx, wy = r[0] - p[0], r[1] - p[1]
+        b1, b2 = height[p] - height[q], height[p] - height[r]
+        placed.append(((wy * b1 - uy * b2, ux * b2 - wx * b1), cell))
+    placed.sort()
+    vertex_index = {cell: k for k, (_, cell) in enumerate(placed)}
+    vertices = tuple(xy for xy, _ in placed)
+    records = []
+    for (a, b), cell in left.items():
+        if (b, a) not in left:
+            records.append(((b, a), vertex_index[cell], None, rot90(sub(a, b))))
+        elif a < b:
+            records.append(((a, b), vertex_index[left[(b, a)]], vertex_index[cell], rot90(sub(b, a))))
+    records.sort(key=lambda rec: (min(rec[0]), max(rec[0])))
+    edges = tuple(
+        Edge(idx, tail, head, direction, pair, head is not None)
+        for idx, (pair, tail, head, direction) in enumerate(records)
+    )
+    dual_cells = tuple(tuple(sorted(cell)) for _, cell in placed)
+    dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells)
+    frame = IntFrame(scale, vertices, _frame_edges(edges, vertices), height)
+    curve = TropicalCurve(edges, dual, _simplex_degree(hull), frame)
+    _verify_curve(curve)
+    return curve
+
+
+def _built(build, *args):
+    """The curve's construction (the frame's height order included), or the
+    refusal's type and message."""
+    try:
+        c = build(*args)
+    except (ValueError, SingularSubdivision, DegeneratePolygon, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return c.edges, c.dual, c.degree, c.frame, list(c.frame.heights), list(c.poly.coefficients)
+
+
+def test_honeycombs_are_built_as_the_reference():
+    for d in range(1, 13):
+        coeffs = {(i, j): Fraction(-(i * i + i * j + j * j)) for i in range(d + 1) for j in range(d + 1 - i)}
+        want = _built(_curve_from_polynomial_reference, TropicalPolynomial(coeffs))
+        assert _built(honeycomb, d) == want
+        assert _built(curve_from_polynomial, TropicalPolynomial(coeffs)) == want
+
+
+def test_random_lifts_are_built_or_refused_as_the_reference():
+    rng = random.Random(40)
+    kinds = {}
+    for _ in range(500):
+        poly = random_lift(rng)
+        got = _built(curve_from_polynomial, poly)
+        assert got == _built(_curve_from_polynomial_reference, poly), poly.coefficients
+        kind = "refused" if isinstance(got[0], type) else "built"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["built"] >= 200 and kinds["refused"] >= 100, kinds
+
+
+@pytest.mark.parametrize("coefficients", [
+    {(0, 0): 0, (1, 0): 0, (2, 0): 0},
+    {(0, 0): 0, (0, 3): Fraction(1, 2)},
+    {(0, 0): 0, (2, 0): 0, (0, 2): 0},
+    {(i, j): 0 for i in range(3) for j in range(3 - i)},
+    {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0},
+    {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3), (0, 1): Fraction(1, 5), (1, 1): Fraction(1, 30)},
+    {(0, 0): 0, (1, 0): 0, (2, 0): 0, (0, 1): -1, (1, 1): -1, (0, 2): -4},
+    {(0, 0): -3, (1, 0): -1, (2, 0): -2, (3, 0): -6, (0, 1): -1, (1, 1): -9,
+     (2, 1): -2, (0, 2): -2, (1, 2): -3, (0, 3): -7},
+    {(0, 0): 0, (2, 0): 0, (0, 2): 0, (1, 1): -10, (1, 0): -1, (0, 1): -1, (2, 1): -3, (1, 2): -3, (2, 2): -2},
+])
+def test_singular_and_degenerate_inputs_are_refused_as_the_reference(coefficients):
+    poly = TropicalPolynomial(coefficients)
+    got = _built(curve_from_polynomial, poly)
+    assert isinstance(got[0], type)
+    assert got == _built(_curve_from_polynomial_reference, poly)
+
+
+def test_honeycomb_degree_below_one_is_refused():
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        honeycomb(0)
+
+
+def test_a_fraction_coefficient_is_kept_as_given():
+    a = Fraction(-3, 7)
+    poly = TropicalPolynomial({(0, 0): a, (1, 0): 0, (0, 1): Fraction(2)})
+    assert poly.coefficients[(0, 0)] is a
+    assert [type(v) for v in poly.coefficients.values()] == [Fraction] * 3

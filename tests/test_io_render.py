@@ -377,19 +377,97 @@ def test_a_ray_that_misses_the_boundary_is_an_invariant_violation():
         _ray_limit(0, 0, 8, (1, 0))
 
 
-@seed(6)
-@settings(max_examples=400, deadline=None, database=None)
-@given(
-    a=st.integers(-10**4, 10**4), b=st.integers(-10**4, 10**4),
-    sa=st.integers(-10**3, 10**3), sb=st.integers(-10**3, 10**3), den=st.integers(1, 10**3),
-)
-@example(a=-16, b=-16, sa=8, sb=8, den=8)  # crosses the origin: max(0, x, y) changes branch
-def test_sample_decimals_match_the_squash_and_quadrant_closed_forms(a, b, sa, sb, den):
-    from tropcurve.io_render import _EDGE_STEPS, _RAY_STEPS, _quadrant_decimals, _sample_decimals, _triangle_point
+# A reference copy of the quadrant panel as it was written before each
+# edge's two copies were formatted in one loop: every sample's four
+# quadrant decimals in a list, then one formatting pass per drawn copy.
 
-    for steps in (_EDGE_STEPS, _RAY_STEPS):
-        expected = [_quadrant_decimals(*_triangle_point(a + t * sa, b + t * sb, den)) for t in steps]
-        assert _sample_decimals(a, b, sa, sb, steps, den) == expected
+
+def _quadrant_decimals_reference(u, v, s):
+    q, r = divmod(1_300_000 * u, s)
+    xs = (6_000_000 + q, 6_000_000 - q - (r > 0))
+    q, r = divmod(1_300_000 * v, s)
+    return xs, (1_400_000 - q - (r > 0), 1_400_000 + q)
+
+
+def _sample_decimals_reference(a, b, sa, sb, steps, den):
+    from tropcurve.io_render import _triangle_point
+
+    return [_quadrant_decimals_reference(*_triangle_point(a + t * sa, b + t * sb, den)) for t in steps]
+
+
+def _quadrant_points_reference(decimals, eps):
+    e0, e1 = eps
+    return " ".join(
+        f"{_fmt_reference(Fraction(xs[e0], 10_000))},{_fmt_reference(Fraction(ys[e1], 10_000))}"
+        for xs, ys in decimals
+    )
+
+
+def _quadrant_panel_reference(curve, phase):
+    from tropcurve.io_render import _ray_limit, _triangle_point
+    from tropcurve.realstruct import EPS4
+
+    parts = ['<g id="quadrants">']
+    triangle = [_quadrant_decimals_reference(u, v, 1) for u, v in ((0, 0), (1, 0), (0, 1))]
+    for eps in EPS4:
+        points = _quadrant_points_reference(triangle, eps)
+        parts.append(f'<polygon points="{points}" fill="none" stroke="#bbb" stroke-width="0.8"/>')
+    if phase is not None and curve.degree is not None:
+        den = 8 * curve.frame.den
+        verts = [(8 * x, 8 * y) for x, y in curve.frame.vertices]
+        at_vertex = [_quadrant_decimals_reference(*_triangle_point(a, b, den)) for a, b in verts]
+        for e in curve.edges:
+            a, b = verts[e.tail]
+            if e.bounded:
+                ha, hb = verts[e.head]
+                decimals = [
+                    at_vertex[e.tail],
+                    *_sample_decimals_reference(a, b, (ha - a) // 8, (hb - b) // 8, range(1, 8), den),
+                    at_vertex[e.head],
+                ]
+            else:
+                dx, dy = e.direction
+                decimals = [
+                    at_vertex[e.tail],
+                    *_sample_decimals_reference(a, b, dx * den, dy * den, (1, 2, 4, 8, 16, 64), den),
+                    _quadrant_decimals_reference(*_ray_limit(a, b, den, e.direction)),
+                ]
+            for eps in sorted(phase.lines[e.index].elements):
+                points = _quadrant_points_reference(decimals, eps)
+                parts.append(f'<polyline points="{points}" fill="none" stroke="#b03030" stroke-width="1.2"/>')
+    parts.append("</g>")
+    return "\n".join(parts)
+
+
+def test_quadrant_panel_matches_the_reference_panel():
+    # random phases of honeycombs and of perturbed lifts, moved so that
+    # frames have den > 1 and vertices negative coordinates
+    rng = random.Random(31)
+    curves = [honeycomb(d) for d in range(1, 8)]
+    while len(curves) < 70:
+        d = rng.randint(2, 5)
+        coeffs = {
+            (i, j): Fraction(-8 * (i * i + i * j + j * j) + rng.randint(-8, 8), 8)
+            for i in range(d + 1) for j in range(d + 1 - i)
+        }
+        try:
+            curves.append(curve_from_polynomial(TropicalPolynomial(coeffs)))
+        except TropcurveError:
+            continue
+    wide = negative = 0
+    for k, curve in enumerate(curves):
+        if k % 2:
+            offset = (Fraction(rng.randint(-60, 20), rng.choice((1, 3, 5))), Fraction(rng.randint(-60, 20), 7))
+            curve = curve.translated(offset)
+        wide += curve.frame.den > 1
+        negative += any(x < 0 or y < 0 for x, y in curve.frame.vertices)
+        for _ in range(3):
+            delta = random_sign_distribution(rng, curve)
+            phase = phase_from_signs(curve, delta)
+            svg = render_svg(curve, phase, None, None, delta)
+            panel = svg[svg.index('<g id="quadrants">'):svg.rindex("</g>") + 4]
+            assert panel == _quadrant_panel_reference(curve, phase)
+    assert wide > 40 and negative > 40
 
 
 @seed(6)
@@ -408,14 +486,14 @@ def test_integer_formatter_matches_fraction_formatter(num, den):
 @example(s=13, u_part=Fraction(1, 13), v_part=Fraction(2, 13))  # 1300000 * u divisible by s
 @example(s=7, u_part=Fraction(3, 7), v_part=Fraction(1))  # a remainder, v = s
 def test_quadrant_closed_forms_match_fraction_definitions(s, u_part, v_part):
-    from tropcurve.io_render import _quadrant_decimals, _quadrant_points
+    from tropcurve.io_render import _quadrant_strings
 
     u, v = int(u_part * s), int(v_part * s)
-    decimals = [_quadrant_decimals(u, v, s)]
-    for eps in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        x = 600 + (-130 if eps[0] else 130) * Fraction(u, s)
-        y = 140 - (-130 if eps[1] else 130) * Fraction(v, s)
-        assert _quadrant_points(decimals, eps) == f"{_fmt_reference(x)},{_fmt_reference(y)}"
+    xs, ys = _quadrant_strings(u, v, s)
+    for e0, e1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x = 600 + (-130 if e0 else 130) * Fraction(u, s)
+        y = 140 - (-130 if e1 else 130) * Fraction(v, s)
+        assert (xs[e0], ys[e1]) == (_fmt_reference(x), _fmt_reference(y))
 
 
 def _structures(curve, delta):
