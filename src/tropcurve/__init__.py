@@ -24,7 +24,6 @@ from .hyperbolic import (
     hyperbolic_wrt_point,
     hyperbolicity_locus,
     is_hyperbolic,
-    is_stable_limit,
     multi_bridges,
 )
 from .intersect import (
@@ -48,7 +47,6 @@ from .realstruct import (
     count_components_direct,
     count_components_matrix,
     div_space,
-    extend_sign,
     is_admissible,
     is_dividing,
     phase_from_signs,

@@ -227,13 +227,15 @@ def main(argv=None) -> int:
     p.add_argument("--eps", default=None, help="symmetry bits b,b")
     p = command("render", "emit an SVG figure", _cmd_render, fmt=False)
     p.add_argument("--locus", action="store_true", help="shade the hyperbolicity locus")
-    p = sub.add_parser("verify", help="run the oracle cross-check suite")
-    p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=25)
+    verify = sub.add_parser("verify", help="run the oracle cross-check suite")
+    verify.set_defaults(handler=_cmd_verify)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--trials", type=int, default=25)
 
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and args.trials < 1:  # no check would run
+            verify.error(f"argument --trials: must be at least 1, not {args.trials}")
     except SystemExit as exc:  # --help (0) or a usage error (1, see _Parser)
         return exc.code
     try:

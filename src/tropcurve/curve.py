@@ -51,9 +51,6 @@ class TropicalPolynomial:
             self.coefficients[(int(i), int(j))] = a if type(a) is Fraction else Fraction(a)
         self.support = frozenset(self.coefficients)
 
-    def term(self, ij: IVec, point: Point) -> Fraction:
-        return self.coefficients[ij] + ij[0] * point[0] + ij[1] * point[1]
-
     def argmax(self, point: Point) -> tuple[IVec, ...]:
         x, y = point
         terms = [(a + i * x + j * y, (i, j)) for (i, j), a in self.coefficients.items()]

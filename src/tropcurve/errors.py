@@ -18,10 +18,6 @@ class DegreeUnset(TropcurveError):
     """Operation needs the projective compactification (Newton polygon d*simplex)."""
 
 
-class UnknownPoint(TropcurveError):
-    """Lattice point outside the sign distribution's domain."""
-
-
 class NotAdmissible(TropcurveError):
     """Twist set violates the per-cycle direction-sum condition."""
 

@@ -33,22 +33,6 @@ class Gf2Vector:
             bits ^= 1 << i
         return cls(length, bits)
 
-    @classmethod
-    def from_list(cls, values: Sequence[int]) -> "Gf2Vector":
-        bits = 0
-        for i, v in enumerate(values):
-            if v & 1:
-                bits |= 1 << i
-        return cls(len(values), bits)
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def dot(self, other: "Gf2Vector") -> int:
-        if self.length != other.length:
-            raise ValueError("dimension mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
     def support(self) -> tuple[int, ...]:
         out = []
         bits = self.bits
@@ -66,9 +50,6 @@ class Gf2Vector:
         if self.length != other.length:
             raise ValueError("dimension mismatch")
         return Gf2Vector(self.length, self.bits ^ other.bits)
-
-    def to_list(self) -> list[int]:
-        return [self.bit(i) for i in range(self.length)]
 
 
 def _reduce_rows(rows: list[int], width: int | None = None) -> tuple[list[int], list[int], list[int]]:
@@ -123,28 +104,6 @@ class Gf2Matrix:
         for r in self.row_bits:
             if r < 0 or r >> self.cols:
                 raise ValueError("row wider than cols")
-
-    @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[Iterable[int]]) -> "Gf2Matrix":
-        bits = []
-        for row in rows:
-            b = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    b |= 1 << j
-            bits.append(b)
-        return cls(len(bits), cols, tuple(bits))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
 
     def mul_vector(self, v: Gf2Vector) -> Gf2Vector:
         if v.length != self.cols:
@@ -201,21 +160,12 @@ class Gf2Subspace:
                 k += 1
             yield Gf2Vector(self.ambient_dim, bits)
 
-    def intersect(self, other: "Gf2Subspace") -> "Gf2Subspace":
-        """Intersection via the kernel of the stacked quotient maps."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("dimension mismatch")
-        # x in both spaces  <=>  x satisfies the orthogonality constraints of both.
-        cons = self.orthogonal_constraints() + other.orthogonal_constraints()
-        flat = solve_affine([(c, 0) for c in cons], self.ambient_dim)
-        if flat is None:
-            raise InvariantViolation("homogeneous constraints always have the zero solution")
-        return flat.space
-
     def orthogonal_constraints(self) -> list[Gf2Vector]:
         """Rows c with c.x = 0 cutting out exactly this subspace."""
-        reduced, pivots, _ = _reduce_rows([b.bits for b in self.basis])
-        # c.x = 0 on the space iff c is orthogonal to its basis rows
+        # the basis is fully reduced with each pivot its row's lowest bit
+        # (see from_vectors); c.x = 0 on the space iff c is orthogonal to it
+        reduced = [b.bits for b in self.basis]
+        pivots = [(r & -r).bit_length() - 1 for r in reduced]
         return list(_kernel(reduced, pivots, self.ambient_dim).basis)
 
 
@@ -227,17 +177,8 @@ class AffineFlat:
     space: Gf2Subspace
 
     @property
-    def ambient_dim(self) -> int:
-        return self.space.ambient_dim
-
-    @property
     def dim(self) -> int:
         return self.space.dim
-
-    @property
-    def is_linear(self) -> bool:
-        """True when the flat passes through 0 (it is a plain subspace)."""
-        return self.space.contains(self.offset)
 
     def contains(self, v: Gf2Vector) -> bool:
         return self.space.contains(v ^ self.offset)
@@ -326,7 +267,7 @@ def solve_affine(
     """Solve the system {c.x = b}; None when inconsistent.
 
     The result distinguishes the empty case (None), a linear solution
-    space (flat.is_linear) and a proper affine flat.
+    space (``flat.space.contains(flat.offset)``) and a proper affine flat.
     """
     if ambient_dim is None:
         if not constraints:

@@ -157,14 +157,6 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
     )
 
 
-def is_stable_limit(curve: TropicalCurve, phase: RealPhaseStructure) -> bool:
-    """Honeycomb, every bounded edge twisted, and the induced sign
-    distribution constant (the identity symmetry is globally consistent)."""
-    curve.require_degree()
-    phase.validate_for(curve)
-    return _stable_limit(curve, phase, twists_from_phase(curve, phase))
-
-
 def _stable_limit(curve: TropicalCurve, phase: RealPhaseStructure, twists: TwistSet) -> bool:
     # signs_from_phase flips the sign exactly across the edges whose phase
     # line contains (0,0), and the dual graph is connected, so the signs

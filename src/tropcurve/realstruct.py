@@ -69,7 +69,7 @@ from itertools import product
 from typing import Iterable, NamedTuple
 
 from .curve import TropicalCurve, curve_table, primitive_cycles
-from .errors import InvariantViolation, NotAdmissible, UnknownPoint, ValidationError
+from .errors import InvariantViolation, NotAdmissible, ValidationError
 from .geometry import IVec
 from .gf2 import PHASE_LINES, Gf2Factoring, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, factor, kernel
 
@@ -104,25 +104,9 @@ class SignDistribution:
     def validate_for(self, curve: TropicalCurve) -> None:
         _base(curve).minus(self)
 
-    def resign(self, eps: Eps) -> "SignDistribution":
-        """Symmetric re-signing v -> (-1)^(eps.v) * sign(v)."""
-        return SignDistribution(
-            {v: s * (-1) ** ((eps[0] * v[0] + eps[1] * v[1]) % 2) for v, s in self.signs.items()}
-        )
-
-    def negate(self) -> "SignDistribution":
-        return SignDistribution({v: -s for v, s in self.signs.items()})
-
     @classmethod
     def constant(cls, curve: TropicalCurve, sign: int = 1) -> "SignDistribution":
         return cls({v: sign for v in curve.dual.lattice_points})
-
-
-def extend_sign(delta: SignDistribution, eps: Eps, v: IVec) -> int:
-    """Sign of the eps-copy of lattice point v."""
-    if v not in delta.signs:
-        raise UnknownPoint(f"{v} is not in the sign distribution")
-    return delta.signs[v] * (-1) ** ((eps[0] * v[0] + eps[1] * v[1]) % 2)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from tropcurve import (
     is_dividing,
     is_hyperbolic,
     is_relatively_twisted,
-    is_stable_limit,
     multi_bridges,
     phase_from_signs,
     phase_from_twists,
@@ -78,11 +77,11 @@ def test_criterion_1_stable_honeycomb_suite():
             assert twists.edges == frozenset(curve.bounded_edges)
             assert len(twists.edges) == 3 * d * (d - 1) // 2
             phase = phase_from_signs(curve, delta)
-            assert is_stable_limit(curve, phase)
             hyp, k = is_hyperbolic(curve, twists)
             assert hyp and k == (d + 1) // 2 - 1
             assert count_components_matrix(curve, twists) == (d + 1) // 2
             report = hyperbolicity_locus(curve, phase)
+            assert report.stable
             assert report.component_count == (d + 1) // 2
             everything = frozenset(curve.dual.lattice_points)
             assert report.locus == everything
@@ -279,7 +278,8 @@ def test_criterion_8_degree_six_nested_ovals():
         A = twist_matrix(curve, twists)
         for s, want in ((2, 0), (3, 2), (4, 2), (5, 4)):
             idx = [i for i, cy in enumerate(cycles) if sum(cy.center) == s]
-            sub = Gf2Matrix.from_rows(len(idx), [[A.entry(i, j) for j in idx] for i in idx])
+            sub = Gf2Matrix(len(idx), len(idx), tuple(
+                sum((A.row_bits[i] >> j & 1) << k for k, j in enumerate(idx)) for i in idx))
             assert sub.rank() == want
         assert kernel(A).dim == 2
         hyp, k = is_hyperbolic(curve, twists)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,14 @@ def test_verify_green(specs, capsys):
     code, out, _ = run(capsys, "verify", "--seed", "1", "--trials", "6")
     assert code == 0
     assert "MISMATCH" not in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_trial(trials, capsys):
+    # such a run would report "ok" for checks that drew no input
+    code, out, err = run(capsys, "verify", "--trials", trials)
+    assert (code, out) == (1, "")
+    assert err == f"error: tropcurve verify: argument --trials: must be at least 1, not {trials}\n"
 
 
 def test_verify_mismatch_exits_3(specs, capsys, monkeypatch):
@@ -580,3 +589,22 @@ def test_verify_output_is_pinned(capsys):
     # every check's draws, trial budget and detail message show in these lines
     code, out, err = run(capsys, "verify", "--seed", "0", "--trials", "5")
     assert (code, out, err) == (0, _VERIFY_SEED0_TRIALS5, "")
+
+
+def test_verify_prints_the_same_bytes_under_every_python_on_path():
+    # pyproject says requires-python >= 3.10; each interpreter that starts must agree
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def verify(python):
+        return subprocess.run([python, "-m", "tropcurve.cli", "verify", "--seed", "0", "--trials", "5"],
+                              env=env, capture_output=True, timeout=120)
+
+    want = verify(sys.executable)
+    assert (want.returncode, want.stdout.decode(), want.stderr) == (0, _VERIFY_SEED0_TRIALS5, b"")
+    for minor in range(10, 14):
+        python = shutil.which(f"python3.{minor}")
+        # a pyenv shim for a version that is not selected exits 127
+        if python is None or subprocess.run([python, "-c", ""], capture_output=True, timeout=60).returncode == 127:
+            continue
+        got = verify(python)
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, b""), python

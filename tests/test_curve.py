@@ -165,7 +165,7 @@ def test_regular_subdivision_exactness():
         poly = curve.poly
         for vid, pt in enumerate(curve.vertices):
             cell = curve.vertex_cell[vid]
-            vals = {ij: poly.term(ij, pt) for ij in poly.support}
+            vals = {(i, j): a + i * pt[0] + j * pt[1] for (i, j), a in poly.coefficients.items()}
             top = max(vals.values())
             for ij in poly.support:
                 if ij in cell:

@@ -16,7 +16,6 @@ from tropcurve import (
     is_admissible,
     is_dividing,
     is_hyperbolic,
-    is_stable_limit,
     multi_bridges,
     phase_from_signs,
     phase_from_twists,
@@ -95,7 +94,8 @@ def test_degree_six_block_fixture():
         idx = [i for i, cy in enumerate(cycles) if sum(cy.center) == s]
         from tropcurve.gf2 import Gf2Matrix
 
-        sub = Gf2Matrix.from_rows(len(idx), [[A.entry(i, j) for j in idx] for i in idx])
+        sub = Gf2Matrix(len(idx), len(idx), tuple(
+            sum((A.row_bits[i] >> j & 1) << k for k, j in enumerate(idx)) for i in idx))
         ranks[s] = sub.rank()
     assert [ranks[s] for s in (2, 3, 4, 5)] == [0, 2, 2, 4]
     ok, k = is_hyperbolic(c, T)
@@ -305,12 +305,12 @@ def test_partially_twisted_honeycomb_fails_each_fixed_symmetry(rng):
 
 def test_stable_limit_cases():
     c, phase = stable_phase(3)
-    assert is_stable_limit(c, phase)
-    # all edges twisted but the consistent symmetry is not the identity
-    delta = SignDistribution.constant(c).resign((1, 0))
+    assert hyperbolicity_locus(c, phase).stable
+    # all edges twisted but the consistent symmetry is not the identity:
+    # the constant signs re-signed by eps = (1, 0), v -> (-1)^(v_0)
+    delta = SignDistribution({v: -1 if v[0] & 1 else 1 for v in c.dual.lattice_points})
     phase2 = phase_from_signs(c, delta)
     assert twists_from_phase(c, phase2).edges == frozenset(c.bounded_edges)
-    assert not is_stable_limit(c, phase2)
     # same twist data is still hyperbolic with respect to every point
     report = hyperbolicity_locus(c, phase2)
     assert report.locus == frozenset(c.dual.lattice_points)
@@ -318,7 +318,7 @@ def test_stable_limit_cases():
     # non-honeycomb curve
     q = _non_honeycomb_quartic()
     phase_q = phase_from_signs(q, SignDistribution.constant(q))
-    assert not is_stable_limit(q, phase_q)
+    assert not hyperbolicity_locus(q, phase_q).stable
 
 
 def test_hyp_alpha_flats_for_the_quartic():

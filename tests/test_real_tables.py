@@ -136,7 +136,7 @@ def _phase_from_twists_reference(curve, twists, seed=None):
     flat = solve_affine(constraints, len(pts))
     if flat is None:
         raise NotAdmissible("no sign distribution induces this twist set")
-    delta = SignDistribution({p: -1 if flat.offset.bit(index[p]) else 1 for p in pts})
+    delta = SignDistribution({p: -1 if flat.offset.bits >> index[p] & 1 else 1 for p in pts})
     phase = phase_from_signs(curve, delta)
     seed_edge, seed_eps = seed
     if not phase.lines[seed_edge].contains(seed_eps):

@@ -11,7 +11,6 @@ from tropcurve import (
     count_components_matrix,
     curve_from_polynomial,
     div_space,
-    extend_sign,
     honeycomb,
     is_admissible,
     is_dividing,
@@ -23,7 +22,7 @@ from tropcurve import (
     twists_from_phase,
     twists_from_signs,
 )
-from tropcurve.errors import NotAdmissible, UnknownPoint
+from tropcurve.errors import NotAdmissible
 from tropcurve.realstruct import EPS4, _cells, region_class
 from tropcurve.selfcheck import (
     _UnionFind,
@@ -41,15 +40,6 @@ from tropcurve.selfcheck import (
 from conftest import make_line
 
 
-def test_extend_sign_rule():
-    delta = SignDistribution({(1, 0): 1, (1, 1): 1, (0, 0): 1})
-    assert extend_sign(delta, (1, 0), (1, 0)) == -1
-    assert extend_sign(delta, (0, 0), (1, 0)) == 1
-    assert extend_sign(delta, (1, 1), (1, 1)) == 1
-    with pytest.raises(UnknownPoint):
-        extend_sign(delta, (0, 0), (5, 5))
-
-
 def test_line_phase_from_constant_signs():
     line = make_line()
     phase = phase_from_signs(line, SignDistribution.constant(line))
@@ -61,7 +51,8 @@ def test_phase_invariant_under_negation():
     c = honeycomb(3)
     rng = random.Random(3)
     delta = random_sign_distribution(rng, c)
-    assert phase_from_signs(c, delta) == phase_from_signs(c, delta.negate())
+    negated = SignDistribution({v: -s for v, s in delta.signs.items()})
+    assert phase_from_signs(c, delta) == phase_from_signs(c, negated)
 
 
 def test_resigning_translates_the_phase():
@@ -70,9 +61,12 @@ def test_resigning_translates_the_phase():
     delta = random_sign_distribution(rng, c)
     base = phase_from_signs(c, delta)
     for eps in ((0, 1), (1, 0), (1, 1)):
-        moved = phase_from_signs(c, delta.resign(eps))
+        # the symmetric re-signing v -> (-1)^(eps.v) * sign(v)
+        resigned = SignDistribution({v: -s if (eps[0] * v[0] + eps[1] * v[1]) & 1 else s
+                                     for v, s in delta.signs.items()})
+        moved = phase_from_signs(c, resigned)
         assert moved == base.translate(eps)
-        assert twists_from_signs(c, delta.resign(eps)).edges == twists_from_signs(c, delta).edges
+        assert twists_from_signs(c, resigned).edges == twists_from_signs(c, delta).edges
 
 
 def test_twist_sign_rule_distinct_case():

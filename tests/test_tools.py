@@ -40,3 +40,12 @@ def test_stage_tools_time_every_stage(name):
     out = tool.stages(1, 1)
     assert out["ops"] > 0
     assert out["pass"].keys() == {f"{stage}_ms" for stage in tool.STAGES}
+
+
+def test_reach_lists_the_functions_one_demo_leaves_unreached():
+    reach = _tool("reach")
+    demo = TOOLS.parent / "demos" / "01_tropical_curves.py"
+    missed = {line.split()[0] for line in reach.unreached([lambda: reach.run_demo(demo)])}
+    assert {"selfcheck.run_check", "cli.main", "io_render.load_spec"} <= missed
+    assert not {"curve.honeycomb", "curve.curve_from_polynomial", "io_render.render_svg"} & missed
+    assert len(missed) < len(reach.functions())
