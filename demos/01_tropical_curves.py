@@ -18,7 +18,9 @@ from tropcurve import (
     render_svg,
 )
 
-out_dir = Path(__file__).parent / "out"
+# the repository root, so the printed paths are the same in every checkout
+root = Path(__file__).resolve().parent.parent
+out_dir = root / "demos" / "out"
 out_dir.mkdir(exist_ok=True)
 
 # A tropical line: max(0, x, y).  One vertex, three rays.
@@ -57,4 +59,4 @@ for cycle in primitive_cycles(quartic):
 
 svg = render_svg(quartic)
 (out_dir / "quartic_honeycomb.svg").write_text(svg)
-print("\nwrote", out_dir / "quartic_honeycomb.svg")
+print("\nwrote", (out_dir / "quartic_honeycomb.svg").relative_to(root))

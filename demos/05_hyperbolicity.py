@@ -25,7 +25,9 @@ from tropcurve import (
     render_svg,
 )
 
-out_dir = Path(__file__).parent / "out"
+# the repository root, so the printed paths are the same in every checkout
+root = Path(__file__).resolve().parent.parent
+out_dir = root / "demos" / "out"
 out_dir.mkdir(exist_ok=True)
 
 print("stable quintic: constant signs twist every bounded edge")
@@ -50,7 +52,7 @@ print(f"  why (2,1) fails: condition {verdict.failing_condition}, {verdict.detai
 
 svg = render_svg(quartic, phase=phase4, twists=twists, locus=report4.locus)
 (out_dir / "quartic_bridge_locus.svg").write_text(svg)
-print("  wrote", out_dir / "quartic_bridge_locus.svg")
+print("  wrote", (out_dir / "quartic_bridge_locus.svg").relative_to(root))
 
 print("\ntwist sets whose locus contains a given component form a flat")
 for alpha in ((1, 1), (0, 0), (2, 1)):

@@ -33,15 +33,6 @@ class Gf2Vector:
             bits ^= 1 << i
         return cls(length, bits)
 
-    def support(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
-
     @property
     def is_zero(self) -> bool:
         return self.bits == 0

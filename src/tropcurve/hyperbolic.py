@@ -27,6 +27,7 @@ from .realstruct import (
     Eps,
     RealPhaseStructure,
     TwistSet,
+    _base,
     _cells,
     _face_tree,
     _root,
@@ -160,11 +161,12 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
 def _stable_limit(curve: TropicalCurve, phase: RealPhaseStructure, twists: TwistSet) -> bool:
     # signs_from_phase flips the sign exactly across the edges whose phase
     # line contains (0,0), and the dual graph is connected, so the signs
-    # are constant iff no phase line contains (0,0)
+    # are constant iff no phase line contains (0,0): the line at level 0
+    # does, so every level bit is 1
     return (
         curve.is_honeycomb()
         and twists.vector.bits == (1 << len(curve.bounded_edges)) - 1
-        and not any(line.contains((0, 0)) for line in phase.lines)
+        and _base(curve).levels(phase) == _base(curve).all_levels
     )
 
 

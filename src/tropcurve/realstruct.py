@@ -27,14 +27,22 @@ table store, which its translated copies share.  A phase structure is
 read as one level bit per edge, since the curve fixes each edge's
 direction class, and a sign distribution as one bit per lattice point;
 conversions, twist solving and the cell model are then popcounts and
-XORs over those bits.  A route builds only the tables it reads, and each
+XORs over those bits.  The records hold the bits: a phase from a
+conversion keeps its tables and level bits, a twist set its vector and
+a component report its drawn copies and faces, and their tuples and
+frozensets (``lines``, ``edges``, ``edge_copies``, ``interior_regions``)
+are built on first read.  A route builds only the tables it reads, and each
 table reads the curve once per vertex, edge or side point, not once per
 edge end through helper calls:
 
 - ``_base`` (every route): the lattice index, each edge's dual indices
-  and direction class, each vertex's incident edges;
-- ``_sign_rule`` (signs to twists and back): per vertex, its dual cell's
-  point bits and coordinate parities, then two table reads per edge;
+  and direction class, each vertex's incident edges and each lattice
+  point's incident edges, the columns that turn minus signs into levels;
+- ``_sign_columns`` (signs to twists): per vertex, its dual cell's index
+  sum and coordinate parities, then two table reads per edge; each minus
+  sign XORs in one column;
+- ``_sign_rule`` (twists to a phase): the rows of that rule, its columns
+  transposed, which ``_sign_solver`` factors;
 - ``_side_ends`` (one twist, overlaps, ``_side_rule``): per vertex, one
   class check and three determinants for its three edge ends;
 - ``_side_rule`` (phase to twists): two ends per bounded edge;
@@ -65,7 +73,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
+from operator import getitem
 from typing import Iterable, NamedTuple
 
 from .curve import TropicalCurve, curve_table, primitive_cycles
@@ -79,6 +88,15 @@ Eps = tuple[int, int]
 
 # the set bits of each 4-bit mask, lowest first
 _BITS = tuple(tuple(c for c in range(4) if m >> c & 1) for m in range(16))
+
+# the characters "0" and "1" as the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_bytes(bits: int, n: int) -> bytes:
+    """Byte k is bit k of bits, for k < n: the bits in one C-level pass,
+    for ``map`` and ``compress`` to read."""
+    return format(bits, f"0{n}b")[::-1].encode().translate(_BIT_BYTES)
 
 
 def _xor(a: Eps, b: Eps) -> Eps:
@@ -109,15 +127,48 @@ class SignDistribution:
         return cls({v: sign for v in curve.dual.lattice_points})
 
 
-@dataclass(frozen=True)
 class RealPhaseStructure:
-    """One affine line in (Z/2)^2 per edge of the curve."""
+    """One affine line in (Z/2)^2 per edge of the curve.
 
-    lines: tuple[PhaseLine, ...]
+    Built from its lines, or by the conversions from a curve's tables and
+    one level bit per edge, with ``lines`` built on first read.  Equality,
+    hashing and repr are those of the record ``(lines,)``."""
 
-    # (tables, level bits) of the last curve tables that read this phase
-    # (see ``_Base.levels``); not a field, so equality and hashing ignore it
-    _read = None
+    __slots__ = ("_lines", "_read")
+
+    def __init__(self, lines: tuple[PhaseLine, ...]):
+        self._lines = lines
+        # (tables, level bits) of the last curve tables that read this
+        # phase (see ``_Base.levels``); while ``_lines`` is None, the
+        # tables that built it
+        self._read = None
+
+    @classmethod
+    def _of_levels(cls, base: "_Base", levels: int) -> "RealPhaseStructure":
+        phase = cls.__new__(cls)
+        phase._lines = None
+        phase._read = (base, levels)
+        return phase
+
+    @property
+    def lines(self) -> tuple[PhaseLine, ...]:
+        lines = self._lines
+        if lines is None:
+            base, levels = self._read
+            pairs = base.line_pairs
+            lines = self._lines = tuple(map(getitem, pairs, _bit_bytes(levels, len(pairs))))
+        return lines
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lines == other.lines
+
+    def __hash__(self):
+        return hash((self.lines,))
+
+    def __repr__(self):
+        return f"RealPhaseStructure(lines={self.lines!r})"
 
     def translate(self, eps: Eps) -> "RealPhaseStructure":
         return RealPhaseStructure(tuple(ln.translate(eps) for ln in self.lines))
@@ -126,12 +177,42 @@ class RealPhaseStructure:
         _base(curve).levels(self)
 
 
-@dataclass(frozen=True)
 class TwistSet:
-    """Subset of the bounded edges, kept in sync with its GF(2) vector."""
+    """Subset of the bounded edges, kept in sync with its GF(2) vector.
 
-    edges: frozenset[int]
-    vector: Gf2Vector
+    ``from_vector`` keeps the vector and the curve's bounded edges, and
+    builds ``edges`` on first read.  Equality, hashing and repr are those
+    of the record ``(edges, vector)``."""
+
+    __slots__ = ("_edges", "_vector", "_bounded")
+
+    def __init__(self, edges: frozenset[int], vector: Gf2Vector):
+        self._edges = edges
+        self._vector = vector
+        self._bounded = None
+
+    @property
+    def edges(self) -> frozenset[int]:
+        edges = self._edges
+        if edges is None:
+            vector = self._vector
+            edges = self._edges = frozenset(compress(self._bounded, _bit_bytes(vector.bits, vector.length)))
+        return edges
+
+    @property
+    def vector(self) -> Gf2Vector:
+        return self._vector
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edges, self._vector) == (other.edges, other._vector)
+
+    def __hash__(self):
+        return hash((self.edges, self._vector))
+
+    def __repr__(self):
+        return f"TwistSet(edges={self.edges!r}, vector={self._vector!r})"
 
     @classmethod
     def from_edges(cls, curve: TropicalCurve, edges: Iterable[int]) -> "TwistSet":
@@ -148,8 +229,9 @@ class TwistSet:
     def from_vector(cls, curve: TropicalCurve, vector: Gf2Vector) -> "TwistSet":
         if vector.length != len(curve.bounded_edges):
             raise ValueError("vector length != number of bounded edges")
-        ids = frozenset(curve.bounded_edges[k] for k in vector.support())
-        return cls(ids, vector)
+        twists = cls(None, vector)
+        twists._bounded = curve.bounded_edges
+        return twists
 
 
 # -- the per-curve tables -------------------------------------------------
@@ -161,6 +243,16 @@ def _parities(bits: int, masks: tuple[int, ...], offsets: int) -> int:
     for k, mask in enumerate(masks):
         if (bits & mask).bit_count() & 1:
             out ^= 1 << k
+    return out
+
+
+def _columns(bits: int, columns: tuple[int, ...], out: int) -> int:
+    """out XOR columns[k] for every set bit k of bits: the same ints as
+    ``_parities`` over the rows whose transpose the columns are."""
+    while bits:
+        low = bits & -bits
+        out ^= columns[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
@@ -192,22 +284,31 @@ _ON_MASKS = {
 
 class _Base:
     """The lattice point index, each edge's dual index pair and direction
-    class, and one incident-edge bitmask per vertex.  Reads a sign
-    distribution into a bit per lattice point and a phase structure into
-    a level bit per edge, checking each against the curve."""
+    class, one incident-edge bitmask per vertex and one per lattice point.
+    Reads a sign distribution into a bit per lattice point and a phase
+    structure into a level bit per edge, checking each against the curve."""
 
     def __init__(self, curve: TropicalCurve):
         self.points = points = curve.dual.lattice_points
-        index = {p: k for k, p in enumerate(points)}
+        self.index = index = {p: k for k, p in enumerate(points)}
         self.point_bit = {p: 1 << k for p, k in index.items()}
         duals, classes = [], []
-        for e in curve.edges:
+        # per lattice point, the edges whose dual edge ends there
+        point_edges = [0] * len(points)
+        for eid, e in enumerate(curve.edges):
             p, q = e.dual
-            duals.append((index[p], index[q]))
+            i, j = index[p], index[q]
+            duals.append((i, j))
+            bit = 1 << eid
+            point_edges[i] |= bit
+            point_edges[j] |= bit
             dx, dy = e.direction
             classes.append((dx & 1, dy & 1))
         self.duals = tuple(duals)
         self.classes = tuple(classes)
+        self.point_edges = tuple(point_edges)
+        # the level bits with every edge at level 1
+        self.all_levels = (1 << len(duals)) - 1
         # the edge's phase line at level 0 and at level 1
         self.line_pairs = tuple(map(_LINE_PAIRS.__getitem__, classes))
         vmasks = []
@@ -236,6 +337,8 @@ class _Base:
         read = phase._read
         if read is not None and read[0] is self:
             return read[1]
+        # read before ``_read`` is replaced: a phase built from other
+        # tables builds its lines from them
         lines = phase.lines
         if len(lines) != len(self.classes):
             raise ValidationError("phase structure does not cover every edge")
@@ -248,21 +351,15 @@ class _Base:
         for v, mask in enumerate(self.vmasks):
             if not (levels & mask).bit_count() & 1:
                 raise ValidationError(f"vertex {v}: phase lines share a common point")
-        object.__setattr__(phase, "_read", (self, levels))
+        phase._read = (self, levels)
         return levels
 
     def phase_of_signs(self, minus: int) -> RealPhaseStructure:
         """The phase structure induced by the signs with the given minus
-        bits: an edge's level is 1 iff its dual endpoints agree.  Such a
-        phase is valid, so it comes with its level bits already read."""
-        lines, levels = [], 0
-        for e, (pair, (i, j)) in enumerate(zip(self.line_pairs, self.duals)):
-            level = 1 ^ ((minus >> i ^ minus >> j) & 1)
-            lines.append(pair[level])
-            levels |= level << e
-        phase = RealPhaseStructure(tuple(lines))
-        object.__setattr__(phase, "_read", (self, levels))
-        return phase
+        bits: an edge's level is 1 iff its dual endpoints agree, so each
+        minus point flips the levels of the edges at it.  Such a phase is
+        valid, so it is built from its level bits."""
+        return RealPhaseStructure._of_levels(self, _columns(minus, self.point_edges, self.all_levels))
 
 
 _base = curve_table(_Base)
@@ -396,34 +493,53 @@ _cells = curve_table(_Cells)
 
 
 @curve_table
-def _sign_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
-    """Per bounded edge, the lattice points whose minus signs decide its
-    twist (the two cell vertices opposite it when they agree mod 2, else
-    all four) as a mask, and the offsets as one int.
+def _sign_columns(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
+    """The sign rule as one column per lattice point: the bounded edges
+    whose twist its minus sign flips, and the offsets as one int.  An
+    edge's twist reads the minus signs of the two cell vertices opposite
+    it when they agree mod 2, else of those and its two dual points,
+    flipped.
 
-    Read per vertex: the bits of its dual cell's points and the parities
-    of their coordinate sums.  An edge's two cells share its dual points
-    p, q, so the opposite vertices are the cells' sums less p + q: they
-    agree mod 2 iff the sums do, and their bits are the two cells' bits
-    less p's and q's."""
+    Read per vertex: the sum of its dual cell's point indices and the
+    parities of their coordinate sums.  An edge's two cells share its
+    dual points p, q, so each opposite vertex is its cell's index sum less
+    those of p and q, and they agree mod 2 iff the cells' coordinate sums
+    do."""
     base = _base(curve)
-    bit = base.point_bit
-    cell_bits, parity = [], []
+    index = base.index
+    sums, parity = [], []
     for a, b, c in curve.vertex_cell:
-        cell_bits.append(bit[a] | bit[b] | bit[c])
+        sums.append(index[a] + index[b] + index[c])
         parity.append((a[0] + b[0] + c[0]) & 1 | ((a[1] + b[1] + c[1]) & 1) << 1)
     edges, duals = curve.edges, base.duals
-    masks, offsets = [], 0
+    columns, offsets = [0] * len(base.points), 0
     for k, eid in enumerate(curve.bounded_edges):
         e = edges[eid]
         t, h = e.tail, e.head
-        both = cell_bits[t] | cell_bits[h]
-        if parity[t] == parity[h]:
-            i, j = duals[eid]
-            masks.append(both ^ (1 << i | 1 << j))
-        else:
-            masks.append(both)
-            offsets |= 1 << k
+        i, j = duals[eid]
+        bit = 1 << k
+        columns[sums[t] - i - j] |= bit
+        columns[sums[h] - i - j] |= bit
+        if parity[t] != parity[h]:
+            columns[i] |= bit
+            columns[j] |= bit
+            offsets |= bit
+    return tuple(columns), offsets
+
+
+@curve_table
+def _sign_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
+    """The sign rule as one row per bounded edge, the transpose of
+    ``_sign_columns``: the mask of the lattice points whose minus signs
+    decide its twist, and the same offsets."""
+    columns, offsets = _sign_columns(curve)
+    masks = [0] * len(curve.bounded_edges)
+    for k, column in enumerate(columns):
+        bit = 1 << k
+        while column:
+            low = column & -column
+            masks[low.bit_length() - 1] |= bit
+            column ^= low
     return tuple(masks), offsets
 
 
@@ -617,7 +733,7 @@ def signs_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> SignDis
 
 def twists_from_signs(curve: TropicalCurve, delta: SignDistribution) -> TwistSet:
     """Twisted edges read off the sign distribution by the sign rule."""
-    return _twist_set(curve, _parities(_base(curve).minus(delta), *_sign_rule(curve)))
+    return _twist_set(curve, _columns(_base(curve).minus(delta), *_sign_columns(curve)))
 
 
 def edge_twisted(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
@@ -686,14 +802,15 @@ def phase_from_twists(
     base = _base(curve)
     seed_edge, seed_eps = seed
     i, j = base.duals[seed_edge]
-    line = base.line_pairs[seed_edge][1 ^ ((minus >> i ^ minus >> j) & 1)]
+    pair = base.line_pairs[seed_edge]
+    line = pair[1 ^ ((minus >> i ^ minus >> j) & 1)]
     if not line.contains(seed_eps):
         shift = min(_xor(seed_eps, el) for el in line.elements)
         for p, bit in base.point_bit.items():
             if (shift[0] * p[0] + shift[1] * p[1]) & 1:
                 minus ^= bit
     phase = base.phase_of_signs(minus)
-    if not phase.lines[seed_edge].contains(seed_eps):
+    if not pair[base.levels(phase) >> seed_edge & 1].contains(seed_eps):
         raise InvariantViolation("the seed element must lie on the seed edge's phase line")
     return phase
 
@@ -774,12 +891,80 @@ class RealPart:
         return frozenset((x >> 2, EPS4[x & 3]) for x in self._copies)
 
 
-@dataclass(frozen=True)
 class CurveComponentInfo:
-    edge_copies: frozenset[tuple[int, Eps]]
-    kind: str  # "oval" | "pseudo-line"
-    nesting_depth: int  # 1 = outermost oval; 0 for the pseudo-line
-    interior_regions: frozenset[tuple[IVec, Eps]] | None  # atoms inside an oval
+    """One component of a real part: its drawn edge copies, its kind, its
+    nesting depth (1 for an outermost oval, 0 for the pseudo-line) and,
+    for an oval, the atoms inside it.
+
+    ``count_components_direct`` builds ``edge_copies`` and
+    ``interior_regions`` on first read.  Equality, hashing and repr are
+    those of the record of the four fields."""
+
+    __slots__ = ("_edge_copies", "_kind", "_nesting_depth", "_interior_regions", "_source")
+
+    def __init__(
+        self,
+        edge_copies: frozenset[tuple[int, Eps]],
+        kind: str,  # "oval" | "pseudo-line"
+        nesting_depth: int,
+        interior_regions: frozenset[tuple[IVec, Eps]] | None,
+    ):
+        self._edge_copies = edge_copies
+        self._kind = kind
+        self._nesting_depth = nesting_depth
+        self._interior_regions = interior_regions
+        self._source = None
+
+    @classmethod
+    def _of_copies(cls, source: "_ReportSource", copies: list[int], kind: str, depth: int, face: int | None):
+        """A component of ``source`` with the given drawn copies; an oval
+        has its disk face, the pseudo-line None."""
+        info = cls(None, kind, depth, None)
+        info._source = (source, copies, face)
+        return info
+
+    @property
+    def edge_copies(self) -> frozenset[tuple[int, Eps]]:
+        value = self._edge_copies
+        if value is None:
+            source, copies, _ = self._source
+            keys = source.cells.copy_keys
+            value = self._edge_copies = frozenset(keys[x] for x in copies)
+        return value
+
+    @property
+    def kind(self) -> str:
+        return self._kind
+
+    @property
+    def nesting_depth(self) -> int:
+        return self._nesting_depth
+
+    @property
+    def interior_regions(self) -> frozenset[tuple[IVec, Eps]] | None:
+        value = self._interior_regions
+        if value is None and self._source is not None:
+            source, _, face = self._source
+            if face is not None:
+                value = self._interior_regions = frozenset(source.below[face])
+        return value
+
+    def _fields(self) -> tuple:
+        return (self.edge_copies, self._kind, self._nesting_depth, self.interior_regions)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"CurveComponentInfo(edge_copies={self.edge_copies!r}, kind={self._kind!r}, "
+            f"nesting_depth={self._nesting_depth!r}, interior_regions={self.interior_regions!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -929,6 +1114,27 @@ def _face_tree(rp: RealPart) -> _FaceTree:
     return _FaceTree(region, groups, disk, order, up, depth)
 
 
+class _ReportSource:
+    """What the lazy fields of one component report read: the curve's
+    cells and the real part's face tree."""
+
+    def __init__(self, cells: _Cells, tree: _FaceTree):
+        self.cells = cells
+        self.tree = tree
+
+    @cached_property
+    def below(self) -> dict[int, list[tuple[IVec, Eps]]]:
+        """The atom keys of each face and of every face below it."""
+        tree = self.tree
+        order, up = tree.order, tree.up
+        below: dict[int, list[tuple[IVec, Eps]]] = {f: [] for f in order}
+        for key, f in zip(self.cells.atom_keys, tree.region):
+            below[f].append(key)
+        for f in reversed(order[1:]):
+            below[up[f][0]].extend(below[f])
+        return below
+
+
 def count_components_direct(rp: RealPart) -> ComponentReport:
     """Components of the real part with oval/pseudo-line classification
     and the nesting tree, read off the face labelling (``_face_tree``).
@@ -936,27 +1142,20 @@ def count_components_direct(rp: RealPart) -> ComponentReport:
     Components are listed in the order of their least copies.  An oval's
     depth is the number of ovals on the way down to its disk face, its
     parent the oval just above, and its interior the atoms of its disk
-    face and of every face below it.
+    face and of every face below it.  Each component's edge copies and
+    interior are built on first read.
     """
     tree = _face_tree(rp)
-    cells = _cells(rp.curve)
-    order, up = tree.order, tree.up
-    # the atoms of each face and of every face below it
-    below: dict[int, list[tuple[IVec, Eps]]] = {f: [] for f in order}
-    for key, f in zip(cells.atom_keys, tree.region):
-        below[f].append(key)
-    for f in reversed(order[1:]):
-        below[up[f][0]].extend(below[f])
-    keys = cells.copy_keys
+    source = _ReportSource(_cells(rp.curve), tree)
+    up = tree.up
     infos, parents = [], []
     for pair, (copies, _, _) in tree.groups.items():
-        edge_copies = frozenset(keys[x] for x in copies)
         if pair[0] == pair[1]:
-            infos.append(CurveComponentInfo(edge_copies, "pseudo-line", 0, None))
+            infos.append(CurveComponentInfo._of_copies(source, copies, "pseudo-line", 0, None))
             parents.append(None)
             continue
         f = tree.disk[pair]
-        infos.append(CurveComponentInfo(edge_copies, "oval", tree.depth[f], frozenset(below[f])))
+        infos.append(CurveComponentInfo._of_copies(source, copies, "oval", tree.depth[f], f))
         # the oval just above is the one into the face outside this oval
         above = up[up[f][0]]
         parents.append(None if above is None else above[1])

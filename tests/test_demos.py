@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/, and
+its stdout names no path of the checkout it runs in."""
 
 import os
 import subprocess
@@ -18,3 +19,5 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+    # two checkouts of one commit print the same bytes
+    assert str(ROOT) not in proc.stdout

@@ -321,6 +321,41 @@ def test_stable_limit_cases():
     assert not hyperbolicity_locus(q, phase_q).stable
 
 
+def _stable_by_lines(curve, phase):
+    """The stable limit as it was read off the phase lines: a honeycomb
+    with every bounded edge twisted and no line through (0,0)."""
+    return (curve.is_honeycomb()
+            and twists_from_phase(curve, phase).edges == frozenset(curve.bounded_edges)
+            and not any(line.contains((0, 0)) for line in phase.lines))
+
+
+def test_a_locus_reads_level_bits_and_keeps_stable():
+    # the cases of test_stable_limit_cases, and every honeycomb to d=6
+    # with all edges twisted or with constant signs; the locus must not
+    # build the phase's lines, and stable must equal the line-based rule
+    c3 = honeycomb(3)
+    q = _non_honeycomb_quartic()
+    cases = [
+        (c3, phase_from_signs(c3, SignDistribution.constant(c3))),
+        (c3, phase_from_signs(c3, SignDistribution({v: -1 if v[0] & 1 else 1 for v in c3.dual.lattice_points}))),
+        (q, phase_from_signs(q, SignDistribution.constant(q))),
+    ]
+    for d in range(1, 7):
+        c = honeycomb(d)
+        every = TwistSet.from_edges(c, c.bounded_edges)
+        cases.append((c, phase_from_twists(c, every)))
+        cases.append((c, phase_from_twists(c, every, (c.bounded_edges[-1], (1, 1)) if c.bounded_edges else None)))
+        cases.append((c, phase_from_signs(c, SignDistribution.constant(c))))
+    stable = 0
+    for curve, phase in cases:
+        assert phase._lines is None
+        report = hyperbolicity_locus(curve, phase)
+        assert phase._lines is None
+        assert report.stable == _stable_by_lines(curve, phase)
+        stable += report.stable
+    assert 4 <= stable <= len(cases) - 4
+
+
 def test_hyp_alpha_flats_for_the_quartic():
     c4 = honeycomb(4)
     flat11 = hyp_alpha_flat(c4, (1, 1))

@@ -1,9 +1,11 @@
 """The per-curve real-structure tables against the routes they replaced:
 a golden digest of realstruct outputs, the old solve_affine route of
 phase_from_twists, validation messages, non-interned phase lines,
-translated copies that share the tables, and the per-edge and union-find
+translated copies that share the tables, the per-edge and union-find
 builders of the sidedness table, the cell model and the cycle check,
-with the invariants they raise."""
+with the invariants they raise, the per-edge and per-row sign
+conversions that the column tables replaced, and the value semantics of
+the records whose fields are built on first read."""
 
 import copy
 import re
@@ -33,7 +35,7 @@ from tropcurve import (
 from tropcurve.curve import _check_cycle
 from tropcurve.errors import DegeneratePolygon, InvariantViolation, NotAdmissible, SingularSubdivision, ValidationError
 from tropcurve.gf2 import Gf2Vector, solve_affine
-from tropcurve.realstruct import RealPhaseStructure, edge_twisted, twist_matrix
+from tropcurve.realstruct import CurveComponentInfo, RealPhaseStructure, edge_twisted, twist_matrix
 from tropcurve.selfcheck import random_lift, random_sign_distribution
 
 from conftest import make_line
@@ -563,7 +565,7 @@ def test_side_ends_and_cells_match_the_references():
 
 
 def test_sign_rule_matches_the_reference():
-    from tropcurve.realstruct import _base, _sign_rule
+    from tropcurve.realstruct import _base, _sign_columns, _sign_rule
 
     for curve in _table_curves():
         curve = _fresh(curve)
@@ -574,6 +576,9 @@ def test_sign_rule_matches_the_reference():
             masks.append(sum(bit[p] for p in points))
             offsets |= offset << k
         assert _sign_rule(curve) == (tuple(masks), offsets)
+        # the columns are the rows' transpose, with the same offsets
+        columns = tuple(sum(1 << k for k, mask in enumerate(masks) if mask & b) for b in bit.values())
+        assert _sign_columns(curve) == (columns, offsets)
 
 
 def test_cycle_check_matches_the_reference_on_broken_cycles():
@@ -688,3 +693,172 @@ def test_a_first_locus_builds_no_copy_keys_or_region_class():
             built = vars(_cells(curve)) if _cells.__name__ in curve._tables else {}
             assert "copy_keys" not in built and "region_class" not in built
     assert hyperbolic >= 5
+
+
+# -- the sign rule as columns ---------------------------------------------
+
+
+def _phase_of_signs_reference(base, minus):
+    """The per-edge route: an edge's level is 1 iff the signs at its dual
+    endpoints agree."""
+    return RealPhaseStructure(tuple(
+        pair[1 ^ ((minus >> i ^ minus >> j) & 1)] for pair, (i, j) in zip(base.line_pairs, base.duals)
+    ))
+
+
+def _twists_from_signs_reference(curve, delta):
+    """The row route: one parity per bounded edge over the sign rule's rows."""
+    from tropcurve.realstruct import _base, _parities, _sign_rule
+
+    bits = _parities(_base(curve).minus(delta), *_sign_rule(curve))
+    return TwistSet.from_edges(curve, (eid for k, eid in enumerate(curve.bounded_edges) if bits >> k & 1))
+
+
+def test_column_conversions_match_the_per_edge_and_row_routes():
+    from tropcurve.realstruct import _base
+
+    rng = random.Random(32)
+    draws = 0
+    for curve in _table_curves():
+        curve = _fresh(curve)
+        base = _base(curve)
+        # each point's column lists the edges whose dual edge ends there
+        assert base.point_edges == tuple(sum(1 << e for e in curve.region_edges[p]) for p in base.points)
+        for _ in range(4):
+            delta = random_sign_distribution(rng, curve)
+            minus = base.minus(delta)
+            phase, want = phase_from_signs(curve, delta), _phase_of_signs_reference(base, minus)
+            assert base.levels(phase) == base.levels(want)
+            assert phase.lines == want.lines
+            twists, want = twists_from_signs(curve, delta), _twists_from_signs_reference(curve, delta)
+            assert twists.vector == want.vector and twists.edges == want.edges
+            draws += 1
+    assert draws == 4 * len(_table_curves())
+
+
+# -- records whose fields are built on first read -------------------------
+
+
+def _records(curve, delta):
+    """The twist set, phase and components that the conversions and the
+    face tree build from one sign distribution, none of their lazy fields
+    read yet."""
+    phase = phase_from_signs(curve, delta)
+    return [twists_from_signs(curve, delta), phase, *count_components_direct(real_part(curve, phase)).components]
+
+
+def _unbuilt(record):
+    if isinstance(record, TwistSet):
+        return record._edges is None
+    if isinstance(record, RealPhaseStructure):
+        return record._lines is None
+    return record._edge_copies is None and record._interior_regions is None
+
+
+def _eager(record):
+    """The same value through the record's positional constructor."""
+    if isinstance(record, TwistSet):
+        return TwistSet(frozenset(record.edges), record.vector)
+    if isinstance(record, RealPhaseStructure):
+        return RealPhaseStructure(tuple(record.lines))
+    return CurveComponentInfo(record.edge_copies, record.kind, record.nesting_depth, record.interior_regions)
+
+
+def _fields(record):
+    """The record's fields, in the order of its constructor."""
+    if isinstance(record, TwistSet):
+        return (record.edges, record.vector)
+    if isinstance(record, RealPhaseStructure):
+        return (record.lines,)
+    return (record.edge_copies, record.kind, record.nesting_depth, record.interior_regions)
+
+
+def _others(record):
+    """Copies of the record with one field changed each."""
+    if isinstance(record, TwistSet):
+        edges, vector = _fields(record)
+        return [TwistSet(edges | {-1}, vector), TwistSet(edges, Gf2Vector(vector.length + 1, vector.bits))]
+    if isinstance(record, RealPhaseStructure):
+        return [RealPhaseStructure(record.lines[:-1])]
+    copies, kind, depth, interior = _fields(record)
+    return [
+        CurveComponentInfo(copies | {(-1, (0, 0))}, kind, depth, interior),
+        CurveComponentInfo(copies, kind + "?", depth, interior),
+        CurveComponentInfo(copies, kind, depth + 1, interior),
+        CurveComponentInfo(copies, kind, depth, frozenset() if interior is None else None),
+    ]
+
+
+_VALUE_CHECKS = {
+    "==": lambda lazy, eager: lazy == eager and eager == lazy and not lazy != eager,
+    # a frozen dataclass hashes the tuple of its fields
+    "hash": lambda lazy, eager: hash(lazy) == hash(eager) == hash(_fields(eager)),
+    "!= a changed field": lambda lazy, eager: all(lazy != x and x != lazy for x in _others(eager)),
+    "repr": lambda lazy, eager: repr(lazy) == repr(eager),
+    "dict key": lambda lazy, eager: {eager: 1}.get(lazy) == 1 and {lazy: 1}.get(eager) == 1,
+    "set member": lambda lazy, eager: lazy in {eager} and eager in {lazy},
+}
+
+
+def _pin_draws(d):
+    curve = honeycomb(d)
+    rng = random.Random(32)
+    yield curve, SignDistribution({p: -1 if (p[0] + 2 * p[1]) % 3 == 1 else 1 for p in curve.dual.lattice_points})
+    for _ in range(4):
+        yield curve, random_sign_distribution(rng, curve)
+
+
+def test_lazy_records_equal_their_eager_copies():
+    # each check reads a fresh lazy record, none of whose fields was built
+    rng = random.Random(33)
+    draws = [(c, delta) for d in (2, 3) for c, delta in _pin_draws(d)]
+    draws += [(c, random_sign_distribution(rng, c)) for c in _table_curves()[1:12] for _ in range(2)]
+    kinds = set()
+    for curve, delta in draws:
+        eager = [_eager(r) for r in _records(curve, delta)]
+        for name, check in _VALUE_CHECKS.items():
+            lazy = _records(curve, delta)
+            assert len(lazy) == len(eager)
+            for record, want in zip(lazy, eager):
+                assert _unbuilt(record), name
+                assert check(record, want), (name, want)
+                kinds.add((type(record).__name__, getattr(record, "kind", None)))
+        # a lazy report equals one built from the eager components
+        report = count_components_direct(real_part(curve, phase_from_signs(curve, delta)))
+        assert report == type(report)(report.count, tuple(eager[2:]), report.nesting_parent)
+        # and a record of another value differs from it
+        other = _eager(twists_from_signs(curve, SignDistribution.constant(curve)))
+        if other != eager[0]:
+            assert twists_from_signs(curve, delta) != other
+            assert twists_from_signs(curve, delta) not in {other}
+    assert kinds == {("TwistSet", None), ("RealPhaseStructure", None),
+                     ("CurveComponentInfo", "oval"), ("CurveComponentInfo", "pseudo-line")}
+
+
+# reprs recorded before the records built their fields on first read
+_PINNED_HONEYCOMB_2 = (
+    "TwistSet(edges=frozenset({4}), vector=Gf2Vector(length=3, bits=2))",
+    "RealPhaseStructure(lines=(PhaseLine(rep=(0, 1), direction=(1, 0)), PhaseLine(rep=(0, 0), direction=(0, 1)), "
+    "PhaseLine(rep=(0, 0), direction=(1, 0)), PhaseLine(rep=(0, 0), direction=(1, 1)), "
+    "PhaseLine(rep=(1, 0), direction=(0, 1)), PhaseLine(rep=(0, 0), direction=(1, 1)), "
+    "PhaseLine(rep=(0, 0), direction=(1, 0)), PhaseLine(rep=(0, 0), direction=(0, 1)), "
+    "PhaseLine(rep=(0, 1), direction=(1, 1))))",
+    "CurveComponentInfo(edge_copies=frozenset({(3, (1, 1)), (1, (0, 1)), (8, (0, 1)), (4, (1, 0)), (2, (0, 0)), "
+    "(7, (0, 0)), (3, (0, 0)), (2, (1, 0)), (5, (0, 0)), (8, (1, 0)), (6, (0, 0)), (1, (0, 0)), (4, (1, 1)), "
+    "(6, (1, 0)), (0, (0, 1)), (0, (1, 1)), (7, (0, 1)), (5, (1, 1))}), kind='oval', nesting_depth=1, "
+    "interior_regions=frozenset({((0, 2), (0, 0)), ((0, 2), (1, 0)), ((1, 0), (0, 1)), ((1, 1), (0, 1)), "
+    "((1, 1), (1, 0)), ((0, 2), (0, 1)), ((0, 2), (1, 1)), ((0, 1), (1, 1)), ((1, 0), (0, 0)), ((0, 1), (0, 1))}))",
+)
+# sha256 of the reprs of every record of _pin_draws(d), one per line
+_PINNED_REPR_DIGESTS = {
+    2: "f572847b05de190ed29211d4572b94ccfb3f734a83065dab48a86d9cec556862",
+    3: "76f2de369fd7711cfb58d1c4c46e3158e0afe2bd81e0f6ca18e76c5a1e4811be",
+}
+
+
+def test_lazy_record_reprs_are_pinned():
+    curve, delta = next(_pin_draws(2))
+    assert tuple(map(repr, _records(curve, delta))) == _PINNED_HONEYCOMB_2
+    for d, want in _PINNED_REPR_DIGESTS.items():
+        text = "\n".join(repr(r) for curve, delta in _pin_draws(d) for r in _records(curve, delta))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, d

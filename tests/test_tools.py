@@ -34,7 +34,7 @@ def test_first_use_tables_build_on_a_fresh_curve():
         assert use(curve) is not None, name
 
 
-@pytest.mark.parametrize("name", ["construct_stages", "intersect_stages"])
+@pytest.mark.parametrize("name", ["construct_stages", "intersect_stages", "patchwork_stages"])
 def test_stage_tools_time_every_stage(name):
     tool = _tool(name)
     out = tool.stages(1, 1)
