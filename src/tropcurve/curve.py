@@ -4,11 +4,21 @@ A curve is the corner locus of a max-plus polynomial.  Its dual
 subdivision is the projection of the upper hull of the lifted support
 {(p, a_p)}.  One int builder, ``_curve_from_heights(height, scale)``,
 builds every curve from int heights a_p * scale: it walks that hull cell
-by cell (gift wrapping across each edge), in Python ints; every accepted
-cell is unimodular, so each vertex solves a determinant-1 system and is
-exact in (1/scale)*Z^2.  ``curve_from_polynomial`` scales ``Fraction``
+by cell across each edge, in Python ints; every accepted cell is
+unimodular, so each vertex solves a determinant-1 system and is exact in
+(1/scale)*Z^2.  ``curve_from_polynomial`` scales ``Fraction``
 coefficients by the lcm of their denominators, and ``honeycomb`` hands
-over its int heights with scale 1.  Singular inputs are rejected.
+over its int heights with scale 1.
+
+The walk (``_line_walk``) looks for each new cell's apex on one lattice
+line, the points at lattice distance 1 beyond the edge it crosses, so a
+cell costs O(1) on a honeycomb and O(side length) at worst.  It never
+looks off that line, so its cells are certified instead: the lift must be
+strictly concave across every interior edge and along every side, and
+the cells must number twice the polygon's area.  Any failure falls back
+to the full gift wrap (``_walk_cells``), which scans every lifted point
+per cell.  It is the only route to a refusal, so singular inputs are
+rejected with its messages.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, update_wrapper
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .errors import DegeneratePolygon, DegreeUnset, InvariantViolation, SingularSubdivision
@@ -94,14 +105,35 @@ class DualSubdivision:
         return at
 
 
-@dataclass(frozen=True)
 class Edge:
-    index: int
-    tail: int                # vertex index (anchor for rays)
-    head: int | None         # None for rays
-    direction: IVec          # primitive; tail->head for bounded, outward for rays
-    dual: tuple[IVec, IVec]  # rot90(dual[1] - dual[0]) == direction
-    bounded: bool
+    """An edge of the curve.  A plain slotted record, immutable in practice:
+    its equality, hash and repr are a frozen dataclass's over the fields."""
+
+    __slots__ = ("index", "tail", "head", "direction", "dual", "bounded")
+
+    def __init__(self, index: int, tail: int, head: int | None, direction: IVec,
+                 dual: tuple[IVec, IVec], bounded: bool):
+        self.index = index
+        self.tail = tail            # vertex index (anchor for rays)
+        self.head = head            # None for rays
+        self.direction = direction  # primitive; tail->head for bounded, outward for rays
+        self.dual = dual            # rot90(dual[1] - dual[0]) == direction
+        self.bounded = bounded
+
+    def _fields(self) -> tuple:
+        return (self.index, self.tail, self.head, self.direction, self.dual, self.bounded)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"Edge(index={self.index!r}, tail={self.tail!r}, head={self.head!r}, "
+                f"direction={self.direction!r}, dual={self.dual!r}, bounded={self.bounded!r})")
 
 
 @dataclass(frozen=True)
@@ -447,7 +479,11 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
 
 
 def _curve_from_heights(height: dict[IVec, int], scale: int) -> TropicalCurve:
-    """The curve of the coefficients height[p] / scale, built on ints."""
+    """The curve of the coefficients height[p] / scale, built on ints.
+
+    ``_line_walk`` finds the cells.  When it cannot certify them, the full
+    scan ``_walk_cells`` runs instead: it is the only route to a refusal,
+    and it refuses every input the line walk cannot certify."""
     hull = convex_hull(list(height))
     if len(hull) < 3:
         raise DegeneratePolygon("support hull is not 2-dimensional")
@@ -456,45 +492,192 @@ def _curve_from_heights(height: dict[IVec, int], scale: int) -> TropicalCurve:
     if missing:
         raise SingularSubdivision(f"lattice points {missing} are not in the support")
     boundary = _boundary_segments(hull, height)
-    left = _walk_cells(height, boundary, polygon_twice_area(hull))
+    area2 = polygon_twice_area(hull)
+    try:
+        cells, placed, records = _line_walk(height, boundary, area2, hull)
+    except _Uncertified:
+        _walk_cells(height, boundary, area2)
+        raise InvariantViolation("the full scan accepts heights the line walk cannot certify") from None
 
-    # vertex of each cell from its determinant-1 system, scaled by `scale`
-    placed = []
-    for cell in set(left.values()):
-        p, q, r = cell
-        ux, uy = q[0] - p[0], q[1] - p[1]
-        wx, wy = r[0] - p[0], r[1] - p[1]
-        b1, b2 = height[p] - height[q], height[p] - height[r]
-        placed.append(((wy * b1 - uy * b2, ux * b2 - wx * b1), cell))
-    placed.sort()
-    vertex_index = {cell: k for k, (_, cell) in enumerate(placed)}
-    vertices = tuple(xy for xy, _ in placed)
-
-    # a bounded edge runs from the cell right of p->q to the cell left of it
-    # (p < q); a ray leaves its only cell in the direction rot90(a - b),
-    # where the cell lies left of a->b.  Each record leads with its dual
-    # edge as (min, max), unique per edge, so the records sort on it.
-    records = []
-    for (a, b), cell in left.items():
-        if (b, a) not in left:
-            key = (a, b) if a < b else (b, a)
-            records.append((key, (b, a), vertex_index[cell], None, (b[1] - a[1], a[0] - b[0])))
-        elif a < b:
-            records.append(((a, b), (a, b), vertex_index[left[(b, a)]], vertex_index[cell],
-                            (a[1] - b[1], b[0] - a[0])))
-    records.sort()
+    # vertices in (x, y) order; rank[k] is the vertex of the walk's cell k
+    order = sorted(range(len(cells)), key=placed.__getitem__)
+    rank = [0] * len(order)
+    for v, k in enumerate(order):
+        rank[k] = v
+    vertices = tuple(placed[k] for k in order)
+    records.sort(key=itemgetter(0))
     edges = tuple(
-        Edge(idx, tail, head, direction, pair, head is not None)
+        Edge(idx, rank[tail], None if head is None else rank[head], direction, pair, head is not None)
         for idx, (_, pair, tail, head, direction) in enumerate(records)
     )
 
     degree = _simplex_degree(hull)
-    dual_cells = tuple(tuple(sorted(cell)) for _, cell in placed)
+    dual_cells = tuple(tuple(sorted(cells[k])) for k in order)
     dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells)
     frame = IntFrame(scale, vertices, _frame_edges(edges, vertices), height)
     curve = TropicalCurve(edges, dual, degree, frame)
     _verify_curve(curve)
     return curve
+
+
+class _Uncertified(Exception):
+    """The line walk found no cell it can certify; ``_walk_cells`` decides."""
+
+
+def _line_walk(height: dict[IVec, int], boundary: set[tuple[IVec, IVec]], area2: int, hull: list[IVec]):
+    """The cells of the upper hull of the lifted support, each found on one
+    lattice line and certified by local concavity.
+
+    The walk crosses the edges in ``_walk_cells``'s order.  The cell left
+    of p->q, entered out of the known cell (q, p, c), is unimodular, so its
+    apex lies on the line r_k = 2p - c + k(q - p), where det(q-p, r-p) = 1.
+    On valid heights g(k) = h(r_k) - k(h(q) - h(p)) is concave on that line
+    with a strict maximum at the apex, and ``_climb`` reaches it from the
+    flip partner r_1 = p + q - c.  The first cell, left of the least
+    boundary segment, is climbed for on the same kind of line.
+
+    No point off the line is looked at, so the cells are certified
+    instead.  The lift must be strictly concave across every interior
+    edge: g(k) < 2h(p) - h(c) at a crossing, and the same test at each edge
+    a new cell closes against an existing one.  There must be area2 cells.
+    With the sides' strict concavity (``_boundary_segments``), a lift that
+    is locally strictly concave on a convex polygon is globally so
+    (De Loera-Rambau-Santos, *Triangulations*, 2010), so the cells are
+    the upper hull's.  Any failure raises ``_Uncertified``.
+
+    Returns, per cell in walk order, its points (counterclockwise, as
+    ``_walk_cells`` keys them) and its vertex times the heights' scale,
+    and the records (dual key, dual pair, tail, head, direction) of the
+    edges, tail and head as walk indexes, head None for a ray.
+    """
+    # the polygon as half-planes nx*x + ny*y <= c, one per side
+    planes = [(b[1] - a[1], a[0] - b[0], (b[1] - a[1]) * a[0] + (a[0] - b[0]) * a[1])
+              for a, b in zip(hull, hull[1:] + hull[:1])]
+    left: dict[tuple[IVec, IVec], int] = {}
+    cells: list[tuple[IVec, IVec, IVec]] = []
+    placed: list[IVec] = []
+    records = []
+    # (p, q, c, k): cross p->q out of cell k, whose third point is c
+    pending = [(*min(boundary), None, -1)]
+    while pending:
+        p, q, c, old = pending.pop()
+        if (p, q) in left:
+            continue
+        (px, py), (qx, qy) = p, q
+        hp = height[p]
+        ux, uy = qx - px, qy - py
+        rise = height[q] - hp
+        if c is None:
+            wx, wy = _unit_normal(ux, uy)
+            x, y, hr = _climb(height, planes, px + wx, py + wy, ux, uy, rise, 0)
+        else:
+            cx, cy = c
+            x, y, hr = _climb(height, planes, 2 * px - cx, 2 * py - cy, ux, uy, rise, 1)
+        r = (x, y)
+        if c is not None and not _concave_across(height, p, q, c, r):
+            raise _Uncertified
+        new = len(cells)
+        cells.append((p, q, r))
+        wx, wy = x - px, y - py
+        b2 = hp - hr
+        placed.append((-wy * rise - uy * b2, ux * b2 + wx * rise))
+        left[(p, q)] = new
+        if c is None:
+            records.append(_record(q, p, new, None))
+        else:
+            records.append(_record(p, q, new, old))
+        for a, b, o in ((q, r, p), (r, p, q)):
+            if (a, b) in left:
+                raise _Uncertified
+            left[(a, b)] = new
+            twin = left.get((b, a))
+            if twin is not None:
+                # the cell on the other side runs b, a, t
+                cell = cells[twin]
+                if not _concave_across(height, a, b, cell[cell.index(b) - 1], o):
+                    raise _Uncertified
+                records.append(_record(a, b, new, twin))
+            elif (a, b) in boundary:
+                records.append(_record(b, a, new, None))
+            else:
+                pending.append((b, a, o, new))
+    if len(cells) != area2:
+        raise _Uncertified
+    return cells, placed, records
+
+
+def _concave_across(height: dict[IVec, int], a: IVec, b: IVec, c: IVec, x: IVec) -> bool:
+    """Whether the lift is strictly concave across the edge a-b of the
+    unimodular cells (b, a, c) and (a, b, x): the lifted x lies strictly
+    below the plane through the lifted a, b and c.  With x = 2a - c +
+    s(b - a), s = det(c - a, x - a), that plane is 2h(a) - h(c) + s(h(b) -
+    h(a)) at x."""
+    (ax, ay), (cx, cy), (xx, xy) = a, c, x
+    ha = height[a]
+    s = (cx - ax) * (xy - ay) - (cy - ay) * (xx - ax)
+    return height[x] < 2 * ha - height[c] + s * (height[b] - ha)
+
+
+def _climb(height: dict[IVec, int], planes, x0: int, y0: int, ux: int, uy: int, rise: int, k: int):
+    """Climb g(k) = h(r_k) - k*rise along r_k = (x0, y0) + k(ux, uy) from k to
+    a strict local maximum: (x, y, h) there, r_k = (x, y).  A start
+    outside the polygon moves to the nearest k inside it.  Raises
+    ``_Uncertified`` at a tie or when the line misses the polygon."""
+    x, y = x0 + k * ux, y0 + k * uy
+    h = height.get((x, y))
+    if h is None:
+        lo = hi = None
+        for nx, ny, c in planes:
+            # nx*(x0 + k*ux) + ny*(y0 + k*uy) <= c, as a*k <= b
+            a, b = nx * ux + ny * uy, c - nx * x0 - ny * y0
+            if a > 0:
+                hi = b // a if hi is None else min(hi, b // a)
+            elif a < 0:
+                lo = -(b // -a) if lo is None else max(lo, -(b // -a))
+            elif b < 0:
+                raise _Uncertified
+        if lo is None or hi is None or lo > hi:
+            raise _Uncertified
+        k = min(max(k, lo), hi)
+        x, y = x0 + k * ux, y0 + k * uy
+        h = height[(x, y)]
+    nh = height.get((x + ux, y + uy))
+    if nh is None or nh - rise < h:
+        ux, uy, rise = -ux, -uy, -rise
+        nh = height.get((x + ux, y + uy))
+    while nh is not None and nh - rise >= h:
+        if nh - rise == h:
+            raise _Uncertified
+        x, y, h = x + ux, y + uy, nh
+        nh = height.get((x + ux, y + uy))
+    return x, y, h
+
+
+def _unit_normal(ux: int, uy: int) -> IVec:
+    """(wx, wy) with ux*wy - uy*wx = 1, for (ux, uy) primitive: the extended
+    Euclidean algorithm keeps a*ux + b*uy = r."""
+    a0, b0, r0, a1, b1, r1 = 1, 0, ux, 0, 1, uy
+    while r1:
+        t = r0 // r1
+        a0, b0, r0, a1, b1, r1 = a1, b1, r1, a0 - t * a1, b0 - t * b1, r0 - t * r1
+    return -b0 * r0, a0 * r0
+
+
+def _record(a: IVec, b: IVec, cell: int, other: int | None):
+    """The record (sort key, dual pair, tail, head, direction) of the edge
+    dual to a-b; the key is (min, max) flattened, unique per edge.
+
+    For a bounded edge, ``cell`` and ``other`` lie left and right of a->b,
+    and the edge runs from the cell right of min->max to the cell left of
+    it.  For a ray, ``other`` is None and a->b runs clockwise along a side,
+    with ``cell`` on its right: the ray leaves ``cell`` in the direction
+    rot90(a - b), and its pair is (a, b)."""
+    (ax, ay), (bx, by) = a, b
+    if other is None:
+        return ((ax, ay, bx, by) if a < b else (bx, by, ax, ay)), (a, b), cell, None, (ay - by, bx - ax)
+    if a < b:
+        return (ax, ay, bx, by), (a, b), other, cell, (ay - by, bx - ax)
+    return (bx, by, ax, ay), (b, a), cell, other, (by - ay, ax - bx)
 
 
 def _boundary_segments(hull: list[IVec], height: dict[IVec, int]) -> set[tuple[IVec, IVec]]:
@@ -518,11 +701,15 @@ def _boundary_segments(hull: list[IVec], height: dict[IVec, int]) -> set[tuple[I
 def _walk_cells(
     height: dict[IVec, int], boundary: set[tuple[IVec, IVec]], area2: int
 ) -> dict[tuple[IVec, IVec], tuple[IVec, IVec, IVec]]:
-    """Gift-wrap the upper hull of the lifted support, one cell per step.
+    """Gift-wrap the upper hull of the lifted support, one cell per step:
+    the refusal route of ``_curve_from_heights``, run only on heights the
+    line walk cannot certify.
 
     Starting from a boundary unit segment, each unvisited edge is crossed
-    to the unique unimodular cell on its left.  Returns the cell
-    (counterclockwise triple) lying left of each directed edge.
+    to the unique unimodular cell on its left, found by a scan of every
+    lifted point (``_cell_apex``).  Returns the cell (counterclockwise
+    triple) lying left of each directed edge, or raises
+    ``SingularSubdivision``.
 
     Lifted points collinear with an interior edge need no check of their
     own: the first cell reached next to such an edge is entered across

@@ -1,6 +1,6 @@
 """Built-in oracle cross-checks, runnable from the CLI verify command.
 
-Each check pits two independent routes against each other (gift-wrap
+Each check pits two independent routes against each other (cell-walk
 construction vs pair scan, twist-matrix count vs quadrant-model count,
 the face tree of the quadrant model vs components by vertex-copy
 connectivity and a fresh scan per cut,
@@ -1411,7 +1411,7 @@ def check_intersection_routes(rng: random.Random, trials: int) -> str:
 
 
 def check_construction(rng: random.Random, trials: int) -> str:
-    """Gift-wrap construction against the pair scan on mixed random lifts."""
+    """The cell-walk construction against the pair scan on mixed random lifts."""
     accepted = 0
     for k in range(trials):
         poly = random_lift(rng)

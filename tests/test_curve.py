@@ -1,7 +1,12 @@
 import dataclasses
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +21,26 @@ from tropcurve import (
     render_svg,
     twists_from_signs,
 )
-from tropcurve.curve import _verify_curve
+from tropcurve import curve as curve_module
+from tropcurve.curve import (
+    Edge,
+    _boundary_segments,
+    _curve_from_heights,
+    _line_walk,
+    _Uncertified,
+    _verify_curve,
+    _walk_cells,
+)
 from tropcurve.errors import DegeneratePolygon, DegreeUnset, InvariantViolation, SingularSubdivision
-from tropcurve.geometry import canonical_direction, det2, rot90, sub
+from tropcurve.geometry import (
+    canonical_direction,
+    convex_hull,
+    det2,
+    hull_lattice_points,
+    polygon_twice_area,
+    rot90,
+    sub,
+)
 from tropcurve.selfcheck import (
     construction_outcome,
     fraction_region_point,
@@ -320,7 +342,7 @@ def test_curve_invariants_are_typed():
     c = honeycomb(2)
     flipped = list(c.edges)
     e = flipped[c.bounded_edges[0]]
-    flipped[e.index] = dataclasses.replace(e, direction=(-e.direction[0], -e.direction[1]))
+    flipped[e.index] = Edge(e.index, e.tail, e.head, (-e.direction[0], -e.direction[1]), e.dual, e.bounded)
     with pytest.raises(InvariantViolation, match="^balancing fails at vertex "):
         _verify_curve(TropicalCurve(tuple(flipped), c.dual, c.degree, c.frame))
 
@@ -533,3 +555,170 @@ def test_a_fraction_coefficient_is_kept_as_given():
     poly = TropicalPolynomial({(0, 0): a, (1, 0): 0, (0, 1): Fraction(2)})
     assert poly.coefficients[(0, 0)] is a
     assert [type(v) for v in poly.coefficients.values()] == [Fraction] * 3
+
+
+def test_edge_equality_hash_and_repr_equal_a_frozen_dataclass():
+    Ref = dataclasses.make_dataclass("Edge", ["index", "tail", "head", "direction", "dual", "bounded"], frozen=True)
+    curves = [honeycomb(3), random_nonsingular_curve(random.Random(33), 4)]
+    for c in curves:
+        for e in c.edges:
+            fields = (e.index, e.tail, e.head, e.direction, e.dual, e.bounded)
+            ref = Ref(*fields)
+            assert repr(e) == repr(ref)
+            assert hash(e) == hash(ref) == hash(fields)
+            assert e == Edge(*fields) and not e != Edge(*fields)
+            assert e != ref and ref != e and e != fields
+    a, b = curves[0].edges[:2]
+    assert a != b and hash(a) != hash(b)
+
+
+# -- the line walk against the full gift wrap ---------------------------------
+
+# the climb alone accepts this cubic; the full scan refuses it
+_PINNED_CUBIC = {(0, 0): 4, (0, 1): -3, (0, 2): -16, (0, 3): -33, (1, 0): -3, (1, 1): -16, (1, 2): -27,
+                 (2, 0): -13, (2, 1): -30, (3, 0): -35}
+# the climb and the concavity tests at crossings accept this quartic; the
+# test at an edge a new cell closes refuses it, as the full scan does
+_PINNED_QUARTIC = {(0, 0): 0, (0, 1): -2, (0, 2): -8, (0, 3): -18, (0, 4): -32, (1, 0): -2, (1, 1): -6,
+                   (1, 2): -11, (1, 3): -26, (2, 0): -8, (2, 1): -10, (2, 2): -24, (3, 0): -18, (3, 1): -26,
+                   (4, 0): -32}
+
+
+def _height_tables():
+    """Seeded (height, scale) tables: honeycombs d = 1..12, the pinned
+    cubic and quartic, random lifts on simplex and non-simplex polygons,
+    perturbed quadratic heights on simplices, and random interior heights
+    inside strictly concave sides."""
+    def simplex(d):
+        return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+
+    tables = [({(i, j): -(i * i + i * j + j * j) for i, j in simplex(d)}, 1) for d in range(1, 13)]
+    tables += [(dict(_PINNED_CUBIC), 1), (dict(_PINNED_QUARTIC), 1)]
+    rng = random.Random(33)
+    for _ in range(600):
+        coefficients = random_lift(rng).coefficients
+        scale = lcm(*(a.denominator for a in coefficients.values()))
+        tables.append(({p: a.numerator * (scale // a.denominator) for p, a in coefficients.items()}, scale))
+    for _ in range(300):
+        d, spread = rng.randint(2, 7), rng.choice((2, 8, 24))
+        tables.append(({(i, j): -16 * (i * i + i * j + j * j) + rng.randint(-spread, spread)
+                        for i, j in simplex(d)}, 16))
+    for _ in range(300):
+        d = rng.randint(2, 6)
+        tables.append(({(i, j): -8 * (i * i + i * j + j * j) if 0 in (i, j, d - i - j) else rng.randint(-8 * d * d, 0)
+                        for i, j in simplex(d)}, 1))
+    return tables
+
+
+def _walk_input(height):
+    """(hull, boundary segments, twice the area) for the walks, or None when
+    the build refuses the heights before any walk."""
+    hull = convex_hull(list(height))
+    if len(hull) < 3 or any(p not in height for p in hull_lattice_points(hull)):
+        return None
+    try:
+        boundary = _boundary_segments(hull, height)
+    except SingularSubdivision:
+        return None
+    return hull, boundary, polygon_twice_area(hull)
+
+
+def _left_of(cells):
+    """The cell left of each directed edge, keyed as ``_walk_cells`` keys it."""
+    return {(a, b): cell for cell in cells for a, b in zip(cell, cell[1:] + cell[:1])}
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _walk_cells(*args)
+
+    monkeypatch.setattr(curve_module, "_walk_cells", counted)
+    return calls
+
+
+def test_the_line_walk_finds_the_cells_of_the_full_scan(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    built = 0
+    for height, scale in _height_tables():
+        walk = _walk_input(height)
+        if walk is None:
+            continue
+        hull, boundary, area2 = walk
+        try:
+            want = _walk_cells(height, boundary, area2)
+        except SingularSubdivision:
+            continue
+        cells, _, _ = _line_walk(height, boundary, area2, hull)
+        assert list(_left_of(cells).items()) == list(want.items()), height
+        _curve_from_heights(height, scale)
+        built += 1
+    assert fallbacks == []
+    assert built >= 600, built
+
+
+def test_refusals_keep_the_type_and_message_of_the_full_scan(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    refused = 0
+    for height, scale in _height_tables():
+        walk = _walk_input(height)
+        if walk is None:
+            continue
+        try:
+            _walk_cells(height, walk[1], walk[2])
+        except SingularSubdivision as exc:
+            want = str(exc)
+        else:
+            continue
+        with pytest.raises(SingularSubdivision) as refusal:
+            _curve_from_heights(height, scale)
+        assert str(refusal.value) == want
+        refused += 1
+        assert len(fallbacks) == refused
+    assert refused >= 200, refused
+
+
+def test_the_certificate_refuses_what_the_climb_alone_accepts(monkeypatch):
+    height = dict(_PINNED_CUBIC)
+    hull, boundary, area2 = _walk_input(height)
+    message = "cell ((0, 1), (2, 0), (1, 2)) has Euclidean area > 1/2"
+    with pytest.raises(SingularSubdivision, match=f"^{re.escape(message)}$"):
+        _curve_from_heights(height, 1)
+    with pytest.raises(_Uncertified):
+        _line_walk(height, boundary, area2, hull)
+    monkeypatch.setattr(curve_module, "_concave_across", lambda *args: True)
+    cells, _, _ = _line_walk(height, boundary, area2, hull)
+    assert len(cells) == area2
+
+
+def _outcome(height, scale):
+    try:
+        _curve_from_heights(height, scale)
+    except Exception as exc:
+        return f"{type(exc).__name__} {exc}"
+    return "built"
+
+
+def test_the_fallback_exception_stays_inside_under_python_O():
+    tables = _height_tables()[-60:] + [(_PINNED_CUBIC, 1)]
+    want = [_outcome(*t) for t in tables]
+    assert sum(line.startswith("SingularSubdivision ") for line in want) >= 20
+    script = (
+        "import sys\n"
+        "from tropcurve.curve import _curve_from_heights\n"
+        "for height, scale in eval(sys.stdin.read()):\n"
+        "    try:\n"
+        "        _curve_from_heights(height, scale)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        print('built')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], input=repr(tables), env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == want
+    assert all(line == "built" or line.startswith("SingularSubdivision ") for line in want)

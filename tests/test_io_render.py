@@ -641,3 +641,50 @@ def test_a_key_given_twice_in_one_object_is_rejected():
     text = '{"curve": {"honeycomb": 1}, "real_structure": {"signs": {"0,0": 1, "0,0": -1, "1,0": 1, "0,1": 1}}}'
     with pytest.raises(ParseError, match="key '0,0' appears twice in one object"):
         load_spec(text)
+
+
+def _build_curve_reference(curve_data):
+    """The spec's curve as built before ``_build_curve`` read int heights:
+    keys through the key regex, values through ``Fraction``, then
+    ``TropicalPolynomial`` and ``curve_from_polynomial``."""
+    from tropcurve.io_render import _parse_rational, parse_point_key
+
+    if "honeycomb" in curve_data:
+        return honeycomb(curve_data["honeycomb"])
+    coeffs = {
+        parse_point_key(k, "coefficients"): _parse_rational(v, "coefficients")
+        for k, v in curve_data["coefficients"].items()
+    }
+    return curve_from_polynomial(TropicalPolynomial(coeffs))
+
+
+def _curve_outcome(build, curve_data):
+    try:
+        c = build(curve_data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return c.edges, c.dual, c.degree, c.frame, list(c.frame.heights), list(c.poly.coefficients)
+
+
+def test_spec_curves_are_built_or_refused_as_the_reference():
+    from tropcurve.io_render import _build_curve
+
+    rng = random.Random(33)
+    specs = [json.loads(save_spec(load_spec(json.dumps(
+        {"curve": {"support": [list(p) for p in poly.coefficients],
+                   "coefficients": {f"{i},{j}": str(a) for (i, j), a in poly.coefficients.items()}},
+         "real_structure": {"signs": "all+"}}))))["curve"] for poly in (random_lift(rng) for _ in range(80))]
+    specs += [{"honeycomb": 3}]
+    # specs made without load_spec: other key spellings, repeated points,
+    # negative exponents, values load_spec would refuse
+    line = {"0,0": 0, "1,0": "1/2", "0,1": -1}
+    for key, value in [("(1, 1)", 0), ("-1,0", 0), ("0,-2", "3"), ("01,0", 5), ("+1,0", 0), ("1,0,0", 0),
+                       ("１,0", 0), ("1" * 5000 + ",0", 0), (("tuple",), 0), ("1,1", 1.5), ("1,1", True),
+                       ("1,1", " 1/2 "), ("1,1", "1e3"), ("1,1", "1/0"), ("1,1", "2/-4"), ("1,1", "9" * 5000),
+                       ("1,1", None), ("(0,0)", "7/3"), ("1,0", "-6/4")]:
+        specs.append({"coefficients": {**line, key: value}})
+    specs += [{"coefficients": {}}, {"coefficients": {"(-1,-1)": 0, "-2,0": 0}}]
+    outcomes = [_curve_outcome(_build_curve, spec) for spec in specs]
+    assert outcomes == [_curve_outcome(_build_curve_reference, spec) for spec in specs]
+    kinds = {o[0].__name__ if isinstance(o[0], type) else "built" for o in outcomes}
+    assert kinds >= {"built", "ValueError", "ParseError", "ValidationError", "SingularSubdivision", "TypeError"}, kinds

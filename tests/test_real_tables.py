@@ -32,7 +32,7 @@ from tropcurve import (
     twists_from_phase,
     twists_from_signs,
 )
-from tropcurve.curve import _check_cycle
+from tropcurve.curve import Edge, _check_cycle
 from tropcurve.errors import DegeneratePolygon, InvariantViolation, NotAdmissible, SingularSubdivision, ValidationError
 from tropcurve.gf2 import Gf2Vector, solve_affine
 from tropcurve.realstruct import CurveComponentInfo, RealPhaseStructure, edge_twisted, twist_matrix
@@ -542,11 +542,10 @@ def _invariant(build, *args):
 def _with_directions(curve, directions):
     """A copy of the curve with the given edges' directions replaced and
     no tables built."""
-    import dataclasses
-
     edges = list(curve.edges)
     for eid, d in directions.items():
-        edges[eid] = dataclasses.replace(edges[eid], direction=d)
+        e = edges[eid]
+        edges[eid] = Edge(e.index, e.tail, e.head, d, e.dual, e.bounded)
     broken = copy.copy(curve)
     broken.edges = tuple(edges)
     broken._tables = {}

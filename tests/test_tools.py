@@ -1,6 +1,7 @@
 """The timing tools under ``tools/`` run against the current library: each
-tool's per-seed function on seed 1 with one repeat (the d >= 20 ladders
-are left out), and every table ``first_use`` times on a fresh curve."""
+tool's per-seed function on seed 1 with one repeat, the construction
+ladder on small degrees (its d >= 10 default is left out), and every table
+``first_use`` times on a fresh curve."""
 
 import importlib.util
 from pathlib import Path
@@ -40,6 +41,13 @@ def test_stage_tools_time_every_stage(name):
     out = tool.stages(1, 1)
     assert out["ops"] > 0
     assert out["pass"].keys() == {f"{stage}_ms" for stage in tool.STAGES}
+
+
+def test_construct_ladder_times_the_given_degrees():
+    out = _tool("construct_stages").ladder((3, 4))
+    assert list(out) == ["d3", "d4"]
+    assert [row["edges"] for row in out.values()] == [len(honeycomb(d).edges) for d in (3, 4)]
+    assert all(row["build_ms"] >= 0 and row["render_svg_ms"] >= 0 for row in out.values())
 
 
 def test_reach_lists_the_functions_one_demo_leaves_unreached():

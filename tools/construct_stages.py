@@ -20,8 +20,8 @@ the group's mean.  ``pass`` sums each stage over all groups, as a mean
 per op of one pass, and ``refused`` counts the ops each stage refuses.
 
 ``ladder`` times construction (``honeycomb(d)``) and ``render_svg`` with
-all-plus signs on ``honeycomb(d)`` for d in LADDER, the median of
-LADDER_REPEATS fresh curves, in ms.
+all-plus signs on ``honeycomb(d)`` for each given degree (LADDER by
+default), the median of LADDER_REPEATS fresh curves, in ms.
 
 The library is imported from ``src/`` beside this directory, or from
 --src.  Prints one JSON object.
@@ -40,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("load_spec", "build", "phase_from_signs", "twists_from_signs", "primitive_cycles",
           "complement_components", "render_svg")
-LADDER = (20, 40)
+LADDER = (10, 20, 40, 60)
 LADDER_REPEATS = 3
 
 
@@ -135,11 +135,11 @@ def stages(seed: int, repeats: int) -> dict:
     }
 
 
-def ladder() -> dict:
+def ladder(degrees=LADDER) -> dict:
     from tropcurve import SignDistribution, honeycomb, phase_from_signs, render_svg, twists_from_signs
 
     out = {}
-    for d in LADDER:
+    for d in degrees:
         build, render = [], []
         for _ in range(LADDER_REPEATS):
             gc.collect()
