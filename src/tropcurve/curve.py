@@ -105,11 +105,36 @@ class DualSubdivision:
         return at
 
 
-class Edge:
-    """An edge of the curve.  A plain slotted record, immutable in practice:
-    its equality, hash and repr are a frozen dataclass's over the fields."""
+class _Record:
+    """A slotted record, immutable in practice, with a frozen dataclass's
+    equality, hash and repr over the attributes named in ``_fields``:
+    equal only to a record of the same class with equal fields, hashed as
+    the tuple of the fields.  They read each field as an attribute, so a
+    field that a subclass builds on first read gets built."""
 
-    __slots__ = ("index", "tail", "head", "direction", "dual", "bounded")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Edge(_Record):
+    """An edge of the curve: a record (``_Record``) of its slots."""
+
+    __slots__ = _fields = ("index", "tail", "head", "direction", "dual", "bounded")
 
     def __init__(self, index: int, tail: int, head: int | None, direction: IVec,
                  dual: tuple[IVec, IVec], bounded: bool):
@@ -119,21 +144,6 @@ class Edge:
         self.direction = direction  # primitive; tail->head for bounded, outward for rays
         self.dual = dual            # rot90(dual[1] - dual[0]) == direction
         self.bounded = bounded
-
-    def _fields(self) -> tuple:
-        return (self.index, self.tail, self.head, self.direction, self.dual, self.bounded)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"Edge(index={self.index!r}, tail={self.tail!r}, head={self.head!r}, "
-                f"direction={self.direction!r}, dual={self.dual!r}, bounded={self.bounded!r})")
 
 
 @dataclass(frozen=True)

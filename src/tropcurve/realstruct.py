@@ -77,7 +77,7 @@ from itertools import compress, product
 from operator import getitem
 from typing import Iterable, NamedTuple
 
-from .curve import TropicalCurve, curve_table, primitive_cycles
+from .curve import TropicalCurve, _Record, curve_table, primitive_cycles
 from .errors import InvariantViolation, NotAdmissible, ValidationError
 from .geometry import IVec
 from .gf2 import PHASE_LINES, Gf2Factoring, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, factor, kernel
@@ -127,14 +127,15 @@ class SignDistribution:
         return cls({v: sign for v in curve.dual.lattice_points})
 
 
-class RealPhaseStructure:
-    """One affine line in (Z/2)^2 per edge of the curve.
+class RealPhaseStructure(_Record):
+    """One affine line in (Z/2)^2 per edge of the curve: a record
+    (``_Record``) of ``lines``.
 
     Built from its lines, or by the conversions from a curve's tables and
-    one level bit per edge, with ``lines`` built on first read.  Equality,
-    hashing and repr are those of the record ``(lines,)``."""
+    one level bit per edge, with ``lines`` built on first read."""
 
     __slots__ = ("_lines", "_read")
+    _fields = ("lines",)
 
     def __init__(self, lines: tuple[PhaseLine, ...]):
         self._lines = lines
@@ -159,17 +160,6 @@ class RealPhaseStructure:
             lines = self._lines = tuple(map(getitem, pairs, _bit_bytes(levels, len(pairs))))
         return lines
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lines == other.lines
-
-    def __hash__(self):
-        return hash((self.lines,))
-
-    def __repr__(self):
-        return f"RealPhaseStructure(lines={self.lines!r})"
-
     def translate(self, eps: Eps) -> "RealPhaseStructure":
         return RealPhaseStructure(tuple(ln.translate(eps) for ln in self.lines))
 
@@ -177,42 +167,28 @@ class RealPhaseStructure:
         _base(curve).levels(self)
 
 
-class TwistSet:
-    """Subset of the bounded edges, kept in sync with its GF(2) vector.
+class TwistSet(_Record):
+    """Subset of the bounded edges, kept in sync with its GF(2) vector: a
+    record (``_Record``) of ``edges`` and ``vector``.
 
     ``from_vector`` keeps the vector and the curve's bounded edges, and
-    builds ``edges`` on first read.  Equality, hashing and repr are those
-    of the record ``(edges, vector)``."""
+    builds ``edges`` on first read."""
 
-    __slots__ = ("_edges", "_vector", "_bounded")
+    __slots__ = ("_edges", "vector", "_bounded")
+    _fields = ("edges", "vector")
 
     def __init__(self, edges: frozenset[int], vector: Gf2Vector):
         self._edges = edges
-        self._vector = vector
+        self.vector = vector
         self._bounded = None
 
     @property
     def edges(self) -> frozenset[int]:
         edges = self._edges
         if edges is None:
-            vector = self._vector
+            vector = self.vector
             edges = self._edges = frozenset(compress(self._bounded, _bit_bytes(vector.bits, vector.length)))
         return edges
-
-    @property
-    def vector(self) -> Gf2Vector:
-        return self._vector
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.edges, self._vector) == (other.edges, other._vector)
-
-    def __hash__(self):
-        return hash((self.edges, self._vector))
-
-    def __repr__(self):
-        return f"TwistSet(edges={self.edges!r}, vector={self._vector!r})"
 
     @classmethod
     def from_edges(cls, curve: TropicalCurve, edges: Iterable[int]) -> "TwistSet":
@@ -891,16 +867,16 @@ class RealPart:
         return frozenset((x >> 2, EPS4[x & 3]) for x in self._copies)
 
 
-class CurveComponentInfo:
-    """One component of a real part: its drawn edge copies, its kind, its
-    nesting depth (1 for an outermost oval, 0 for the pseudo-line) and,
-    for an oval, the atoms inside it.
+class CurveComponentInfo(_Record):
+    """One component of a real part, a record (``_Record``) of its drawn
+    edge copies, its kind, its nesting depth (1 for an outermost oval, 0
+    for the pseudo-line) and, for an oval, the atoms inside it.
 
     ``count_components_direct`` builds ``edge_copies`` and
-    ``interior_regions`` on first read.  Equality, hashing and repr are
-    those of the record of the four fields."""
+    ``interior_regions`` on first read."""
 
-    __slots__ = ("_edge_copies", "_kind", "_nesting_depth", "_interior_regions", "_source")
+    __slots__ = ("_edge_copies", "kind", "nesting_depth", "_interior_regions", "_source")
+    _fields = ("edge_copies", "kind", "nesting_depth", "interior_regions")
 
     def __init__(
         self,
@@ -910,8 +886,8 @@ class CurveComponentInfo:
         interior_regions: frozenset[tuple[IVec, Eps]] | None,
     ):
         self._edge_copies = edge_copies
-        self._kind = kind
-        self._nesting_depth = nesting_depth
+        self.kind = kind
+        self.nesting_depth = nesting_depth
         self._interior_regions = interior_regions
         self._source = None
 
@@ -933,14 +909,6 @@ class CurveComponentInfo:
         return value
 
     @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def nesting_depth(self) -> int:
-        return self._nesting_depth
-
-    @property
     def interior_regions(self) -> frozenset[tuple[IVec, Eps]] | None:
         value = self._interior_regions
         if value is None and self._source is not None:
@@ -948,23 +916,6 @@ class CurveComponentInfo:
             if face is not None:
                 value = self._interior_regions = frozenset(source.below[face])
         return value
-
-    def _fields(self) -> tuple:
-        return (self.edge_copies, self._kind, self._nesting_depth, self.interior_regions)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"CurveComponentInfo(edge_copies={self.edge_copies!r}, kind={self._kind!r}, "
-            f"nesting_depth={self._nesting_depth!r}, interior_regions={self.interior_regions!r})"
-        )
 
 
 @dataclass(frozen=True)

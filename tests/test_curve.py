@@ -572,6 +572,22 @@ def test_edge_equality_hash_and_repr_equal_a_frozen_dataclass():
     assert a != b and hash(a) != hash(b)
 
 
+def test_an_edge_is_unequal_to_its_fields_and_to_a_subclass_edge():
+    class SubEdge(Edge):
+        __slots__ = ()
+
+    Ref = dataclasses.make_dataclass("Edge", ["index", "tail", "head", "direction", "dual", "bounded"], frozen=True)
+    SubRef = dataclasses.make_dataclass("SubEdge", [], bases=(Ref,), frozen=True)
+    for e in honeycomb(2).edges:
+        fields = (e.index, e.tail, e.head, e.direction, e.dual, e.bounded)
+        # the frozen dataclass's class check, which the record keeps
+        assert Ref(*fields) != SubRef(*fields) and not Ref(*fields) == SubRef(*fields)
+        sub = SubEdge(*fields)
+        assert e != sub and sub != e and not e == sub and not sub == e
+        assert hash(sub) == hash(e)
+        assert e != fields and fields != e and not e == fields
+
+
 # -- the line walk against the full gift wrap ---------------------------------
 
 # the climb alone accepts this cubic; the full scan refuses it

@@ -1,9 +1,12 @@
 """The timing tools under ``tools/`` run against the current library: each
 tool's per-seed function on seed 1 with one repeat, the construction
-ladder on small degrees (its d >= 10 default is left out), and every table
-``first_use`` times on a fresh curve."""
+ladder on small degrees, every table ``first_use`` times on a fresh curve,
+and each timing tool as a script, with the shared ``harness`` it imports."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def _tool(name):
+    if str(TOOLS) not in sys.path:
+        sys.path.insert(0, str(TOOLS))  # as for a script: the tools import ``harness`` beside them
     spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -48,6 +53,42 @@ def test_construct_ladder_times_the_given_degrees():
     assert list(out) == ["d3", "d4"]
     assert [row["edges"] for row in out.values()] == [len(honeycomb(d).edges) for d in (3, 4)]
     assert all(row["build_ms"] >= 0 and row["render_svg_ms"] >= 0 for row in out.values())
+
+
+# per script: its top-level keys, the keys of its seed-1 entry and of a ladder row
+_SCRIPT_KEYS = {
+    "construct_stages": (["python", "stages", "ladder"], ["ops", "refused", "groups", "pass"],
+                         ["edges", "build_ms", "render_svg_ms"]),
+    "patchwork_stages": (["python", "stages"], ["ops", "groups", "pass"], None),
+    "intersect_stages": (["python", "stages"], ["ops", "solved", "refused", "groups", "pass"], None),
+    "first_use": (["python", "first_use", "ladder"], ["curves", "ms", "locus_sum_ms"], ["edges", "cold_ms", "warm_ms"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCRIPT_KEYS))
+def test_tools_run_as_scripts(name):
+    tool = _tool(name)
+    run = subprocess.run([sys.executable, str(TOOLS / f"{name}.py"), "--seeds", "1", "--repeats", "1"],
+                         capture_output=True, text=True, check=True)
+    out = json.loads(run.stdout)
+    top, per_seed, ladder_row = _SCRIPT_KEYS[name]
+    assert list(out) == top
+    seed1 = out[top[1]]["seed1"]
+    assert list(seed1) == per_seed
+    if "refused" in seed1:
+        assert list(seed1["refused"]) == list(tool.STAGES)
+    if "solved" in seed1:
+        assert seed1["solved"] > 0
+    if "groups" in seed1:
+        stage_keys = [f"{stage}_ms" for stage in tool.STAGES]
+        assert list(seed1["pass"]) == stage_keys
+        assert all(list(row) == ["ops", *stage_keys] for row in seed1["groups"].values())
+        assert sum(row["ops"] for row in seed1["groups"].values()) == seed1["ops"] > 0
+    if ladder_row:
+        degrees = tool.harness.LADDER
+        assert list(out["ladder"]) == [f"d{d}" for d in degrees]
+        assert all(list(row) == ladder_row for row in out["ladder"].values())
+        assert [row["edges"] for row in out["ladder"].values()] == [len(honeycomb(d).edges) for d in degrees]
 
 
 def test_reach_lists_the_functions_one_demo_leaves_unreached():

@@ -13,15 +13,16 @@ curve is built afresh by every repeat, so the per-curve tables that
 their stage, as in the benchmark; ``build`` also reads the sign table off
 the spec, as the op does beside the build.  An op that a stage refuses is
 timed up to the refusal; its later stages are skipped.  gc is off while
-timing.
+timing (``harness.repeat``).
 
 Every figure is in ms per op, wall clock: the median over the repeats of
 the group's mean.  ``pass`` sums each stage over all groups, as a mean
 per op of one pass, and ``refused`` counts the ops each stage refuses.
 
 ``ladder`` times construction (``honeycomb(d)``) and ``render_svg`` with
-all-plus signs on ``honeycomb(d)`` for each given degree (LADDER by
-default), the median of LADDER_REPEATS fresh curves, in ms.
+all-plus signs on ``honeycomb(d)`` for each given degree
+(``harness.LADDER`` by default), the median of LADDER_REPEATS fresh
+curves, in ms, with gc off.
 
 The library is imported from ``src/`` beside this directory, or from
 --src.  Prints one JSON object.
@@ -29,32 +30,15 @@ The library is imported from ``src/`` beside this directory, or from
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
 import statistics
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 STAGES = ("load_spec", "build", "phase_from_signs", "twists_from_signs", "primitive_cycles",
           "complement_components", "render_svg")
-LADDER = (10, 20, 40, 60)
 LADDER_REPEATS = 3
-
-
-def _groups(seed: int) -> dict[str, list]:
-    """The construct workload's ops by group, in ladder order."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from spans import NullTracer
-    from workloads import WORKLOADS
-
-    groups: dict[str, list] = {}
-    ops = WORKLOADS["construct"].setup(seed, NullTracer()).ops
-    for op in sorted(ops, key=lambda op: (op.degree, op.slice)):
-        groups.setdefault(f"{op.slice} d{op.degree}", []).append(op)
-    return groups
 
 
 def _run_op(op, seconds: list[float]) -> str | None:
@@ -95,87 +79,48 @@ def _run_op(op, seconds: list[float]) -> str | None:
     return None
 
 
+def _seconds(ops: list) -> list[float]:
+    """Seconds per stage over the ops."""
+    total = [0.0] * len(STAGES)
+    for op in ops:
+        _run_op(op, total)
+    return total
+
+
 def stages(seed: int, repeats: int) -> dict:
-    groups = _groups(seed)
+    groups = harness.workload_groups("construct", seed, lambda op: f"{op.slice} d{op.degree}")
+    groups = dict(sorted(groups.items(), key=lambda kv: (kv[1][0].degree, kv[1][0].slice)))  # ladder order
     refused = dict.fromkeys(STAGES, 0)
     for ops in groups.values():  # untimed: the render's suffix table, and the refusals
         for op in ops:
             stage = _run_op(op, [0.0] * len(STAGES))
             if stage is not None:
                 refused[stage] += 1
-    seconds = {name: {stage: [] for stage in STAGES} for name in groups}
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            for name, ops in groups.items():
-                total = [0.0] * len(STAGES)
-                for op in ops:
-                    _run_op(op, total)
-                for stage, s in zip(STAGES, total):
-                    seconds[name][stage].append(s)
-        finally:
-            gc.enable()
-    n_ops = sum(len(ops) for ops in groups.values())
-    return {
-        "ops": n_ops,
-        "refused": refused,
-        "groups": {
-            name: {"ops": len(groups[name]),
-                   **{f"{stage}_ms": round(statistics.median(s) * 1000 / len(groups[name]), 4)
-                      for stage, s in per_stage.items()}}
-            for name, per_stage in seconds.items()
-        },
-        "pass": {
-            f"{stage}_ms": round(
-                statistics.median(sum(seconds[name][stage][r] for name in groups) for r in range(repeats))
-                * 1000 / n_ops, 4)
-            for stage in STAGES
-        },
-    }
+    runs = harness.repeat(repeats, lambda: {name: _seconds(ops) for name, ops in groups.items()})
+    return harness.summary(STAGES, groups, runs, refused=refused)
 
 
-def ladder(degrees=LADDER) -> dict:
+def ladder(degrees=harness.LADDER) -> dict:
     from tropcurve import SignDistribution, honeycomb, phase_from_signs, render_svg, twists_from_signs
+
+    def one(d: int) -> tuple[int, float, float]:
+        t0 = time.perf_counter()
+        curve = honeycomb(d)
+        build = time.perf_counter() - t0
+        delta = SignDistribution(dict.fromkeys(curve.dual.lattice_points, 1))
+        phase, twists = phase_from_signs(curve, delta), twists_from_signs(curve, delta)
+        t0 = time.perf_counter()
+        render_svg(curve, phase, twists, None, delta)
+        return len(curve.edges), build, time.perf_counter() - t0
 
     out = {}
     for d in degrees:
-        build, render = [], []
-        for _ in range(LADDER_REPEATS):
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                curve = honeycomb(d)
-                build.append(time.perf_counter() - t0)
-                delta = SignDistribution(dict.fromkeys(curve.dual.lattice_points, 1))
-                phase, twists = phase_from_signs(curve, delta), twists_from_signs(curve, delta)
-                t0 = time.perf_counter()
-                render_svg(curve, phase, twists, None, delta)
-                render.append(time.perf_counter() - t0)
-            finally:
-                gc.enable()
-        out[f"d{d}"] = {"edges": len(curve.edges),
-                        "build_ms": round(statistics.median(build) * 1000, 2),
-                        "render_svg_ms": round(statistics.median(render) * 1000, 2)}
+        runs = harness.repeat(LADDER_REPEATS, lambda: one(d))
+        out[f"d{d}"] = {"edges": runs[0][0],
+                        "build_ms": round(statistics.median(r[1] for r in runs) * 1000, 2),
+                        "render_svg_ms": round(statistics.median(r[2] for r in runs) * 1000, 2)}
     return out
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tropcurve sources to time")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--repeats", type=int, default=15)
-    args = ap.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
-    out = {
-        "python": sys.version.split()[0],
-        "stages": {f"seed{s}": stages(s, args.repeats) for s in args.seeds},
-        "ladder": ladder(),
-    }
-    print(json.dumps(out, indent=1))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "stages", stages, 15, lambda _: ladder()))

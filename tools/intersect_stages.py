@@ -24,42 +24,25 @@ The library is imported from ``src/`` beside this directory, or from
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 STAGES = ("edge_hits", "classify_hits", "real_lift")
 
 
-def _groups(seed: int) -> dict[str, list[dict]]:
-    """The intersect workload's op data by pair group, in first-seen order."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from spans import NullTracer
-    from workloads import WORKLOADS
-
-    groups: dict[str, list[dict]] = {}
-    for op in WORKLOADS["intersect"].setup(seed, NullTracer()).ops:
-        a, b = op.data["a"], op.data["b"]
-        groups.setdefault(f"{op.slice} ({a.degree},{b.degree})", []).append(op.data)
-    return groups
-
-
-def _stage_inputs(ops: list[dict]):
+def _stage_inputs(ops: list, refused: dict[str, int]):
     """The arguments of ``classify_hits`` and ``real_lift`` for the ops,
-    from one untimed pass, with the solves summed and the refusals counted
-    per stage; a pair a stage refuses gives no arguments to later stages."""
+    and the sum of their solves, from one untimed pass that counts in
+    refused the pairs each stage refuses; a pair a stage refuses gives no
+    arguments to later stages."""
     from tropcurve.errors import UnsupportedConfiguration
     from tropcurve.intersect import classify_hits, edge_hits
 
     hits_args, lift_args = [], []
     solved = 0
-    refused = dict.fromkeys(STAGES, 0)
-    for d in ops:
+    for op in ops:
+        d = op.data
         a, b = d["a"], d["b"]
         try:
             hits = edge_hits(a, b)
@@ -74,83 +57,30 @@ def _stage_inputs(ops: list[dict]):
             refused["classify_hits"] += 1
             continue
         lift_args.extend((comp, d["pa"], d["pb"]) for comp in comps)
-    return hits_args, lift_args, solved, refused
-
-
-def _time_stage(fn, calls) -> float:
-    """Seconds for fn over every argument tuple, refusals included."""
-    from tropcurve.errors import UnsupportedConfiguration
-
-    t0 = time.perf_counter()
-    for args in calls:
-        try:
-            fn(*args)
-        except UnsupportedConfiguration:
-            pass
-    return time.perf_counter() - t0
+    return hits_args, lift_args, solved
 
 
 def stages(seed: int, repeats: int) -> dict:
+    from tropcurve.errors import UnsupportedConfiguration
     from tropcurve.intersect import classify_hits, edge_hits, real_lift
 
-    groups = _groups(seed)
+    groups = harness.workload_groups("intersect", seed,
+                                     lambda op: f"{op.slice} ({op.data['a'].degree},{op.data['b'].degree})")
     plans = {}
     solved = 0
     refused = dict.fromkeys(STAGES, 0)
     for name, ops in groups.items():
-        hits_args, lift_args, group_solved, group_refused = _stage_inputs(ops)
+        hits_args, lift_args, group_solved = _stage_inputs(ops, refused)
         solved += group_solved
-        for stage, n in group_refused.items():
-            refused[stage] += n
         plans[name] = (
-            (edge_hits, [(d["a"], d["b"]) for d in ops]),
+            (edge_hits, [(op.data["a"], op.data["b"]) for op in ops]),
             (classify_hits, hits_args),
             (real_lift, lift_args),
         )
-    seconds = {name: {stage: [] for stage in STAGES} for name in groups}
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            for name, plan in plans.items():
-                for stage, (fn, calls) in zip(STAGES, plan):
-                    seconds[name][stage].append(_time_stage(fn, calls))
-        finally:
-            gc.enable()
-    n_ops = sum(len(ops) for ops in groups.values())
-    return {
-        "ops": n_ops,
-        "solved": solved,
-        "refused": refused,
-        "groups": {
-            name: {"ops": len(groups[name]),
-                   **{f"{stage}_ms": round(statistics.median(s) * 1000 / len(groups[name]), 4)
-                      for stage, s in per_stage.items()}}
-            for name, per_stage in seconds.items()
-        },
-        "pass": {
-            f"{stage}_ms": round(
-                statistics.median(sum(seconds[name][stage][r] for name in groups) for r in range(repeats))
-                * 1000 / n_ops, 4)
-            for stage in STAGES
-        },
-    }
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tropcurve sources to time")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--repeats", type=int, default=15)
-    args = ap.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
-    out = {
-        "python": sys.version.split()[0],
-        "stages": {f"seed{s}": stages(s, args.repeats) for s in args.seeds},
-    }
-    print(json.dumps(out, indent=1))
-    return 0
+    runs = harness.repeat(repeats, lambda: {name: harness.time_plan(plan, UnsupportedConfiguration)
+                                            for name, plan in plans.items()})
+    return harness.summary(STAGES, groups, runs, solved=solved, refused=refused)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "stages", stages, 15))

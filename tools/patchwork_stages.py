@@ -26,29 +26,12 @@ The library is imported from ``src/`` beside this directory, or from
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 STAGES = ("phase_from_signs", "twists_from_signs", "twists_from_phase", "phase_from_twists",
           "signs_from_phase", "count_components_direct", "twist_matrix")
-
-
-def _groups(seed: int) -> dict[str, list]:
-    """The patchwork workload's ops by degree, in first-seen order."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from spans import NullTracer
-    from workloads import WORKLOADS
-
-    groups: dict[str, list] = {}
-    for op in WORKLOADS["patchwork"].setup(seed, NullTracer()).ops:
-        groups.setdefault(f"d{op.degree}", []).append(op)
-    return groups
 
 
 def _plan(ops: list) -> list[tuple]:
@@ -84,59 +67,12 @@ def _plan(ops: list) -> list[tuple]:
     ]
 
 
-def _time_stage(fn, calls) -> float:
-    """Seconds for fn over every argument tuple."""
-    t0 = time.perf_counter()
-    for args in calls:
-        fn(*args)
-    return time.perf_counter() - t0
-
-
 def stages(seed: int, repeats: int) -> dict:
-    groups = _groups(seed)
+    groups = harness.workload_groups("patchwork", seed, lambda op: f"d{op.degree}")
     plans = {name: _plan(ops) for name, ops in groups.items()}
-    seconds = {name: {stage: [] for stage in STAGES} for name in groups}
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            for name, plan in plans.items():
-                for stage, (fn, calls) in zip(STAGES, plan):
-                    seconds[name][stage].append(_time_stage(fn, calls))
-        finally:
-            gc.enable()
-    n_ops = sum(len(ops) for ops in groups.values())
-    return {
-        "ops": n_ops,
-        "groups": {
-            name: {"ops": len(groups[name]),
-                   **{f"{stage}_ms": round(statistics.median(s) * 1000 / len(groups[name]), 4)
-                      for stage, s in per_stage.items()}}
-            for name, per_stage in seconds.items()
-        },
-        "pass": {
-            f"{stage}_ms": round(
-                statistics.median(sum(seconds[name][stage][r] for name in groups) for r in range(repeats))
-                * 1000 / n_ops, 4)
-            for stage in STAGES
-        },
-    }
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tropcurve sources to time")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--repeats", type=int, default=15)
-    args = ap.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
-    out = {
-        "python": sys.version.split()[0],
-        "stages": {f"seed{s}": stages(s, args.repeats) for s in args.seeds},
-    }
-    print(json.dumps(out, indent=1))
-    return 0
+    runs = harness.repeat(repeats, lambda: {name: harness.time_plan(plan) for name, plan in plans.items()})
+    return harness.summary(STAGES, groups, runs)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "stages", stages, 15))
