@@ -15,10 +15,10 @@ line, the points at lattice distance 1 beyond the edge it crosses, so a
 cell costs O(1) on a honeycomb and O(side length) at worst.  It never
 looks off that line, so its cells are certified instead: the lift must be
 strictly concave across every interior edge and along every side, and
-the cells must number twice the polygon's area.  Any failure falls back
-to the full gift wrap (``_walk_cells``), which scans every lifted point
-per cell.  It is the only route to a refusal, so singular inputs are
-rejected with its messages.
+the cells must number twice the polygon's area.  On valid heights every
+test holds, so a failed test proves the heights singular: the walk
+refuses them itself, with a ``SingularSubdivision`` that names the edge
+and the lattice points at fault.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ from .geometry import (
     on_frame,
     polygon_twice_area,
     primitive,
-    rot90,
     side_lattice_points,
-    sub,
 )
 
 # the primitive edge directions of a honeycomb, both orientations
@@ -489,11 +487,8 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
 
 
 def _curve_from_heights(height: dict[IVec, int], scale: int) -> TropicalCurve:
-    """The curve of the coefficients height[p] / scale, built on ints.
-
-    ``_line_walk`` finds the cells.  When it cannot certify them, the full
-    scan ``_walk_cells`` runs instead: it is the only route to a refusal,
-    and it refuses every input the line walk cannot certify."""
+    """The curve of the coefficients height[p] / scale, built on ints:
+    ``_line_walk`` finds the cells, or refuses the heights."""
     hull = convex_hull(list(height))
     if len(hull) < 3:
         raise DegeneratePolygon("support hull is not 2-dimensional")
@@ -503,11 +498,7 @@ def _curve_from_heights(height: dict[IVec, int], scale: int) -> TropicalCurve:
         raise SingularSubdivision(f"lattice points {missing} are not in the support")
     boundary = _boundary_segments(hull, height)
     area2 = polygon_twice_area(hull)
-    try:
-        cells, placed, records = _line_walk(height, boundary, area2, hull)
-    except _Uncertified:
-        _walk_cells(height, boundary, area2)
-        raise InvariantViolation("the full scan accepts heights the line walk cannot certify") from None
+    cells, placed, records = _line_walk(height, boundary, area2, hull)
 
     # vertices in (x, y) order; rank[k] is the vertex of the walk's cell k
     order = sorted(range(len(cells)), key=placed.__getitem__)
@@ -525,24 +516,20 @@ def _curve_from_heights(height: dict[IVec, int], scale: int) -> TropicalCurve:
     dual_cells = tuple(tuple(sorted(cells[k])) for k in order)
     dual = DualSubdivision(tuple(hull), tuple(lattice), dual_cells)
     frame = IntFrame(scale, vertices, _frame_edges(edges, vertices), height)
-    curve = TropicalCurve(edges, dual, degree, frame)
-    _verify_curve(curve)
-    return curve
-
-
-class _Uncertified(Exception):
-    """The line walk found no cell it can certify; ``_walk_cells`` decides."""
+    return TropicalCurve(edges, dual, degree, frame)
 
 
 def _line_walk(height: dict[IVec, int], boundary: set[tuple[IVec, IVec]], area2: int, hull: list[IVec]):
     """The cells of the upper hull of the lifted support, each found on one
     lattice line and certified by local concavity.
 
-    The walk crosses the edges in ``_walk_cells``'s order.  The cell left
-    of p->q, entered out of the known cell (q, p, c), is unimodular, so its
-    apex lies on the line r_k = 2p - c + k(q - p), where det(q-p, r-p) = 1.
-    On valid heights g(k) = h(r_k) - k(h(q) - h(p)) is concave on that line
-    with a strict maximum at the apex, and ``_climb`` reaches it from the
+    The walk crosses the edges depth first from the least boundary
+    segment.  The cell left of p->q, entered out of the known cell
+    (q, p, c), is unimodular, so its apex lies on the line
+    r_k = 2p - c + k(q - p), where det(q-p, r-p) = 1.  On valid heights
+    every lifted lattice point is a vertex of the upper hull, so
+    g(k) = h(r_k) - k(h(q) - h(p)) is strictly concave on that line with
+    its unique maximum at the apex, and ``_climb`` reaches it from the
     flip partner r_1 = p + q - c.  The first cell, left of the least
     boundary segment, is climbed for on the same kind of line.
 
@@ -553,10 +540,15 @@ def _line_walk(height: dict[IVec, int], boundary: set[tuple[IVec, IVec]], area2:
     With the sides' strict concavity (``_boundary_segments``), a lift that
     is locally strictly concave on a convex polygon is globally so
     (De Loera-Rambau-Santos, *Triangulations*, 2010), so the cells are
-    the upper hull's.  Any failure raises ``_Uncertified``.
+    the upper hull's.
 
-    Returns, per cell in walk order, its points (counterclockwise, as
-    ``_walk_cells`` keys them) and its vertex times the heights' scale,
+    On valid heights every test holds, so each failure proves the heights
+    singular and raises ``SingularSubdivision``: a concavity test at a
+    crossed or a closed edge, a tie in the climb, a line that misses the
+    polygon, two cells left of one edge, or a wrong count of cells.
+
+    Returns, per cell in walk order, its points (counterclockwise, from
+    the edge it is entered by) and its vertex times the heights' scale,
     and the records (dual key, dual pair, tail, head, direction) of the
     edges, tail and head as walk indexes, head None for a ray.
     """
@@ -579,13 +571,13 @@ def _line_walk(height: dict[IVec, int], boundary: set[tuple[IVec, IVec]], area2:
         rise = height[q] - hp
         if c is None:
             wx, wy = _unit_normal(ux, uy)
-            x, y, hr = _climb(height, planes, px + wx, py + wy, ux, uy, rise, 0)
+            x, y, hr = _climb(height, planes, p, q, px + wx, py + wy, 0)
         else:
             cx, cy = c
-            x, y, hr = _climb(height, planes, 2 * px - cx, 2 * py - cy, ux, uy, rise, 1)
+            x, y, hr = _climb(height, planes, p, q, 2 * px - cx, 2 * py - cy, 1)
         r = (x, y)
-        if c is not None and not _concave_across(height, p, q, c, r):
-            raise _Uncertified
+        if c is not None:
+            _require_concave(height, p, q, c, r, "crossed")
         new = len(cells)
         cells.append((p, q, r))
         wx, wy = x - px, y - py
@@ -598,41 +590,46 @@ def _line_walk(height: dict[IVec, int], boundary: set[tuple[IVec, IVec]], area2:
             records.append(_record(p, q, new, old))
         for a, b, o in ((q, r, p), (r, p, q)):
             if (a, b) in left:
-                raise _Uncertified
+                raise SingularSubdivision(f"cells {cells[left[(a, b)]]} and {cells[new]} overlap")
             left[(a, b)] = new
             twin = left.get((b, a))
             if twin is not None:
                 # the cell on the other side runs b, a, t
                 cell = cells[twin]
-                if not _concave_across(height, a, b, cell[cell.index(b) - 1], o):
-                    raise _Uncertified
+                _require_concave(height, a, b, cell[cell.index(b) - 1], o, "closed")
                 records.append(_record(a, b, new, twin))
             elif (a, b) in boundary:
                 records.append(_record(b, a, new, None))
             else:
                 pending.append((b, a, o, new))
     if len(cells) != area2:
-        raise _Uncertified
+        raise SingularSubdivision(f"{len(cells)} unimodular cells for a polygon of twice-area {area2}")
     return cells, placed, records
 
 
-def _concave_across(height: dict[IVec, int], a: IVec, b: IVec, c: IVec, x: IVec) -> bool:
-    """Whether the lift is strictly concave across the edge a-b of the
-    unimodular cells (b, a, c) and (a, b, x): the lifted x lies strictly
-    below the plane through the lifted a, b and c.  With x = 2a - c +
-    s(b - a), s = det(c - a, x - a), that plane is 2h(a) - h(c) + s(h(b) -
-    h(a)) at x."""
+def _require_concave(height: dict[IVec, int], a: IVec, b: IVec, c: IVec, x: IVec, kind: str) -> None:
+    """Refuse the heights unless the lift is strictly concave across the
+    ``kind`` (crossed or closed) edge a-b of the unimodular cells (b, a, c)
+    and (a, b, x): the lifted x lies strictly below the plane through the
+    lifted a, b and c.  With x = 2a - c + s(b - a), s = det(c - a, x - a),
+    that plane is 2h(a) - h(c) + s(h(b) - h(a)) at x."""
     (ax, ay), (cx, cy), (xx, xy) = a, c, x
     ha = height[a]
     s = (cx - ax) * (xy - ay) - (cy - ay) * (xx - ax)
-    return height[x] < 2 * ha - height[c] + s * (height[b] - ha)
+    if height[x] >= 2 * ha - height[c] + s * (height[b] - ha):
+        raise SingularSubdivision(f"the lift is not strictly concave across the {kind} edge {a}-{b}: "
+                                  f"the lifted {x} is not below the plane of the cell {(b, a, c)}")
 
 
-def _climb(height: dict[IVec, int], planes, x0: int, y0: int, ux: int, uy: int, rise: int, k: int):
-    """Climb g(k) = h(r_k) - k*rise along r_k = (x0, y0) + k(ux, uy) from k to
-    a strict local maximum: (x, y, h) there, r_k = (x, y).  A start
-    outside the polygon moves to the nearest k inside it.  Raises
-    ``_Uncertified`` at a tie or when the line misses the polygon."""
+def _climb(height: dict[IVec, int], planes, p: IVec, q: IVec, x0: int, y0: int, k: int):
+    """Climb g(k) = h(r_k) - k*rise along r_k = (x0, y0) + k(q - p) from k to
+    a strict local maximum, rise = h(q) - h(p): (x, y, h) there, r_k =
+    (x, y).  A start outside the polygon moves to the nearest k inside it.
+    Raises ``SingularSubdivision`` at a tie, where the lifted p, q and two
+    points of the line lie on one plane, or when the line misses the
+    polygon."""
+    (px, py), (qx, qy) = p, q
+    ux, uy, rise = qx - px, qy - py, height[q] - height[p]
     x, y = x0 + k * ux, y0 + k * uy
     h = height.get((x, y))
     if h is None:
@@ -645,9 +642,10 @@ def _climb(height: dict[IVec, int], planes, x0: int, y0: int, ux: int, uy: int, 
             elif a < 0:
                 lo = -(b // -a) if lo is None else max(lo, -(b // -a))
             elif b < 0:
-                raise _Uncertified
+                lo = None  # parallel to this side and beyond it
+                break
         if lo is None or hi is None or lo > hi:
-            raise _Uncertified
+            raise SingularSubdivision(f"the lattice line beyond the edge {p}-{q} misses the polygon")
         k = min(max(k, lo), hi)
         x, y = x0 + k * ux, y0 + k * uy
         h = height[(x, y)]
@@ -657,7 +655,7 @@ def _climb(height: dict[IVec, int], planes, x0: int, y0: int, ux: int, uy: int, 
         nh = height.get((x + ux, y + uy))
     while nh is not None and nh - rise >= h:
         if nh - rise == h:
-            raise _Uncertified
+            raise SingularSubdivision(f"the lifted {p}, {q}, {(x, y)} and {(x + ux, y + uy)} lie on one plane")
         x, y, h = x + ux, y + uy, nh
         nh = height.get((x + ux, y + uy))
     return x, y, h
@@ -708,78 +706,6 @@ def _boundary_segments(hull: list[IVec], height: dict[IVec, int]) -> set[tuple[I
     return segments
 
 
-def _walk_cells(
-    height: dict[IVec, int], boundary: set[tuple[IVec, IVec]], area2: int
-) -> dict[tuple[IVec, IVec], tuple[IVec, IVec, IVec]]:
-    """Gift-wrap the upper hull of the lifted support, one cell per step:
-    the refusal route of ``_curve_from_heights``, run only on heights the
-    line walk cannot certify.
-
-    Starting from a boundary unit segment, each unvisited edge is crossed
-    to the unique unimodular cell on its left, found by a scan of every
-    lifted point (``_cell_apex``).  Returns the cell (counterclockwise
-    triple) lying left of each directed edge, or raises
-    ``SingularSubdivision``.
-
-    Lifted points collinear with an interior edge need no check of their
-    own: the first cell reached next to such an edge is entered across
-    another of its edges, where two of those points tie.
-    """
-    lifted = sorted(height.items())
-    left: dict[tuple[IVec, IVec], tuple[IVec, IVec, IVec]] = {}
-    pending = [min(boundary)]
-    while pending:
-        p, q = pending.pop()
-        if (p, q) in left:
-            continue
-        cell = (p, q, _cell_apex(lifted, height, p, q))
-        for a, b in zip(cell, cell[1:] + cell[:1]):
-            if (a, b) in left:
-                raise SingularSubdivision(f"cells {left[(a, b)]} and {cell} overlap")
-            left[(a, b)] = cell
-            if (b, a) not in left and (a, b) not in boundary:
-                pending.append((b, a))
-    count = len(left) // 3
-    if count != area2:
-        raise SingularSubdivision(f"{count} unimodular cells for a polygon of twice-area {area2}")
-    return left
-
-
-def _cell_apex(lifted: list[tuple[IVec, int]], height: dict[IVec, int], p: IVec, q: IVec) -> IVec:
-    """Third point of the upper-hull cell left of the hull edge p->q.
-
-    It is the point r with det(q-p, r-p) > 0 whose lifted plane through
-    p and q is steepest; the slope is num/den below, compared by
-    cross-multiplication.
-    """
-    px, py = p
-    ux, uy = q[0] - px, q[1] - py
-    uu = ux * ux + uy * uy
-    hp = height[p]
-    rise = height[q] - hp
-    apex = None
-    best_num, best_den = 0, 1
-    tie = False
-    for r, h in lifted:
-        wx, wy = r[0] - px, r[1] - py
-        den = ux * wy - uy * wx
-        if den <= 0:
-            continue
-        num = (h - hp) * uu - rise * (ux * wx + uy * wy)
-        lhs, rhs = num * best_den, best_num * den
-        if apex is None or lhs > rhs:
-            apex, best_num, best_den, tie = r, num, den, False
-        elif lhs == rhs:
-            tie = True
-    if apex is None:
-        raise SingularSubdivision(f"no cell left of the edge {p}-{q}")
-    if tie:
-        raise SingularSubdivision(f"the cell left of {p}-{q} has more than three points")
-    if best_den != 1:
-        raise SingularSubdivision(f"cell {(p, q, apex)} has Euclidean area > 1/2")
-    return apex
-
-
 def _simplex_degree(hull: list[IVec]) -> int | None:
     if len(hull) != 3 or (0, 0) not in hull:
         return None
@@ -792,33 +718,10 @@ def _simplex_degree(hull: list[IVec]) -> int | None:
     return None
 
 
-def _verify_curve(curve: TropicalCurve) -> None:
-    area2 = polygon_twice_area(list(curve.dual.polygon))
-    if len(curve.vertex_cell) != area2:
-        raise SingularSubdivision(
-            f"{len(curve.vertex_cell)} vertices for a polygon of twice-area {area2}"
-        )
-    for v, incident in enumerate(curve.vertex_edges):
-        if len(incident) != 3:
-            raise InvariantViolation(f"vertex {v} is {len(incident)}-valent")
-        sx = sy = 0
-        for eid in incident:
-            e = curve.edges[eid]
-            d = e.direction
-            if e.bounded and e.head == v:
-                d = (-d[0], -d[1])  # inward at head; flip to point away from v
-            sx += d[0]
-            sy += d[1]
-        if (sx, sy) != (0, 0):
-            raise InvariantViolation(f"balancing fails at vertex {v}")
-    for e in curve.edges:
-        dual_dir = sub(e.dual[1], e.dual[0])
-        if rot90(dual_dir) != e.direction:
-            raise InvariantViolation(f"edge {e.index} direction is not the dual rotation")
-
-
 def honeycomb(d: int) -> TropicalCurve:
     """Canonical degree-d honeycomb from the concave quadratic lift."""
+    if type(d) is not int:
+        raise TypeError(f"degree must be an int, not {type(d).__name__}")
     if d < 1:
         raise ValueError("degree must be >= 1")
     height = {(i, j): -(i * i + i * j + j * j) for i in range(d + 1) for j in range(d + 1 - i)}

@@ -47,12 +47,12 @@ from .curve import (
     TropicalPolynomial,
     _frame_edges,
     _simplex_degree,
-    _verify_curve,
     curve_from_polynomial,
     honeycomb,
 )
 from .errors import (
     DegeneratePolygon,
+    InvariantViolation,
     NotGenericAfterRetries,
     PointOnCurve,
     SingularSubdivision,
@@ -273,6 +273,34 @@ def pair_scan_curve(poly: TropicalPolynomial) -> TropicalCurve:
     curve = TropicalCurve(tuple(edges), dual, degree, frame)
     _verify_curve(curve)
     return curve
+
+
+def _verify_curve(curve: TropicalCurve) -> None:
+    """The invariants of a built curve: one vertex per cell of a
+    unimodular tiling, three balanced edges at each vertex, and each edge
+    directed as its dual edge turned by rot90."""
+    area2 = polygon_twice_area(list(curve.dual.polygon))
+    if len(curve.vertex_cell) != area2:
+        raise SingularSubdivision(
+            f"{len(curve.vertex_cell)} vertices for a polygon of twice-area {area2}"
+        )
+    for v, incident in enumerate(curve.vertex_edges):
+        if len(incident) != 3:
+            raise InvariantViolation(f"vertex {v} is {len(incident)}-valent")
+        sx = sy = 0
+        for eid in incident:
+            e = curve.edges[eid]
+            d = e.direction
+            if e.bounded and e.head == v:
+                d = (-d[0], -d[1])  # inward at head; flip to point away from v
+            sx += d[0]
+            sy += d[1]
+        if (sx, sy) != (0, 0):
+            raise InvariantViolation(f"balancing fails at vertex {v}")
+    for e in curve.edges:
+        dual_dir = sub(e.dual[1], e.dual[0])
+        if rot90(dual_dir) != e.direction:
+            raise InvariantViolation(f"edge {e.index} direction is not the dual rotation")
 
 
 _DENOMINATORS = (1, 2, 3, 4, 5, 7, 8)

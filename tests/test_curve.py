@@ -27,9 +27,6 @@ from tropcurve.curve import (
     _boundary_segments,
     _curve_from_heights,
     _line_walk,
-    _Uncertified,
-    _verify_curve,
-    _walk_cells,
 )
 from tropcurve.errors import DegeneratePolygon, DegreeUnset, InvariantViolation, SingularSubdivision
 from tropcurve.geometry import (
@@ -42,6 +39,7 @@ from tropcurve.geometry import (
     sub,
 )
 from tropcurve.selfcheck import (
+    _verify_curve,
     construction_outcome,
     fraction_region_point,
     pair_scan_curve,
@@ -94,14 +92,14 @@ def test_skipped_lattice_point_is_singular():
         # side point on its neighbours' chord, then below it
         ({(0, 0): 0, (1, 0): 0, (2, 0): 0, (0, 1): -1, (1, 1): -1, (0, 2): -4}, "not strictly concave"),
         ({(0, 0): 0, (1, 0): -1, (2, 0): 0, (0, 1): -1, (1, 1): -2, (0, 2): -4}, "not strictly concave"),
-        # flat unit square: one cell with four points
-        ({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0}, "more than three points"),
+        # flat unit square: one cell with four points, a tie in the climb
+        ({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0}, "lie on one plane"),
         # (1,1) pulled below the triangle (0,1),(1,0),(2,1) of twice-area 2
         ({(0, 0): -3, (1, 0): -1, (2, 0): -2, (3, 0): -6, (0, 1): -1, (1, 1): -9,
-          (2, 1): -2, (0, 2): -2, (1, 2): -3, (0, 3): -7}, "area > 1/2"),
+          (2, 1): -2, (0, 2): -2, (1, 2): -3, (0, 3): -7}, "crossed edge"),
         # flat unit square again, with heights over the denominators 2, 3, 5 and 30
         ({(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3), (0, 1): Fraction(1, 5),
-          (1, 1): Fraction(1, 30)}, "more than three points"),
+          (1, 1): Fraction(1, 30)}, "lie on one plane"),
     ],
 )
 def test_walk_rejections_are_singular_subdivisions(coefficients, reason):
@@ -440,31 +438,98 @@ def test_region_index_matches_the_dual_edge_scan():
 
 # A reference copy of the builder as it was before honeycomb and
 # curve_from_polynomial shared one int builder: the polynomial's Fraction
-# coefficients scaled by their lcm, and the edge records sorted by a key
-# function over their dual pair.
+# coefficients scaled by their lcm, the cells found by a full gift wrap,
+# and the edge records sorted by a key function over their dual pair.
+
+
+class _ScanRefusal(SingularSubdivision):
+    """A refusal by the reference's full scan; its messages name the
+    scan's cells, not the line walk's witnesses."""
+
+
+def _walk_cells(height, boundary, area2):
+    """Gift-wrap the upper hull of the lifted support, one cell per step.
+
+    Starting from a boundary unit segment, each unvisited edge is crossed
+    to the unique unimodular cell on its left, found by a scan of every
+    lifted point (``_cell_apex``).  Returns the cell (counterclockwise
+    triple) lying left of each directed edge, or raises ``_ScanRefusal``.
+
+    Lifted points collinear with an interior edge need no check of their
+    own: the first cell reached next to such an edge is entered across
+    another of its edges, where two of those points tie.
+    """
+    lifted = sorted(height.items())
+    left = {}
+    pending = [min(boundary)]
+    while pending:
+        p, q = pending.pop()
+        if (p, q) in left:
+            continue
+        cell = (p, q, _cell_apex(lifted, height, p, q))
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            if (a, b) in left:
+                raise _ScanRefusal(f"cells {left[(a, b)]} and {cell} overlap")
+            left[(a, b)] = cell
+            if (b, a) not in left and (a, b) not in boundary:
+                pending.append((b, a))
+    count = len(left) // 3
+    if count != area2:
+        raise _ScanRefusal(f"{count} unimodular cells for a polygon of twice-area {area2}")
+    return left
+
+
+def _cell_apex(lifted, height, p, q):
+    """Third point of the upper-hull cell left of the hull edge p->q.
+
+    It is the point r with det(q-p, r-p) > 0 whose lifted plane through
+    p and q is steepest; the slope is num/den below, compared by
+    cross-multiplication.
+    """
+    px, py = p
+    ux, uy = q[0] - px, q[1] - py
+    uu = ux * ux + uy * uy
+    hp = height[p]
+    rise = height[q] - hp
+    apex = None
+    best_num, best_den = 0, 1
+    tie = False
+    for r, h in lifted:
+        wx, wy = r[0] - px, r[1] - py
+        den = ux * wy - uy * wx
+        if den <= 0:
+            continue
+        num = (h - hp) * uu - rise * (ux * wx + uy * wy)
+        lhs, rhs = num * best_den, best_num * den
+        if apex is None or lhs > rhs:
+            apex, best_num, best_den, tie = r, num, den, False
+        elif lhs == rhs:
+            tie = True
+    if apex is None:
+        raise _ScanRefusal(f"no cell left of the edge {p}-{q}")
+    if tie:
+        raise _ScanRefusal(f"the cell left of {p}-{q} has more than three points")
+    if best_den != 1:
+        raise _ScanRefusal(f"cell {(p, q, apex)} has Euclidean area > 1/2")
+    return apex
 
 
 def _curve_from_polynomial_reference(poly):
-    from tropcurve.curve import (
-        DualSubdivision,
-        Edge,
-        IntFrame,
-        _boundary_segments,
-        _frame_edges,
-        _simplex_degree,
-        _walk_cells,
-    )
-    from tropcurve.geometry import convex_hull, hull_lattice_points, polygon_twice_area
+    scale = lcm(*(a.denominator for a in poly.coefficients.values()))
+    height = {p: a.numerator * (scale // a.denominator) for p, a in poly.coefficients.items()}
+    return _curve_from_heights_reference(height, scale)
 
-    hull = convex_hull(list(poly.support))
+
+def _curve_from_heights_reference(height, scale):
+    from tropcurve.curve import DualSubdivision, IntFrame, _frame_edges, _simplex_degree
+
+    hull = convex_hull(list(height))
     if len(hull) < 3:
         raise DegeneratePolygon("support hull is not 2-dimensional")
     lattice = hull_lattice_points(hull)
-    missing = [pt for pt in lattice if pt not in poly.support]
+    missing = [pt for pt in lattice if pt not in height]
     if missing:
         raise SingularSubdivision(f"lattice points {missing} are not in the support")
-    scale = lcm(*(a.denominator for a in poly.coefficients.values()))
-    height = {p: a.numerator * (scale // a.denominator) for p, a in poly.coefficients.items()}
     boundary = _boundary_segments(hull, height)
     left = _walk_cells(height, boundary, polygon_twice_area(hull))
     placed = []
@@ -506,6 +571,15 @@ def _built(build, *args):
     return c.edges, c.dual, c.degree, c.frame, list(c.frame.heights), list(c.poly.coefficients)
 
 
+def _as_the_reference(got, want):
+    """Whether ``_built`` outcomes agree: the same construction, or the same
+    refusal.  Where the reference's full scan refuses, the walk refuses
+    with a ``SingularSubdivision`` that names its own witness instead."""
+    if want[0] is _ScanRefusal:
+        return got[0] is SingularSubdivision
+    return got == want
+
+
 def test_honeycombs_are_built_as_the_reference():
     for d in range(1, 13):
         coeffs = {(i, j): Fraction(-(i * i + i * j + j * j)) for i in range(d + 1) for j in range(d + 1 - i)}
@@ -520,7 +594,7 @@ def test_random_lifts_are_built_or_refused_as_the_reference():
     for _ in range(500):
         poly = random_lift(rng)
         got = _built(curve_from_polynomial, poly)
-        assert got == _built(_curve_from_polynomial_reference, poly), poly.coefficients
+        assert _as_the_reference(got, _built(_curve_from_polynomial_reference, poly)), poly.coefficients
         kind = "refused" if isinstance(got[0], type) else "built"
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds["built"] >= 200 and kinds["refused"] >= 100, kinds
@@ -542,12 +616,15 @@ def test_singular_and_degenerate_inputs_are_refused_as_the_reference(coefficient
     poly = TropicalPolynomial(coefficients)
     got = _built(curve_from_polynomial, poly)
     assert isinstance(got[0], type)
-    assert got == _built(_curve_from_polynomial_reference, poly)
+    assert _as_the_reference(got, _built(_curve_from_polynomial_reference, poly))
 
 
 def test_honeycomb_degree_below_one_is_refused():
     with pytest.raises(ValueError, match="degree must be >= 1"):
         honeycomb(0)
+    for d, name in ((True, "bool"), (3.0, "float"), ("3", "str")):
+        with pytest.raises(TypeError, match=f"^degree must be an int, not {name}$"):
+            honeycomb(d)
 
 
 def test_a_fraction_coefficient_is_kept_as_given():
@@ -590,11 +667,11 @@ def test_an_edge_is_unequal_to_its_fields_and_to_a_subclass_edge():
 
 # -- the line walk against the full gift wrap ---------------------------------
 
-# the climb alone accepts this cubic; the full scan refuses it
+# the climb alone accepts this cubic; the concavity test at a crossing refuses it
 _PINNED_CUBIC = {(0, 0): 4, (0, 1): -3, (0, 2): -16, (0, 3): -33, (1, 0): -3, (1, 1): -16, (1, 2): -27,
                  (2, 0): -13, (2, 1): -30, (3, 0): -35}
 # the climb and the concavity tests at crossings accept this quartic; the
-# test at an edge a new cell closes refuses it, as the full scan does
+# test at an edge a new cell closes refuses it
 _PINNED_QUARTIC = {(0, 0): 0, (0, 1): -2, (0, 2): -8, (0, 3): -18, (0, 4): -32, (1, 0): -2, (1, 1): -6,
                    (1, 2): -11, (1, 3): -26, (2, 0): -8, (2, 1): -10, (2, 2): -24, (3, 0): -18, (3, 1): -26,
                    (4, 0): -32}
@@ -644,19 +721,7 @@ def _left_of(cells):
     return {(a, b): cell for cell in cells for a, b in zip(cell, cell[1:] + cell[:1])}
 
 
-def _count_fallbacks(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _walk_cells(*args)
-
-    monkeypatch.setattr(curve_module, "_walk_cells", counted)
-    return calls
-
-
-def test_the_line_walk_finds_the_cells_of_the_full_scan(monkeypatch):
-    fallbacks = _count_fallbacks(monkeypatch)
+def test_the_line_walk_finds_the_cells_of_the_full_scan():
     built = 0
     for height, scale in _height_tables():
         walk = _walk_input(height)
@@ -669,42 +734,67 @@ def test_the_line_walk_finds_the_cells_of_the_full_scan(monkeypatch):
             continue
         cells, _, _ = _line_walk(height, boundary, area2, hull)
         assert list(_left_of(cells).items()) == list(want.items()), height
-        _curve_from_heights(height, scale)
         built += 1
-    assert fallbacks == []
     assert built >= 600, built
 
 
-def test_refusals_keep_the_type_and_message_of_the_full_scan(monkeypatch):
-    fallbacks = _count_fallbacks(monkeypatch)
-    refused = 0
+_POINT = r"\(-?\d+, -?\d+\)"
+_CELL = rf"\({_POINT}, {_POINT}, {_POINT}\)"
+# the walk's refusals that the seeded tables reach; no seeded table has two
+# cells left of one edge, a wrong count of cells or a line that misses the
+# polygon
+_WALK_REFUSALS = {
+    kind: re.compile(rf"the lift is not strictly concave across the {kind} edge {_POINT}-{_POINT}: "
+                     rf"the lifted {_POINT} is not below the plane of the cell {_CELL}")
+    for kind in ("crossed", "closed")
+}
+_WALK_REFUSALS["tie"] = re.compile(rf"the lifted {_POINT}, {_POINT}, {_POINT} and {_POINT} lie on one plane")
+
+
+def test_the_walk_refuses_exactly_what_the_full_scan_refuses():
+    # past the checks before the walk, the walk refuses the tables the
+    # scan refuses, each with a witness of a kind above, and builds the
+    # reference's curve from all the others
+    counts = dict.fromkeys(("built", *_WALK_REFUSALS), 0)
     for height, scale in _height_tables():
-        walk = _walk_input(height)
-        if walk is None:
+        if _walk_input(height) is None:
             continue
-        try:
-            _walk_cells(height, walk[1], walk[2])
-        except SingularSubdivision as exc:
-            want = str(exc)
+        got = _built(_curve_from_heights, height, scale)
+        want = _built(_curve_from_heights_reference, height, scale)
+        assert _as_the_reference(got, want), height
+        if want[0] is _ScanRefusal:
+            kind, = (kind for kind, pattern in _WALK_REFUSALS.items() if pattern.fullmatch(got[1]))
         else:
-            continue
-        with pytest.raises(SingularSubdivision) as refusal:
-            _curve_from_heights(height, scale)
-        assert str(refusal.value) == want
-        refused += 1
-        assert len(fallbacks) == refused
-    assert refused >= 200, refused
+            kind = "built"
+        counts[kind] += 1
+    assert counts == {"built": 698, "crossed": 216, "closed": 1, "tie": 38}
+
+
+def _refusal(height):
+    with pytest.raises(SingularSubdivision) as refusal:
+        _curve_from_heights(height, 1)
+    return str(refusal.value)
+
+
+def test_walk_refusals_name_their_witnesses():
+    assert _refusal(dict(_PINNED_CUBIC)) == (
+        "the lift is not strictly concave across the crossed edge (0, 1)-(1, 1): "
+        "the lifted (1, 2) is not below the plane of the cell ((1, 1), (0, 1), (2, 0))")
+    assert _refusal(dict(_PINNED_QUARTIC)) == (
+        "the lift is not strictly concave across the closed edge (1, 1)-(1, 0): "
+        "the lifted (2, 1) is not below the plane of the cell ((1, 0), (1, 1), (0, 1))")
+    assert _refusal({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0}) == (
+        "the lifted (0, 0), (1, 0), (0, 1) and (1, 1) lie on one plane")
 
 
 def test_the_certificate_refuses_what_the_climb_alone_accepts(monkeypatch):
     height = dict(_PINNED_CUBIC)
     hull, boundary, area2 = _walk_input(height)
-    message = "cell ((0, 1), (2, 0), (1, 2)) has Euclidean area > 1/2"
-    with pytest.raises(SingularSubdivision, match=f"^{re.escape(message)}$"):
-        _curve_from_heights(height, 1)
-    with pytest.raises(_Uncertified):
+    with pytest.raises(SingularSubdivision, match="^the lift is not strictly concave across the crossed edge "):
         _line_walk(height, boundary, area2, hull)
-    monkeypatch.setattr(curve_module, "_concave_across", lambda *args: True)
+    with pytest.raises(_ScanRefusal, match=re.escape("cell ((0, 1), (2, 0), (1, 2)) has Euclidean area > 1/2")):
+        _walk_cells(height, boundary, area2)
+    monkeypatch.setattr(curve_module, "_require_concave", lambda *args: None)
     cells, _, _ = _line_walk(height, boundary, area2, hull)
     assert len(cells) == area2
 
@@ -717,8 +807,8 @@ def _outcome(height, scale):
     return "built"
 
 
-def test_the_fallback_exception_stays_inside_under_python_O():
-    tables = _height_tables()[-60:] + [(_PINNED_CUBIC, 1)]
+def test_the_walk_builds_and_refuses_alike_under_python_O():
+    tables = _height_tables()[-60:] + [(_PINNED_CUBIC, 1), (_PINNED_QUARTIC, 1)]
     want = [_outcome(*t) for t in tables]
     assert sum(line.startswith("SingularSubdivision ") for line in want) >= 20
     script = (
