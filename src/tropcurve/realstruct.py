@@ -13,8 +13,12 @@ regions along it are the lattice points of the side.  Components, ovals
 and nesting are read off one labelling of the faces of that cell
 structure, the complement of the real part: the faces form a tree whose
 edges are the ovals (``_face_tree``, which reads the curve's compiled
-cell model ``_cells``).  ``count_components_direct`` builds the whole component
-report from it; the hyperbolicity locus reads one face of it.  The count
+cell model ``_cells``).  The tree is rooted at the face outside every
+oval, which the double cover S^2 -> RP^2 finds: the sheet changes only
+across the side z = 0, and only that face lifts connected (or, for odd
+degree, it is the face on both sides of the pseudo-line).
+``count_components_direct`` builds the whole component report from it;
+the hyperbolicity locus reads one face of it.  The count
 1 + dim ker A_T, the dimension being cols - rank, is computed
 independently from the twist matrix so the two routes can be checked
 against each other.  Two cycles share at most one edge, so A_T takes one
@@ -28,12 +32,12 @@ read as one level bit per edge, since the curve fixes each edge's
 direction class, and a sign distribution as one bit per lattice point;
 conversions, twist solving and the cell model are then popcounts and
 XORs over those bits.  The records hold the bits: a phase from a
-conversion keeps its tables and level bits, a twist set its vector and
-a component report its drawn copies and faces, and their tuples and
-frozensets (``lines``, ``edges``, ``edge_copies``, ``interior_regions``)
-are built on first read.  A route builds only the tables it reads, and each
-table reads the curve once per vertex, edge or side point, not once per
-edge end through helper calls:
+conversion keeps its tables and level bits (and, from signs, their minus
+bits), a twist set its vector and a component report its faces, and
+their tuples and frozensets (``lines``, ``edges``, ``edge_copies``,
+``interior_regions``) are built on first read.  A route builds only the
+tables it reads, and each table reads the curve once per vertex, edge or
+side point, not once per edge end through helper calls:
 
 - ``_base`` (every route): the lattice index, each edge's dual indices
   and direction class, each vertex's incident edges and each lattice
@@ -49,8 +53,10 @@ edge end through helper calls:
 - ``_cycle_rows`` (admissible, dividing, the twist matrix): per edge of
   each primitive cycle;
 - ``_cells`` (drawn copies, component reports, the locus, point
-  queries): per edge, vertex and side point, with one row per edge for
-  the face labelling, and its key tables on first read.
+  queries): per side point its glue orbits, on RP^2 and on one sheet of
+  S^2, and its links across z = 0; per edge four ints in each of four
+  lanes of atoms, which a phase's level bits select for the face
+  labelling; its key tables and its lane of copies on first read.
 
 Production routes: twisted edges come from signs by the sign rule and
 from a phase structure by the compiled sidedness rule: one (edge, side)
@@ -132,9 +138,11 @@ class RealPhaseStructure(_Record):
     (``_Record``) of ``lines``.
 
     Built from its lines, or by the conversions from a curve's tables and
-    one level bit per edge, with ``lines`` built on first read."""
+    one level bit per edge, with ``lines`` built on first read.  A phase
+    induced by signs keeps their minus bits, which ``signs_from_phase``
+    reads back."""
 
-    __slots__ = ("_lines", "_read")
+    __slots__ = ("_lines", "_read", "_minus")
     _fields = ("lines",)
 
     def __init__(self, lines: tuple[PhaseLine, ...]):
@@ -143,12 +151,15 @@ class RealPhaseStructure(_Record):
         # phase (see ``_Base.levels``); while ``_lines`` is None, the
         # tables that built it
         self._read = None
+        # (tables, minus bits) of the signs that induced this phase, or None
+        self._minus = None
 
     @classmethod
-    def _of_levels(cls, base: "_Base", levels: int) -> "RealPhaseStructure":
+    def _of_signs(cls, base: "_Base", levels: int, minus: int) -> "RealPhaseStructure":
         phase = cls.__new__(cls)
         phase._lines = None
         phase._read = (base, levels)
+        phase._minus = (base, minus)
         return phase
 
     @property
@@ -334,8 +345,9 @@ class _Base:
         """The phase structure induced by the signs with the given minus
         bits: an edge's level is 1 iff its dual endpoints agree, so each
         minus point flips the levels of the edges at it.  Such a phase is
-        valid, so it is built from its level bits."""
-        return RealPhaseStructure._of_levels(self, _columns(minus, self.point_edges, self.all_levels))
+        valid, so it is built from its level bits, and it keeps the minus
+        bits."""
+        return RealPhaseStructure._of_signs(self, _columns(minus, self.point_edges, self.all_levels), minus)
 
 
 _base = curve_table(_Base)
@@ -352,16 +364,31 @@ def _orbit_least(glues: int) -> tuple[int, ...]:
 
 
 _ORBIT_LEAST = tuple(map(_orbit_least, range(16)))
-# per glue code g, the codes c < c ^ g: the lesser of each glued pair
-_LOW = tuple(tuple(c for c in range(4) if c < c ^ g) for g in range(4))
-# doubled own cells of an edge's four copies: -2 each for a bounded edge;
-# a ray of glue code g gives its lesser copies' cells to the boundary
-# point where its two copies glue
-_BOUNDED_CELL2 = (-2, -2, -2, -2)
-_RAY_CELL2 = tuple(tuple(0 if c in _LOW[g] else -2 for c in range(4)) for g in range(4))
+# the glue bits of the sides x = 0 and y = 0 (glue codes 2 and 1): the
+# sheet of S^2 over a quadrant copy changes only across z = 0, glue code 3
+_SHEET_GLUES = 1 << 1 | 1 << 2
 
-# per direction class and level bit, the copy codes c left undrawn and drawn
-_LEVEL_CODES = {cls: tuple((_BITS[15 ^ m], _BITS[m]) for m in masks) for cls, masks in _ON_MASKS.items()}
+# per direction class, the copy codes c drawn at level 0 and then at level
+# 1; the two lines of a class are the two cosets of its direction, so the
+# codes drawn at one level are the codes left undrawn at the other
+_LANE_CODES = {cls: tuple(c for m in masks for c in _BITS[m]) for cls, masks in _ON_MASKS.items()}
+
+# the bytes 0 and 1 swapped
+_FLIP_BYTES = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _picks(levels: int, n: int) -> tuple[bytes, bytes]:
+    """The ``compress`` selectors of a lane of ``_Cells`` over n edges at
+    the given level bits: of edge e's four bytes, the copies drawn set
+    4e and 4e + 1 at level 0 and 4e + 2 and 4e + 3 at level 1, and the
+    copies left undrawn set the other two.
+
+    The binary digits of levels, read as hex digits, put bit e at 16^e,
+    so hex digit e of ``spread`` is 3 + 9 bit e: binary 0011 or 1100,
+    which the reversed binary string lists from its lowest bit."""
+    spread = int("3" * n, 16) + 9 * int(format(levels, "b"), 16)
+    drawn = format(spread, f"0{4 * n}b")[::-1].encode().translate(_BIT_BYTES)
+    return drawn, drawn.translate(_FLIP_BYTES)
 
 
 class _Cells:
@@ -373,26 +400,30 @@ class _Cells:
     ``copy_keys[x]``.  ``glued`` maps each atom to the least atom of its
     glue orbit across the polygon's sides.  The key of that atom is
     ``region_class(curve, alpha, eps)``, and the ``region_class`` table
-    maps each atom key (alpha, eps) to it.  Cell weights are doubled so
-    that each vertex copy on the real part can give half its weight to
-    each of its two edge copies there: ``weight2`` is every cell's doubled
-    weight per atom.
+    maps each atom key (alpha, eps) to it.
 
-    ``edge_rows`` holds what the face labelling reads of each edge, in
-    edge order, as (a, b, ends, cell2, codes): a and b the atoms 4*k of
-    its dual endpoints; ends the atom 4*k of the first point of each end
-    vertex's dual cell, where its copies carry half of each end vertex
-    copy; cell2 what its four copies carry at a, their own doubled cells
-    and, for the lesser copies of a ray, the boundary point where the
-    ray's two copies glue; and codes, per level bit, the copy codes c left
-    undrawn and drawn.  cell2 and codes are shared constant tuples, so the
-    rows stay small.
+    The face labelling works on the double cover S^2 of RP^2, in which
+    the sheet over a quadrant copy changes only across the side z = 0,
+    the side with glue (1, 1).  ``sheets`` maps each atom to the least
+    atom of its glue orbit across x = 0 and y = 0 alone, and ``links``
+    holds the pairs of atoms that z = 0 glues, each across a change of
+    sheet: (4k, 4k + 3) and (4k + 1, 4k + 2) for each lattice point k of
+    that side.
 
-    Built from one pass over the edges, one over the vertices, one over
-    each side's points and one more over the edges for the rows.  The
-    rays are grouped by direction once, and a boundary point's glue orbits
-    are read off ``_ORBIT_LEAST`` for the glues of the sides through it.
-    The key tables are built on first read.
+    Lanes, lists of four ints per edge in edge order, hold what the face
+    labelling reads of each edge copy: the copies drawn at level 0, then
+    those drawn at level 1 (``_LANE_CODES``), which are the copies left
+    undrawn at level 0.  Per copy 4*eid + c: ``atoms_p`` and ``atoms_q``
+    the atoms 4*k + c of its edge's dual endpoints, ``tails`` and
+    ``heads`` those of the first point of its end vertices' dual cells (a
+    ray's tail twice), and ``copies`` the copy itself.  ``_picks`` selects
+    a phase's copies from a lane with ``compress``.  A curve keeps a few
+    lists, not objects per edge.
+
+    Built from one pass over the edges, which also counts the rays of
+    each side, and one over the sides' points.  A boundary point's glue
+    orbits are read off ``_ORBIT_LEAST`` for the glues of the sides
+    through it.  The key tables and ``copies`` are built on first read.
     """
 
     def __init__(self, curve: TropicalCurve):
@@ -400,56 +431,60 @@ class _Cells:
         base = _base(curve)
         edges = curve.edges
         self._points = points = base.points
-        index = {p: k for k, p in enumerate(points)}
-        rays: dict[IVec, list[int]] = {}
-        for e in edges:
-            if not e.bounded:
-                rays.setdefault(e.direction, []).append(e.index)
-        # the weights that are equal on a lattice point's four atoms (its
-        # region, each edge's own cell -2 and each vertex copy +2), then
-        # per atom the ray cells, the sides' glued copies and the corners
-        row = [2] * len(points)
-        for i, _ in base.duals:
-            row[i] -= 2
-        vertex_atoms = []
-        for cell in curve.vertex_cell:
-            k = index[cell[0]]
-            row[k] += 2
-            vertex_atoms.append(4 * k)
-        weight2 = [w for w in row for _ in range(4)]
-        glued = list(range(len(weight2)))
-        cell2 = [_BOUNDED_CELL2] * len(edges)
+        index = base.index
+        self._classes = base.classes
+        # per direction class, the atoms 4*k + c of each lattice point k
+        # in the order of the lanes' codes c
+        quads = {
+            cls: [(a + c0, a + c1, a + c2, a + c3) for a in range(0, 4 * len(points), 4)]
+            for cls, (c0, c1, c2, c3) in _LANE_CODES.items()
+        }
+        ends = [index[cell[0]] for cell in curve.vertex_cell]
+        # the lanes, and the rays of each direction on the way
+        self.atoms_p, self.atoms_q, self.tails, self.heads = atoms_p, atoms_q, tails, heads = [], [], [], []
+        rays: dict[IVec, int] = {}
+        for e, (i, j), cls in zip(edges, base.duals, base.classes):
+            quad = quads[cls]
+            t = ends[e.tail]
+            if e.bounded:
+                h = ends[e.head]
+            else:
+                h = t
+                rays[e.direction] = rays.get(e.direction, 0) + 1
+            atoms_p += quad[i]
+            atoms_q += quad[j]
+            tails += quad[t]
+            heads += quad[h]
         glues: dict[int, int] = {}
+        z_atoms = []
         for side in curve.dual.sides:
-            g = _code(side.glue)
-            out = rays.get(side.normal, ())
-            if len(out) != len(side.points) - 1:
+            if rays.get(side.normal, 0) != len(side.points) - 1:
                 raise InvariantViolation("each side must carry as many rays as its lattice length")
-            c0, c1 = _LOW[g]
-            for eid in out:
-                cell2[eid] = _RAY_CELL2[g]
-                a = 4 * base.duals[eid][0]
-                weight2[a + c0] += 2
-                weight2[a + c1] += 2
+            g = _code(side.glue)
             # the copies glue across the side, one interval of it per lattice point
             for alpha in side.points:
                 a = 4 * index[alpha]
                 glues[a] = glues.get(a, 0) | 1 << g
-                weight2[a + c0] -= 2
-                weight2[a + c1] -= 2
+                if g == 3:
+                    z_atoms.append(a)
+        # the orbits on one sheet, then on RP^2, where z = 0 (glue code 3)
+        # joins those of its points as well
+        self.sheets = sheets = list(range(4 * len(points)))
         for a, m in glues.items():
-            least = _ORBIT_LEAST[m]
+            if m & _SHEET_GLUES:
+                least = _ORBIT_LEAST[m & _SHEET_GLUES]
+                sheets[a:a + 4] = (a + least[0], a + least[1], a + least[2], a + least[3])
+        self.glued = glued = sheets[:]
+        links = []
+        for a in z_atoms:
+            least = _ORBIT_LEAST[glues[a]]
             glued[a:a + 4] = (a + least[0], a + least[1], a + least[2], a + least[3])
-        for corner in curve.dual.polygon:
-            weight2[4 * index[corner]] += 2
-        self.glued = glued
-        self.weight2 = tuple(weight2)
-        self.edge_rows = tuple(
-            (4 * i, 4 * j,
-             (vertex_atoms[e.tail], vertex_atoms[e.head]) if e.bounded else (vertex_atoms[e.tail],),
-             c2, _LEVEL_CODES[cls])
-            for e, (i, j), c2, cls in zip(edges, base.duals, cell2, base.classes)
-        )
+            links += ((a, a + 3), (a + 1, a + 2))
+        self.links = tuple(links)
+
+    @cached_property
+    def copies(self) -> list[int]:
+        return [4 * eid + c for eid, cls in enumerate(self._classes) for c in _LANE_CODES[cls]]
 
     @cached_property
     def atom_keys(self) -> tuple[tuple[IVec, Eps], ...]:
@@ -462,7 +497,7 @@ class _Cells:
 
     @cached_property
     def copy_keys(self) -> tuple[tuple[int, Eps], ...]:
-        return tuple(product(range(len(self.edge_rows)), EPS4))
+        return tuple(product(range(len(self._classes)), EPS4))
 
 
 _cells = curve_table(_Cells)
@@ -526,10 +561,13 @@ def _sign_solver(curve: TropicalCurve) -> Gf2Factoring:
 
 
 @curve_table
-def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]:
+def _sign_tree(
+    curve: TropicalCurve,
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...], tuple[IVec, ...]]:
     """A spanning tree of the dual graph rooted at lattice point 0, as
-    (point, parent point, edge) in discovery order, and the non-tree edges
-    as (point, point, edge)."""
+    (point, parent point, edge) in discovery order, the non-tree edges as
+    (point, point, edge), and the lattice points in the order of the
+    tree, point 0 first: the key order of ``signs_from_phase``."""
     base = _base(curve)
     adj: list[list[tuple[int, int]]] = [[] for _ in base.points]
     for eid, (i, j) in enumerate(base.duals):
@@ -548,7 +586,8 @@ def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], 
     if len(seen) != len(base.points):
         raise InvariantViolation("dual subdivision graph is disconnected")
     rest = tuple((i, j, eid) for eid, (i, j) in enumerate(base.duals) if eid not in used)
-    return tuple(tree), rest
+    points = base.points
+    return tuple(tree), rest, (points[0], *(points[j] for j, _, _ in tree))
 
 
 @curve_table
@@ -687,23 +726,34 @@ def phase_from_signs(curve: TropicalCurve, delta: SignDistribution) -> RealPhase
 
 def signs_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> SignDistribution:
     """A sign distribution inducing the phase structure (the other is its
-    negation).  Propagates sign flips along a spanning tree of the dual
-    graph: the identity copy of an edge is drawn, its level is 0, iff the
-    endpoint signs differ."""
+    negation), with + at lattice point 0.  A phase that signs induced on
+    this curve reads back their minus bits, all flipped if point 0 is
+    minus.  Any other phase propagates sign flips along a spanning tree of
+    the dual graph: the identity copy of an edge is drawn, its level is 0,
+    iff the endpoint signs differ.  The points are keyed in the tree's
+    order either way."""
     base = _base(curve)
-    levels = base.levels(phase)
-    tree, rest = _sign_tree(curve)
-    minus = 0
-    for j, i, eid in tree:
-        if not (minus >> i ^ levels >> eid) & 1:
-            minus |= 1 << j
-    for i, j, eid in rest:
-        if not (minus >> i ^ minus >> j ^ levels >> eid) & 1:
-            raise ValidationError("phase structure is not induced by any sign distribution")
     pts = base.points
-    signs = {pts[0]: 1}
-    for j, _, _ in tree:
-        signs[pts[j]] = -1 if minus >> j & 1 else 1
+    tree, rest, keys = _sign_tree(curve)
+    built = phase._minus
+    if built is not None and built[0] is base:
+        minus = built[1]
+        if minus & 1:
+            minus ^= (1 << len(pts)) - 1
+    else:
+        levels = base.levels(phase)
+        minus = 0
+        for j, i, eid in tree:
+            if not (minus >> i ^ levels >> eid) & 1:
+                minus |= 1 << j
+        for i, j, eid in rest:
+            if not (minus >> i ^ minus >> j ^ levels >> eid) & 1:
+                raise ValidationError("phase structure is not induced by any sign distribution")
+    signs = dict.fromkeys(keys, 1)
+    while minus:
+        low = minus & -minus
+        signs[pts[low.bit_length() - 1]] = -1
+        minus ^= low
     return SignDistribution(signs)
 
 
@@ -856,11 +906,16 @@ class RealPart:
         self._levels = _base(curve).levels(phase)
 
     @cached_property
+    def _picks(self) -> tuple[bytes, bytes]:
+        """The selectors of the drawn and the undrawn copies from a lane of
+        the curve's ``_cells`` (``_picks``)."""
+        return _picks(self._levels, len(self.curve.edges))
+
+    @cached_property
     def _copies(self) -> list[int]:
-        """The drawn copies 4*eid + c, in order."""
-        levels = self._levels
-        rows = _cells(self.curve).edge_rows
-        return [4 * eid + c for eid, (*_, codes) in enumerate(rows) for c in codes[levels >> eid & 1][1]]
+        """The drawn copies 4*eid + c, in order: the ``copies`` lane of
+        the curve's ``_cells`` at this phase's level bits."""
+        return list(compress(_cells(self.curve).copies, self._picks[0]))
 
     @cached_property
     def edge_copies(self) -> frozenset[tuple[int, Eps]]:
@@ -892,20 +947,20 @@ class CurveComponentInfo(_Record):
         self._source = None
 
     @classmethod
-    def _of_copies(cls, source: "_ReportSource", copies: list[int], kind: str, depth: int, face: int | None):
-        """A component of ``source`` with the given drawn copies; an oval
-        has its disk face, the pseudo-line None."""
+    def _of_faces(cls, source: "_ReportSource", pair: tuple[int, int], kind: str, depth: int, face: int | None):
+        """The component of ``source`` between the given pair of faces; an
+        oval has its disk face, the pseudo-line None."""
         info = cls(None, kind, depth, None)
-        info._source = (source, copies, face)
+        info._source = (source, pair, face)
         return info
 
     @property
     def edge_copies(self) -> frozenset[tuple[int, Eps]]:
         value = self._edge_copies
         if value is None:
-            source, copies, _ = self._source
+            source, pair, _ = self._source
             keys = source.cells.copy_keys
-            value = self._edge_copies = frozenset(keys[x] for x in copies)
+            value = self._edge_copies = frozenset(keys[x] for x in source.copies[pair])
         return value
 
     @property
@@ -949,9 +1004,9 @@ class _FaceTree(NamedTuple):
     (``_face_tree``).  A face is named by its least atom."""
 
     region: list[int]  # atom -> its face
-    # face pair (lesser first) -> [drawn copies, own cells on the lesser
-    # face, own cells on the other], in the order of their least copies
-    groups: dict[tuple[int, int], list]
+    # the face pairs (lesser first) of the components, in the order of
+    # their least copies, as keys
+    groups: dict[tuple[int, int], None]
     disk: dict[tuple[int, int], int]  # an oval's face pair -> its face on the disk side
     order: list[int]  # the faces from the root down, each after its parent
     # face -> (parent face, index in groups of the oval between), None at the root
@@ -968,97 +1023,122 @@ def _face_tree(rp: RealPart) -> _FaceTree:
     the pseudo-line does not separate.  A drawn copy separates the faces
     of its two dual atoms, and the copies that separate the same pair of
     faces make one component: an oval if the faces differ, the
-    pseudo-line if they are one face.  Subtree sums of the doubled cell
-    weights give each oval's two sides their Euler characteristics, less
-    the cells on the oval itself; the side with characteristic 1 is the
-    disk.  The face outside every oval roots the tree.  Reads the curve's
-    ``_cells`` and the real part's level bits.
+    pseudo-line if they are one face.
+
+    The face outside every oval roots the tree, and each oval's disk is
+    its side away from the root.  That face comes from the double cover
+    S^2 -> RP^2: the atoms are first glued on one sheet, across x = 0,
+    y = 0 and the undrawn copies, and the links of z = 0 then join those
+    classes across a change of sheet.  A face lifts to one connected
+    piece iff its classes cannot be two-coloured along its links, that
+    is iff it holds a loop that meets a line an odd number of times.  A
+    face inside an oval lies in a disk, which lifts to two disjoint
+    disks, so for even degree the outer face, which holds a Moebius band,
+    is the one face that lifts connected; for odd degree every face lies
+    in the disk that the pseudo-line's complement is, none lifts
+    connected, and the outer face is the one on both sides of the
+    pseudo-line.  Reads the curve's ``_cells`` and the real part's level
+    bits.
+
+    Raises ``InvariantViolation`` if an end vertex copy of a drawn copy
+    lies off the two faces it separates, if the pseudo-lines are not
+    d mod 2 in number, if the faces are not one more than the ovals or
+    not connected, or if the faces that lift connected are not 1 - d
+    mod 2 in number.
     """
-    cells = _cells(rp.curve)
-    rows = cells.edge_rows
-    levels = rp._levels
-    parent = cells.glued[:]
-    for eid, (a, b, _, _, codes) in enumerate(rows):
-        for c in codes[levels >> eid & 1][0]:
-            # _union(parent, a + c, b + c), inlined
-            x, y = a + c, b + c
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x < y:
-                parent[y] = x
-            elif y < x:
-                parent[x] = y
+    curve = rp.curve
+    cells = _cells(curve)
+    drawn, undrawn = rp._picks
+    atoms_p, atoms_q = cells.atoms_p, cells.atoms_q
+    parent = cells.sheets[:]
+    for x, y in zip(compress(atoms_p, undrawn), compress(atoms_q, undrawn)):
+        # _union(parent, x, y), inlined
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    # the classes on one sheet that each link joins
+    ends = []
+    for x, y in cells.links:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        ends.append((x, y))
+    # two-colour those classes along the links, each across a change of
+    # sheet: tie[r] = (the lesser class r was tied under, whether their
+    # colours differ), so each tree of ties is one face under its least
+    # class.  A link that closes a cycle on one colour lifts its face
+    # connected.
+    tie: dict[int, tuple[int, int]] = {}
+    lifted = []
+    for x, y in ends:
+        flip = 1
+        while x in tie:
+            x, t = tie[x]
+            flip ^= t
+        while y in tie:
+            y, t = tie[y]
+            flip ^= t
+        if x < y:
+            tie[y] = (x, flip)
+        elif y < x:
+            tie[x] = (y, flip)
+        elif flip:
+            lifted.append(x)
+    for x in tie:
+        f = x
+        while f in tie:
+            f = tie[f][0]
+        parent[x] = f
     # parent[x] <= x, so one pass in atom order leaves each atom on the
     # least atom of its face, which names the face
     for x, p in enumerate(parent):
         parent[x] = parent[p]
     region = parent
+    lifted = {region[x] for x in lifted}
 
-    groups: dict[tuple[int, int], list] = {}
-    for eid, (a, b, ends, cell2, codes) in enumerate(rows):
-        for c in codes[levels >> eid & 1][1]:
-            f = fa = region[a + c]
-            g = region[b + c]
-            if g < f:
-                f, g = g, f
-            group = groups.get((f, g))
-            if group is None:
-                group = groups[f, g] = [[], 0, 0]
-            group[0].append(4 * eid + c)
-            group[1 if fa == f else 2] += cell2[c]
-            for v in ends:
-                h = region[v + c]
-                if h == f:
-                    group[1] += 1
-                elif h == g:
-                    group[2] += 1
-                else:
-                    raise InvariantViolation(
-                        f"edge copy {4 * eid + c}: a vertex copy lies off the two faces the copy separates"
-                    )
+    groups: dict[tuple[int, int], None] = {}
+    for a, b, t, h in zip(*(compress(lane, drawn) for lane in (atoms_p, atoms_q, cells.tails, cells.heads))):
+        f = region[a]
+        g = region[b]
+        if g < f:
+            f, g = g, f
+        v = region[t]
+        w = region[h]
+        if v != f and v != g or w != f and w != g:
+            raise InvariantViolation(
+                f"the copy between atoms {a} and {b}: a vertex copy lies off the two faces it separates"
+            )
+        groups[f, g] = None
     pairs = list(groups)
     ovals = [k for k, (f, g) in enumerate(pairs) if f != g]
-    if len(pairs) - len(ovals) > 1:
-        raise InvariantViolation("the real part has more than one pseudo-line")
+    lines = [f for f, g in pairs if f == g]
+    d = curve.degree
+    if len(lines) != d & 1:
+        raise InvariantViolation(f"the real part of a curve of degree {d} has {len(lines)} pseudo-lines")
     faces = set(region)
     if len(faces) != len(ovals) + 1:
         raise InvariantViolation(f"{len(faces)} faces around {len(ovals)} ovals: the faces do not form a tree")
-
+    if len(lifted) != 1 - (d & 1):
+        raise InvariantViolation(f"{len(lifted)} faces lift connected to S^2 for a curve of degree {d}")
+    root = lifted.pop() if lifted else lines[0]
     adj: dict[int, list[tuple[int, int]]] = {f: [] for f in faces}
     for k in ovals:
         f, g = pairs[k]
         adj[f].append((g, k))
         adj[g].append((f, k))
-    order, up = _tree_walk(adj, 0)
+    order, up = _tree_walk(adj, root)
     if len(order) != len(faces):
         raise InvariantViolation("the faces of the real part are not connected")
-    sub = [0] * len(region)
-    for w, f in zip(cells.weight2, region):
-        sub[f] += w
-    for f in reversed(order[1:]):
-        sub[up[f][0]] += sub[f]
-    total = sub[0]
-    # each oval's face on its disk side; the one face left is the root
     disk = {}
     for k in ovals:
         f, g = pair = pairs[k]
-        _, own_f, own_g = groups[pair]
-        if up[g] == (f, k):
-            child, own_child, other, own_other = g, own_g, f, own_f
-        else:
-            child, own_child, other, own_other = f, own_f, g, own_g
-        chis = (sub[child] - own_child) // 2, (total - sub[child] - own_other) // 2
-        if sorted(chis) != [0, 1]:
-            raise InvariantViolation(f"oval sides must be a disk and a Moebius side, got chi={sorted(chis)}")
-        disk[pair] = child if chis[0] == 1 else other
-        faces.discard(disk[pair])
-    if len(faces) != 1:
-        raise InvariantViolation("the ovals' disk sides do not leave one face outside them all")
-    root = faces.pop()
-    if root != 0:
-        order, up = _tree_walk(adj, root)
+        disk[pair] = g if up[g] == (f, k) else f
     depth = {root: 0}
     for f in order[1:]:
         depth[f] = depth[up[f][0]] + 1
@@ -1067,11 +1147,23 @@ def _face_tree(rp: RealPart) -> _FaceTree:
 
 class _ReportSource:
     """What the lazy fields of one component report read: the curve's
-    cells and the real part's face tree."""
+    cells, the real part's face tree and its selector of drawn copies."""
 
-    def __init__(self, cells: _Cells, tree: _FaceTree):
+    def __init__(self, cells: _Cells, tree: _FaceTree, drawn: bytes):
         self.cells = cells
         self.tree = tree
+        self.drawn = drawn
+
+    @cached_property
+    def copies(self) -> dict[tuple[int, int], list[int]]:
+        """The drawn copies of each component, by its face pair, in order."""
+        region = self.tree.region
+        cells, drawn = self.cells, self.drawn
+        copies: dict[tuple[int, int], list[int]] = {pair: [] for pair in self.tree.groups}
+        for x, a, b in zip(*(compress(lane, drawn) for lane in (cells.copies, cells.atoms_p, cells.atoms_q))):
+            f, g = region[a], region[b]
+            copies[(f, g) if f < g else (g, f)].append(x)
+        return copies
 
     @cached_property
     def below(self) -> dict[int, list[tuple[IVec, Eps]]]:
@@ -1097,16 +1189,16 @@ def count_components_direct(rp: RealPart) -> ComponentReport:
     interior are built on first read.
     """
     tree = _face_tree(rp)
-    source = _ReportSource(_cells(rp.curve), tree)
+    source = _ReportSource(_cells(rp.curve), tree, rp._picks[0])
     up = tree.up
     infos, parents = [], []
-    for pair, (copies, _, _) in tree.groups.items():
+    for pair in tree.groups:
         if pair[0] == pair[1]:
-            infos.append(CurveComponentInfo._of_copies(source, copies, "pseudo-line", 0, None))
+            infos.append(CurveComponentInfo._of_faces(source, pair, "pseudo-line", 0, None))
             parents.append(None)
             continue
         f = tree.disk[pair]
-        infos.append(CurveComponentInfo._of_copies(source, copies, "oval", tree.depth[f], f))
+        infos.append(CurveComponentInfo._of_faces(source, pair, "oval", tree.depth[f], f))
         # the oval just above is the one into the face outside this oval
         above = up[up[f][0]]
         parents.append(None if above is None else above[1])

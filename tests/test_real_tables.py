@@ -3,9 +3,11 @@ a golden digest of realstruct outputs, the old solve_affine route of
 phase_from_twists, validation messages, non-interned phase lines,
 translated copies that share the tables, the per-edge and union-find
 builders of the sidedness table, the cell model and the cycle check,
-with the invariants they raise, the per-edge and per-row sign
-conversions that the column tables replaced, and the value semantics of
-the records whose fields are built on first read."""
+with the invariants they raise, the face labelling by Euler
+characteristics that the double cover replaced, the per-edge and per-row
+sign conversions that the column tables replaced, the signs that
+``signs_from_phase`` reads back, and the value semantics of the records
+whose fields are built on first read."""
 
 import copy
 import re
@@ -426,7 +428,10 @@ def _side_ends_reference(curve):
 
 class _Cells_reference:
     """The cell model from a union-find of the atoms glued across each
-    side, and the rays of each side found by a scan of every edge."""
+    side, and the rays of each side found by a scan of every edge.  Beside
+    the production fields it builds the doubled cell weights and the rows
+    that the Euler-characteristic face labelling (``_face_tree_reference``)
+    reads."""
 
     def __init__(self, curve):
         from itertools import product
@@ -439,6 +444,8 @@ class _Cells_reference:
         edges = curve.edges
         atom = {p: 4 * k for k, p in enumerate(base.points)}
         parent = list(range(4 * len(base.points)))
+        sheets = parent[:]
+        links = []
         weight2 = [2] * len(parent)
         ray_glue = [0] * len(edges)
         for side in curve.dual.sides:
@@ -452,11 +459,19 @@ class _Cells_reference:
                 a = atom[alpha]
                 for c in range(4):
                     _union(parent, a + c, a + (c ^ g))
+                    # the sheet of S^2 changes across z = 0 alone, the side with glue (1, 1)
+                    if side.glue != (1, 1):
+                        _union(sheets, a + c, a + (c ^ g))
+                if side.glue == (1, 1):
+                    links += [(a + c, a + (c ^ g)) for c in (0, 1)]
                 for c in {min(c, c ^ g) for c in range(4)}:
                     weight2[a + c] -= 2
-        for x, p in enumerate(parent):
-            parent[x] = parent[p]
+        for uf in (parent, sheets):
+            for x, p in enumerate(uf):
+                uf[x] = uf[p]
         self.glued = parent
+        self.sheets = sheets
+        self.links = tuple(links)
         self.atom_keys = keys = tuple(product(base.points, EPS4))
         self.region_class = {keys[x]: keys[p] for x, p in enumerate(parent)}
         self.copy_keys = tuple(product(range(len(edges)), EPS4))
@@ -478,6 +493,8 @@ class _Cells_reference:
         # the face labelling's rows, read off the per-copy cells, with the
         # copy codes off and on each edge's phase line at levels 0 and 1
         rows = []
+        # the lanes: per edge, the copies on its line at level 0, then at level 1
+        lanes = {name: [] for name in ("copies", "atoms_p", "atoms_q", "tails", "heads")}
         for e, (a, b), ends in zip(edges, self.edge_atoms, self.end_atoms):
             cls = (e.direction[0] & 1, e.direction[1] & 1)
             codes = tuple(
@@ -485,10 +502,16 @@ class _Cells_reference:
                 for level in (0, 1) for drawn in (False, True)
             )
             rows.append((a, b, ends, self.copy_cell2[4 * e.index:4 * e.index + 4], (codes[:2], codes[2:])))
+            for c in codes[1] + codes[3]:
+                for name, value in zip(lanes, (4 * e.index, a, b, ends[0], ends[-1])):
+                    lanes[name].append(value + c)
         self.edge_rows = tuple(rows)
+        for name, lane in lanes.items():
+            setattr(self, name, lane)
 
 
-_CELL_FIELDS = ("glued", "weight2", "edge_rows", "atom_keys", "region_class", "copy_keys")
+_CELL_FIELDS = ("glued", "sheets", "links", "copies", "atoms_p", "atoms_q", "tails", "heads", "atom_keys",
+                "region_class", "copy_keys")
 
 
 def _check_cycle_reference(curve, eids, alpha):
@@ -694,6 +717,157 @@ def test_a_first_locus_builds_no_copy_keys_or_region_class():
     assert hyperbolic >= 5
 
 
+# -- the face labelling against the Euler-characteristic route ------------
+
+
+def _face_tree_reference(rp, cells):
+    """The face labelling by Euler characteristics, the production route
+    before the double cover, reading the reference model's rows and cell
+    weights: subtree sums of the doubled cell weights give each oval's
+    two sides their Euler characteristics, less the cells on the oval
+    itself; the side with characteristic 1 is the disk, and the face
+    outside every oval roots the tree.  ``groups`` maps each face pair to
+    [drawn copies, own cells on the lesser face, own cells on the other]."""
+    from tropcurve.realstruct import _FaceTree, _tree_walk
+
+    rows = cells.edge_rows
+    levels = rp._levels
+    parent = cells.glued[:]
+    for eid, (a, b, _, _, codes) in enumerate(rows):
+        for c in codes[levels >> eid & 1][0]:
+            x, y = a + c, b + c
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]
+    region = parent
+
+    groups = {}
+    for eid, (a, b, ends, cell2, codes) in enumerate(rows):
+        for c in codes[levels >> eid & 1][1]:
+            f = fa = region[a + c]
+            g = region[b + c]
+            if g < f:
+                f, g = g, f
+            group = groups.get((f, g))
+            if group is None:
+                group = groups[f, g] = [[], 0, 0]
+            group[0].append(4 * eid + c)
+            group[1 if fa == f else 2] += cell2[c]
+            for v in ends:
+                h = region[v + c]
+                if h == f:
+                    group[1] += 1
+                elif h == g:
+                    group[2] += 1
+                else:
+                    raise InvariantViolation(
+                        f"edge copy {4 * eid + c}: a vertex copy lies off the two faces the copy separates"
+                    )
+    pairs = list(groups)
+    ovals = [k for k, (f, g) in enumerate(pairs) if f != g]
+    if len(pairs) - len(ovals) > 1:
+        raise InvariantViolation("the real part has more than one pseudo-line")
+    faces = set(region)
+    if len(faces) != len(ovals) + 1:
+        raise InvariantViolation(f"{len(faces)} faces around {len(ovals)} ovals: the faces do not form a tree")
+
+    adj = {f: [] for f in faces}
+    for k in ovals:
+        f, g = pairs[k]
+        adj[f].append((g, k))
+        adj[g].append((f, k))
+    order, up = _tree_walk(adj, 0)
+    if len(order) != len(faces):
+        raise InvariantViolation("the faces of the real part are not connected")
+    sub = [0] * len(region)
+    for w, f in zip(cells.weight2, region):
+        sub[f] += w
+    for f in reversed(order[1:]):
+        sub[up[f][0]] += sub[f]
+    total = sub[0]
+    disk = {}
+    for k in ovals:
+        f, g = pair = pairs[k]
+        _, own_f, own_g = groups[pair]
+        if up[g] == (f, k):
+            child, own_child, other, own_other = g, own_g, f, own_f
+        else:
+            child, own_child, other, own_other = f, own_f, g, own_g
+        chis = (sub[child] - own_child) // 2, (total - sub[child] - own_other) // 2
+        if sorted(chis) != [0, 1]:
+            raise InvariantViolation(f"oval sides must be a disk and a Moebius side, got chi={sorted(chis)}")
+        disk[pair] = child if chis[0] == 1 else other
+        faces.discard(disk[pair])
+    if len(faces) != 1:
+        raise InvariantViolation("the ovals' disk sides do not leave one face outside them all")
+    root = faces.pop()
+    if root != 0:
+        order, up = _tree_walk(adj, root)
+    depth = {root: 0}
+    for f in order[1:]:
+        depth[f] = depth[up[f][0]] + 1
+    return _FaceTree(region, groups, disk, order, up, depth)
+
+
+def _face_tree_draws():
+    """Real parts of honeycomb(1..8) and of random lifts of degree 1 to 7,
+    each with its reference cell model, under random signs."""
+    from tropcurve.selfcheck import random_nonsingular_curve
+
+    rng = random.Random(38)
+    curves = [(honeycomb(d), 300) for d in range(1, 9)]
+    curves += [(random_nonsingular_curve(rng, d), 40) for d in range(1, 8) for _ in range(8)]
+    for curve, draws in curves:
+        cells = _Cells_reference(curve)
+        for _ in range(draws):
+            yield real_part(curve, phase_from_signs(curve, random_sign_distribution(rng, curve))), cells
+
+
+def test_face_tree_matches_the_euler_characteristic_reference():
+    from tropcurve.realstruct import _face_tree, _FaceTree
+
+    depths, lines, draws = set(), 0, 0
+    for rp, cells in _face_tree_draws():
+        got, want = _face_tree(rp), _face_tree_reference(rp, cells)
+        assert list(got.groups) == list(want.groups)
+        for name in _FaceTree._fields:
+            if name != "groups":
+                assert getattr(got, name) == getattr(want, name), name
+        depths.update(got.depth.values())
+        lines += any(f == g for f, g in got.groups)
+        draws += 1
+    # nested ovals, pseudo-lines and curves of every degree were met
+    assert draws == 8 * 300 + 56 * 40 and depths == {0, 1, 2, 3} and lines > 2000
+
+
+def test_links_that_keep_the_sheet_lift_no_face_connected(monkeypatch):
+    """A mutant whose z = 0 links keep the sheet: the double cover falls
+    apart, no face lifts connected, and a quartic raises.  A cubic has no
+    such face either way, so it is still labelled as before."""
+    import inspect
+
+    from tropcurve import realstruct
+
+    source = inspect.getsource(realstruct._face_tree)
+    assert source.count("flip = 1\n") == 1
+    namespace = dict(vars(realstruct))
+    exec(source.replace("flip = 1\n", "flip = 0\n"), namespace)
+    quartic, cubic = honeycomb(4), honeycomb(3)
+    rps = [real_part(c, phase_from_signs(c, SignDistribution.constant(c))) for c in (quartic, cubic)]
+    reports = [_report_key(count_components_direct(rp)) for rp in rps]
+    monkeypatch.setattr(realstruct, "_face_tree", namespace["_face_tree"])
+    with pytest.raises(InvariantViolation, match="^0 faces lift connected to S\\^2 for a curve of degree 4$"):
+        count_components_direct(rps[0])
+    assert _report_key(count_components_direct(rps[1])) == reports[1]
+
+
 # -- the sign rule as columns ---------------------------------------------
 
 
@@ -733,6 +907,29 @@ def test_column_conversions_match_the_per_edge_and_row_routes():
             assert twists.vector == want.vector and twists.edges == want.edges
             draws += 1
     assert draws == 4 * len(_table_curves())
+
+
+def test_signs_from_phase_reads_back_the_signs_that_induced_the_phase():
+    rng = random.Random(38)
+    read_back = 0
+    for curve in _table_curves():
+        other = _fresh(curve)  # the same curve with tables of its own
+        for _ in range(4):
+            delta = random_sign_distribution(rng, curve)
+            for phase in (phase_from_signs(curve, delta), phase_from_twists(curve, twists_from_signs(curve, delta))):
+                # a phase from its lines, and one read on other tables, take the walk
+                walked = RealPhaseStructure(phase.lines)
+                assert walked._minus is None and phase._minus is not None
+                want = list(signs_from_phase(curve, walked).signs.items())
+                assert list(signs_from_phase(curve, phase).signs.items()) == want
+                assert list(signs_from_phase(other, phase).signs.items()) == want
+                read_back += 1
+            # the signs themselves, or their negation, with + at point 0
+            first = delta.signs[curve.dual.lattice_points[0]]
+            assert signs_from_phase(curve, phase_from_signs(curve, delta)).signs == {
+                p: s * first for p, s in delta.signs.items()
+            }
+    assert read_back == 8 * len(_table_curves())
 
 
 # -- records whose fields are built on first read -------------------------

@@ -512,3 +512,48 @@ def test_real_part_requires_degree():
 
     with pytest.raises(DegreeUnset):
         real_part(square, phase)
+
+
+def _scheme(report):
+    """The real scheme of a component report: J for the pseudo-line, and
+    the ovals as <...>, with n for n empty ovals side by side and 1<...>
+    for an oval with ovals inside."""
+    children = {}
+    for i, (c, parent) in enumerate(zip(report.components, report.nesting_parent)):
+        if c.kind == "oval":
+            children.setdefault(parent, []).append(i)
+
+    def inside(parent):
+        kids = children.get(parent, [])
+        empty = sum(i not in children for i in kids)
+        return "⊔".join(([str(empty)] if empty else []) + [f"1⟨{inside(i)}⟩" for i in kids if i in children])
+
+    top = ["J"] * sum(c.kind == "pseudo-line" for c in report.components)
+    if children.get(None):
+        top.append(f"⟨{inside(None)}⟩")
+    return "⊔".join(top)
+
+
+# the real schemes of honeycomb(d) over every sign distribution with + at
+# (0, 0), (1, 0) and (0, 1), and how many distributions give each
+_SIGN_CENSUS = {
+    1: {"J": 1},
+    2: {"⟨1⟩": 8},
+    3: {"J": 64, "J⊔⟨1⟩": 64},
+    4: {"⟨1⟩": 1792, "⟨2⟩": 1344, "⟨3⟩": 448, "⟨4⟩": 64, "⟨1⟨1⟩⟩": 448},
+}
+
+
+@pytest.mark.parametrize("d", sorted(_SIGN_CENSUS))
+def test_every_sign_distribution_of_a_small_honeycomb_gives_the_pinned_schemes(d):
+    from collections import Counter
+    from itertools import product
+
+    curve = honeycomb(d)
+    fixed = dict.fromkeys([(0, 0), (1, 0), (0, 1)], 1)
+    free = [p for p in curve.dual.lattice_points if p not in fixed]
+    census = Counter()
+    for signs in product((1, -1), repeat=len(free)):
+        delta = SignDistribution({**fixed, **dict(zip(free, signs))})
+        census[_scheme(count_components_direct(real_part(curve, phase_from_signs(curve, delta))))] += 1
+    assert census == _SIGN_CENSUS[d]

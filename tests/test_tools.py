@@ -1,7 +1,8 @@
 """The timing tools under ``tools/`` run against the current library: each
 tool's per-seed function on seed 1 with one repeat, the construction
 ladder on small degrees, every table ``first_use`` times on a fresh curve,
-and each timing tool as a script, with the shared ``harness`` it imports."""
+each timing tool as a script, with the shared ``harness`` it imports, and
+the collections ``loop_gc`` counts inside a workload's passes."""
 
 import importlib.util
 import json
@@ -89,6 +90,22 @@ def test_tools_run_as_scripts(name):
         assert list(out["ladder"]) == [f"d{d}" for d in degrees]
         assert all(list(row) == ladder_row for row in out["ladder"].values())
         assert [row["edges"] for row in out["ladder"].values()] == [len(honeycomb(d).edges) for d in degrees]
+
+
+def test_loop_gc_counts_the_collections_inside_the_passes():
+    loop_gc = _tool("loop_gc")
+    one = loop_gc.loop_gc("patchwork", 1, 1)
+    assert list(one) == ["passes", "ops", "loop_ms", "collections", "ms"]
+    assert one["passes"] == 1 and one["ops"] > 0 and one["loop_ms"] > 0
+    assert len(one["collections"]) == len(one["ms"]) == 3
+    run = subprocess.run([sys.executable, str(TOOLS / "loop_gc.py"), "--seeds", "1", "--workloads", "patchwork"],
+                         capture_output=True, text=True, check=True)
+    out = json.loads(run.stdout)
+    assert list(out) == ["python", "seconds", "loop_gc"] and list(out["loop_gc"]) == ["patchwork"]
+    seed1 = out["loop_gc"]["patchwork"]["seed1"]
+    # the benchmark's pass count for its run_seconds, each pass the same ops
+    assert seed1["passes"] > 1 and seed1["ops"] == seed1["passes"] * one["ops"]
+    assert all(n >= 0 for n in seed1["collections"]) and sum(seed1["collections"]) > 0
 
 
 def test_reach_lists_the_functions_one_demo_leaves_unreached():
