@@ -18,6 +18,7 @@ from tropcurve import (
     tangency_possible,
     transverse_multiplicity,
 )
+from tropcurve.curve import _curve_from_heights
 from tropcurve.errors import (
     DegeneratePolygon,
     InvariantViolation,
@@ -35,6 +36,7 @@ from tropcurve.intersect import (
     FrameHits,
     IntersectionComponent,
     _forced,
+    _point,
     classify_hits,
     edge_hits,
 )
@@ -49,6 +51,7 @@ from tropcurve.selfcheck import (
     random_nonsingular_curve,
     random_overlap_configurations,
     random_sign_distribution,
+    random_steep_crossing_pair,
     relative_twist_geometric,
     relative_twist_signs,
     run_check,
@@ -664,6 +667,118 @@ def test_an_unmarked_crossing_is_an_invariant_violation():
     unmarked = FrameHits(hits.den, {key: {("a", ea), ("b", eb)}}, [], 0)
     with pytest.raises(InvariantViolation, match="not marked as a crossing$"):
         classify_hits(a, b, unmarked)
+
+
+# -- projective symmetry -------------------------------------------------
+
+
+# S3 permutes the homogeneous coordinates of d*simplex: each map sends the
+# support point (i, j) of a degree-d curve to another, and a point (X, Y)
+# of the plane by the linear map it induces
+_S3 = {
+    "xy": (lambda d, i, j: (j, i), lambda pt: (pt[1], pt[0])),
+    "xz": (lambda d, i, j: (d - i - j, j), lambda pt: (-pt[0], pt[1] - pt[0])),
+}
+
+
+def _s3_image(curve, move):
+    """The curve on the heights moved to the support points ``move`` gives,
+    over the same den."""
+    frame = curve.frame
+    return _curve_from_heights({move(curve.degree, i, j): h for (i, j), h in frame.heights.items()}, frame.den)
+
+
+def _s3_rows(curve_a, curve_b, move=lambda pt: pt):
+    """Kind, multiplicity and the moved point or segment of every
+    component, sorted, or the type of the refusal."""
+    try:
+        comps = intersection_components(curve_a, curve_b)
+    except UnsupportedConfiguration as exc:
+        return type(exc)
+    return sorted(
+        (c.kind, c.multiplicity, None if c.point is None else move(c.point),
+         None if c.segment is None else tuple(sorted(map(move, c.segment))))
+        for c in comps
+    )
+
+
+def _s3_mismatches(draws: int):
+    """Over ``draws`` seeded pairs, the shift kinds in turn, and both maps:
+    (mismatched pairs, components, pairs refused on both sides)."""
+    rng = random.Random(16)
+    mismatched = components = refused = 0
+    for k in range(draws):
+        a, b, shift = random_intersection_pair(rng, INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)])
+        b = b.translated(shift)
+        for move_support, move_point in _S3.values():
+            rows = _s3_rows(a, b, move_point)
+            image = _s3_rows(_s3_image(a, move_support), _s3_image(b, move_support))
+            if rows != image:
+                mismatched += 1
+            elif isinstance(rows, list):
+                components += len(rows)
+            else:
+                refused += 1
+    return mismatched, components, refused
+
+
+def test_intersections_commute_with_s3():
+    mismatched, components, refused = _s3_mismatches(200)
+    assert mismatched == 0
+    assert components > 1000 and refused > 0
+
+
+def test_s3_images_catch_a_point_builder_that_swaps_the_coordinates(monkeypatch):
+    def swapped(den, key):
+        x, y, m = key
+        return Fraction(y, den * m), Fraction(x, den * m)
+
+    monkeypatch.setattr("tropcurve.intersect._point", swapped)
+    mismatched, _, _ = _s3_mismatches(40)
+    assert mismatched > 10
+
+
+
+
+# -- the points of components --------------------------------------------
+
+
+def test_points_are_the_fractions_of_their_keys():
+    rng = random.Random(40)
+    keys = [(0, 0, 1), (-7, 7, 1), (6, -9, 3), (10**30 + 1, -(10**30), 7)]
+    keys += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), rng.randint(1, 12)) for _ in range(2000)]
+    for key in keys:
+        den = rng.randint(1, 10403)
+        x, y, m = key
+        built, want = _point(den, key), (Fraction(x, den * m), Fraction(y, den * m))
+        assert all(type(c) is Fraction for c in built)
+        assert [(c.numerator, c.denominator) for c in built] == [(c.numerator, c.denominator) for c in want]
+        assert built == want and hash(built) == hash(want) and repr(built) == repr(want)
+
+
+def test_components_carry_the_fractions_of_their_keys(monkeypatch):
+    def plain(den, key):
+        x, y, m = key
+        return Fraction(x, den * m), Fraction(y, den * m)
+
+    rng = random.Random(40)
+    draws = [INTERSECTION_SHIFTS[k % len(INTERSECTION_SHIFTS)] for k in range(80)] + ["steep"] * 20
+    classified = []
+    for kind in draws:
+        a, b, shift = random_steep_crossing_pair(rng) if kind == "steep" else random_intersection_pair(rng, kind)
+        b = b.translated(shift)
+        try:
+            hits = edge_hits(a, b)
+            classified.append((a, b, hits, classify_hits(a, b, hits)))
+        except UnsupportedConfiguration:
+            continue
+    monkeypatch.setattr("tropcurve.intersect._point", plain)
+    kinds = Counter()
+    for a, b, hits, comps in classified:
+        want = classify_hits(a, b, hits)
+        assert comps == want and repr(comps) == repr(want)
+        kinds.update(comp.kind for comp in comps)
+    assert set(kinds) == {"transverse", "isolated-vertex", "edge-in-edge", "segment-overlap"}, kinds
 
 
 # -- the component record ------------------------------------------------
