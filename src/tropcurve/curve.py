@@ -8,7 +8,8 @@ by cell across each edge, in Python ints; every accepted cell is
 unimodular, so each vertex solves a determinant-1 system and is exact in
 (1/scale)*Z^2.  ``curve_from_polynomial`` scales ``Fraction``
 coefficients by the lcm of their denominators, and ``honeycomb`` hands
-over its int heights with scale 1.
+over its int heights with scale 1, with the hull and lattice points it
+knows.
 
 The walk (``_line_walk``) looks for each new cell's apex on one lattice
 line, the points at lattice distance 1 beyond the edge it crosses, so a
@@ -486,16 +487,21 @@ def curve_from_polynomial(poly: TropicalPolynomial) -> TropicalCurve:
     return _curve_from_heights(height, scale)
 
 
-def _curve_from_heights(height: dict[IVec, int], scale: int) -> TropicalCurve:
+def _curve_from_heights(height: dict[IVec, int], scale: int, hull: list[IVec] | None = None) -> TropicalCurve:
     """The curve of the coefficients height[p] / scale, built on ints:
-    ``_line_walk`` finds the cells, or refuses the heights."""
-    hull = convex_hull(list(height))
-    if len(hull) < 3:
-        raise DegeneratePolygon("support hull is not 2-dimensional")
-    lattice = hull_lattice_points(hull)
-    missing = [pt for pt in lattice if pt not in height]
-    if missing:
-        raise SingularSubdivision(f"lattice points {missing} are not in the support")
+    ``_line_walk`` finds the cells, or refuses the heights.  A caller that
+    knows the support's counterclockwise hull passes it, and then the
+    support must be every lattice point of the hull, in sorted order."""
+    if hull is None:
+        hull = convex_hull(list(height))
+        if len(hull) < 3:
+            raise DegeneratePolygon("support hull is not 2-dimensional")
+        lattice = hull_lattice_points(hull)
+        missing = [pt for pt in lattice if pt not in height]
+        if missing:
+            raise SingularSubdivision(f"lattice points {missing} are not in the support")
+    else:
+        lattice = list(height)
     boundary = _boundary_segments(hull, height)
     area2 = polygon_twice_area(hull)
     cells, placed, records = _line_walk(height, boundary, area2, hull)
@@ -725,7 +731,7 @@ def honeycomb(d: int) -> TropicalCurve:
     if d < 1:
         raise ValueError("degree must be >= 1")
     height = {(i, j): -(i * i + i * j + j * j) for i in range(d + 1) for j in range(d + 1 - i)}
-    curve = _curve_from_heights(height, 1)
+    curve = _curve_from_heights(height, 1, [(0, 0), (d, 0), (0, d)])
     if not curve.is_honeycomb():
         raise InvariantViolation("quadratic lift did not produce a honeycomb")
     return curve

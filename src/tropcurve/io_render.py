@@ -21,15 +21,17 @@ an affine point (a/D, b/D) onto the unit triangle by the projective squash
 in closed form: with M = max(0, a, b), A = D + M, B = A - a, C = A - b and
 S = AB + AC + BC, the squash is (u/s, v/s) = (AC/S, AB/S).  Its copy in
 quadrant eps is at x = 600 + 130u/s (eps0 = 0) or 600 - 130u/s (eps0 = 1)
-and y = 140 - 130v/s (eps1 = 0) or 140 + 130v/s (eps1 = 1); with
-q, r = divmod(1300000 * u, s), 10^4 times the rounded x is 6000000 + q or
-6000000 - q - (r > 0), and y likewise from v.  Each vertex is squashed
-once into its four coordinate strings, which every edge that ends there
-reads.  Each edge then runs one int loop over its samples (a bounded
-edge's interior samples step from its tail by (head - tail)/8, an exact
-int step on this frame) and writes, sample by sample, the coordinates of
-its two drawn copies only.  Locus shading clips the frame box on
-homogeneous int triples.
+and y = 140 - 130v/s (eps1 = 0) or 140 + 130v/s (eps1 = 1), so 10^4
+times the rounded x is 6000000 + (+-1300000 * u) // s and 10^4 times the
+rounded y is 1400000 + (-+1300000 * v) // s, the signs picked from eps
+(-ceil(n/s) = floor(-n/s)).  Each vertex is squashed once into its four
+coordinate strings, which every edge that ends there reads.  Each edge
+then picks its two copies' signs once and runs one int loop over its
+samples (a bounded edge's interior samples step from its tail by
+(head - tail)/8, an exact int step on this frame), writing, sample by
+sample, the coordinates of its two drawn copies only, one floor division
+per coordinate.  Locus shading clips the frame box on homogeneous int
+triples.
 """
 
 from __future__ import annotations
@@ -730,6 +732,10 @@ def render_svg(
             line = lines[e.index]
             (e0, e1), (d0, d1) = line.rep, line.direction
             f0, f1 = e0 ^ d0, e1 ^ d1
+            # per copy, 10^4 times the rounded x and y are
+            # 6000000 + (kx * u) // s and 1400000 + (ky * v) // s
+            kx1, ky1 = -1_300_000 if e0 else 1_300_000, 1_300_000 if e1 else -1_300_000
+            kx2, ky2 = -1_300_000 if f0 else 1_300_000, 1_300_000 if f1 else -1_300_000
             xs, ys = at_vertex[e.tail]
             one, two = [f"{xs[e0]},{ys[e1]}"], [f"{xs[f0]},{ys[f1]}"]
             a, b = verts[e.tail]
@@ -750,13 +756,9 @@ def render_svg(
                 bx, by = big - x, big - y
                 ab, ac = big * bx, big * by
                 s = ab + ac + bx * by
-                q, r = divmod(1_300_000 * ac, s)
-                p, w = divmod(1_300_000 * ab, s)
-                xs = (6_000_000 + q, 6_000_000 - q - (r > 0))
-                ys = (1_400_000 - p - (w > 0), 1_400_000 + p)
-                n, m = xs[e0], ys[e1]
+                n, m = 6_000_000 + kx1 * ac // s, 1_400_000 + ky1 * ab // s
                 one.append(f"{whole[n // 10_000]}{suffix[n % 10_000]},{whole[m // 10_000]}{suffix[m % 10_000]}")
-                n, m = xs[f0], ys[f1]
+                n, m = 6_000_000 + kx2 * ac // s, 1_400_000 + ky2 * ab // s
                 two.append(f"{whole[n // 10_000]}{suffix[n % 10_000]},{whole[m // 10_000]}{suffix[m % 10_000]}")
             xs, ys = end
             one.append(f"{xs[e0]},{ys[e1]}")

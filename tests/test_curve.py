@@ -169,6 +169,16 @@ def test_honeycomb_degree_20():
     assert len(primitive_cycles(c)) == 19 * 18 // 2
 
 
+def test_honeycomb_builds_what_its_heights_build_alone():
+    # honeycomb(d) hands its hull and lattice points to the builder; the
+    # general path, which derives them from the heights, builds the same
+    for d in range(1, 16):
+        c = honeycomb(d)
+        ref = _curve_from_heights(dict(c.frame.heights), 1)
+        assert c.dual == ref.dual and c.edges == ref.edges and c.degree == ref.degree == d
+        assert (c.frame.vertices, c.frame.edges) == (ref.frame.vertices, ref.frame.edges)
+
+
 def test_honeycomb_examples():
     assert len(honeycomb(1).bounded_edges) == 0
     assert len(honeycomb(4).bounded_edges) == 18

@@ -1,20 +1,23 @@
-"""The timing tools under ``tools/`` run against the current library: each
-tool's per-seed function on seed 1 with one repeat, the construction
-ladder on small degrees, every table ``first_use`` times on a fresh curve,
-each timing tool as a script, with the shared ``harness`` it imports, and
-the collections ``loop_gc`` counts inside a workload's passes."""
+"""The tools under ``tools/`` run against the current library: one A/A
+round of every stage ``ab.py`` times, with the keys of its records, its
+refusals, and ``ab.py`` as a script; every table a ``first_use`` stage
+times on a fresh curve; the collections ``loop_gc`` counts inside a
+workload's passes; and the functions ``reach`` finds unreached."""
 
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import tropcurve
 from tropcurve import honeycomb
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = TOOLS.parent / "src"
 
 
 def _tool(name):
@@ -26,70 +29,102 @@ def _tool(name):
     return module
 
 
-def test_first_use_times_every_table_of_the_locus_workload():
-    first_use = _tool("first_use")
-    out = first_use.first_use(1, 1)
-    assert out["curves"] > 0
-    assert set(first_use.LOCUS) <= set(out["ms"])
-    assert out["locus_sum_ms"] > 0
+@pytest.fixture(scope="module")
+def every_stage():
+    """One A/A round of every stage at seed 1, run in this process."""
+    ab = _tool("ab")
+    return ab.harness, ab.run(SRC, None, list(ab.harness.STAGES), [1], 1)
+
+
+def test_ab_records_each_side_of_every_stage(every_stage):
+    harness, out = every_stage
+    assert list(out) == ["python", "base", "change", "seeds", "rounds", "stages"]
+    assert out["base"] == out["change"] == str(SRC) and out["rounds"] == 1
+    assert list(out["stages"]) == list(harness.STAGES)
+    for name, stage in out["stages"].items():
+        assert list(stage) == ["base", "change", "ratio", "won", "groups"], name
+        for record in [stage, *stage["groups"].values()]:
+            assert list(record) == ["base", "change", "ratio", "won"] + (["groups"] if record is stage else [])
+            for side in ("base", "change"):
+                assert list(record[side]) == ["ops", "refused", "median_ms", "iqr_ms"]
+                assert record[side]["median_ms"] > 0 and record[side]["iqr_ms"] == 0
+            # an A/A run: both sides ran the same ops and refused the same
+            assert record["base"]["ops"] == record["change"]["ops"] > 0, name
+            assert record["base"]["refused"] == record["change"]["refused"], name
+            assert record["ratio"] > 0 and record["won"] in (0, 1)
+        assert stage["base"]["ops"] == sum(g["base"]["ops"] for g in stage["groups"].values())
+
+
+@pytest.mark.parametrize("workload", ["construct", "intersect", "patchwork"])
+def test_workload_stages_time_every_step(every_stage, workload):
+    harness, out = every_stage
+    names = [name for name in out["stages"] if name.startswith(f"{workload}.")]
+    assert names == [f"{workload}.{step}" for step in harness.CHAINS[workload][1]]
+    if workload == "construct":  # the perturbed lifts a build refuses skip the later steps
+        refused = out["stages"]["construct.build"]["base"]["refused"]
+        assert refused > 0
+        assert out["stages"]["construct.render_svg"]["base"]["ops"] == \
+            out["stages"]["construct.build"]["base"]["ops"] - refused
+
+
+def test_first_use_times_every_table_of_the_locus_workload(every_stage):
+    harness, out = every_stage
+    curves = {id(op.data["curve"]) for op in harness.Side(SRC, "base").ops("locus", [1])}
+    for name in harness.TABLES:
+        assert out["stages"][f"first_use.{name}"]["base"]["ops"] == len(curves) > 0
 
 
 def test_first_use_tables_build_on_a_fresh_curve():
-    first_use = _tool("first_use")
-    curve = honeycomb(3)
-    for name, use in first_use._tables():
-        assert use(curve) is not None, name
+    side = SimpleNamespace(tc=tropcurve)
+    results = {"curve_from_polynomial": honeycomb(3)}
+    for name, step in list(_tool("ab").harness.TABLES.items())[1:]:
+        fn, args = step(side, results, None)
+        assert fn(*args) is not None, name
 
 
-@pytest.mark.parametrize("name", ["construct_stages", "intersect_stages", "patchwork_stages"])
-def test_stage_tools_time_every_stage(name):
-    tool = _tool(name)
-    out = tool.stages(1, 1)
-    assert out["ops"] > 0
-    assert out["pass"].keys() == {f"{stage}_ms" for stage in tool.STAGES}
+def test_construct_ladder_times_the_given_degrees(every_stage):
+    harness, out = every_stage
+    for name in harness.HONEYCOMB:
+        groups = out["stages"][f"honeycomb.{name}"]["groups"]
+        assert list(groups) == [f"d{d}" for d in harness.LADDER]
+        assert all(g["base"]["ops"] == 1 for g in groups.values())
 
 
-def test_construct_ladder_times_the_given_degrees():
-    out = _tool("construct_stages").ladder((3, 4))
-    assert list(out) == ["d3", "d4"]
-    assert [row["edges"] for row in out.values()] == [len(honeycomb(d).edges) for d in (3, 4)]
-    assert all(row["build_ms"] >= 0 and row["render_svg_ms"] >= 0 for row in out.values())
+def test_a_side_runs_the_workloads_on_its_own_tree():
+    harness = _tool("ab").harness
+    before = {name: sys.modules.get(name) for name in ("tropcurve", "tropcurve.io_render", "workloads", "spans")}
+    side = harness.Side(SRC, "base")
+    assert side.tc.__name__ == "tropcurve_base"
+    assert side.workloads.render_svg is side.tc.io_render.render_svg
+    assert side.spans.REFUSALS[0].__module__ == "tropcurve_base.errors"
+    assert {name: sys.modules.get(name) for name in before} == before
 
 
-# per script: its top-level keys, the keys of its seed-1 entry and of a ladder row
-_SCRIPT_KEYS = {
-    "construct_stages": (["python", "stages", "ladder"], ["ops", "refused", "groups", "pass"],
-                         ["edges", "build_ms", "render_svg_ms"]),
-    "patchwork_stages": (["python", "stages"], ["ops", "groups", "pass"], None),
-    "intersect_stages": (["python", "stages"], ["ops", "solved", "refused", "groups", "pass"], None),
-    "first_use": (["python", "first_use", "ladder"], ["curves", "ms", "locus_sum_ms"], ["edges", "cold_ms", "warm_ms"]),
-}
+def test_ab_refuses_a_tree_without_the_package_and_sides_that_differ(tmp_path, monkeypatch):
+    ab = _tool("ab")
+    with pytest.raises(SystemExit, match=r"^error: .* has no tropcurve/__init__.py"):
+        ab.run(tmp_path, None, ["construct.load_spec"], [1], 1)
+    with pytest.raises(SystemExit, match=r"^error: .* has no tropcurve/__init__.py"):
+        ab.run(SRC, tmp_path, ["construct.load_spec"], [1], 1)
+    # a stage whose set-up builds one op on the base and two on the change
+    lopsided = (lambda side, seeds: {"g": [()] * (1 + side.tc.__name__.endswith("change"))},
+                lambda side, item: (int, item))
+    monkeypatch.setitem(ab.harness.STAGES, "lopsided", lopsided)
+    with pytest.raises(SystemExit, match=r"^error: lopsided: the sides built different op counts"):
+        ab.run(SRC, None, ["lopsided"], [1], 1)
 
 
-@pytest.mark.parametrize("name", list(_SCRIPT_KEYS))
-def test_tools_run_as_scripts(name):
-    tool = _tool(name)
-    run = subprocess.run([sys.executable, str(TOOLS / f"{name}.py"), "--seeds", "1", "--repeats", "1"],
+def test_ab_runs_as_a_script():
+    run = subprocess.run([sys.executable, str(TOOLS / "ab.py"), "--base", str(SRC), "--stage", "construct.load_spec",
+                          "patchwork.signs_from_phase", "--seeds", "1", "--rounds", "2"],
                          capture_output=True, text=True, check=True)
     out = json.loads(run.stdout)
-    top, per_seed, ladder_row = _SCRIPT_KEYS[name]
-    assert list(out) == top
-    seed1 = out[top[1]]["seed1"]
-    assert list(seed1) == per_seed
-    if "refused" in seed1:
-        assert list(seed1["refused"]) == list(tool.STAGES)
-    if "solved" in seed1:
-        assert seed1["solved"] > 0
-    if "groups" in seed1:
-        stage_keys = [f"{stage}_ms" for stage in tool.STAGES]
-        assert list(seed1["pass"]) == stage_keys
-        assert all(list(row) == ["ops", *stage_keys] for row in seed1["groups"].values())
-        assert sum(row["ops"] for row in seed1["groups"].values()) == seed1["ops"] > 0
-    if ladder_row:
-        degrees = tool.harness.LADDER
-        assert list(out["ladder"]) == [f"d{d}" for d in degrees]
-        assert all(list(row) == ladder_row for row in out["ladder"].values())
-        assert [row["edges"] for row in out["ladder"].values()] == [len(honeycomb(d).edges) for d in degrees]
+    assert list(out["stages"]) == ["construct.load_spec", "patchwork.signs_from_phase"]
+    assert out["rounds"] == 2 and out["seeds"] == [1]
+    assert all(0 <= stage["won"] <= 2 for stage in out["stages"].values())
+    bad = subprocess.run([sys.executable, str(TOOLS / "ab.py"), "--base", str(SRC), "--stage", "construct.nothing"],
+                         capture_output=True, text=True)
+    assert bad.returncode != 0 and "error:" in bad.stderr and not bad.stdout
 
 
 def test_loop_gc_counts_the_collections_inside_the_passes():

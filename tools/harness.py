@@ -1,107 +1,212 @@
-"""What the timing tools beside this module share: the benchmark
-workloads' ops, a repeat loop with gc off, the timing of a stage plan,
-the per-group and per-pass medians, and the command line.
+"""The stages that ``ab.py`` times, and a loader that imports a source
+tree's ``tropcurve`` under a name of its own.
 
-Importing it puts ``perfbench/`` on ``sys.path``, so that the workloads'
-set-ups can build their ops; ``main`` puts the library's sources there.
+A stage is one step of a chain, named ``chain.step``.  A chain runs its
+steps in turn on each of its items (most from a benchmark workload's
+set-up, each with its group): a step maps (side, results so far, item)
+to a call (fn, args), and fn(*args) is its result.  ``STAGES`` holds each
+stage as a (set-up, op) pair.  Stage k's set-up keeps the items that no
+step before k refuses; its op runs those steps afresh, untimed, and
+returns the call of step k, which is timed.  Importing this module puts
+``perfbench/`` on ``sys.path``.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import statistics
+import importlib
+import importlib.util
 import sys
-import time
+from contextlib import suppress
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the degrees d of honeycomb(d) that the construction and locus ladders time
+# the degrees d of honeycomb(d) that the honeycomb chain builds
 LADDER = (4, 10, 20, 40, 60)
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 
-def workload_groups(name: str, seed: int, key) -> dict[str, list]:
-    """The ops of the benchmark's workload ``name`` at ``seed``, from its
-    set-up, run untimed, grouped by ``key(op)`` in first-seen order."""
-    from spans import NullTracer
-    from workloads import WORKLOADS
+def load_tree(directory, name: str = "tropcurve"):
+    """The package ``directory/tropcurve``, imported afresh under ``name``.
+    Its imports are relative, so they resolve under that name and two trees
+    load side by side in one process."""
+    path = Path(directory).resolve() / "tropcurve"
+    if not (path / "__init__.py").is_file():
+        raise SystemExit(f"error: {directory} has no tropcurve/__init__.py")
+    for old in [n for n in sys.modules if n.split(".")[0] == name]:
+        del sys.modules[old]
+    spec = importlib.util.spec_from_file_location(name, path / "__init__.py", submodule_search_locations=[str(path)])
+    sys.modules[name] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
 
+
+class Side:
+    """One source tree, loaded as ``tropcurve_<name>``, with perfbench's
+    workloads and spans imported afresh while it is bound as ``tropcurve``;
+    the rest of ``sys.modules`` is left as it was."""
+
+    def __init__(self, directory, name: str):
+        self.tc = load_tree(directory, f"tropcurve_{name}")
+
+        def bound(n: str) -> bool:
+            return n.split(".")[0] == "tropcurve" or n in ("workloads", "spans", "gen")
+
+        saved = {n: sys.modules.pop(n) for n in [n for n in sys.modules if bound(n)]}
+        sys.modules.update({"tropcurve" + n[len(self.tc.__name__):]: m for n, m in list(sys.modules.items())
+                            if n.split(".")[0] == self.tc.__name__})
+        try:
+            self.workloads, self.spans = importlib.import_module("workloads"), importlib.import_module("spans")
+        finally:
+            for n in [n for n in sys.modules if bound(n)]:
+                del sys.modules[n]
+            sys.modules.update(saved)
+        self.runs: dict = {}  # per chain and seeds, its items and the steps each passed (``_setup``)
+
+    def ops(self, workload: str, seeds) -> list:
+        """The ops of the benchmark's workload at each seed, from its set-up."""
+        return [op for s in seeds for op in self.workloads.WORKLOADS[workload].setup(s, self.spans.NullTracer()).ops]
+
+
+def _run(side: Side, steps: dict, item, refusals=()) -> dict:
+    """The results of steps in order on item, up to one that raises one of
+    refusals."""
+    results = {}
+    with suppress(*refusals):
+        for name, step in steps.items():
+            fn, args = step(side, results, item)
+            results[name] = fn(*args)
+    return results
+
+
+def _setup(chain: str, k: int, side: Side, seeds) -> dict[str, list]:
+    """The items that no step before k refuses, by group, from one untimed
+    run of every step per side, which also builds the tables they read."""
+    items, steps = CHAINS[chain]
+    if (chain, *seeds) not in side.runs:
+        side.runs[chain, *seeds] = [(group, item, len(_run(side, steps, item, side.spans.REFUSALS)))
+                                    for group, item in items(side, seeds)]
     groups: dict[str, list] = {}
-    for op in WORKLOADS[name].setup(seed, NullTracer()).ops:
-        groups.setdefault(key(op), []).append(op)
+    for group, item, done in side.runs[chain, *seeds]:
+        if done >= k:
+            groups.setdefault(group, []).append(item)
     return groups
 
 
-def repeat(repeats: int, run) -> list:
-    """The results of ``run()``, called once per repeat after a collection
-    and with gc off."""
-    out = []
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            out.append(run())
-        finally:
-            gc.enable()
+def _op(chain: str, k: int, side: Side, item) -> tuple:
+    steps = list(CHAINS[chain][1].items())
+    return steps[k][1](side, _run(side, dict(steps[:k]), item), item)
+
+
+# -- construct: the steps of each construct op, by slice and degree --------
+CONSTRUCT = {
+    "load_spec": lambda s, r, op: (s.tc.load_spec, (op.data["text"],)),
+    "build": lambda s, r, op: (s.workloads.build_curve, (s.spans.NullTracer(), r["load_spec"].curve, op.degree)),
+    "signs_of": lambda s, r, op: (s.workloads.signs_of, (r["load_spec"],)),
+    "phase_from_signs": lambda s, r, op: (s.tc.phase_from_signs, (r["build"], r["signs_of"])),
+    "twists_from_signs": lambda s, r, op: (s.tc.twists_from_signs, (r["build"], r["signs_of"])),
+    "primitive_cycles": lambda s, r, op: (s.tc.primitive_cycles, (r["build"],)),
+    "complement_components": lambda s, r, op: (s.tc.complement_components, (r["build"],)),
+    "render_svg": lambda s, r, op: (s.tc.render_svg, (r["build"], r["phase_from_signs"], r["twists_from_signs"],
+                                                      None, r["signs_of"])),
+}
+
+
+# -- patchwork: the real-structure routes on each op's prebuilt curve -------
+def _patchwork_inputs(side: Side, seeds) -> list:
+    """Per patchwork op, by degree, its curve, signs and twist set: a signs
+    op takes its twist set from its signs, a twists op its signs from the
+    phase of its twist set, as the op does."""
+    rs, out = side.tc.realstruct, []
+    for op in side.ops("patchwork", seeds):
+        row = dict(op.data)
+        if op.slice == "signs":
+            row["twists"] = rs.twists_from_signs(row["curve"], row["delta"])
+        else:
+            row["delta"] = rs.signs_from_phase(row["curve"], rs.phase_from_twists(row["curve"], row["twists"]))
+        out.append((f"d{op.degree}", row))
     return out
 
 
-def time_plan(plan, refusals=()) -> list[float]:
-    """Per (fn, calls) of plan, the seconds for fn over every argument
-    tuple of calls; a call that raises one of ``refusals`` is timed up to
-    the refusal."""
-    out = []
-    for fn, calls in plan:
-        t0 = time.perf_counter()
-        for args in calls:
-            try:
-                fn(*args)
-            except refusals:
-                pass
-        out.append(time.perf_counter() - t0)
-    return out
+PATCHWORK = {
+    "phase_from_signs": lambda s, r, i: (s.tc.phase_from_signs, (i["curve"], i["delta"])),
+    "twists_from_signs": lambda s, r, i: (s.tc.twists_from_signs, (i["curve"], i["delta"])),
+    "twists_from_phase": lambda s, r, i: (s.tc.twists_from_phase, (i["curve"], r["phase_from_signs"])),
+    "phase_from_twists": lambda s, r, i: (s.tc.phase_from_twists, (i["curve"], i["twists"])),
+    "signs_from_phase": lambda s, r, i: (s.tc.signs_from_phase, (i["curve"], r["phase_from_twists"])),
+    "twist_matrix": lambda s, r, i: (s.tc.realstruct.twist_matrix, (i["curve"], i["twists"])),
+    "real_part": lambda s, r, i: (s.tc.real_part, (i["curve"], r["phase_from_twists"])),
+    "count_components_direct": lambda s, r, i: (s.tc.count_components_direct, (r["real_part"],)),
+}
 
 
-def summary(stages, groups: dict[str, list], runs: list[dict[str, list[float]]], **counts) -> dict:
-    """The op count, then ``counts``, then per group and per pass the ms
-    per op of each stage.  ``groups`` gives each group's ops and each run
-    the seconds of each group's stages, in the order of ``stages``.  A
-    group's figure is the median over the runs of its mean; a pass's
-    figure is the median over the runs of the sum over all groups, as a
-    mean per op."""
-    sizes = {name: len(ops) for name, ops in groups.items()}
-    n_ops = sum(sizes.values())
-
-    def ms(seconds: list[float], ops: int) -> float:
-        return round(statistics.median(seconds) * 1000 / ops, 4)
-
-    return {
-        "ops": n_ops,
-        **counts,
-        "groups": {name: {"ops": n, **{f"{stage}_ms": ms([run[name][k] for run in runs], n)
-                                       for k, stage in enumerate(stages)}}
-                   for name, n in sizes.items()},
-        "pass": {f"{stage}_ms": ms([sum(run[name][k] for name in sizes) for run in runs], n_ops)
-                 for k, stage in enumerate(stages)},
-    }
+# -- intersect: each pair's walk, classification and real lifts -------------
+def _lifts(real_lift, comps, pa, pb) -> list:
+    return [real_lift(comp, pa, pb) for comp in comps]
 
 
-def main(doc: str, key: str, per_seed, repeats: int, ladder=None) -> int:
-    """A tool's command line, ``[--src DIR] [--seeds 1 2] [--repeats N]``
-    (``repeats`` by default): imports the library from --src and prints
-    one JSON object, ``per_seed(seed, repeats)`` for each seed under
-    ``key`` and, when given, ``ladder(repeats)`` under "ladder"."""
-    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tropcurve sources to time")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--repeats", type=int, default=repeats)
-    args = ap.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
-    out = {"python": sys.version.split()[0], key: {f"seed{s}": per_seed(s, args.repeats) for s in args.seeds}}
-    if ladder is not None:
-        out["ladder"] = ladder(args.repeats)
-    print(json.dumps(out, indent=1))
-    return 0
+INTERSECT = {
+    "edge_hits": lambda s, r, d: (s.tc.intersect.edge_hits, (d["a"], d["b"])),
+    "classify_hits": lambda s, r, d: (s.tc.intersect.classify_hits, (d["a"], d["b"], r["edge_hits"])),
+    "real_lift": lambda s, r, d: (_lifts, (s.tc.intersect.real_lift, r["classify_hits"], d["pa"], d["pb"])),
+}
+
+
+# -- first_use: the locus curves rebuilt, then each table's first use -------
+def _locus_curves(side: Side, seeds) -> list:
+    """The locus workload's distinct curves, as polynomials, by degree."""
+    curves = {id(op.data["curve"]): op.data["curve"] for op in side.ops("locus", seeds)}
+    return [(f"d{c.degree}", c.poly) for c in curves.values()]
+
+
+# the curve, then the first use of each table on the realstruct module and
+# the curve, in dependency order; the key tables of _Cells on first read
+TABLES = {
+    "curve_from_polynomial": lambda s, r, p: (s.tc.curve_from_polynomial, (s.tc.TropicalPolynomial(p.coefficients),)),
+    **{name: lambda s, r, p, use=use: (use, (s.tc.realstruct, r["curve_from_polynomial"])) for name, use in (
+        ("_Base", lambda rs, c: rs._base(c)),
+        ("_sign_rule", lambda rs, c: rs._sign_rule(c)),
+        ("sides", lambda rs, c: c.dual.sides),
+        ("sides_at", lambda rs, c: c.dual.sides_at),
+        ("region_edges", lambda rs, c: c.region_edges),
+        ("_cycles", lambda rs, c: c._cycles),
+        ("_cycle_rows", lambda rs, c: rs._cycle_rows(c)),
+        ("_side_ends", lambda rs, c: rs._side_ends(c)),
+        ("_side_rule", lambda rs, c: rs._side_rule(c)),
+        ("_Cells", lambda rs, c: rs._cells(c)),
+        ("atom_keys", lambda rs, c: rs._cells(c).atom_keys),
+        ("region_class", lambda rs, c: rs._cells(c).region_class),
+        ("copy_keys", lambda rs, c: rs._cells(c).copy_keys))},
+}
+
+
+# -- honeycomb: the degree ladder -----------------------------------------
+def _all_plus(tc, curve) -> tuple:
+    delta = tc.SignDistribution(dict.fromkeys(curve.dual.lattice_points, 1))
+    return curve, tc.phase_from_signs(curve, delta), tc.twists_from_signs(curve, delta), None, delta
+
+
+HONEYCOMB = {
+    "build": lambda s, r, d: (s.tc.honeycomb, (d,)),
+    "render_svg": lambda s, r, d: (s.tc.render_svg, _all_plus(s.tc, r["build"])),
+    "phase_from_twists": lambda s, r, d: (s.tc.phase_from_twists, (r["build"], s.tc.TwistSet.from_edges(
+        r["build"], r["build"].bounded_edges))),
+    # hyperbolicity_locus on that phase: its first call, then its second
+    "locus_cold": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
+    "locus_warm": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
+}
+
+# per chain, its items (side, seeds) -> [(group, item)] and its steps
+CHAINS = {
+    "construct": (lambda side, seeds: [(f"{op.slice} d{op.degree}", op) for op in sorted(
+        side.ops("construct", seeds), key=lambda op: (op.degree, op.slice))], CONSTRUCT),
+    "patchwork": (_patchwork_inputs, PATCHWORK),
+    "intersect": (lambda side, seeds: [(f"{op.slice} ({op.data['a'].degree},{op.data['b'].degree})", op.data)
+                                       for op in side.ops("intersect", seeds)], INTERSECT),
+    "first_use": (_locus_curves, TABLES),
+    "honeycomb": (lambda side, seeds: [(f"d{d}", d) for d in LADDER], HONEYCOMB),
+}
+
+STAGES = {f"{chain}.{name}": (partial(_setup, chain, k), partial(_op, chain, k))
+          for chain, (_, steps) in CHAINS.items() for k, name in enumerate(steps)}

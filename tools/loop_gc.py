@@ -70,7 +70,7 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--workloads", nargs="+", choices=NAMES, default=list(NAMES))
     args = ap.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
+    harness.load_tree(args.src)
     seconds = json.loads((harness.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     out = {"python": sys.version.split()[0], "seconds": seconds,
            "loop_gc": {name: {f"seed{s}": loop_gc(name, s, seconds) for s in args.seeds} for name in args.workloads}}
