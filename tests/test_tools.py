@@ -114,14 +114,31 @@ def test_ab_refuses_a_tree_without_the_package_and_sides_that_differ(tmp_path, m
         ab.run(SRC, None, ["lopsided"], [1], 1)
 
 
-def test_ab_runs_as_a_script():
-    run = subprocess.run([sys.executable, str(TOOLS / "ab.py"), "--base", str(SRC), "--stage", "construct.load_spec",
-                          "patchwork.signs_from_phase", "--seeds", "1", "--rounds", "2"],
+# per stage set: cheap stages of it for ``ab.py`` run as a script
+_SCRIPT_STAGES = {
+    "construct_stages": ["construct.load_spec", "honeycomb.build"],
+    "first_use": ["first_use._Base", "honeycomb.locus_cold"],
+    "intersect_stages": ["intersect.edge_hits"],
+    "patchwork_stages": ["patchwork.signs_from_phase"],
+}
+
+
+@pytest.mark.parametrize("name", list(_SCRIPT_STAGES))
+def test_tools_run_as_scripts(name):
+    stages = _SCRIPT_STAGES[name]
+    run = subprocess.run([sys.executable, str(TOOLS / "ab.py"), "--base", str(SRC), "--stage", *stages,
+                          "--seeds", "1", "--rounds", "2"],
                          capture_output=True, text=True, check=True)
     out = json.loads(run.stdout)
-    assert list(out["stages"]) == ["construct.load_spec", "patchwork.signs_from_phase"]
+    assert list(out) == ["python", "base", "change", "seeds", "rounds", "stages"]
+    assert list(out["stages"]) == stages
     assert out["rounds"] == 2 and out["seeds"] == [1]
-    assert all(0 <= stage["won"] <= 2 for stage in out["stages"].values())
+    for stage in out["stages"].values():
+        assert stage["groups"] and 0 <= stage["won"] <= 2
+        assert stage["base"]["ops"] == stage["change"]["ops"] == sum(g["base"]["ops"] for g in stage["groups"].values())
+
+
+def test_ab_refuses_an_unknown_stage_as_a_script():
     bad = subprocess.run([sys.executable, str(TOOLS / "ab.py"), "--base", str(SRC), "--stage", "construct.nothing"],
                          capture_output=True, text=True)
     assert bad.returncode != 0 and "error:" in bad.stderr and not bad.stdout
