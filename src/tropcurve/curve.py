@@ -327,7 +327,8 @@ class TropicalCurve:
     @curve_table
     def walk_order(self) -> tuple[tuple[int, int, bool, int], ...]:
         """(eid, start, forward, placed) for every edge, in the order
-        ``intersect.edge_hits`` walks them: depth first from vertex 0, by a
+        ``intersect.edge_hits`` walks them and ``realstruct._sign_solver``
+        signs the cells: depth first from vertex 0, by a
         stack of vertices, each vertex's edges in ``vertex_edges`` order.
         Edge eid is walked from vertex ``start``, which is its tail iff
         ``forward`` (a ray always leaves its tail).  A bounded edge whose

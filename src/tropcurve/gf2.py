@@ -203,62 +203,15 @@ def _kernel(reduced: Sequence[int], pivots: Sequence[int], n: int) -> Gf2Subspac
     return space
 
 
-@dataclass(frozen=True)
-class Gf2Factoring:
-    """The row reduction of a fixed system {row_k . x = b_k}, kept so that
-    each right-hand side b (bit k = b_k) is solved by popcounts.
-
-    ``combos[i]`` is a set of input rows that sums to the reduced row with
-    pivot ``pivots[i]``, and each of ``null`` a set that sums to zero.  The
-    system is inconsistent iff b is odd on one of ``null``; otherwise the
-    solution with free coordinates 0 has pivot bit p = b . combo_p.  The
-    reduced rows are unique under the lowest-pivot rule, so that solution
-    is the offset ``solve_affine`` returns.
-    """
-
-    cols: int
-    reduced: tuple[int, ...]
-    pivots: tuple[int, ...]
-    combos: tuple[int, ...]
-    null: tuple[int, ...]
-
-    def solve(self, rhs: int) -> int | None:
-        """The solution bits with free coordinates 0, or None."""
-        for z in self.null:
-            if (rhs & z).bit_count() & 1:
-                return None
-        x = 0
-        for p, c in zip(self.pivots, self.combos):
-            if (rhs & c).bit_count() & 1:
-                x |= 1 << p
-        return x
-
-    def kernel(self) -> Gf2Subspace:
-        return _kernel(self.reduced, self.pivots, self.cols)
-
-
-def factor(rows: Sequence[int], cols: int) -> Gf2Factoring:
-    """Factor the system matrix with the given bit rows, each tagged with
-    its index above bit ``cols``."""
-    tagged = [r | 1 << (cols + k) for k, r in enumerate(rows)]
-    basis, pivots, null = _reduce_rows(tagged, cols)
-    low = (1 << cols) - 1
-    return Gf2Factoring(
-        cols,
-        tuple(b & low for b in basis),
-        tuple(pivots),
-        tuple(b >> cols for b in basis),
-        tuple(z >> cols for z in null),
-    )
-
-
 def solve_affine(
     constraints: Sequence[tuple[Gf2Vector, int]], ambient_dim: int | None = None
 ) -> AffineFlat | None:
     """Solve the system {c.x = b}; None when inconsistent.
 
-    The result distinguishes the empty case (None), a linear solution
-    space (``flat.space.contains(flat.offset)``) and a proper affine flat.
+    One row reduction of the rows, each tagged with its b: the offset is
+    the solution with free coordinates 0.  The result distinguishes the
+    empty case (None), a linear solution space
+    (``flat.space.contains(flat.offset)``) and a proper affine flat.
     """
     if ambient_dim is None:
         if not constraints:
@@ -268,11 +221,14 @@ def solve_affine(
     for c, _ in constraints:
         if c.length != n:
             raise ValueError("mixed ambient dimensions")
-    fac = factor([c.bits for c, _ in constraints], n)
-    particular = fac.solve(sum((b & 1) << k for k, (_, b) in enumerate(constraints)))
-    if particular is None:
+    # b rides along as a tag bit at column n; a pivot row's tag is the offset's bit
+    tag = 1 << n
+    reduced, pivots, null = _reduce_rows([c.bits | (b & 1) * tag for c, b in constraints], n)
+    if any(z & tag for z in null):
         return None
-    return AffineFlat(Gf2Vector(n, particular), fac.kernel())
+    particular = sum(1 << p for r, p in zip(reduced, pivots) if r & tag)
+    low = tag - 1
+    return AffineFlat(Gf2Vector(n, particular), _kernel([r & low for r in reduced], pivots, n))
 
 
 _LINE_NORMALS = {(1, 0): (0, 1), (0, 1): (1, 0), (1, 1): (1, 1)}

@@ -42,11 +42,13 @@ side point, not once per edge end through helper calls:
 - ``_base`` (every route): the lattice index, each edge's dual indices
   and direction class, each vertex's incident edges and each lattice
   point's incident edges, the columns that turn minus signs into levels;
-- ``_sign_columns`` (signs to twists): per vertex, its dual cell's index
-  sum and coordinate parities, then two table reads per edge; each minus
-  sign XORs in one column;
-- ``_sign_rule`` (twists to a phase): the rows of that rule, its columns
-  transposed, which ``_sign_solver`` factors;
+- ``_cell_sums`` (both sign tables): per vertex, its dual cell's index
+  sum and coordinate parities;
+- ``_sign_columns`` (signs to twists): two ``_cell_sums`` reads per edge;
+  each minus sign XORs in one column;
+- ``_sign_solver`` (twists to a phase): one step per bounded edge of the
+  curve's ``walk_order``, which signs the far cell's new point from the
+  near cell's, so each minus bit is a parity of the twist bits;
 - ``_side_ends`` (one twist, overlaps, ``_side_rule``): per vertex, one
   class check and three determinants for its three edge ends;
 - ``_side_rule`` (phase to twists): two ends per bounded edge;
@@ -86,7 +88,7 @@ from typing import Iterable, NamedTuple
 from .curve import TropicalCurve, _Record, curve_table, primitive_cycles
 from .errors import InvariantViolation, NotAdmissible, ValidationError
 from .geometry import IVec
-from .gf2 import PHASE_LINES, Gf2Factoring, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, factor, kernel
+from .gf2 import PHASE_LINES, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, kernel
 
 EPS4 = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -504,24 +506,28 @@ _cells = curve_table(_Cells)
 
 
 @curve_table
+def _cell_sums(curve: TropicalCurve) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex, its dual cell's index sum and the parities of its
+    coordinate sums.  An edge's two cells share its dual points p, q, so
+    each opposite vertex is its cell's index sum less those of p and q,
+    and they agree mod 2 iff the cells' coordinate sums do."""
+    index = _base(curve).index
+    sums, parity = [], []
+    for a, b, c in curve.vertex_cell:
+        sums.append(index[a] + index[b] + index[c])
+        parity.append((a[0] + b[0] + c[0]) & 1 | ((a[1] + b[1] + c[1]) & 1) << 1)
+    return tuple(sums), tuple(parity)
+
+
+@curve_table
 def _sign_columns(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
     """The sign rule as one column per lattice point: the bounded edges
     whose twist its minus sign flips, and the offsets as one int.  An
     edge's twist reads the minus signs of the two cell vertices opposite
     it when they agree mod 2, else of those and its two dual points,
-    flipped.
-
-    Read per vertex: the sum of its dual cell's point indices and the
-    parities of their coordinate sums.  An edge's two cells share its
-    dual points p, q, so each opposite vertex is its cell's index sum less
-    those of p and q, and they agree mod 2 iff the cells' coordinate sums
-    do."""
+    flipped.  Two reads of ``_cell_sums`` per edge."""
     base = _base(curve)
-    index = base.index
-    sums, parity = [], []
-    for a, b, c in curve.vertex_cell:
-        sums.append(index[a] + index[b] + index[c])
-        parity.append((a[0] + b[0] + c[0]) & 1 | ((a[1] + b[1] + c[1]) & 1) << 1)
+    sums, parity = _cell_sums(curve)
     edges, duals = curve.edges, base.duals
     columns, offsets = [0] * len(base.points), 0
     for k, eid in enumerate(curve.bounded_edges):
@@ -539,25 +545,55 @@ def _sign_columns(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
 
 
 @curve_table
-def _sign_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
-    """The sign rule as one row per bounded edge, the transpose of
-    ``_sign_columns``: the mask of the lattice points whose minus signs
-    decide its twist, and the same offsets."""
-    columns, offsets = _sign_columns(curve)
-    masks = [0] * len(curve.bounded_edges)
-    for k, column in enumerate(columns):
-        bit = 1 << k
-        while column:
-            low = column & -column
-            masks[low.bit_length() - 1] |= bit
-            column ^= low
-    return tuple(masks), offsets
-
-
-@curve_table
-def _sign_solver(curve: TropicalCurve) -> Gf2Factoring:
-    """The sign rule's system over the lattice points, factored."""
-    return factor(_sign_rule(curve)[0], len(_base(curve).points))
+def _sign_solver(curve: TropicalCurve) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+    """The sign rule solved along ``walk_order`` for the least minus
+    signs: each point's minus bit is the parity of its combo over the
+    right-hand sides (twist bits XOR offsets).  With vertex 0's cell all
+    plus, an entry's bounded edge k signs the far cell's opposite point by
+    1 << k ^ the near cell's opposite point ^ (for cells of different
+    coordinate-sum parity) its dual points; a point signed already gives a
+    relation instead, the XOR of the two.  Returns (point bit, combo) for
+    the nonzero combos, the nonzero relations, and the re-signings by
+    eps = (e0, e1), at index e0 | e1 << 1, on the points p with e.p odd."""
+    base = _base(curve)
+    sums, parity = _cell_sums(curve)
+    duals, edges, bounded_index = base.duals, curve.edges, curve.bounded_index
+    combos: list[int | None] = [None] * len(base.points)
+    for p in curve.vertex_cell[0]:
+        combos[base.index[p]] = 0
+    relations = []
+    for eid, v, forward, _ in curve.walk_order:
+        k = bounded_index.get(eid)
+        if k is None:
+            continue
+        far = edges[eid].head if forward else edges[eid].tail
+        i, j = duals[eid]
+        s = sums[far] - i - j
+        combo = 1 << k ^ combos[sums[v] - i - j]
+        if parity[v] != parity[far]:
+            combo ^= combos[i] ^ combos[j]
+        if combos[s] is None:
+            combos[s] = combo
+        elif combo != combos[s]:
+            relations.append(combo ^ combos[s])
+    if None in combos:
+        raise InvariantViolation(f"lattice point {base.points[combos.index(None)]} lies on no cell of the walk")
+    xs = sum(1 << k for k, (x, _) in enumerate(base.points) if x & 1)
+    ys = sum(1 << k for k, (_, y) in enumerate(base.points) if y & 1)
+    # the solutions differ by the affine re-signings; in a basis where no
+    # vector holds an earlier one's top point, the least solution clears
+    # each top point in turn, so each point of its vector takes in its combo
+    basis: list[int] = []
+    for v in ((1 << len(combos)) - 1, xs, ys):
+        for b in basis:
+            v = min(v, v ^ b)
+        basis.append(v)
+    for b in basis:
+        top = combos[b.bit_length() - 1]
+        for q in range(len(combos)):
+            if b >> q & 1:
+                combos[q] ^= top
+    return tuple((1 << p, c) for p, c in enumerate(combos) if c), tuple(relations), (0, xs, ys, xs ^ ys)
 
 
 @curve_table
@@ -815,16 +851,23 @@ def phase_from_twists(
 ) -> RealPhaseStructure:
     """A phase structure inducing the given admissible twist set.
 
-    Solves the sign rule's relations for a sign distribution over GF(2)
-    and re-signs it so the induced phase structure puts the seed symmetry
-    on the seed edge (re-signing by eps translates the phase by eps).
-    Insolvability is exactly inadmissibility.
+    Solves the sign rule for the least sign distribution by the parities
+    of ``_sign_solver`` and re-signs it so the induced phase structure
+    puts the seed symmetry on the seed edge (re-signing by eps translates
+    the phase by eps).  Insolvability, an odd relation, is exactly
+    inadmissibility.
     """
     if seed is None:
         seed = (curve.bounded_edges[0] if curve.bounded_edges else 0, (0, 0))
-    minus = _sign_solver(curve).solve(twists.vector.bits ^ _sign_rule(curve)[1])
-    if minus is None:
-        raise NotAdmissible("no sign distribution induces this twist set")
+    pairs, relations, flips = _sign_solver(curve)
+    rhs = twists.vector.bits ^ _sign_columns(curve)[1]
+    for relation in relations:
+        if (rhs & relation).bit_count() & 1:
+            raise NotAdmissible("no sign distribution induces this twist set")
+    minus = 0
+    for bit, combo in pairs:
+        if (rhs & combo).bit_count() & 1:
+            minus |= bit
     base = _base(curve)
     seed_edge, seed_eps = seed
     i, j = base.duals[seed_edge]
@@ -832,9 +875,7 @@ def phase_from_twists(
     line = pair[1 ^ ((minus >> i ^ minus >> j) & 1)]
     if not line.contains(seed_eps):
         shift = min(_xor(seed_eps, el) for el in line.elements)
-        for p, bit in base.point_bit.items():
-            if (shift[0] * p[0] + shift[1] * p[1]) & 1:
-                minus ^= bit
+        minus ^= flips[shift[0] | shift[1] << 1]
     phase = base.phase_of_signs(minus)
     if not pair[base.levels(phase) >> seed_edge & 1].contains(seed_eps):
         raise InvariantViolation("the seed element must lie on the seed edge's phase line")

@@ -130,25 +130,26 @@ def test_phase_line_translate():
     assert moved.direction == (1, 0)
 
 
-def test_factored_solve_matches_brute_force():
-    from tropcurve.gf2 import factor
+def test_solve_affine_matches_brute_force():
+    from tropcurve.gf2 import _reduce_rows
 
     rng = random.Random(12)
     for _ in range(300):
         rows, cols = rng.randrange(0, 8), rng.randrange(1, 7)
         a = [rng.getrandbits(cols) for _ in range(rows)]
-        fac = factor(a, cols)
-        free = ~sum(1 << p for p in fac.pivots)
+        space = kernel(Gf2Matrix(rows, cols, tuple(a)))
+        free = ~sum(1 << p for p in _reduce_rows(a)[1])
         for rhs in range(1 << rows):
             sols = [x for x in range(1 << cols)
                     if all((r & x).bit_count() % 2 == rhs >> k & 1 for k, r in enumerate(a))]
-            x = fac.solve(rhs)
+            flat = solve_affine([(Gf2Vector(cols, r), rhs >> k & 1) for k, r in enumerate(a)], cols)
             if not sols:
-                assert x is None
+                assert flat is None
                 continue
-            # the one solution with every free coordinate 0
-            assert [s for s in sols if not s & free] == [x]
-        assert fac.kernel() == kernel(Gf2Matrix(rows, cols, tuple(a)))
+            assert sorted(v.bits for v in flat.enumerate()) == sols
+            # the one solution with every free coordinate 0, the least one
+            assert [s for s in sols if not s & free] == [flat.offset.bits] == [min(sols)]
+            assert flat.space == space
 
 
 def _reduce_rows_reference(rows, width=None):
@@ -191,29 +192,3 @@ def test_reduce_rows_matches_the_reference():
             assert _reduce_rows(rows, cols) == _reduce_rows_reference(rows, cols)
         else:
             assert _reduce_rows(rows) == _reduce_rows_reference(rows)
-
-
-def _factor_fields(fac):
-    return fac.reduced, fac.pivots, fac.combos, fac.null
-
-
-def test_factor_of_sign_rule_systems_matches_the_reference():
-    from tropcurve import curve_from_polynomial, honeycomb
-    from tropcurve import gf2
-    from tropcurve.errors import DegeneratePolygon, SingularSubdivision
-    from tropcurve.realstruct import _base, _sign_rule
-    from tropcurve.selfcheck import random_lift
-
-    curves = [honeycomb(d) for d in range(1, 8)]
-    rng = random.Random(9)
-    while len(curves) < 60:
-        try:
-            curves.append(curve_from_polynomial(random_lift(rng)))
-        except (SingularSubdivision, DegeneratePolygon):
-            continue
-    systems = [(_sign_rule(c)[0], len(_base(c).points)) for c in curves]
-    got = [_factor_fields(gf2.factor(rows, cols)) for rows, cols in systems]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf2, "_reduce_rows", _reduce_rows_reference)
-        want = [_factor_fields(gf2.factor(rows, cols)) for rows, cols in systems]
-    assert got == want

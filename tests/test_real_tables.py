@@ -156,10 +156,15 @@ def _outcome(route, *args):
 
 
 def test_phase_from_twists_matches_the_solve_affine_route():
+    from tropcurve.selfcheck import random_nonsingular_curve
+
     rng = random.Random(41)
     curves = [honeycomb(d) for d in range(1, 6)] + _lift_curves(3, 30)
+    # lifts off the honeycomb at higher degree, and one larger honeycomb
+    lifts = (random_nonsingular_curve(rng, d) for d in range(6, 10) for _ in range(3))
+    curves += [c for c in lifts if not c.is_honeycomb()] + [honeycomb(12)]
     draws = inadmissible = 0
-    while draws < 240:
+    while draws < 320:
         curve = rng.choice(curves)
         nb = len(curve.bounded_edges)
         if rng.random() < 0.5:
@@ -173,7 +178,28 @@ def test_phase_from_twists_matches_the_solve_affine_route():
         assert got == _outcome(_phase_from_twists_reference, curve, twists, seed)
         inadmissible += isinstance(got, tuple)
         draws += 1
-    assert 20 < inadmissible < 220
+    assert 25 < inadmissible < 295
+
+
+def test_phase_from_twists_inverts_twists_from_phase_on_a_large_honeycomb():
+    from tropcurve.realstruct import div_space
+
+    rng = random.Random(43)
+    curve = honeycomb(40)
+    space = div_space(curve)
+    bits = 0
+    for b in space.basis:
+        if rng.getrandbits(1):
+            bits ^= b.bits
+    twists = TwistSet.from_vector(curve, Gf2Vector(len(curve.bounded_edges), bits))
+    assert twists_from_phase(curve, phase_from_twists(curve, twists)).vector == twists.vector
+    # one more twisted edge on a cycle leaves its direction sum odd
+    on_cycle = next(k for k, eid in enumerate(curve.bounded_edges)
+                    if any(eid in c.edges for c in primitive_cycles(curve)))
+    odd = TwistSet.from_vector(curve, Gf2Vector(len(curve.bounded_edges), bits ^ 1 << on_cycle))
+    assert not is_admissible(curve, odd)
+    with pytest.raises(NotAdmissible, match="^no sign distribution induces this twist set$"):
+        phase_from_twists(curve, odd)
 
 
 def test_twist_matrix_matches_the_cycle_intersections():
@@ -264,7 +290,7 @@ def test_every_table_is_one_object_for_a_curve_and_its_copies():
 
     tables = _every_table()
     assert {"region_edges", "region_exits", "walk_order", "_cycles", "_edge_by_dual",
-            "_Base", "_Cells", "_sign_rule", "_side_ends", "_cycle_rows", "div_space"} <= set(tables)
+            "_Base", "_Cells", "_sign_solver", "_side_ends", "_cycle_rows", "div_space"} <= set(tables)
     offset = (Fraction(7, 3), Fraction(-5, 2))
     rng = random.Random(5)
     lift = next(c for c in (random_nonsingular_curve(rng, 4) for _ in range(50)) if not c.is_honeycomb())
@@ -586,20 +612,27 @@ def test_side_ends_and_cells_match_the_references():
             assert getattr(cells, name) == getattr(want, name), name
 
 
+def _sign_rows_reference(curve):
+    """The sign rule as one row per bounded edge, the mask of the lattice
+    points whose minus signs decide its twist, and the offsets as one int."""
+    bit = {p: 1 << k for k, p in enumerate(curve.dual.lattice_points)}
+    masks, offsets = [], 0
+    for k, eid in enumerate(curve.bounded_edges):
+        points, offset = _sign_rule_reference(curve, eid)
+        masks.append(sum(bit[p] for p in points))
+        offsets |= offset << k
+    return tuple(masks), offsets
+
+
 def test_sign_rule_matches_the_reference():
-    from tropcurve.realstruct import _base, _sign_columns, _sign_rule
+    from tropcurve.realstruct import _sign_columns
 
     for curve in _table_curves():
         curve = _fresh(curve)
-        bit = _base(curve).point_bit
-        masks, offsets = [], 0
-        for k, eid in enumerate(curve.bounded_edges):
-            points, offset = _sign_rule_reference(curve, eid)
-            masks.append(sum(bit[p] for p in points))
-            offsets |= offset << k
-        assert _sign_rule(curve) == (tuple(masks), offsets)
+        masks, offsets = _sign_rows_reference(curve)
         # the columns are the rows' transpose, with the same offsets
-        columns = tuple(sum(1 << k for k, mask in enumerate(masks) if mask & b) for b in bit.values())
+        columns = tuple(sum(1 << k for k, mask in enumerate(masks) if mask >> p & 1)
+                        for p in range(len(curve.dual.lattice_points)))
         assert _sign_columns(curve) == (columns, offsets)
 
 
@@ -881,9 +914,9 @@ def _phase_of_signs_reference(base, minus):
 
 def _twists_from_signs_reference(curve, delta):
     """The row route: one parity per bounded edge over the sign rule's rows."""
-    from tropcurve.realstruct import _base, _parities, _sign_rule
+    from tropcurve.realstruct import _base, _parities
 
-    bits = _parities(_base(curve).minus(delta), *_sign_rule(curve))
+    bits = _parities(_base(curve).minus(delta), *_sign_rows_reference(curve))
     return TwistSet.from_edges(curve, (eid for k, eid in enumerate(curve.bounded_edges) if bits >> k & 1))
 
 

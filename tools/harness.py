@@ -166,7 +166,7 @@ TABLES = {
     "curve_from_polynomial": lambda s, r, p: (s.tc.curve_from_polynomial, (s.tc.TropicalPolynomial(p.coefficients),)),
     **{name: lambda s, r, p, use=use: (use, (s.tc.realstruct, r["curve_from_polynomial"])) for name, use in (
         ("_Base", lambda rs, c: rs._base(c)),
-        ("_sign_rule", lambda rs, c: rs._sign_rule(c)),
+        ("_sign_solver", lambda rs, c: rs._sign_solver(c)),
         ("sides", lambda rs, c: c.dual.sides),
         ("sides_at", lambda rs, c: c.dual.sides_at),
         ("region_edges", lambda rs, c: c.region_edges),
