@@ -1,8 +1,16 @@
 """Linear algebra over GF(2) using int bitsets, plus affine lines in (Z/2)^2.
 
 Vectors are stored as Python ints (bit i = coordinate i), which makes
-row operations single XORs.  Pivoting is always on the lowest free index
-so every reduced basis is reproducible across runs.
+row operations single XORs.
+
+Pivots: every basis this module returns is fully reduced on lowest
+pivots (each vector's lowest bit is its pivot, and no other vector holds
+that bit) and sorted by pivot.  A subspace has exactly one such basis:
+its pivots are the lowest bits of its nonzero vectors, and the vector at
+pivot p is the one vector of the space holding p and no other pivot.  So
+every route to it returns the same vectors.  Inside ``kernel`` the
+matrix itself is reduced on highest pivots instead: the null-space
+vectors read off that form are then canonical as they stand.
 """
 
 from __future__ import annotations
@@ -43,41 +51,57 @@ class Gf2Vector:
         return Gf2Vector(self.length, self.bits ^ other.bits)
 
 
+def _echelon(rows: Iterable[int], low: int) -> tuple[dict[int, int], list[int]]:
+    """One forward pass on lowest pivots: each row is cleared by the basis
+    row at its lowest bit while that bit is a pivot, until its bits under
+    ``low`` are zero (a null row) or their lowest is a new pivot.  Returns
+    the basis, keyed by pivot bit, each row's lowest bit its pivot, and the
+    null rows in order.  No back-substitution: a basis row may still hold
+    pivots above its own."""
+    basis: dict[int, int] = {}   # pivot bit -> echelon row
+    pivots = 0
+    null: list[int] = []
+    for row in rows:
+        while row & low:
+            p = row & -row
+            if not p & pivots:
+                basis[p] = row
+                pivots |= p
+                break
+            row ^= basis[p]
+        else:
+            null.append(row)
+    return basis, null
+
+
 def _reduce_rows(rows: list[int], width: int | None = None) -> tuple[list[int], list[int], list[int]]:
-    """Row-reduce (lowest pivot index first).
+    """Row-reduce fully on lowest pivots: the canonical basis of the rows'
+    span.
 
     Bits from ``width`` up are tags: they ride along with every row
     operation but are never pivoted on.  Returns the reduced rows that are
     nonzero below ``width`` and their pivot columns, both sorted by pivot,
     and the rows that reduced to zero below it.
 
-    The basis is kept fully reduced, keyed by pivot bit, with one int
-    holding every pivot bit: a new row is cleared by the rows at the set
-    bits of ``row & pivots`` alone, since no basis row has another's pivot.
+    ``_echelon``'s forward pass, then one back-substitution pass from the
+    highest pivot down, in which a row XORs in the reduced rows at the
+    pivots it holds above its own.  Which rows set a pivot, and what each
+    null row adds to itself, depend only on the row order, so the tags and
+    null rows are those of any elimination that keeps the basis reduced
+    as it goes.
     """
-    if not rows:
-        return [], [], []
     low = -1 if width is None else (1 << width) - 1
-    basis: dict[int, int] = {}   # pivot bit -> reduced row
-    pivots = 0
-    null: list[int] = []
-    for row in rows:
-        hit = row & pivots
-        while hit:
-            p = hit & -hit
-            row ^= basis[p]
-            hit ^= p
-        if row & low:
-            p = row & -row
-            # back-substitute; assigning to present keys keeps the dict's size
-            for q, b in basis.items():
-                if b & p:
-                    basis[q] = b ^ row
-            basis[p] = row
-            pivots |= p
-        else:
-            null.append(row)
+    basis, null = _echelon(rows, low)
     order = sorted(basis)
+    pivots = sum(order)
+    for p in reversed(order):
+        row = basis[p]
+        hit = row & pivots ^ p
+        while hit:
+            q = hit & -hit
+            row ^= basis[q]
+            hit ^= q
+        basis[p] = row
     return [basis[p] for p in order], [p.bit_length() - 1 for p in order], null
 
 
@@ -106,8 +130,9 @@ class Gf2Matrix:
         return Gf2Vector(self.rows, out)
 
     def rank(self) -> int:
-        basis, _, _ = _reduce_rows(list(self.row_bits))
-        return len(basis)
+        """The pivots of one forward pass on lowest pivots (``_echelon``):
+        a rank needs no back-substitution."""
+        return len(_echelon(self.row_bits, -1)[0])
 
 
 @dataclass(frozen=True)
@@ -152,12 +177,10 @@ class Gf2Subspace:
             yield Gf2Vector(self.ambient_dim, bits)
 
     def orthogonal_constraints(self) -> list[Gf2Vector]:
-        """Rows c with c.x = 0 cutting out exactly this subspace."""
-        # the basis is fully reduced with each pivot its row's lowest bit
-        # (see from_vectors); c.x = 0 on the space iff c is orthogonal to it
-        reduced = [b.bits for b in self.basis]
-        pivots = [(r & -r).bit_length() - 1 for r in reduced]
-        return list(_kernel(reduced, pivots, self.ambient_dim).basis)
+        """Rows c with c.x = 0 cutting out exactly this subspace: c.x = 0
+        on the space iff c is orthogonal to its basis."""
+        rows = tuple(b.bits for b in self.basis)
+        return list(kernel(Gf2Matrix(len(rows), self.ambient_dim, rows)).basis)
 
 
 @dataclass(frozen=True)
@@ -180,27 +203,62 @@ class AffineFlat:
 
 
 def kernel(m: Gf2Matrix) -> Gf2Subspace:
-    """Basis of {v : m.v = 0}; dim = cols - rank, verified."""
-    reduced, pivots, _ = _reduce_rows(list(m.row_bits))
-    return _kernel(reduced, pivots, m.cols)
+    """Basis of {v : m.v = 0}, canonical (lowest pivots); dim = cols -
+    rank, verified.
+
+    One reduction on highest pivots: a forward pass clears each row by the
+    basis row at its highest bit, then a pass from the lowest pivot up
+    XORs into each row the reduced rows at the pivots it holds below its
+    own.  ``_kernel`` reads the basis off that form.
+    """
+    basis: dict[int, int] = {}   # pivot bit -> row, its highest bit the pivot
+    pivots = 0
+    for row in m.row_bits:
+        while row:
+            p = 1 << row.bit_length() - 1
+            if not p & pivots:
+                basis[p] = row
+                pivots |= p
+                break
+            row ^= basis[p]
+    rest = pivots
+    while rest:
+        p = rest & -rest
+        rest ^= p
+        row = basis[p]
+        hit = row & pivots ^ p
+        while hit:
+            q = hit & -hit
+            row ^= basis[q]
+            hit ^= q
+        basis[p] = row
+    return _kernel(list(basis.values()), list(basis), m.cols)
 
 
 def _kernel(reduced: Sequence[int], pivots: Sequence[int], n: int) -> Gf2Subspace:
-    """The kernel of a matrix in reduced row echelon form."""
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = 1 << j
-        for b, p in zip(reduced, pivots):
-            if (b >> j) & 1:
-                v |= 1 << p
-        basis.append(Gf2Vector(n, v))
-    space = Gf2Subspace.from_vectors(n, basis)
-    if space.dim + len(reduced) != n:
+    """The kernel of a matrix fully reduced on highest pivots: rows
+    ``reduced``, their pivot bits ``pivots``, n columns.
+
+    Free column j gives v_j = e_j + the sum of e_p over the rows p that
+    hold bit j.  Each such p is above j, so v_j's lowest bit is j, and no
+    other v holds it: the v_j, in column order, are the kernel's canonical
+    basis as they stand.
+    """
+    free = (1 << n) - 1 ^ sum(pivots)
+    vectors: dict[int, int] = {}   # free bit j -> v_j
+    while free:
+        q = free & -free
+        vectors[q] = q
+        free ^= q
+    for row, p in zip(reduced, pivots):
+        rest = row ^ p
+        while rest:
+            q = rest & -rest
+            vectors[q] |= p
+            rest ^= q
+    if len(vectors) + len(reduced) != n:
         raise InvariantViolation("rank-nullity violated")
-    return space
+    return Gf2Subspace(n, tuple([Gf2Vector(n, v) for v in vectors.values()]))
 
 
 def solve_affine(
@@ -209,9 +267,10 @@ def solve_affine(
     """Solve the system {c.x = b}; None when inconsistent.
 
     One row reduction of the rows, each tagged with its b: the offset is
-    the solution with free coordinates 0.  The result distinguishes the
-    empty case (None), a linear solution space
-    (``flat.space.contains(flat.offset)``) and a proper affine flat.
+    the solution with free coordinates 0.  The space is ``kernel`` of the
+    untagged rows.  The result distinguishes the empty case (None), a
+    linear solution space (``flat.space.contains(flat.offset)``) and a
+    proper affine flat.
     """
     if ambient_dim is None:
         if not constraints:
@@ -227,8 +286,8 @@ def solve_affine(
     if any(z & tag for z in null):
         return None
     particular = sum(1 << p for r, p in zip(reduced, pivots) if r & tag)
-    low = tag - 1
-    return AffineFlat(Gf2Vector(n, particular), _kernel([r & low for r in reduced], pivots, n))
+    rows = tuple(c.bits for c, _ in constraints)
+    return AffineFlat(Gf2Vector(n, particular), kernel(Gf2Matrix(len(rows), n, rows)))
 
 
 _LINE_NORMALS = {(1, 0): (0, 1), (0, 1): (1, 0), (1, 1): (1, 1)}

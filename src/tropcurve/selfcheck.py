@@ -75,7 +75,7 @@ from .geometry import (
     rot90,
     sub,
 )
-from .gf2 import _LINE_NORMALS, Gf2Matrix, PhaseLine, kernel
+from .gf2 import _LINE_NORMALS, Gf2Matrix, Gf2Subspace, PhaseLine, kernel
 from .hyperbolic import (
     HyperbolicityReport,
     PointVerdict,
@@ -1548,6 +1548,9 @@ def check_point_location(rng: random.Random, trials: int) -> str:
 
 
 def check_rank_nullity(rng: random.Random, trials: int) -> str:
+    """The rank (one forward pass on lowest pivots) against the kernel (one
+    reduction on highest pivots), and the kernel's basis against its own
+    canonical form."""
     for _ in range(trials):
         rows = rng.randrange(1, 40)
         cols = rng.randrange(1, 40)
@@ -1555,6 +1558,8 @@ def check_rank_nullity(rng: random.Random, trials: int) -> str:
         ker = kernel(m)
         if m.rank() + ker.dim != cols:
             raise Mismatch(f"{rows}x{cols} matrix")
+        if Gf2Subspace.from_vectors(cols, ker.basis) != ker:
+            raise Mismatch(f"{rows}x{cols} matrix: kernel basis not in canonical form")
         for v in ker.basis:
             if not m.mul_vector(v).is_zero:
                 raise Mismatch("kernel vector not annihilated")

@@ -35,9 +35,8 @@ def test_kernel_vectors_annihilated(m):
     ker = kernel(m)
     for v in ker.basis:
         assert m.mul_vector(v).is_zero
-    # re-reducing the basis does not change its cardinality
-    again = Gf2Subspace.from_vectors(m.cols, ker.basis)
-    assert again.dim == ker.dim
+    # the basis is its own canonical form: re-reducing it changes nothing
+    assert Gf2Subspace.from_vectors(m.cols, ker.basis) == ker
 
 
 def test_rank_nullity_bulk():
@@ -90,8 +89,6 @@ def test_subspace_membership_and_enumeration():
 
 
 def test_orthogonal_constraints_cut_the_space():
-    from tropcurve.gf2 import _kernel, _reduce_rows
-
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randrange(1, 12)
@@ -102,9 +99,9 @@ def test_orthogonal_constraints_cut_the_space():
         # the x satisfying every constraint are exactly the space's vectors
         cut = {x for x in range(1 << n) if not any((c.bits & x).bit_count() & 1 for c in cons)}
         assert cut == {v.bits for v in space.enumerate()}
-        # the constraints are those of the basis reduced once more
-        reduced, pivots, _ = _reduce_rows([b.bits for b in space.basis])
-        assert cons == list(_kernel(reduced, pivots, n).basis)
+        # the constraints are the reference kernel of the basis
+        rows = tuple(b.bits for b in space.basis)
+        assert cons == list(_kernel_reference(Gf2Matrix(len(rows), n, rows)).basis)
 
 
 @given(st.tuples(st.integers(0, 1), st.integers(0, 1)),
@@ -153,42 +150,86 @@ def test_solve_affine_matches_brute_force():
 
 
 def _reduce_rows_reference(rows, width=None):
-    """Row reduction with the basis as lists sorted by pivot, each new row
-    tested against every pivot in turn: the reduction the pivot-bit one in
-    ``gf2._reduce_rows`` must reproduce exactly."""
+    """Row reduction that back-substitutes each new pivot row into every
+    basis row at once: the reduction ``gf2._reduce_rows``'s forward pass
+    plus one back-substitution pass must reproduce exactly."""
+    if not rows:
+        return [], [], []
     low = -1 if width is None else (1 << width) - 1
-    basis, pivots, null = [], [], []
+    basis = {}   # pivot bit -> reduced row
+    pivots = 0
+    null = []
     for row in rows:
-        for b, p in zip(basis, pivots):
-            if (row >> p) & 1:
-                row ^= b
+        hit = row & pivots
+        while hit:
+            p = hit & -hit
+            row ^= basis[p]
+            hit ^= p
         if row & low:
-            p = (row & -row).bit_length() - 1
-            idx = 0
-            while idx < len(pivots) and pivots[idx] < p:
-                idx += 1
-            basis.insert(idx, row)
-            pivots.insert(idx, p)
-            for k in range(len(basis)):
-                if k != idx and (basis[k] >> p) & 1:
-                    basis[k] ^= row
+            p = row & -row
+            for q, b in basis.items():
+                if b & p:
+                    basis[q] = b ^ row
+            basis[p] = row
+            pivots |= p
         else:
             null.append(row)
-    return basis, pivots, null
+    order = sorted(basis)
+    return [basis[p] for p in order], [p.bit_length() - 1 for p in order], null
+
+
+def _kernel_reference(m):
+    """The kernel read off the lowest-pivot reduction, its basis then
+    reduced a second time: the canonical basis ``gf2.kernel`` must return
+    from its one reduction on highest pivots."""
+    reduced, pivots, _ = _reduce_rows_reference(list(m.row_bits))
+    basis = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        v = 1 << j
+        for b, p in zip(reduced, pivots):
+            if (b >> j) & 1:
+                v |= 1 << p
+        basis.append(v)
+    again, _, _ = _reduce_rows_reference(basis)
+    assert len(again) + len(reduced) == m.cols
+    return Gf2Subspace(m.cols, tuple(Gf2Vector(m.cols, v) for v in again))
+
+
+def _assert_matches_the_references(m):
+    from tropcurve.gf2 import _reduce_rows
+
+    rows = list(m.row_bits)
+    want = _reduce_rows_reference(rows)
+    assert _reduce_rows(rows) == want
+    tagged = [r | 1 << (m.cols + i) for i, r in enumerate(rows)]
+    assert _reduce_rows(tagged, m.cols) == _reduce_rows_reference(tagged, m.cols)
+    assert m.rank() == len(want[0])
+    assert kernel(m).basis == _kernel_reference(m).basis
+
+
+def test_twist_matrices_match_the_references():
+    from tropcurve import TwistSet, honeycomb
+    from tropcurve.realstruct import twist_matrix
+    from tropcurve.selfcheck import random_nonsingular_curve
+
+    rng = random.Random(45)
+    curves = [honeycomb(d) for d in range(2, 13)]
+    curves += [random_nonsingular_curve(rng, rng.randrange(2, 9)) for _ in range(12)]
+    for curve in curves:
+        twist_sets = [(), curve.bounded_edges]
+        twist_sets += [[e for e in curve.bounded_edges if rng.random() < p] for p in (0.1, 0.5, 0.9)]
+        for edges in twist_sets:
+            _assert_matches_the_references(twist_matrix(curve, TwistSet.from_edges(curve, edges)))
 
 
 def test_reduce_rows_matches_the_reference():
-    from tropcurve.gf2 import _reduce_rows
-
     rng = random.Random(24)
-    for k in range(3000):
+    for _ in range(3000):
         cols = rng.randrange(1, 48)
         rows = [rng.getrandbits(cols) & rng.getrandbits(cols) if rng.random() < 0.5 else rng.getrandbits(cols)
                 for _ in range(rng.randrange(0, 50))]
         if rows and rng.random() < 0.2:
             rows += rng.sample(rows, min(len(rows), 3)) + [0]
-        if k % 2:
-            rows = [r | 1 << (cols + i) for i, r in enumerate(rows)]
-            assert _reduce_rows(rows, cols) == _reduce_rows_reference(rows, cols)
-        else:
-            assert _reduce_rows(rows) == _reduce_rows_reference(rows)
+        _assert_matches_the_references(Gf2Matrix(len(rows), cols, tuple(rows)))

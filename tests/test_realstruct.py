@@ -415,6 +415,23 @@ def test_harnack_m_curve_degree_18():
     assert direct.count == count_components_matrix(c, twists_from_signs(c, delta)) == g + 1 == 137
 
 
+@pytest.mark.parametrize("d", [30, 40])
+def test_matrix_count_equals_model_count_on_large_honeycombs(d):
+    # all-plus signs twist every edge, the costliest rank on the ladder;
+    # Harnack's signs give an M-curve
+    c = honeycomb(d)
+    points = c.dual.lattice_points
+    draws = [
+        SignDistribution(dict.fromkeys(points, 1)),
+        SignDistribution({p: -1 if p[0] % 2 == 0 and p[1] % 2 == 0 else 1 for p in points}),
+    ]
+    rng = random.Random(d)
+    draws += [random_sign_distribution(rng, c) for _ in range(3)]
+    for delta in draws:
+        direct = count_components_direct(real_part(c, phase_from_signs(c, delta)))
+        assert count_components_matrix(c, twists_from_signs(c, delta)) == direct.count
+
+
 def test_union_find_handles_long_chains():
     uf = _UnionFind()
     for i in range(3000):

@@ -136,6 +136,8 @@ PATCHWORK = {
     "phase_from_twists": lambda s, r, i: (s.tc.phase_from_twists, (i["curve"], i["twists"])),
     "signs_from_phase": lambda s, r, i: (s.tc.signs_from_phase, (i["curve"], r["phase_from_twists"])),
     "twist_matrix": lambda s, r, i: (s.tc.realstruct.twist_matrix, (i["curve"], i["twists"])),
+    "kernel": lambda s, r, i: (s.tc.kernel, (r["twist_matrix"],)),
+    "count_components_matrix": lambda s, r, i: (s.tc.count_components_matrix, (i["curve"], i["twists"])),
     "real_part": lambda s, r, i: (s.tc.real_part, (i["curve"], r["phase_from_twists"])),
     "count_components_direct": lambda s, r, i: (s.tc.count_components_direct, (r["real_part"],)),
 }
@@ -187,14 +189,20 @@ def _all_plus(tc, curve) -> tuple:
     return curve, tc.phase_from_signs(curve, delta), tc.twists_from_signs(curve, delta), None, delta
 
 
+def _all_twisted(tc, curve):
+    return tc.TwistSet.from_edges(curve, curve.bounded_edges)
+
+
 HONEYCOMB = {
     "build": lambda s, r, d: (s.tc.honeycomb, (d,)),
     "render_svg": lambda s, r, d: (s.tc.render_svg, _all_plus(s.tc, r["build"])),
-    "phase_from_twists": lambda s, r, d: (s.tc.phase_from_twists, (r["build"], s.tc.TwistSet.from_edges(
-        r["build"], r["build"].bounded_edges))),
+    "phase_from_twists": lambda s, r, d: (s.tc.phase_from_twists, (r["build"], _all_twisted(s.tc, r["build"]))),
     # hyperbolicity_locus on that phase: its first call, then its second
     "locus_cold": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
     "locus_warm": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
+    # last, so that the locus steps find the curve's tables cold
+    "count_components_matrix": lambda s, r, d: (s.tc.count_components_matrix,
+                                                (r["build"], _all_twisted(s.tc, r["build"]))),
 }
 
 # per chain, its items (side, seeds) -> [(group, item)] and its steps
