@@ -140,10 +140,9 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
         if depths != list(range(1, len(depths) + 1)):
             raise InvariantViolation("oval nesting must be a chain")
         # no oval lies below the deepest one, so its interior is its disk
-        # face, and no other component may touch that face
+        # face, a leaf of the tree: only that oval touches it, since the
+        # pseudo-line touches only the root
         face = max(tree.disk.values(), key=tree.depth.__getitem__)
-        if sum(face in pair for pair in tree.groups) != 1:
-            raise InvariantViolation("innermost oval interior must not contain other components")
         # each atom's region_class, read off the curve's table
         cells = _cells(curve)
         keys, glued = cells.atom_keys, cells.glued

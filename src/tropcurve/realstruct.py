@@ -56,7 +56,7 @@ side point, not once per edge end through helper calls:
   each primitive cycle;
 - ``_cells`` (drawn copies, component reports, the locus, point
   queries): per side point its glue orbits, on RP^2 and on one sheet of
-  S^2, and its links across z = 0; per edge four ints in each of four
+  S^2, and its links across z = 0; per edge four ints in each of two
   lanes of atoms, which a phase's level bits select for the face
   labelling; its key tables and its lane of copies on first read.
 
@@ -416,11 +416,9 @@ class _Cells:
     labelling reads of each edge copy: the copies drawn at level 0, then
     those drawn at level 1 (``_LANE_CODES``), which are the copies left
     undrawn at level 0.  Per copy 4*eid + c: ``atoms_p`` and ``atoms_q``
-    the atoms 4*k + c of its edge's dual endpoints, ``tails`` and
-    ``heads`` those of the first point of its end vertices' dual cells (a
-    ray's tail twice), and ``copies`` the copy itself.  ``_picks`` selects
-    a phase's copies from a lane with ``compress``.  A curve keeps a few
-    lists, not objects per edge.
+    the atoms 4*k + c of its edge's dual endpoints, and ``copies`` the
+    copy itself.  ``_picks`` selects a phase's copies from a lane with
+    ``compress``.  A curve keeps a few lists, not objects per edge.
 
     Built from one pass over the edges, which also counts the rays of
     each side, and one over the sides' points.  A boundary point's glue
@@ -441,22 +439,15 @@ class _Cells:
             cls: [(a + c0, a + c1, a + c2, a + c3) for a in range(0, 4 * len(points), 4)]
             for cls, (c0, c1, c2, c3) in _LANE_CODES.items()
         }
-        ends = [index[cell[0]] for cell in curve.vertex_cell]
         # the lanes, and the rays of each direction on the way
-        self.atoms_p, self.atoms_q, self.tails, self.heads = atoms_p, atoms_q, tails, heads = [], [], [], []
+        self.atoms_p, self.atoms_q = atoms_p, atoms_q = [], []
         rays: dict[IVec, int] = {}
         for e, (i, j), cls in zip(edges, base.duals, base.classes):
             quad = quads[cls]
-            t = ends[e.tail]
-            if e.bounded:
-                h = ends[e.head]
-            else:
-                h = t
+            if not e.bounded:
                 rays[e.direction] = rays.get(e.direction, 0) + 1
             atoms_p += quad[i]
             atoms_q += quad[j]
-            tails += quad[t]
-            heads += quad[h]
         glues: dict[int, int] = {}
         z_atoms = []
         for side in curve.dual.sides:
@@ -1081,11 +1072,16 @@ def _face_tree(rp: RealPart) -> _FaceTree:
     pseudo-line.  Reads the curve's ``_cells`` and the real part's level
     bits.
 
-    Raises ``InvariantViolation`` if an end vertex copy of a drawn copy
-    lies off the two faces it separates, if the pseudo-lines are not
-    d mod 2 in number, if the faces are not one more than the ovals or
-    not connected, or if the faces that lift connected are not 1 - d
-    mod 2 in number.
+    No vertex copy lies off the two faces of a drawn copy through it: the
+    three edges at a vertex lie in three classes mod 2, so their lines
+    have no common point and each vertex copy meets 0 or 2 drawn copies.
+    With two, the third copy there is undrawn, and the union pass joins
+    the vertex copy to one of their faces.
+
+    Raises ``InvariantViolation`` if the pseudo-lines are not d mod 2 in
+    number, if the faces are not one more than the ovals or not
+    connected, or if the faces that lift connected are not 1 - d mod 2
+    in number.
     """
     curve = rp.curve
     cells = _cells(curve)
@@ -1144,17 +1140,11 @@ def _face_tree(rp: RealPart) -> _FaceTree:
     lifted = {region[x] for x in lifted}
 
     groups: dict[tuple[int, int], None] = {}
-    for a, b, t, h in zip(*(compress(lane, drawn) for lane in (atoms_p, atoms_q, cells.tails, cells.heads))):
+    for a, b in zip(compress(atoms_p, drawn), compress(atoms_q, drawn)):
         f = region[a]
         g = region[b]
         if g < f:
             f, g = g, f
-        v = region[t]
-        w = region[h]
-        if v != f and v != g or w != f and w != g:
-            raise InvariantViolation(
-                f"the copy between atoms {a} and {b}: a vertex copy lies off the two faces it separates"
-            )
         groups[f, g] = None
     pairs = list(groups)
     ovals = [k for k, (f, g) in enumerate(pairs) if f != g]

@@ -520,7 +520,7 @@ class _Cells_reference:
         # copy codes off and on each edge's phase line at levels 0 and 1
         rows = []
         # the lanes: per edge, the copies on its line at level 0, then at level 1
-        lanes = {name: [] for name in ("copies", "atoms_p", "atoms_q", "tails", "heads")}
+        lanes = {name: [] for name in ("copies", "atoms_p", "atoms_q")}
         for e, (a, b), ends in zip(edges, self.edge_atoms, self.end_atoms):
             cls = (e.direction[0] & 1, e.direction[1] & 1)
             codes = tuple(
@@ -529,15 +529,15 @@ class _Cells_reference:
             )
             rows.append((a, b, ends, self.copy_cell2[4 * e.index:4 * e.index + 4], (codes[:2], codes[2:])))
             for c in codes[1] + codes[3]:
-                for name, value in zip(lanes, (4 * e.index, a, b, ends[0], ends[-1])):
+                for name, value in zip(lanes, (4 * e.index, a, b)):
                     lanes[name].append(value + c)
         self.edge_rows = tuple(rows)
         for name, lane in lanes.items():
             setattr(self, name, lane)
 
 
-_CELL_FIELDS = ("glued", "sheets", "links", "copies", "atoms_p", "atoms_q", "tails", "heads", "atom_keys",
-                "region_class", "copy_keys")
+_CELL_FIELDS = ("glued", "sheets", "links", "copies", "atoms_p", "atoms_q", "atom_keys", "region_class",
+                "copy_keys")
 
 
 def _check_cycle_reference(curve, eids, alpha):
@@ -880,6 +880,65 @@ def test_face_tree_matches_the_euler_characteristic_reference():
     assert draws == 8 * 300 + 56 * 40 and depths == {0, 1, 2, 3} and lines > 2000
 
 
+def _lemma_draws():
+    """Phases of honeycomb(1..8) and of random lifts of degree 1 to 7, from
+    random signs and from random admissible twist sets, every other one
+    dividing, which most hyperbolic draws are; each with a translate
+    whose lines ``_Base.levels`` checks."""
+    from tropcurve.realstruct import EPS4, adm_space, div_space
+    from tropcurve.selfcheck import random_nonsingular_curve
+
+    rng = random.Random(45)
+    curves = [(honeycomb(d), 48) for d in range(1, 9)]
+    curves += [(random_nonsingular_curve(rng, d), 12) for d in range(1, 8) for _ in range(4)]
+    for curve, draws in curves:
+        n, spaces = len(curve.bounded_edges), (adm_space(curve).basis, div_space(curve).basis)
+        for k in range(draws):
+            bits = 0
+            for b in spaces[k & 1]:
+                bits ^= b.bits * rng.randrange(2)
+            twists = TwistSet.from_vector(curve, Gf2Vector(n, bits))
+            for phase in (phase_from_signs(curve, random_sign_distribution(rng, curve)),
+                          phase_from_twists(curve, twists)):
+                yield curve, phase
+                yield curve, phase.translate(rng.choice(EPS4[1:]))
+
+
+def test_each_vertex_copy_meets_no_or_two_drawn_copies_and_lies_on_their_faces():
+    """Why ``_face_tree`` checks no vertex copy: the three edges at a vertex
+    lie in three classes mod 2, so their lines share no point and a vertex
+    copy meets 0 or 2 drawn copies, and with two the undrawn third joins
+    it to one of their faces.  Why the locus checks nothing of its face:
+    the deepest disk face of a hyperbolic real part is a leaf, in the face
+    pair of its own oval alone."""
+    from itertools import compress
+
+    from tropcurve import is_hyperbolic
+    from tropcurve.realstruct import _base, _cells, _face_tree
+
+    vertex_copies = hyperbolic = 0
+    for curve, phase in _lemma_draws():
+        rp = real_part(curve, phase)
+        tree, cells, index = _face_tree(rp), _cells(curve), _base(curve).index
+        region = tree.region
+        drawn = set(compress(cells.copies, rp._picks[0]))
+        for v, cell in enumerate(curve.vertex_cell):
+            for c in range(4):
+                meets = [e for e in curve.vertex_edges[v] if 4 * e + c in drawn]
+                assert len(meets) in (0, 2)
+                for e in meets:
+                    p, q = curve.edges[e].dual
+                    (apex,) = set(cell) - {p, q}
+                    faces = region[4 * index[p] + c], region[4 * index[q] + c]
+                    assert region[4 * index[apex] + c] in faces
+                vertex_copies += 1
+        if curve.degree > 1 and is_hyperbolic(curve, twists_from_phase(curve, phase))[0]:
+            face = max(tree.disk.values(), key=tree.depth.__getitem__)
+            assert sum(face in pair for pair in tree.groups) == 1
+            hyperbolic += 1
+    assert vertex_copies == 264_192 and hyperbolic == 858
+
+
 def test_links_that_keep_the_sheet_lift_no_face_connected(monkeypatch):
     """A mutant whose z = 0 links keep the sheet: the double cover falls
     apart, no face lifts connected, and a quartic raises.  A cubic has no
@@ -899,6 +958,40 @@ def test_links_that_keep_the_sheet_lift_no_face_connected(monkeypatch):
     with pytest.raises(InvariantViolation, match="^0 faces lift connected to S\\^2 for a curve of degree 4$"):
         count_components_direct(rps[0])
     assert _report_key(count_components_direct(rps[1])) == reports[1]
+
+
+def test_face_tree_that_skips_undrawn_unions_is_killed_by_the_cut_scan_or_an_invariant(monkeypatch):
+    """A mutant whose undrawn pass skips every 7th union: faces that
+    should be one stay apart.  With no vertex-copy check, the cut scan's
+    report or one of the invariants left must still tell it apart."""
+    import inspect
+    from itertools import islice
+
+    from tropcurve import realstruct
+    from tropcurve.selfcheck import cut_scan_components, report_difference
+
+    source = inspect.getsource(realstruct._face_tree)
+    loop = "    for x, y in zip(compress(atoms_p, undrawn), compress(atoms_q, undrawn)):\n"
+    assert source.count(loop) == 1
+    skipping = (
+        "    for k, (x, y) in enumerate(zip(compress(atoms_p, undrawn), compress(atoms_q, undrawn))):\n"
+        "        if k % 7 == 6:\n"
+        "            continue\n"
+    )
+    namespace = dict(vars(realstruct))
+    exec(source.replace(loop, skipping), namespace)
+    draws = [(rp, cut_scan_components(rp)) for rp, _ in islice(_face_tree_draws(), 0, None, 20)]
+    monkeypatch.setattr(realstruct, "_face_tree", namespace["_face_tree"])
+    raised = differed = 0
+    for rp, scan in draws:
+        try:
+            report = count_components_direct(rp)
+        except InvariantViolation:
+            raised += 1
+            continue
+        differed += report_difference(report, scan) is not None
+    # the other 76 of the 232 draws give the cut scan's report
+    assert len(draws) == 232 and raised and differed and raised + differed == 156
 
 
 # -- the sign rule as columns ---------------------------------------------
