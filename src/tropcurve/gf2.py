@@ -261,9 +261,7 @@ def _kernel(reduced: Sequence[int], pivots: Sequence[int], n: int) -> Gf2Subspac
     return Gf2Subspace(n, tuple([Gf2Vector(n, v) for v in vectors.values()]))
 
 
-def solve_affine(
-    constraints: Sequence[tuple[Gf2Vector, int]], ambient_dim: int | None = None
-) -> AffineFlat | None:
+def solve_affine(constraints: Sequence[tuple[Gf2Vector, int]], ambient_dim: int) -> AffineFlat | None:
     """Solve the system {c.x = b}; None when inconsistent.
 
     One row reduction of the rows, each tagged with its b: the offset is
@@ -272,10 +270,6 @@ def solve_affine(
     linear solution space (``flat.space.contains(flat.offset)``) and a
     proper affine flat.
     """
-    if ambient_dim is None:
-        if not constraints:
-            raise ValueError("ambient_dim required when there are no constraints")
-        ambient_dim = constraints[0][0].length
     n = ambient_dim
     for c, _ in constraints:
         if c.length != n:

@@ -6,13 +6,22 @@ The locus of components the curve is hyperbolic with respect to is the
 interior of the innermost oval of the real part: no oval lies inside it,
 so it is one face of the face labelling (``realstruct._face_tree``), the
 innermost oval's disk face, and no component report is built.  The
-report route is the oracle ``selfcheck.locus_from_report``.  Honeycombs
-also have a bridge criterion for the locus.
+report route is the oracle ``selfcheck.locus_from_report``.
 A point query reads its verdict off that locus: the eps-copy of a
 component is in it iff its ``region_class`` is in the signed locus, and a
 "no" names the fact of the oval route that fails.  The three pencil
 conditions at a generic point of one component are the oracle
 ``selfcheck.pointwise_verdicts``, not a production route.
+
+Honeycombs also have a bridge criterion for the locus.  A degree-d curve
+whose edges all have honeycomb directions is dual to the standard
+triangulation of its Newton polygon, the triangle (0,0), (d,0), (0,d),
+since the lines x = k, y = k and x + y = k (0 < k < d) already cut it
+into unit triangles.  So its bounded edges fall into exactly 3(d-1)
+multi-bridges by the line of their dual edges; each is parallel, as an
+edge is its dual edge turned, and cuts the curve in two, as its line cuts
+the triangle in two.  Tests pin this lemma; ``multi_bridges`` only groups
+the edges.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import ComplementComponent, TropicalCurve
-from .errors import InvariantViolation, NotAdmissible, NotDividing, NotHoneycomb
+from .errors import InvariantViolation, NotDividing, NotHoneycomb
 from .geometry import IVec, canonical_direction, sub
 from .gf2 import AffineFlat, Gf2Vector, solve_affine
 from .realstruct import (
@@ -30,13 +39,10 @@ from .realstruct import (
     _base,
     _cells,
     _face_tree,
-    _root,
-    _union,
+    count_components_matrix,
     div_space,
-    is_admissible,
     is_dividing,
     real_part,
-    twist_matrix,
     twists_from_phase,
 )
 
@@ -75,12 +81,10 @@ class HyperbolicityReport:
 
 
 def is_hyperbolic(curve: TropicalCurve, twists: TwistSet) -> tuple[bool, int]:
-    """Dividing twist set with kernel dimension ceil(d/2) - 1."""
+    """Dividing twist set with kernel dimension ceil(d/2) - 1, one less
+    than ``count_components_matrix``."""
     d = curve.require_degree()
-    if not is_admissible(curve, twists):
-        raise NotAdmissible("hyperbolicity needs an admissible twist set")
-    m = twist_matrix(curve, twists)
-    k = m.cols - m.rank()
+    k = count_components_matrix(curve, twists) - 1
     return (is_dividing(curve, twists) and k == (d + 1) // 2 - 1, k)
 
 
@@ -130,9 +134,7 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
     twists = twists_from_phase(curve, phase)
     hyp, k = is_hyperbolic(curve, twists)
     signed: frozenset[tuple[IVec, Eps]] = frozenset()
-    if hyp and d == 1:
-        signed = frozenset(_cells(curve).region_class.values())
-    elif hyp:
+    if hyp:
         tree = _face_tree(real_part(curve, phase))
         if len(tree.disk) != d // 2:
             raise InvariantViolation("hyperbolic curve must have floor(d/2) ovals")
@@ -141,8 +143,9 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
             raise InvariantViolation("oval nesting must be a chain")
         # no oval lies below the deepest one, so its interior is its disk
         # face, a leaf of the tree: only that oval touches it, since the
-        # pseudo-line touches only the root
-        face = max(tree.disk.values(), key=tree.depth.__getitem__)
+        # pseudo-line touches only the root; with no oval (d = 1) the
+        # locus is the root face, the whole complement
+        face = max(tree.disk.values(), key=tree.depth.__getitem__, default=tree.order[0])
         # each atom's region_class, read off the curve's table
         cells = _cells(curve)
         keys, glued = cells.atom_keys, cells.glued
@@ -176,8 +179,12 @@ _DUAL_FAMILY = {(0, 1): "v", (1, 0): "h", (1, -1): "d"}
 
 
 def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
-    """The 3(d-1) parallel families that disconnect a honeycomb."""
-    d = curve.require_degree()
+    """The 3(d-1) parallel families that disconnect a honeycomb, sorted
+    by dual line.  By the module's lemma (the dual is the standard
+    triangulation), grouping the bounded edges by the line x = k, y = k
+    or x + y = k of their dual edges gives exactly these families, each
+    parallel and each cutting the curve in two."""
+    curve.require_degree()
     if not curve.is_honeycomb():
         raise NotHoneycomb("multi-bridges are defined on honeycombs")
     groups: dict[tuple[str, int], set[int]] = {}
@@ -191,45 +198,28 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
         else:
             level = p[0] + p[1]
         groups.setdefault((fam, level), set()).add(eid)
-    bridges = []
-    for (fam, level) in sorted(groups):
-        eids = frozenset(groups[(fam, level)])
-        direction = canonical_direction(curve.edges[min(eids)].direction)
-        if any(canonical_direction(curve.edges[e].direction) != direction for e in eids):
-            raise InvariantViolation(f"the edges of multi-bridge {(fam, level)} are not parallel")
-        if _removal_components(curve, eids) != 2:
-            raise InvariantViolation("bridge removal must leave two parts")
-        bridges.append(MultiBridge(eids, (fam, level), direction))
-    if len(bridges) != 3 * (d - 1):
-        raise InvariantViolation(f"{len(bridges)} multi-bridges, not 3(d-1) = {3 * (d - 1)}")
-    return bridges
-
-
-def _removal_components(curve: TropicalCurve, removed: frozenset[int]) -> int:
-    parent = list(range(len(curve.vertex_cell)))
-    for eid in curve.bounded_edges:
-        if eid not in removed:
-            _union(parent, curve.edges[eid].tail, curve.edges[eid].head)
-    return len({_root(parent, v) for v in range(len(parent))})
+    return [
+        MultiBridge(frozenset(eids), key, canonical_direction(curve.edges[min(eids)].direction))
+        for key, eids in sorted(groups.items())
+    ]
 
 
 def honeycomb_locus(curve: TropicalCurve, twists: TwistSet) -> frozenset[IVec]:
     """Components whose constraining bridges (left, below, diagonally
-    above) are all twisted."""
+    above) are all twisted.  The 3(d-1) multi-bridges are the parallel
+    families of edges on one dual line, each cutting the curve in two
+    (the module's lemma); each is tested for a twist once, and each
+    lattice point reads the verdicts of its constraining bridges."""
     d = curve.require_degree()
     if not curve.is_honeycomb():
         raise NotHoneycomb("the bridge criterion needs a honeycomb")
     if not is_dividing(curve, twists):
         raise NotDividing("the bridge criterion needs a dividing twist set")
-    bridges = {b.dual_line: b for b in multi_bridges(curve)}
-    out = set()
-    for alpha in curve.dual.lattice_points:
-        if all(
-            bridges[key].edges <= twists.edges
-            for key in _constraining_keys(alpha, d)
-        ):
-            out.add(alpha)
-    return frozenset(out)
+    edges = twists.edges
+    twisted = {b.dual_line: b.edges <= edges for b in multi_bridges(curve)}
+    return frozenset(
+        {alpha for alpha in curve.dual.lattice_points if all(twisted[key] for key in _constraining_keys(alpha, d))}
+    )
 
 
 def _constraining_keys(alpha: IVec, d: int) -> list[tuple[str, int]]:

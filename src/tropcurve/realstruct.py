@@ -916,16 +916,6 @@ def _root(parent, x):
     return x
 
 
-def _union(parent: list[int], x: int, y: int) -> None:
-    """Join the classes of x and y under the lesser root, so that
-    parent[x] <= x holds throughout."""
-    rx, ry = _root(parent, x), _root(parent, y)
-    if rx < ry:
-        parent[ry] = rx
-    elif ry < rx:
-        parent[rx] = ry
-
-
 class RealPart:
     """The edge copies drawn by a phase structure: copy (eid, EPS4[c]) is
     drawn iff EPS4[c] lies on edge eid's phase line, the line at the
@@ -944,14 +934,10 @@ class RealPart:
         return _picks(self._levels, len(self.curve.edges))
 
     @cached_property
-    def _copies(self) -> list[int]:
-        """The drawn copies 4*eid + c, in order: the ``copies`` lane of
-        the curve's ``_cells`` at this phase's level bits."""
-        return list(compress(_cells(self.curve).copies, self._picks[0]))
-
-    @cached_property
     def edge_copies(self) -> frozenset[tuple[int, Eps]]:
-        return frozenset((x >> 2, EPS4[x & 3]) for x in self._copies)
+        """The drawn copies, read off the ``copies`` lane (4*eid + c) of
+        the curve's ``_cells`` at this phase's level bits."""
+        return frozenset((x >> 2, EPS4[x & 3]) for x in compress(_cells(self.curve).copies, self._picks[0]))
 
 
 class CurveComponentInfo(_Record):
@@ -1089,7 +1075,8 @@ def _face_tree(rp: RealPart) -> _FaceTree:
     atoms_p, atoms_q = cells.atoms_p, cells.atoms_q
     parent = cells.sheets[:]
     for x, y in zip(compress(atoms_p, undrawn), compress(atoms_q, undrawn)):
-        # _union(parent, x, y), inlined
+        # join the classes of x and y under the lesser root, halving the
+        # paths to the roots on the way, so that parent[x] <= x holds
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:

@@ -138,9 +138,13 @@ class Mismatch(Exception):
     """Raised by a check when its routes disagree; the message says where."""
 
 
-def random_nonsingular_curve(rng: random.Random, degree: int, tries: int = 300) -> TropicalCurve:
+# draws of random_nonsingular_curve before it gives up
+_LIFT_TRIES = 300
+
+
+def random_nonsingular_curve(rng: random.Random, degree: int) -> TropicalCurve:
     """Random concave-dominant integer lift, rejected until non-singular."""
-    for _ in range(tries):
+    for _ in range(_LIFT_TRIES):
         coeffs = {}
         for i in range(degree + 1):
             for j in range(degree + 1 - i):
@@ -150,7 +154,7 @@ def random_nonsingular_curve(rng: random.Random, degree: int, tries: int = 300) 
             return curve_from_polynomial(TropicalPolynomial(coeffs))
         except SingularSubdivision:
             continue
-    raise RuntimeError(f"no non-singular degree-{degree} curve after {tries} tries")
+    raise RuntimeError(f"no non-singular degree-{degree} curve after {_LIFT_TRIES} tries")
 
 
 def _tie_line(p: IVec, q: IVec, ap: Fraction, aq: Fraction) -> tuple[Point, IVec]:
@@ -765,7 +769,11 @@ def _pencil_scan(curve: TropicalCurve, den: int, x: int, y: int):
     return sector, crossings
 
 
-def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: int = 60):
+# candidates that _generic_point tests from its start
+_GENERIC_TRIES = 60
+
+
+def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0):
     """A generic point in the component of alpha, with its pencil scan.
 
     The candidates are the region point and the region point moved by
@@ -774,7 +782,7 @@ def _generic_point(curve: TropicalCurve, alpha: IVec, start: int = 0, budget: in
     frame = curve.frame
     den0, x0, y0 = curve.region_frame_point(alpha)
     inside = (alpha,)
-    for k in range(start, start + budget):
+    for k in range(start, start + _GENERIC_TRIES):
         if k == 0:
             den, x, y = den0, x0, y0
         else:

@@ -23,6 +23,7 @@ from tropcurve import (
     twists_from_phase,
 )
 from tropcurve.errors import DegreeUnset, NotAdmissible, NotHoneycomb, PointOnCurve, ValidationError
+from tropcurve.geometry import canonical_direction
 from tropcurve.gf2 import Gf2Subspace
 from tropcurve.realstruct import EPS4, RealPhaseStructure, region_class, twist_matrix
 from tropcurve.selfcheck import (
@@ -142,6 +143,52 @@ def _non_honeycomb_quartic():
     }
     coeffs[(1, 1)] += Fraction(3, 2)
     return curve_from_polynomial(TropicalPolynomial(coeffs))
+
+
+def _lemma_curves():
+    """honeycomb(1..20), a translate of each, and the honeycombs among
+    seeded ``random_nonsingular_curve`` draws of degree 2..8."""
+    rng = random.Random(46)
+    curves = [honeycomb(d) for d in range(1, 21)]
+    curves += [c.translated((Fraction(d, 3), Fraction(-5, d))) for d, c in enumerate(curves, 1)]
+    draws = [random_nonsingular_curve(rng, d) for d in range(2, 9) for _ in range(30)]
+    return curves + [c for c in draws if c.is_honeycomb()]
+
+
+def test_honeycomb_dual_is_the_standard_triangulation_and_each_bridge_cuts_it_in_two():
+    """The lemma ``multi_bridges`` rests on and does not re-check: a
+    honeycomb's dual cells are the unit triangles of the standard
+    triangulation, so its bounded edges fall into 3(d-1) families by dual
+    line, each parallel and each leaving two parts when removed."""
+    curves = _lemma_curves()
+    for curve in curves:
+        d = curve.degree
+        standard = {frozenset({(i, j), (i + 1, j), (i, j + 1)}) for i in range(d) for j in range(d - i)}
+        standard |= {frozenset({(i + 1, j), (i, j + 1), (i + 1, j + 1)}) for i in range(d) for j in range(d - 1 - i)}
+        assert {frozenset(cell) for cell in curve.vertex_cell} == standard
+        bridges = multi_bridges(curve)
+        assert len(bridges) == 3 * (d - 1)
+        assert sorted(e for b in bridges for e in b.edges) == sorted(curve.bounded_edges)
+        for b in bridges:
+            assert {canonical_direction(curve.edges[e].direction) for e in b.edges} == {b.direction}
+            assert _parts_without(curve, b.edges) == 2, (d, b.dual_line)
+    assert len(curves) == 40 + 96
+
+
+def _parts_without(curve, removed):
+    """The number of connected parts of the curve's vertices and its
+    bounded edges outside removed, by a union-find."""
+    parent = list(range(len(curve.vertex_cell)))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for eid in curve.bounded_edges:
+        if eid not in removed:
+            parent[root(curve.edges[eid].tail)] = root(curve.edges[eid].head)
+    return len({root(v) for v in range(len(parent))})
 
 
 def test_honeycomb_locus_examples():
@@ -642,6 +689,27 @@ def test_honeycomb_locus_check_kills_a_verdict_that_no_quintic_is_hyperbolic(mon
     monkeypatch.setattr(hyp, "is_hyperbolic", never_for_quintics)
     result = run_check("honeycomb-locus", random.Random(2), 5)
     assert not result.passed and result.detail.startswith("fully twisted d=5: "), result.detail
+
+
+def test_honeycomb_locus_check_kills_bridges_that_misread_the_vertical_level(monkeypatch):
+    """A mutant ``multi_bridges`` that reads the vertical family's level
+    off p[1], which varies along the family: its bridges are not the dual
+    lines, and the check fails without a bridge check in production."""
+    import inspect
+
+    import tropcurve.hyperbolic as hyp
+    from tropcurve import selfcheck
+    from tropcurve.selfcheck import run_check
+
+    source = inspect.getsource(hyp.multi_bridges)
+    line = "            level = p[0]\n"
+    assert source.count(line) == 1
+    namespace = dict(vars(hyp))
+    exec(source.replace(line, "            level = p[1]\n"), namespace)
+    for module in (hyp, selfcheck):
+        monkeypatch.setattr(module, "multi_bridges", namespace["multi_bridges"])
+    result = run_check("honeycomb-locus", random.Random(2), 5)
+    assert not result.passed and result.detail.startswith(("NotAdmissible: ", "KeyError: ")), result.detail
 
 
 def test_report_has_one_field_per_quantity():

@@ -1,13 +1,13 @@
-"""The per-curve real-structure tables against the routes they replaced:
-a golden digest of realstruct outputs, the old solve_affine route of
+"""The per-curve real-structure tables against the routes they replaced: a
+golden digest of realstruct outputs, the old solve_affine route of
 phase_from_twists, validation messages, non-interned phase lines,
 translated copies that share the tables, the per-edge and union-find
-builders of the sidedness table, the cell model and the cycle check,
-with the invariants they raise, the face labelling by Euler
-characteristics that the double cover replaced, the per-edge and per-row
-sign conversions that the column tables replaced, the signs that
-``signs_from_phase`` reads back, and the value semantics of the records
-whose fields are built on first read."""
+builders of the sidedness table, its compiled rows against the per-edge
+rule, the cell model and the cycle check, with the invariants they
+raise, the face labelling by Euler characteristics that the double cover
+replaced, the per-edge and per-row sign conversions that the column
+tables replaced, the signs that ``signs_from_phase`` reads back, and the
+value semantics of the records whose fields are built on first read."""
 
 import copy
 import re
@@ -452,6 +452,18 @@ def _side_ends_reference(curve):
     return ends
 
 
+def _union(parent, x, y):
+    """Join the classes of x and y under the lesser root, so that
+    parent[x] <= x holds throughout."""
+    from tropcurve.realstruct import _root
+
+    rx, ry = _root(parent, x), _root(parent, y)
+    if rx < ry:
+        parent[ry] = rx
+    elif ry < rx:
+        parent[rx] = ry
+
+
 class _Cells_reference:
     """The cell model from a union-find of the atoms glued across each
     side, and the rays of each side found by a scan of every edge.  Beside
@@ -463,7 +475,7 @@ class _Cells_reference:
         from itertools import product
 
         from tropcurve.gf2 import PHASE_LINES
-        from tropcurve.realstruct import EPS4, _base, _code, _union
+        from tropcurve.realstruct import EPS4, _base, _code
 
         curve.require_degree()
         base = _base(curve)
@@ -610,6 +622,43 @@ def test_side_ends_and_cells_match_the_references():
         cells, want = _cells(curve), _Cells_reference(curve)
         for name in _CELL_FIELDS:
             assert getattr(cells, name) == getattr(want, name), name
+
+
+def test_each_side_rule_row_is_edge_twisted_on_every_local_configuration():
+    """``twists_from_phase`` reads the sidedness rule off the rows of
+    ``_side_rule``, and ``twist-rules`` holds ``edge_twisted`` to the
+    geometric rule.  On each level configuration of the lines at a
+    bounded edge's two ends that leaves no end's lines a common point,
+    row k read on the lines' levels is ``edge_twisted``.  Most such
+    configurations are no phase of the whole curve, so the levels are
+    read off the lines, not through ``_Base.levels``."""
+    from tropcurve.realstruct import _side_rule
+
+    curves = [honeycomb(d) for d in range(1, 7)] + _lift_curves(12, 40)[:18]
+    configurations = invalid = 0
+    for curve in curves:
+        masks, consts = _side_rule(curve)
+        base_lines = phase_from_signs(curve, SignDistribution.constant(curve)).lines
+        for k, eid in enumerate(curve.bounded_edges):
+            e = curve.edges[eid]
+            ends = (curve.vertex_edges[e.tail], curve.vertex_edges[e.head])
+            local = sorted(set(ends[0]) | set(ends[1]))
+            for bits in range(1 << len(local)):
+                lines = list(base_lines)
+                for n, x in enumerate(local):
+                    lines[x] = PhaseLine.from_level(lines[x].direction, bits >> n & 1)
+                if any(sum(lines[x].level for x in incident) % 2 == 0 for incident in ends):
+                    continue  # the lines at an end share a point
+                config = RealPhaseStructure(tuple(lines))
+                levels = sum(line.level << x for x, line in enumerate(lines))
+                row = ((levels & masks[k]).bit_count() ^ consts >> k) & 1
+                assert row == edge_twisted(curve, config, eid), (curve.degree, eid, bits)
+                configurations += 1
+                try:
+                    config.validate_for(curve)
+                except ValidationError:
+                    invalid += 1
+    assert (configurations, invalid) == (1864, 1522)
 
 
 def _sign_rows_reference(curve):

@@ -200,9 +200,11 @@ HONEYCOMB = {
     # hyperbolicity_locus on that phase: its first call, then its second
     "locus_cold": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
     "locus_warm": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
-    # last, so that the locus steps find the curve's tables cold
+    # after the locus steps, so that they find the curve's tables cold
     "count_components_matrix": lambda s, r, d: (s.tc.count_components_matrix,
                                                 (r["build"], _all_twisted(s.tc, r["build"]))),
+    # the bridge criterion on the fully twisted set
+    "honeycomb_locus": lambda s, r, d: (s.tc.honeycomb_locus, (r["build"], _all_twisted(s.tc, r["build"]))),
 }
 
 # per chain, its items (side, seeds) -> [(group, item)] and its steps
