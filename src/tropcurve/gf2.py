@@ -176,12 +176,6 @@ class Gf2Subspace:
                 k += 1
             yield Gf2Vector(self.ambient_dim, bits)
 
-    def orthogonal_constraints(self) -> list[Gf2Vector]:
-        """Rows c with c.x = 0 cutting out exactly this subspace: c.x = 0
-        on the space iff c is orthogonal to its basis."""
-        rows = tuple(b.bits for b in self.basis)
-        return list(kernel(Gf2Matrix(len(rows), self.ambient_dim, rows)).basis)
-
 
 @dataclass(frozen=True)
 class AffineFlat:
@@ -193,9 +187,6 @@ class AffineFlat:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def contains(self, v: Gf2Vector) -> bool:
-        return self.space.contains(v ^ self.offset)
 
     def enumerate(self) -> Iterator[Gf2Vector]:
         for s in self.space.enumerate():

@@ -21,7 +21,9 @@ into unit triangles.  So its bounded edges fall into exactly 3(d-1)
 multi-bridges by the line of their dual edges; each is parallel, as an
 edge is its dual edge turned, and cuts the curve in two, as its line cuts
 the triangle in two.  Tests pin this lemma; ``multi_bridges`` only groups
-the edges.
+the edges.  The dividing twist sets of a honeycomb are then exactly the
+unions of multi-bridges: the bridges' indicator vectors are a basis of
+``div_space``, so ``hyp_alpha_flat`` reads its flat off them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from .curve import ComplementComponent, TropicalCurve
 from .errors import InvariantViolation, NotDividing, NotHoneycomb
 from .geometry import IVec, canonical_direction, sub
-from .gf2 import AffineFlat, Gf2Vector, solve_affine
+from .gf2 import AffineFlat, Gf2Subspace, Gf2Vector
 from .realstruct import (
     Eps,
     RealPhaseStructure,
@@ -40,7 +42,6 @@ from .realstruct import (
     _cells,
     _face_tree,
     count_components_matrix,
-    div_space,
     is_dividing,
     real_part,
     twists_from_phase,
@@ -231,29 +232,21 @@ def _constraining_keys(alpha: IVec, d: int) -> list[tuple[str, int]]:
 
 
 def hyp_alpha_flat(curve: TropicalCurve, alpha: IVec) -> HypAlphaFlat:
-    """Affine flat of dividing twist sets whose locus contains alpha."""
+    """Affine flat of dividing twist sets whose locus contains alpha.
+
+    A dividing twist set is a union of multi-bridges (module docstring),
+    so the flat's offset is the union of alpha's constraining bridges and
+    its space is spanned by the other bridges."""
     d = curve.require_degree()
     if not curve.is_honeycomb():
         raise NotHoneycomb("the bridge flat needs a honeycomb")
     if alpha not in curve.dual.lattice_points:
         raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
-    all_bridges = {b.dual_line: b for b in multi_bridges(curve)}
-    constraining = tuple(all_bridges[k] for k in _constraining_keys(alpha, d))
-    div = div_space(curve)
-    n = len(curve.bounded_edges)
-    constraints = [(c, 0) for c in div.orthogonal_constraints()]
-    for b in constraining:
-        for eid in sorted(b.edges):
-            constraints.append((Gf2Vector.from_indices(n, [curve.bounded_index[eid]]), 1))
-    flat = solve_affine(constraints, n)
-    if flat is None:
-        raise InvariantViolation("the constraining bridges admit no dividing twist set")
-    if div.dim - flat.dim != len(constraining):
-        raise InvariantViolation("codimension equals the bridge count")
-    origin_bits = 0
-    for b in constraining:
-        for eid in b.edges:
-            origin_bits |= 1 << curve.bounded_index[eid]
-    if not flat.contains(Gf2Vector(n, origin_bits)):
-        raise InvariantViolation("the flat misses the twist set of the constraining bridges")
-    return HypAlphaFlat(alpha, flat, constraining)
+    n, index = len(curve.bounded_edges), curve.bounded_index
+    bridges = {b.dual_line: b for b in multi_bridges(curve)}
+    constraining = tuple(bridges.pop(k) for k in _constraining_keys(alpha, d))
+    offset = Gf2Vector.from_indices(n, [index[eid] for b in constraining for eid in b.edges])
+    space = Gf2Subspace.from_vectors(
+        n, [Gf2Vector.from_indices(n, [index[eid] for eid in b.edges]) for b in bridges.values()]
+    )
+    return HypAlphaFlat(alpha, AffineFlat(offset, space), constraining)

@@ -88,22 +88,6 @@ def test_subspace_membership_and_enumeration():
     assert not space.contains(Gf2Vector(3, 0b001))
 
 
-def test_orthogonal_constraints_cut_the_space():
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randrange(1, 12)
-        vecs = [Gf2Vector(n, rng.getrandbits(n)) for _ in range(rng.randrange(0, 5))]
-        space = Gf2Subspace.from_vectors(n, vecs)
-        cons = space.orthogonal_constraints()
-        assert len(cons) == n - space.dim
-        # the x satisfying every constraint are exactly the space's vectors
-        cut = {x for x in range(1 << n) if not any((c.bits & x).bit_count() & 1 for c in cons)}
-        assert cut == {v.bits for v in space.enumerate()}
-        # the constraints are the reference kernel of the basis
-        rows = tuple(b.bits for b in space.basis)
-        assert cons == list(_kernel_reference(Gf2Matrix(len(rows), n, rows)).basis)
-
-
 @given(st.tuples(st.integers(0, 1), st.integers(0, 1)),
        st.sampled_from([(1, 0), (0, 1), (1, 1)]))
 @settings(max_examples=50, deadline=None)

@@ -434,6 +434,50 @@ def test_hyp_alpha_flat_matches_brute_force_enumeration():
         assert {v.bits for v in flat.flat.enumerate()} == brute
 
 
+def _hyp_alpha_flat_by_solving(curve, alpha):
+    """The route ``hyp_alpha_flat`` took before it read the bridges: one
+    affine system, div_space's orthogonal constraints at 0 and each edge
+    of a constraining bridge at 1, solved by ``solve_affine``, with the
+    checks it ran on the answer."""
+    from tropcurve.gf2 import Gf2Matrix, Gf2Vector, kernel, solve_affine
+    from tropcurve.hyperbolic import _constraining_keys
+
+    bridges = {b.dual_line: b for b in multi_bridges(curve)}
+    constraining = tuple(bridges[k] for k in _constraining_keys(alpha, curve.degree))
+    div = div_space(curve)
+    n = len(curve.bounded_edges)
+    rows = tuple(b.bits for b in div.basis)
+    constraints = [(c, 0) for c in kernel(Gf2Matrix(len(rows), n, rows)).basis]
+    for b in constraining:
+        for eid in sorted(b.edges):
+            constraints.append((Gf2Vector.from_indices(n, [curve.bounded_index[eid]]), 1))
+    flat = solve_affine(constraints, n)
+    assert flat is not None and div.dim - flat.dim == len(constraining)
+    union = Gf2Vector.from_indices(n, [curve.bounded_index[eid] for b in constraining for eid in b.edges])
+    assert flat.space.contains(union ^ flat.offset)
+    return flat, constraining
+
+
+def test_dividing_space_is_spanned_by_the_bridges_and_each_flat_read_off_them():
+    """The lemma ``hyp_alpha_flat`` rests on: on a honeycomb the dividing
+    space is the span of the 3(d-1) multi-bridges' indicator vectors.  So
+    the flat at alpha is the union of its constraining bridges plus the
+    span of the others, the same offset, space and bridges as the
+    solving route gave."""
+    from tropcurve.gf2 import Gf2Vector
+
+    for d in range(1, 21):
+        curve = honeycomb(d)
+        n = len(curve.bounded_edges)
+        bridges = multi_bridges(curve)
+        vectors = [Gf2Vector.from_indices(n, [curve.bounded_index[eid] for eid in b.edges]) for b in bridges]
+        assert len(vectors) == 3 * (d - 1) and div_space(curve) == Gf2Subspace.from_vectors(n, vectors)
+        if d <= 12:
+            for alpha in curve.dual.lattice_points:
+                flat = hyp_alpha_flat(curve, alpha)
+                assert (flat.flat, flat.constraining_bridges) == _hyp_alpha_flat_by_solving(curve, alpha)
+
+
 def test_disjoint_dividing_addition_preserves_hyperbolicity(rng):
     for d in (3, 4, 5):
         c = honeycomb(d)

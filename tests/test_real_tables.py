@@ -3,11 +3,12 @@ golden digest of realstruct outputs, the old solve_affine route of
 phase_from_twists, validation messages, non-interned phase lines,
 translated copies that share the tables, the per-edge and union-find
 builders of the sidedness table, its compiled rows against the per-edge
-rule, the cell model and the cycle check, with the invariants they
-raise, the face labelling by Euler characteristics that the double cover
-replaced, the per-edge and per-row sign conversions that the column
-tables replaced, the signs that ``signs_from_phase`` reads back, and the
-value semantics of the records whose fields are built on first read."""
+rule, the cell model, the facts of a certified curve that the tables
+no longer check, the face labelling by Euler characteristics that the
+double cover replaced, the per-edge and per-row sign conversions that
+the column tables replaced, the signs that ``signs_from_phase`` reads
+back, and the value semantics of the records whose fields are built on
+first read."""
 
 import copy
 import re
@@ -34,7 +35,6 @@ from tropcurve import (
     twists_from_phase,
     twists_from_signs,
 )
-from tropcurve.curve import Edge, _check_cycle
 from tropcurve.errors import DegeneratePolygon, InvariantViolation, NotAdmissible, SingularSubdivision, ValidationError
 from tropcurve.gf2 import Gf2Vector, solve_affine
 from tropcurve.realstruct import CurveComponentInfo, RealPhaseStructure, edge_twisted, twist_matrix
@@ -381,22 +381,6 @@ def test_shared_edge_table_lists_each_edge_between_two_interior_points():
         assert len({(i, j) for _, i, j in want}) == len(want)
 
 
-def test_two_cycles_sharing_two_edges_violate_an_invariant():
-    from tropcurve import primitive_cycles
-    from tropcurve.curve import PrimitiveCycle
-    from tropcurve.errors import InvariantViolation
-    from tropcurve.realstruct import _cycle_rows
-
-    curve = honeycomb(4)
-    a, b, c = primitive_cycles(curve)
-    # give b one more edge of a, one that no other cycle has
-    own = next(iter(a.edges - b.edges - c.edges))
-    broken = copy.copy(curve)
-    broken._tables = {"_cycles": (a, PrimitiveCycle(b.center, b.edges | {own}), c)}
-    with pytest.raises(InvariantViolation, match="^cycles 0 and 1 share more than one edge$"):
-        _cycle_rows(broken)
-
-
 def _twist_matrix_without(part):
     """``twist_matrix`` with its shared-edge terms or its diagonal dropped."""
     from tropcurve.gf2 import Gf2Matrix
@@ -552,35 +536,6 @@ _CELL_FIELDS = ("glued", "sheets", "links", "copies", "atoms_p", "atoms_q", "ato
                 "copy_keys")
 
 
-def _check_cycle_reference(curve, eids, alpha):
-    """A cycle check by vertex degrees and a search of the vertex graph."""
-    degree_count = {}
-    for eid in eids:
-        e = curve.edges[eid]
-        if not e.bounded:
-            raise InvariantViolation(f"cycle around {alpha} uses an unbounded edge")
-        for v in (e.tail, e.head):
-            degree_count[v] = degree_count.get(v, 0) + 1
-    if any(c != 2 for c in degree_count.values()):
-        raise InvariantViolation(f"edges around {alpha} do not close up")
-    verts = list(degree_count)
-    reached = {verts[0]}
-    frontier = [verts[0]]
-    adj = {v: [] for v in verts}
-    for eid in eids:
-        e = curve.edges[eid]
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    if len(reached) != len(verts):
-        raise InvariantViolation(f"cycle around {alpha} is disconnected")
-
-
 def _table_curves():
     from tropcurve.selfcheck import random_nonsingular_curve
 
@@ -591,26 +546,6 @@ def _table_curves():
 def _fresh(curve):
     """The curve rebuilt from its polynomial, with nothing cached."""
     return curve_from_polynomial(curve.poly)
-
-
-def _invariant(build, *args):
-    try:
-        return build(*args)
-    except InvariantViolation as exc:
-        return ("InvariantViolation", str(exc))
-
-
-def _with_directions(curve, directions):
-    """A copy of the curve with the given edges' directions replaced and
-    no tables built."""
-    edges = list(curve.edges)
-    for eid, d in directions.items():
-        e = edges[eid]
-        edges[eid] = Edge(e.index, e.tail, e.head, d, e.dual, e.bounded)
-    broken = copy.copy(curve)
-    broken.edges = tuple(edges)
-    broken._tables = {}
-    return broken
 
 
 def test_side_ends_and_cells_match_the_references():
@@ -685,99 +620,103 @@ def test_sign_rule_matches_the_reference():
         assert _sign_columns(curve) == (columns, offsets)
 
 
-def test_cycle_check_matches_the_reference_on_broken_cycles():
-    rng = random.Random(26)
-    checked = set()
-    for curve in _table_curves():
-        cycles = primitive_cycles(curve)
-        rays = [e.index for e in curve.edges if not e.bounded]
-        for cyc in cycles:
-            assert _check_cycle(curve, cyc.edges, cyc.center) is None
-            variants = [cyc.edges - {rng.choice(sorted(cyc.edges))}, cyc.edges | {rng.choice(rays)}]
-            variants += [cyc.edges | other.edges for other in cycles if not (other.edges & cyc.edges)][:2]
-            variants += [cyc.edges ^ other.edges for other in cycles if other is not cyc][:2]
-            for eids in variants:
-                got = _invariant(_check_cycle, curve, eids, cyc.center)
-                assert got == _invariant(_check_cycle_reference, curve, eids, cyc.center)
-                checked.add(next(k for k in ("unbounded", "close up", "disconnected") if k in got[1]) if got else "ok")
-    assert checked == {"ok", "unbounded", "close up", "disconnected"}
+def _certified_curves():
+    """honeycomb(1..20) and a translate of each, seeded
+    ``random_nonsingular_curve`` lifts of degree 2..8, the ``random_lift``
+    polynomials that construction accepts, and the pair scan's curves of
+    those."""
+    from tropcurve.selfcheck import pair_scan_curve, random_nonsingular_curve
+
+    rng = random.Random(47)
+    curves = [honeycomb(d) for d in range(1, 21)]
+    curves += [c.translated((Fraction(d, 3), Fraction(-5, d))) for d, c in enumerate(curves, 1)]
+    curves += [random_nonsingular_curve(rng, d) for d in range(2, 9) for _ in range(4)]
+    lifts = _lift_curves(47, 100)
+    return curves + lifts + [pair_scan_curve(c.poly) for c in lifts]
 
 
-def test_side_ends_and_cells_raise_as_the_references_on_broken_curves():
-    from tropcurve.realstruct import _cells, _side_ends
-
-    rng = random.Random(27)
-    raised = set()
-    for curve in _table_curves()[1:12]:
-        for _ in range(6):
-            eid = rng.randrange(len(curve.edges))
-            d = curve.edges[eid].direction
-            new = rng.choice([(-d[0], -d[1]), rng.choice(curve.edges).direction, (1, 2), (2, -1)])
-            broken = _with_directions(curve, {eid: new})
-            got = _invariant(_side_ends, broken)
-            assert got == _invariant(_side_ends_reference, _with_directions(curve, {eid: new}))
-            cells = _invariant(_cells, broken)
-            want = _invariant(_Cells_reference, _with_directions(curve, {eid: new}))
-            if isinstance(want, tuple):
-                assert cells == want
-            else:
-                assert all(getattr(cells, name) == getattr(want, name) for name in _CELL_FIELDS)
-            raised.update(
-                k for x in (got, cells) if isinstance(x, tuple)
-                for k in ("not distinct", "opposite sides", "lattice length") if k in x[1]
-            )
-    assert raised == {"not distinct", "opposite sides", "lattice length"}
+def _one_cycle(curve, eids):
+    """Whether the edges eids are bounded and close into one cycle: two
+    of them at each of their vertices, and one walk meets them all."""
+    at = {}
+    for eid in eids:
+        e = curve.edges[eid]
+        if not e.bounded:
+            return False
+        for v in (e.tail, e.head):
+            at.setdefault(v, []).append(eid)
+    if not at or any(len(pair) != 2 for pair in at.values()):
+        return False
+    start = eid = min(eids)
+    v, walked = curve.edges[start].head, 1
+    while True:
+        a, b = at[v]
+        eid = b if a == eid else a
+        if eid == start:
+            return walked == len(eids)
+        e = curve.edges[eid]
+        v = e.head if e.tail == v else e.tail
+        walked += 1
 
 
-# the messages below were recorded with the per-edge and union-find builders
+def test_a_certified_curve_has_what_its_tables_no_longer_check():
+    """The facts of a unimodular dual that the tables and checks trust
+    instead of proving on each curve (README "Conventions"): closed
+    cycles, one ray per unit of each side, distinct classes and opposite
+    sides at each vertex, a connected dual that the sign solver's walk
+    signs entirely, cycles that share at most one edge, and even
+    determinant sums at each vertex."""
+    from tropcurve.geometry import det2
 
-
-def test_side_ends_invariants_name_the_first_failing_end():
-    from tropcurve.realstruct import _side_ends
-
-    c = honeycomb(3)
-    # edge 6 takes the class of edge 2 at their common vertex 2; the first
-    # failing end in edge order is edge 2's tail
-    with pytest.raises(InvariantViolation, match="^edge 2: direction classes at vertex 2 are not distinct$"):
-        _side_ends(_with_directions(c, {6: c.edges[2].direction}))
-    # ray 5 turned back at vertex 5: the other two edges there, 7 (at its
-    # head) and 8, see both others on one side
-    ray = c.edges[5]
-    with pytest.raises(InvariantViolation, match="^edge 7: the other edges at vertex 5 are not on opposite sides$"):
-        _side_ends(_with_directions(c, {5: (-ray.direction[0], -ray.direction[1])}))
-
-
-def test_cells_invariant_counts_the_rays_of_each_side():
-    from tropcurve.realstruct import _cells
-
-    c = honeycomb(3)
-    normal = next(s.normal for s in c.dual.sides if s.normal != c.edges[0].direction)
-    with pytest.raises(InvariantViolation, match="^each side must carry as many rays as its lattice length$"):
-        _cells(_with_directions(c, {0: normal}))
-
-
-def test_cycle_invariants():
-    c3, c5 = honeycomb(3), honeycomb(5)
-    (cyc,) = primitive_cycles(c3)
-    with pytest.raises(InvariantViolation, match=r"^edges around \(1, 1\) do not close up$"):
-        _check_cycle(c3, cyc.edges - {min(cyc.edges)}, cyc.center)
-    around = {x.center: x.edges for x in primitive_cycles(c5)}
-    with pytest.raises(InvariantViolation, match=r"^cycle around \(1, 1\) is disconnected$"):
-        _check_cycle(c5, around[1, 1] | around[3, 1], (1, 1))
-    with pytest.raises(InvariantViolation, match=r"^cycle around \(1, 1\) uses an unbounded edge$"):
-        _check_cycle(c3, cyc.edges | {0}, cyc.center)
-
-
-def test_a_ray_on_an_interior_region_reaches_the_cycle_check():
-    # the cycles read each interior region's edges unfiltered, so a ray
-    # there raises instead of being dropped
-    c = honeycomb(3)
-    (cyc,) = primitive_cycles(c)
-    broken = copy.copy(c)
-    broken._tables = {}
-    broken.region_edges = {**c.region_edges, cyc.center: c.region_edges[cyc.center] + (0,)}
-    with pytest.raises(InvariantViolation, match=r"^cycle around \(1, 1\) uses an unbounded edge$"):
-        primitive_cycles(broken)
+    rng = random.Random(47)
+    lines = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -3)]
+    curves = _certified_curves()
+    for curve in curves:
+        edges, points = curve.edges, curve.dual.lattice_points
+        boundary = curve.dual.sides_at
+        for alpha, eids in curve.region_edges.items():
+            assert alpha in boundary or _one_cycle(curve, eids), alpha
+        rays = [e.direction for e in edges if not e.bounded]
+        assert sorted(rays) == sorted(s.normal for s in curve.dual.sides for _ in s.points[1:])
+        for v, incident in enumerate(curve.vertex_edges):
+            assert len(incident) == 3
+            assert all(edges[x].tail == v or (edges[x].bounded and edges[x].head == v) for x in incident)
+            out = [edges[x].direction if edges[x].tail == v else tuple(-c for c in edges[x].direction)
+                   for x in incident]
+            assert len({(x & 1, y & 1) for x, y in out} - {(0, 0)}) == 3
+            assert (sum(x for x, _ in out), sum(y for _, y in out)) == (0, 0)
+            for k in range(3):
+                d, (o0, o1) = out[k], out[:k] + out[k + 1:]
+                assert det2(d, o0) * det2(d, o1) < 0
+            assert all(sum(abs(det2(o, line)) for o in out) % 2 == 0 for line in lines)
+        # the dual graph is connected, and the walk's cells cover it
+        adj = {}
+        for p, q in (e.dual for e in edges):
+            adj.setdefault(p, []).append(q)
+            adj.setdefault(q, []).append(p)
+        reached, stack = {points[0]}, [points[0]]
+        while stack:
+            for q in adj[stack.pop()]:
+                if q not in reached:
+                    reached.add(q)
+                    stack.append(q)
+        assert reached == set(points)
+        signed = set(curve.vertex_cell[0])
+        for eid, _, forward, _ in curve.walk_order:
+            if edges[eid].bounded:
+                signed.update(curve.vertex_cell[edges[eid].head if forward else edges[eid].tail])
+        assert signed == set(points)
+        twists = twists_from_signs(curve, random_sign_distribution(rng, curve))
+        phase = phase_from_twists(curve, twists)
+        assert twists_from_phase(curve, phase) == twists
+        assert phase.lines[curve.bounded_edges[0] if curve.bounded_edges else 0].contains((0, 0))
+        on = {}
+        for i, cyc in enumerate(primitive_cycles(curve)):
+            for eid in cyc.edges:
+                on.setdefault(eid, []).append(i)
+        shared = [tuple(ij) for ij in on.values() if len(ij) == 2]
+        assert all(len(ij) <= 2 for ij in on.values()) and len(set(shared)) == len(shared)
+    assert len(curves) == 40 + 28 + 2 * 63 and any(c.degree is None for c in curves)
 
 
 def test_a_first_locus_builds_no_copy_keys_or_region_class():

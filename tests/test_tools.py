@@ -176,6 +176,8 @@ _KEPT_UNREACHED = {
     "curve._Record.__repr__",  # a record's frozen-dataclass repr, pinned in test_curve
     "gf2.AffineFlat.enumerate",  # the brute force the GF(2) tests check against
     "gf2.Gf2Subspace.enumerate",  # the brute force the GF(2) tests check against
+    "gf2.Gf2Vector.__xor__",  # serves AffineFlat.enumerate, and test_realstruct adds twist vectors with it
+    "gf2.solve_affine",  # the reference that phase_from_twists and the GF(2) brute-force tests check against
     "intersect.IntersectionComponent.__repr__",  # pinned in test_intersect
     "io_render._parse_rational",  # reads the spellings of a rational that int does not
     "io_render.save_spec",  # its round trip through load_spec pins the parser

@@ -205,6 +205,8 @@ HONEYCOMB = {
                                                 (r["build"], _all_twisted(s.tc, r["build"]))),
     # the bridge criterion on the fully twisted set
     "honeycomb_locus": lambda s, r, d: (s.tc.honeycomb_locus, (r["build"], _all_twisted(s.tc, r["build"]))),
+    # the bridge flat at (1, 1), under the d - 3 diagonal bridges above it
+    "hyp_alpha_flat": lambda s, r, d: (s.tc.hyp_alpha_flat, (r["build"], (1, 1))),
 }
 
 # per chain, its items (side, seeds) -> [(group, item)] and its steps
