@@ -443,12 +443,12 @@ class TropicalCurve:
         den = len(corners) * frame.den
         x = sum(c[0] for c in corners)
         y = sum(c[1] for c in corners)
-        inside = (alpha,)
         sides = self.dual.sides_at.get(alpha)
         if sides is None:
-            if frame.argmax(den, x, y) == inside:
-                return den, x, y
-            raise InvariantViolation("centroid of a bounded region is not interior")
+            # a bounded region is a convex polygon with at least three
+            # corners, so their centroid lies strictly inside it
+            return den, x, y
+        inside = (alpha,)
         # the outward normals of the sides, each weighted by its lattice length
         px = sum(s.normal[0] * (len(s.points) - 1) for s in sides)
         py = sum(s.normal[1] * (len(s.points) - 1) for s in sides)

@@ -62,17 +62,17 @@ class NotDividing(TropcurveError):
     """Twist set is admissible but not dividing."""
 
 
-class ParseError(TropcurveError):
+class _FieldError(TropcurveError):
+    """An input error, optionally about one named field of the input."""
+
+    def __init__(self, message, field=None):
+        self.field = field
+        super().__init__(message if field is None else f"{field}: {message}")
+
+
+class ParseError(_FieldError):
     """Scenario file is not valid JSON or misses required structure."""
 
-    def __init__(self, message, field=None):
-        self.field = field
-        super().__init__(message if field is None else f"{field}: {message}")
 
-
-class ValidationError(TropcurveError):
+class ValidationError(_FieldError):
     """Scenario file parsed but its contents are inconsistent."""
-
-    def __init__(self, message, field=None):
-        self.field = field
-        super().__init__(message if field is None else f"{field}: {message}")

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvariantViolation
-
 
 @dataclass(frozen=True)
 class Gf2Vector:
@@ -51,47 +49,34 @@ class Gf2Vector:
         return Gf2Vector(self.length, self.bits ^ other.bits)
 
 
-def _echelon(rows: Iterable[int], low: int) -> tuple[dict[int, int], list[int]]:
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
     """One forward pass on lowest pivots: each row is cleared by the basis
-    row at its lowest bit while that bit is a pivot, until its bits under
-    ``low`` are zero (a null row) or their lowest is a new pivot.  Returns
-    the basis, keyed by pivot bit, each row's lowest bit its pivot, and the
-    null rows in order.  No back-substitution: a basis row may still hold
-    pivots above its own."""
+    row at its lowest bit while that bit is a pivot, until it is zero or
+    its lowest bit is a new pivot.  Returns the basis, keyed by pivot bit,
+    each row's lowest bit its pivot.  No back-substitution: a basis row
+    may still hold pivots above its own."""
     basis: dict[int, int] = {}   # pivot bit -> echelon row
     pivots = 0
-    null: list[int] = []
     for row in rows:
-        while row & low:
+        while row:
             p = row & -row
             if not p & pivots:
                 basis[p] = row
                 pivots |= p
                 break
             row ^= basis[p]
-        else:
-            null.append(row)
-    return basis, null
+    return basis
 
 
-def _reduce_rows(rows: list[int], width: int | None = None) -> tuple[list[int], list[int], list[int]]:
+def _reduce_rows(rows: list[int]) -> tuple[list[int], list[int]]:
     """Row-reduce fully on lowest pivots: the canonical basis of the rows'
-    span.
-
-    Bits from ``width`` up are tags: they ride along with every row
-    operation but are never pivoted on.  Returns the reduced rows that are
-    nonzero below ``width`` and their pivot columns, both sorted by pivot,
-    and the rows that reduced to zero below it.
+    span.  Returns the reduced rows and their pivot columns, both sorted
+    by pivot.
 
     ``_echelon``'s forward pass, then one back-substitution pass from the
     highest pivot down, in which a row XORs in the reduced rows at the
-    pivots it holds above its own.  Which rows set a pivot, and what each
-    null row adds to itself, depend only on the row order, so the tags and
-    null rows are those of any elimination that keeps the basis reduced
-    as it goes.
-    """
-    low = -1 if width is None else (1 << width) - 1
-    basis, null = _echelon(rows, low)
+    pivots it holds above its own."""
+    basis = _echelon(rows)
     order = sorted(basis)
     pivots = sum(order)
     for p in reversed(order):
@@ -102,7 +87,7 @@ def _reduce_rows(rows: list[int], width: int | None = None) -> tuple[list[int], 
             row ^= basis[q]
             hit ^= q
         basis[p] = row
-    return [basis[p] for p in order], [p.bit_length() - 1 for p in order], null
+    return [basis[p] for p in order], [p.bit_length() - 1 for p in order]
 
 
 @dataclass(frozen=True)
@@ -132,7 +117,7 @@ class Gf2Matrix:
     def rank(self) -> int:
         """The pivots of one forward pass on lowest pivots (``_echelon``):
         a rank needs no back-substitution."""
-        return len(_echelon(self.row_bits, -1)[0])
+        return len(_echelon(self.row_bits))
 
 
 @dataclass(frozen=True)
@@ -145,7 +130,7 @@ class Gf2Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Gf2Vector]) -> "Gf2Subspace":
         rows = [v.bits for v in vectors]
-        reduced, _, _ = _reduce_rows(rows)
+        reduced, _ = _reduce_rows(rows)
         return cls(ambient_dim, tuple(Gf2Vector(ambient_dim, r) for r in reduced))
 
     @property
@@ -195,7 +180,7 @@ class AffineFlat:
 
 def kernel(m: Gf2Matrix) -> Gf2Subspace:
     """Basis of {v : m.v = 0}, canonical (lowest pivots); dim = cols -
-    rank, verified.
+    rank.
 
     One reduction on highest pivots: a forward pass clears each row by the
     basis row at its highest bit, then a pass from the lowest pivot up
@@ -233,8 +218,7 @@ def _kernel(reduced: Sequence[int], pivots: Sequence[int], n: int) -> Gf2Subspac
     Free column j gives v_j = e_j + the sum of e_p over the rows p that
     hold bit j.  Each such p is above j, so v_j's lowest bit is j, and no
     other v holds it: the v_j, in column order, are the kernel's canonical
-    basis as they stand.
-    """
+    basis as they stand, one per non-pivot column: dim = n - rank."""
     free = (1 << n) - 1 ^ sum(pivots)
     vectors: dict[int, int] = {}   # free bit j -> v_j
     while free:
@@ -247,30 +231,26 @@ def _kernel(reduced: Sequence[int], pivots: Sequence[int], n: int) -> Gf2Subspac
             q = rest & -rest
             vectors[q] |= p
             rest ^= q
-    if len(vectors) + len(reduced) != n:
-        raise InvariantViolation("rank-nullity violated")
     return Gf2Subspace(n, tuple([Gf2Vector(n, v) for v in vectors.values()]))
 
 
 def solve_affine(constraints: Sequence[tuple[Gf2Vector, int]], ambient_dim: int) -> AffineFlat | None:
     """Solve the system {c.x = b}; None when inconsistent.
 
-    One row reduction of the rows, each tagged with its b: the offset is
-    the solution with free coordinates 0.  The space is ``kernel`` of the
-    untagged rows.  The result distinguishes the empty case (None), a
-    linear solution space (``flat.space.contains(flat.offset)``) and a
-    proper affine flat.
+    One row reduction of the rows with b as column n: the system is
+    inconsistent iff n is a pivot, and otherwise a reduced row's bit n is
+    the offset's bit at its pivot (free coordinates 0).  The space is
+    ``kernel`` of the rows.  The result distinguishes the empty case
+    (None), a linear solution space and a proper affine flat.
     """
     n = ambient_dim
     for c, _ in constraints:
         if c.length != n:
             raise ValueError("mixed ambient dimensions")
-    # b rides along as a tag bit at column n; a pivot row's tag is the offset's bit
-    tag = 1 << n
-    reduced, pivots, null = _reduce_rows([c.bits | (b & 1) * tag for c, b in constraints], n)
-    if any(z & tag for z in null):
+    reduced, pivots = _reduce_rows([c.bits | (b & 1) << n for c, b in constraints])
+    if pivots and pivots[-1] == n:
         return None
-    particular = sum(1 << p for r, p in zip(reduced, pivots) if r & tag)
+    particular = sum(1 << p for r, p in zip(reduced, pivots) if r >> n & 1)
     rows = tuple(c.bits for c, _ in constraints)
     return AffineFlat(Gf2Vector(n, particular), kernel(Gf2Matrix(len(rows), n, rows)))
 

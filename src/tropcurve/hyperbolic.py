@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import ComplementComponent, TropicalCurve
-from .errors import InvariantViolation, NotDividing, NotHoneycomb
+from .curve import ComplementComponent, TropicalCurve, curve_table
+from .errors import NotDividing, NotHoneycomb
 from .geometry import IVec, canonical_direction, sub
 from .gf2 import AffineFlat, Gf2Subspace, Gf2Vector
 from .realstruct import (
@@ -129,19 +129,15 @@ def hyperbolic_wrt_point(
 
 def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
     """Twist-matrix data plus the locus: the interior of the innermost
-    oval, which is its disk face in the face labelling of the real part."""
-    d = curve.require_degree()
+    oval, which is its disk face in the face labelling of the real part.
+    The floor(d/2) ovals' nest is the oracle's check, not re-run here."""
+    curve.require_degree()
     phase.validate_for(curve)
     twists = twists_from_phase(curve, phase)
     hyp, k = is_hyperbolic(curve, twists)
     signed: frozenset[tuple[IVec, Eps]] = frozenset()
     if hyp:
         tree = _face_tree(real_part(curve, phase))
-        if len(tree.disk) != d // 2:
-            raise InvariantViolation("hyperbolic curve must have floor(d/2) ovals")
-        depths = sorted(tree.depth[f] for f in tree.disk.values())
-        if depths != list(range(1, len(depths) + 1)):
-            raise InvariantViolation("oval nesting must be a chain")
         # no oval lies below the deepest one, so its interior is its disk
         # face, a leaf of the tree: only that oval touches it, since the
         # pseudo-line touches only the root; with no oval (d = 1) the
@@ -179,15 +175,14 @@ def _stable_limit(curve: TropicalCurve, phase: RealPhaseStructure, twists: Twist
 _DUAL_FAMILY = {(0, 1): "v", (1, 0): "h", (1, -1): "d"}
 
 
-def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
-    """The 3(d-1) parallel families that disconnect a honeycomb, sorted
-    by dual line.  By the module's lemma (the dual is the standard
-    triangulation), grouping the bounded edges by the line x = k, y = k
-    or x + y = k of their dual edges gives exactly these families, each
-    parallel and each cutting the curve in two."""
-    curve.require_degree()
+@curve_table
+def _bridge_table(curve: TropicalCurve) -> dict[tuple[str, int], MultiBridge]:
+    """A honeycomb's multi-bridges by dual line, in order: its bounded
+    edges grouped by the line x = k, y = k or x + y = k of their dual
+    edges (the module's lemma).  Empty off honeycombs, which every reader
+    refuses first; no reader mutates it."""
     if not curve.is_honeycomb():
-        raise NotHoneycomb("multi-bridges are defined on honeycombs")
+        return {}
     groups: dict[tuple[str, int], set[int]] = {}
     for eid in curve.bounded_edges:
         p, q = curve.edges[eid].dual
@@ -199,10 +194,19 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
         else:
             level = p[0] + p[1]
         groups.setdefault((fam, level), set()).add(eid)
-    return [
-        MultiBridge(frozenset(eids), key, canonical_direction(curve.edges[min(eids)].direction))
+    return {
+        key: MultiBridge(frozenset(eids), key, canonical_direction(curve.edges[min(eids)].direction))
         for key, eids in sorted(groups.items())
-    ]
+    }
+
+
+def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
+    """The 3(d-1) parallel families that disconnect a honeycomb, sorted
+    by dual line; a new list of the curve's ``_bridge_table``."""
+    curve.require_degree()
+    if not curve.is_honeycomb():
+        raise NotHoneycomb("multi-bridges are defined on honeycombs")
+    return list(_bridge_table(curve).values())
 
 
 def honeycomb_locus(curve: TropicalCurve, twists: TwistSet) -> frozenset[IVec]:
@@ -217,7 +221,7 @@ def honeycomb_locus(curve: TropicalCurve, twists: TwistSet) -> frozenset[IVec]:
     if not is_dividing(curve, twists):
         raise NotDividing("the bridge criterion needs a dividing twist set")
     edges = twists.edges
-    twisted = {b.dual_line: b.edges <= edges for b in multi_bridges(curve)}
+    twisted = {key: b.edges <= edges for key, b in _bridge_table(curve).items()}
     return frozenset(
         {alpha for alpha in curve.dual.lattice_points if all(twisted[key] for key in _constraining_keys(alpha, d))}
     )
@@ -243,10 +247,12 @@ def hyp_alpha_flat(curve: TropicalCurve, alpha: IVec) -> HypAlphaFlat:
     if alpha not in curve.dual.lattice_points:
         raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
     n, index = len(curve.bounded_edges), curve.bounded_index
-    bridges = {b.dual_line: b for b in multi_bridges(curve)}
-    constraining = tuple(bridges.pop(k) for k in _constraining_keys(alpha, d))
+    bridges = _bridge_table(curve)
+    keys = _constraining_keys(alpha, d)
+    constraining = tuple(bridges[k] for k in keys)
     offset = Gf2Vector.from_indices(n, [index[eid] for b in constraining for eid in b.edges])
+    skip = set(keys)
     space = Gf2Subspace.from_vectors(
-        n, [Gf2Vector.from_indices(n, [index[eid] for eid in b.edges]) for b in bridges.values()]
+        n, [Gf2Vector.from_indices(n, [index[eid] for eid in b.edges]) for k, b in bridges.items() if k not in skip]
     )
     return HypAlphaFlat(alpha, AffineFlat(offset, space), constraining)

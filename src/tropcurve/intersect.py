@@ -52,7 +52,7 @@ builds its transverse component directly; the pair scan's hits are marked
 the same way before classification.  Hits at an edge end, collinear hits
 and overlaps go through the incidence reading above.  A forced real
 lift without locations is one shared frozen ``LiftOutcome`` per
-(reals, pairs).
+(reals, pairs), whose counts add up to the multiplicity by construction.
 
 Twists of lifted overlaps use the compiled sidedness rule of
 ``realstruct``: ``edge_twisted`` for an edge inside another, and
@@ -557,26 +557,15 @@ def tangency_possible(
     return TANGENT_DOUBLE in real_lift(comp, phase_a, phase_b).possible
 
 
-def _forced(mult: int, reals: int, pairs: int, locations=None) -> LiftOutcome:
-    """The forced lift of ``reals`` real points and ``pairs`` conjugate
-    pairs; an unlocated one is shared by every component it fits."""
-    if reals + 2 * pairs != mult:
-        raise InvariantViolation("lift counts must add up to the multiplicity")
-    if locations is None:
-        return _shared_forced(reals, pairs)
-    return _forced_outcome(reals, pairs, locations)
-
-
-def _forced_outcome(reals: int, pairs: int, locations=None) -> LiftOutcome:
+@cache
+def _forced_outcome(reals: int, pairs: int) -> LiftOutcome:
+    """The unlocated forced lift of ``reals`` real points and ``pairs``
+    conjugate pairs; frozen, so shared by every caller."""
     if reals and pairs:
-        return LiftOutcome("forced-mixed", reals, pairs, locations)
+        return LiftOutcome("forced-mixed", reals, pairs)
     if reals:
-        return LiftOutcome("forced-real", reals, 0, locations)
-    return LiftOutcome("forced-pairs", 0, pairs, locations)
-
-
-# frozen, so one outcome per (reals, pairs) serves every caller
-_shared_forced = cache(_forced_outcome)
+        return LiftOutcome("forced-real", reals)
+    return LiftOutcome("forced-pairs", 0, pairs)
 
 
 # the lift of an overlap that its phases leave open; frozen, so shared
@@ -595,23 +584,23 @@ def real_lift(
     if comp.kind == TRANSVERSE:
         m = comp.multiplicity
         if m % 2 == 1:
-            return _forced(m, 1, (m - 1) // 2)
+            return _forced_outcome(1, (m - 1) // 2)
         # even multiplicity forces equal direction classes, so the lines compare
         if phase_a.lines[comp.edge_a].direction != phase_b.lines[comp.edge_b].direction:
             raise InvariantViolation("an even crossing joins edges of one direction class")
         if phase_a.lines[comp.edge_a] == phase_b.lines[comp.edge_b]:
-            return _forced(m, 2, (m - 2) // 2)
-        return _forced(m, 0, m // 2)
+            return _forced_outcome(2, (m - 2) // 2)
+        return _forced_outcome(0, m // 2)
     if comp.kind in (EDGE_IN_EDGE, SEGMENT_OVERLAP):
         if phase_a.lines[comp.edge_a] != phase_b.lines[comp.edge_b]:
-            return _forced(2, 2, 0, locations=comp.segment)
+            return LiftOutcome("forced-real", 2, 0, comp.segment)
         if comp.kind == SEGMENT_OVERLAP:
             undecided = is_relatively_twisted(comp, phase_a, phase_b)
         elif comp.inner == "a":
             undecided = not edge_twisted(comp.curve_a, phase_a, comp.edge_a)
         else:
             undecided = not edge_twisted(comp.curve_b, phase_b, comp.edge_b)
-        return _INDETERMINATE if undecided else _forced(2, 2, 0)
+        return _INDETERMINATE if undecided else _forced_outcome(2, 0)
     if comp.kind != ISOLATED_VERTEX:
         raise InvariantViolation(f"unknown component kind {comp.kind!r}")
     return LiftOutcome(

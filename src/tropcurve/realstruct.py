@@ -579,31 +579,27 @@ def _sign_solver(curve: TropicalCurve) -> tuple[tuple[tuple[int, int], ...], tup
 
 
 @curve_table
-def _sign_tree(
-    curve: TropicalCurve,
-) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...], tuple[IVec, ...]]:
+def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], tuple[IVec, ...]]:
     """A spanning tree of the dual graph rooted at lattice point 0, as
-    (point, parent point, edge) in discovery order, the non-tree edges as
-    (point, point, edge), and the lattice points in the order of the
-    tree, point 0 first: the key order of ``signs_from_phase``."""
+    (point, parent point, edge) in discovery order, and the lattice points
+    in the order of the tree, point 0 first: the key order of
+    ``signs_from_phase``."""
     base = _base(curve)
     adj: list[list[tuple[int, int]]] = [[] for _ in base.points]
     for eid, (i, j) in enumerate(base.duals):
         adj[i].append((j, eid))
         adj[j].append((i, eid))
-    tree, seen, used = [], {0}, set()
+    tree, seen = [], {0}
     stack = [0]
     while stack:
         i = stack.pop()
         for j, eid in adj[i]:
             if j not in seen:
                 seen.add(j)
-                used.add(eid)
                 tree.append((j, i, eid))
                 stack.append(j)
-    rest = tuple((i, j, eid) for eid, (i, j) in enumerate(base.duals) if eid not in used)
     points = base.points
-    return tuple(tree), rest, (points[0], *(points[j] for j, _, _ in tree))
+    return tuple(tree), (points[0], *(points[j] for j, _, _ in tree))
 
 
 @curve_table
@@ -721,10 +717,12 @@ def signs_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> SignDis
     minus.  Any other phase propagates sign flips along a spanning tree of
     the dual graph: the identity copy of an edge is drawn, its level is 0,
     iff the endpoint signs differ.  The points are keyed in the tree's
-    order either way."""
+    order either way.  No edge off the tree is checked: the V vertex
+    conditions ``levels`` checks are independent and E - V = N - 1, so the
+    2^(N-1) phases it accepts are the sign-induced ones."""
     base = _base(curve)
     pts = base.points
-    tree, rest, keys = _sign_tree(curve)
+    tree, keys = _sign_tree(curve)
     built = phase._minus
     if built is not None and built[0] is base:
         minus = built[1]
@@ -736,9 +734,6 @@ def signs_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> SignDis
         for j, i, eid in tree:
             if not (minus >> i ^ levels >> eid) & 1:
                 minus |= 1 << j
-        for i, j, eid in rest:
-            if not (minus >> i ^ minus >> j ^ levels >> eid) & 1:
-                raise ValidationError("phase structure is not induced by any sign distribution")
     signs = dict.fromkeys(keys, 1)
     while minus:
         low = minus & -minus
@@ -787,7 +782,9 @@ def is_dividing(curve: TropicalCurve, twists: TwistSet) -> bool:
     return _all_even(cycles, twists)
 
 
+@curve_table
 def adm_space(curve: TropicalCurve) -> Gf2Subspace:
+    """Admissible twist sets; the kernel is computed once per curve."""
     rows = _cycle_rows(curve)[0]
     return kernel(Gf2Matrix(len(rows), len(curve.bounded_edges), rows))
 

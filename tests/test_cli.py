@@ -14,7 +14,7 @@ from tropcurve import intersection_components
 from tropcurve.cli import main
 from tropcurve.errors import UnsupportedConfiguration, ValidationError
 from tropcurve.io_render import build_scenario, load_spec
-from tropcurve.realstruct import _face_tree
+from tropcurve.realstruct import _tree_walk
 
 
 @pytest.fixture
@@ -492,17 +492,17 @@ def test_intersect_walk_invariants_exit_4(tmp_path, capsys, monkeypatch, pair, f
 
 
 def test_hyperbolic_invariant_exits_4(specs, capsys, monkeypatch):
-    def drop_an_oval(rp):
-        tree = _face_tree(rp)
-        return tree._replace(disk=dict(list(tree.disk.items())[1:]))
+    def drop_a_face(adj, root):
+        order, up = _tree_walk(adj, root)
+        return order[:-1], up
 
     argv = ("hyperbolic", "--spec", specs["stable_quartic.trop.json"])
     assert run(capsys, *argv)[0] == 0
-    # a fault in the face labelling: the hyperbolic quartic shows one oval, not two
-    monkeypatch.setattr("tropcurve.hyperbolic._face_tree", drop_an_oval)
+    # a fault in the face labelling: the walk misses a face of the hyperbolic quartic
+    monkeypatch.setattr("tropcurve.realstruct._tree_walk", drop_a_face)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
-    assert err == "internal error: hyperbolic curve must have floor(d/2) ovals\n"
+    assert err == "internal error: the faces of the real part are not connected\n"
 
 
 _HUGE = "1" + "0" * 5000  # past Python's 4300-digit limit on int <-> str conversion

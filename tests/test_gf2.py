@@ -184,11 +184,20 @@ def _kernel_reference(m):
 def _assert_matches_the_references(m):
     from tropcurve.gf2 import _reduce_rows
 
-    rows = list(m.row_bits)
+    rows, n = list(m.row_bits), m.cols
     want = _reduce_rows_reference(rows)
-    assert _reduce_rows(rows) == want
-    tagged = [r | 1 << (m.cols + i) for i, r in enumerate(rows)]
-    assert _reduce_rows(tagged, m.cols) == _reduce_rows_reference(tagged, m.cols)
+    assert _reduce_rows(rows) == want[:2]
+    # solve_affine's right-hand side is column n of its rows; the reference
+    # keeps it as a tag, never pivoted on: one right-hand side the rows
+    # solve at x = 0101..., and one that is inconsistent on most dependent rows
+    solvable = [(r & 0x5555555555555).bit_count() & 1 for r in rows]
+    arbitrary = [(r.bit_count() + i) & 1 for i, r in enumerate(rows)]
+    for rhs in (solvable, arbitrary):
+        flat = solve_affine([(Gf2Vector(n, r), b) for r, b in zip(rows, rhs)], n)
+        reduced, pivots, null = _reduce_rows_reference([r | b << n for r, b in zip(rows, rhs)], n)
+        assert (flat is None) == any(z >> n & 1 for z in null)
+        if flat is not None:
+            assert flat.offset.bits == sum(1 << p for r, p in zip(reduced, pivots) if r >> n & 1)
     assert m.rank() == len(want[0])
     assert kernel(m).basis == _kernel_reference(m).basis
 

@@ -736,22 +736,22 @@ def test_honeycomb_locus_check_kills_a_verdict_that_no_quintic_is_hyperbolic(mon
 
 
 def test_honeycomb_locus_check_kills_bridges_that_misread_the_vertical_level(monkeypatch):
-    """A mutant ``multi_bridges`` that reads the vertical family's level
-    off p[1], which varies along the family: its bridges are not the dual
+    """A mutant bridge table (``hyperbolic._bridge_table``, which
+    ``multi_bridges`` returns) that reads the vertical family's level off
+    p[1], which varies along the family: its bridges are not the dual
     lines, and the check fails without a bridge check in production."""
     import inspect
 
     import tropcurve.hyperbolic as hyp
-    from tropcurve import selfcheck
     from tropcurve.selfcheck import run_check
 
-    source = inspect.getsource(hyp.multi_bridges)
+    source = inspect.getsource(hyp._bridge_table)
     line = "            level = p[0]\n"
     assert source.count(line) == 1
     namespace = dict(vars(hyp))
     exec(source.replace(line, "            level = p[1]\n"), namespace)
-    for module in (hyp, selfcheck):
-        monkeypatch.setattr(module, "multi_bridges", namespace["multi_bridges"])
+    # run_check builds its curves afresh, so no curve holds the real table
+    monkeypatch.setattr(hyp, "_bridge_table", namespace["_bridge_table"])
     result = run_check("honeycomb-locus", random.Random(2), 5)
     assert not result.passed and result.detail.startswith(("NotAdmissible: ", "KeyError: ")), result.detail
 
@@ -843,36 +843,25 @@ def test_pencil_analysis_golden():
 
 
 _OPTIMIZED_INVARIANTS = """
-import tropcurve.gf2 as gf2
 import tropcurve.hyperbolic as hyp
-import tropcurve.intersect as isect
+import tropcurve.realstruct as realstruct
 import tropcurve.selfcheck as selfcheck
 from tropcurve import TwistSet, honeycomb, phase_from_twists
 
 assert False, "the interpreter must run with -O"  # stripped under -O
-real = hyp._face_tree
+real = realstruct._tree_walk
 
 
-def one_oval_short(rp):
-    tree = real(rp)
-    oval = next(iter(tree.disk))
-    del tree.disk[oval], tree.groups[oval]
-    return tree
+def one_face_short(adj, root):
+    order, up = real(adj, root)
+    return order[:-1], up
 
 
-hyp._face_tree = one_oval_short
+realstruct._tree_walk = one_face_short
 curve = honeycomb(4)
 phase = phase_from_twists(curve, TwistSet.from_edges(curve, curve.bounded_edges))
 try:
     hyp.hyperbolicity_locus(curve, phase)
-except AssertionError as exc:
-    print("AssertionError:", exc)
-try:
-    isect._forced(3, 2, 0)
-except AssertionError as exc:
-    print("AssertionError:", exc)
-try:
-    gf2._kernel([0b1], [], 2)  # one row without a pivot
 except AssertionError as exc:
     print("AssertionError:", exc)
 try:
@@ -901,9 +890,7 @@ def test_locus_invariants_hold_under_python_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "AssertionError: hyperbolic curve must have floor(d/2) ovals\n"
-        "AssertionError: lift counts must add up to the multiplicity\n"
-        "AssertionError: rank-nullity violated\n"
+        "AssertionError: the faces of the real part are not connected\n"
         "AssertionError: twist verdict must not depend on the phase element\n"
         "AssertionError: only bounded edges carry a twist\n"
     )

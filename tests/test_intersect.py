@@ -35,7 +35,6 @@ from tropcurve.intersect import (
     TWO_REAL,
     FrameHits,
     IntersectionComponent,
-    _forced,
     _point,
     classify_hits,
     edge_hits,
@@ -839,12 +838,6 @@ def test_component_fields_keep_their_order():
     a, b = make_line(), make_line(0, 1, -2)
     bare = IntersectionComponent("transverse", 1, a, b)
     assert bare[4:] == (None,) * 8
-
-
-def test_intersect_invariants_are_typed():
-    with pytest.raises(InvariantViolation, match="^lift counts must add up to the multiplicity$") as info:
-        _forced(3, 2, 0)
-    assert isinstance(info.value, AssertionError)
 
 
 def test_intersection_routes_kill_a_capped_transverse_multiplicity(monkeypatch):

@@ -4,13 +4,12 @@ phase_from_twists, validation messages, non-interned phase lines,
 translated copies that share the tables, the per-edge and union-find
 builders of the sidedness table, its compiled rows against the per-edge
 rule, the cell model, the facts of a certified curve that the tables
-no longer check, the face labelling by Euler characteristics that the
+and routes no longer check, the face labelling by Euler characteristics that the
 double cover replaced, the per-edge and per-row sign conversions that
 the column tables replaced, the signs that ``signs_from_phase`` reads
 back, and the value semantics of the records whose fields are built on
 first read."""
 
-import copy
 import re
 import hashlib
 import random
@@ -39,8 +38,6 @@ from tropcurve.errors import DegeneratePolygon, InvariantViolation, NotAdmissibl
 from tropcurve.gf2 import Gf2Vector, solve_affine
 from tropcurve.realstruct import CurveComponentInfo, RealPhaseStructure, edge_twisted, twist_matrix
 from tropcurve.selfcheck import random_lift, random_sign_distribution
-
-from conftest import make_line
 
 # sha256 of _golden_lines(), recorded before realstruct read its rules
 # from per-curve tables
@@ -231,14 +228,6 @@ def test_validation_messages_are_unchanged():
     first = min(c.edges[eid].tail, c.edges[eid].head)
     with pytest.raises(ValidationError, match=rf"^vertex {first}: phase lines share a common point$"):
         real_part(c, RealPhaseStructure(tuple(flipped)))
-    # a dual graph without its cell: every level flipped passes the (empty)
-    # vertex condition but is not induced around the triangle
-    line = copy.copy(make_line())
-    line.vertex_edges = ()
-    base = phase_from_signs(make_line(), SignDistribution.constant(line))
-    odd = RealPhaseStructure(tuple(PhaseLine.from_level(ln.direction, 1 ^ ln.level) for ln in base.lines))
-    with pytest.raises(ValidationError, match="^phase structure is not induced by any sign distribution$"):
-        signs_from_phase(line, odd)
     with pytest.raises(ValidationError, match=r"misses lattice points \[\(1, 1\)\]"):
         phase_from_signs(c, SignDistribution({p: 1 for p in c.dual.lattice_points if p != (1, 1)}))
     with pytest.raises(ValidationError, match=r"has extra points \[\(5, 5\)\]"):
@@ -717,6 +706,39 @@ def test_a_certified_curve_has_what_its_tables_no_longer_check():
         shared = [tuple(ij) for ij in on.values() if len(ij) == 2]
         assert all(len(ij) <= 2 for ij in on.values()) and len(set(shared)) == len(shared)
     assert len(curves) == 40 + 28 + 2 * 63 and any(c.degree is None for c in curves)
+
+
+def test_a_certified_curve_has_what_its_routes_no_longer_check():
+    """The lemmas that ``signs_from_phase`` and ``region_frame_point``
+    trust instead of checking on each call (README "Conventions"): Euler's
+    formula E - V = N - 1 on the triangulated polygon, vertex conditions
+    of full rank V, so that the 2^(N-1) phases ``levels`` accepts are
+    exactly the sign-induced ones, and a bounded region's corner centroid
+    strictly inside it."""
+    from tropcurve.gf2 import Gf2Matrix
+
+    rng = random.Random(48)
+    for curve in _certified_curves():
+        points, cells = curve.dual.lattice_points, curve.vertex_cell
+        n_edges, n_vertices = len(curve.edges), len(cells)
+        assert n_edges - n_vertices == len(points) - 1
+        vmasks = [sum(1 << eid for eid in incident) for incident in curve.vertex_edges]
+        assert Gf2Matrix(n_vertices, n_edges, tuple(vmasks)).rank() == n_vertices
+        # seeded valid level vectors: each vertex's three levels sum to 1
+        flat = solve_affine([(Gf2Vector(n_edges, mask), 1) for mask in vmasks], n_edges)
+        classes = [line.direction for line in phase_from_signs(curve, SignDistribution.constant(curve)).lines]
+        for _ in range(3):
+            levels = flat.offset.bits
+            for b in flat.space.basis:
+                if rng.random() < 0.5:
+                    levels ^= b.bits
+            phase = RealPhaseStructure(tuple(PhaseLine.from_level(d, levels >> e) for e, d in enumerate(classes)))
+            induced = phase_from_signs(curve, signs_from_phase(curve, phase))
+            assert induced.lines == phase.lines
+        for alpha in points:
+            if alpha not in curve.dual.sides_at:
+                den, x, y = curve.region_frame_point(alpha)
+                assert curve.frame.argmax(den, x, y) == (alpha,)
 
 
 def test_a_first_locus_builds_no_copy_keys_or_region_class():
