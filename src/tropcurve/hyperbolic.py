@@ -23,7 +23,12 @@ edge is its dual edge turned, and cuts the curve in two, as its line cuts
 the triangle in two.  Tests pin this lemma; ``multi_bridges`` only groups
 the edges.  The dividing twist sets of a honeycomb are then exactly the
 unions of multi-bridges: the bridges' indicator vectors are a basis of
-``div_space``, so ``hyp_alpha_flat`` reads its flat off them.
+``div_space``, so ``hyp_alpha_flat`` reads its flat off them.  Alpha's
+constraining bridges are the v-bridges below a1, the h-bridges below a2
+and the d-bridges above a1 + a2, so the bridge locus is a lattice
+triangle: a1 <= v*, a2 <= h*, a1 + a2 >= s*, with v* (h*) the least level
+of an untwisted v- (h-) bridge, or d, and s* the greatest level of an
+untwisted d-bridge, or 0.
 """
 
 from __future__ import annotations
@@ -211,20 +216,24 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
 
 def honeycomb_locus(curve: TropicalCurve, twists: TwistSet) -> frozenset[IVec]:
     """Components whose constraining bridges (left, below, diagonally
-    above) are all twisted.  The 3(d-1) multi-bridges are the parallel
-    families of edges on one dual line, each cutting the curve in two
-    (the module's lemma); each is tested for a twist once, and each
-    lattice point reads the verdicts of its constraining bridges."""
+    above) are all twisted: the lattice triangle of the module docstring,
+    its three bounds read off the untwisted bridges in one pass."""
     d = curve.require_degree()
     if not curve.is_honeycomb():
         raise NotHoneycomb("the bridge criterion needs a honeycomb")
     if not is_dividing(curve, twists):
         raise NotDividing("the bridge criterion needs a dividing twist set")
     edges = twists.edges
-    twisted = {key: b.edges <= edges for key, b in _bridge_table(curve).items()}
-    return frozenset(
-        {alpha for alpha in curve.dual.lattice_points if all(twisted[key] for key in _constraining_keys(alpha, d))}
-    )
+    v, h, s = d, d, 0
+    for (fam, level), b in _bridge_table(curve).items():
+        if not b.edges <= edges:
+            if fam == "v":
+                v = min(v, level)
+            elif fam == "h":
+                h = min(h, level)
+            else:
+                s = max(s, level)
+    return frozenset({(a1, a2) for a1 in range(v + 1) for a2 in range(max(0, s - a1), min(h, d - a1) + 1)})
 
 
 def _constraining_keys(alpha: IVec, d: int) -> list[tuple[str, int]]:

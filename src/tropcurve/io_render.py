@@ -40,9 +40,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .curve import TropicalCurve, _curve_from_heights, honeycomb
+from .curve import TropicalCurve, TropicalPolynomial, curve_from_polynomial, honeycomb
 from .errors import InvariantViolation, ParseError, ValidationError
 from .geometry import IVec, convex_hull, hull_lattice_count, hull_lattice_points
 from .gf2 import PhaseLine
@@ -379,35 +379,17 @@ def save_spec(spec: ScenarioSpec) -> str:
 
 
 def _build_curve(curve_data: dict) -> TropicalCurve:
-    """The spec's curve, built on int heights: each coefficient is read with
-    ``_rational_parts`` and scaled by the lcm of the denominators.  A spec
-    made without ``load_spec`` is refused as ``TropicalPolynomial`` refuses
-    it: an empty support, or a negative exponent."""
+    """The spec's curve: ``honeycomb(d)``, or the curve of the polynomial
+    of its coefficients, each key read by ``parse_point_key`` and each
+    value by ``_parse_rational``.  A spec made without ``load_spec`` is
+    refused as ``TropicalPolynomial`` and ``curve_from_polynomial`` refuse
+    it."""
     if "honeycomb" in curve_data:
         return honeycomb(curve_data["honeycomb"])
-    parts = {}
-    for key, value in curve_data["coefficients"].items():
-        parts[_coefficient_point(key)] = _rational_parts(value, "coefficients")
-    if not parts:
-        raise ValueError("empty support")
-    for i, j in parts:
-        if i < 0 or j < 0:
-            raise ValueError(f"support point {(i, j)} outside the positive quadrant")
-    scale = lcm(*(q for _, q in parts.values()))
-    return _curve_from_heights({pt: p * (scale // q) for pt, (p, q) in parts.items()}, scale)
-
-
-def _coefficient_point(key) -> IVec:
-    """A coefficient key: the canonical "i,j" of a normalized spec is read
-    with int, any other spelling by ``parse_point_key``."""
-    if type(key) is str:
-        i, _, j = key.partition(",")
-        if i.isdigit() and j.isdigit() and i.isascii() and j.isascii():
-            try:
-                return int(i), int(j)
-            except ValueError:  # past sys.get_int_max_str_digits()
-                pass
-    return parse_point_key(key, "coefficients")
+    return curve_from_polynomial(TropicalPolynomial({
+        parse_point_key(k, "coefficients"): _parse_rational(v, "coefficients")
+        for k, v in curve_data["coefficients"].items()
+    }))
 
 
 def _build_one(curve_data: dict, structure: dict) -> Scenario:
@@ -636,9 +618,8 @@ def render_svg(
     suffix, whole = _SUFFIXES or _suffixes(), _WHOLES
 
     # panel 1: dual subdivision, the largest i + j at 120px.  Lattice points
-    # are nonnegative (TropicalPolynomial and _build_curve refuse others), so
-    # every figure coordinate here is nonnegative and 10^4 times it is one
-    # floor division.
+    # are nonnegative (TropicalPolynomial refuses others), so every figure
+    # coordinate here is nonnegative and 10^4 times it is one floor division.
     parts.append('<g id="dual" transform="translate(20,20)">')
     maxsum = max(1, max(p[0] + p[1] for p in curve.dual.lattice_points))
     lattice = {}

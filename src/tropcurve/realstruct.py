@@ -866,13 +866,6 @@ def region_class(curve: TropicalCurve, alpha: IVec, eps: Eps) -> tuple[IVec, Eps
     return (alpha, min(orbit))
 
 
-def _root(parent, x):
-    """Root of x in a parent map, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 class RealPart:
     """The edge copies drawn by a phase structure: copy (eid, EPS4[c]) is
     drawn iff EPS4[c] lies on edge eid's phase line, the line at the

@@ -109,7 +109,6 @@ from .realstruct import (
     TwistSet,
     _cells,
     _outward_direction,
-    _root,
     _xor,
     count_components_direct,
     count_components_matrix,
@@ -994,8 +993,12 @@ class _UnionFind:
         self.parent: dict = {}
 
     def find(self, x):
-        self.parent.setdefault(x, x)
-        return _root(self.parent, x)
+        """Root of x, halving the path on the way."""
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, x, y):
         rx, ry = self.find(x), self.find(y)

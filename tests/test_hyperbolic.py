@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -613,6 +614,22 @@ def test_locus_empty_iff_not_hyperbolic(rng):
         assert ok == bool(locus)
 
 
+def test_bridge_locus_is_the_locus_on_every_dividing_set():
+    # every dividing twist set of honeycomb(2..5): the bridge criterion's
+    # lattice triangle is the innermost oval's interior, empty iff the
+    # curve is not hyperbolic
+    sets = 0
+    for d in range(2, 6):
+        c = honeycomb(d)
+        for v in div_space(c).enumerate():
+            twists = TwistSet.from_vector(c, v)
+            report = hyperbolicity_locus(c, phase_from_twists(c, twists))
+            assert honeycomb_locus(c, twists) == report.locus, (d, sorted(twists.edges))
+            assert report.hyperbolic == bool(report.locus), (d, sorted(twists.edges))
+            sets += 1
+    assert sets == 8 + 64 + 512 + 4096
+
+
 def reproducer_conic():
     # a hyperbolic non-honeycomb conic on which the pencil conditions
     # wrongly accept the copy ((0,0),(0,0)): edge directions outside the
@@ -739,7 +756,8 @@ def test_honeycomb_locus_check_kills_bridges_that_misread_the_vertical_level(mon
     """A mutant bridge table (``hyperbolic._bridge_table``, which
     ``multi_bridges`` returns) that reads the vertical family's level off
     p[1], which varies along the family: its bridges are not the dual
-    lines, and the check fails without a bridge check in production."""
+    lines, so the bridge locus differs from the oval's, and the check
+    fails without a bridge check in production."""
     import inspect
 
     import tropcurve.hyperbolic as hyp
@@ -753,7 +771,8 @@ def test_honeycomb_locus_check_kills_bridges_that_misread_the_vertical_level(mon
     # run_check builds its curves afresh, so no curve holds the real table
     monkeypatch.setattr(hyp, "_bridge_table", namespace["_bridge_table"])
     result = run_check("honeycomb-locus", random.Random(2), 5)
-    assert not result.passed and result.detail.startswith(("NotAdmissible: ", "KeyError: ")), result.detail
+    assert not result.passed, result.detail
+    assert re.match(r"trial \d+ \(d=\d+\): bridges \[.*\] != oval \[", result.detail), result.detail
 
 
 def test_report_has_one_field_per_quantity():

@@ -425,11 +425,16 @@ def _side_ends_reference(curve):
     return ends
 
 
+def _root(parent, x):
+    """Root of x in a parent list, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _union(parent, x, y):
     """Join the classes of x and y under the lesser root, so that
     parent[x] <= x holds throughout."""
-    from tropcurve.realstruct import _root
-
     rx, ry = _root(parent, x), _root(parent, y)
     if rx < ry:
         parent[ry] = rx

@@ -415,6 +415,28 @@ def test_harnack_m_curve_degree_18():
     assert direct.count == count_components_matrix(c, twists_from_signs(c, delta)) == g + 1 == 137
 
 
+
+def test_harnack_signs_give_an_m_curve_in_every_parity_class():
+    # delta = -1 exactly where (i mod 2, j mod 2) is one class: the four
+    # classes differ by re-signing, and on any primitive convex
+    # triangulation each gives an M-curve (g + 1 components, a dividing
+    # twist set) with exactly one component reaching the rays
+    rng = random.Random(19)
+    curves = [honeycomb(d) for d in range(1, 21)]
+    curves += [random_nonsingular_curve(rng, d) for d in range(1, 9) for _ in range(6)]
+    for c in curves:
+        d = c.degree
+        rays = {e.index for e in c.edges if not e.bounded}
+        for cls in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            delta = SignDistribution({p: -1 if (p[0] % 2, p[1] % 2) == cls else 1 for p in c.dual.lattice_points})
+            twists = twists_from_signs(c, delta)
+            direct = count_components_direct(real_part(c, phase_from_signs(c, delta)))
+            g = (d - 1) * (d - 2) // 2
+            assert count_components_matrix(c, twists) == direct.count == g + 1, (d, cls)
+            assert is_dividing(c, twists), (d, cls)
+            reaching = [k for k in direct.components if any(eid in rays for eid, _ in k.edge_copies)]
+            assert len(reaching) == 1, (d, cls)
+
 @pytest.mark.parametrize("d", [30, 40])
 def test_matrix_count_equals_model_count_on_large_honeycombs(d):
     # all-plus signs twist every edge, the costliest rank on the ladder;

@@ -179,7 +179,6 @@ _KEPT_UNREACHED = {
     "gf2.Gf2Vector.__xor__",  # serves AffineFlat.enumerate, and test_realstruct adds twist vectors with it
     "gf2.solve_affine",  # the reference that phase_from_twists and the GF(2) brute-force tests check against
     "intersect.IntersectionComponent.__repr__",  # pinned in test_intersect
-    "io_render._parse_rational",  # reads the spellings of a rational that int does not
     "io_render.save_spec",  # its round trip through load_spec pins the parser
     "selfcheck.is_generic",  # named in README as a route of the pencil sweep
     "selfcheck.relative_twist_signs",  # named in README as the sign-based sidedness rule
