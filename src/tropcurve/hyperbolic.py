@@ -1,12 +1,26 @@
 """Hyperbolicity of real tropical curves and the hyperbolicity locus.
 
-A real tropical curve is hyperbolic iff its twist set is dividing with
-twist-matrix kernel of dimension ceil(d/2)-1, read off the matrix's rank.
-The locus of components the curve is hyperbolic with respect to is the
-interior of the innermost oval of the real part: no oval lies inside it,
-so it is one face of the face labelling (``realstruct._face_tree``), the
-innermost oval's disk face, and no component report is built.  The
-report route is the oracle ``selfcheck.locus_from_report``.
+A real plane curve of degree d is hyperbolic iff its real part holds a
+nest of floor(d/2) ovals, and the locus of components the curve is
+hyperbolic with respect to is the interior of the innermost oval.
+``hyperbolicity_locus`` reads every field off one face labelling of the
+real part (``realstruct._face_tree``): the component count is its number
+of components, the kernel dimension one less, the curve is hyperbolic iff
+its deepest disk face lies d // 2 ovals down, and that face is the locus.
+No component report is built.
+
+The twist-matrix criterion states the same fact: the twist set is
+dividing (the curve is of type I) with kernel dimension ceil(d/2)-1, so
+ceil(d/2) components.  A nest of floor(d/2) ovals leaves room for no
+other oval, as a line through the innermost disk and a point of another
+oval would meet the curve more than d times (Bezout), and such a curve is
+of type I, as projection from a point of the innermost disk sends its
+real points, and only those, to the real line.  Conversely a type I curve
+with ceil(d/2) components is a full nest, by Rokhlin's complex
+orientation formula for d = 2k and Mishachev's for d = 2k+1.
+``is_hyperbolic`` is that rank route; the oracle
+``selfcheck.locus_from_report`` reads it, so ``verify`` holds the two
+criteria to each other.
 A point query reads its verdict off that locus: the eps-copy of a
 component is in it iff its ``region_class`` is in the signed locus, and a
 "no" names the fact of the oval route that fails.  The three pencil
@@ -49,7 +63,6 @@ from .realstruct import (
     count_components_matrix,
     is_dividing,
     real_part,
-    twists_from_phase,
 )
 
 
@@ -87,8 +100,9 @@ class HyperbolicityReport:
 
 
 def is_hyperbolic(curve: TropicalCurve, twists: TwistSet) -> tuple[bool, int]:
-    """Dividing twist set with kernel dimension ceil(d/2) - 1, one less
-    than ``count_components_matrix``."""
+    """The rank route, which the oracle ``selfcheck.locus_from_report``
+    reads: a dividing twist set with kernel dimension ceil(d/2) - 1, one
+    less than ``count_components_matrix``."""
     d = curve.require_degree()
     k = count_components_matrix(curve, twists) - 1
     return (is_dividing(curve, twists) and k == (d + 1) // 2 - 1, k)
@@ -119,8 +133,8 @@ def hyperbolic_wrt_point(
         return PointVerdict(alpha, eps, True)
     if report.hyperbolic:
         return PointVerdict(alpha, eps, False, 3, f"the copy {copy} lies outside the innermost oval")
-    # hyperbolic is dividing with kernel dimension ceil(d/2)-1, so with that
-    # dimension the twist set is not dividing
+    # hyperbolic is dividing with kernel dimension ceil(d/2)-1 (the module's
+    # criterion), so with that dimension the twist set is not dividing
     want = (d + 1) // 2 - 1
     if report.kernel_dim != want:
         return PointVerdict(
@@ -133,44 +147,39 @@ def hyperbolic_wrt_point(
 
 
 def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
-    """Twist-matrix data plus the locus: the interior of the innermost
-    oval, which is its disk face in the face labelling of the real part.
-    The floor(d/2) ovals' nest is the oracle's check, not re-run here."""
-    curve.require_degree()
-    phase.validate_for(curve)
-    twists = twists_from_phase(curve, phase)
-    hyp, k = is_hyperbolic(curve, twists)
+    """Every field read off the face labelling of the real part: its
+    components, the depth of the innermost oval's disk face (the nest
+    criterion of the module docstring) and that face, the locus."""
+    d = curve.require_degree()
+    rp = real_part(curve, phase)
+    tree = _face_tree(rp)
+    count = len(tree.groups)
+    # no oval lies below the deepest one, so its interior is its disk
+    # face, a leaf of the tree: only that oval touches it, since the
+    # pseudo-line touches only the root; with no oval (d = 1) the
+    # locus is the root face, the whole complement
+    face = max(tree.disk.values(), key=tree.depth.__getitem__, default=tree.order[0])
+    hyp = tree.depth[face] == d // 2
     signed: frozenset[tuple[IVec, Eps]] = frozenset()
     if hyp:
-        tree = _face_tree(real_part(curve, phase))
-        # no oval lies below the deepest one, so its interior is its disk
-        # face, a leaf of the tree: only that oval touches it, since the
-        # pseudo-line touches only the root; with no oval (d = 1) the
-        # locus is the root face, the whole complement
-        face = max(tree.disk.values(), key=tree.depth.__getitem__, default=tree.order[0])
         # each atom's region_class, read off the curve's table
         cells = _cells(curve)
         keys, glued = cells.atom_keys, cells.glued
         signed = frozenset([keys[glued[x]] for x, f in enumerate(tree.region) if f == face])
     return HyperbolicityReport(
         hyperbolic=hyp,
-        kernel_dim=k,
-        component_count=1 + k,
-        stable=_stable_limit(curve, phase, twists),
+        kernel_dim=count - 1,
+        component_count=count,
+        # all level bits 1 means constant signs, since signs_from_phase
+        # flips the sign exactly across the edges whose phase line
+        # contains (0,0) (level 0) and the dual graph is connected; and
+        # constant signs twist every bounded edge of a honeycomb, whose
+        # two unit triangles on a dual edge pq have apexes r and p + q - r,
+        # so their coordinate sums differ by q - p mod 2, which is nonzero
+        # and sets the sign rule's offset bit for the edge
+        stable=curve.is_honeycomb() and rp._levels == _base(curve).all_levels,
         locus=frozenset(a for a, _ in signed),
         signed_locus=signed,
-    )
-
-
-def _stable_limit(curve: TropicalCurve, phase: RealPhaseStructure, twists: TwistSet) -> bool:
-    # signs_from_phase flips the sign exactly across the edges whose phase
-    # line contains (0,0), and the dual graph is connected, so the signs
-    # are constant iff no phase line contains (0,0): the line at level 0
-    # does, so every level bit is 1
-    return (
-        curve.is_honeycomb()
-        and twists.vector.bits == (1 << len(curve.bounded_edges)) - 1
-        and _base(curve).levels(phase) == _base(curve).all_levels
     )
 
 

@@ -18,10 +18,12 @@ oval, which the double cover S^2 -> RP^2 finds: the sheet changes only
 across the side z = 0, and only that face lifts connected (or, for odd
 degree, it is the face on both sides of the pseudo-line).
 ``count_components_direct`` builds the whole component report from it;
-the hyperbolicity locus reads one face of it.  The count
+the hyperbolicity locus reads its whole report off it: the number of
+components, the depth of the deepest disk face and that face.  The count
 1 + dim ker A_T, the dimension being cols - rank, is computed
 independently from the twist matrix so the two routes can be checked
-against each other.  Two cycles share at most one edge, so A_T takes one
+against each other; ``is_hyperbolic`` and the oracles read it, the locus
+does not.  Two cycles share at most one edge, so A_T takes one
 popcount per cycle for its diagonal and one bit test per edge of the
 per-curve table of shared edges (``_cycle_rows``) for the rest.
 

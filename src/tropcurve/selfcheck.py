@@ -4,9 +4,11 @@ Each check pits two independent routes against each other (cell-walk
 construction vs pair scan, twist-matrix count vs quadrant-model count,
 the face tree of the quadrant model vs components by vertex-copy
 connectivity and a fresh scan per cut,
-innermost oval's disk face vs the innermost oval of the whole component
-report (``locus_from_report``) and the pencil sweep, plus the bridge
-locus on honeycombs,
+the locus report read off one face tree (nest verdict, component count,
+innermost oval's disk face) vs the oracle ``locus_from_report``, which
+takes the verdict and kernel dimension from the twist matrix's rank
+(``is_hyperbolic``) and the innermost oval from the whole component
+report, and vs the pencil sweep, plus the bridge locus on honeycombs,
 degree product vs enumerated multiplicities) on randomized inputs.
 Production runs one route per quantity; the second routes are these
 oracles, among them the twist round trip (twists_from_phase recovers what
@@ -79,7 +81,6 @@ from .gf2 import _LINE_NORMALS, Gf2Matrix, Gf2Subspace, PhaseLine, kernel
 from .hyperbolic import (
     HyperbolicityReport,
     PointVerdict,
-    _stable_limit,
     honeycomb_locus,
     hyperbolicity_locus,
     is_hyperbolic,
@@ -946,10 +947,13 @@ def pointwise_signed_locus(
 
 
 def locus_from_report(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
-    """The oracle for ``hyperbolicity_locus``: the innermost oval and its
-    interior taken from the whole component report
+    """The oracle for ``hyperbolicity_locus``: the verdict and kernel
+    dimension by the rank route (``is_hyperbolic``), the innermost oval
+    and its interior taken from the whole component report
     (``count_components_direct``), with every other component's witness
-    atom checked to lie outside that interior."""
+    atom checked to lie outside that interior, and the stable limit by its
+    definition: a honeycomb whose every bounded edge is twisted and whose
+    every phase line lies at level 1."""
     d = curve.require_degree()
     phase.validate_for(curve)
     twists = twists_from_phase(curve, phase)
@@ -980,7 +984,11 @@ def locus_from_report(curve: TropicalCurve, phase: RealPhaseStructure) -> Hyperb
         hyperbolic=hyp,
         kernel_dim=k,
         component_count=1 + k,
-        stable=_stable_limit(curve, phase, twists),
+        stable=(
+            curve.is_honeycomb()
+            and twists.edges == frozenset(curve.bounded_edges)
+            and all(line.level for line in phase.lines)
+        ),
         locus=frozenset(a for a, _ in signed),
         signed_locus=signed,
     )

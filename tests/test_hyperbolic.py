@@ -26,7 +26,7 @@ from tropcurve import (
 from tropcurve.errors import DegreeUnset, NotAdmissible, NotHoneycomb, PointOnCurve, ValidationError
 from tropcurve.geometry import canonical_direction
 from tropcurve.gf2 import Gf2Subspace
-from tropcurve.realstruct import EPS4, RealPhaseStructure, region_class, twist_matrix
+from tropcurve.realstruct import EPS4, RealPhaseStructure, _base, region_class, twist_matrix
 from tropcurve.selfcheck import (
     SigmaV,
     _ComponentAnalysis,
@@ -599,19 +599,39 @@ def test_pencil_line_relative_twist_matches_intersect_machinery(rng):
     assert checked >= 40
 
 
-def test_locus_empty_iff_not_hyperbolic(rng):
-    for _ in range(8):
-        d = rng.randrange(2, 6)
+def test_the_nest_verdict_is_the_rank_verdict():
+    """The locus's nest test (d // 2 ovals down) and kernel dimension
+    (components less one) against the rank route: every phase of
+    honeycomb(1..3) and of 12 seeded lifts of degree 2 and 3, a phase
+    being the one induced by signs with (0,0) plus, and 200 random-sign
+    phases of seeded lifts of degree 4..8."""
+    rng = random.Random(3)
+    cases = []
+    curves = [honeycomb(d) for d in (1, 2, 3)]
+    curves += [random_nonsingular_curve(rng, d) for d in (2, 3) for _ in range(6)]
+    for c in curves:
+        base = _base(c)
+        cases += [(c, base.phase_of_signs(m << 1)) for m in range(2 ** (len(base.points) - 1))]
+    for _ in range(200):
+        c = random_nonsingular_curve(rng, rng.randrange(4, 9))
+        cases.append((c, phase_from_signs(c, random_sign_distribution(rng, c))))
+    hyperbolic = 0
+    for c, phase in cases:
+        report = hyperbolicity_locus(c, phase)
+        assert (report.hyperbolic, report.kernel_dim) == is_hyperbolic(c, twists_from_phase(c, phase))
+        hyperbolic += report.hyperbolic
+    assert len(cases) == 4012
+    assert 1000 < hyperbolic < 3000, hyperbolic
+
+
+def test_constant_signs_twist_every_bounded_edge_of_a_honeycomb():
+    # the stability lemma behind the locus's stable field: the two unit
+    # triangles on a dual edge pq have apexes r and p + q - r, whose
+    # coordinate sums differ by q - p mod 2, which is nonzero
+    for d in range(1, 31):
         c = honeycomb(d)
-        bridges = multi_bridges(c)
-        edges = set()
-        for b in bridges:
-            if rng.random() < 0.4:
-                edges |= b.edges
-        T = TwistSet.from_edges(c, edges)
-        locus = honeycomb_locus(c, T)
-        ok, _ = is_hyperbolic(c, T)
-        assert ok == bool(locus)
+        twists = twists_from_phase(c, phase_from_signs(c, SignDistribution.constant(c)))
+        assert twists.edges == frozenset(c.bounded_edges), d
 
 
 def test_bridge_locus_is_the_locus_on_every_dividing_set():
@@ -626,6 +646,7 @@ def test_bridge_locus_is_the_locus_on_every_dividing_set():
             report = hyperbolicity_locus(c, phase_from_twists(c, twists))
             assert honeycomb_locus(c, twists) == report.locus, (d, sorted(twists.edges))
             assert report.hyperbolic == bool(report.locus), (d, sorted(twists.edges))
+            assert is_hyperbolic(c, twists)[0] == report.hyperbolic, (d, sorted(twists.edges))
             sets += 1
     assert sets == 8 + 64 + 512 + 4096
 
@@ -737,17 +758,22 @@ def test_point_query_checks_the_point_before_computing_the_locus(monkeypatch):
 
 
 def test_honeycomb_locus_check_kills_a_verdict_that_no_quintic_is_hyperbolic(monkeypatch):
+    """A mutant ``hyperbolicity_locus`` whose nest test never holds at
+    d = 5: the fully twisted quintic is hyperbolic, so the check fails
+    on it against the oracle's rank route."""
+    import inspect
+
     import tropcurve.hyperbolic as hyp
+    import tropcurve.selfcheck as sc
     from tropcurve.selfcheck import run_check
 
-    real = hyp.is_hyperbolic
-
-    def never_for_quintics(curve, twists):
-        hyperbolic, k = real(curve, twists)
-        return hyperbolic and curve.degree != 5, k
-
     assert run_check("honeycomb-locus", random.Random(2), 5).passed
-    monkeypatch.setattr(hyp, "is_hyperbolic", never_for_quintics)
+    source = inspect.getsource(hyp.hyperbolicity_locus)
+    test = "== d // 2"
+    assert source.count(test) == 1
+    namespace = dict(vars(hyp))
+    exec(source.replace(test, test + " and d != 5"), namespace)
+    monkeypatch.setattr(sc, "hyperbolicity_locus", namespace["hyperbolicity_locus"])
     result = run_check("honeycomb-locus", random.Random(2), 5)
     assert not result.passed and result.detail.startswith("fully twisted d=5: "), result.detail
 

@@ -762,6 +762,8 @@ def test_a_first_locus_builds_no_copy_keys_or_region_class():
             hyperbolic += report.hyperbolic
             built = vars(_cells(curve)) if _cells.__name__ in curve._tables else {}
             assert "copy_keys" not in built and "region_class" not in built
+            # the face tree is the locus's one route: no rank-route table
+            assert not {"_cycle_rows", "_side_ends", "_side_rule"} & curve._tables.keys()
     assert hyperbolic >= 5
 
 

@@ -404,18 +404,6 @@ def test_real_topology_violation_names_the_restriction():
     assert real_topology_violation(4, report(1, 1), True).startswith("Arnold")
 
 
-def test_harnack_m_curve_degree_18():
-    # Harnack's signs on a honeycomb give an M-curve: g + 1 components
-    c = honeycomb(18)
-    delta = SignDistribution(
-        {p: -1 if p[0] % 2 == 0 and p[1] % 2 == 0 else 1 for p in c.dual.lattice_points}
-    )
-    g = 17 * 16 // 2
-    direct = count_components_direct(real_part(c, phase_from_signs(c, delta)))
-    assert direct.count == count_components_matrix(c, twists_from_signs(c, delta)) == g + 1 == 137
-
-
-
 def test_harnack_signs_give_an_m_curve_in_every_parity_class():
     # delta = -1 exactly where (i mod 2, j mod 2) is one class: the four
     # classes differ by re-signing, and on any primitive convex
