@@ -37,7 +37,9 @@ edge is its dual edge turned, and cuts the curve in two, as its line cuts
 the triangle in two.  Tests pin this lemma; ``multi_bridges`` only groups
 the edges.  The dividing twist sets of a honeycomb are then exactly the
 unions of multi-bridges: the bridges' indicator vectors are a basis of
-``div_space``, so ``hyp_alpha_flat`` reads its flat off them.  Alpha's
+``div_space``, so ``hyp_alpha_flat`` reads its flat off them, and
+``honeycomb_locus`` decides "dividing" by finding no partly twisted
+bridge, with no cycle row read unless one is partly twisted.  Alpha's
 constraining bridges are the v-bridges below a1, the h-bridges below a2
 and the d-bridges above a1 + a2, so the bridge locus is a lattice
 triangle: a1 <= v*, a2 <= h*, a1 + a2 >= s*, with v* (h*) the least level
@@ -226,22 +228,23 @@ def multi_bridges(curve: TropicalCurve) -> list[MultiBridge]:
 def honeycomb_locus(curve: TropicalCurve, twists: TwistSet) -> frozenset[IVec]:
     """Components whose constraining bridges (left, below, diagonally
     above) are all twisted: the lattice triangle of the module docstring,
-    its three bounds read off the untwisted bridges in one pass."""
+    its three bounds read off the untwisted bridges in one pass.  The same
+    pass decides "dividing" by the module's lemma: the set is a union of
+    bridges iff no bridge is partly twisted."""
     d = curve.require_degree()
     if not curve.is_honeycomb():
         raise NotHoneycomb("the bridge criterion needs a honeycomb")
-    if not is_dividing(curve, twists):
-        raise NotDividing("the bridge criterion needs a dividing twist set")
     edges = twists.edges
-    v, h, s = d, d, 0
+    untwisted: dict[str, list[int]] = {"v": [d], "h": [d], "d": [0]}
     for (fam, level), b in _bridge_table(curve).items():
-        if not b.edges <= edges:
-            if fam == "v":
-                v = min(v, level)
-            elif fam == "h":
-                h = min(h, level)
-            else:
-                s = max(s, level)
+        if b.edges.isdisjoint(edges):
+            untwisted[fam].append(level)
+        elif not b.edges <= edges:
+            # not a union of bridges, so not dividing; the cycle route
+            # refuses an inadmissible set with its own error first
+            is_dividing(curve, twists)
+            raise NotDividing("the bridge criterion needs a dividing twist set")
+    v, h, s = min(untwisted["v"]), min(untwisted["h"]), max(untwisted["d"])
     return frozenset({(a1, a2) for a1 in range(v + 1) for a2 in range(max(0, s - a1), min(h, d - a1) + 1)})
 
 
@@ -270,7 +273,7 @@ def hyp_alpha_flat(curve: TropicalCurve, alpha: IVec) -> HypAlphaFlat:
     constraining = tuple(bridges[k] for k in keys)
     offset = Gf2Vector.from_indices(n, [index[eid] for b in constraining for eid in b.edges])
     skip = set(keys)
-    space = Gf2Subspace.from_vectors(
-        n, [Gf2Vector.from_indices(n, [index[eid] for eid in b.edges]) for k, b in bridges.items() if k not in skip]
-    )
+    # disjoint supports, so sorted by lowest bit they are the reduced basis
+    vectors = [Gf2Vector.from_indices(n, [index[eid] for eid in b.edges]) for k, b in bridges.items() if k not in skip]
+    space = Gf2Subspace(n, tuple(sorted(vectors, key=lambda x: x.bits & -x.bits)))
     return HypAlphaFlat(alpha, AffineFlat(offset, space), constraining)

@@ -133,8 +133,9 @@ class SignDistribution:
         _base(curve).minus(self)
 
     @classmethod
-    def constant(cls, curve: TropicalCurve, sign: int = 1) -> "SignDistribution":
-        return cls({v: sign for v in curve.dual.lattice_points})
+    def constant(cls, curve: TropicalCurve) -> "SignDistribution":
+        """The all-plus distribution."""
+        return cls({v: 1 for v in curve.dual.lattice_points})
 
 
 class RealPhaseStructure(_Record):

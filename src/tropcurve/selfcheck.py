@@ -55,6 +55,8 @@ from .curve import (
 from .errors import (
     DegeneratePolygon,
     InvariantViolation,
+    NotAdmissible,
+    NotDividing,
     NotGenericAfterRetries,
     PointOnCurve,
     SingularSubdivision,
@@ -569,10 +571,10 @@ def _continuation_edge(curve: TropicalCurve, phase: RealPhaseStructure, eid: int
             continue
         if phase.lines[oid].contains(eps):
             if found is not None:
-                raise AssertionError("phase continuation is not unique")
+                raise InvariantViolation("phase continuation is not unique")
             found = oid
     if found is None:
-        raise AssertionError("phase continuation does not exist")
+        raise InvariantViolation("phase continuation does not exist")
     return found
 
 
@@ -584,7 +586,7 @@ def continuation_side(
     cont = _continuation_edge(curve, phase, eid, v, eps)
     s = det2(ref_dir, _outward_direction(curve, cont, v))
     if s == 0:
-        raise AssertionError("a phase continuation is never parallel to the edge it continues")
+        raise InvariantViolation("a phase continuation is never parallel to the edge it continues")
     return s > 0
 
 
@@ -596,7 +598,7 @@ def sides_differ(
     leave on opposite sides.  The verdict must not depend on the element."""
     verdicts = {side_a(eps) != side_b(eps) for eps in elements}
     if len(verdicts) != 1:
-        raise AssertionError("twist verdict must not depend on the phase element")
+        raise InvariantViolation("twist verdict must not depend on the phase element")
     return verdicts.pop()
 
 
@@ -612,7 +614,7 @@ def edge_twisted_geometric(curve: TropicalCurve, phase: RealPhaseStructure, eid:
     opposite sides of it.  Reference route of ``realstruct.edge_twisted``."""
     e = curve.edges[eid]
     if not e.bounded:
-        raise AssertionError("only bounded edges carry a twist")
+        raise InvariantViolation("only bounded edges carry a twist")
     return _continuations_differ(
         phase.lines[eid].elements, e.direction, (curve, phase, eid, e.tail), (curve, phase, eid, e.head)
     )
@@ -645,11 +647,11 @@ def relative_twist_signs(
     pb, qb = eb.dual
     if eb.direction != ea.direction:
         if eb.direction != (-ea.direction[0], -ea.direction[1]):
-            raise AssertionError("overlapping edges must be parallel")
+            raise InvariantViolation("overlapping edges must be parallel")
         pb, qb = qb, pb
     shift = (pa[0] - pb[0], pa[1] - pb[1])
     if (qa[0] - qb[0], qa[1] - qb[1]) != shift:
-        raise AssertionError("the two dual edges must differ by one translation")
+        raise InvariantViolation("the two dual edges must differ by one translation")
     # third vertex of the dual cell of each overlap-end vertex
     v3 = {}
     for tag, vid in comp.end_vertices:
@@ -660,7 +662,7 @@ def relative_twist_signs(
         v3[tag] = third
     sa, sb = delta_a.signs, delta_b.signs
     if sa[pa] * sa[qa] * sb[pb] * sb[qb] != 1:
-        raise AssertionError("equal phases force the premise product")
+        raise InvariantViolation("equal phases force the premise product")
     v3a = v3["a"]
     v3b = v3["b"]
     v3b_shifted = (v3b[0] + shift[0], v3b[1] + shift[1])
@@ -668,12 +670,12 @@ def relative_twist_signs(
         r1 = sa[v3a] * sa[pa] * sb[v3b] * sb[pb] == -1
         r2 = sa[v3a] * sa[qa] * sb[v3b] * sb[qb] == -1
         if r1 != r2:
-            raise AssertionError("the sign rule reads differently at the two dual vertices")
+            raise InvariantViolation("the sign rule reads differently at the two dual vertices")
         return r1
     r1 = sa[pa] * sa[v3a] * sb[qb] * sb[v3b] == 1
     r2 = sa[qa] * sa[v3a] * sb[pb] * sb[v3b] == 1
     if r1 != r2:
-        raise AssertionError("the sign rule reads differently at the two dual vertices")
+        raise InvariantViolation("the sign rule reads differently at the two dual vertices")
     return r1
 
 
@@ -717,7 +719,7 @@ class SigmaV:
         if w[0] < 0 and w[1] > w[0]:
             return ("sector", (1, 0))
         if not (w[1] < 0 and w[0] > w[1]):
-            raise AssertionError(f"{p} lies in no part of the pencil subdivision at {self.apex}")
+            raise InvariantViolation(f"{p} lies in no part of the pencil subdivision at {self.apex}")
         return ("sector", (0, 1))
 
 
@@ -845,14 +847,14 @@ class _ComponentAnalysis:
                     entered = _FLANK[label][0] if sgn > 0 else _FLANK[label][1]
                     if entered == cls:
                         if d not in _LINE_RAY_DIRS:
-                            raise AssertionError("entry direction must be a line ray")
+                            raise InvariantViolation("entry direction must be a line ray")
                         cands.append((label, d))
             if len(cands) != 1:
-                raise AssertionError("edge meets its sector across exactly one ray")
+                raise InvariantViolation("edge meets its sector across exactly one ray")
             label, d = cands[0]
             w_vid = e.head if d == e.direction else e.tail
             if self.sector[w_vid] != cls:
-                raise AssertionError(f"edge {eid} enters its sector but its far end lies outside it")
+                raise InvariantViolation(f"edge {eid} enters its sector but its far end lies outside it")
             self.cond3_overlaps.append(self._overlap_record(eid, label, d, w_vid))
 
     def _overlap_record(self, eid, ray_label, d, w_vid):
@@ -915,7 +917,7 @@ class _ComponentAnalysis:
             on_rv = ((phi[0] * n_rv[0] + phi[1] * n_rv[1]) & 1) == c_rv
             on_third = ((phi[0] * n_third[0] + phi[1] * n_third[1]) & 1) == c_third
             if on_rv == on_third:
-                raise AssertionError("a phase element continues along exactly one pencil ray")
+                raise InvariantViolation("a phase element continues along exactly one pencil ray")
             return det2(rec["ref_dir"], rv_dir if on_rv else third_dir) > 0
 
         return sides_differ(rec["elements"], side_u0, rec["side_w"].__getitem__)
@@ -965,10 +967,10 @@ def locus_from_report(curve: TropicalCurve, phase: RealPhaseStructure) -> Hyperb
         report = count_components_direct(real_part(curve, phase))
         ovals = [c for c in report.components if c.kind == "oval"]
         if len(ovals) != d // 2:
-            raise AssertionError("hyperbolic curve must have floor(d/2) ovals")
+            raise InvariantViolation("hyperbolic curve must have floor(d/2) ovals")
         depths = sorted(c.nesting_depth for c in ovals)
         if depths != list(range(1, len(ovals) + 1)):
-            raise AssertionError("oval nesting must be a chain")
+            raise InvariantViolation("oval nesting must be a chain")
         innermost = max(ovals, key=lambda c: c.nesting_depth)
         for other in report.components:
             if other is innermost:
@@ -976,7 +978,7 @@ def locus_from_report(curve: TropicalCurve, phase: RealPhaseStructure) -> Hyperb
             eid, eps0 = min(other.edge_copies)
             witness = (curve.edges[eid].dual[0], eps0)
             if witness in innermost.interior_regions:
-                raise AssertionError("innermost oval interior must not contain other components")
+                raise InvariantViolation("innermost oval interior must not contain other components")
         atoms = set(innermost.interior_regions)
     # each atom's region_class, read off the curve's table
     signed = frozenset(map(_cells(curve).region_class.__getitem__, atoms)) if atoms else frozenset()
@@ -1110,11 +1112,11 @@ def cut_scan_components(rp: RealPart) -> ComponentReport:
             infos.append((K, "pseudo-line", None))
             continue
         if len(roots) != 2:
-            raise AssertionError("a closed curve cuts the projective plane into 1 or 2 sides")
+            raise InvariantViolation("a closed curve cuts the projective plane into 1 or 2 sides")
         chi = side_euler_characteristics(rp, K, uf)
         chis = sorted(chi[r] for r in roots)
         if chis != [0, 1]:
-            raise AssertionError(f"oval sides must be a disk and a Moebius side, got chi={chis}")
+            raise InvariantViolation(f"oval sides must be a disk and a Moebius side, got chi={chis}")
         disk_root = next(r for r in roots if chi[r] == 1)
         interior = frozenset(a for a in atoms if uf.find(a) == disk_root)
         infos.append((K, "oval", interior))
@@ -1152,7 +1154,7 @@ def _nesting_report(
         else:
             parents.append(max(containers, key=lambda j: depths[j]))
     if sum(1 for _, kind, _ in infos if kind == "pseudo-line") > 1:
-        raise AssertionError("the real part has more than one pseudo-line")
+        raise InvariantViolation("the real part has more than one pseudo-line")
     return ComponentReport(
         count=n,
         components=tuple(
@@ -1331,20 +1333,29 @@ def check_twist_rules(rng: random.Random, trials: int) -> str:
     )
 
 
+def _bridge_union(rng: random.Random) -> tuple[int, TropicalCurve, set[int]]:
+    """A honeycomb of degree 2..5 and a random union of its bridges."""
+    d = rng.randrange(2, 6)
+    curve = honeycomb(d)
+    edges: set[int] = set()
+    for b in multi_bridges(curve):
+        if rng.random() < 0.5:
+            edges |= b.edges
+    return d, curve, edges
+
+
 def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
     """Bridge criterion vs innermost oval (face and report routes) vs
     pencil sweep, on random dividing twist sets and then on the fully
     twisted honeycombs of degree 2..7.  Those are hyperbolic, so a route
     that answers "not hyperbolic" for one degree fails; they draw nothing
-    from rng."""
+    from rng.  Last, the bridge pass's "dividing" against the cycle route
+    (``is_dividing``) on random unions of bridges with one bounded edge
+    flipped: it accepts iff the cycle route finds the set dividing, and
+    refuses as the cycle route does otherwise."""
     draws = []
     for k in range(trials):
-        d = rng.randrange(2, 6)
-        curve = honeycomb(d)
-        edges: set[int] = set()
-        for b in multi_bridges(curve):
-            if rng.random() < 0.5:
-                edges |= b.edges
+        d, curve, edges = _bridge_union(rng)
         draws.append((f"trial {k} (d={d})", curve, edges))
     for d in range(2, 8):
         curve = honeycomb(d)
@@ -1363,6 +1374,23 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
         sweep = pointwise_signed_locus(curve, phase)
         if report.signed_locus != sweep:
             raise Mismatch(f"{label}: oval and sweep differ on {sorted(report.signed_locus ^ sweep)}")
+    for k in range(trials):
+        # flipping a one-edge bridge gives another union, so the cycle
+        # route, not the draw, says which answer is right
+        d, curve, edges = _bridge_union(rng)
+        twists = TwistSet.from_edges(curve, edges ^ {rng.choice(curve.bounded_edges)})
+        try:
+            dividing = is_dividing(curve, twists)
+            want = "accepted" if dividing else "NotDividing: the bridge criterion needs a dividing twist set"
+        except NotAdmissible as exc:
+            want = f"NotAdmissible: {exc}"
+        try:
+            honeycomb_locus(curve, twists)
+            got = "accepted"
+        except (NotAdmissible, NotDividing) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        if got != want:
+            raise Mismatch(f"flip trial {k} (d={d}): bridges {got}, cycles {want}")
     return f"{trials} random dividing twist sets and the fully twisted honeycombs of degree 2..7"
 
 
@@ -1485,7 +1513,7 @@ def _recession_direction(curve: TropicalCurve, alpha: IVec) -> IVec:
             nv = rot90(u)
             normals.append((-nv[0], -nv[1]))  # outward for a ccw hull
     if not normals:
-        raise AssertionError(f"{alpha} is not on the hull boundary")
+        raise InvariantViolation(f"{alpha} is not on the hull boundary")
     sx = sum(v[0] for v in normals)
     sy = sum(v[1] for v in normals)
     return primitive((sx, sy))

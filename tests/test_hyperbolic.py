@@ -8,6 +8,7 @@ import pytest
 from tropcurve import (
     SignDistribution,
     TwistSet,
+    adm_space,
     div_space,
     honeycomb,
     honeycomb_locus,
@@ -23,9 +24,17 @@ from tropcurve import (
     primitive_cycles,
     twists_from_phase,
 )
-from tropcurve.errors import DegreeUnset, NotAdmissible, NotHoneycomb, PointOnCurve, ValidationError
+from tropcurve.errors import (
+    DegreeUnset,
+    InvariantViolation,
+    NotAdmissible,
+    NotDividing,
+    NotHoneycomb,
+    PointOnCurve,
+    ValidationError,
+)
 from tropcurve.geometry import canonical_direction
-from tropcurve.gf2 import Gf2Subspace
+from tropcurve.gf2 import Gf2Subspace, Gf2Vector
 from tropcurve.realstruct import EPS4, RealPhaseStructure, _base, region_class, twist_matrix
 from tropcurve.selfcheck import (
     SigmaV,
@@ -209,8 +218,6 @@ def test_honeycomb_locus_examples():
 
 
 def test_honeycomb_locus_guards():
-    from tropcurve.errors import NotDividing
-
     c3 = honeycomb(3)
     (cycle,) = primitive_cycles(c3)
     # one hexagon edge of each direction class: direction sums vanish but
@@ -229,6 +236,76 @@ def test_honeycomb_locus_guards():
         honeycomb_locus(q, TwistSet.from_edges(q, []))
     with pytest.raises(NotHoneycomb):
         hyp_alpha_flat(q, (1, 1))
+
+
+def _bridge_outcome(curve, twists):
+    try:
+        honeycomb_locus(curve, twists)
+    except (NotAdmissible, NotDividing) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _cycle_outcome(curve, twists):
+    """What ``honeycomb_locus`` must answer, by the cycle route."""
+    try:
+        dividing = is_dividing(curve, twists)
+    except NotAdmissible as exc:
+        return NotAdmissible, str(exc)
+    return None if dividing else (NotDividing, "the bridge criterion needs a dividing twist set")
+
+
+def _partly_twisted(curve, edges):
+    return any(0 < len(b.edges & edges) < len(b.edges) for b in multi_bridges(curve))
+
+
+def test_bridge_pass_decides_dividing_as_the_cycle_route():
+    """``honeycomb_locus`` decides "dividing" off the bridges alone: on
+    every twist set of honeycomb(1..3) and on 200 seeded non-unions of
+    bridges at d = 4..8 (admissible sets drawn from ``adm_space``, and
+    unions of bridges with one edge flipped), it accepts iff
+    ``is_dividing`` does and otherwise refuses with the cycle route's
+    error and message."""
+    cases = []
+    for d in (1, 2, 3):
+        c = honeycomb(d)
+        n = len(c.bounded_edges)
+        cases += [(c, TwistSet.from_vector(c, Gf2Vector(n, m))) for m in range(1 << n)]
+    rng = random.Random(52)
+    curves = {d: honeycomb(d) for d in range(4, 9)}
+    drawn = 0
+    while drawn < 200:
+        c = curves[rng.randrange(4, 9)]
+        if drawn % 2:
+            bits = 0
+            for b in adm_space(c).basis:
+                if rng.random() < 0.5:
+                    bits ^= b.bits
+            edges = set(TwistSet.from_vector(c, Gf2Vector(len(c.bounded_edges), bits)).edges)
+        else:
+            edges = {e for b in multi_bridges(c) if rng.random() < 0.5 for e in b.edges}
+            edges ^= {rng.choice(c.bounded_edges)}
+        if _partly_twisted(c, edges):
+            cases.append((c, TwistSet.from_edges(c, edges)))
+            drawn += 1
+    outcomes = set()
+    for c, twists in cases:
+        want = _cycle_outcome(c, twists)
+        assert _bridge_outcome(c, twists) == want, (c.require_degree(), sorted(twists.edges))
+        outcomes.add(want and want[0])
+    assert len(cases) == 521 + 200
+    assert outcomes == {None, NotAdmissible, NotDividing}
+
+
+def test_bridge_routes_build_only_the_bridge_table():
+    # a first bridge call reads the bridges and no cycle table
+    for d in range(2, 13):
+        c = honeycomb(d)
+        honeycomb_locus(c, TwistSet.from_edges(c, c.bounded_edges))
+        assert c._tables.keys() == {"_bridge_table"}, d
+        c = honeycomb(d)
+        hyp_alpha_flat(c, (1, 1))
+        assert c._tables.keys() == {"_bridge_table"}, d
 
 
 def test_honeycomb_locus_matches_sweep_on_small_untwisted_cases():
@@ -801,6 +878,27 @@ def test_honeycomb_locus_check_kills_bridges_that_misread_the_vertical_level(mon
     assert re.match(r"trial \d+ \(d=\d+\): bridges \[.*\] != oval \[", result.detail), result.detail
 
 
+def test_honeycomb_locus_check_kills_a_bridge_pass_that_accepts_partly_twisted_sets(monkeypatch):
+    """A mutant ``honeycomb_locus`` that skips a partly twisted bridge
+    instead of refusing: the flipped draws catch it against the cycle
+    route."""
+    import inspect
+
+    import tropcurve.hyperbolic as hyp
+    import tropcurve.selfcheck as sc
+    from tropcurve.selfcheck import run_check
+
+    source = inspect.getsource(hyp.honeycomb_locus)
+    test = "elif not b.edges <= edges:"
+    assert source.count(test) == 1
+    namespace = dict(vars(hyp))
+    exec(source.replace(test, "elif False:"), namespace)
+    monkeypatch.setattr(sc, "honeycomb_locus", namespace["honeycomb_locus"])
+    result = run_check("honeycomb-locus", random.Random(2), 5)
+    assert not result.passed
+    assert re.match(r"flip trial \d+ \(d=\d+\): bridges accepted, cycles NotAdmissible: ", result.detail), result.detail
+
+
 def test_report_has_one_field_per_quantity():
     from dataclasses import fields
 
@@ -939,6 +1037,18 @@ def test_locus_invariants_hold_under_python_optimize():
         "AssertionError: twist verdict must not depend on the phase element\n"
         "AssertionError: only bounded edges carry a twist\n"
     )
+
+
+def test_selfcheck_invariants_are_typed():
+    # the inputs of the python -O test above, in this interpreter
+    from tropcurve.selfcheck import edge_twisted_geometric, sides_differ
+
+    with pytest.raises(InvariantViolation, match="twist verdict must not depend on the phase element"):
+        sides_differ(((0, 0), (1, 1)), lambda e: e == (0, 0), lambda e: False)
+    conic = honeycomb(2)
+    ray = next(e.index for e in conic.edges if not e.bounded)
+    with pytest.raises(InvariantViolation, match="only bounded edges carry a twist"):
+        edge_twisted_geometric(conic, phase_from_twists(conic, TwistSet.from_edges(conic, ())), ray)
 
 
 # -- the locus against the component-report route ------------------------

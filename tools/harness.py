@@ -201,8 +201,10 @@ HONEYCOMB = {
     "locus_cold": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
     "locus_warm": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
     # after the locus steps, so that they find the curve's tables cold; the
-    # locus builds no twist-matrix table, so this step pays the first use
-    # of the curve's cycles and cycle rows
+    # locus builds no cycle table, so this step pays the first use of the
+    # curve's cycles and cycle rows
+    "is_dividing": lambda s, r, d: (s.tc.is_dividing, (r["build"], _all_twisted(s.tc, r["build"]))),
+    # on those tables, the twist matrix and its rank alone
     "count_components_matrix": lambda s, r, d: (s.tc.count_components_matrix,
                                                 (r["build"], _all_twisted(s.tc, r["build"]))),
     # the bridge criterion on the fully twisted set
