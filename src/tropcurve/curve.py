@@ -36,6 +36,7 @@ from .errors import DegeneratePolygon, DegreeUnset, InvariantViolation, Singular
 from .geometry import (
     IVec,
     Point,
+    _fraction,
     convex_hull,
     hull_lattice_points,
     on_frame,
@@ -290,12 +291,12 @@ class TropicalCurve:
     @cached_property
     def poly(self) -> TropicalPolynomial:
         den = self.frame.den
-        return TropicalPolynomial({p: Fraction(h, den) for p, h in self.frame.heights.items()})
+        return TropicalPolynomial({p: _fraction(h, den) for p, h in self.frame.heights.items()})
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
         den = self.frame.den
-        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.frame.vertices)
+        return tuple((_fraction(x, den), _fraction(y, den)) for x, y in self.frame.vertices)
 
     @curve_table
     def region_edges(self) -> dict[IVec, tuple[int, ...]]:

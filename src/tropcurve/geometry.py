@@ -12,6 +12,19 @@ from math import gcd
 Point = tuple[Fraction, Fraction]
 IVec = tuple[int, int]
 
+_new = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ints n and d > 0, reduced by one gcd and
+    written into ``Fraction``'s two slots, as the stdlib's own
+    ``Fraction._from_coprime_ints`` (3.12) does: ``Fraction(n, d)`` first
+    dispatches on its arguments' types and costs about three times as much."""
+    g = gcd(n, d)
+    f = _new(Fraction)
+    f._numerator, f._denominator = n // g, d // g
+    return f
+
 
 def sub(p, q):
     """p - q for points or lattice vectors."""

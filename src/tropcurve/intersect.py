@@ -79,7 +79,7 @@ from .errors import (
     UnsupportedConfiguration,
     WrongKind,
 )
-from .geometry import Point, det2
+from .geometry import Point, _fraction, det2
 from .realstruct import (
     RealPhaseStructure,
     _outward_direction,
@@ -426,26 +426,11 @@ def _lex(key, common: int):
     return x * f, y * f
 
 
-_new = object.__new__
-
-
 def _point(den: int, key) -> Point:
-    """The point of a key, as ``Fraction(x, den*m), Fraction(y, den*m)``.
-
-    Both coordinates are ints over den*m > 0, so each is reduced by one
-    gcd and written into ``Fraction``'s two slots, as the stdlib's own
-    ``Fraction._from_coprime_ints`` (3.12) does: ``Fraction(n, d)`` first
-    dispatches on its arguments' types and costs about three times as much.
-    """
+    """The point of a key, as ``Fraction(x, den*m), Fraction(y, den*m)``."""
     x, y, m = key
     d = den * m
-    g = gcd(x, d)
-    fx = _new(Fraction)
-    fx._numerator, fx._denominator = x // g, d // g
-    g = gcd(y, d)
-    fy = _new(Fraction)
-    fy._numerator, fy._denominator = y // g, d // g
-    return fx, fy
+    return _fraction(x, d), _fraction(y, d)
 
 
 def _end_vertex(curve: TropicalCurve, k: int, eids, key) -> int | None:

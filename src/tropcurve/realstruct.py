@@ -35,7 +35,8 @@ direction class, and a sign distribution as one bit per lattice point;
 conversions, twist solving and the cell model are then popcounts and
 XORs over those bits.  The records hold the bits: a phase from a
 conversion keeps its tables and level bits (and, from signs, their minus
-bits), a twist set its vector and a component report its faces, and
+bits; any other phase finds its minus bits on first request), a twist
+set its vector and a component report its faces, and
 their tuples and frozensets (``lines``, ``edges``, ``edge_copies``,
 ``interior_regions``) are built on first read.  A route builds only the
 tables it reads, and each table reads the curve once per vertex, edge or
@@ -46,14 +47,15 @@ side point, not once per edge end through helper calls:
   point's incident edges, the columns that turn minus signs into levels;
 - ``_cell_sums`` (both sign tables): per vertex, its dual cell's index
   sum and coordinate parities;
-- ``_sign_columns`` (signs to twists): two ``_cell_sums`` reads per edge;
-  each minus sign XORs in one column;
+- ``_sign_columns`` (signs or a phase to twists): two ``_cell_sums``
+  reads per edge; each minus sign XORs in one column;
 - ``_sign_solver`` (twists to a phase): one step per bounded edge of the
   curve's ``walk_order``, which signs the far cell's new point from the
   near cell's, so each minus bit is a parity of the twist bits;
-- ``_side_ends`` (one twist, overlaps, ``_side_rule``): per vertex, one
-  class check and three determinants for its three edge ends;
-- ``_side_rule`` (phase to twists): two ends per bounded edge;
+- ``_sign_tree`` (a phase to its minus bits, signs keyed in order): one
+  step per lattice point;
+- ``_side_ends`` (one twist, overlaps): per vertex, three determinants
+  for its three edge ends;
 - ``_cycle_rows`` (admissible, dividing, the twist matrix): per edge of
   each primitive cycle;
 - ``_cells`` (drawn copies, component reports, the locus, point
@@ -62,14 +64,18 @@ side point, not once per edge end through helper calls:
   lanes of atoms, which a phase's level bits select for the face
   labelling; its key tables and its lane of copies on first read.
 
-Production routes: twisted edges come from signs by the sign rule and
-from a phase structure by the compiled sidedness rule: one (edge, side)
-pair per edge end (``_side_ends``) and one closed form across two ends
-(``_twisted_between``).  Hyperbolic reads it through
-``twists_from_phase``, and intersect through ``edge_twisted`` and, across
-the two ends of an overlap on different curves, ``is_relatively_twisted``.
-The geometric sidedness rule (continuations at each end,
-``selfcheck.edge_twisted_geometric`` and
+Production routes: twisted edges come from signs by the sign rule, and
+from a phase structure by the same rule on the minus bits of signs
+inducing it (``twists_from_phase``), since every phase that
+``_Base.levels`` accepts is sign-induced.  The compiled sidedness rule
+reads the phase lines where no signs of the whole phase are at hand: on
+one edge (``edge_twisted``, which intersect reads for an edge inside
+another) and across the two ends of an overlap on two curves
+(intersect's ``is_relatively_twisted``).  It keeps one (edge, side) pair
+per edge end (``_side_ends``) and one closed form across two ends
+(``_twisted_between``), and it is the oracle that ``twists_from_phase``
+is held to on every bounded edge.  The geometric sidedness rule
+(continuations at each end, ``selfcheck.edge_twisted_geometric`` and
 ``selfcheck.relative_twist_geometric``) is its oracle, which the pencil
 oracle ``selfcheck._ComponentAnalysis`` also applies to its pencil-line
 condition.  That the rules agree, that phase_from_twists inverts
@@ -144,34 +150,32 @@ class RealPhaseStructure(_Record):
 
     Built from its lines, or by the conversions from a curve's tables and
     one level bit per edge, with ``lines`` built on first read.  A phase
-    induced by signs keeps their minus bits, which ``signs_from_phase``
-    reads back."""
+    keeps the minus bits of a sign distribution inducing it
+    (``_Base.sign_bits``): those of the signs that built it, else those
+    found on first request."""
 
-    __slots__ = ("_lines", "_read", "_minus")
+    __slots__ = ("_lines", "_read")
     _fields = ("lines",)
 
     def __init__(self, lines: tuple[PhaseLine, ...]):
         self._lines = lines
-        # (tables, level bits) of the last curve tables that read this
-        # phase (see ``_Base.levels``); while ``_lines`` is None, the
-        # tables that built it
+        # (tables, level bits, minus bits or None) of the last curve tables
+        # that read this phase (see ``_Base.levels`` and ``sign_bits``);
+        # while ``_lines`` is None, the tables that built it
         self._read = None
-        # (tables, minus bits) of the signs that induced this phase, or None
-        self._minus = None
 
     @classmethod
     def _of_signs(cls, base: "_Base", levels: int, minus: int) -> "RealPhaseStructure":
         phase = cls.__new__(cls)
         phase._lines = None
-        phase._read = (base, levels)
-        phase._minus = (base, minus)
+        phase._read = (base, levels, minus)
         return phase
 
     @property
     def lines(self) -> tuple[PhaseLine, ...]:
         lines = self._lines
         if lines is None:
-            base, levels = self._read
+            base, levels, _ = self._read
             pairs = base.line_pairs
             lines = self._lines = tuple(map(getitem, pairs, _bit_bytes(levels, len(pairs))))
         return lines
@@ -229,18 +233,8 @@ class TwistSet(_Record):
 # -- the per-curve tables -------------------------------------------------
 
 
-def _parities(bits: int, masks: tuple[int, ...], offsets: int) -> int:
-    """Bit k is the parity of bits & masks[k], flipped by bit k of offsets."""
-    out = offsets
-    for k, mask in enumerate(masks):
-        if (bits & mask).bit_count() & 1:
-            out ^= 1 << k
-    return out
-
-
 def _columns(bits: int, columns: tuple[int, ...], out: int) -> int:
-    """out XOR columns[k] for every set bit k of bits: the same ints as
-    ``_parities`` over the rows whose transpose the columns are."""
+    """out XOR columns[k] for every set bit k of bits."""
     while bits:
         low = bits & -bits
         out ^= columns[low.bit_length() - 1]
@@ -274,7 +268,8 @@ class _Base:
     """The lattice point index, each edge's dual index pair and direction
     class, one incident-edge bitmask per vertex and one per lattice point.
     Reads a sign distribution into a bit per lattice point and a phase
-    structure into a level bit per edge, checking each against the curve."""
+    structure into a level bit per edge, checking each against the curve,
+    and a phase into the minus bits of signs inducing it."""
 
     def __init__(self, curve: TropicalCurve):
         self.points = points = curve.dual.lattice_points
@@ -339,8 +334,28 @@ class _Base:
         for v, mask in enumerate(self.vmasks):
             if not (levels & mask).bit_count() & 1:
                 raise ValidationError(f"vertex {v}: phase lines share a common point")
-        phase._read = (self, levels)
+        phase._read = (self, levels, None)
         return levels
+
+    def sign_bits(self, phase: RealPhaseStructure, curve: TropicalCurve) -> int:
+        """The minus bits of a sign distribution inducing the phase: those
+        of the signs that built it on these tables, else the ones with +
+        at lattice point 0, found once along the spanning tree of the
+        curve's dual graph (``_sign_tree``) and kept beside the level bits.
+        The identity copy of an edge is drawn, its level is 0, iff its
+        endpoint signs differ.  No edge off the tree is checked: the V
+        vertex conditions ``levels`` checks are independent and
+        E - V = N - 1, so the 2^(N-1) phases it accepts are the
+        sign-induced ones."""
+        levels = self.levels(phase)
+        minus = phase._read[2]
+        if minus is None:
+            minus = 0
+            for j, i, eid in _sign_tree(curve)[0]:
+                if not (minus >> i ^ levels >> eid) & 1:
+                    minus |= 1 << j
+            phase._read = (self, levels, minus)
+        return minus
 
     def phase_of_signs(self, minus: int) -> RealPhaseStructure:
         """The phase structure induced by the signs with the given minus
@@ -584,9 +599,9 @@ def _sign_solver(curve: TropicalCurve) -> tuple[tuple[tuple[int, int], ...], tup
 @curve_table
 def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], tuple[IVec, ...]]:
     """A spanning tree of the dual graph rooted at lattice point 0, as
-    (point, parent point, edge) in discovery order, and the lattice points
-    in the order of the tree, point 0 first: the key order of
-    ``signs_from_phase``."""
+    (point, parent point, edge) in discovery order, which
+    ``_Base.sign_bits`` walks, and the lattice points in the order of the
+    tree, point 0 first: the key order of ``signs_from_phase``."""
     base = _base(curve)
     adj: list[list[tuple[int, int]]] = [[] for _ in base.points]
     for eid, (i, j) in enumerate(base.duals):
@@ -651,22 +666,6 @@ def _twisted_between(level: int, lines0, end0: tuple[int, bool], lines1, end1: t
 
 
 @curve_table
-def _side_rule(curve: TropicalCurve) -> tuple[tuple[int, ...], int]:
-    """``_twisted_between`` for every bounded edge at once: per edge, the
-    mask of the level bits it sums, and the constants s0 + s1 as one int."""
-    classes = _base(curve).classes
-    ends = _side_ends(curve)
-    masks, consts = [], 0
-    for k, eid in enumerate(curve.bounded_edges):
-        e = curve.edges[eid]
-        (f, s_f), (g, s_g) = ends[eid, e.tail], ends[eid, e.head]
-        masks.append(1 << f ^ 1 << g ^ (1 << eid if classes[f] != classes[g] else 0))
-        if s_f != s_g:
-            consts |= 1 << k
-    return tuple(masks), consts
-
-
-@curve_table
 def _cycle_rows(
     curve: TropicalCurve,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -715,29 +714,15 @@ def phase_from_signs(curve: TropicalCurve, delta: SignDistribution) -> RealPhase
 
 def signs_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> SignDistribution:
     """A sign distribution inducing the phase structure (the other is its
-    negation), with + at lattice point 0.  A phase that signs induced on
-    this curve reads back their minus bits, all flipped if point 0 is
-    minus.  Any other phase propagates sign flips along a spanning tree of
-    the dual graph: the identity copy of an edge is drawn, its level is 0,
-    iff the endpoint signs differ.  The points are keyed in the tree's
-    order either way.  No edge off the tree is checked: the V vertex
-    conditions ``levels`` checks are independent and E - V = N - 1, so the
-    2^(N-1) phases it accepts are the sign-induced ones."""
+    negation), with + at lattice point 0: the phase's minus bits
+    (``_Base.sign_bits``), all flipped if point 0 is minus, keyed in the
+    order of ``_sign_tree``."""
     base = _base(curve)
     pts = base.points
-    tree, keys = _sign_tree(curve)
-    built = phase._minus
-    if built is not None and built[0] is base:
-        minus = built[1]
-        if minus & 1:
-            minus ^= (1 << len(pts)) - 1
-    else:
-        levels = base.levels(phase)
-        minus = 0
-        for j, i, eid in tree:
-            if not (minus >> i ^ levels >> eid) & 1:
-                minus |= 1 << j
-    signs = dict.fromkeys(keys, 1)
+    minus = base.sign_bits(phase, curve)
+    if minus & 1:
+        minus ^= (1 << len(pts)) - 1
+    signs = dict.fromkeys(_sign_tree(curve)[1], 1)
     while minus:
         low = minus & -minus
         signs[pts[low.bit_length() - 1]] = -1
@@ -761,8 +746,12 @@ def edge_twisted(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> b
 
 
 def twists_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> TwistSet:
-    """Twisted edges read off the phase structure by the sidedness rule."""
-    return _twist_set(curve, _parities(_base(curve).levels(phase), *_side_rule(curve)))
+    """Twisted edges read off the phase structure: the sign rule on the
+    minus bits of a sign distribution inducing it (``_Base.sign_bits``).
+    Every phase that ``levels`` accepts is sign-induced, and the sign rule
+    gives the same twists for a distribution and its negation, so this is
+    the sidedness rule of ``edge_twisted`` on every bounded edge."""
+    return _twist_set(curve, _columns(_base(curve).sign_bits(phase, curve), *_sign_columns(curve)))
 
 
 # -- admissible / dividing spaces ---------------------------------------

@@ -79,7 +79,7 @@ from .geometry import (
     rot90,
     sub,
 )
-from .gf2 import _LINE_NORMALS, Gf2Matrix, Gf2Subspace, PhaseLine, kernel
+from .gf2 import _LINE_NORMALS, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, kernel
 from .hyperbolic import (
     HyperbolicityReport,
     PointVerdict,
@@ -113,6 +113,7 @@ from .realstruct import (
     _cells,
     _outward_direction,
     _xor,
+    adm_space,
     count_components_direct,
     count_components_matrix,
     div_space,
@@ -1286,10 +1287,12 @@ def check_real_topology(rng: random.Random, trials: int) -> str:
 def check_twist_rules(rng: random.Random, trials: int) -> str:
     """The compiled sidedness rule against the geometric one on every
     bounded edge under each valid level configuration of the lines at its
-    ends, and the phase route of the twists against the sign rule, on
-    honeycombs and random lifts; then the relative twist of every segment
-    overlap against the geometric rule across its two ends, on random
-    intersection pairs (``random_overlap_configurations``)."""
+    ends, and the phase route of the twists (the sign rule on the phase's
+    minus bits) against the compiled rule on every bounded edge of the
+    phase, as built from signs and as rebuilt from its lines, on
+    honeycombs and random lifts; then the relative twist of
+    every segment overlap against the geometric rule across its two ends,
+    on random intersection pairs (``random_overlap_configurations``)."""
     configurations = 0
     for k in range(trials):
         curves = [honeycomb(rng.randrange(1, 6))]
@@ -1300,8 +1303,13 @@ def check_twist_rules(rng: random.Random, trials: int) -> str:
         for curve in curves:
             delta = random_sign_distribution(rng, curve)
             phase = phase_from_signs(curve, delta)
-            if twists_from_phase(curve, phase).edges != twists_from_signs(curve, delta).edges:
-                raise Mismatch(f"trial {k}: twists_from_phase . phase_from_signs != twists_from_signs")
+            # the phase from signs reads their minus bits; rebuilt from its
+            # lines, it finds its own along the sign tree
+            for read in (phase, RealPhaseStructure(phase.lines)):
+                twisted = twists_from_phase(curve, read).edges
+                differ = [eid for eid in curve.bounded_edges if (eid in twisted) != edge_twisted(curve, phase, eid)]
+                if differ:
+                    raise Mismatch(f"trial {k}: twists_from_phase and edge_twisted differ on edges {differ}")
             for eid in curve.bounded_edges:
                 e = curve.edges[eid]
                 ends = (curve.vertex_edges[e.tail], curve.vertex_edges[e.head])
@@ -1351,8 +1359,10 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
     that answers "not hyperbolic" for one degree fails; they draw nothing
     from rng.  Last, the bridge pass's "dividing" against the cycle route
     (``is_dividing``) on random unions of bridges with one bounded edge
-    flipped: it accepts iff the cycle route finds the set dividing, and
-    refuses as the cycle route does otherwise."""
+    flipped, and then on random admissible sets (sums of ``adm_space``'s
+    basis) on honeycombs of degree 2 to 5, which reach ``NotDividing``:
+    it accepts iff the cycle route finds the set dividing, and refuses as
+    the cycle route does otherwise."""
     draws = []
     for k in range(trials):
         d, curve, edges = _bridge_union(rng)
@@ -1374,11 +1384,23 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
         sweep = pointwise_signed_locus(curve, phase)
         if report.signed_locus != sweep:
             raise Mismatch(f"{label}: oval and sweep differ on {sorted(report.signed_locus ^ sweep)}")
+    cases = []
     for k in range(trials):
         # flipping a one-edge bridge gives another union, so the cycle
         # route, not the draw, says which answer is right
         d, curve, edges = _bridge_union(rng)
         twists = TwistSet.from_edges(curve, edges ^ {rng.choice(curve.bounded_edges)})
+        cases.append((f"flip trial {k} (d={d})", curve, twists))
+    for k in range(trials):
+        d = rng.randrange(2, 6)
+        curve = honeycomb(d)
+        bits = 0
+        for v in adm_space(curve).basis:
+            if rng.random() < 0.5:
+                bits ^= v.bits
+        twists = TwistSet.from_vector(curve, Gf2Vector(len(curve.bounded_edges), bits))
+        cases.append((f"admissible trial {k} (d={d})", curve, twists))
+    for label, curve, twists in cases:
         try:
             dividing = is_dividing(curve, twists)
             want = "accepted" if dividing else "NotDividing: the bridge criterion needs a dividing twist set"
@@ -1390,7 +1412,7 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
         except (NotAdmissible, NotDividing) as exc:
             got = f"{type(exc).__name__}: {exc}"
         if got != want:
-            raise Mismatch(f"flip trial {k} (d={d}): bridges {got}, cycles {want}")
+            raise Mismatch(f"{label}: bridges {got}, cycles {want}")
     return f"{trials} random dividing twist sets and the fully twisted honeycombs of degree 2..7"
 
 

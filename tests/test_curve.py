@@ -287,6 +287,24 @@ def test_translated_copies_build_fraction_data_on_first_use():
     _check_structure(moved)
 
 
+def test_fraction_vertices_and_coefficients_match_the_stdlib_constructor():
+    """``vertices`` and ``poly`` build their ``Fraction``s by one gcd into
+    the two slots (``geometry._fraction``): equal to ``Fraction(x, den)``,
+    with the same type and repr, on honeycombs (den 1), lifts (den 8) and
+    translated copies of both (den 6 and 24)."""
+    rng = random.Random(53)
+    curves = [honeycomb(d) for d in (1, 3, 6)] + [random_nonsingular_curve(rng, d) for d in (2, 4, 6) for _ in range(2)]
+    curves += [c.translated((Fraction(5, 3), Fraction(-7, 2))) for c in curves]
+    assert sorted({c.frame.den for c in curves}) == [1, 6, 8, 24]
+    for c in curves:
+        den = c.frame.den
+        got = [x for point in c.vertices for x in point] + list(c.poly.coefficients.values())
+        want = [Fraction(x, den) for point in c.frame.vertices for x in point]
+        want += [Fraction(h, den) for h in c.frame.heights.values()]
+        assert got == want
+        assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
+
+
 def test_region_exits_follow_region_edges_and_are_shared_by_copies():
     rng = random.Random(31)
     for c in (honeycomb(4), random_nonsingular_curve(rng, 4)):

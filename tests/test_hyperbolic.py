@@ -899,6 +899,42 @@ def test_honeycomb_locus_check_kills_a_bridge_pass_that_accepts_partly_twisted_s
     assert re.match(r"flip trial \d+ \(d=\d+\): bridges accepted, cycles NotAdmissible: ", result.detail), result.detail
 
 
+def test_honeycomb_locus_check_reaches_not_dividing_at_seed_0(monkeypatch):
+    """At ``verify --seed 0`` the admissible draws of ``honeycomb-locus``
+    reach the bridge pass's ``NotDividing``, which the flipped draws never
+    do, so a mutant ``honeycomb_locus`` that skips a partly twisted bridge
+    of an admissible set fails the check there against the cycle route."""
+    import inspect
+
+    import tropcurve.hyperbolic as hyp
+    import tropcurve.selfcheck as sc
+    from tropcurve.selfcheck import CHECKS, run_check
+
+    _, offset, budget = CHECKS["honeycomb-locus"]
+    refused = []
+
+    def recording(curve, twists):
+        try:
+            return hyp.honeycomb_locus(curve, twists)
+        except (NotAdmissible, NotDividing) as exc:
+            refused.append(type(exc))
+            raise
+
+    monkeypatch.setattr(sc, "honeycomb_locus", recording)
+    assert run_check("honeycomb-locus", random.Random(0 + offset), budget(25)).passed
+    assert NotDividing in refused
+    source = inspect.getsource(hyp.honeycomb_locus)
+    refusal = 'raise NotDividing("the bridge criterion needs a dividing twist set")'
+    assert source.count(refusal) == 1
+    namespace = dict(vars(hyp))
+    exec(source.replace(refusal, "continue"), namespace)
+    monkeypatch.setattr(sc, "honeycomb_locus", namespace["honeycomb_locus"])
+    result = run_check("honeycomb-locus", random.Random(0 + offset), budget(25))
+    assert not result.passed
+    assert re.match(r"admissible trial \d+ \(d=\d+\): bridges accepted, cycles NotDividing: ", result.detail), \
+        result.detail
+
+
 def test_report_has_one_field_per_quantity():
     from dataclasses import fields
 

@@ -2,13 +2,13 @@
 golden digest of realstruct outputs, the old solve_affine route of
 phase_from_twists, validation messages, non-interned phase lines,
 translated copies that share the tables, the per-edge and union-find
-builders of the sidedness table, its compiled rows against the per-edge
-rule, the cell model, the facts of a certified curve that the tables
-and routes no longer check, the face labelling by Euler characteristics that the
-double cover replaced, the per-edge and per-row sign conversions that
-the column tables replaced, the signs that ``signs_from_phase`` reads
-back, and the value semantics of the records whose fields are built on
-first read."""
+builders of the sidedness table, the phase route of the twists against
+the per-edge sidedness rule, the cell model, the facts of a certified
+curve that the tables and routes no longer check, the face labelling by
+Euler characteristics that the double cover replaced, the per-edge and
+per-row sign conversions that the column tables replaced, the signs that
+``signs_from_phase`` reads back, and the value semantics of the records
+whose fields are built on first read."""
 
 import re
 import hashlib
@@ -553,41 +553,46 @@ def test_side_ends_and_cells_match_the_references():
             assert getattr(cells, name) == getattr(want, name), name
 
 
-def test_each_side_rule_row_is_edge_twisted_on_every_local_configuration():
-    """``twists_from_phase`` reads the sidedness rule off the rows of
-    ``_side_rule``, and ``twist-rules`` holds ``edge_twisted`` to the
-    geometric rule.  On each level configuration of the lines at a
-    bounded edge's two ends that leaves no end's lines a common point,
-    row k read on the lines' levels is ``edge_twisted``.  Most such
-    configurations are no phase of the whole curve, so the levels are
-    read off the lines, not through ``_Base.levels``."""
-    from tropcurve.realstruct import _side_rule
+def test_twists_from_phase_is_edge_twisted_on_every_bounded_edge():
+    """``twists_from_phase`` reads the sign rule off the phase's minus
+    bits, and ``twist-rules`` holds ``edge_twisted`` to the geometric
+    rule.  On phases built from signs, rebuilt from their lines (which
+    find their minus bits along the sign tree) and translated by (1, 0)
+    and (1, 1), its twist set is the bounded edges that ``edge_twisted``
+    finds twisted."""
+    rng = random.Random(53)
+    phases = 0
+    for curve in _table_curves():
+        curve = _fresh(curve)
+        for _ in range(4):
+            built = phase_from_signs(curve, random_sign_distribution(rng, curve))
+            for phase in (built, RealPhaseStructure(built.lines), built.translate((1, 0)), built.translate((1, 1))):
+                want = {eid for eid in curve.bounded_edges if edge_twisted(curve, phase, eid)}
+                assert twists_from_phase(curve, phase).edges == want, (curve.degree, _phase_key(phase))
+                phases += 1
+    assert phases == 16 * len(_table_curves())
 
-    curves = [honeycomb(d) for d in range(1, 7)] + _lift_curves(12, 40)[:18]
-    configurations = invalid = 0
-    for curve in curves:
-        masks, consts = _side_rule(curve)
-        base_lines = phase_from_signs(curve, SignDistribution.constant(curve)).lines
-        for k, eid in enumerate(curve.bounded_edges):
-            e = curve.edges[eid]
-            ends = (curve.vertex_edges[e.tail], curve.vertex_edges[e.head])
-            local = sorted(set(ends[0]) | set(ends[1]))
-            for bits in range(1 << len(local)):
-                lines = list(base_lines)
-                for n, x in enumerate(local):
-                    lines[x] = PhaseLine.from_level(lines[x].direction, bits >> n & 1)
-                if any(sum(lines[x].level for x in incident) % 2 == 0 for incident in ends):
-                    continue  # the lines at an end share a point
-                config = RealPhaseStructure(tuple(lines))
-                levels = sum(line.level << x for x, line in enumerate(lines))
-                row = ((levels & masks[k]).bit_count() ^ consts >> k) & 1
-                assert row == edge_twisted(curve, config, eid), (curve.degree, eid, bits)
-                configurations += 1
-                try:
-                    config.validate_for(curve)
-                except ValidationError:
-                    invalid += 1
-    assert (configurations, invalid) == (1864, 1522)
+
+def test_twist_rules_check_kills_a_sign_tree_walk_of_the_wrong_parity(monkeypatch):
+    """A mutant ``_Base.sign_bits`` that signs each point of the sign tree
+    against its level: phases built from signs keep their own minus bits,
+    so only the rebuilt phases of ``twist-rules`` reach the walk."""
+    import inspect
+    import textwrap
+
+    from tropcurve import realstruct
+    from tropcurve.selfcheck import run_check
+
+    assert run_check("twist-rules", random.Random(7), 3).passed
+    source = textwrap.dedent(inspect.getsource(realstruct._Base.sign_bits))
+    test = "if not (minus >> i ^ levels >> eid) & 1:"
+    assert source.count(test) == 1
+    namespace = dict(vars(realstruct))
+    exec(source.replace(test, "if (minus >> i ^ levels >> eid) & 1:"), namespace)
+    monkeypatch.setattr(realstruct._Base, "sign_bits", namespace["sign_bits"])
+    result = run_check("twist-rules", random.Random(7), 3)
+    assert not result.passed
+    assert re.match(r"trial 0: twists_from_phase and edge_twisted differ on edges \[", result.detail), result.detail
 
 
 def _sign_rows_reference(curve):
@@ -763,7 +768,7 @@ def test_a_first_locus_builds_no_copy_keys_or_region_class():
             built = vars(_cells(curve)) if _cells.__name__ in curve._tables else {}
             assert "copy_keys" not in built and "region_class" not in built
             # the face tree is the locus's one route: no rank-route table
-            assert not {"_cycle_rows", "_side_ends", "_side_rule"} & curve._tables.keys()
+            assert not {"_cycle_rows", "_side_ends"} & curve._tables.keys()
     assert hyperbolic >= 5
 
 
@@ -1022,9 +1027,18 @@ def _phase_of_signs_reference(base, minus):
     ))
 
 
+def _parities(bits, masks, offsets):
+    """Bit k is the parity of bits & masks[k], flipped by bit k of offsets."""
+    out = offsets
+    for k, mask in enumerate(masks):
+        if (bits & mask).bit_count() & 1:
+            out ^= 1 << k
+    return out
+
+
 def _twists_from_signs_reference(curve, delta):
     """The row route: one parity per bounded edge over the sign rule's rows."""
-    from tropcurve.realstruct import _base, _parities
+    from tropcurve.realstruct import _base
 
     bits = _parities(_base(curve).minus(delta), *_sign_rows_reference(curve))
     return TwistSet.from_edges(curve, (eid for k, eid in enumerate(curve.bounded_edges) if bits >> k & 1))
@@ -1062,7 +1076,7 @@ def test_signs_from_phase_reads_back_the_signs_that_induced_the_phase():
             for phase in (phase_from_signs(curve, delta), phase_from_twists(curve, twists_from_signs(curve, delta))):
                 # a phase from its lines, and one read on other tables, take the walk
                 walked = RealPhaseStructure(phase.lines)
-                assert walked._minus is None and phase._minus is not None
+                assert walked._read is None and phase._read[2] is not None
                 want = list(signs_from_phase(curve, walked).signs.items())
                 assert list(signs_from_phase(curve, phase).signs.items()) == want
                 assert list(signs_from_phase(other, phase).signs.items()) == want

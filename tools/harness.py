@@ -175,7 +175,6 @@ TABLES = {
         ("_cycles", lambda rs, c: c._cycles),
         ("_cycle_rows", lambda rs, c: rs._cycle_rows(c)),
         ("_side_ends", lambda rs, c: rs._side_ends(c)),
-        ("_side_rule", lambda rs, c: rs._side_rule(c)),
         ("_Cells", lambda rs, c: rs._cells(c)),
         ("atom_keys", lambda rs, c: rs._cells(c).atom_keys),
         ("region_class", lambda rs, c: rs._cells(c).region_class),
