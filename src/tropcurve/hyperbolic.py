@@ -7,7 +7,9 @@ hyperbolic with respect to is the interior of the innermost oval.
 real part (``realstruct._face_tree``): the component count is its number
 of components, the kernel dimension one less, the curve is hyperbolic iff
 its deepest disk face lies d // 2 ovals down, and that face is the locus.
-No component report is built.
+No component report is built.  The phase keeps the labelling for the
+curve's tables (``RealPart.face_tree``), so only the first locus on a
+phase labels it.
 
 The twist-matrix criterion states the same fact: the twist set is
 dividing (the curve is of type I) with kernel dimension ceil(d/2)-1, so
@@ -23,7 +25,9 @@ orientation formula for d = 2k and Mishachev's for d = 2k+1.
 criteria to each other.
 A point query reads its verdict off that locus: the eps-copy of a
 component is in it iff its ``region_class`` is in the signed locus, and a
-"no" names the fact of the oval route that fails.  The three pencil
+"no" names the fact of the oval route that fails.  The locus reads the
+face tree the phase keeps, so every query on a phase after the first
+reads it back instead of labelling the real part again.  The three pencil
 conditions at a generic point of one component are the oracle
 ``selfcheck.pointwise_verdicts``, not a production route.
 
@@ -61,7 +65,6 @@ from .realstruct import (
     TwistSet,
     _base,
     _cells,
-    _face_tree,
     count_components_matrix,
     is_dividing,
     real_part,
@@ -126,7 +129,7 @@ def hyperbolic_wrt_point(
     lies outside the innermost oval."""
     d = curve.require_degree()
     alpha = component.dual_point if isinstance(component, ComplementComponent) else component
-    if alpha not in curve.dual.lattice_points:
+    if alpha not in _base(curve).index:
         raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
     report = hyperbolicity_locus(curve, phase)
     eps = (eps[0] & 1, eps[1] & 1)
@@ -149,12 +152,13 @@ def hyperbolic_wrt_point(
 
 
 def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
-    """Every field read off the face labelling of the real part: its
-    components, the depth of the innermost oval's disk face (the nest
-    criterion of the module docstring) and that face, the locus."""
+    """Every field read off the face labelling of the real part, the one
+    the phase keeps (``RealPart.face_tree``): its components, the depth
+    of the innermost oval's disk face (the nest criterion of the module
+    docstring) and that face, the locus."""
     d = curve.require_degree()
     rp = real_part(curve, phase)
-    tree = _face_tree(rp)
+    tree = rp.face_tree()
     count = len(tree.groups)
     # no oval lies below the deepest one, so its interior is its disk
     # face, a leaf of the tree: only that oval touches it, since the

@@ -35,12 +35,14 @@ direction class, and a sign distribution as one bit per lattice point;
 conversions, twist solving and the cell model are then popcounts and
 XORs over those bits.  The records hold the bits: a phase from a
 conversion keeps its tables and level bits (and, from signs, their minus
-bits; any other phase finds its minus bits on first request), a twist
-set its vector and a component report its faces, and
-their tuples and frozensets (``lines``, ``edges``, ``edge_copies``,
-``interior_regions``) are built on first read.  A route builds only the
-tables it reads, and each table reads the curve once per vertex, edge or
-side point, not once per edge end through helper calls:
+bits; any other phase finds its minus bits on first request) and its
+face tree, labelled once for those tables by the first report, locus or
+point query on it (``RealPart.face_tree``); a twist set keeps its vector
+and a component report its faces; and their tuples and frozensets
+(``lines``, ``edges``, ``edge_copies``, ``interior_regions``) are built
+on first read.  A route builds only the tables it reads, and each table
+reads the curve once per vertex, edge or side point, not once per edge
+end through helper calls:
 
 - ``_base`` (every route): the lattice index, each edge's dual indices
   and direction class, each vertex's incident edges and each lattice
@@ -152,30 +154,33 @@ class RealPhaseStructure(_Record):
     one level bit per edge, with ``lines`` built on first read.  A phase
     keeps the minus bits of a sign distribution inducing it
     (``_Base.sign_bits``): those of the signs that built it, else those
-    found on first request."""
+    found on first request.  It keeps its face tree too
+    (``RealPart.face_tree``), labelled on the first report or locus for
+    the tables that read it."""
 
     __slots__ = ("_lines", "_read")
     _fields = ("lines",)
 
     def __init__(self, lines: tuple[PhaseLine, ...]):
         self._lines = lines
-        # (tables, level bits, minus bits or None) of the last curve tables
-        # that read this phase (see ``_Base.levels`` and ``sign_bits``);
-        # while ``_lines`` is None, the tables that built it
+        # (tables, level bits, minus bits or None, face tree or None) of
+        # the last curve tables that read this phase (see ``_Base.levels``,
+        # ``sign_bits`` and ``RealPart.face_tree``); while ``_lines`` is
+        # None, the tables that built it
         self._read = None
 
     @classmethod
     def _of_signs(cls, base: "_Base", levels: int, minus: int) -> "RealPhaseStructure":
         phase = cls.__new__(cls)
         phase._lines = None
-        phase._read = (base, levels, minus)
+        phase._read = (base, levels, minus, None)
         return phase
 
     @property
     def lines(self) -> tuple[PhaseLine, ...]:
         lines = self._lines
         if lines is None:
-            base, levels, _ = self._read
+            base, levels, _, _ = self._read
             pairs = base.line_pairs
             lines = self._lines = tuple(map(getitem, pairs, _bit_bytes(levels, len(pairs))))
         return lines
@@ -316,7 +321,8 @@ class _Base:
     def levels(self, phase: RealPhaseStructure) -> int:
         """Bit e is the level of edge e's phase line.  A phase is checked
         once per curve tables: the bits are kept on the phase and reused
-        while the same tables read it again."""
+        while the same tables read it again.  Other tables replace them,
+        with what was kept beside them."""
         read = phase._read
         if read is not None and read[0] is self:
             return read[1]
@@ -334,7 +340,7 @@ class _Base:
         for v, mask in enumerate(self.vmasks):
             if not (levels & mask).bit_count() & 1:
                 raise ValidationError(f"vertex {v}: phase lines share a common point")
-        phase._read = (self, levels, None)
+        phase._read = (self, levels, None, None)
         return levels
 
     def sign_bits(self, phase: RealPhaseStructure, curve: TropicalCurve) -> int:
@@ -348,13 +354,14 @@ class _Base:
         E - V = N - 1, so the 2^(N-1) phases it accepts are the
         sign-induced ones."""
         levels = self.levels(phase)
-        minus = phase._read[2]
+        read = phase._read
+        minus = read[2]
         if minus is None:
             minus = 0
             for j, i, eid in _sign_tree(curve)[0]:
                 if not (minus >> i ^ levels >> eid) & 1:
                     minus |= 1 << j
-            phase._read = (self, levels, minus)
+            phase._read = (self, levels, minus, read[3])
         return minus
 
     def phase_of_signs(self, minus: int) -> RealPhaseStructure:
@@ -861,7 +868,8 @@ def region_class(curve: TropicalCurve, alpha: IVec, eps: Eps) -> tuple[IVec, Eps
 class RealPart:
     """The edge copies drawn by a phase structure: copy (eid, EPS4[c]) is
     drawn iff EPS4[c] lies on edge eid's phase line, the line at the
-    level of bit eid of ``_levels``."""
+    level of bit eid of ``_levels``, and the faces of their complement
+    (``face_tree``)."""
 
     def __init__(self, curve: TropicalCurve, phase: RealPhaseStructure):
         curve.require_degree()
@@ -880,6 +888,22 @@ class RealPart:
         """The drawn copies, read off the ``copies`` lane (4*eid + c) of
         the curve's ``_cells`` at this phase's level bits."""
         return frozenset((x >> 2, EPS4[x & 3]) for x in compress(_cells(self.curve).copies, self._picks[0]))
+
+    def face_tree(self) -> "_FaceTree":
+        """The face tree of this real part (``_face_tree``), kept on the
+        phase beside its level bits: labelled on the first call for the
+        curve's tables, read back on later ones.  The labelling reads only
+        the ``_cells`` of the tables' store and the level bits, so a
+        translated copy of the curve reads the same tree; when other
+        tables read the phase, ``_Base.levels`` drops it."""
+        phase = self.phase
+        _base(self.curve).levels(phase)
+        read = phase._read
+        tree = read[3]
+        if tree is None:
+            tree = _face_tree(self)
+            phase._read = (*read[:3], tree)
+        return tree
 
 
 class CurveComponentInfo(_Record):
@@ -998,7 +1022,8 @@ def _face_tree(rp: RealPart) -> _FaceTree:
     in the disk that the pseudo-line's complement is, none lifts
     connected, and the outer face is the one on both sides of the
     pseudo-line.  Reads the curve's ``_cells`` and the real part's level
-    bits.
+    bits, and keeps nothing: its readers take the tree through
+    ``RealPart.face_tree``, which labels a phase once per curve tables.
 
     No vertex copy lies off the two faces of a drawn copy through it: the
     three edges at a vertex lie in three classes mod 2, so their lines
@@ -1146,9 +1171,10 @@ def count_components_direct(rp: RealPart) -> ComponentReport:
     depth is the number of ovals on the way down to its disk face, its
     parent the oval just above, and its interior the atoms of its disk
     face and of every face below it.  Each component's edge copies and
-    interior are built on first read.
+    interior are built on first read.  The tree is the one the phase
+    keeps (``RealPart.face_tree``).
     """
-    tree = _face_tree(rp)
+    tree = rp.face_tree()
     source = _ReportSource(_cells(rp.curve), tree, rp._picks[0])
     up = tree.up
     infos, parents = [], []

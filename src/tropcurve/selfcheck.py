@@ -956,7 +956,9 @@ def locus_from_report(curve: TropicalCurve, phase: RealPhaseStructure) -> Hyperb
     (``count_components_direct``), with every other component's witness
     atom checked to lie outside that interior, and the stable limit by its
     definition: a honeycomb whose every bounded edge is twisted and whose
-    every phase line lies at level 1."""
+    every phase line lies at level 1.  The report is built on a fresh copy
+    of the phase, so its real part is labelled anew, not read back from
+    the face tree the phase keeps."""
     d = curve.require_degree()
     phase.validate_for(curve)
     twists = twists_from_phase(curve, phase)
@@ -965,7 +967,7 @@ def locus_from_report(curve: TropicalCurve, phase: RealPhaseStructure) -> Hyperb
     if hyp and d == 1:
         atoms = {(a, e) for a in curve.dual.lattice_points for e in EPS4}
     elif hyp:
-        report = count_components_direct(real_part(curve, phase))
+        report = count_components_direct(real_part(curve, RealPhaseStructure(phase.lines)))
         ovals = [c for c in report.components if c.kind == "oval"]
         if len(ovals) != d // 2:
             raise InvariantViolation("hyperbolic curve must have floor(d/2) ovals")

@@ -7,8 +7,9 @@ the per-edge sidedness rule, the cell model, the facts of a certified
 curve that the tables and routes no longer check, the face labelling by
 Euler characteristics that the double cover replaced, the per-edge and
 per-row sign conversions that the column tables replaced, the signs that
-``signs_from_phase`` reads back, and the value semantics of the records
-whose fields are built on first read."""
+``signs_from_phase`` reads back, the face tree a phase keeps against
+fresh copies of the phase, and the value semantics of the records whose
+fields are built on first read."""
 
 import re
 import hashlib
@@ -25,6 +26,8 @@ from tropcurve import (
     count_components_matrix,
     curve_from_polynomial,
     honeycomb,
+    hyperbolic_wrt_point,
+    hyperbolicity_locus,
     is_admissible,
     phase_from_signs,
     phase_from_twists,
@@ -36,7 +39,7 @@ from tropcurve import (
 )
 from tropcurve.errors import DegeneratePolygon, InvariantViolation, NotAdmissible, SingularSubdivision, ValidationError
 from tropcurve.gf2 import Gf2Vector, solve_affine
-from tropcurve.realstruct import CurveComponentInfo, RealPhaseStructure, edge_twisted, twist_matrix
+from tropcurve.realstruct import EPS4, CurveComponentInfo, RealPhaseStructure, edge_twisted, twist_matrix
 from tropcurve.selfcheck import random_lift, random_sign_distribution
 
 # sha256 of _golden_lines(), recorded before realstruct read its rules
@@ -351,6 +354,113 @@ def test_a_phase_read_for_one_curve_is_checked_again_for_another():
             # the other curve's tables still read the phase it was built for
             assert twists_from_phase(other, phase) == twists_from_phase(other, never_read)
     assert checked >= 10
+
+
+# the routes that read a phase's face tree, each as one comparable value
+_TREE_ROUTES = {
+    "locus": lambda curve, phase: hyperbolicity_locus(curve, phase),
+    "report": lambda curve, phase: _report_key(count_components_direct(real_part(curve, phase))),
+    "points": lambda curve, phase: [hyperbolic_wrt_point(curve, phase, alpha, eps)
+                                    for alpha in curve.dual.lattice_points for eps in EPS4],
+}
+
+
+def _tree_answers(curve, phase, order):
+    """The routes' values on one phase, called in the given order."""
+    got = {name: _TREE_ROUTES[name](curve, phase) for name in order}
+    return [got[name] for name in _TREE_ROUTES]
+
+
+def _fresh_answers(curve, lines):
+    """The routes' values with every locus, report and point query on a
+    phase of its own that nothing read before, so each labels anew."""
+    return [
+        hyperbolicity_locus(curve, RealPhaseStructure(lines)),
+        _report_key(count_components_direct(real_part(curve, RealPhaseStructure(lines)))),
+        [hyperbolic_wrt_point(curve, RealPhaseStructure(lines), alpha, eps)
+         for alpha in curve.dual.lattice_points for eps in EPS4],
+    ]
+
+
+def _tree_draws():
+    """(curve, the curves its phases are built on, other curves of its
+    degree, rng): honeycombs of degree 1 to 8 and seeded lifts, each read
+    by itself and by a translated copy."""
+    from tropcurve.selfcheck import random_nonsingular_curve
+
+    rng = random.Random(54)
+    offset = (Fraction(7, 3), Fraction(-5, 2))
+    curves = [honeycomb(d) for d in range(1, 9)] + [random_nonsingular_curve(rng, d) for d in (2, 3, 3, 4, 4, 5)]
+    for curve in curves:
+        moved = curve.translated(offset)
+        others = [curve_from_polynomial(curve.poly), random_nonsingular_curve(rng, curve.degree)]
+        for reader in (curve, moved):
+            yield reader, (curve, moved), others, rng
+
+
+def test_a_kept_face_tree_gives_the_answers_of_a_fresh_phase(monkeypatch):
+    """The locus, the component report and every point verdict on a phase
+    equal those on fresh copies of it, whichever of them comes first, on
+    phases from signs, from twists and from lines, built on the curve or a
+    translated copy that shares its tables; and again after a curve with
+    other tables has read the phase.  Only the first of them labels the
+    real part."""
+    from tropcurve import realstruct
+
+    labelled = []
+    face_tree = realstruct._face_tree
+    monkeypatch.setattr(realstruct, "_face_tree", lambda rp: labelled.append(rp) or face_tree(rp))
+    orders = (tuple(_TREE_ROUTES), tuple(reversed(_TREE_ROUTES)), ("points", "locus", "report"))
+    reread = refused = 0
+    for reader, builders, others, rng in _tree_draws():
+        delta = random_sign_distribution(rng, reader)
+        twists = twists_from_signs(reader, delta)
+        wants = {}
+        for builder in builders:
+            makers = {
+                "signs": lambda: phase_from_signs(builder, delta),
+                "twists": lambda: phase_from_twists(builder, twists),
+                "lines": lambda: RealPhaseStructure(phase_from_signs(reader, delta).lines),
+            }
+            for kind, make in makers.items():
+                for order in orders:
+                    phase = make()
+                    if kind not in wants:
+                        wants[kind] = _fresh_answers(reader, phase.lines)
+                    del labelled[:]
+                    assert _tree_answers(reader, phase, order) == wants[kind]
+                    assert len(labelled) == 1
+                    # a second locus and point query read the kept tree,
+                    # also once the phase's sign bits are found
+                    twists_from_phase(reader, phase)
+                    hyperbolicity_locus(reader, phase)
+                    hyperbolic_wrt_point(reader, phase, reader.dual.lattice_points[-1], (1, 0))
+                    assert len(labelled) == 1
+        # read by a curve with other tables, then by its own curve again,
+        # also through a real part made before the other tables read it
+        phase = phase_from_signs(reader, delta)
+        hyperbolicity_locus(reader, phase)
+        for other in others:
+            rp = real_part(reader, phase)
+            try:
+                other_want = _fresh_answers(other, phase.lines)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    hyperbolicity_locus(other, phase)
+                refused += 1
+                read = False
+            else:
+                assert _tree_answers(other, phase, orders[1]) == other_want
+                reread += 1
+                read = True
+            # labelled again, once, iff the other tables read the phase
+            del labelled[:]
+            assert _report_key(count_components_direct(rp)) == wants["signs"][1]
+            assert len(labelled) == read
+            assert _tree_answers(reader, phase, orders[0]) == wants["signs"]
+            assert len(labelled) == read
+    # every rebuilt curve reads the phase, 12 of the 28 other curves do
+    assert (reread, refused) == (40, 16)
 
 
 def test_shared_edge_table_lists_each_edge_between_two_interior_points():
@@ -974,8 +1084,10 @@ def test_links_that_keep_the_sheet_lift_no_face_connected(monkeypatch):
     namespace = dict(vars(realstruct))
     exec(source.replace("flip = 1\n", "flip = 0\n"), namespace)
     quartic, cubic = honeycomb(4), honeycomb(3)
-    rps = [real_part(c, phase_from_signs(c, SignDistribution.constant(c))) for c in (quartic, cubic)]
-    reports = [_report_key(count_components_direct(rp)) for rp in rps]
+    phases = [phase_from_signs(c, SignDistribution.constant(c)) for c in (quartic, cubic)]
+    reports = [_report_key(count_components_direct(real_part(c, p))) for c, p in zip((quartic, cubic), phases)]
+    # the mutant labels real parts of fresh copies, which keep no face tree
+    rps = [real_part(c, RealPhaseStructure(p.lines)) for c, p in zip((quartic, cubic), phases)]
     monkeypatch.setattr(realstruct, "_face_tree", namespace["_face_tree"])
     with pytest.raises(InvariantViolation, match="^0 faces lift connected to S\\^2 for a curve of degree 4$"):
         count_components_direct(rps[0])

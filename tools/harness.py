@@ -196,9 +196,15 @@ HONEYCOMB = {
     "build": lambda s, r, d: (s.tc.honeycomb, (d,)),
     "render_svg": lambda s, r, d: (s.tc.render_svg, _all_plus(s.tc, r["build"])),
     "phase_from_twists": lambda s, r, d: (s.tc.phase_from_twists, (r["build"], _all_twisted(s.tc, r["build"]))),
-    # hyperbolicity_locus on that phase: its first call, then its second
+    # hyperbolicity_locus on that phase, the curve's first; then on a new
+    # phase of the same twists, on warm tables but with no face tree kept;
+    # then on the first phase again, whose face tree the first call kept
     "locus_cold": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
-    "locus_warm": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
+    "locus_warm": lambda s, r, d: (s.tc.hyperbolicity_locus,
+                                   (r["build"], s.tc.phase_from_twists(r["build"], _all_twisted(s.tc, r["build"])))),
+    "locus_again": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
+    # a point query after the locus on its phase
+    "point": lambda s, r, d: (s.tc.hyperbolic_wrt_point, (r["build"], r["phase_from_twists"], (1, 1), (0, 0))),
     # after the locus steps, so that they find the curve's tables cold; the
     # locus builds no cycle table, so this step pays the first use of the
     # curve's cycles and cycle rows
