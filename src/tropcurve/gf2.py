@@ -295,10 +295,6 @@ class PhaseLine:
         n = _LINE_NORMALS[self.direction]
         return PHASE_LINES[self.direction, self.level ^ ((eps[0] * n[0] + eps[1] * n[1]) & 1)]
 
-    @classmethod
-    def from_level(cls, direction: tuple[int, int], level: int) -> "PhaseLine":
-        return PHASE_LINES[(direction[0] & 1, direction[1] & 1), level & 1]
-
 
 # the six phase lines, keyed by (direction class, level); the lines the
 # library builds are these objects, and other lines compare equal by value

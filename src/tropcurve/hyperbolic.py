@@ -24,11 +24,12 @@ orientation formula for d = 2k and Mishachev's for d = 2k+1.
 ``selfcheck.locus_from_report`` reads it, so ``verify`` holds the two
 criteria to each other.
 A point query reads its verdict off that locus: the eps-copy of a
-component is in it iff its ``region_class`` is in the signed locus, and a
-"no" names the fact of the oval route that fails.  The locus reads the
-face tree the phase keeps, so every query on a phase after the first
-reads it back instead of labelling the real part again.  The three pencil
-conditions at a generic point of one component are the oracle
+component is in it iff its ``region_class``, read off the glue orbit of
+its atom, is in the signed locus, and a "no" names the fact of the oval
+route that fails.  The locus reads the face tree the phase keeps, so
+every query on a phase after the first reads it back instead of
+labelling the real part again.  The three pencil conditions at a
+generic point of one component are the oracle
 ``selfcheck.pointwise_verdicts``, not a production route.
 
 Honeycombs also have a bridge criterion for the locus.  A degree-d curve
@@ -60,11 +61,13 @@ from .errors import NotDividing, NotHoneycomb
 from .geometry import IVec, canonical_direction, sub
 from .gf2 import AffineFlat, Gf2Subspace, Gf2Vector
 from .realstruct import (
+    EPS4,
     Eps,
     RealPhaseStructure,
     TwistSet,
     _base,
     _cells,
+    _code,
     count_components_matrix,
     is_dividing,
     real_part,
@@ -129,11 +132,16 @@ def hyperbolic_wrt_point(
     lies outside the innermost oval."""
     d = curve.require_degree()
     alpha = component.dual_point if isinstance(component, ComplementComponent) else component
-    if alpha not in _base(curve).index:
+    base = _base(curve)
+    if alpha not in base.index:
         raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
     report = hyperbolicity_locus(curve, phase)
     eps = (eps[0] & 1, eps[1] & 1)
-    copy = _cells(curve).region_class[(alpha, eps)]
+    # the region_class of the copy: the key (lattice point k, EPS4[c]) of
+    # the least atom 4k + c of its atom's glue orbit, built without the
+    # curve's key tables
+    least = _cells(curve).glued[4 * base.index[alpha] + _code(eps)]
+    copy = (base.points[least >> 2], EPS4[least & 3])
     if copy in report.signed_locus:
         return PointVerdict(alpha, eps, True)
     if report.hyperbolic:

@@ -54,12 +54,12 @@ and overlaps go through the incidence reading above.  A forced real
 lift without locations is one shared frozen ``LiftOutcome`` per
 (reals, pairs), whose counts add up to the multiplicity by construction.
 
-Twists of lifted overlaps use the compiled sidedness rule of
-``realstruct``: ``edge_twisted`` for an edge inside another, and
-``is_relatively_twisted`` for a segment overlap, which applies the same
-closed form across the overlap's two ends, one on each curve.  Its
-oracles are ``selfcheck.relative_twist_geometric`` (the continuations at
-each end) and ``selfcheck.relative_twist_signs`` (sign distributions).
+Twists of lifted overlaps use the sign rule of ``realstruct``, which
+reads the minus bits of signs inducing each phase: ``edge_twisted`` for
+an edge inside another, and ``is_relatively_twisted`` for a segment
+overlap, which applies the same two-end rule (``realstruct._sign_twist``)
+across the overlap's two ends, one on each curve.  Its oracle is
+``selfcheck.relative_twist_geometric`` (the continuations at each end).
 """
 
 from __future__ import annotations
@@ -80,13 +80,7 @@ from .errors import (
     WrongKind,
 )
 from .geometry import Point, _fraction, det2
-from .realstruct import (
-    RealPhaseStructure,
-    _outward_direction,
-    _side_ends,
-    _twisted_between,
-    edge_twisted,
-)
+from .realstruct import RealPhaseStructure, _sign_twist, edge_twisted
 
 TWO_REAL = "two-real"
 CONJ_PAIR = "conjugate-pair"
@@ -450,10 +444,12 @@ def _end_vertex(curve: TropicalCurve, k: int, eids, key) -> int | None:
 
 def _vertex_multiplicity(curve: TropicalCurve, vid: int, line_dir) -> int:
     """Half the determinant sum of the vertex's edges with line_dir: by
-    balancing the outward directions sum to zero, so the sum is even."""
+    balancing the outward directions sum to zero, so the sum is even.  The
+    sum takes absolute values, so it reads each edge's direction as it
+    stands."""
     total = 0
     for eid in curve.vertex_edges[vid]:
-        total += abs(det2(_outward_direction(curve, eid, vid), line_dir))
+        total += abs(det2(curve.edges[eid].direction, line_dir))
     return total // 2
 
 
@@ -514,22 +510,14 @@ def _classify_segment(pair, den: int, p1, p2, ea: int, eb: int) -> IntersectionC
 def is_relatively_twisted(
     comp: IntersectionComponent, phase_a: RealPhaseStructure, phase_b: RealPhaseStructure
 ) -> bool:
+    """The sign rule across the overlap's two ends, one on each curve
+    (``realstruct._sign_twist``)."""
     if comp.kind != SEGMENT_OVERLAP:
         raise WrongKind("relative twist is defined for segment overlaps")
     if phase_a.lines[comp.edge_a] != phase_b.lines[comp.edge_b]:
         raise PhasesDiffer("relative twist needs equal phase lines on the overlap")
-    # the side at each end against the direction of A's edge
-    ea, eb = comp.curve_a.edges[comp.edge_a], comp.curve_b.edges[comp.edge_b]
-    hosts = {
-        "a": (comp.curve_a, phase_a.lines, comp.edge_a, False),
-        "b": (comp.curve_b, phase_b.lines, comp.edge_b, eb.direction != ea.direction),
-    }
-    ends = []
-    for tag, vid in comp.end_vertices:
-        curve, lines, eid, flip = hosts[tag]
-        f, s = _side_ends(curve)[eid, vid]
-        ends += [lines, (f, s ^ flip)]
-    return _twisted_between(phase_a.lines[comp.edge_a].level, *ends)
+    hosts = {"a": (comp.curve_a, phase_a, comp.edge_a), "b": (comp.curve_b, phase_b, comp.edge_b)}
+    return _sign_twist(*((*hosts[tag], vid) for tag, vid in comp.end_vertices))
 
 
 def tangency_possible(

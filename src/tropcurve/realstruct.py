@@ -47,8 +47,8 @@ end through helper calls:
 - ``_base`` (every route): the lattice index, each edge's dual indices
   and direction class, each vertex's incident edges and each lattice
   point's incident edges, the columns that turn minus signs into levels;
-- ``_cell_sums`` (both sign tables): per vertex, its dual cell's index
-  sum and coordinate parities;
+- ``_cell_sums`` (both sign tables, one twist, overlaps): per vertex,
+  its dual cell's index sum and coordinate parities;
 - ``_sign_columns`` (signs or a phase to twists): two ``_cell_sums``
   reads per edge; each minus sign XORs in one column;
 - ``_sign_solver`` (twists to a phase): one step per bounded edge of the
@@ -56,8 +56,6 @@ end through helper calls:
   near cell's, so each minus bit is a parity of the twist bits;
 - ``_sign_tree`` (a phase to its minus bits, signs keyed in order): one
   step per lattice point;
-- ``_side_ends`` (one twist, overlaps): per vertex, three determinants
-  for its three edge ends;
 - ``_cycle_rows`` (admissible, dividing, the twist matrix): per edge of
   each primitive cycle;
 - ``_cells`` (drawn copies, component reports, the locus, point
@@ -68,21 +66,21 @@ end through helper calls:
 
 Production routes: twisted edges come from signs by the sign rule, and
 from a phase structure by the same rule on the minus bits of signs
-inducing it (``twists_from_phase``), since every phase that
-``_Base.levels`` accepts is sign-induced.  The compiled sidedness rule
-reads the phase lines where no signs of the whole phase are at hand: on
-one edge (``edge_twisted``, which intersect reads for an edge inside
-another) and across the two ends of an overlap on two curves
-(intersect's ``is_relatively_twisted``).  It keeps one (edge, side) pair
-per edge end (``_side_ends``) and one closed form across two ends
-(``_twisted_between``), and it is the oracle that ``twists_from_phase``
-is held to on every bounded edge.  The geometric sidedness rule
-(continuations at each end, ``selfcheck.edge_twisted_geometric`` and
-``selfcheck.relative_twist_geometric``) is its oracle, which the pencil
-oracle ``selfcheck._ComponentAnalysis`` also applies to its pencil-line
-condition.  That the rules agree, that phase_from_twists inverts
-twists_from_phase, and that the face tree's report matches the oracle
-``selfcheck.cut_scan_components`` (components by vertex-copy
+inducing it (``_Base.sign_bits``), since every phase that
+``_Base.levels`` accepts is sign-induced: for every bounded edge at
+once by the columns of ``_sign_columns`` (``twists_from_phase``), and
+across two edge ends by ``_sign_twist``, which reads at each end the
+bits of the edge's dual points and of the third point of the end's cell.
+Both ends on one edge, that is ``edge_twisted``, which intersect reads
+for an edge inside another; one end on each of two curves, it is
+intersect's ``is_relatively_twisted`` across a segment overlap.  The
+geometric sidedness rule (continuations at each end,
+``selfcheck.edge_twisted_geometric`` and
+``selfcheck.relative_twist_geometric``) is the oracle of both, which the
+pencil oracle ``selfcheck._ComponentAnalysis`` also applies to its
+pencil-line condition.  That the rules agree, that phase_from_twists
+inverts twists_from_phase, and that the face tree's report matches the
+oracle ``selfcheck.cut_scan_components`` (components by vertex-copy
 connectivity, a fresh union-find of the atoms per cut, nesting from
 witness atoms) are oracle checks in selfcheck and the tests.
 """
@@ -245,17 +243,6 @@ def _columns(bits: int, columns: tuple[int, ...], out: int) -> int:
         out ^= columns[low.bit_length() - 1]
         bits ^= low
     return out
-
-
-def _end_sign(curve: TropicalCurve, eid: int, v: int) -> int:
-    """+1 if edge eid leaves vertex v along its direction, -1 if it ends
-    there; v is an end of eid."""
-    return 1 if curve.edges[eid].tail == v else -1
-
-
-def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
-    dx, dy = curve.edges[eid].direction
-    return (dx, dy) if _end_sign(curve, eid, v) > 0 else (-dx, -dy)
 
 
 # the level-0 and level-1 phase lines of each direction class
@@ -628,51 +615,6 @@ def _sign_tree(curve: TropicalCurve) -> tuple[tuple[tuple[int, int, int], ...], 
 
 
 @curve_table
-def _side_ends(curve: TropicalCurve) -> dict[tuple[int, int], tuple[int, bool]]:
-    """The sidedness rule at every end v of every edge e, rays included:
-    (eid, v) -> (f, s) for f the first other edge at v and s whether f
-    leaves v on the left of e's direction.  At a vertex the three
-    direction classes are distinct and the two other edges lie on
-    opposite sides of e, so a phase element of e continues along f iff it
-    is the one point where e's and f's lines meet (``_twisted_between``).
-
-    Built per vertex from its three edges a, b, c (in ``vertex_edges``
-    order): the signs at v of a and b and the determinants of a's
-    direction with b's and c's give the sides of the three ends (f is b
-    at a's end, a at the others).  Neither fact above is checked here:
-    the curve's construction certifies that the dual of each vertex is a
-    unit triangle, whose edge vectors are distinct and nonzero mod 2, and
-    three primitive directions that sum to zero lie pairwise on opposite
-    sides.
-    """
-    edges = curve.edges
-    ends = {}
-    for v, (a, b, c) in enumerate(curve.vertex_edges):
-        sa, sb = _end_sign(curve, a, v), _end_sign(curve, b, v)
-        (ax, ay), (bx, by), (cx, cy) = edges[a].direction, edges[b].direction, edges[c].direction
-        ab, ac = ax * by - ay * bx, ax * cy - ay * cx
-        # the end of x at v sees the other edge y on the side of
-        # det(d_x, o_y) = s_y det(d_x, d_y), d the directions, o outward
-        ends[a, v] = (b, sb * ab > 0)
-        ends[b, v] = (a, sa * ab < 0)
-        ends[c, v] = (a, sa * ac < 0)
-    return ends
-
-
-def _twisted_between(level: int, lines0, end0: tuple[int, bool], lines1, end1: tuple[int, bool]) -> bool:
-    """The sidedness rule across a piece of curve on a phase line of the
-    given level, between two ends (f, s) of ``_side_ends`` taken against
-    one reference direction, f read in the phase lines of its own curve:
-
-        twisted = l_f0 + l_f1 + [D_f0 != D_f1] level + s0 + s1  (mod 2)
-
-    for l the levels and D the direction classes."""
-    (f0, s0), (f1, s1) = end0, end1
-    line0, line1 = lines0[f0], lines1[f1]
-    return bool((line0.level + line1.level + (line0.direction != line1.direction) * level + s0 + s1) & 1)
-
-
-@curve_table
 def _cycle_rows(
     curve: TropicalCurve,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -742,14 +684,45 @@ def twists_from_signs(curve: TropicalCurve, delta: SignDistribution) -> TwistSet
     return _twist_set(curve, _columns(_base(curve).minus(delta), *_sign_columns(curve)))
 
 
+def _sign_twist(end0: tuple, end1: tuple) -> bool:
+    """The sign rule across a piece of curve on one line between two edge
+    ends, each (curve, phase, edge, vertex) with the vertex an end of the
+    edge, the two edges carrying one phase line.  At each end it reads the
+    minus bits m (``_Base.sign_bits``) of the edge's dual points p, q,
+    taken in the order of the first edge's direction, and of the third
+    point r of the end's dual cell.  The translation taking the second
+    dual edge onto the first aligns the ends, so the third points compare
+    as r - p mod 2, and the piece is twisted iff
+
+        m0[r] + m0[p] + m1[r] + m1[p]        if they agree,
+        1 + m0[r] + m0[p] + m1[r] + m1[q]    if they differ  (mod 2).
+
+    Both ends on one edge, this is the rule of ``_sign_columns``."""
+    ref = end0[0].edges[end0[2]].direction
+    reads = []
+    for curve, phase, eid, v in (end0, end1):
+        base = _base(curve)
+        minus = base.sign_bits(phase, curve)
+        p, q = base.duals[eid]
+        if curve.edges[eid].direction != ref:
+            p, q = q, p
+        r = _cell_sums(curve)[0][v] - p - q
+        (px, py), (rx, ry) = base.points[p], base.points[r]
+        rp, rq = (minus >> r ^ minus >> p) & 1, (minus >> r ^ minus >> q) & 1
+        reads.append(((rx - px) & 1, (ry - py) & 1, rp, rq))
+    (*d0, rp0, _), (*d1, rp1, rq1) = reads
+    if d0 == d1:
+        return bool(rp0 ^ rp1)
+    return not rp0 ^ rq1
+
+
 def edge_twisted(curve: TropicalCurve, phase: RealPhaseStructure, eid: int) -> bool:
-    """Sidedness rule for the bounded edge eid, between its two ends."""
+    """The sign rule for the bounded edge eid, between its tail and head
+    (``_sign_twist``)."""
     e = curve.edges[eid]
     if not e.bounded:
         raise InvariantViolation("only bounded edges carry a twist")
-    ends = _side_ends(curve)
-    lines = phase.lines
-    return _twisted_between(lines[eid].level, lines, ends[eid, e.tail], lines, ends[eid, e.head])
+    return _sign_twist((curve, phase, eid, e.tail), (curve, phase, eid, e.head))
 
 
 def twists_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> TwistSet:
@@ -757,7 +730,7 @@ def twists_from_phase(curve: TropicalCurve, phase: RealPhaseStructure) -> TwistS
     minus bits of a sign distribution inducing it (``_Base.sign_bits``).
     Every phase that ``levels`` accepts is sign-induced, and the sign rule
     gives the same twists for a distribution and its negation, so this is
-    the sidedness rule of ``edge_twisted`` on every bounded edge."""
+    ``edge_twisted`` on every bounded edge."""
     return _twist_set(curve, _columns(_base(curve).sign_bits(phase, curve), *_sign_columns(curve)))
 
 
@@ -804,11 +777,16 @@ def phase_from_twists(
     Solves the sign rule for the least sign distribution by the parities
     of ``_sign_solver`` and re-signs it so the induced phase structure
     puts the seed symmetry on the seed edge (re-signing by eps translates
-    the phase by eps).  Insolvability, an odd relation, is exactly
-    inadmissibility.
+    the phase by eps); the symmetry is read mod 2, and a seed edge that is
+    not an edge of the curve raises ``ValueError``.  Insolvability, an odd
+    relation, is exactly inadmissibility.
     """
     if seed is None:
         seed = (curve.bounded_edges[0] if curve.bounded_edges else 0, (0, 0))
+    seed_edge, (e0, e1) = seed
+    if seed_edge not in range(len(curve.edges)):
+        raise ValueError(f"seed edge {seed_edge} is not an edge of the curve")
+    seed_eps = (e0 & 1, e1 & 1)
     pairs, relations, flips = _sign_solver(curve)
     rhs = twists.vector.bits ^ _sign_columns(curve)[1]
     for relation in relations:
@@ -819,7 +797,6 @@ def phase_from_twists(
         if (rhs & combo).bit_count() & 1:
             minus |= bit
     base = _base(curve)
-    seed_edge, seed_eps = seed
     i, j = base.duals[seed_edge]
     pair = base.line_pairs[seed_edge]
     line = pair[1 ^ ((minus >> i ^ minus >> j) & 1)]

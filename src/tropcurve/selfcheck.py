@@ -12,11 +12,10 @@ report, and vs the pencil sweep, plus the bridge locus on honeycombs,
 degree product vs enumerated multiplicities) on randomized inputs.
 Production runs one route per quantity; the second routes are these
 oracles, among them the twist round trip (twists_from_phase recovers what
-phase_from_twists got), the geometric sidedness rule behind the compiled
-one (edge_twisted_geometric for edges, relative_twist_geometric and the
-sign-based relative_twist_signs for overlaps) and the pointwise pencil
-sweep of the locus, which keeps the pencil subdivision at a point
-(``SigmaV``, ``is_generic``).
+phase_from_twists got), the geometric sidedness rule behind the sign
+rule (edge_twisted_geometric for edges, relative_twist_geometric for
+overlaps) and the pointwise pencil sweep of the locus, which keeps the
+pencil subdivision at a point (``SigmaV``, ``is_generic``).
 One check holds the component reports to theorems instead of a second
 route: the classical restrictions on real plane curves (real-topology).
 Point location (point-location) holds the curve's int argmax and region
@@ -79,7 +78,7 @@ from .geometry import (
     rot90,
     sub,
 )
-from .gf2 import _LINE_NORMALS, Gf2Matrix, Gf2Subspace, Gf2Vector, PhaseLine, kernel
+from .gf2 import _LINE_NORMALS, Gf2Matrix, Gf2Subspace, Gf2Vector, kernel
 from .hyperbolic import (
     HyperbolicityReport,
     PointVerdict,
@@ -111,7 +110,6 @@ from .realstruct import (
     SignDistribution,
     TwistSet,
     _cells,
-    _outward_direction,
     _xor,
     adm_space,
     count_components_direct,
@@ -124,7 +122,6 @@ from .realstruct import (
     phase_from_twists,
     real_part,
     region_class,
-    signs_from_phase,
     twists_from_phase,
     twists_from_signs,
 )
@@ -558,10 +555,17 @@ def random_sign_distribution(rng: random.Random, curve: TropicalCurve) -> SignDi
 
 # -- the geometric sidedness rule ---------------------------------------
 #
-# The oracle of the compiled rule (``realstruct._side_ends`` and
-# ``_twisted_between``): at each end of a piece of curve, follow each
-# phase element of the piece onto the edge it continues along, and compare
-# the sides those edges leave on.
+# The oracle of the sign rule across two edge ends
+# (``realstruct._sign_twist``): at each end of a piece of curve, follow
+# each phase element of the piece onto the edge it continues along, and
+# compare the sides those edges leave on.
+
+
+def _outward_direction(curve: TropicalCurve, eid: int, v: int) -> IVec:
+    """The direction of edge eid leaving its end v."""
+    e = curve.edges[eid]
+    dx, dy = e.direction
+    return (dx, dy) if e.tail == v else (-dx, -dy)
 
 
 def _continuation_edge(curve: TropicalCurve, phase: RealPhaseStructure, eid: int, v: int, eps: Eps) -> int:
@@ -632,52 +636,6 @@ def relative_twist_geometric(
     hosts = {"a": (comp.curve_a, phase_a, comp.edge_a), "b": (comp.curve_b, phase_b, comp.edge_b)}
     end0, end1 = ((*hosts[tag], vid) for tag, vid in comp.end_vertices)
     return _continuations_differ(phase_a.lines[comp.edge_a].elements, ref_dir, end0, end1)
-
-
-def relative_twist_signs(
-    comp: IntersectionComponent, phase_a: RealPhaseStructure, phase_b: RealPhaseStructure
-) -> bool:
-    """Relative twist from sign distributions after aligning the two dual
-    edges by a translation.  A second oracle of
-    ``intersect.is_relatively_twisted``, beside relative_twist_geometric."""
-    delta_a = signs_from_phase(comp.curve_a, phase_a)
-    delta_b = signs_from_phase(comp.curve_b, phase_b)
-    ea = comp.curve_a.edges[comp.edge_a]
-    eb = comp.curve_b.edges[comp.edge_b]
-    pa, qa = ea.dual
-    pb, qb = eb.dual
-    if eb.direction != ea.direction:
-        if eb.direction != (-ea.direction[0], -ea.direction[1]):
-            raise InvariantViolation("overlapping edges must be parallel")
-        pb, qb = qb, pb
-    shift = (pa[0] - pb[0], pa[1] - pb[1])
-    if (qa[0] - qb[0], qa[1] - qb[1]) != shift:
-        raise InvariantViolation("the two dual edges must differ by one translation")
-    # third vertex of the dual cell of each overlap-end vertex
-    v3 = {}
-    for tag, vid in comp.end_vertices:
-        curve = comp.curve_a if tag == "a" else comp.curve_b
-        cell = curve.vertex_cell[vid]
-        dual_pair = (pa, qa) if tag == "a" else (comp.curve_b.edges[comp.edge_b].dual)
-        (third,) = [v for v in cell if v not in dual_pair]
-        v3[tag] = third
-    sa, sb = delta_a.signs, delta_b.signs
-    if sa[pa] * sa[qa] * sb[pb] * sb[qb] != 1:
-        raise InvariantViolation("equal phases force the premise product")
-    v3a = v3["a"]
-    v3b = v3["b"]
-    v3b_shifted = (v3b[0] + shift[0], v3b[1] + shift[1])
-    if (v3a[0] - v3b_shifted[0]) % 2 == 0 and (v3a[1] - v3b_shifted[1]) % 2 == 0:
-        r1 = sa[v3a] * sa[pa] * sb[v3b] * sb[pb] == -1
-        r2 = sa[v3a] * sa[qa] * sb[v3b] * sb[qb] == -1
-        if r1 != r2:
-            raise InvariantViolation("the sign rule reads differently at the two dual vertices")
-        return r1
-    r1 = sa[pa] * sa[v3a] * sb[qb] * sb[v3b] == 1
-    r2 = sa[qa] * sa[v3a] * sb[pb] * sb[v3b] == 1
-    if r1 != r2:
-        raise InvariantViolation("the sign rule reads differently at the two dual vertices")
-    return r1
 
 
 # -- the pencil oracle of the pointwise locus ----------------------------
@@ -1287,14 +1245,21 @@ def check_real_topology(rng: random.Random, trials: int) -> str:
 
 
 def check_twist_rules(rng: random.Random, trials: int) -> str:
-    """The compiled sidedness rule against the geometric one on every
-    bounded edge under each valid level configuration of the lines at its
-    ends, and the phase route of the twists (the sign rule on the phase's
-    minus bits) against the compiled rule on every bounded edge of the
-    phase, as built from signs and as rebuilt from its lines, on
-    honeycombs and random lifts; then the relative twist of
-    every segment overlap against the geometric rule across its two ends,
-    on random intersection pairs (``random_overlap_configurations``)."""
+    """The sign rule of one edge (``edge_twisted``) against the geometric
+    sidedness rule on every bounded edge, under each valid level
+    configuration of the lines at its ends, and the phase route of the
+    twists (the sign rule on the phase's minus bits) against
+    ``edge_twisted`` on every bounded edge of the phase, as built from
+    signs and as rebuilt from its lines, on honeycombs and random lifts;
+    then the relative twist of every segment overlap against the
+    geometric rule across its two ends, on random intersection pairs
+    (``random_overlap_configurations``).
+
+    An edge's dual points p, q and its cells' third points r, s decide
+    the levels of the five edges at its ends, and flipping the signs of
+    q, r and s flips three independent sets of them, so the 8 flips of
+    those signs against the drawn ones give the 8 level configurations
+    that are valid at both ends."""
     configurations = 0
     for k in range(trials):
         curves = [honeycomb(rng.randrange(1, 6))]
@@ -1314,20 +1279,15 @@ def check_twist_rules(rng: random.Random, trials: int) -> str:
                     raise Mismatch(f"trial {k}: twists_from_phase and edge_twisted differ on edges {differ}")
             for eid in curve.bounded_edges:
                 e = curve.edges[eid]
-                ends = (curve.vertex_edges[e.tail], curve.vertex_edges[e.head])
-                local = sorted(set(ends[0]) | set(ends[1]))
-                for bits in range(1 << len(local)):
-                    lines = list(phase.lines)
-                    for n, x in enumerate(local):
-                        lines[x] = PhaseLine.from_level(lines[x].direction, bits >> n & 1)
-                    if any(sum(lines[x].level for x in incident) % 2 == 0 for incident in ends):
-                        continue  # the lines at an end share a point
-                    config = RealPhaseStructure(tuple(lines))
+                q = e.dual[1]
+                (r,), (s,) = (set(curve.vertex_cell[v]).difference(e.dual) for v in (e.tail, e.head))
+                for flips in range(8):
+                    flipped = [x for n, x in enumerate((q, r, s)) if flips >> n & 1]
+                    config = phase_from_signs(
+                        curve, SignDistribution({**delta.signs, **{x: -delta.signs[x] for x in flipped}})
+                    )
                     if edge_twisted(curve, config, eid) != edge_twisted_geometric(curve, config, eid):
-                        raise Mismatch(
-                            f"trial {k}: edge {eid} with levels {[bits >> n & 1 for n in range(len(local))]}"
-                            f" on edges {local}"
-                        )
+                        raise Mismatch(f"trial {k}: edge {eid} with the signs at {flipped} flipped")
                     configurations += 1
     overlaps = 0
     for k in range(trials):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcurve.gf2 import (
+    PHASE_LINES,
     AffineFlat,
     Gf2Matrix,
     Gf2Subspace,
@@ -96,7 +97,7 @@ def test_phase_line_elements_differ_by_direction(rep, direction):
     a, b = line.elements
     assert (a[0] ^ b[0], a[1] ^ b[1]) == direction
     assert line.contains(a) and line.contains(b)
-    assert PhaseLine.from_level(direction, line.level) == line
+    assert PHASE_LINES[direction, line.level] == line
 
 
 def test_phase_line_rejects_zero_direction():

@@ -782,6 +782,41 @@ def test_locus_runs_no_pointwise_sweep(monkeypatch):
                 assert verdict.hyperbolic == (region_class(curve, alpha, eps) in want.signed_locus)
 
 
+def test_a_first_point_query_builds_no_region_class():
+    # a point query reads its copy's class off the glue orbit of its atom,
+    # and builds no key table unless its locus, when hyperbolic, builds
+    # atom_keys; the same queries on a second fresh curve whose
+    # region_class dict is built first, and that dict, give the same
+    # verdicts
+    from tropcurve.curve import curve_from_polynomial
+    from tropcurve.realstruct import _cells
+
+    rng = random.Random(41)
+    curves = [honeycomb(d) for d in range(1, 9)]
+    curves += [random_nonsingular_curve(rng, d) for d in range(2, 7) for _ in range(2)]
+    queries = hyperbolic = 0
+    for curve in curves:
+        for phase in (
+            phase_from_twists(curve, TwistSet.from_edges(curve, curve.bounded_edges))
+            if curve.is_honeycomb() else phase_from_signs(curve, SignDistribution.constant(curve)),
+            phase_from_signs(curve, random_sign_distribution(rng, curve)),
+        ):
+            fresh, built = curve_from_polynomial(curve.poly), curve_from_polynomial(curve.poly)
+            table = _cells(built).region_class
+            report = hyperbolicity_locus(built, RealPhaseStructure(phase.lines))
+            first = RealPhaseStructure(phase.lines)
+            for alpha in curve.dual.lattice_points:
+                for eps in (*EPS4, (2, 3)):
+                    got = hyperbolic_wrt_point(fresh, first, alpha, eps)
+                    assert "region_class" not in vars(_cells(fresh))
+                    assert report.hyperbolic or "atom_keys" not in vars(_cells(fresh))
+                    assert got == hyperbolic_wrt_point(built, phase, alpha, eps)
+                    assert got.hyperbolic == (table[alpha, (eps[0] & 1, eps[1] & 1)] in report.signed_locus)
+                    queries += 1
+                    hyperbolic += got.hyperbolic
+    assert queries > 1000 and hyperbolic > 0
+
+
 def test_point_query_matches_the_pencil_oracle(rng):
     # where the pencil conditions hold (honeycombs and lifts near them),
     # the locus route and the oracle agree on every copy, under every eps

@@ -26,9 +26,11 @@ from tropcurve.errors import (
     PhasesDiffer,
     SingularSubdivision,
     UnsupportedConfiguration,
+    ValidationError,
     WrongKind,
 )
 from tropcurve.geometry import sub
+from tropcurve.gf2 import PHASE_LINES
 from tropcurve.intersect import (
     CONJ_PAIR,
     TANGENT_DOUBLE,
@@ -39,9 +41,10 @@ from tropcurve.intersect import (
     classify_hits,
     edge_hits,
 )
-from tropcurve.realstruct import _outward_direction
+from tropcurve.realstruct import RealPhaseStructure, signs_from_phase
 from tropcurve.selfcheck import (
     INTERSECTION_SHIFTS,
+    _outward_direction,
     _fraction_hits,
     intersection_outcome,
     pair_scan_intersections,
@@ -52,7 +55,6 @@ from tropcurve.selfcheck import (
     random_sign_distribution,
     random_steep_crossing_pair,
     relative_twist_geometric,
-    relative_twist_signs,
     run_check,
 )
 
@@ -209,6 +211,26 @@ def test_segment_overlap_cases():
         is_relatively_twisted(comp, ph_c, distinct)
 
 
+def _with_level_flipped(phase, eid):
+    lines = list(phase.lines)
+    lines[eid] = PHASE_LINES[lines[eid].direction, 1 ^ lines[eid].level]
+    return RealPhaseStructure(tuple(lines))
+
+
+def test_relative_twist_refuses_a_phase_not_valid_for_its_curve():
+    """``is_relatively_twisted`` reads the minus bits of signs inducing
+    each phase, so a phase that agrees on the overlap but breaks a vertex
+    condition elsewhere is refused as every conversion refuses it."""
+    conic, line, comp = overlap_fixture()
+    ph_c, ph_l = all_plus(conic), line_phase(line)
+    assert is_relatively_twisted(comp, ph_c, ph_l)
+    bad_c = _with_level_flipped(ph_c, next(e for e in range(len(conic.edges)) if e != comp.edge_a))
+    bad_l = _with_level_flipped(ph_l, next(e for e in range(len(line.edges)) if e != comp.edge_b))
+    for phases in ((bad_c, ph_l), (ph_c, bad_l)):
+        with pytest.raises(ValidationError, match="phase lines share a common point"):
+            is_relatively_twisted(comp, *phases)
+
+
 def _isolated_vertex_pair():
     q = curve_from_polynomial(TropicalPolynomial({(0, 0): 0, (1, 0): -2, (0, 1): -2, (1, 1): 0}))
     return q, make_line(0, 0, 4)  # vertex (0,-4); diagonal ray through the vertex (2,-2)
@@ -288,6 +310,43 @@ def _congruence_case(comp):
     dx = v3a[0] - v3b[0] - shift[0]
     dy = v3a[1] - v3b[1] - shift[1]
     return dx % 2 == 0 and dy % 2 == 0
+
+
+def relative_twist_signs(comp, phase_a, phase_b):
+    """Relative twist from sign distributions after aligning the two dual
+    edges by a translation: a reference of ``is_relatively_twisted`` that
+    reads two ``signs_from_phase`` dicts, beside the geometric rule."""
+    delta_a = signs_from_phase(comp.curve_a, phase_a)
+    delta_b = signs_from_phase(comp.curve_b, phase_b)
+    ea = comp.curve_a.edges[comp.edge_a]
+    eb = comp.curve_b.edges[comp.edge_b]
+    pa, qa = ea.dual
+    pb, qb = eb.dual
+    if eb.direction != ea.direction:
+        if eb.direction != (-ea.direction[0], -ea.direction[1]):
+            raise InvariantViolation("overlapping edges must be parallel")
+        pb, qb = qb, pb
+    shift = sub(pa, pb)
+    if sub(qa, qb) != shift:
+        raise InvariantViolation("the two dual edges must differ by one translation")
+    # third vertex of the dual cell of each overlap-end vertex
+    v3 = {}
+    for tag, vid in comp.end_vertices:
+        curve, edge = (comp.curve_a, ea) if tag == "a" else (comp.curve_b, eb)
+        (v3[tag],) = [v for v in curve.vertex_cell[vid] if v not in edge.dual]
+    sa, sb = delta_a.signs, delta_b.signs
+    if sa[pa] * sa[qa] * sb[pb] * sb[qb] != 1:
+        raise InvariantViolation("equal phases force the premise product")
+    v3a, v3b = v3["a"], v3["b"]
+    if (v3a[0] - v3b[0] - shift[0]) % 2 == 0 and (v3a[1] - v3b[1] - shift[1]) % 2 == 0:
+        r1 = sa[v3a] * sa[pa] * sb[v3b] * sb[pb] == -1
+        r2 = sa[v3a] * sa[qa] * sb[v3b] * sb[qb] == -1
+    else:
+        r1 = sa[pa] * sa[v3a] * sb[qb] * sb[v3b] == 1
+        r2 = sa[qa] * sa[v3a] * sb[pb] * sb[v3b] == 1
+    if r1 != r2:
+        raise InvariantViolation("the sign rule reads differently at the two dual vertices")
+    return r1
 
 
 def test_relative_twist_routes_agree(rng):

@@ -1,9 +1,9 @@
 """The per-curve real-structure tables against the routes they replaced: a
 golden digest of realstruct outputs, the old solve_affine route of
 phase_from_twists, validation messages, non-interned phase lines,
-translated copies that share the tables, the per-edge and union-find
-builders of the sidedness table, the phase route of the twists against
-the per-edge sidedness rule, the cell model, the facts of a certified
+translated copies that share the tables, the phase route of the twists
+against the sign rule of one edge, the cell model against its
+union-find builder, the facts of a certified
 curve that the tables and routes no longer check, the face labelling by
 Euler characteristics that the double cover replaced, the per-edge and
 per-row sign conversions that the column tables replaced, the signs that
@@ -38,7 +38,7 @@ from tropcurve import (
     twists_from_signs,
 )
 from tropcurve.errors import DegeneratePolygon, InvariantViolation, NotAdmissible, SingularSubdivision, ValidationError
-from tropcurve.gf2 import Gf2Vector, solve_affine
+from tropcurve.gf2 import PHASE_LINES, Gf2Vector, solve_affine
 from tropcurve.realstruct import EPS4, CurveComponentInfo, RealPhaseStructure, edge_twisted, twist_matrix
 from tropcurve.selfcheck import random_lift, random_sign_distribution
 
@@ -227,7 +227,7 @@ def test_validation_messages_are_unchanged():
     # one flipped level breaks the vertex condition at both ends of the edge
     eid = c.bounded_edges[0]
     flipped = list(phase.lines)
-    flipped[eid] = PhaseLine.from_level(flipped[eid].direction, 1 ^ flipped[eid].level)
+    flipped[eid] = PHASE_LINES[flipped[eid].direction, 1 ^ flipped[eid].level]
     first = min(c.edges[eid].tail, c.edges[eid].head)
     with pytest.raises(ValidationError, match=rf"^vertex {first}: phase lines share a common point$"):
         real_part(c, RealPhaseStructure(tuple(flipped)))
@@ -282,7 +282,7 @@ def test_every_table_is_one_object_for_a_curve_and_its_copies():
 
     tables = _every_table()
     assert {"region_edges", "region_exits", "walk_order", "_cycles", "_edge_by_dual",
-            "_Base", "_Cells", "_sign_solver", "_side_ends", "_cycle_rows", "div_space"} <= set(tables)
+            "_Base", "_Cells", "_sign_solver", "_cycle_rows", "div_space"} <= set(tables)
     offset = (Fraction(7, 3), Fraction(-5, 2))
     rng = random.Random(5)
     lift = next(c for c in (random_nonsingular_curve(rng, 4) for _ in range(50)) if not c.is_honeycomb())
@@ -501,38 +501,8 @@ def test_component_counts_check_kills_a_broken_twist_matrix(part, monkeypatch):
     assert not result.passed and "matrix" in result.detail, result.detail
 
 
-# -- the per-vertex and per-side table builders against the per-edge and
-# union-find builders they replaced ------------------------------------
-
-
-def _outward_direction_reference(curve, eid, v):
-    e = curve.edges[eid]
-    if e.tail == v:
-        return e.direction
-    if not (e.bounded and e.head == v):
-        raise InvariantViolation(f"vertex {v} is not an end of edge {eid}")
-    return (-e.direction[0], -e.direction[1])
-
-
-def _side_ends_reference(curve):
-    """The sidedness rule per edge end: the other edges at the end, one
-    class check and two determinants each."""
-    from tropcurve.geometry import det2
-    from tropcurve.realstruct import _base
-
-    classes = _base(curve).classes
-    ends = {}
-    for e in curve.edges:
-        eid = e.index
-        for v in (e.tail, e.head) if e.bounded else (e.tail,):
-            others = [o for o in curve.vertex_edges[v] if o != eid]
-            if len({classes[x] for x in (eid, *others)}) != 3:
-                raise InvariantViolation(f"edge {eid}: direction classes at vertex {v} are not distinct")
-            s0, s1 = (det2(e.direction, _outward_direction_reference(curve, o, v)) for o in others)
-            if s0 * s1 >= 0:
-                raise InvariantViolation(f"edge {eid}: the other edges at vertex {v} are not on opposite sides")
-            ends[eid, v] = (others[0], s0 > 0)
-    return ends
+# -- the per-side table builder against the union-find builder it
+# replaced ---------------------------------------------------------------
 
 
 def _root(parent, x):
@@ -652,12 +622,11 @@ def _fresh(curve):
     return curve_from_polynomial(curve.poly)
 
 
-def test_side_ends_and_cells_match_the_references():
-    from tropcurve.realstruct import _cells, _side_ends
+def test_cells_match_the_reference():
+    from tropcurve.realstruct import _cells
 
     for curve in _table_curves():
         curve = _fresh(curve)
-        assert _side_ends(curve) == _side_ends_reference(curve)
         cells, want = _cells(curve), _Cells_reference(curve)
         for name in _CELL_FIELDS:
             assert getattr(cells, name) == getattr(want, name), name
@@ -665,8 +634,9 @@ def test_side_ends_and_cells_match_the_references():
 
 def test_twists_from_phase_is_edge_twisted_on_every_bounded_edge():
     """``twists_from_phase`` reads the sign rule off the phase's minus
-    bits, and ``twist-rules`` holds ``edge_twisted`` to the geometric
-    rule.  On phases built from signs, rebuilt from their lines (which
+    bits by the columns of ``_sign_columns``, ``edge_twisted`` reads it
+    across the edge's two ends (``_sign_twist``), and ``twist-rules``
+    holds ``edge_twisted`` to the geometric rule.  On phases built from signs, rebuilt from their lines (which
     find their minus bits along the sign tree) and translated by (1, 0)
     and (1, 1), its twist set is the bounded edges that ``edge_twisted``
     finds twisted."""
@@ -703,6 +673,45 @@ def test_twist_rules_check_kills_a_sign_tree_walk_of_the_wrong_parity(monkeypatc
     result = run_check("twist-rules", random.Random(7), 3)
     assert not result.passed
     assert re.match(r"trial 0: twists_from_phase and edge_twisted differ on edges \[", result.detail), result.detail
+
+
+@pytest.mark.parametrize("module", ["realstruct", "intersect"])
+def test_twist_rules_check_kills_a_two_end_rule_with_its_parity_cases_swapped(module, monkeypatch):
+    """A mutant ``_sign_twist`` that reads third points of equal parity by
+    the rule for unequal ones and back: in ``edge_twisted`` it fails
+    against ``twists_from_phase``, in ``is_relatively_twisted`` against
+    the geometric rule across an overlap."""
+    import importlib
+    import inspect
+
+    from tropcurve import realstruct
+    from tropcurve.selfcheck import run_check
+
+    assert run_check("twist-rules", random.Random(7), 5).passed
+    source = inspect.getsource(realstruct._sign_twist)
+    test = "if d0 == d1:"
+    assert source.count(test) == 1
+    namespace = dict(vars(realstruct))
+    exec(source.replace(test, "if d0 != d1:"), namespace)
+    monkeypatch.setattr(importlib.import_module(f"tropcurve.{module}"), "_sign_twist", namespace["_sign_twist"])
+    result = run_check("twist-rules", random.Random(7), 5)
+    assert not result.passed
+    want = "twists_from_phase and edge_twisted differ on edges" if module == "realstruct" else "overlap of edges"
+    assert re.match(rf"trial \d+: {want}", result.detail), result.detail
+
+
+def test_edge_twisted_refuses_a_phase_not_valid_for_its_curve():
+    """``edge_twisted`` reads the minus bits of signs inducing the phase,
+    so it checks the phase as every conversion does."""
+    curve = honeycomb(3)
+    phase = phase_from_signs(curve, SignDistribution.constant(curve))
+    eid = curve.bounded_edges[0]
+    flipped = list(phase.lines)
+    flipped[eid] = PHASE_LINES[flipped[eid].direction, 1 ^ flipped[eid].level]
+    with pytest.raises(ValidationError, match="phase lines share a common point"):
+        edge_twisted(curve, RealPhaseStructure(tuple(flipped)), eid)
+    with pytest.raises(ValidationError, match="does not cover every edge"):
+        edge_twisted(curve, RealPhaseStructure(phase.lines[:-1]), eid)
 
 
 def _sign_rows_reference(curve):
@@ -852,7 +861,7 @@ def test_a_certified_curve_has_what_its_routes_no_longer_check():
             for b in flat.space.basis:
                 if rng.random() < 0.5:
                     levels ^= b.bits
-            phase = RealPhaseStructure(tuple(PhaseLine.from_level(d, levels >> e) for e, d in enumerate(classes)))
+            phase = RealPhaseStructure(tuple(PHASE_LINES[d, levels >> e & 1] for e, d in enumerate(classes)))
             induced = phase_from_signs(curve, signs_from_phase(curve, phase))
             assert induced.lines == phase.lines
         for alpha in points:
@@ -878,7 +887,7 @@ def test_a_first_locus_builds_no_copy_keys_or_region_class():
             built = vars(_cells(curve)) if _cells.__name__ in curve._tables else {}
             assert "copy_keys" not in built and "region_class" not in built
             # the face tree is the locus's one route: no rank-route table
-            assert not {"_cycle_rows", "_side_ends"} & curve._tables.keys()
+            assert "_cycle_rows" not in curve._tables
     assert hyperbolic >= 5
 
 

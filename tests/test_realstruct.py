@@ -212,6 +212,21 @@ def test_phase_from_twists_seeds_agree():
     assert twist_sets == {T.edges}
 
 
+def test_phase_from_twists_refuses_a_seed_edge_off_the_curve_and_reads_the_seed_eps_mod_2():
+    # edge -1 once seeded the last edge, edge 99 and eps (0, 3) raised a
+    # bare IndexError
+    c = honeycomb(2)
+    T = TwistSet.from_edges(c, ())
+    for eid in (-1, len(c.edges), 99):
+        with pytest.raises(ValueError, match=rf"^seed edge {eid} is not an edge of the curve$"):
+            phase_from_twists(c, T, (eid, (0, 0)))
+    for eid in range(len(c.edges)):
+        phase = phase_from_twists(c, T, (eid, (0, 3)))
+        assert phase == phase_from_twists(c, T, (eid, (0, 1)))
+        assert phase.lines[eid].contains((0, 1))
+        assert phase_from_twists(c, T, (eid, (-2, 5))) == phase
+
+
 def test_vertex_condition_holds_for_constructed_phases(rng):
     # every element of every line continues over exactly one other edge
     for _ in range(10):

@@ -181,7 +181,6 @@ _KEPT_UNREACHED = {
     "intersect.IntersectionComponent.__repr__",  # pinned in test_intersect
     "io_render.save_spec",  # its round trip through load_spec pins the parser
     "selfcheck.is_generic",  # named in README as a route of the pencil sweep
-    "selfcheck.relative_twist_signs",  # named in README as the sign-based sidedness rule
 }
 
 

@@ -174,7 +174,6 @@ TABLES = {
         ("region_edges", lambda rs, c: c.region_edges),
         ("_cycles", lambda rs, c: c._cycles),
         ("_cycle_rows", lambda rs, c: rs._cycle_rows(c)),
-        ("_side_ends", lambda rs, c: rs._side_ends(c)),
         ("_Cells", lambda rs, c: rs._cells(c)),
         ("atom_keys", lambda rs, c: rs._cells(c).atom_keys),
         ("region_class", lambda rs, c: rs._cells(c).region_class),
