@@ -8,8 +8,9 @@ real part (``realstruct._face_tree``): the component count is its number
 of components, the kernel dimension one less, the curve is hyperbolic iff
 its deepest disk face lies d // 2 ovals down, and that face is the locus.
 No component report is built.  The phase keeps the labelling for the
-curve's tables (``RealPart.face_tree``), so only the first locus on a
-phase labels it.
+curve's tables (``RealPart.face_tree``), so only the first locus or
+point query on a phase labels it, and it keeps the report beside it, so
+a later locus returns the same report.
 
 The twist-matrix criterion states the same fact: the twist set is
 dividing (the curve is of type I) with kernel dimension ceil(d/2)-1, so
@@ -23,14 +24,16 @@ orientation formula for d = 2k and Mishachev's for d = 2k+1.
 ``is_hyperbolic`` is that rank route; the oracle
 ``selfcheck.locus_from_report`` reads it, so ``verify`` holds the two
 criteria to each other.
-A point query reads its verdict off that locus: the eps-copy of a
-component is in it iff its ``region_class``, read off the glue orbit of
-its atom, is in the signed locus, and a "no" names the fact of the oval
-route that fails.  The locus reads the face tree the phase keeps, so
-every query on a phase after the first reads it back instead of
-labelling the real part again.  The three pencil conditions at a
-generic point of one component are the oracle
-``selfcheck.pointwise_verdicts``, not a production route.
+A point query reads one atom of the face tree the phase keeps and builds
+no report: the eps-copy of a component is in the locus iff its atom
+lies in the locus face, the one face ``_locus_face`` finds for both
+routes, and a "no" names the fact of the oval route that fails, the
+kernel dimension read as one less than the tree's components.  Every
+query on a phase after the first reads the tree back instead of
+labelling the real part again, so a sweep over every copy is linear in
+the lattice points.  The three pencil conditions at a generic point of
+one component are the oracle ``selfcheck.pointwise_verdicts``, not a
+production route.
 
 Honeycombs also have a bridge criterion for the locus.  A degree-d curve
 whose edges all have honeycomb directions is dual to the standard
@@ -68,6 +71,7 @@ from .realstruct import (
     _base,
     _cells,
     _code,
+    _FaceTree,
     count_components_matrix,
     is_dividing,
     real_part,
@@ -126,61 +130,79 @@ def hyperbolic_wrt_point(
     eps: Eps,
 ) -> PointVerdict:
     """Is every curve near this data hyperbolic with respect to a real
-    point in the eps-copy of the component?  Read off the locus: a "no"
-    gives condition 1 when the twist set is not dividing, 2 when the
-    twist-matrix kernel dimension is not ceil(d/2)-1, and 3 when the copy
-    lies outside the innermost oval."""
+    point in the eps-copy of the component?  Read off the face tree the
+    phase keeps: yes iff the copy's atom lies in the locus face
+    (``_locus_face``).  A "no" gives condition 1 when the twist set is
+    not dividing, 2 when the twist-matrix kernel dimension is not
+    ceil(d/2)-1, and 3 when the copy lies outside the innermost oval."""
     d = curve.require_degree()
     alpha = component.dual_point if isinstance(component, ComplementComponent) else component
     base = _base(curve)
     if alpha not in base.index:
         raise ValueError(f"{alpha} is not a lattice point of the Newton polygon")
-    report = hyperbolicity_locus(curve, phase)
+    tree = real_part(curve, phase).face_tree()
+    face = _locus_face(tree)
     eps = (eps[0] & 1, eps[1] & 1)
-    # the region_class of the copy: the key (lattice point k, EPS4[c]) of
-    # the least atom 4k + c of its atom's glue orbit, built without the
-    # curve's key tables
-    least = _cells(curve).glued[4 * base.index[alpha] + _code(eps)]
-    copy = (base.points[least >> 2], EPS4[least & 3])
-    if copy in report.signed_locus:
-        return PointVerdict(alpha, eps, True)
-    if report.hyperbolic:
-        return PointVerdict(alpha, eps, False, 3, f"the copy {copy} lies outside the innermost oval")
+    atom = 4 * base.index[alpha] + _code(eps)
+    if tree.depth[face] == d // 2:
+        if tree.region[atom] == face:
+            return PointVerdict(alpha, eps, True)
+        # the copy's region_class: the key (lattice point k, EPS4[c]) of
+        # the least atom 4k + c of its atom's glue orbit
+        g = _cells(curve).glued[atom]
+        return PointVerdict(
+            alpha, eps, False, 3, f"the copy {(base.points[g >> 2], EPS4[g & 3])} lies outside the innermost oval"
+        )
     # hyperbolic is dividing with kernel dimension ceil(d/2)-1 (the module's
     # criterion), so with that dimension the twist set is not dividing
     want = (d + 1) // 2 - 1
-    if report.kernel_dim != want:
-        return PointVerdict(
-            alpha, eps, False, 2, f"the twist-matrix kernel has dimension {report.kernel_dim}, not {want}"
-        )
+    kernel_dim = len(tree.groups) - 1
+    if kernel_dim != want:
+        return PointVerdict(alpha, eps, False, 2, f"the twist-matrix kernel has dimension {kernel_dim}, not {want}")
     return PointVerdict(alpha, eps, False, 1, "the twist set is not dividing")
 
 
 # -- loci -----------------------------------------------------------------
 
 
+def _locus_face(tree: _FaceTree) -> int:
+    """The face of a real part's face tree that is the locus when the
+    curve is hyperbolic, that is when the face lies d // 2 ovals down (the
+    nest criterion of the module docstring): the last face of ``order``,
+    which lists the faces from the root down.  A nest of d // 2 ovals
+    leaves room for no other oval, so the tree is then a chain and its
+    last face the innermost oval's disk face; in any other tree every face
+    lies fewer ovals down.  No oval lies below the innermost one, so its
+    interior is its disk face, a leaf of the tree: only that oval touches
+    it, since the pseudo-line touches only the root; with no oval (d = 1)
+    the locus is the root face, the whole complement."""
+    return tree.order[-1]
+
+
 def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> HyperbolicityReport:
     """Every field read off the face labelling of the real part, the one
-    the phase keeps (``RealPart.face_tree``): its components, the depth
-    of the innermost oval's disk face (the nest criterion of the module
-    docstring) and that face, the locus."""
+    the phase keeps (``RealPart.face_tree``): its components and the
+    locus face (``_locus_face``).  The phase keeps the report beside the
+    tree, so later calls for the curve's tables return the same object."""
     d = curve.require_degree()
+    base = _base(curve)
+    base.levels(phase)
+    report = phase._read[4]
+    if report is not None:
+        return report
     rp = real_part(curve, phase)
     tree = rp.face_tree()
     count = len(tree.groups)
-    # no oval lies below the deepest one, so its interior is its disk
-    # face, a leaf of the tree: only that oval touches it, since the
-    # pseudo-line touches only the root; with no oval (d = 1) the
-    # locus is the root face, the whole complement
-    face = max(tree.disk.values(), key=tree.depth.__getitem__, default=tree.order[0])
+    face = _locus_face(tree)
     hyp = tree.depth[face] == d // 2
     signed: frozenset[tuple[IVec, Eps]] = frozenset()
     if hyp:
-        # each atom's region_class, read off the curve's table
-        cells = _cells(curve)
-        keys, glued = cells.atom_keys, cells.glued
-        signed = frozenset([keys[glued[x]] for x, f in enumerate(tree.region) if f == face])
-    return HyperbolicityReport(
+        # each face atom's region_class, the key of the least atom g of
+        # its glue orbit, keyed once per orbit
+        glued, points = _cells(curve).glued, base.points
+        least = {glued[x] for x, f in enumerate(tree.region) if f == face}
+        signed = frozenset([(points[g >> 2], EPS4[g & 3]) for g in least])
+    report = HyperbolicityReport(
         hyperbolic=hyp,
         kernel_dim=count - 1,
         component_count=count,
@@ -191,10 +213,13 @@ def hyperbolicity_locus(curve: TropicalCurve, phase: RealPhaseStructure) -> Hype
         # two unit triangles on a dual edge pq have apexes r and p + q - r,
         # so their coordinate sums differ by q - p mod 2, which is nonzero
         # and sets the sign rule's offset bit for the edge
-        stable=curve.is_honeycomb() and rp._levels == _base(curve).all_levels,
+        stable=curve.is_honeycomb() and rp._levels == base.all_levels,
         locus=frozenset(a for a, _ in signed),
         signed_locus=signed,
     )
+    # beside the tree the report was read off (``RealPhaseStructure``)
+    phase._read = (*phase._read[:4], report)
+    return report
 
 
 # -- honeycomb specifics ---------------------------------------------------

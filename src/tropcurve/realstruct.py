@@ -153,32 +153,34 @@ class RealPhaseStructure(_Record):
     keeps the minus bits of a sign distribution inducing it
     (``_Base.sign_bits``): those of the signs that built it, else those
     found on first request.  It keeps its face tree too
-    (``RealPart.face_tree``), labelled on the first report or locus for
-    the tables that read it."""
+    (``RealPart.face_tree``), labelled on the first report, locus or
+    point query for the tables that read it, and the hyperbolicity report
+    of its first locus on those tables (``hyperbolicity_locus``)."""
 
     __slots__ = ("_lines", "_read")
     _fields = ("lines",)
 
     def __init__(self, lines: tuple[PhaseLine, ...]):
         self._lines = lines
-        # (tables, level bits, minus bits or None, face tree or None) of
-        # the last curve tables that read this phase (see ``_Base.levels``,
-        # ``sign_bits`` and ``RealPart.face_tree``); while ``_lines`` is
-        # None, the tables that built it
+        # (tables, level bits, minus bits or None, face tree or None,
+        # hyperbolicity report or None) of the last curve tables that read
+        # this phase (see ``_Base.levels``, ``sign_bits``,
+        # ``RealPart.face_tree`` and ``hyperbolicity_locus``); while
+        # ``_lines`` is None, the tables that built it
         self._read = None
 
     @classmethod
     def _of_signs(cls, base: "_Base", levels: int, minus: int) -> "RealPhaseStructure":
         phase = cls.__new__(cls)
         phase._lines = None
-        phase._read = (base, levels, minus, None)
+        phase._read = (base, levels, minus, None, None)
         return phase
 
     @property
     def lines(self) -> tuple[PhaseLine, ...]:
         lines = self._lines
         if lines is None:
-            base, levels, _, _ = self._read
+            base, levels = self._read[:2]
             pairs = base.line_pairs
             lines = self._lines = tuple(map(getitem, pairs, _bit_bytes(levels, len(pairs))))
         return lines
@@ -327,7 +329,7 @@ class _Base:
         for v, mask in enumerate(self.vmasks):
             if not (levels & mask).bit_count() & 1:
                 raise ValidationError(f"vertex {v}: phase lines share a common point")
-        phase._read = (self, levels, None, None)
+        phase._read = (self, levels, None, None, None)
         return levels
 
     def sign_bits(self, phase: RealPhaseStructure, curve: TropicalCurve) -> int:
@@ -348,7 +350,7 @@ class _Base:
             for j, i, eid in _sign_tree(curve)[0]:
                 if not (minus >> i ^ levels >> eid) & 1:
                     minus |= 1 << j
-            phase._read = (self, levels, minus, read[3])
+            phase._read = (self, levels, minus, *read[3:])
         return minus
 
     def phase_of_signs(self, minus: int) -> RealPhaseStructure:
@@ -872,14 +874,15 @@ class RealPart:
         curve's tables, read back on later ones.  The labelling reads only
         the ``_cells`` of the tables' store and the level bits, so a
         translated copy of the curve reads the same tree; when other
-        tables read the phase, ``_Base.levels`` drops it."""
+        tables read the phase, ``_Base.levels`` drops it.  A new tree
+        drops the report kept beside it."""
         phase = self.phase
         _base(self.curve).levels(phase)
         read = phase._read
         tree = read[3]
         if tree is None:
             tree = _face_tree(self)
-            phase._read = (*read[:3], tree)
+            phase._read = (*read[:3], tree, None)
         return tree
 
 

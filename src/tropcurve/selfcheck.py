@@ -83,6 +83,7 @@ from .hyperbolic import (
     HyperbolicityReport,
     PointVerdict,
     honeycomb_locus,
+    hyperbolic_wrt_point,
     hyperbolicity_locus,
     is_hyperbolic,
     multi_bridges,
@@ -1324,7 +1325,8 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
     flipped, and then on random admissible sets (sums of ``adm_space``'s
     basis) on honeycombs of degree 2 to 5, which reach ``NotDividing``:
     it accepts iff the cycle route finds the set dividing, and refuses as
-    the cycle route does otherwise."""
+    the cycle route does otherwise.  Each report's phase also answers a
+    point query on every copy (``_check_point_queries``)."""
     draws = []
     for k in range(trials):
         d, curve, edges = _bridge_union(rng)
@@ -1346,6 +1348,7 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
         sweep = pointwise_signed_locus(curve, phase)
         if report.signed_locus != sweep:
             raise Mismatch(f"{label}: oval and sweep differ on {sorted(report.signed_locus ^ sweep)}")
+        _check_point_queries(label, curve, phase, report)
     cases = []
     for k in range(trials):
         # flipping a one-edge bridge gives another union, so the cycle
@@ -1380,7 +1383,8 @@ def check_honeycomb_locus(rng: random.Random, trials: int) -> str:
 
 def check_locus_routes(rng: random.Random, trials: int) -> str:
     """Innermost-oval signed locus against the component-report route and
-    the pencil sweep on random lifts."""
+    the pencil sweep on random lifts, and every copy's point query against
+    that signed locus (``_check_point_queries``)."""
     for k in range(trials):
         d = rng.randrange(2, 6)
         curve = random_nonsingular_curve(rng, d)
@@ -1392,7 +1396,20 @@ def check_locus_routes(rng: random.Random, trials: int) -> str:
         sweep = pointwise_signed_locus(curve, phase)
         if oval != sweep:
             raise Mismatch(f"trial {k} (d={d}): oval and sweep differ on {sorted(oval ^ sweep)}")
+        _check_point_queries(f"trial {k} (d={d})", curve, phase, report)
     return f"{trials} random curves"
+
+
+def _check_point_queries(label: str, curve: TropicalCurve, phase: RealPhaseStructure,
+                         report: HyperbolicityReport) -> None:
+    """The point route (``hyperbolic_wrt_point``, one atom of the face
+    tree) against the locus route: every copy is hyperbolic iff its
+    ``region_class`` lies in the report's signed locus."""
+    for alpha in curve.dual.lattice_points:
+        for eps in EPS4:
+            got = hyperbolic_wrt_point(curve, phase, alpha, eps).hyperbolic
+            if got != (region_class(curve, alpha, eps) in report.signed_locus):
+                raise Mismatch(f"{label}: the point query at {alpha} eps={eps} says hyperbolic={got} against the signed locus")
 
 
 def check_bezout(rng: random.Random, trials: int) -> str:

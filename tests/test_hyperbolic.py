@@ -817,6 +817,98 @@ def test_a_first_point_query_builds_no_region_class():
     assert queries > 1000 and hyperbolic > 0
 
 
+def _report_cases():
+    """Honeycombs and random lifts, each with two phases: the fully
+    twisted one on a honeycomb (hyperbolic) or constant signs on a lift,
+    then random signs."""
+    rng = random.Random(56)
+    curves = [honeycomb(d) for d in range(1, 7)]
+    curves += [random_nonsingular_curve(rng, d) for d in range(2, 6) for _ in range(2)]
+    for curve in curves:
+        first = (phase_from_twists(curve, TwistSet.from_edges(curve, curve.bounded_edges))
+                 if curve.is_honeycomb() else phase_from_signs(curve, SignDistribution.constant(curve)))
+        yield curve, first
+        yield curve, phase_from_signs(curve, random_sign_distribution(rng, curve))
+
+
+def test_a_repeat_locus_returns_the_report_the_phase_keeps():
+    # the report is kept beside the face tree for the curve's tables: a
+    # repeat, a translated copy (which shares the tables) and a read of
+    # the phase's minus bits between the two all return the same object
+    kept = 0
+    for curve, phase in _report_cases():
+        report = hyperbolicity_locus(curve, phase)
+        assert hyperbolicity_locus(curve, phase) is report
+        moved = curve.translated((Fraction(1, 3), Fraction(-2, 7)))
+        assert hyperbolicity_locus(moved, phase) is report
+        twists_from_phase(curve, phase)
+        assert hyperbolicity_locus(curve, phase) is report
+        kept += report.hyperbolic
+    assert kept >= 6
+
+
+def test_fresh_tables_rebuild_the_report_equal_by_value():
+    # a phase read by another curve's tables drops what it kept, so the
+    # report is rebuilt for them, and again when the first tables read it
+    from tropcurve.curve import curve_from_polynomial
+
+    for curve, phase in _report_cases():
+        report = hyperbolicity_locus(curve, phase)
+        fresh = curve_from_polynomial(curve.poly)
+        again = hyperbolicity_locus(fresh, phase)
+        assert again is not report and again == report
+        assert hyperbolicity_locus(fresh, phase) is again
+        back = hyperbolicity_locus(curve, phase)
+        assert back is not report and back == report
+
+
+def test_loci_and_point_queries_build_no_atom_keys():
+    # the locus keys its signed locus, and a point query its copy, by the
+    # least atom of a glue orbit, so neither builds the curve's atom_keys,
+    # on hyperbolic phases too
+    from tropcurve.curve import curve_from_polynomial
+    from tropcurve.realstruct import _cells
+
+    hyperbolic = 0
+    for curve, phase in _report_cases():
+        for first_locus in (True, False):
+            fresh = curve_from_polynomial(curve.poly)
+            read = RealPhaseStructure(phase.lines)
+            if first_locus:
+                hyperbolic += hyperbolicity_locus(fresh, read).hyperbolic
+            for alpha in curve.dual.lattice_points:
+                for eps in EPS4:
+                    hyperbolic_wrt_point(fresh, read, alpha, eps)
+            hyperbolicity_locus(fresh, read)
+            assert "atom_keys" not in vars(_cells(fresh))
+    assert hyperbolic >= 6
+
+
+def test_verify_kills_a_point_query_that_reads_the_root_face_as_the_locus(monkeypatch, capsys):
+    """A mutant ``hyperbolic_wrt_point`` that tests the root face of the
+    tree, not ``_locus_face``: it answers "no" on every copy of a
+    hyperbolic curve of degree 2 or more, so both locus checks fail at
+    seed 0 against their reports' signed loci."""
+    import inspect
+
+    import tropcurve.hyperbolic as hyp
+    import tropcurve.selfcheck as sc
+    from tropcurve.cli import main
+
+    source = inspect.getsource(hyp.hyperbolic_wrt_point)
+    test = "face = _locus_face(tree)"
+    assert source.count(test) == 1
+    namespace = dict(vars(hyp))
+    exec(source.replace(test, "face = tree.order[0]"), namespace)
+    monkeypatch.setattr(sc, "hyperbolic_wrt_point", namespace["hyperbolic_wrt_point"])
+    assert main(["verify", "--seed", "0"]) == 3
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    for name in ("honeycomb-locus", "locus-routes"):
+        assert re.match(r"MISMATCH \(.*: the point query at \(\d+, \d+\) eps=\(\d, \d\) says hyperbolic=False",
+                        lines[name]), lines[name]
+    assert all(v.startswith("ok (") for k, v in lines.items() if k not in ("honeycomb-locus", "locus-routes"))
+
+
 def test_point_query_matches_the_pencil_oracle(rng):
     # where the pencil conditions hold (honeycombs and lifts near them),
     # the locus route and the oracle agree on every copy, under every eps

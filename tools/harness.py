@@ -204,6 +204,11 @@ HONEYCOMB = {
     "locus_again": lambda s, r, d: (s.tc.hyperbolicity_locus, (r["build"], r["phase_from_twists"])),
     # a point query after the locus on its phase
     "point": lambda s, r, d: (s.tc.hyperbolic_wrt_point, (r["build"], r["phase_from_twists"], (1, 1), (0, 0))),
+    # a point query on a new phase of the same twists, on warm tables but
+    # with no face tree kept
+    "point_fresh": lambda s, r, d: (s.tc.hyperbolic_wrt_point,
+                                    (r["build"], s.tc.phase_from_twists(r["build"], _all_twisted(s.tc, r["build"])),
+                                     (1, 1), (0, 0))),
     # after the locus steps, so that they find the curve's tables cold; the
     # locus builds no cycle table, so this step pays the first use of the
     # curve's cycles and cycle rows
